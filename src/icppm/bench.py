@@ -113,6 +113,7 @@ class ExperimentConfig:
     seed: int = 0
     scale_lo: float = 0.0
     scale_hi: float = math.pi
+    # Accepted for existing configs; kernels run as one batch and ignore it.
     threads: int = 1
     cache_dir: str | None = None
     mode: str = "experiment"
@@ -227,6 +228,9 @@ class RunResult:
     sampling_fraction: float
     seed: int
     n_samples: int
+    # Quantum feature-map states simulated for the kernels (0 for cached
+    # Gram matrices); reported in results.json only.
+    states_simulated: int = 0
 
     def to_dict(self) -> dict:
         return {
@@ -243,6 +247,7 @@ class RunResult:
             "sampling_fraction": self.sampling_fraction,
             "seed": self.seed,
             "n_samples": self.n_samples,
+            "states_simulated": self.states_simulated,
         }
 
 
@@ -400,6 +405,7 @@ def run_experiment(
     gram_time = 0.0
     gram_evals = 0
     cross_evals = 0
+    states = 0
     for fold in range(cfg.folds):
         train_idx, test_idx = folds.split(fold)
         x_train, y_train, x_test, y_test = _encode_fold(
@@ -441,20 +447,22 @@ def run_experiment(
                     {"classifier": cfg.classifier, "shots": cfg.shots, "gamma": cfg.gamma},
                     derive_seed(cfg.seed, f"shots/{fold}"),
                 )
-                k_train = load_kernel(cfg.cache_dir, key)
+                k_train = load_kernel(cfg.cache_dir, key, size=len(x_train))
             if k_train is None:
                 t_gram0 = time.perf_counter()
-                k_train = gram(x_train, kernel_kind, n_jobs=cfg.threads)
+                k_train = gram(x_train, kernel_kind)
                 gram_time += time.perf_counter() - t_gram0
                 if key is not None:
                     save_kernel(k_train, cfg.cache_dir, key)
             gram_evals += k_train.eval_count
+            states += k_train.states_simulated
             if kernel_kind.variant == "quantum" and not kernel_kind.shots.exact:
                 k_train = psd_repair(k_train)
             model = fit_multiclass(k_train, y_train, C=cfg.C, tol=cfg.tol)
             fit_time += time.perf_counter() - t_fit0
-            k_test = cross(x_test, x_train, kernel_kind, n_jobs=cfg.threads)
+            k_test = cross(x_test, x_train, kernel_kind)
             cross_evals += k_test.eval_count
+            states += k_test.states_simulated
             predictions = svm_predict(model, k_test)
         correct = sum(1 for p, t in zip(predictions, y_test) if p == t)
         acc = correct / len(y_test)
@@ -476,6 +484,7 @@ def run_experiment(
         sampling_fraction=cfg.sampling_fraction,
         seed=cfg.seed,
         n_samples=len(samples),
+        states_simulated=states,
     )
 
 
@@ -517,6 +526,7 @@ def window_sweep(
         sampling_fraction=cfg.sampling_fraction,
         seed=cfg.seed,
         n_samples=results[0].n_samples,
+        states_simulated=sum(r.states_simulated for r in results),
     )
     return results + [averaged]
 

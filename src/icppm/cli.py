@@ -249,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--out-dir", default="results", help="output directory")
     p_bench.add_argument("--seed", type=int, default=None, help="override config seed")
     p_bench.add_argument("--threads", type=int, default=None,
-                         help="override kernel evaluation threads")
+                         help="accepted for existing scripts; has no effect")
     p_bench.add_argument("--shots", type=int, default=None,
                          help="override shots per kernel estimate")
     p_bench.add_argument("--exact", action="store_true",

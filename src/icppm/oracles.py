@@ -13,7 +13,7 @@ from functools import reduce
 
 import numpy as np
 
-from . import qsim
+from . import qkernel, qsim
 from .errors import ConfigError
 from .qsim import CircuitSpec, FeatureMapKind, GateOp
 
@@ -23,6 +23,8 @@ _P0 = np.array([[1, 0], [0, 0]], dtype=np.complex128)
 _P1 = np.array([[0, 0], [0, 1]], dtype=np.complex128)
 
 MAX_ORACLE_QUBITS = 10
+# Largest gap allowed between the batched kernel engine and a reference.
+BATCHED_TOL = 1e-12
 
 
 def _chain(n: int, factors: dict[int, np.ndarray]) -> np.ndarray:
@@ -109,15 +111,19 @@ def run_kernel_check(
     seed: int = 0,
     perturb: float = 0.0,
 ) -> dict:
-    """Self-check of the engine against the dense oracles.
+    """Self-check of the kernel engines against each other and the dense oracles.
 
-    Returns a report dict with ``passed`` and a list of failure strings.
-    ``perturb`` injects an angle error into the adjoint half of each overlap
-    circuit; any nonzero value must make the check fail.
+    The batched ``qkernel.gram``/``cross`` matrices must agree with per-pair
+    overlap circuits and, up to the dense cap, with dense unitaries to
+    ``BATCHED_TOL``. Returns a report dict with ``passed`` and a list of
+    failure strings. ``perturb`` injects an angle error into the adjoint half
+    of each per-pair overlap circuit; any nonzero value must make the check
+    fail.
     """
     if n_qubits < 1 or n_qubits > 20:
         raise ConfigError(f"kernel-check supports 1..20 qubits, got {n_qubits}")
     kind = FeatureMapKind(variant, layers)
+    quantum = qkernel.KernelKind.quantum(kind)
     rng = np.random.default_rng(seed)
     xs = rng.uniform(0.0, math.pi, size=(n_samples, n_qubits))
     failures: list[str] = []
@@ -135,6 +141,13 @@ def run_kernel_check(
                     break
         return qsim._overlap_from_ops(n_qubits, ops, qsim.EXACT)
 
+    def compare(what: str, i: int, j: int, got: float, want: float, tol: float) -> None:
+        if abs(got - want) > tol:
+            failures.append(f"{what} at pair ({i},{j}): |dk|={abs(got - want):.3e}")
+
+    # Entry i of the ring pairs sample i with sample i+1 (mod n).
+    ring = qkernel.cross(xs, np.roll(xs, -1, axis=0), quantum).values.diagonal()
+    dense_refs: dict[tuple[int, int], float] = {}
     for i in range(n_samples):
         j = (i + 1) % n_samples
         k_ij = overlap(xs[i], xs[j])
@@ -144,29 +157,28 @@ def run_kernel_check(
         k_ii = overlap(xs[i], xs[i])
         if abs(k_ii - 1.0) > 1e-10:
             failures.append(f"self-overlap at {i} is {k_ii!r}, expected 1")
+        compare("batched cross differs from per-pair overlap", i, j, ring[i], k_ij, BATCHED_TOL)
         if dense_ok:
-            ref = kernel_via_unitary(xs[i], xs[j], kind)
-            if abs(k_ij - ref) > 1e-10:
-                failures.append(
-                    f"dense-matrix mismatch at pair ({i},{j}): |dk|={abs(k_ij - ref):.3e}"
-                )
+            ref = dense_refs[i, j] = kernel_via_unitary(xs[i], xs[j], kind)
+            compare("dense-matrix mismatch", i, j, k_ij, ref, 1e-10)
+            compare("batched cross differs from dense oracle", i, j, ring[i], ref, BATCHED_TOL)
             state = qsim.run(qsim.build_feature_map(kind, xs[i]))
             ref_state = state_via_unitary(qsim.build_feature_map(kind, xs[i]))
             if np.max(np.abs(state.amplitudes - ref_state)) > 1e-10:
                 failures.append(f"state mismatch against dense unitary at sample {i}")
         if variant == "angle":
             ref = angle_kernel_closed_form(xs[i], xs[j], layers)
-            if abs(k_ij - ref) > 1e-10:
-                failures.append(
-                    f"closed-form mismatch at pair ({i},{j}): |dk|={abs(k_ij - ref):.3e}"
-                )
+            compare("closed-form mismatch", i, j, k_ij, ref, 1e-10)
 
     m = min(n_samples, 12)
-    gram = np.empty((m, m))
+    gram = qkernel.gram(xs[:m], quantum).values
     for i in range(m):
-        gram[i, i] = 1.0
         for j in range(i + 1, m):
-            gram[i, j] = gram[j, i] = overlap(xs[i], xs[j])
+            compare("batched Gram differs from per-pair overlap", i, j,
+                    gram[i, j], overlap(xs[i], xs[j]), BATCHED_TOL)
+            if (i, j) in dense_refs:
+                compare("batched Gram differs from dense oracle", i, j,
+                        gram[i, j], dense_refs[i, j], BATCHED_TOL)
     min_eig = float(np.linalg.eigvalsh(gram)[0])
     if min_eig < -1e-8:
         failures.append(f"gram matrix has eigenvalue {min_eig:.3e} < -1e-8")

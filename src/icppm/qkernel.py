@@ -1,17 +1,25 @@
 """Kernel matrices: classical (linear, rbf) and quantum overlap kernels.
 
-Quantum Gram matrices exploit symmetry: only the strict upper triangle is
-evaluated (m(m-1)/2 overlap calls, tracked in ``eval_count``), the mirror
-is copied and the diagonal is fixed at 1. Shot-mode evaluations derive a
-per-pair seed from (global seed, i, j) so serial and parallel runs agree
-bit for bit. Matrices can be persisted to .npz keyed by a config hash.
+A quantum kernel entry is |<psi(x')|psi(x)>|^2 with psi(x) = V(x)|0...0>.
+Each call simulates every input row's feature-map state once, as one batch
+(``qsim.feature_map_states``), and reads all entries off the state inner
+products: a Gram matrix is |S S^H|^2 over its strict upper triangle
+(m(m-1)/2 logical entries, tracked in ``eval_count``), mirrored, with the
+diagonal fixed at 1; a cross matrix is |S_test S_train^H|^2. The batch holds
+m * 2^n complex amplitudes. Shot mode samples each entry from a per-pair
+seed derived from (global seed, i, j), so a matrix equals the per-pair
+``qsim.kernel_overlap`` estimates entry for entry. Matrices can be persisted
+to .npz keyed by a config hash.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from concurrent.futures import ThreadPoolExecutor
+import logging
+import os
+import tempfile
+import zipfile
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -20,7 +28,9 @@ import numpy as np
 
 from .encoding import FeatureVector
 from .errors import ConfigError
-from .qsim import EXACT, FeatureMapKind, ShotConfig, _overlap_from_ops, build_feature_map
+from .qsim import EXACT, FeatureMapKind, ShotConfig, feature_map_states
+
+log_ = logging.getLogger("icppm.qkernel")
 
 KERNEL_VARIANTS = ("linear", "rbf", "quantum")
 
@@ -55,8 +65,17 @@ class KernelKind:
 
 @dataclass
 class KernelMatrix:
+    """Kernel values plus work counters.
+
+    ``eval_count`` counts logical quantum entries (the strict upper triangle
+    of a Gram matrix, every entry of a cross matrix); ``states_simulated``
+    counts feature-map states simulated to produce them. Both are 0 for
+    classical kernels, and ``states_simulated`` is 0 for a cached matrix.
+    """
+
     values: np.ndarray
     eval_count: int = 0
+    states_simulated: int = 0
 
 
 def _as_matrix(data) -> np.ndarray:
@@ -72,42 +91,31 @@ def _as_matrix(data) -> np.ndarray:
 
 
 def pair_seed(seed: int, i: int, j: int) -> int:
-    """Stable per-pair shot seed; identical across serial and parallel runs."""
+    """Stable per-pair shot seed: a function of (seed, i, j) only."""
     return int(np.random.SeedSequence((seed, i, j)).generate_state(1)[0])
 
 
-def _quantum_rows(matrix: np.ndarray, fm: FeatureMapKind):
-    forwards = [build_feature_map(fm, row).ops for row in matrix]
-    adjoints = [build_feature_map(fm, row).adjoint().ops for row in matrix]
-    return forwards, adjoints
+def _overlaps(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """|<psi(c)|psi(r)>|^2 for every state pair, from (B, 2**n) state batches."""
+    return np.abs(rows @ cols.conj().T) ** 2
 
 
-def _fill_pairs(values, pairs, n_qubits, forwards, adjoints, shots, n_jobs):
-    def one(pair):
-        i, j = pair
-        cfg = shots if shots.exact else ShotConfig(shots.shots, pair_seed(shots.seed, i, j))
-        return i, j, _overlap_from_ops(n_qubits, forwards[i] + adjoints[j], cfg)
+def _shot_estimate(p: float, shots: ShotConfig, i: int, j: int) -> float:
+    """Zero-outcome frequency of ``shots.shots`` draws seeded by the pair.
 
-    if n_jobs > 1:
-        with ThreadPoolExecutor(max_workers=n_jobs) as pool:
-            results = pool.map(one, pairs, chunksize=256)
-            for i, j, val in results:
-                values[i, j] = val
-    else:
-        for pair in pairs:
-            i, j, val = one(pair)
-            values[i, j] = val
+    The zero outcome owns the slot [0, p) of the sampled CDF, so counting
+    uniforms below p reproduces ``kernel_overlap`` with ``pair_seed``.
+    """
+    u = np.random.default_rng(pair_seed(shots.seed, i, j)).random(shots.shots)
+    return int(np.count_nonzero(u < p)) / shots.shots
 
 
-def gram(
-    train,
-    kind: KernelKind,
-    n_jobs: int = 1,
-) -> KernelMatrix:
+def gram(train, kind: KernelKind) -> KernelMatrix:
     """Symmetric train-by-train kernel matrix.
 
-    For the quantum kernel only the upper triangle is evaluated, the
-    diagonal is 1 by construction and never simulated.
+    For the quantum kernel every row's state is simulated once; the strict
+    upper triangle is read off the state inner products (or shot-sampled),
+    mirrored, and the diagonal is 1 by construction.
     """
     x = _as_matrix(train)
     m, dim = x.shape
@@ -118,22 +126,20 @@ def gram(
         sq = np.sum(x ** 2, axis=1)
         d2 = np.maximum(sq[:, None] + sq[None, :] - 2.0 * (x @ x.T), 0.0)
         return KernelMatrix(np.exp(-gamma * d2))
-    forwards, adjoints = _quantum_rows(x, kind.feature_map)
+    states = feature_map_states(kind.feature_map, x)
+    overlaps = _overlaps(states, states)
+    upper = np.triu_indices(m, 1)
     values = np.ones((m, m))
-    pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
-    _fill_pairs(values, pairs, dim, forwards, adjoints, kind.shots, n_jobs)
-    for i, j in pairs:
-        values[j, i] = values[i, j]
-    return KernelMatrix(values, eval_count=len(pairs))
+    if kind.shots.exact:
+        values[upper] = overlaps[upper]
+    else:
+        values[upper] = [_shot_estimate(overlaps[i, j], kind.shots, i, j) for i, j in zip(*upper)]
+    values.T[upper] = values[upper]
+    return KernelMatrix(values, eval_count=len(upper[0]), states_simulated=m)
 
 
-def cross(
-    test,
-    train,
-    kind: KernelKind,
-    n_jobs: int = 1,
-) -> KernelMatrix:
-    """Rectangular test-by-train kernel matrix (all p*m pairs evaluated)."""
+def cross(test, train, kind: KernelKind) -> KernelMatrix:
+    """Rectangular test-by-train kernel matrix (all p*m entries)."""
     xt = _as_matrix(test)
     xr = _as_matrix(train)
     if xt.shape[1] != xr.shape[1]:
@@ -149,13 +155,16 @@ def cross(
             0.0,
         )
         return KernelMatrix(np.exp(-gamma * d2))
-    forwards, _ = _quantum_rows(xt, kind.feature_map)
-    _, adjoints = _quantum_rows(xr, kind.feature_map)
-    p, m = len(xt), len(xr)
-    values = np.empty((p, m))
-    pairs = [(i, j) for i in range(p) for j in range(m)]
-    _fill_pairs(values, pairs, xt.shape[1], forwards, adjoints, kind.shots, n_jobs)
-    return KernelMatrix(values, eval_count=len(pairs))
+    values = _overlaps(
+        feature_map_states(kind.feature_map, xt), feature_map_states(kind.feature_map, xr)
+    )
+    p, m = values.shape
+    if not kind.shots.exact:
+        values = np.array([
+            [_shot_estimate(values[i, j], kind.shots, i, j) for j in range(m)]
+            for i in range(p)
+        ]).reshape(p, m)
+    return KernelMatrix(values, eval_count=p * m, states_simulated=p + m)
 
 
 def psd_repair(kernel: KernelMatrix, floor: float = 1e-9) -> KernelMatrix:
@@ -169,7 +178,7 @@ def psd_repair(kernel: KernelMatrix, floor: float = 1e-9) -> KernelMatrix:
     shift = max(0.0, floor - min_eig)
     if shift > 0.0:
         sym = sym + shift * np.eye(len(sym))
-    return KernelMatrix(sym, kernel.eval_count)
+    return KernelMatrix(sym, kernel.eval_count, kernel.states_simulated)
 
 
 def cache_key(dataset_hash: str, encoder_config: dict, kernel_config: dict, seed: int) -> str:
@@ -187,16 +196,44 @@ def cache_key(dataset_hash: str, encoder_config: dict, kernel_config: dict, seed
 
 
 def save_kernel(kernel: KernelMatrix, directory: str | Path, key: str) -> Path:
+    """Write the matrix atomically: a temp file in the same directory, then
+    a rename, so a reader never sees a half-written entry."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     path = directory / f"{key}.npz"
-    np.savez(path, values=kernel.values, eval_count=np.int64(kernel.eval_count))
+    fd, tmp = tempfile.mkstemp(dir=directory, prefix=f".{key}.", suffix=".npz.tmp")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            np.savez(fh, values=kernel.values, eval_count=np.int64(kernel.eval_count))
+        os.replace(tmp, path)
+    except BaseException:
+        Path(tmp).unlink(missing_ok=True)
+        raise
     return path
 
 
-def load_kernel(directory: str | Path, key: str) -> KernelMatrix | None:
+def load_kernel(directory: str | Path, key: str, size: int | None = None) -> KernelMatrix | None:
+    """The cached matrix, or None on a miss.
+
+    An entry that cannot be read, holds non-finite values or is not square
+    (``size`` x ``size`` when given) is logged and treated as a miss, so the
+    caller recomputes and overwrites it.
+    """
     path = Path(directory) / f"{key}.npz"
     if not path.exists():
         return None
-    with np.load(path) as data:
-        return KernelMatrix(data["values"], int(data["eval_count"]))
+    try:
+        with np.load(path) as data:
+            values = np.asarray(data["values"], dtype=np.float64)
+            eval_count = int(data["eval_count"])
+    except (OSError, EOFError, KeyError, TypeError, ValueError, zipfile.BadZipFile) as exc:
+        log_.warning("ignoring unreadable kernel cache entry %s: %s", path, exc)
+        return None
+    shape_ok = values.ndim == 2 and values.shape[0] == values.shape[1]
+    if size is not None:
+        shape_ok = values.shape == (size, size)
+    if not shape_ok or not np.all(np.isfinite(values)):
+        log_.warning("ignoring kernel cache entry %s: shape %s or non-finite values",
+                     path, values.shape)
+        return None
+    return KernelMatrix(values, eval_count)

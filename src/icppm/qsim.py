@@ -2,10 +2,11 @@
 
 States hold all 2^n complex amplitudes. Qubit q corresponds to axis q of
 the state reshaped to [2]*n, i.e. qubit 0 is the most significant bit of
-the basis index; index 0 is |0...0>. Gates update amplitudes in place via
-axis slicing, O(2^n) per gate, and never materialize a 2^n x 2^n matrix
-(the dense-matrix construction used for cross-checks lives in
-``icppm.oracles``).
+the basis index; index 0 is |0...0>. One gate engine, ``_apply_op``, updates
+a batch of states in place via axis slicing, O(2^n) per gate and state, and
+never materializes a 2^n x 2^n matrix (the dense-matrix construction used
+for cross-checks lives in ``icppm.oracles``). Single circuits run as a batch
+of one; ``feature_map_states`` runs one feature map over many inputs.
 """
 
 from __future__ import annotations
@@ -157,64 +158,82 @@ class StateVector:
         return np.abs(self.amplitudes) ** 2
 
 
-def _idx(n: int, **axes: int) -> tuple:
-    sel: list = [slice(None)] * n
-    for axis, val in axes.items():
-        sel[int(axis)] = val
+def _idx(n: int, *fixed: tuple[int, int]) -> tuple:
+    """Index into a (B, 2, ..., 2) state batch that fixes (qubit, bit) pairs."""
+    sel: list = [slice(None)] * (n + 1)
+    for q, bit in fixed:
+        sel[q + 1] = bit
     return tuple(sel)
 
 
-def _apply_op(psi: np.ndarray, n: int, op: GateOp) -> None:
-    """Mutate the [2]*n-shaped state in place."""
-    if op.kind == "H":
-        (q,) = op.targets
-        i0, i1 = _idx(n, **{str(q): 0}), _idx(n, **{str(q): 1})
+def _per_row(angle, n_free: int):
+    """A scalar angle as is; a per-row angle shaped to broadcast against
+    a gate's amplitude slice, which keeps ``n_free`` qubit axes."""
+    if isinstance(angle, np.ndarray):
+        return angle.reshape((-1,) + (1,) * n_free)
+    return angle
+
+
+def _apply_op(psi: np.ndarray, n: int, kind: str, targets: tuple[int, ...],
+              angle=None) -> None:
+    """Mutate a (B, 2, ..., 2) batch of B states of n qubits in place.
+
+    ``angle`` is one float for the whole batch or an array of B angles,
+    one per state.
+    """
+    if kind == "H":
+        (q,) = targets
+        i0, i1 = _idx(n, (q, 0)), _idx(n, (q, 1))
         s0, s1 = psi[i0], psi[i1]
         inv = 1.0 / math.sqrt(2.0)
         new0 = (s0 + s1) * inv
         new1 = (s0 - s1) * inv
         psi[i0] = new0
         psi[i1] = new1
-    elif op.kind == "RY":
-        (q,) = op.targets
-        i0, i1 = _idx(n, **{str(q): 0}), _idx(n, **{str(q): 1})
-        c, s = math.cos(op.angle / 2.0), math.sin(op.angle / 2.0)
+    elif kind == "RY":
+        (q,) = targets
+        i0, i1 = _idx(n, (q, 0)), _idx(n, (q, 1))
+        if isinstance(angle, np.ndarray):
+            c, s = _per_row(np.cos(angle / 2.0), n - 1), _per_row(np.sin(angle / 2.0), n - 1)
+        else:
+            c, s = math.cos(angle / 2.0), math.sin(angle / 2.0)
         s0, s1 = psi[i0], psi[i1]
         new0 = c * s0 - s * s1
         new1 = s * s0 + c * s1
         psi[i0] = new0
         psi[i1] = new1
-    elif op.kind == "RZ":
-        (q,) = op.targets
-        phase = np.exp(-0.5j * op.angle)
-        psi[_idx(n, **{str(q): 0})] *= phase
-        psi[_idx(n, **{str(q): 1})] *= np.conj(phase)
-    elif op.kind == "P":
-        (q,) = op.targets
-        psi[_idx(n, **{str(q): 1})] *= np.exp(1j * op.angle)
-    elif op.kind == "CNOT":
-        c, t = op.targets
-        i10 = _idx(n, **{str(c): 1, str(t): 0})
-        i11 = _idx(n, **{str(c): 1, str(t): 1})
+    elif kind == "RZ":
+        (q,) = targets
+        phase = _per_row(np.exp(-0.5j * angle), n - 1)
+        psi[_idx(n, (q, 0))] *= phase
+        psi[_idx(n, (q, 1))] *= np.conj(phase)
+    elif kind == "P":
+        (q,) = targets
+        psi[_idx(n, (q, 1))] *= _per_row(np.exp(1j * angle), n - 1)
+    elif kind == "CNOT":
+        c, t = targets
+        i10 = _idx(n, (c, 1), (t, 0))
+        i11 = _idx(n, (c, 1), (t, 1))
         tmp = psi[i10].copy()
         psi[i10] = psi[i11]
         psi[i11] = tmp
-    elif op.kind == "RZZ":
-        a, b = op.targets
-        same = np.exp(-0.5j * op.angle)
+    elif kind == "RZZ":
+        a, b = targets
+        same = _per_row(np.exp(-0.5j * angle), n - 2)
         diff = np.conj(same)
-        psi[_idx(n, **{str(a): 0, str(b): 0})] *= same
-        psi[_idx(n, **{str(a): 1, str(b): 1})] *= same
-        psi[_idx(n, **{str(a): 0, str(b): 1})] *= diff
-        psi[_idx(n, **{str(a): 1, str(b): 0})] *= diff
+        psi[_idx(n, (a, 0), (b, 0))] *= same
+        psi[_idx(n, (a, 1), (b, 1))] *= same
+        psi[_idx(n, (a, 0), (b, 1))] *= diff
+        psi[_idx(n, (a, 1), (b, 0))] *= diff
     else:  # pragma: no cover - guarded by GateOp validation
-        raise ValueError(f"unhandled gate {op.kind}")
+        raise ValueError(f"unhandled gate {kind}")
 
 
 def _apply_ops(amps: np.ndarray, n: int, ops: Iterable[GateOp]) -> np.ndarray:
-    psi = amps.reshape([2] * n)
+    """Run gates on one state: a batch of one through ``_apply_op``."""
+    psi = amps.reshape([1] + [2] * n)
     for op in ops:
-        _apply_op(psi, n, op)
+        _apply_op(psi, n, op.kind, op.targets, op.angle)
     return psi.reshape(-1)
 
 
@@ -265,6 +284,65 @@ def build_feature_map(kind: FeatureMapKind, x: Sequence[float]) -> CircuitSpec:
     if x.ndim != 1 or len(x) == 0:
         raise ValueError("feature vector must be one-dimensional and non-empty")
     return CircuitSpec(len(x), tuple(_feature_map_ops(kind, x)))
+
+
+# Basis states per block when folding diagonal gates into phases; bounds the
+# (block, n(n-1)/2) pair table at a few MB for wide maps.
+_PHASE_BLOCK = 4096
+
+
+def _layer_phase(kind: FeatureMapKind, x: np.ndarray) -> np.ndarray:
+    """exp(i phi) of one layer's diagonal gates, shape (B, 2**n).
+
+    Per basis state k with bits b and per row x,
+    phi = (2x).b + a.diff - sum(a)/2, where a_ij = 2(pi - x_i)(pi - x_j) is
+    the RZZ angle of pair i < j and diff_ij marks b_i != b_j. The first term
+    is the P(2x_i) gates of the ``zz`` map; ``angle_zz`` has RY there instead,
+    which is not diagonal and runs as a gate.
+    """
+    b, n = x.shape
+    iu, ju = np.triu_indices(n, 1)
+    c = math.pi - x
+    a = 2.0 * c[:, iu] * c[:, ju]
+    shifts = np.arange(n - 1, -1, -1)
+    phase = np.empty((b, 2 ** n))
+    for start in range(0, 2 ** n, _PHASE_BLOCK):
+        k = np.arange(start, min(start + _PHASE_BLOCK, 2 ** n))
+        bits = (k[:, None] >> shifts) & 1
+        # a.diff - sum(a)/2 in one product: each pair adds +a/2 or -a/2.
+        block = a @ ((bits[:, iu] != bits[:, ju]) - 0.5).T
+        if kind.variant == "zz":
+            block += (2.0 * x) @ bits.T
+        phase[:, start:start + len(k)] = block
+    return np.exp(1j * phase)
+
+
+def feature_map_states(kind: FeatureMapKind, x) -> np.ndarray:
+    """States V(x)|0...0> for every row of ``x``, shape (B, 2**n).
+
+    Same circuit as ``build_feature_map`` per row, run for the whole batch at
+    once: H and RY through ``_apply_op`` with one angle per row, and each
+    layer's diagonal gates folded into one phase per basis state.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 2 or x.shape[1] == 0:
+        raise ValueError(f"expected a non-empty (rows, features) matrix, got shape {x.shape}")
+    b, n = x.shape
+    psi = np.zeros((b,) + (2,) * n, dtype=np.complex128)
+    psi[(slice(None),) + (0,) * n] = 1.0
+    phase = None if kind.variant == "angle" else _layer_phase(kind, x).reshape(psi.shape)
+    for _ in range(kind.layers):
+        if kind.variant == "angle":
+            for q in range(n):
+                _apply_op(psi, n, "RY", (q,), x[:, q])
+            continue
+        for q in range(n):
+            _apply_op(psi, n, "H", (q,))
+        if kind.variant == "angle_zz":
+            for q in range(n):
+                _apply_op(psi, n, "RY", (q,), 2.0 * x[:, q])
+        psi *= phase
+    return psi.reshape(b, -1)
 
 
 def weight_layer(theta: Sequence[float], n_qubits: int, entangle: bool = True) -> CircuitSpec:

@@ -214,20 +214,24 @@ class TestRunExperiment:
         folds = make_cv_folds(samples, cfg.folds, derive_seed(cfg.seed, "folds"))
         want_gram = 0
         want_cross = 0
+        want_states = 0
         for fold in range(cfg.folds):
             train_idx, test_idx = folds.split(fold)
             m, p = len(train_idx), len(test_idx)
             want_gram += m * (m - 1) // 2
             want_cross += p * m
+            want_states += m + (p + m)
         result = run_experiment(cfg, log, samples)
         assert result.kernel_evaluations == want_gram
         assert result.cross_evaluations == want_cross
+        assert result.states_simulated == want_states
 
     def test_classical_runs_report_zero_kernel_evals(self):
         cfg = ExperimentConfig(classifier="svc_rbf", k=2, folds=3)
         log, samples = two_label_setup(cfg)
         result = run_experiment(cfg, log, samples)
         assert result.kernel_evaluations == 0
+        assert result.states_simulated == 0
         assert len(result.fold_accuracies) == 3
 
     def test_vqc_branch(self):
@@ -329,6 +333,22 @@ class TestGramCache:
         assert second.gram_time_s == 0.0
         assert second.kernel_evaluations == first.kernel_evaluations
         assert second.fold_accuracies == first.fold_accuracies
+
+    def test_truncated_entry_is_recomputed(self, tmp_path):
+        cfg = ExperimentConfig(
+            classifier="qke_angle_1", k=2, folds=2, seed=3, cache_dir=str(tmp_path)
+        )
+        log, samples = two_label_setup(cfg, n_cases=8)
+        first = run_experiment(cfg, log, samples)
+        for path in tmp_path.glob("*.npz"):
+            data = path.read_bytes()
+            path.write_bytes(data[: len(data) // 3])
+        second = run_experiment(cfg, log, samples)
+        assert second.fold_accuracies == first.fold_accuracies
+        assert second.states_simulated == first.states_simulated
+        third = run_experiment(cfg, log, samples)
+        assert third.gram_time_s == 0.0
+        assert third.fold_accuracies == first.fold_accuracies
 
     def test_cache_ignored_without_dir(self, tmp_path):
         cfg = ExperimentConfig(classifier="qke_angle_1", k=2, folds=2, seed=3)
@@ -462,6 +482,8 @@ class TestEmitResults:
         payload = json.loads(json_path.read_text())
         assert len(payload["runs"]) == 3
         assert payload["runs"][0]["classifier"] == "majority"
+        assert payload["runs"][0]["states_simulated"] == 0
+        assert "states_simulated" not in csv_path.read_text()
 
     def test_reemission_byte_identical(self, tmp_path):
         results = [self._result("majority", "index_bsd_4", 1 / 3)]

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from icppm import oracles
 from icppm.encoding import FeatureVector
 from icppm.errors import ConfigError
 from icppm.qkernel import (
@@ -103,18 +104,32 @@ class TestQuantumGram:
         with pytest.raises(ValueError):
             gram(np.zeros((2, 2, 2)), KernelKind.linear())
 
-    def test_serial_equals_parallel(self):
+    def test_row_permutation_permutes_exact_gram(self):
         x = points(6, 6, 2)
-        serial = gram(x, QUANTUM, n_jobs=1).values
-        parallel = gram(x, QUANTUM, n_jobs=4).values
-        assert np.array_equal(serial, parallel)
+        perm = np.random.default_rng(6).permutation(6)
+        base = gram(x, QUANTUM).values
+        permuted = gram(x[perm], QUANTUM).values
+        assert np.max(np.abs(permuted - base[np.ix_(perm, perm)])) < 1e-12
 
-    def test_shot_mode_serial_equals_parallel(self):
-        kind = KernelKind.quantum(FeatureMapKind("zz"), ShotConfig(200, seed=11))
-        x = points(7, 5, 2)
-        serial = gram(x, kind, n_jobs=1).values
-        parallel = gram(x, kind, n_jobs=3).values
-        assert np.array_equal(serial, parallel)
+    @pytest.mark.parametrize("shots", [1, 7, 200])
+    def test_shot_mode_entries_equal_per_pair_estimates(self, shots):
+        for variant in ("angle", "zz", "angle_zz"):
+            fm = FeatureMapKind(variant)
+            kind = KernelKind.quantum(fm, ShotConfig(shots, seed=11))
+            x = points(7, 5, 2)
+            got = gram(x, kind).values
+            for i in range(5):
+                for j in range(i + 1, 5):
+                    want = kernel_overlap(x[i], x[j], fm, ShotConfig(shots, pair_seed(11, i, j)))
+                    assert got[i, j] == got[j, i] == want
+            assert np.array_equal(np.diag(got), np.ones(5))
+
+    def test_states_simulated_once_per_row(self):
+        x = points(21, 7, 2)
+        out = gram(x, QUANTUM)
+        assert out.states_simulated == 7
+        assert out.eval_count == 7 * 6 // 2
+        assert gram(x, KernelKind.rbf()).states_simulated == 0
 
     def test_shot_mode_reproducible_for_seed(self):
         kind = KernelKind.quantum(FeatureMapKind("zz"), ShotConfig(300, seed=2))
@@ -126,6 +141,25 @@ class TestQuantumGram:
     def test_pair_seed_depends_on_pair(self):
         assert pair_seed(0, 1, 2) != pair_seed(0, 2, 1)
         assert pair_seed(0, 1, 2) == pair_seed(0, 1, 2)
+
+
+class TestAgainstOracles:
+    @pytest.mark.parametrize("variant", ["angle", "zz", "angle_zz"])
+    @pytest.mark.parametrize("layers", [1, 2])
+    def test_exact_matrices_match_per_pair_and_dense(self, variant, layers):
+        fm = FeatureMapKind(variant, layers)
+        kind = KernelKind.quantum(fm)
+        x = points(30 + layers, 4, 3)
+        xt = points(40 + layers, 2, 3)
+        g = gram(x, kind).values
+        c = cross(xt, x, kind).values
+        for i in range(4):
+            for j in range(i + 1, 4):
+                assert abs(g[i, j] - kernel_overlap(x[i], x[j], fm)) <= 1e-12
+                assert abs(g[i, j] - oracles.kernel_via_unitary(x[i], x[j], fm)) <= 1e-12
+            for t in range(2):
+                assert abs(c[t, i] - kernel_overlap(xt[t], x[i], fm)) <= 1e-12
+                assert abs(c[t, i] - oracles.kernel_via_unitary(xt[t], x[i], fm)) <= 1e-12
 
 
 class TestCross:
@@ -150,6 +184,31 @@ class TestCross:
         for j in range(4):
             want = kernel_overlap(xt[0], xr[j], QUANTUM.feature_map)
             assert out.values[0, j] == pytest.approx(want, abs=1e-12)
+
+    def test_states_simulated_is_test_plus_train(self):
+        out = cross(points(22, 3, 2), points(23, 5, 2), QUANTUM)
+        assert out.states_simulated == 3 + 5
+        assert out.eval_count == 3 * 5
+
+    def test_shot_mode_entries_equal_per_pair_estimates(self):
+        fm = FeatureMapKind("zz", 2)
+        kind = KernelKind.quantum(fm, ShotConfig(50, seed=4))
+        xt = points(24, 3, 3)
+        xr = points(25, 4, 3)
+        got = cross(xt, xr, kind).values
+        for i in range(3):
+            for j in range(4):
+                want = kernel_overlap(xt[i], xr[j], fm, ShotConfig(50, pair_seed(4, i, j)))
+                assert got[i, j] == want
+
+    def test_row_permutation_permutes_exact_cross(self):
+        xt = points(26, 4, 2)
+        xr = points(27, 5, 2)
+        pt = np.random.default_rng(1).permutation(4)
+        pr = np.random.default_rng(2).permutation(5)
+        base = cross(xt, xr, QUANTUM).values
+        permuted = cross(xt[pt], xr[pr], QUANTUM).values
+        assert np.max(np.abs(permuted - base[np.ix_(pt, pr)])) < 1e-12
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
@@ -225,6 +284,31 @@ class TestCache:
         assert cache_key("h", {"a": 1, "b": 2}, {"k": "linear"}, 6) != base
         assert cache_key("g", {"a": 1, "b": 2}, {"k": "linear"}, 5) != base
         assert len(base) == 64
+
+    def test_truncated_entry_is_a_miss(self, tmp_path, caplog):
+        km = gram(points(28, 4, 2), QUANTUM)
+        path = save_kernel(km, tmp_path, "k")
+        data = path.read_bytes()
+        path.write_bytes(data[: len(data) // 2])
+        with caplog.at_level("WARNING", logger="icppm.qkernel"):
+            assert load_kernel(tmp_path, "k") is None
+        assert "unreadable" in caplog.text
+
+    def test_wrong_shape_or_non_finite_entry_is_a_miss(self, tmp_path):
+        save_kernel(KernelMatrix(np.eye(3), 3), tmp_path, "k")
+        assert load_kernel(tmp_path, "k", size=3) is not None
+        assert load_kernel(tmp_path, "k", size=4) is None
+        save_kernel(KernelMatrix(np.ones((2, 3)), 6), tmp_path, "k")
+        assert load_kernel(tmp_path, "k") is None
+        bad = np.eye(2)
+        bad[0, 1] = np.nan
+        save_kernel(KernelMatrix(bad, 1), tmp_path, "k")
+        assert load_kernel(tmp_path, "k") is None
+
+    def test_save_leaves_no_temp_files(self, tmp_path):
+        save_kernel(KernelMatrix(np.eye(2), 1), tmp_path, "k")
+        save_kernel(KernelMatrix(np.eye(2), 1), tmp_path, "k")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["k.npz"]
 
     def test_save_creates_directory(self, tmp_path):
         km = KernelMatrix(np.eye(2), 1)

@@ -17,7 +17,9 @@ from icppm.qsim import (
     ShotConfig,
     StateVector,
     apply_gate,
+    _apply_op,
     build_feature_map,
+    feature_map_states,
     kernel_overlap,
     measure_expectations,
     run,
@@ -408,3 +410,63 @@ class TestRun:
     def test_empty_circuit_is_identity(self):
         out = run(CircuitSpec(2, ()))
         assert np.array_equal(out.amplitudes, StateVector.zero(2).amplitudes)
+
+
+class TestBatchedEngine:
+    def test_per_row_angles_match_scalar_runs(self):
+        rng = np.random.default_rng(31)
+        n, b = 3, 4
+        start = rng.normal(size=(b, 2 ** n)) + 1j * rng.normal(size=(b, 2 ** n))
+        start /= np.linalg.norm(start, axis=1, keepdims=True)
+        for kind, targets in (("RY", (1,)), ("RZ", (0,)), ("P", (2,)), ("RZZ", (0, 2))):
+            angles = rng.uniform(-math.pi, math.pi, b)
+            batch = start.copy().reshape((b,) + (2,) * n)
+            _apply_op(batch, n, kind, targets, angles)
+            for r in range(b):
+                one = run(CircuitSpec(n, (GateOp(kind, targets, float(angles[r])),)),
+                          StateVector(start[r], n)).amplitudes
+                assert np.max(np.abs(batch.reshape(b, -1)[r] - one)) < 1e-15
+
+    def test_scalar_angle_applies_to_every_row(self):
+        batch = np.zeros((3, 2), dtype=np.complex128)
+        batch[:, 0] = 1.0
+        _apply_op(batch, 1, "RY", (0,), math.pi)
+        assert np.allclose(batch, [[0.0, 1.0]] * 3)
+
+
+class TestFeatureMapStates:
+    @pytest.mark.parametrize("variant", FEATURE_MAPS)
+    @pytest.mark.parametrize("layers", [1, 2])
+    def test_rows_match_dense_unitary(self, variant, layers):
+        kind = FeatureMapKind(variant, layers)
+        x = np.random.default_rng(40 + layers).uniform(0, math.pi, (5, 3))
+        states = feature_map_states(kind, x)
+        assert states.shape == (5, 8)
+        for r in range(5):
+            circuit = build_feature_map(kind, x[r])
+            assert np.max(np.abs(states[r] - run(circuit).amplitudes)) < 1e-13
+            assert np.max(np.abs(states[r] - oracles.state_via_unitary(circuit))) < 1e-12
+
+    def test_single_qubit_and_wide_maps(self):
+        kind = FeatureMapKind("zz", 2)
+        for n in (1, 7):
+            x = np.random.default_rng(n).uniform(0, math.pi, (2, n))
+            states = feature_map_states(kind, x)
+            for r in range(2):
+                want = run(build_feature_map(kind, x[r])).amplitudes
+                assert np.max(np.abs(states[r] - want)) < 1e-12
+
+    def test_phase_blocks_join_seamlessly(self, monkeypatch):
+        from icppm import qsim
+
+        kind = FeatureMapKind("zz", 1)
+        x = np.random.default_rng(3).uniform(0, math.pi, (3, 4))
+        whole = feature_map_states(kind, x)
+        monkeypatch.setattr(qsim, "_PHASE_BLOCK", 3)
+        assert np.max(np.abs(feature_map_states(kind, x) - whole)) < 1e-15
+
+    def test_rejects_bad_shapes(self):
+        with pytest.raises(ValueError):
+            feature_map_states(FeatureMapKind("zz"), np.zeros(3))
+        with pytest.raises(ValueError):
+            feature_map_states(FeatureMapKind("zz"), np.zeros((2, 0)))
