@@ -56,7 +56,7 @@ from .intercase import (
 from .qkernel import KernelKind, cache_key, cross, gram, load_kernel, psd_repair, save_kernel
 from .qsim import FeatureMapKind, ShotConfig
 from .svm import fit_multiclass, predict as svm_predict
-from .vqc import OptimizerConfig, predict as vqc_predict, train as vqc_train
+from .vqc import OptimizerConfig, predict_many as vqc_predict, train as vqc_train
 
 log_ = logging.getLogger("icppm.bench")
 
@@ -229,8 +229,11 @@ class RunResult:
     seed: int
     n_samples: int
     # Quantum feature-map states simulated for the kernels (0 for cached
-    # Gram matrices); reported in results.json only.
+    # Gram matrices) and the VQC; reported in results.json only.
     states_simulated: int = 0
+    # Mean over folds of the VQC's last training loss; None for other
+    # classifiers. Reported in results.json only.
+    vqc_final_loss: float | None = None
 
     def to_dict(self) -> dict:
         return {
@@ -248,6 +251,7 @@ class RunResult:
             "seed": self.seed,
             "n_samples": self.n_samples,
             "states_simulated": self.states_simulated,
+            "vqc_final_loss": self.vqc_final_loss,
         }
 
 
@@ -406,6 +410,7 @@ def run_experiment(
     gram_evals = 0
     cross_evals = 0
     states = 0
+    final_losses: list[float] = []
     for fold in range(cfg.folds):
         train_idx, test_idx = folds.split(fold)
         x_train, y_train, x_test, y_test = _encode_fold(
@@ -432,7 +437,9 @@ def run_experiment(
                 cfg.vqc_layers, opt, shots=shots,
             )
             fit_time += time.perf_counter() - t_fit0
-            predictions = [vqc_predict(model, row, shots) for row in x_test]
+            predictions = vqc_predict(model, x_test, shots)
+            states += len(x_train) + len(x_test)
+            final_losses.append(model.loss_history[-1])
         else:
             kernel_kind = _kernel_kind(cfg, variant, fm_layers, fold)
             key = None
@@ -485,6 +492,7 @@ def run_experiment(
         seed=cfg.seed,
         n_samples=len(samples),
         states_simulated=states,
+        vqc_final_loss=float(np.mean(final_losses)) if final_losses else None,
     )
 
 
@@ -527,6 +535,8 @@ def window_sweep(
         seed=cfg.seed,
         n_samples=results[0].n_samples,
         states_simulated=sum(r.states_simulated for r in results),
+        vqc_final_loss=None if results[0].vqc_final_loss is None
+        else float(np.mean([r.vqc_final_loss for r in results])),
     )
     return results + [averaged]
 

@@ -13,7 +13,7 @@ from functools import reduce
 
 import numpy as np
 
-from . import qkernel, qsim
+from . import qkernel, qsim, vqc
 from .errors import ConfigError
 from .qsim import CircuitSpec, FeatureMapKind, GateOp
 
@@ -23,8 +23,13 @@ _P0 = np.array([[1, 0], [0, 0]], dtype=np.complex128)
 _P1 = np.array([[0, 0], [0, 1]], dtype=np.complex128)
 
 MAX_ORACLE_QUBITS = 10
-# Largest gap allowed between the batched kernel engine and a reference.
+# Largest gap allowed between a batched engine (kernels, VQC) and a reference.
 BATCHED_TOL = 1e-12
+# Weight layers and rows of the VQC part of ``run_kernel_check``; the
+# gradient is checked on the first row only, as it needs 2 L n + 1 dense
+# circuits.
+_VQC_LAYERS = 2
+_VQC_ROWS = 3
 
 
 def _chain(n: int, factors: dict[int, np.ndarray]) -> np.ndarray:
@@ -96,6 +101,40 @@ def kernel_via_unitary(x, x2, kind: FeatureMapKind) -> float:
     return float(np.abs(u[0, 0]) ** 2)
 
 
+def vqc_probs_via_unitary(model: vqc.VqcModel, x) -> np.ndarray:
+    """VQC class scores from dense unitaries: the feature map, then every
+    weight layer, read out round-robin from the first r qubits."""
+    return _vqc_scores(model, state_via_unitary(qsim.build_feature_map(model.feature_map, x)))
+
+
+def _vqc_scores(model: vqc.VqcModel, state: np.ndarray) -> np.ndarray:
+    for layer in model.theta:
+        state = state_via_unitary(qsim.weight_layer(layer, model.n_qubits, model.entangle), state)
+    n_classes = len(model.classes)
+    marginal = (np.abs(state) ** 2).reshape(2 ** model.readout_qubits, -1).sum(axis=1)
+    scores = np.zeros(n_classes)
+    for b, value in enumerate(marginal):
+        scores[b % n_classes] += value
+    return scores / scores.sum()
+
+
+def vqc_gradient_via_unitary(model: vqc.VqcModel, x, c: int) -> np.ndarray:
+    """d(-log p_c)/d theta of one row by the +-pi/2 shift rule on the oracle;
+    the feature-map state is shared by all shifted circuits."""
+    state = state_via_unitary(qsim.build_feature_map(model.feature_map, x))
+    p_c = _vqc_scores(model, state)[c]
+    grad = np.zeros_like(model.theta)
+    for l, q in np.ndindex(*model.theta.shape):
+        sides = []
+        for shift in (math.pi / 2.0, -math.pi / 2.0):
+            theta = model.theta.copy()
+            theta[l, q] += shift
+            shifted = vqc.VqcModel(model.feature_map, theta, model.classes, model.entangle)
+            sides.append(_vqc_scores(shifted, state)[c])
+        grad[l, q] = -0.5 * (sides[0] - sides[1]) / p_c
+    return grad
+
+
 def angle_kernel_closed_form(x, x2, layers: int = 1) -> float:
     """Product form of the angle-map kernel: prod cos^2(layers*(x_i - x2_i)/2)."""
     x = np.asarray(x, dtype=np.float64)
@@ -111,14 +150,20 @@ def run_kernel_check(
     seed: int = 0,
     perturb: float = 0.0,
 ) -> dict:
-    """Self-check of the kernel engines against each other and the dense oracles.
+    """Self-check of the kernel and VQC engines against each other and the
+    dense oracles.
 
     The batched ``qkernel.gram``/``cross`` matrices must agree with per-pair
     overlap circuits and, up to the dense cap, with dense unitaries to
-    ``BATCHED_TOL``. Returns a report dict with ``passed`` and a list of
-    failure strings. ``perturb`` injects an angle error into the adjoint half
-    of each per-pair overlap circuit; any nonzero value must make the check
-    fail.
+    ``BATCHED_TOL``. Up to the dense cap, batched VQC class scores must match
+    ``vqc_probs_via_unitary`` to ``BATCHED_TOL`` and the parameter-shift
+    gradient must match the shift rule applied to it, to ``BATCHED_TOL``
+    times max(1, largest gradient entry): the -1/p of the cross-entropy
+    scales float error with the gradient. Returns a report dict with
+    ``passed`` and a list of failure strings. ``perturb`` injects an angle
+    error into the adjoint half of each per-pair overlap circuit and into
+    the first weight of the VQC oracle; any nonzero value must make the
+    check fail.
     """
     if n_qubits < 1 or n_qubits > 20:
         raise ConfigError(f"kernel-check supports 1..20 qubits, got {n_qubits}")
@@ -182,6 +227,8 @@ def run_kernel_check(
     min_eig = float(np.linalg.eigvalsh(gram)[0])
     if min_eig < -1e-8:
         failures.append(f"gram matrix has eigenvalue {min_eig:.3e} < -1e-8")
+    if dense_ok:
+        failures += _vqc_check(kind, xs[:_VQC_ROWS], rng, perturb)
 
     return {
         "n_qubits": n_qubits,
@@ -193,3 +240,26 @@ def run_kernel_check(
         "failures": failures,
         "passed": not failures,
     }
+
+
+def _vqc_check(kind: FeatureMapKind, xs: np.ndarray, rng: np.random.Generator,
+               perturb: float) -> list[str]:
+    n = xs.shape[1]
+    classes = (0, 1, 2) if n >= 2 else (0, 1)
+    model = vqc.VqcModel(kind, rng.uniform(-math.pi, math.pi, (_VQC_LAYERS, n)), classes)
+    oracle_theta = model.theta.copy()
+    oracle_theta[0, 0] += perturb
+    oracle = vqc.VqcModel(kind, oracle_theta, classes)
+    failures = []
+    probs = vqc.forward_many(model, xs)
+    for i, x in enumerate(xs):
+        gap = float(np.max(np.abs(probs[i] - vqc_probs_via_unitary(oracle, x))))
+        if gap > BATCHED_TOL:
+            failures.append(f"batched VQC scores differ from dense oracle at row {i}: {gap:.3e}")
+    label = int(rng.integers(len(classes)))
+    grad = vqc.parameter_shift_gradient(model, xs[:1], [label])
+    want = vqc_gradient_via_unitary(oracle, xs[0], label)
+    gap = float(np.max(np.abs(grad - want)))
+    if gap > BATCHED_TOL * max(1.0, float(np.max(np.abs(want)))):
+        failures.append(f"VQC parameter-shift gradient differs from dense oracle: {gap:.3e}")
+    return failures

@@ -33,6 +33,11 @@ from .qsim import EXACT, FeatureMapKind, ShotConfig, feature_map_states
 log_ = logging.getLogger("icppm.qkernel")
 
 KERNEL_VARIANTS = ("linear", "rbf", "quantum")
+# Part of every cache key: raise it whenever a change to the simulator or
+# the kernels changes the matrices, so stale cache entries are never served.
+CACHE_FORMAT_VERSION = 2
+# Largest |K - K^T| entry a cached Gram matrix may have.
+_CACHE_SYMMETRY_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -188,6 +193,7 @@ def cache_key(dataset_hash: str, encoder_config: dict, kernel_config: dict, seed
             "encoder": encoder_config,
             "kernel": kernel_config,
             "seed": seed,
+            "version": CACHE_FORMAT_VERSION,
         },
         sort_keys=True,
         separators=(",", ":"),
@@ -215,25 +221,36 @@ def save_kernel(kernel: KernelMatrix, directory: str | Path, key: str) -> Path:
 def load_kernel(directory: str | Path, key: str, size: int | None = None) -> KernelMatrix | None:
     """The cached matrix, or None on a miss.
 
-    An entry that cannot be read, holds non-finite values or is not square
-    (``size`` x ``size`` when given) is logged and treated as a miss, so the
-    caller recomputes and overwrites it.
+    An entry that cannot be read, is not a real floating-point matrix, holds
+    non-finite values, is not square (``size`` x ``size`` when given) or is
+    not symmetric to 1e-12 is logged and treated as a miss, so the caller
+    recomputes and overwrites it.
     """
     path = Path(directory) / f"{key}.npz"
     if not path.exists():
         return None
     try:
         with np.load(path) as data:
-            values = np.asarray(data["values"], dtype=np.float64)
+            values = data["values"]
             eval_count = int(data["eval_count"])
     except (OSError, EOFError, KeyError, TypeError, ValueError, zipfile.BadZipFile) as exc:
         log_.warning("ignoring unreadable kernel cache entry %s: %s", path, exc)
         return None
+    if values.dtype.kind != "f":
+        log_.warning("ignoring kernel cache entry %s: dtype %s is not real floating point",
+                     path, values.dtype)
+        return None
+    values = values.astype(np.float64, copy=False)
     shape_ok = values.ndim == 2 and values.shape[0] == values.shape[1]
     if size is not None:
         shape_ok = values.shape == (size, size)
     if not shape_ok or not np.all(np.isfinite(values)):
         log_.warning("ignoring kernel cache entry %s: shape %s or non-finite values",
                      path, values.shape)
+        return None
+    asymmetry = float(np.max(np.abs(values - values.T), initial=0.0))
+    if asymmetry > _CACHE_SYMMETRY_TOL:
+        log_.warning("ignoring kernel cache entry %s: |K - K^T| reaches %.3e",
+                     path, asymmetry)
         return None
     return KernelMatrix(values, eval_count)

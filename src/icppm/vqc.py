@@ -7,6 +7,12 @@ round-robin onto the C classes (bitstring b -> class b mod C) and
 renormalized. Training minimizes cross-entropy by gradient descent with
 parameter-shift gradients (RY generators admit the exact +-pi/2 rule) or
 SPSA as a cheaper seeded alternative.
+
+Rows run as one batch: ``qsim.feature_map_states`` simulates the feature
+map once per call (once per ``train``), and the weight layers act on that
+(rows, 2^n) batch with one angle per RY gate for all rows and the CNOT
+ring as one basis-index permutation. A parameter-shift step keeps about
+L + 3 such batches in memory.
 """
 
 from __future__ import annotations
@@ -24,10 +30,9 @@ from .qsim import (
     EXACT,
     FeatureMapKind,
     ShotConfig,
-    _apply_ops,
-    build_feature_map,
+    _apply_op,
+    feature_map_states,
     sample_indices,
-    weight_layer,
 )
 
 SERIALIZATION_VERSION = 1
@@ -117,36 +122,85 @@ class VqcModel:
         return cls.from_dict(json.loads(text))
 
 
-def _class_probs(
-    feature_map: FeatureMapKind,
-    theta: np.ndarray,
-    x: np.ndarray,
-    n_classes: int,
-    entangle: bool,
-    shots: ShotConfig,
-) -> np.ndarray:
-    n = theta.shape[1]
-    ops = list(build_feature_map(feature_map, x).ops)
-    for layer in theta:
-        ops.extend(weight_layer(layer, n, entangle).ops)
-    amps = np.zeros(2 ** n, dtype=np.complex128)
-    amps[0] = 1.0
-    amps = _apply_ops(amps, n, ops)
-    probs = np.abs(amps) ** 2
+def _ring_permutation(n: int, entangle: bool) -> np.ndarray | None:
+    """Basis-index permutation of one layer's CNOT ring, or None without a ring.
+
+    The ring CNOT(0, 1), ..., CNOT(n-1, 0) sends basis state k to ring(k);
+    with ``perm`` its inverse, ``psi[:, perm]`` applies the ring to a batch.
+    """
+    if not entangle or n < 2:
+        return None
+    k = np.arange(2 ** n)
+    image = k.copy()
+    for c in range(n):
+        t = (c + 1) % n
+        image ^= ((image >> (n - 1 - c)) & 1) << (n - 1 - t)
+    perm = np.empty_like(k)
+    perm[image] = k
+    return perm
+
+
+def _ry_block(psi: np.ndarray, angles: np.ndarray) -> None:
+    """RY(angles[q]) on every qubit q of a (B, 2**n) batch, in place; one
+    angle per gate for all rows."""
+    n = len(angles)
+    view = psi.reshape((len(psi),) + (2,) * n)
+    for q in range(n):
+        _apply_op(view, n, "RY", (q,), float(angles[q]))
+
+
+def _run_layers(psi: np.ndarray, theta: np.ndarray, perm: np.ndarray | None,
+                start: int = 0) -> np.ndarray:
+    """Weight layers ``start``.. applied to a (B, 2**n) batch that may be
+    overwritten; returns the final batch."""
+    for layer in theta[start:]:
+        _ry_block(psi, layer)
+        if perm is not None:
+            psi = psi[:, perm]
+    return psi
+
+
+def _readout(psi: np.ndarray, n_classes: int, shots: ShotConfig) -> np.ndarray:
+    """Class scores per row of a (B, 2**n) batch, shape (B, n_classes).
+
+    Marginal of the first r qubits (exact, or counted from ``shots.shots``
+    samples per row, every row drawn with ``shots.seed``), bitstring b dealt
+    to class b mod C, renormalized.
+    """
+    b, dim = psi.shape
+    n = dim.bit_length() - 1
     r = max(1, math.ceil(math.log2(n_classes)))
+    probs = np.abs(psi) ** 2
     if shots.exact:
-        marginal = probs.reshape(2 ** r, -1).sum(axis=1)
+        marginal = probs.reshape(b, 2 ** r, -1).sum(axis=2)
     else:
-        samples = sample_indices(probs, shots.shots, shots.seed)
-        groups = samples >> (n - r)
-        marginal = np.bincount(groups, minlength=2 ** r) / shots.shots
-    scores = np.zeros(n_classes)
-    for b in range(2 ** r):
-        scores[b % n_classes] += marginal[b]
-    total = scores.sum()
-    if total <= 0:
-        return np.full(n_classes, 1.0 / n_classes)
-    return scores / total
+        counts = [
+            np.bincount(sample_indices(p, shots.shots, shots.seed) >> (n - r), minlength=2 ** r)
+            for p in probs
+        ]
+        marginal = np.array(counts) / shots.shots
+    # 2**r < 2C, so each class collects one or two bitstrings.
+    dealt = np.zeros((b, 2 * n_classes))
+    dealt[:, :2 ** r] = marginal
+    scores = dealt.reshape(b, 2, n_classes).sum(axis=1)
+    total = scores.sum(axis=1, keepdims=True)
+    out = np.full_like(scores, 1.0 / n_classes)
+    np.divide(scores, total, out=out, where=total > 0)
+    return out
+
+
+def _feature_states(model: VqcModel, xs) -> np.ndarray:
+    xs = _as_matrix(xs)
+    if xs.shape[1] != model.n_qubits:
+        raise ValueError(f"expected {model.n_qubits} features, got shape {xs.shape}")
+    return feature_map_states(model.feature_map, xs)
+
+
+def forward_many(model: VqcModel, xs, shots: ShotConfig = EXACT) -> np.ndarray:
+    """Per-class probability scores of every row, shape (rows, classes)."""
+    psi = _run_layers(_feature_states(model, xs), model.theta,
+                      _ring_permutation(model.n_qubits, model.entangle))
+    return _readout(psi, len(model.classes), shots)
 
 
 def forward(model: VqcModel, x: Sequence[float], shots: ShotConfig = EXACT) -> np.ndarray:
@@ -154,9 +208,7 @@ def forward(model: VqcModel, x: Sequence[float], shots: ShotConfig = EXACT) -> n
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (model.n_qubits,):
         raise ValueError(f"expected {model.n_qubits} features, got shape {x.shape}")
-    return _class_probs(
-        model.feature_map, model.theta, x, len(model.classes), model.entangle, shots
-    )
+    return forward_many(model, x[None, :], shots)[0]
 
 
 def predict(model: VqcModel, x: Sequence[float], shots: ShotConfig = EXACT):
@@ -164,29 +216,39 @@ def predict(model: VqcModel, x: Sequence[float], shots: ShotConfig = EXACT):
     return model.classes[int(np.argmax(forward(model, x, shots)))]
 
 
+def predict_many(model: VqcModel, xs, shots: ShotConfig = EXACT) -> list:
+    """``predict`` for every row of ``xs``, from one batch of states."""
+    return [model.classes[i] for i in np.argmax(forward_many(model, xs, shots), axis=1)]
+
+
+def _cross_entropy(p_true: np.ndarray) -> float:
+    # math.log summed row by row, as a per-row loop would, so that shot-mode
+    # losses do not move with numpy's vectorised log.
+    total = 0.0
+    for p in p_true:
+        total += -math.log(max(p, _P_FLOOR))
+    return total / len(p_true)
+
+
 def _batch_loss(
-    feature_map: FeatureMapKind,
+    states: np.ndarray,
     theta: np.ndarray,
-    xs: np.ndarray,
     class_idx: np.ndarray,
     n_classes: int,
-    entangle: bool,
+    perm: np.ndarray | None,
     shots: ShotConfig,
 ) -> float:
-    total = 0.0
-    for x, c in zip(xs, class_idx):
-        p = _class_probs(feature_map, theta, x, n_classes, entangle, shots)
-        total += -math.log(max(p[c], _P_FLOOR))
-    return total / len(xs)
+    """Mean cross-entropy over a batch of cached feature-map states."""
+    probs = _readout(_run_layers(states.copy(), theta, perm), n_classes, shots)
+    return _cross_entropy(probs[np.arange(len(probs)), class_idx])
 
 
 def loss(model: VqcModel, xs, labels, shots: ShotConfig = EXACT) -> float:
     """Mean cross-entropy of the model on (samples, labels)."""
-    xs = _as_matrix(xs)
     class_idx = _class_indices(model.classes, labels)
     return _batch_loss(
-        model.feature_map, model.theta, xs, class_idx,
-        len(model.classes), model.entangle, shots,
+        _feature_states(model, xs), model.theta, class_idx, len(model.classes),
+        _ring_permutation(model.n_qubits, model.entangle), shots,
     )
 
 
@@ -196,6 +258,45 @@ def _class_indices(classes: tuple, labels) -> np.ndarray:
         return np.array([lookup[lab] for lab in labels], dtype=np.int64)
     except KeyError as exc:
         raise ValueError(f"label {exc.args[0]!r} not among model classes {classes}") from exc
+
+
+def _shift_gradient(
+    states: np.ndarray,
+    theta: np.ndarray,
+    class_idx: np.ndarray,
+    n_classes: int,
+    perm: np.ndarray | None,
+    shots: ShotConfig,
+) -> np.ndarray:
+    """Parameter-shift gradient of the mean cross-entropy on cached states.
+
+    RY(t +- pi/2) = RY(+-pi/2) RY(t), and the RYs of one layer commute, so
+    the two circuits shifted at (l, q) share everything up to the end of
+    layer l's RY block: each is one RY(+-pi/2) on a copy of that state, then
+    the ring and the later layers.
+    """
+    m = len(states)
+    n_layers, n = theta.shape
+    rows = np.arange(m)
+    shifted_p = np.empty((2, m, n_layers, n))
+    psi = states.copy()
+    for l in range(n_layers):
+        _ry_block(psi, theta[l])
+        for q in range(n):
+            for side, angle in enumerate((math.pi / 2.0, -math.pi / 2.0)):
+                shifted = psi.copy()
+                _apply_op(shifted.reshape((m,) + (2,) * n), n, "RY", (q,), angle)
+                if perm is not None:
+                    shifted = shifted[:, perm]
+                shifted = _run_layers(shifted, theta, perm, l + 1)
+                shifted_p[side, :, l, q] = _readout(shifted, n_classes, shots)[rows, class_idx]
+        if perm is not None:
+            psi = psi[:, perm]
+    p_true = _readout(psi, n_classes, shots)[rows, class_idx]
+    inv_p = -1.0 / np.maximum(p_true, _P_FLOOR)
+    # dp/dt = (p(t + pi/2) - p(t - pi/2)) / 2; rows are summed in order.
+    terms = inv_p[:, None, None] * 0.5 * (shifted_p[0] - shifted_p[1])
+    return terms.sum(axis=0) / m
 
 
 def parameter_shift_gradient(
@@ -209,38 +310,26 @@ def parameter_shift_gradient(
     Each RY weight parameter obeys the parameter-shift rule
     dp/dt = (p(t + pi/2) - p(t - pi/2)) / 2 for every outcome probability.
     """
-    xs = _as_matrix(xs)
     class_idx = _class_indices(model.classes, labels)
-    n_classes = len(model.classes)
-    grad = np.zeros_like(model.theta)
-    for x, c in zip(xs, class_idx):
-        p_base = _class_probs(model.feature_map, model.theta, x, n_classes, model.entangle, shots)
-        inv_p = -1.0 / max(p_base[c], _P_FLOOR)
-        for l in range(model.n_layers):
-            for q in range(model.n_qubits):
-                shifted = model.theta.copy()
-                shifted[l, q] += math.pi / 2.0
-                p_plus = _class_probs(model.feature_map, shifted, x, n_classes, model.entangle, shots)
-                shifted[l, q] -= math.pi
-                p_minus = _class_probs(model.feature_map, shifted, x, n_classes, model.entangle, shots)
-                grad[l, q] += inv_p * 0.5 * (p_plus[c] - p_minus[c])
-    return grad / len(xs)
+    return _shift_gradient(
+        _feature_states(model, xs), model.theta, class_idx, len(model.classes),
+        _ring_permutation(model.n_qubits, model.entangle), shots,
+    )
 
 
 def _spsa_gradient(
-    model: VqcModel,
-    xs: np.ndarray,
+    theta: np.ndarray,
+    states: np.ndarray,
     class_idx: np.ndarray,
+    n_classes: int,
+    perm: np.ndarray | None,
     rng: np.random.Generator,
     c_step: float,
     shots: ShotConfig,
 ) -> np.ndarray:
-    delta = rng.choice((-1.0, 1.0), size=model.theta.shape)
-    n_classes = len(model.classes)
-    up = _batch_loss(model.feature_map, model.theta + c_step * delta, xs, class_idx,
-                     n_classes, model.entangle, shots)
-    down = _batch_loss(model.feature_map, model.theta - c_step * delta, xs, class_idx,
-                       n_classes, model.entangle, shots)
+    delta = rng.choice((-1.0, 1.0), size=theta.shape)
+    up = _batch_loss(states, theta + c_step * delta, class_idx, n_classes, perm, shots)
+    down = _batch_loss(states, theta - c_step * delta, class_idx, n_classes, perm, shots)
     return (up - down) / (2.0 * c_step) * delta
 
 
@@ -255,8 +344,10 @@ def train(
 ) -> VqcModel:
     """Gradient-descent training; theta starts at uniform(-0.1, 0.1) per seed.
 
-    Zero epochs return the freshly initialized model. A non-finite loss
-    aborts with a TrainingError naming the epoch.
+    The feature-map states of ``xs`` do not depend on theta: they are
+    simulated once, and every loss and gradient evaluation applies only the
+    weight layers to them. Zero epochs return the freshly initialized model.
+    A non-finite loss aborts with a TrainingError naming the epoch.
     """
     xs = _as_matrix(xs)
     classes = tuple(sorted(set(labels)))
@@ -269,23 +360,23 @@ def train(
     theta = rng.uniform(-0.1, 0.1, size=(n_layers, n))
     model = VqcModel(feature_map, theta, classes, entangle)
     class_idx = _class_indices(classes, labels)
+    n_classes = len(classes)
+    states = feature_map_states(feature_map, xs)
+    perm = _ring_permutation(n, entangle)
 
-    history = [
-        _batch_loss(feature_map, model.theta, xs, class_idx, len(classes), entangle, shots)
-    ]
+    history = [_batch_loss(states, model.theta, class_idx, n_classes, perm, shots)]
     for epoch in range(opt.epochs):
         if not math.isfinite(history[-1]):
             raise TrainingError("training loss diverged", epoch=epoch)
-        batches = _batches(len(xs), opt.batch_size, rng)
-        for batch in batches:
+        for batch in _batches(len(xs), opt.batch_size, rng):
             if opt.method == "parameter_shift":
-                grad = parameter_shift_gradient(model, xs[batch], [labels[i] for i in batch], shots)
+                grad = _shift_gradient(states[batch], model.theta, class_idx[batch],
+                                       n_classes, perm, shots)
             else:
-                grad = _spsa_gradient(model, xs[batch], class_idx[batch], rng, opt.spsa_step, shots)
+                grad = _spsa_gradient(model.theta, states[batch], class_idx[batch],
+                                      n_classes, perm, rng, opt.spsa_step, shots)
             model.theta = model.theta - opt.learning_rate * grad
-        history.append(
-            _batch_loss(feature_map, model.theta, xs, class_idx, len(classes), entangle, shots)
-        )
+        history.append(_batch_loss(states, model.theta, class_idx, n_classes, perm, shots))
         if not math.isfinite(history[-1]):
             raise TrainingError("training loss diverged", epoch=epoch)
     model.loss_history = tuple(history)

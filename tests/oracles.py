@@ -2,9 +2,10 @@
 
 Everything here favors obviousness over speed: full scans over every event
 per query, O(n^2) interval checks, exponential active-set enumeration for
-the SVM dual. Window membership, durations, and means use the same exact
-arithmetic as the production code (epoch floats, timedelta seconds, fsum)
-so comparisons can demand bit equality.
+the SVM dual, per-row VQC circuits rebuilt gate by gate. Window membership,
+durations, and means use the same exact arithmetic as the production code
+(epoch floats, timedelta seconds, fsum) so comparisons can demand bit
+equality.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from collections import Counter
 
 import numpy as np
 
+from icppm import qsim, vqc
 from icppm.encoding import Vocabulary
 from icppm.eventlog import EventLog
 
@@ -179,3 +181,86 @@ def qp_dual_optimum(kernel: np.ndarray, y: np.ndarray, C: float):
             best_obj = obj
             best_alpha = alpha
     return best_obj, best_alpha
+
+
+# Per-row VQC reference: every circuit rebuilt gate by gate and simulated
+# through ``qsim._apply_ops``, with the feature map re-run for every sample,
+# loss term and shifted parameter. The batched engine in ``icppm.vqc`` must
+# match it to 1e-12 exactly and bit for bit in shot mode.
+
+
+def vqc_class_probs(feature_map, theta, x, n_classes, entangle, shots) -> np.ndarray:
+    n = theta.shape[1]
+    ops = list(qsim.build_feature_map(feature_map, x).ops)
+    for layer in theta:
+        ops.extend(qsim.weight_layer(layer, n, entangle).ops)
+    amps = np.zeros(2 ** n, dtype=np.complex128)
+    amps[0] = 1.0
+    amps = qsim._apply_ops(amps, n, ops)
+    probs = np.abs(amps) ** 2
+    r = max(1, math.ceil(math.log2(n_classes)))
+    if shots.exact:
+        marginal = probs.reshape(2 ** r, -1).sum(axis=1)
+    else:
+        samples = qsim.sample_indices(probs, shots.shots, shots.seed)
+        groups = samples >> (n - r)
+        marginal = np.bincount(groups, minlength=2 ** r) / shots.shots
+    scores = np.zeros(n_classes)
+    for b in range(2 ** r):
+        scores[b % n_classes] += marginal[b]
+    total = scores.sum()
+    if total <= 0:
+        return np.full(n_classes, 1.0 / n_classes)
+    return scores / total
+
+
+def vqc_loss(feature_map, theta, xs, class_idx, n_classes, entangle, shots) -> float:
+    total = 0.0
+    for x, c in zip(xs, class_idx):
+        p = vqc_class_probs(feature_map, theta, x, n_classes, entangle, shots)
+        total += -math.log(max(p[c], vqc._P_FLOOR))
+    return total / len(xs)
+
+
+def vqc_shift_gradient(feature_map, theta, xs, class_idx, n_classes, entangle,
+                       shots) -> np.ndarray:
+    grad = np.zeros_like(theta)
+    for x, c in zip(xs, class_idx):
+        p_base = vqc_class_probs(feature_map, theta, x, n_classes, entangle, shots)
+        inv_p = -1.0 / max(p_base[c], vqc._P_FLOOR)
+        for l in range(theta.shape[0]):
+            for q in range(theta.shape[1]):
+                shifted = theta.copy()
+                shifted[l, q] += math.pi / 2.0
+                p_plus = vqc_class_probs(feature_map, shifted, x, n_classes, entangle, shots)
+                shifted[l, q] -= math.pi
+                p_minus = vqc_class_probs(feature_map, shifted, x, n_classes, entangle, shots)
+                grad[l, q] += inv_p * 0.5 * (p_plus[c] - p_minus[c])
+    return grad / len(xs)
+
+
+def vqc_train(xs, labels, feature_map, n_layers, opt, entangle=True, shots=qsim.EXACT):
+    """The training loop of ``vqc.train`` on the per-row reference; returns
+    (theta, loss_history)."""
+    classes = tuple(sorted(set(labels)))
+    n_classes = len(classes)
+    class_idx = vqc._class_indices(classes, labels)
+    rng = np.random.default_rng(opt.seed)
+    theta = rng.uniform(-0.1, 0.1, size=(n_layers, xs.shape[1]))
+    history = [vqc_loss(feature_map, theta, xs, class_idx, n_classes, entangle, shots)]
+    for _ in range(opt.epochs):
+        for batch in vqc._batches(len(xs), opt.batch_size, rng):
+            if opt.method == "parameter_shift":
+                grad = vqc_shift_gradient(feature_map, theta, xs[batch], class_idx[batch],
+                                          n_classes, entangle, shots)
+            else:
+                delta = rng.choice((-1.0, 1.0), size=theta.shape)
+                c = opt.spsa_step
+                up = vqc_loss(feature_map, theta + c * delta, xs[batch], class_idx[batch],
+                              n_classes, entangle, shots)
+                down = vqc_loss(feature_map, theta - c * delta, xs[batch], class_idx[batch],
+                                n_classes, entangle, shots)
+                grad = (up - down) / (2.0 * c) * delta
+            theta = theta - opt.learning_rate * grad
+        history.append(vqc_loss(feature_map, theta, xs, class_idx, n_classes, entangle, shots))
+    return theta, tuple(history)

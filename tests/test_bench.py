@@ -232,16 +232,29 @@ class TestRunExperiment:
         result = run_experiment(cfg, log, samples)
         assert result.kernel_evaluations == 0
         assert result.states_simulated == 0
+        assert result.vqc_final_loss is None
         assert len(result.fold_accuracies) == 3
 
-    def test_vqc_branch(self):
+    def test_vqc_branch(self, monkeypatch):
         cfg = ExperimentConfig(
             classifier="vqc_angle_1", k=2, folds=2, epochs=1, seed=1
         )
         log, samples = two_label_setup(cfg, n_cases=6)
+        models = []
+        real = bench.vqc_train
+        monkeypatch.setattr(bench, "vqc_train",
+                            lambda *a, **k: models.append(real(*a, **k)) or models[-1])
         result = run_experiment(cfg, log, samples)
         assert len(result.fold_accuracies) == 2
         assert result.window_fraction is None
+        assert len(models) == cfg.folds
+        assert result.vqc_final_loss == pytest.approx(
+            np.mean([m.loss_history[-1] for m in models]), abs=1e-15)
+        # Every fold simulates its training rows once and its test rows once.
+        assert result.states_simulated == cfg.folds * result.n_samples
+        out = result.to_dict()
+        assert out["vqc_final_loss"] == result.vqc_final_loss
+        assert out["states_simulated"] == result.states_simulated
 
     def test_inter_features_recorded(self):
         cfg = ExperimentConfig(
@@ -349,6 +362,31 @@ class TestGramCache:
         third = run_experiment(cfg, log, samples)
         assert third.gram_time_s == 0.0
         assert third.fold_accuracies == first.fold_accuracies
+
+    @pytest.mark.parametrize("corrupt", ["asymmetric", "complex"])
+    def test_invalid_entry_is_recomputed(self, tmp_path, caplog, corrupt):
+        cfg = ExperimentConfig(
+            classifier="qke_angle_1", k=2, folds=2, seed=3, cache_dir=str(tmp_path)
+        )
+        log, samples = two_label_setup(cfg, n_cases=8)
+        first = run_experiment(cfg, log, samples)
+        for path in tmp_path.glob("*.npz"):
+            with np.load(path) as data:
+                values = data["values"]
+            if corrupt == "asymmetric":
+                values = values.copy()
+                values[0, 1] += 1e-6
+            else:
+                values = values.astype(np.complex128)
+            np.savez(path, values=values, eval_count=np.int64(1))
+        with caplog.at_level("WARNING", logger="icppm.qkernel"):
+            second = run_experiment(cfg, log, samples)
+        assert caplog.text.count("ignoring kernel cache entry") == cfg.folds
+        assert second.fold_accuracies == first.fold_accuracies
+        assert second.states_simulated == first.states_simulated
+        assert second.kernel_evaluations == first.kernel_evaluations
+        third = run_experiment(cfg, log, samples)
+        assert third.gram_time_s == 0.0
 
     def test_cache_ignored_without_dir(self, tmp_path):
         cfg = ExperimentConfig(classifier="qke_angle_1", k=2, folds=2, seed=3)

@@ -196,7 +196,10 @@ class TestKernelCheck:
         code = main(["kernel-check", "--qubits", "3", "--samples", "4",
                      "--self-test-perturb"])
         assert code == 0
-        assert "detected" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "detected" in out
+        assert "batched VQC scores differ from dense oracle" in out
+        assert "VQC parameter-shift gradient differs" in out
 
     def test_qubit_cap(self, capsys):
         assert main(["kernel-check", "--qubits", "21"]) == 2

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from icppm import oracles
+from icppm import oracles, qkernel
 from icppm.encoding import FeatureVector
 from icppm.errors import ConfigError
 from icppm.qkernel import (
@@ -304,6 +304,32 @@ class TestCache:
         bad[0, 1] = np.nan
         save_kernel(KernelMatrix(bad, 1), tmp_path, "k")
         assert load_kernel(tmp_path, "k") is None
+
+    def test_key_changes_with_format_version(self, monkeypatch):
+        args = ("h", {"a": 1}, {"k": "quantum"}, 5)
+        base = cache_key(*args)
+        monkeypatch.setattr(qkernel, "CACHE_FORMAT_VERSION", qkernel.CACHE_FORMAT_VERSION + 1)
+        assert cache_key(*args) != base
+
+    def test_complex_or_integer_entry_is_a_miss(self, tmp_path, caplog):
+        save_kernel(KernelMatrix(np.eye(3).astype(np.complex128), 3), tmp_path, "c")
+        save_kernel(KernelMatrix(np.eye(3, dtype=np.int64), 3), tmp_path, "i")
+        with caplog.at_level("WARNING", logger="icppm.qkernel"):
+            assert load_kernel(tmp_path, "c") is None
+            assert load_kernel(tmp_path, "i") is None
+        assert caplog.text.count("not real floating point") == 2
+
+    def test_asymmetric_entry_is_a_miss(self, tmp_path, caplog):
+        values = np.eye(3)
+        values[0, 2] = 0.5
+        values[2, 0] = 0.5 + 2e-12
+        save_kernel(KernelMatrix(values, 3), tmp_path, "k")
+        with caplog.at_level("WARNING", logger="icppm.qkernel"):
+            assert load_kernel(tmp_path, "k") is None
+        assert "K - K^T" in caplog.text
+        values[2, 0] = 0.5 + 5e-13
+        save_kernel(KernelMatrix(values, 3), tmp_path, "k")
+        assert load_kernel(tmp_path, "k") is not None
 
     def test_save_leaves_no_temp_files(self, tmp_path):
         save_kernel(KernelMatrix(np.eye(2), 1), tmp_path, "k")

@@ -6,19 +6,25 @@ import numpy as np
 import pytest
 
 import icppm.vqc as vqc
+import oracles as ref
+from icppm import oracles, qsim
 from icppm.errors import ConfigError, TrainingError
 from icppm.qsim import EXACT, FeatureMapKind, ShotConfig, build_feature_map, run
 from icppm.vqc import (
     OptimizerConfig,
     VqcModel,
     forward,
+    forward_many,
     loss,
     parameter_shift_gradient,
     predict,
+    predict_many,
     train,
 )
 
 ANGLE = FeatureMapKind("angle")
+TOL = oracles.BATCHED_TOL
+MAPS = (FeatureMapKind("angle"), FeatureMapKind("zz", 2), FeatureMapKind("angle_zz"))
 
 
 def separable_fixture():
@@ -245,3 +251,126 @@ class TestCheckpoint:
     def test_unsupported_version_rejected(self):
         with pytest.raises(ValueError):
             VqcModel.from_dict({"version": 2})
+
+
+def grad_gap_ok(got: np.ndarray, want: np.ndarray) -> bool:
+    """Gradients agree to TOL times max(1, largest entry): the -1/p of the
+    cross-entropy scales float error in p by the same factor as the gradient."""
+    return float(np.max(np.abs(got - want))) <= TOL * max(1.0, float(np.max(np.abs(want))))
+
+
+def random_case(rng, n: int, layers: int, n_classes: int, fm, entangle: bool, rows: int):
+    model = VqcModel(fm, rng.uniform(-math.pi, math.pi, (layers, n)),
+                     tuple(range(n_classes)), entangle)
+    xs = rng.uniform(0.0, math.pi, (rows, n))
+    class_idx = rng.integers(0, n_classes, rows)
+    return model, xs, class_idx
+
+
+class TestBatchedEngine:
+    @pytest.mark.parametrize("entangle", [True, False])
+    @pytest.mark.parametrize("layers", [1, 2, 3])
+    @pytest.mark.parametrize("fm", MAPS, ids=lambda k: f"{k.variant}{k.layers}")
+    def test_matches_per_row_reference_and_dense_oracle(self, fm, layers, entangle):
+        rng = np.random.default_rng(100 * layers + 10 * MAPS.index(fm) + entangle)
+        for n in range(1, 10):
+            n_classes = min(2 + (n + layers) % 5, 2 ** n)
+            model, xs, class_idx = random_case(rng, n, layers, n_classes, fm, entangle, rows=2)
+            labels = list(class_idx)
+            args = (fm, model.theta, xs, class_idx, n_classes, entangle, EXACT)
+            probs = forward_many(model, xs)
+            want = np.array([ref.vqc_class_probs(fm, model.theta, x, n_classes, entangle, EXACT)
+                             for x in xs])
+            assert np.max(np.abs(probs - want)) <= TOL
+            assert abs(loss(model, xs, labels) - ref.vqc_loss(*args)) <= TOL
+            grad = parameter_shift_gradient(model, xs, labels)
+            assert grad_gap_ok(grad, ref.vqc_shift_gradient(*args))
+            if n <= 5:
+                dense = np.array([oracles.vqc_probs_via_unitary(model, x) for x in xs])
+                assert np.max(np.abs(probs - dense)) <= TOL
+                dense_grad = np.mean([oracles.vqc_gradient_via_unitary(model, x, c)
+                                      for x, c in zip(xs, class_idx)], axis=0)
+                assert grad_gap_ok(grad, dense_grad)
+
+    @pytest.mark.parametrize("fm", MAPS, ids=lambda k: f"{k.variant}{k.layers}")
+    def test_shot_mode_bit_identical_to_reference(self, fm):
+        rng = np.random.default_rng(7)
+        shots = ShotConfig(40, seed=11)
+        for n, layers, n_classes, rows in [(1, 2, 2, 3), (3, 1, 3, 11), (4, 2, 5, 9)]:
+            model, xs, class_idx = random_case(rng, n, layers, n_classes, fm, True, rows)
+            for x in xs:
+                want = ref.vqc_class_probs(fm, model.theta, x, n_classes, True, shots)
+                assert np.array_equal(forward(model, x, shots), want)
+            grad = parameter_shift_gradient(model, xs, list(class_idx), shots)
+            want = ref.vqc_shift_gradient(fm, model.theta, xs, class_idx, n_classes, True, shots)
+            assert np.array_equal(grad, want)
+
+    @pytest.mark.parametrize("method,batch_size", [("parameter_shift", None),
+                                                   ("parameter_shift", 4), ("spsa", 3)])
+    def test_shot_mode_training_bit_identical_to_reference(self, method, batch_size):
+        rng = np.random.default_rng(3)
+        xs = rng.uniform(0.0, math.pi, (10, 3))
+        labels = list(rng.integers(0, 3, 10))
+        fm = FeatureMapKind("zz")
+        opt = OptimizerConfig(learning_rate=0.3, epochs=2, method=method,
+                              batch_size=batch_size, seed=4)
+        shots = ShotConfig(60, seed=2)
+        model = train(xs, labels, fm, 2, opt, shots=shots)
+        theta, history = ref.vqc_train(xs, labels, fm, 2, opt, shots=shots)
+        assert np.array_equal(model.theta, theta)
+        assert model.loss_history == history
+
+    def test_exact_training_matches_reference(self):
+        rng = np.random.default_rng(5)
+        xs = rng.uniform(0.0, math.pi, (8, 4))
+        labels = list(rng.integers(0, 2, 8))
+        opt = OptimizerConfig(learning_rate=0.5, epochs=3, seed=1)
+        model = train(xs, labels, ANGLE, 2, opt)
+        theta, history = ref.vqc_train(xs, labels, ANGLE, 2, opt)
+        assert np.max(np.abs(model.theta - theta)) <= TOL
+        assert np.max(np.abs(np.array(model.loss_history) - history)) <= TOL
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_ring_permutation_equals_gate_by_gate_ring(self, n):
+        rng = np.random.default_rng(n)
+        psi = rng.normal(size=2 ** n) + 1j * rng.normal(size=2 ** n)
+        ring = [op for op in qsim.weight_layer(np.zeros(n), n).ops if op.kind == "CNOT"]
+        want = qsim._apply_ops(psi.copy(), n, ring)
+        perm = vqc._ring_permutation(n, True)
+        got = psi if perm is None else psi[perm]
+        assert np.array_equal(got, want)
+        assert vqc._ring_permutation(n, False) is None
+
+    def test_feature_map_simulated_once_per_train_call(self, monkeypatch):
+        calls = []
+        real = vqc.feature_map_states
+        monkeypatch.setattr(vqc, "feature_map_states",
+                            lambda kind, x: calls.append(len(x)) or real(kind, x))
+        xs, labels = separable_fixture()
+        for method in ("parameter_shift", "spsa"):
+            calls.clear()
+            train(xs, labels, ANGLE, 2, OptimizerConfig(epochs=3, method=method, batch_size=2))
+            assert calls == [len(xs)]
+
+    def test_feature_dimension_checked(self):
+        model = VqcModel(ANGLE, np.zeros((1, 2)), ("a", "b"))
+        with pytest.raises(ValueError):
+            forward_many(model, np.zeros((3, 3)))
+        with pytest.raises(ValueError):
+            parameter_shift_gradient(model, np.zeros((1, 3)), ["a"])
+
+
+class TestPredictMany:
+    def test_equals_per_row_predict(self):
+        rng = np.random.default_rng(8)
+        model = VqcModel(FeatureMapKind("zz"), rng.uniform(-1, 1, (2, 3)), ("a", "b", "c"))
+        xs = rng.uniform(0.0, math.pi, (12, 3))
+        assert predict_many(model, xs) == [predict(model, x) for x in xs]
+        shots = ShotConfig(30, seed=5)
+        assert predict_many(model, xs, shots) == [predict(model, x, shots) for x in xs]
+
+    def test_tie_goes_to_smaller_class(self, monkeypatch):
+        model = VqcModel(ANGLE, np.zeros((1, 2)), ("a", "b", "c"))
+        monkeypatch.setattr(vqc, "forward_many",
+                            lambda m, xs, shots=EXACT: np.array([[0.2, 0.4, 0.4]] * len(xs)))
+        assert vqc.predict_many(model, np.zeros((2, 2))) == ["b", "b"]
