@@ -6,7 +6,7 @@ sliding-window inter-case features, and classified with kernel SVMs
 variational circuit. See the README for the experiment protocol.
 """
 
-from .bench import ExperimentConfig, RunResult, run_experiment, window_sweep
+from .bench import ExperimentConfig, RunResult, run_experiment, sweep
 from .encoding import FeatureVector, ScalingParams, Vocabulary, apply_scaler, fit_scaler
 from .errors import (
     ConfigError,
@@ -82,6 +82,6 @@ __all__ = [
     "ExperimentConfig",
     "RunResult",
     "run_experiment",
-    "window_sweep",
+    "sweep",
     "__version__",
 ]

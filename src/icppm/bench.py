@@ -20,10 +20,10 @@ import math
 import os
 import time
 from collections import Counter
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from datetime import date, datetime
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -63,6 +63,18 @@ log_ = logging.getLogger("icppm.bench")
 DATA_DIR_ENV = "ICPPM_DATA_DIR"
 
 CLASSIFIERS = ("majority", "svc_linear", "svc_rbf", "qke", "vqc")
+
+# Sweep mode -> (config field set per run, config field holding the grid,
+# test each grid value must pass, that test in words, label tag). A tagged
+# run's features label gains "@<tag><value>"; prefix-grid labels already
+# differ by k.
+SWEEPS = {
+    "window_sweep": ("window_fraction", "window_fractions", lambda v: v > 0,
+                     "positive", "w"),
+    "sampling_sweep": ("sampling_fraction", "sampling_fractions", lambda v: 0 < v <= 1,
+                       "in (0, 1]", "s"),
+    "prefix_grid": ("k", "prefix_lengths", lambda v: v >= 1, ">= 1", None),
+}
 
 
 def derive_seed(master: int, tag: str) -> int:
@@ -132,7 +144,20 @@ class ExperimentConfig:
             raise ConfigError(
                 f"window_base must be a number of seconds or 'train_median', got {self.window_base!r}"
             )
-        if self.mode not in ("experiment", "window_sweep", "sampling_sweep", "prefix_grid"):
+        if not 0 < self.sampling_fraction <= 1:
+            raise ConfigError(
+                f"sampling_fraction must be in (0, 1], got {self.sampling_fraction}"
+            )
+        if self.mode in SWEEPS:
+            _, grid_name, valid, rule, _ = SWEEPS[self.mode]
+            grid = getattr(self, grid_name)
+            if not grid:
+                raise ConfigError(f"{self.mode} needs at least one value in {grid_name}")
+            if not all(valid(v) for v in grid):
+                raise ConfigError(f"{grid_name} must be {rule}, got {grid}")
+            if self.mode == "window_sweep" and not self.inter_features:
+                raise ConfigError("window sweep requires at least one inter-case feature")
+        elif self.mode != "experiment":
             raise ConfigError(f"unknown mode {self.mode!r}")
         _parse_classifier(self.classifier)
 
@@ -266,8 +291,9 @@ def feature_label(cfg: ExperimentConfig) -> str:
     return name
 
 
-def prepare_samples(cfg: ExperimentConfig) -> tuple[EventLog, list[PrefixSample]]:
-    """Load, preprocess, and expand the configured dataset into samples."""
+def load_and_slice(cfg: ExperimentConfig) -> EventLog:
+    """Load the configured dataset, then filter singleton variants and slice
+    by date as configured."""
     if cfg.dataset is None:
         raise ConfigError("config has no dataset path")
     path = resolve_dataset_path(cfg.dataset)
@@ -275,10 +301,6 @@ def prepare_samples(cfg: ExperimentConfig) -> tuple[EventLog, list[PrefixSample]
     log = load_log(path, cfg.fmt, cfg.column_map)
     log_.info("parsed %s: %d cases, %d events in %.1fs",
               path.name, len(log), log.n_events, time.perf_counter() - t0)
-    return _preprocess(cfg, log)
-
-
-def _preprocess(cfg: ExperimentConfig, log: EventLog) -> tuple[EventLog, list[PrefixSample]]:
     if cfg.filter_singletons:
         log = filter_singleton_variants(log)
     if cfg.date_start or cfg.date_end:
@@ -287,13 +309,16 @@ def _preprocess(cfg: ExperimentConfig, log: EventLog) -> tuple[EventLog, list[Pr
         log = slice_date_range(
             log, _parse_date(cfg.date_start), _parse_date(cfg.date_end), cfg.slice_rule
         )
+    return log
+
+
+def prepare_samples(cfg: ExperimentConfig) -> tuple[EventLog, list[PrefixSample]]:
+    """Load and preprocess the configured dataset and expand it into every
+    prefix sample; ``run_experiment`` applies ``sampling_fraction``."""
+    log = load_and_slice(cfg)
     samples = build_prefix_log(log, cfg.min_prefix, cfg.max_prefix)
     if not samples:
         raise ConfigError("preprocessing left no prefix samples")
-    if cfg.sampling_fraction < 1.0:
-        samples = stratified_subsample(
-            samples, cfg.sampling_fraction, derive_seed(cfg.seed, "subsample")
-        )
     return log, samples
 
 
@@ -316,10 +341,52 @@ def _train_window_width(cfg: ExperimentConfig, train_log: EventLog) -> float:
     return width
 
 
+def fit_encoder(
+    cfg: ExperimentConfig, fit_log: EventLog, index: EventIndex | None
+) -> Callable[[PrefixSample], FeatureVector]:
+    """Fit everything a feature row needs on ``fit_log``: vocabularies, the
+    intra-case encoder and, for inter-case features, the transition and
+    batch statistics and the window width. Returns sample -> feature row;
+    the window features count peer events in ``index``."""
+    act_vocab = _build_vocab(fit_log.activity_vocab)
+    res_vocab = _build_vocab(fit_log.resource_vocab)
+    attr_vocabs = {
+        name: _build_vocab(t.attributes.get(name, "") for t in fit_log.traces)
+        for name in cfg.static_attrs
+    }
+    intra = make_intra_encoder(
+        cfg.encoder, act_vocab, res_vocab, cfg.k, cfg.static_attrs, attr_vocabs
+    )
+    if not cfg.inter_features:
+        return intra
+    needs_t = bool({"avg_delay", "batch"} & set(cfg.inter_features))
+    inter = InterCaseEncoder(
+        index,
+        tuple(cfg.inter_features),
+        PeerWindow(_train_window_width(cfg, fit_log)),
+        act_vocab=act_vocab,
+        res_vocab=res_vocab,
+        transition_stats=fit_transition_stats(fit_log) if needs_t else None,
+        batch_stats=(
+            fit_batch_stats(fit_log, cfg.epsilon, cfg.min_burst)
+            if "batch" in cfg.inter_features
+            else None
+        ),
+    )
+
+    def encode(sample: PrefixSample) -> FeatureVector:
+        anchor = sample.prefix.events[-1]
+        return compose(intra(sample), inter.encode(
+            anchor.timestamp.timestamp(), sample.case_id, anchor.activity
+        ))
+
+    return encode
+
+
 def _encode_fold(
     cfg: ExperimentConfig,
     log: EventLog,
-    index: EventIndex,
+    index: EventIndex | None,
     samples: Sequence[PrefixSample],
     train_idx: Sequence[int],
     test_idx: Sequence[int],
@@ -328,47 +395,7 @@ def _encode_fold(
     train_log = EventLog.from_traces(
         [t for t in log.traces if t.case_id in train_cases]
     )
-    act_vocab = _build_vocab(train_log.activity_vocab)
-    res_vocab = _build_vocab(train_log.resource_vocab)
-    attr_vocabs = {
-        name: _build_vocab(
-            t.attributes.get(name, "") for t in train_log.traces
-        )
-        for name in cfg.static_attrs
-    }
-    intra = make_intra_encoder(
-        cfg.encoder, act_vocab, res_vocab, cfg.k, cfg.static_attrs, attr_vocabs
-    )
-    inter = None
-    if cfg.inter_features:
-        needs_t = bool({"avg_delay", "batch"} & set(cfg.inter_features))
-        t_stats = fit_transition_stats(train_log) if needs_t else None
-        b_stats = (
-            fit_batch_stats(train_log, cfg.epsilon, cfg.min_burst)
-            if "batch" in cfg.inter_features
-            else None
-        )
-        window = PeerWindow(_train_window_width(cfg, train_log))
-        inter = InterCaseEncoder(
-            index,
-            tuple(cfg.inter_features),
-            window,
-            act_vocab=act_vocab,
-            res_vocab=res_vocab,
-            transition_stats=t_stats,
-            batch_stats=b_stats,
-        )
-
-    def encode(sample: PrefixSample) -> FeatureVector:
-        vec = intra(sample)
-        if inter is not None:
-            anchor = sample.prefix.events[-1]
-            inter_vec = inter.encode(
-                anchor.timestamp.timestamp(), sample.case_id, anchor.activity
-            )
-            vec = compose(vec, inter_vec).combined
-        return vec
-
+    encode = fit_encoder(cfg, train_log, index)
     train_vecs = [encode(samples[i]) for i in train_idx]
     test_vecs = [encode(samples[i]) for i in test_idx]
     scaler = fit_scaler(train_vecs, (cfg.scale_lo, cfg.scale_hi))
@@ -396,10 +423,18 @@ def run_experiment(
     log: EventLog | None = None,
     samples: Sequence[PrefixSample] | None = None,
 ) -> RunResult:
-    """One cross-validated run; pass (log, samples) to skip re-preprocessing."""
+    """One cross-validated run; pass (log, samples) to skip re-preprocessing.
+
+    ``samples`` is the full prefix set: a ``sampling_fraction`` below 1
+    draws the run's stratified subsample from it.
+    """
     if log is None or samples is None:
         log, samples = prepare_samples(cfg)
     samples = list(samples)
+    if cfg.sampling_fraction < 1.0:
+        samples = stratified_subsample(
+            samples, cfg.sampling_fraction, derive_seed(cfg.seed, "subsample")
+        )
     kind, variant, fm_layers = _parse_classifier(cfg.classifier)
     folds = make_cv_folds(samples, cfg.folds, derive_seed(cfg.seed, "folds"))
     index = EventIndex(log) if cfg.inter_features else None
@@ -496,29 +531,33 @@ def run_experiment(
     )
 
 
-def window_sweep(
+def sweep(
     cfg: ExperimentConfig,
-    fractions: Sequence[float] | None = None,
     log: EventLog | None = None,
     samples: Sequence[PrefixSample] | None = None,
 ) -> list[RunResult]:
-    """One run per window fraction plus a final averaged row.
+    """The runs of ``cfg.mode``: one run in experiment mode, else one run per
+    value of the mode's grid, all on the same preprocessed log.
 
-    The averaged row takes the fold means per window first, then averages
-    across windows (its per-fold entries are cross-window means per fold).
+    Window- and sampling-sweep rows are labelled ``<features>@w<fraction>``
+    and ``<features>@s<fraction>``. A window sweep ends with an averaged
+    ``<features>@avg`` row: it takes the fold means per window first, then
+    averages across windows (its per-fold entries are cross-window means
+    per fold).
     """
-    fractions = tuple(fractions if fractions is not None else cfg.window_fractions)
-    if not fractions:
-        raise ConfigError("window sweep needs at least one fraction")
-    if any(f <= 0 for f in fractions):
-        raise ConfigError(f"window fractions must be positive, got {fractions}")
-    if not cfg.inter_features:
-        raise ConfigError("window sweep requires at least one inter-case feature")
     if log is None or samples is None:
         log, samples = prepare_samples(cfg)
-    results = [
-        run_experiment(replace(cfg, window_fraction=f), log, samples) for f in fractions
-    ]
+    if cfg.mode == "experiment":
+        return [run_experiment(cfg, log, samples)]
+    field_name, grid_name, _, _, tag = SWEEPS[cfg.mode]
+    results = []
+    for value in getattr(cfg, grid_name):
+        result = run_experiment(replace(cfg, **{field_name: value}), log, samples)
+        if tag is not None:
+            result.features += f"@{tag}{value:g}"
+        results.append(result)
+    if cfg.mode != "window_sweep":
+        return results
     per_fold = np.mean([r.fold_accuracies for r in results], axis=0)
     averaged = RunResult(
         classifier=cfg.classifier,
@@ -539,46 +578,6 @@ def window_sweep(
         else float(np.mean([r.vqc_final_loss for r in results])),
     )
     return results + [averaged]
-
-
-def sampling_sweep(
-    cfg: ExperimentConfig,
-    fractions: Sequence[float] | None = None,
-    log: EventLog | None = None,
-    samples: Sequence[PrefixSample] | None = None,
-) -> list[RunResult]:
-    """Re-run the experiment on stratified subsamples of the prefix set."""
-    fractions = tuple(fractions if fractions is not None else cfg.sampling_fractions)
-    if not fractions:
-        raise ConfigError("sampling sweep needs at least one fraction")
-    if log is None or samples is None:
-        log, samples = prepare_samples(cfg)
-    results = []
-    for f in fractions:
-        cfg_f = replace(cfg, sampling_fraction=f)
-        if f < 1.0:
-            subset = stratified_subsample(samples, f, derive_seed(cfg.seed, "subsample"))
-        else:
-            subset = list(samples)
-        results.append(run_experiment(cfg_f, log, subset))
-    return results
-
-
-def grid_prefix_length(
-    cfg: ExperimentConfig,
-    lengths: Sequence[int] | None = None,
-    log: EventLog | None = None,
-    samples: Sequence[PrefixSample] | None = None,
-) -> list[RunResult]:
-    """One run per index-encoding prefix length k."""
-    lengths = tuple(lengths if lengths is not None else cfg.prefix_lengths)
-    if not lengths:
-        raise ConfigError("prefix-length grid needs at least one length")
-    if any(k < 1 for k in lengths):
-        raise ConfigError(f"prefix lengths must be >= 1, got {lengths}")
-    if log is None or samples is None:
-        log, samples = prepare_samples(cfg)
-    return [run_experiment(replace(cfg, k=k), log, samples) for k in lengths]
 
 
 def emit_results(results: Sequence[RunResult], out_dir: str | Path) -> tuple[Path, Path]:

@@ -12,20 +12,14 @@ import argparse
 import json
 import logging
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import bench as bench_mod
-from .bench import DATA_DIR_ENV, ExperimentConfig, resolve_dataset_path
-from .encoding import apply_scaler, fit_scaler, make_intra_encoder, write_feature_csv, Vocabulary
+from .bench import DATA_DIR_ENV, ExperimentConfig
+from .encoding import apply_scaler, fit_scaler, write_feature_csv
 from .errors import ConfigError, IcppmError, ParseError
-from .eventlog import (
-    filter_singleton_variants,
-    load_log,
-    log_statistics,
-    slice_date_range,
-    write_csv,
-)
-from .intercase import EventIndex, InterCaseEncoder, PeerWindow, compose, fit_batch_stats, fit_transition_stats
+from .eventlog import log_statistics, write_csv
 from .oracles import run_kernel_check
 
 
@@ -42,23 +36,21 @@ def _add_io_flags(parser: argparse.ArgumentParser) -> None:
                         help="which events must fall in the date range (default: first)")
 
 
-def _load_and_slice(args):
-    path = resolve_dataset_path(args.log)
-    log = load_log(path, args.fmt)
-    if args.filter_singletons:
-        log = filter_singleton_variants(log)
-    if args.date_start or args.date_end:
-        if not (args.date_start and args.date_end):
-            raise ConfigError("date slicing needs both --date-start and --date-end")
-        log = slice_date_range(
-            log, bench_mod._parse_date(args.date_start),
-            bench_mod._parse_date(args.date_end), args.slice_rule,
-        )
-    return log
+def _io_config(args, **fields) -> ExperimentConfig:
+    """Config of the log and preprocessing flags from ``_add_io_flags``."""
+    return ExperimentConfig(
+        dataset=args.log,
+        fmt=args.fmt,
+        filter_singletons=args.filter_singletons,
+        date_start=args.date_start,
+        date_end=args.date_end,
+        slice_rule=args.slice_rule,
+        **fields,
+    )
 
 
 def _cmd_stats(args) -> int:
-    stats = log_statistics(_load_and_slice(args))
+    stats = log_statistics(bench_mod.load_and_slice(_io_config(args)))
     if args.json:
         print(json.dumps(stats, sort_keys=True))
     else:
@@ -68,7 +60,7 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_prepare(args) -> int:
-    log = _load_and_slice(args)
+    log = bench_mod.load_and_slice(_io_config(args))
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     with out.open("w", newline="") as sink:
@@ -79,17 +71,13 @@ def _cmd_prepare(args) -> int:
 
 def _cmd_encode(args) -> int:
     inter_features = tuple(f for f in (args.inter or "").split(",") if f)
-    cfg = ExperimentConfig(
-        dataset=args.log,
-        fmt=args.fmt,
-        filter_singletons=args.filter_singletons,
-        date_start=args.date_start,
-        date_end=args.date_end,
-        slice_rule=args.slice_rule,
+    cfg = _io_config(
+        args,
         min_prefix=args.min_prefix,
         max_prefix=args.max_prefix,
         encoder=args.encoder,
         k=args.k,
+        static_attrs=tuple(args.static_attrs.split(",")) if args.static_attrs else (),
         inter_features=inter_features,
         window_fraction=args.window_fraction,
         window_base=args.window_base if args.window_base is not None else "train_median",
@@ -98,39 +86,11 @@ def _cmd_encode(args) -> int:
         seed=args.seed,
     )
     log, samples = bench_mod.prepare_samples(cfg)
-
-    act_vocab = Vocabulary.from_values(log.activity_vocab)
-    res_vocab = Vocabulary.from_values(log.resource_vocab)
-    attr_names = tuple(args.static_attrs.split(",")) if args.static_attrs else ()
-    attr_vocabs = {
-        name: Vocabulary.from_values(t.attributes.get(name, "") for t in log.traces)
-        for name in attr_names
-    }
-    intra = make_intra_encoder(cfg.encoder, act_vocab, res_vocab, cfg.k,
-                               attr_names, attr_vocabs)
-    inter = None
-    if inter_features:
-        index = EventIndex(log)
-        needs_t = bool({"avg_delay", "batch"} & set(inter_features))
-        stats = fit_transition_stats(log) if needs_t else None
-        b_stats = fit_batch_stats(log, cfg.epsilon, cfg.min_burst) \
-            if "batch" in inter_features else None
-        width = bench_mod._train_window_width(cfg, log)
-        inter = InterCaseEncoder(index, inter_features, PeerWindow(width),
-                                 act_vocab=act_vocab, res_vocab=res_vocab,
-                                 transition_stats=stats, batch_stats=b_stats)
-
-    vectors = []
-    for sample in samples:
-        vec = intra(sample)
-        if inter is not None:
-            anchor = sample.prefix.events[-1]
-            vec = compose(vec, inter.encode(
-                anchor.timestamp.timestamp(), sample.case_id, anchor.activity
-            )).combined
-        vectors.append(vec)
+    index = bench_mod.EventIndex(log) if inter_features else None
+    encode = bench_mod.fit_encoder(cfg, log, index)
+    vectors = [encode(sample) for sample in samples]
     if args.scale:
-        scaler = fit_scaler(vectors)
+        scaler = fit_scaler(vectors, (cfg.scale_lo, cfg.scale_hi))
         vectors = [apply_scaler(v, scaler) for v in vectors]
     labels = [s.label for s in samples]
     out = Path(args.out)
@@ -153,18 +113,9 @@ def _cmd_bench(args) -> int:
     if args.exact:
         overrides["shots"] = None
     if overrides:
-        from dataclasses import replace
         cfg = replace(cfg, **overrides)
 
-    if cfg.mode == "window_sweep":
-        results = bench_mod.window_sweep(cfg)
-    elif cfg.mode == "sampling_sweep":
-        results = bench_mod.sampling_sweep(cfg)
-    elif cfg.mode == "prefix_grid":
-        results = bench_mod.grid_prefix_length(cfg)
-    else:
-        results = [bench_mod.run_experiment(cfg)]
-
+    results = bench_mod.sweep(cfg)
     for r in results:
         folds = " ".join(f"{a:.4f}" for a in r.fold_accuracies)
         print(f"{r.classifier} {r.features}: mean accuracy {r.mean_accuracy:.4f} "

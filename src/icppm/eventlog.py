@@ -16,6 +16,7 @@ import math
 import random
 import statistics
 import xml.etree.ElementTree as ET
+import zlib
 from collections import Counter
 from dataclasses import dataclass, field
 from datetime import date, datetime, timedelta, timezone
@@ -195,12 +196,14 @@ def parse_xes(source: IO[bytes] | bytes) -> EventLog:
     """Parse an XES byte stream into an EventLog.
 
     Trace-level string attributes other than concept:name are kept as case
-    attributes. Events missing concept:name or time:timestamp raise a
-    RecordError naming the trace; unknown attributes are ignored.
+    attributes. Events missing concept:name or time:timestamp, and a second
+    trace with the same case id, raise a RecordError naming the trace;
+    unknown attributes are ignored.
     """
     if isinstance(source, bytes):
         source = io.BytesIO(source)
     traces: list[Trace] = []
+    case_ids: set[str] = set()
     n_anonymous = 0
     try:
         context = ET.iterparse(source, events=("start", "end"))
@@ -215,6 +218,9 @@ def parse_xes(source: IO[bytes] | bytes) -> EventLog:
             if case_id is None:
                 case_id = f"trace-{len(traces) + n_anonymous}"
                 n_anonymous += 1
+            if case_id in case_ids:
+                raise RecordError(f"trace {case_id!r}: duplicate case id")
+            case_ids.add(case_id)
             case_attrs = {
                 k: v for k, v in trace_attrs.items() if not k.startswith("lifecycle:")
             }
@@ -235,7 +241,7 @@ def parse_xes(source: IO[bytes] | bytes) -> EventLog:
                     )
                 try:
                     ts = _parse_instant(raw_ts)
-                except ValueError as exc:
+                except (ValueError, OverflowError) as exc:
                     raise RecordError(
                         f"trace {case_id!r}: bad timestamp {raw_ts!r}: {exc}"
                     ) from exc
@@ -245,6 +251,12 @@ def parse_xes(source: IO[bytes] | bytes) -> EventLog:
     except ET.ParseError as exc:
         line = exc.position[0] if exc.position else None
         raise ParseError(f"malformed XES: {exc.msg}", line=line) from exc
+    except LookupError as exc:
+        # An unknown encoding in the XML declaration. KeyError and IndexError
+        # are LookupErrors too, but here they would be bugs, not bad input.
+        if type(exc) is not LookupError:
+            raise
+        raise ParseError(f"malformed XES: {exc}") from exc
     return EventLog.from_traces(traces)
 
 
@@ -265,6 +277,7 @@ def parse_csv(
     ``column_map`` maps the logical fields case_id/activity/timestamp/resource
     to actual column names. Columns prefixed ``attr:`` become case attributes.
     Cases appear in first-row order; rows of a case are sorted by timestamp.
+    Bytes that are not UTF-8 and malformed CSV raise a ParseError.
     """
     if isinstance(source, str):
         source = io.StringIO(source)
@@ -274,8 +287,16 @@ def parse_csv(
         source = io.TextIOWrapper(source, encoding="utf-8")
     colmap = dict(DEFAULT_COLUMN_MAP)
     colmap.update(column_map or {})
-
     reader = csv.DictReader(source)
+    try:
+        return _csv_log(reader, colmap)
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"CSV is not valid UTF-8: {exc.reason}") from exc
+    except csv.Error as exc:
+        raise ParseError(f"malformed CSV: {exc}") from exc
+
+
+def _csv_log(reader: csv.DictReader, colmap: Mapping[str, str]) -> EventLog:
     header = reader.fieldnames or []
     for logical in ("case_id", "activity", "timestamp"):
         if colmap[logical] not in header:
@@ -295,7 +316,7 @@ def parse_csv(
             raise RecordError(f"row {row_no}: missing case_id, activity or timestamp")
         try:
             ts = _parse_instant(raw_ts)
-        except ValueError as exc:
+        except (ValueError, OverflowError) as exc:
             raise RecordError(f"row {row_no}: bad timestamp {raw_ts!r}: {exc}") from exc
         resource = row[colmap["resource"]] if has_resource else None
         events_by_case.setdefault(case_id, []).append(
@@ -334,7 +355,8 @@ def load_log(
 ) -> EventLog:
     """Load a log file; format inferred from the suffix unless given.
 
-    ``.gz`` files are decompressed transparently.
+    ``.gz`` files are decompressed transparently; a corrupt or truncated
+    one raises a ParseError.
     """
     path = Path(path)
     if not path.exists():
@@ -350,12 +372,15 @@ def load_log(
         else:
             raise ConfigError(f"cannot infer log format from file name: {path.name}")
     opener = gzip.open if gz else open
-    if fmt == "xes":
-        with opener(path, "rb") as fh:
-            return parse_xes(fh)
-    if fmt == "csv":
-        with opener(path, "rt", encoding="utf-8") as fh:
-            return parse_csv(fh, column_map)
+    try:
+        if fmt == "xes":
+            with opener(path, "rb") as fh:
+                return parse_xes(fh)
+        if fmt == "csv":
+            with opener(path, "rt", encoding="utf-8") as fh:
+                return parse_csv(fh, column_map)
+    except (gzip.BadGzipFile, EOFError, zlib.error) as exc:
+        raise ParseError(f"corrupt gzip file {path.name}: {exc}") from exc
     raise ConfigError(f"unknown log format {fmt!r} (expected xes or csv)")
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 import weakref
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -340,7 +340,6 @@ class InterCaseEncoder:
     res_vocab: Vocabulary | None = None
     transition_stats: TransitionStats | None = None
     batch_stats: BatchStats | None = None
-    windows: Mapping[str, PeerWindow] = field(default_factory=dict)
 
     def __post_init__(self):
         self.features = tuple(self.features)
@@ -360,8 +359,8 @@ class InterCaseEncoder:
 
     def encode(self, t: float, case_id: str, last_activity: str) -> FeatureVector:
         values = []
+        w = self.window
         for name in self.features:
-            w = self.windows.get(name, self.window)
             if name == "peer_cases":
                 values.append(float(peer_cases(self.index, t, case_id, w)))
             elif name == "peer_act":
@@ -385,19 +384,10 @@ class InterCaseEncoder:
         return FeatureVector(np.array(values), self.features)
 
 
-@dataclass(eq=False)
-class ComposedFeatureVector:
-    """Intra-case and inter-case parts kept separate plus their concatenation."""
-
-    intra: FeatureVector
-    inter: FeatureVector
-    combined: FeatureVector
-
-
-def compose(intra: FeatureVector, inter: FeatureVector) -> ComposedFeatureVector:
+def compose(intra: FeatureVector, inter: FeatureVector) -> FeatureVector:
     """Concatenate intra- and inter-case features (at most two of the latter)."""
     if len(inter) > 2:
         raise ConfigError(
             f"at most 2 inter-case features may be composed, got {len(inter)}"
         )
-    return ComposedFeatureVector(intra, inter, intra.concat(inter))
+    return intra.concat(inter)

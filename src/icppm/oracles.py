@@ -1,8 +1,8 @@
 """Independent cross-checks for the statevector engine.
 
-Everything here deliberately takes the slow road: gates become explicit
-2^n x 2^n matrices via Kronecker products and circuits become matrix
-products, so agreement with the stride-based engine is meaningful. Kept
+Everything here deliberately takes the slow road: every gate becomes an
+explicit 2^n x 2^n matrix via Kronecker products and is multiplied onto the
+state vector, so agreement with the stride-based engine is meaningful. Kept
 out of any hot path; used by tests and the ``kernel-check`` CLI command.
 """
 
@@ -73,32 +73,27 @@ def gate_unitary(op: GateOp, n_qubits: int) -> np.ndarray:
     raise ValueError(f"unhandled gate {op.kind}")
 
 
-def circuit_unitary(circuit: CircuitSpec) -> np.ndarray:
-    """Product of gate matrices in application order."""
-    if circuit.n_qubits > MAX_ORACLE_QUBITS:
-        raise ConfigError(
-            f"dense oracle is capped at {MAX_ORACLE_QUBITS} qubits, got {circuit.n_qubits}"
-        )
-    u = np.eye(2 ** circuit.n_qubits, dtype=np.complex128)
-    for op in circuit.ops:
-        u = gate_unitary(op, circuit.n_qubits) @ u
-    return u
-
-
 def state_via_unitary(circuit: CircuitSpec, initial: np.ndarray | None = None) -> np.ndarray:
-    u = circuit_unitary(circuit)
+    """State after applying each gate's dense matrix, in order, to ``initial``
+    (default |0...0>)."""
+    n = circuit.n_qubits
+    if n > MAX_ORACLE_QUBITS:
+        raise ConfigError(f"dense oracle is capped at {MAX_ORACLE_QUBITS} qubits, got {n}")
     if initial is None:
-        initial = np.zeros(2 ** circuit.n_qubits, dtype=np.complex128)
-        initial[0] = 1.0
-    return u @ initial
+        state = np.zeros(2 ** n, dtype=np.complex128)
+        state[0] = 1.0
+    else:
+        state = np.asarray(initial, dtype=np.complex128)
+    for op in circuit.ops:
+        state = gate_unitary(op, n) @ state
+    return state
 
 
 def kernel_via_unitary(x, x2, kind: FeatureMapKind) -> float:
-    """Kernel value computed entirely from dense unitaries."""
-    circ = qsim.build_feature_map(kind, x)
-    circ2 = qsim.build_feature_map(kind, x2)
-    u = circuit_unitary(circ2).conj().T @ circuit_unitary(circ)
-    return float(np.abs(u[0, 0]) ** 2)
+    """Kernel value |<psi(x2)|psi(x)>|^2 from two dense-oracle states."""
+    psi = state_via_unitary(qsim.build_feature_map(kind, x))
+    psi2 = state_via_unitary(qsim.build_feature_map(kind, x2))
+    return float(np.abs(np.vdot(psi2, psi)) ** 2)
 
 
 def vqc_probs_via_unitary(model: vqc.VqcModel, x) -> np.ndarray:

@@ -19,7 +19,7 @@ import pytest
 import oracles as ref
 from conftest import make_log, make_trace, random_log
 from icppm import oracles as dense
-from icppm.bench import DATA_DIR_ENV, ExperimentConfig, derive_seed, run_experiment, sampling_sweep
+from icppm.bench import DATA_DIR_ENV, ExperimentConfig, derive_seed, run_experiment, sweep
 from icppm.encoding import Vocabulary
 from icppm.eventlog import (
     build_prefix_log,
@@ -419,9 +419,9 @@ class TestCriterion8SamplingScaling:
         assert len(samples) == 300
         cfg = ExperimentConfig(
             classifier="qke_zz_1", k=2, folds=3, seed=0,
-            sampling_fractions=(1.0, 0.5),
+            mode="sampling_sweep", sampling_fractions=(1.0, 0.5),
         )
-        full, half = sampling_sweep(cfg, log=log, samples=samples)
+        full, half = sweep(cfg, log=log, samples=samples)
         ratio = half.kernel_evaluations / full.kernel_evaluations
         time_ratio = half.gram_time_s / full.gram_time_s
         count_ok = abs(ratio - 0.25) <= 0.01 * 0.25

@@ -14,12 +14,10 @@ from icppm.bench import (
     derive_seed,
     emit_results,
     feature_label,
-    grid_prefix_length,
     prepare_samples,
     resolve_dataset_path,
     run_experiment,
-    sampling_sweep,
-    window_sweep,
+    sweep,
 )
 from icppm.errors import ConfigError
 from icppm.eventlog import build_prefix_log, make_cv_folds, write_csv
@@ -37,6 +35,12 @@ def two_label_log(n_cases: int = 12):
 def two_label_setup(cfg: ExperimentConfig, n_cases: int = 12):
     log = two_label_log(n_cases)
     return log, build_prefix_log(log, cfg.min_prefix, cfg.max_prefix)
+
+
+def write_log(log, path):
+    with path.open("w") as sink:
+        write_csv(log, sink)
+    return str(path)
 
 
 class TestDeriveSeed:
@@ -90,6 +94,30 @@ class TestExperimentConfig:
     def test_bad_classifier_caught_at_construction(self):
         with pytest.raises(ConfigError):
             ExperimentConfig(classifier="xgboost")
+
+    @pytest.mark.parametrize("fraction", [1.5, 0.0, -0.25])
+    def test_sampling_fraction_outside_unit_interval(self, fraction):
+        with pytest.raises(ConfigError, match="sampling_fraction"):
+            ExperimentConfig(sampling_fraction=fraction)
+
+    def test_sampling_fraction_bounds_accepted(self):
+        assert ExperimentConfig(sampling_fraction=1.0).sampling_fraction == 1.0
+        assert ExperimentConfig(sampling_fraction=0.01).sampling_fraction == 0.01
+
+    # Empty grids and the other bounds are checked in the sweep test classes.
+    @pytest.mark.parametrize("mode, grid, values", [
+        ("window_sweep", "window_fractions", (0.3, 0.0)),
+        ("sampling_sweep", "sampling_fractions", (1.0, 1.5)),
+        ("sampling_sweep", "sampling_fractions", (0.0,)),
+    ])
+    def test_selected_grid_checked(self, mode, grid, values):
+        with pytest.raises(ConfigError, match=grid):
+            ExperimentConfig(mode=mode, inter_features=("peer_cases",), **{grid: values})
+
+    def test_unselected_grid_not_checked(self):
+        cfg = ExperimentConfig(mode="prefix_grid", prefix_lengths=(2,),
+                               sampling_fractions=(), window_fractions=(-1.0,))
+        assert cfg.prefix_lengths == (2,)
 
     def test_from_json(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -401,22 +429,34 @@ class TestWindowSweep:
             classifier="majority",
             folds=2,
             inter_features=("peer_cases",),
+            mode="window_sweep",
             window_fractions=(0.15, 0.3, 0.5),
         )
 
     def test_rows_per_fraction_plus_average(self):
         cfg = self._cfg()
         log, samples = two_label_setup(cfg, n_cases=8)
-        results = window_sweep(cfg, log=log, samples=samples)
+        results = sweep(cfg, log=log, samples=samples)
         assert len(results) == 4
         assert [r.window_fraction for r in results[:3]] == [0.15, 0.3, 0.5]
         assert results[3].features.endswith("@avg")
         assert results[3].window_fraction is None
 
+    def test_rows_labelled_per_fraction(self):
+        cfg = self._cfg()
+        log, samples = two_label_setup(cfg, n_cases=8)
+        results = sweep(cfg, log=log, samples=samples)
+        assert [r.features for r in results] == [
+            "index_bsd_4+peer_cases@w0.15",
+            "index_bsd_4+peer_cases@w0.3",
+            "index_bsd_4+peer_cases@w0.5",
+            "index_bsd_4+peer_cases@avg",
+        ]
+
     def test_average_row_math(self):
         cfg = self._cfg()
         log, samples = two_label_setup(cfg, n_cases=8)
-        results = window_sweep(cfg, log=log, samples=samples)
+        results = sweep(cfg, log=log, samples=samples)
         per_window = results[:3]
         avg = results[3]
         want_folds = np.mean([r.fold_accuracies for r in per_window], axis=0)
@@ -426,66 +466,109 @@ class TestWindowSweep:
         )
 
     def test_single_fraction(self):
-        cfg = self._cfg()
+        cfg = dataclasses.replace(self._cfg(), window_fractions=(0.3,))
         log, samples = two_label_setup(cfg, n_cases=8)
-        results = window_sweep(cfg, fractions=(0.3,), log=log, samples=samples)
+        results = sweep(cfg, log=log, samples=samples)
         assert len(results) == 2
 
     def test_validation(self):
         cfg = self._cfg()
-        log, samples = two_label_setup(cfg, n_cases=8)
         with pytest.raises(ConfigError):
-            window_sweep(cfg, fractions=(), log=log, samples=samples)
+            dataclasses.replace(cfg, window_fractions=())
         with pytest.raises(ConfigError):
-            window_sweep(cfg, fractions=(-0.1,), log=log, samples=samples)
-        bare = ExperimentConfig(classifier="majority", folds=2)
+            dataclasses.replace(cfg, window_fractions=(-0.1,))
         with pytest.raises(ConfigError, match="inter-case"):
-            window_sweep(bare, log=log, samples=samples)
+            dataclasses.replace(cfg, inter_features=())
 
 
 class TestSamplingSweep:
     def test_full_fraction_matches_plain_run(self):
-        cfg = ExperimentConfig(classifier="majority", folds=2, sampling_fractions=(1.0,))
+        cfg = ExperimentConfig(classifier="majority", folds=2, mode="sampling_sweep",
+                               sampling_fractions=(1.0,))
         log, samples = two_label_setup(cfg)
-        sweep = sampling_sweep(cfg, log=log, samples=samples)
+        rows = sweep(cfg, log=log, samples=samples)
         plain = run_experiment(cfg, log, samples)
-        assert len(sweep) == 1
-        assert sweep[0].fold_accuracies == plain.fold_accuracies
-        assert sweep[0].n_samples == plain.n_samples
+        assert len(rows) == 1
+        assert rows[0].fold_accuracies == plain.fold_accuracies
+        assert rows[0].n_samples == plain.n_samples
 
     def test_half_fraction_halves_samples(self):
         cfg = ExperimentConfig(
-            classifier="majority", folds=2, sampling_fractions=(1.0, 0.5)
+            classifier="majority", folds=2, mode="sampling_sweep",
+            sampling_fractions=(1.0, 0.5),
         )
         log, samples = two_label_setup(cfg)
-        sweep = sampling_sweep(cfg, log=log, samples=samples)
-        assert sweep[0].n_samples == len(samples)
-        assert sweep[1].n_samples == pytest.approx(len(samples) / 2, abs=1)
-        assert sweep[1].sampling_fraction == 0.5
+        rows = sweep(cfg, log=log, samples=samples)
+        assert rows[0].n_samples == len(samples)
+        assert rows[1].n_samples == pytest.approx(len(samples) / 2, abs=1)
+        assert rows[1].sampling_fraction == 0.5
+        assert [r.features for r in rows] == ["index_bsd_4@s1", "index_bsd_4@s0.5"]
+
+    def test_rows_are_fractions_of_the_full_prefix_set(self, tmp_path):
+        log = two_label_log(20)
+        cfg = ExperimentConfig(
+            dataset=write_log(log, tmp_path / "log.csv"), classifier="majority",
+            folds=2, mode="sampling_sweep", sampling_fraction=0.5,
+            sampling_fractions=(1.0, 0.5),
+        )
+        full = len(build_prefix_log(log))
+        rows = sweep(cfg)
+        assert rows[0].n_samples == full
+        assert rows[1].n_samples == pytest.approx(full / 2, abs=1)
 
     def test_empty_fractions(self):
         cfg = ExperimentConfig(classifier="majority", folds=2)
-        log, samples = two_label_setup(cfg)
         with pytest.raises(ConfigError):
-            sampling_sweep(cfg, fractions=(), log=log, samples=samples)
+            dataclasses.replace(cfg, mode="sampling_sweep", sampling_fractions=())
 
 
 class TestPrefixGrid:
     def test_one_run_per_length(self):
-        cfg = ExperimentConfig(classifier="majority", folds=2)
+        cfg = ExperimentConfig(classifier="majority", folds=2, mode="prefix_grid",
+                               prefix_lengths=(1, 2, 3))
         log, samples = two_label_setup(cfg, n_cases=8)
-        results = grid_prefix_length(cfg, lengths=(1, 2, 3), log=log, samples=samples)
+        results = sweep(cfg, log=log, samples=samples)
         assert [r.features for r in results] == [
             "index_bsd_1", "index_bsd_2", "index_bsd_3"
         ]
 
     def test_validation(self):
         cfg = ExperimentConfig(classifier="majority", folds=2)
-        log, samples = two_label_setup(cfg, n_cases=8)
         with pytest.raises(ConfigError):
-            grid_prefix_length(cfg, lengths=(), log=log, samples=samples)
+            dataclasses.replace(cfg, mode="prefix_grid", prefix_lengths=())
         with pytest.raises(ConfigError):
-            grid_prefix_length(cfg, lengths=(0,), log=log, samples=samples)
+            dataclasses.replace(cfg, mode="prefix_grid", prefix_lengths=(0,))
+
+
+class TestSweep:
+    def test_experiment_mode_is_one_run(self):
+        cfg = ExperimentConfig(classifier="majority", folds=2)
+        log, samples = two_label_setup(cfg)
+        rows = sweep(cfg, log=log, samples=samples)
+        assert len(rows) == 1
+        assert rows[0].features == "index_bsd_4"
+        assert rows[0].fold_accuracies == run_experiment(cfg, log, samples).fold_accuracies
+
+    def test_preprocesses_once(self, tmp_path, monkeypatch):
+        cfg = ExperimentConfig(
+            dataset=write_log(two_label_log(8), tmp_path / "log.csv"),
+            classifier="majority", folds=2, mode="prefix_grid", prefix_lengths=(1, 2),
+        )
+        calls = []
+        real = bench.load_log
+        monkeypatch.setattr(bench, "load_log", lambda *a: calls.append(1) or real(*a))
+        assert len(sweep(cfg)) == 2
+        assert len(calls) == 1
+
+    def test_sweep_rows_keep_their_own_csv_cells(self, tmp_path):
+        cfg = ExperimentConfig(classifier="majority", folds=2, mode="sampling_sweep",
+                               sampling_fractions=(1.0, 0.5))
+        log, samples = two_label_setup(cfg, n_cases=20)
+        rows = sweep(cfg, log=log, samples=samples)
+        csv_path, _ = emit_results(rows, tmp_path)
+        header, line = csv_path.read_text().splitlines()
+        assert header == "classifier,index_bsd_4@s1,index_bsd_4@s0.5"
+        assert line == "majority," + ",".join(f"{r.mean_accuracy:.4f}" for r in rows)
 
 
 class TestEmitResults:
@@ -553,15 +636,13 @@ class TestPrepareSamples:
         assert len(samples) == 18
 
     def test_subsampling_applied(self, tmp_path):
-        log = two_label_log(10)
-        path = tmp_path / "log.csv"
-        with path.open("w") as sink:
-            write_csv(log, sink)
         cfg = ExperimentConfig(
-            dataset=str(path), classifier="majority", folds=2, sampling_fraction=0.5
+            dataset=write_log(two_label_log(10), tmp_path / "log.csv"),
+            classifier="majority", folds=2, sampling_fraction=0.5,
         )
         _, samples = prepare_samples(cfg)
-        assert len(samples) == 15
+        assert len(samples) == 30
+        assert run_experiment(cfg).n_samples == 15
 
     def test_date_slice_needs_both_bounds(self, tmp_path):
         log = two_label_log(4)

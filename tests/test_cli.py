@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from conftest import make_log, make_trace
+from conftest import make_log, make_trace, xes_doc
 from icppm.cli import main
 from icppm.eventlog import parse_csv, write_csv
 
@@ -55,6 +55,19 @@ class TestStats:
     def test_filter_singletons(self, log_path, capsys):
         assert main(["stats", str(log_path), "--filter-singletons"]) == 0
         assert "cases: 3" in capsys.readouterr().out
+
+    def test_duplicate_xes_trace_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "dup.xes"
+        path.write_bytes(xes_doc([("t1", [("a", "2023-01-01T10:00:00Z", None)], {}),
+                                  ("t1", [("b", "2023-01-01T11:00:00Z", None)], {})]))
+        assert main(["stats", str(path)]) == 2
+        assert "duplicate case id" in capsys.readouterr().err
+
+    def test_non_utf8_csv_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"case_id,activity,timestamp\nc1,caf\xe9,2023-01-01T10:00:00Z\n")
+        assert main(["stats", str(path)]) == 2
+        assert "UTF-8" in capsys.readouterr().err
 
 
 class TestPrepare:
@@ -169,6 +182,11 @@ class TestBench:
         runs = json.loads((out_dir / "results.json").read_text())["runs"]
         assert len(runs) == 3
         assert runs[-1]["features"].endswith("@avg")
+
+    def test_sampling_fraction_above_one_exits_2(self, log_path, tmp_path, capsys):
+        cfg = self._config(tmp_path, log_path, sampling_fraction=1.5)
+        assert main(["bench", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 2
+        assert "sampling_fraction" in capsys.readouterr().err
 
     def test_missing_config_exits_2(self, tmp_path, capsys):
         assert main(["bench", "--config", str(tmp_path / "none.json")]) == 2

@@ -127,6 +127,21 @@ class TestParseXes:
         with pytest.raises(ParseError, match=r"line \d+"):
             parse_xes(b"<?xml version='1.0'?>\n<log>\n<trace>\n</log>")
 
+    def test_duplicate_case_id_is_record_error(self):
+        doc = xes_doc([("t1", [("a", "2023-01-01T10:00:00Z", None)], {}),
+                       ("t1", [("b", "2023-01-01T11:00:00Z", None)], {})])
+        with pytest.raises(RecordError, match="t1"):
+            parse_xes(doc)
+
+    def test_unknown_declared_encoding_is_parse_error(self):
+        with pytest.raises(ParseError, match="encoding"):
+            parse_xes(b'<?xml version="1.0" encoding="no-such-codec"?><log/>')
+
+    def test_out_of_range_timestamp_is_record_error(self):
+        doc = xes_doc([("t1", [("a", "0001-01-01T00:00:00+01:00", None)], {})])
+        with pytest.raises(RecordError, match="t1"):
+            parse_xes(doc)
+
 
 class TestParseCsv:
     def test_single_case(self):
@@ -174,6 +189,24 @@ class TestParseCsv:
         )
         assert log.traces[0].activities == ("a",)
 
+    def test_non_utf8_bytes_are_parse_error(self, tmp_path):
+        data = b"case_id,activity,timestamp\nc1,\xff\xfe,2023-01-01T10:00:00Z\n"
+        with pytest.raises(ParseError, match="UTF-8"):
+            parse_csv(io.BytesIO(data))
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(data)
+        with pytest.raises(ParseError, match="UTF-8"):
+            load_log(path)
+
+    def test_oversized_field_is_parse_error(self):
+        text = 'case_id,activity,timestamp\nc1,"' + "a" * 200_000 + '",2023-01-01T10:00:00Z\n'
+        with pytest.raises(ParseError, match="field limit"):
+            parse_csv(text)
+
+    def test_out_of_range_timestamp_is_record_error(self):
+        with pytest.raises(RecordError, match="row 2"):
+            parse_csv("case_id,activity,timestamp\nc1,a,0001-01-01T00:00:00+01:00\n")
+
     def test_attr_columns_become_case_attributes(self):
         log = parse_csv(
             "case_id,activity,timestamp,attr:channel\n"
@@ -215,6 +248,18 @@ class TestLoadLog:
         path = tmp_path / "log.xes"
         path.write_bytes(doc)
         assert len(load_log(path)) == 1
+
+    @pytest.mark.parametrize("name", ["log.csv.gz", "log.xes.gz"])
+    def test_corrupt_gzip_is_parse_error(self, tmp_path, tiny_log, name):
+        sink = io.StringIO()
+        write_csv(tiny_log, sink)
+        packed = gzip.compress(sink.getvalue().encode("utf-8"))
+        for data in (packed[: len(packed) // 2], b"not gzip at all",
+                     packed[:20] + bytes(len(packed) - 20)):
+            path = tmp_path / name
+            path.write_bytes(data)
+            with pytest.raises(ParseError, match="gzip"):
+                load_log(path)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):

@@ -401,17 +401,6 @@ class TestInterCaseEncoder:
         with pytest.raises(ConfigError):
             InterCaseEncoder(idx, ("top_res",), PeerWindow(10.0))
 
-    def test_per_feature_window_override(self):
-        log, idx = self._index()
-        enc = InterCaseEncoder(
-            idx,
-            ("peer_act", "peer_cases"),
-            PeerWindow(10.0),
-            windows={"peer_act": PeerWindow(2.0)},
-        )
-        fv = enc.encode(epoch(100), "c1", "b")
-        assert fv.values.tolist() == [1.0, 2.0]
-
     def test_batch_feature_uses_training_successors(self):
         train = log_at(("t1", [("a", 0), ("b", 10)]))
         tstats = fit_transition_stats(train)
@@ -433,19 +422,19 @@ class TestCompose:
         intra = FeatureVector(np.zeros(8), tuple(f"i{k}" for k in range(8)))
         inter = FeatureVector(np.ones(1), ("peer_cases",))
         out = compose(intra, inter)
-        assert len(out.combined) == 9
-        assert out.combined.schema[-1] == "peer_cases"
+        assert len(out) == 9
+        assert out.schema[-1] == "peer_cases"
 
     def test_two_inter_features(self):
         intra = FeatureVector(np.zeros(4), tuple(f"i{k}" for k in range(4)))
         inter = FeatureVector(np.ones(2), ("peer_cases", "freq_act"))
-        assert len(compose(intra, inter).combined) == 6
+        assert len(compose(intra, inter)) == 6
 
     def test_empty_inter_is_identity(self):
         intra = FeatureVector(np.arange(3.0), ("x", "y", "z"))
         out = compose(intra, FeatureVector(np.zeros(0), ()))
-        assert np.array_equal(out.combined.values, intra.values)
-        assert out.combined.schema == intra.schema
+        assert np.array_equal(out.values, intra.values)
+        assert out.schema == intra.schema
 
     def test_more_than_two_rejected(self):
         intra = FeatureVector(np.zeros(2), ("x", "y"))
