@@ -30,7 +30,7 @@ from .eventlog import (
 )
 from .intercase import EventIndex, InterCaseEncoder, PeerWindow
 from .qkernel import KernelKind, KernelMatrix, cross, gram, psd_repair
-from .qsim import CircuitSpec, FeatureMapKind, GateOp, ShotConfig, StateVector, run
+from .qsim import CircuitSpec, FeatureMapKind, GateOp, ShotConfig, run
 from .svm import MulticlassModel, SvmModel, fit, fit_multiclass
 from .vqc import OptimizerConfig, VqcModel, train
 
@@ -65,7 +65,6 @@ __all__ = [
     "FeatureMapKind",
     "GateOp",
     "ShotConfig",
-    "StateVector",
     "run",
     "KernelKind",
     "KernelMatrix",

@@ -20,7 +20,7 @@ import math
 import os
 import time
 from collections import Counter
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 from datetime import date, datetime
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
@@ -54,7 +54,7 @@ from .intercase import (
     fit_transition_stats,
 )
 from .qkernel import KernelKind, cache_key, cross, gram, load_kernel, psd_repair, save_kernel
-from .qsim import FeatureMapKind, ShotConfig
+from .qsim import EXACT, FEATURE_MAPS, FeatureMapKind, ShotConfig
 from .svm import fit_multiclass, predict as svm_predict
 from .vqc import OptimizerConfig, predict_many as vqc_predict, train as vqc_train
 
@@ -214,7 +214,7 @@ def _parse_classifier(name: str) -> tuple[str, str | None, int | None]:
             layers = int(parts[-1])
         except ValueError:
             raise ConfigError(f"classifier {name!r}: trailing layer count missing") from None
-        if variant not in ("angle", "zz", "angle_zz"):
+        if variant not in FEATURE_MAPS:
             raise ConfigError(f"classifier {name!r}: unknown feature map {variant!r}")
         return parts[0], variant, layers
     raise ConfigError(
@@ -261,23 +261,7 @@ class RunResult:
     vqc_final_loss: float | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "classifier": self.classifier,
-            "features": self.features,
-            "fold_accuracies": list(self.fold_accuracies),
-            "mean_accuracy": self.mean_accuracy,
-            "fit_time_s": self.fit_time_s,
-            "gram_time_s": self.gram_time_s,
-            "kernel_evaluations": self.kernel_evaluations,
-            "cross_evaluations": self.cross_evaluations,
-            "config_fingerprint": self.config_fingerprint,
-            "window_fraction": self.window_fraction,
-            "sampling_fraction": self.sampling_fraction,
-            "seed": self.seed,
-            "n_samples": self.n_samples,
-            "states_simulated": self.states_simulated,
-            "vqc_final_loss": self.vqc_final_loss,
-        }
+        return asdict(self) | {"fold_accuracies": list(self.fold_accuracies)}
 
 
 def _build_vocab(values) -> Vocabulary:
@@ -406,15 +390,12 @@ def _encode_fold(
     return x_train, y_train, x_test, y_test
 
 
-def _kernel_kind(cfg: ExperimentConfig, variant: str | None, layers: int | None,
-                 fold: int) -> KernelKind:
-    kind, _, _ = _parse_classifier(cfg.classifier)
+def _kernel_kind(cfg: ExperimentConfig, kind: str, variant: str | None, layers: int | None,
+                 shots: ShotConfig) -> KernelKind:
     if kind == "svc_linear":
         return KernelKind.linear()
     if kind == "svc_rbf":
         return KernelKind.rbf(cfg.gamma)
-    shots = ShotConfig(cfg.shots, derive_seed(cfg.seed, f"shots/{fold}")) \
-        if cfg.shots else ShotConfig()
     return KernelKind.quantum(FeatureMapKind(variant, layers), shots)
 
 
@@ -451,6 +432,8 @@ def run_experiment(
         x_train, y_train, x_test, y_test = _encode_fold(
             cfg, log, index, samples, train_idx, test_idx
         )
+        shot_seed = derive_seed(cfg.seed, f"shots/{fold}")
+        shots = ShotConfig(cfg.shots, shot_seed) if cfg.shots else EXACT
         t_fit0 = time.perf_counter()
         if kind == "majority":
             counts = Counter(y_train)
@@ -465,8 +448,6 @@ def run_experiment(
                 method=cfg.opt_method,
                 seed=derive_seed(cfg.seed, f"vqc/{fold}"),
             )
-            shots = ShotConfig(cfg.shots, derive_seed(cfg.seed, f"shots/{fold}")) \
-                if cfg.shots else ShotConfig()
             model = vqc_train(
                 x_train, y_train, FeatureMapKind(variant, fm_layers),
                 cfg.vqc_layers, opt, shots=shots,
@@ -476,7 +457,7 @@ def run_experiment(
             states += len(x_train) + len(x_test)
             final_losses.append(model.loss_history[-1])
         else:
-            kernel_kind = _kernel_kind(cfg, variant, fm_layers, fold)
+            kernel_kind = _kernel_kind(cfg, kind, variant, fm_layers, shots)
             key = None
             k_train = None
             if cfg.cache_dir:
@@ -487,7 +468,7 @@ def run_experiment(
                     data_hash,
                     {"features": feature_label(cfg), "scale": [cfg.scale_lo, cfg.scale_hi]},
                     {"classifier": cfg.classifier, "shots": cfg.shots, "gamma": cfg.gamma},
-                    derive_seed(cfg.seed, f"shots/{fold}"),
+                    shot_seed,
                 )
                 k_train = load_kernel(cfg.cache_dir, key, size=len(x_train))
             if k_train is None:

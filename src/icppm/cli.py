@@ -17,10 +17,11 @@ from pathlib import Path
 
 from . import bench as bench_mod
 from .bench import DATA_DIR_ENV, ExperimentConfig
-from .encoding import apply_scaler, fit_scaler, write_feature_csv
+from .encoding import INTRA_ENCODERS, apply_scaler, fit_scaler, write_feature_csv
 from .errors import ConfigError, IcppmError, ParseError
 from .eventlog import log_statistics, write_csv
 from .oracles import run_kernel_check
+from .qsim import FEATURE_MAPS
 
 
 def _add_io_flags(parser: argparse.ArgumentParser) -> None:
@@ -174,8 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_enc = sub.add_parser("encode", help="expand prefixes and write a feature CSV")
     _add_io_flags(p_enc)
     p_enc.add_argument("--out", required=True, help="output CSV path")
-    p_enc.add_argument("--encoder", default="index_bsd",
-                       choices=("static", "last_state", "agg_count", "agg_bool", "index_bsd"))
+    p_enc.add_argument("--encoder", default="index_bsd", choices=INTRA_ENCODERS)
     p_enc.add_argument("--k", type=int, default=4, help="index encoding prefix length")
     p_enc.add_argument("--static-attrs", default="",
                        help="comma-separated case attributes for the static encoder")
@@ -210,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_kc = sub.add_parser("kernel-check",
                           help="self-check the simulator against dense linear algebra")
     p_kc.add_argument("--qubits", type=int, default=4)
-    p_kc.add_argument("--feature-map", default="zz", choices=("angle", "zz", "angle_zz"))
+    p_kc.add_argument("--feature-map", default="zz", choices=FEATURE_MAPS)
     p_kc.add_argument("--layers", type=int, default=1)
     p_kc.add_argument("--samples", type=int, default=6)
     p_kc.add_argument("--seed", type=int, default=0)

@@ -21,7 +21,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from datetime import date, datetime, timedelta, timezone
 from pathlib import Path
-from typing import IO, Iterable, Iterator, Mapping, Sequence
+from typing import IO, Iterable, Mapping, Sequence
 
 from .errors import ConfigError, ParseError, RecordError
 
@@ -134,10 +134,6 @@ class EventLog:
     @property
     def n_events(self) -> int:
         return sum(len(t) for t in self.traces)
-
-    def iter_events(self) -> Iterator[Event]:
-        for t in self.traces:
-            yield from t.events
 
     @property
     def has_resources(self) -> bool:

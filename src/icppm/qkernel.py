@@ -7,9 +7,10 @@ products: a Gram matrix is |S S^H|^2 over its strict upper triangle
 (m(m-1)/2 logical entries, tracked in ``eval_count``), mirrored, with the
 diagonal fixed at 1; a cross matrix is |S_test S_train^H|^2. The batch holds
 m * 2^n complex amplitudes. Shot mode samples each entry from a per-pair
-seed derived from (global seed, i, j), so a matrix equals the per-pair
-``qsim.kernel_overlap`` estimates entry for entry. Matrices can be persisted
-to .npz keyed by a config hash.
+seed derived from (global seed, i, j) by ``qsim.sampled_frequency``, so a
+matrix equals the per-pair ``qsim.kernel_overlap`` estimates entry for
+entry. A classical Gram matrix is the cross matrix of the rows with
+themselves. Matrices can be persisted to .npz keyed by a config hash.
 """
 
 from __future__ import annotations
@@ -25,9 +26,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .encoding import FeatureVector
 from .errors import ConfigError
-from .qsim import EXACT, FeatureMapKind, ShotConfig, feature_map_states
+from .qsim import EXACT, FeatureMapKind, ShotConfig, feature_map_states, sampled_frequency
 
 log_ = logging.getLogger("icppm.qkernel")
 
@@ -89,8 +89,6 @@ def _as_matrix(data) -> np.ndarray:
             raise ValueError(f"expected a 2-d sample matrix, got shape {out.shape}")
         return out
     rows = list(data)
-    if rows and isinstance(rows[0], FeatureVector):
-        return np.stack([fv.values for fv in rows])
     return np.asarray(rows, dtype=np.float64).reshape(len(rows), -1)
 
 
@@ -105,31 +103,22 @@ def _overlaps(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
 
 
 def _shot_estimate(p: float, shots: ShotConfig, i: int, j: int) -> float:
-    """Zero-outcome frequency of ``shots.shots`` draws seeded by the pair.
-
-    The zero outcome owns the slot [0, p) of the sampled CDF, so counting
-    uniforms below p reproduces ``kernel_overlap`` with ``pair_seed``.
-    """
-    u = np.random.default_rng(pair_seed(shots.seed, i, j)).random(shots.shots)
-    return int(np.count_nonzero(u < p)) / shots.shots
+    """Shot estimate of entry (i, j): ``kernel_overlap`` with ``pair_seed``."""
+    return sampled_frequency(p, shots.shots, pair_seed(shots.seed, i, j))
 
 
 def gram(train, kind: KernelKind) -> KernelMatrix:
     """Symmetric train-by-train kernel matrix.
 
-    For the quantum kernel every row's state is simulated once; the strict
-    upper triangle is read off the state inner products (or shot-sampled),
+    A classical kernel is ``cross`` of the rows with themselves. For the
+    quantum kernel every row's state is simulated once; the strict upper
+    triangle is read off the state inner products (or shot-sampled),
     mirrored, and the diagonal is 1 by construction.
     """
     x = _as_matrix(train)
-    m, dim = x.shape
-    if kind.variant == "linear":
-        return KernelMatrix(x @ x.T)
-    if kind.variant == "rbf":
-        gamma = kind.gamma if kind.gamma is not None else 1.0 / dim
-        sq = np.sum(x ** 2, axis=1)
-        d2 = np.maximum(sq[:, None] + sq[None, :] - 2.0 * (x @ x.T), 0.0)
-        return KernelMatrix(np.exp(-gamma * d2))
+    if kind.variant != "quantum":
+        return cross(x, x, kind)
+    m = len(x)
     states = feature_map_states(kind.feature_map, x)
     overlaps = _overlaps(states, states)
     upper = np.triu_indices(m, 1)
@@ -229,7 +218,7 @@ def load_kernel(directory: str | Path, key: str, size: int | None = None) -> Ker
     if not path.exists():
         return None
     try:
-        with np.load(path) as data:
+        with path.open("rb") as fh, np.load(fh) as data:
             values = data["values"]
             eval_count = int(data["eval_count"])
     except (OSError, EOFError, KeyError, TypeError, ValueError, zipfile.BadZipFile) as exc:

@@ -5,8 +5,10 @@ the state reshaped to [2]*n, i.e. qubit 0 is the most significant bit of
 the basis index; index 0 is |0...0>. One gate engine, ``_apply_op``, updates
 a batch of states in place via axis slicing, O(2^n) per gate and state, and
 never materializes a 2^n x 2^n matrix (the dense-matrix construction used
-for cross-checks lives in ``icppm.oracles``). Single circuits run as a batch
-of one; ``feature_map_states`` runs one feature map over many inputs.
+for cross-checks lives in ``icppm.oracles``). ``feature_map_states`` runs one
+feature map over many inputs and serves the kernels and the VQC; ``run``
+simulates one circuit gate by gate as a batch of one, and ``kernel_overlap``
+reads a kernel entry off two such states, as the per-pair reference.
 """
 
 from __future__ import annotations
@@ -19,9 +21,9 @@ import numpy as np
 
 from .errors import ConfigError, IcppmError
 
-_SINGLE_QUBIT = ("H", "RY", "RZ", "P")
+_SINGLE_QUBIT = ("H", "RY", "P")
 _TWO_QUBIT = ("CNOT", "RZZ")
-_PARAMETRIZED = ("RY", "RZ", "P", "RZZ")
+_PARAMETRIZED = ("RY", "P", "RZZ")
 GATE_KINDS = _SINGLE_QUBIT + _TWO_QUBIT
 
 FEATURE_MAPS = ("angle", "zz", "angle_zz")
@@ -44,11 +46,6 @@ class GateOp:
         if (self.angle is None) == (self.kind in _PARAMETRIZED):
             raise ValueError(f"{self.kind}: angle is {'required' if self.angle is None else 'not allowed'}")
 
-    def adjoint(self) -> "GateOp":
-        if self.angle is None:
-            return self
-        return GateOp(self.kind, self.targets, -self.angle)
-
 
 @dataclass(frozen=True)
 class CircuitSpec:
@@ -64,41 +61,6 @@ class CircuitSpec:
                     raise ValueError(
                         f"gate target {t} out of range for {self.n_qubits} qubits"
                     )
-
-    def adjoint(self) -> "CircuitSpec":
-        """Reverse the gate order and negate angles; H and CNOT self-invert."""
-        return CircuitSpec(self.n_qubits, tuple(op.adjoint() for op in reversed(self.ops)))
-
-    def dump(self) -> str:
-        """One gate per line: KIND target [target2] [angle]."""
-        lines = []
-        for op in self.ops:
-            parts = [op.kind, *map(str, op.targets)]
-            if op.angle is not None:
-                parts.append(repr(op.angle))
-            lines.append(" ".join(parts))
-        return "\n".join(lines)
-
-    @classmethod
-    def parse(cls, text: str, n_qubits: int) -> "CircuitSpec":
-        ops = []
-        for line_no, line in enumerate(text.splitlines(), start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            kind = parts[0].upper()
-            if kind not in GATE_KINDS:
-                raise ConfigError(f"line {line_no}: unknown gate {parts[0]!r}")
-            arity = 1 if kind in _SINGLE_QUBIT else 2
-            has_angle = kind in _PARAMETRIZED
-            expected = 1 + arity + (1 if has_angle else 0)
-            if len(parts) != expected:
-                raise ConfigError(f"line {line_no}: expected {expected} fields, got {len(parts)}")
-            targets = tuple(int(p) for p in parts[1:1 + arity])
-            angle = float(parts[-1]) if has_angle else None
-            ops.append(GateOp(kind, targets, angle))
-        return cls(n_qubits, tuple(ops))
 
 
 @dataclass(frozen=True)
@@ -130,32 +92,6 @@ class ShotConfig:
 
 
 EXACT = ShotConfig()
-
-
-@dataclass(frozen=True)
-class StateVector:
-    amplitudes: np.ndarray
-    n_qubits: int
-
-    def __post_init__(self):
-        amps = np.asarray(self.amplitudes, dtype=np.complex128)
-        if amps.shape != (2 ** self.n_qubits,):
-            raise ValueError(
-                f"state of {self.n_qubits} qubits needs {2 ** self.n_qubits} amplitudes"
-            )
-        norm = float(np.sum(np.abs(amps) ** 2))
-        if abs(norm - 1.0) > 1e-8:
-            raise ValueError(f"state is not normalized: sum |a|^2 = {norm}")
-        object.__setattr__(self, "amplitudes", amps)
-
-    @classmethod
-    def zero(cls, n_qubits: int) -> "StateVector":
-        amps = np.zeros(2 ** n_qubits, dtype=np.complex128)
-        amps[0] = 1.0
-        return cls(amps, n_qubits)
-
-    def probabilities(self) -> np.ndarray:
-        return np.abs(self.amplitudes) ** 2
 
 
 def _idx(n: int, *fixed: tuple[int, int]) -> tuple:
@@ -202,11 +138,6 @@ def _apply_op(psi: np.ndarray, n: int, kind: str, targets: tuple[int, ...],
         new1 = s * s0 + c * s1
         psi[i0] = new0
         psi[i1] = new1
-    elif kind == "RZ":
-        (q,) = targets
-        phase = _per_row(np.exp(-0.5j * angle), n - 1)
-        psi[_idx(n, (q, 0))] *= phase
-        psi[_idx(n, (q, 1))] *= np.conj(phase)
     elif kind == "P":
         (q,) = targets
         psi[_idx(n, (q, 1))] *= _per_row(np.exp(1j * angle), n - 1)
@@ -237,28 +168,15 @@ def _apply_ops(amps: np.ndarray, n: int, ops: Iterable[GateOp]) -> np.ndarray:
     return psi.reshape(-1)
 
 
-def apply_gate(state: StateVector, op: GateOp) -> StateVector:
-    for t in op.targets:
-        if not 0 <= t < state.n_qubits:
-            raise ValueError(f"gate target {t} out of range for {state.n_qubits} qubits")
-    amps = state.amplitudes.copy()
-    return StateVector(_apply_ops(amps, state.n_qubits, [op]), state.n_qubits)
-
-
-def run(circuit: CircuitSpec, initial: StateVector | None = None) -> StateVector:
-    """Apply all gates to the initial state (|0...0> by default)."""
-    if initial is None:
-        amps = np.zeros(2 ** circuit.n_qubits, dtype=np.complex128)
-        amps[0] = 1.0
-    else:
-        if initial.n_qubits != circuit.n_qubits:
-            raise ValueError("initial state size does not match the circuit")
-        amps = initial.amplitudes.copy()
+def run(circuit: CircuitSpec) -> np.ndarray:
+    """Amplitudes of ``circuit`` applied to |0...0>, shape (2**n,)."""
+    amps = np.zeros(2 ** circuit.n_qubits, dtype=np.complex128)
+    amps[0] = 1.0
     amps = _apply_ops(amps, circuit.n_qubits, circuit.ops)
     norm = float(np.sum(np.abs(amps) ** 2))
     if abs(norm - 1.0) > 1e-10:
         raise IcppmError(f"norm drifted to {norm} after {len(circuit.ops)} gates")
-    return StateVector(amps, circuit.n_qubits)
+    return amps
 
 
 def _feature_map_ops(kind: FeatureMapKind, x: np.ndarray) -> list[GateOp]:
@@ -368,60 +286,33 @@ def sample_indices(probs: np.ndarray, shots: int, seed: int) -> np.ndarray:
     return np.searchsorted(cum, u, side="right")
 
 
+def sampled_frequency(p: float, shots: int, seed: int) -> float:
+    """Frequency of an outcome of probability ``p`` over ``shots`` seeded draws.
+
+    A draw hits when its uniform falls below p: the slot [0, p) that the
+    all-zeros outcome owns in ``sample_indices``' CDF, so this is its
+    zero-outcome count on the same stream.
+    """
+    u = np.random.default_rng(seed).random(shots)
+    return int(np.count_nonzero(u < p)) / shots
+
+
 def kernel_overlap(
     x: Sequence[float],
     x2: Sequence[float],
     kind: FeatureMapKind,
     shots: ShotConfig = EXACT,
 ) -> float:
-    """Probability of the all-zeros outcome after V(x) then V(x2)^dagger.
+    """Kernel entry |<psi(x2)|psi(x)>|^2 from two gate-by-gate states.
 
-    Exact mode returns |<0...0| V(x2)^dagger V(x) |0...0>|^2; shot mode
-    estimates it as the zero-outcome count over ``shots.shots`` samples.
+    Shot mode estimates it by ``sampled_frequency`` over ``shots.shots``
+    draws seeded by ``shots.seed``.
     """
     x = np.asarray(x, dtype=np.float64)
     x2 = np.asarray(x2, dtype=np.float64)
     if x.shape != x2.shape:
         raise ValueError(f"feature dimensions differ: {x.shape} vs {x2.shape}")
-    ops = build_feature_map(kind, x).ops + build_feature_map(kind, x2).adjoint().ops
-    return _overlap_from_ops(len(x), ops, shots)
-
-
-def _overlap_from_ops(n: int, ops: Iterable[GateOp], shots: ShotConfig) -> float:
-    amps = np.zeros(2 ** n, dtype=np.complex128)
-    amps[0] = 1.0
-    amps = _apply_ops(amps, n, ops)
-    if shots.exact:
-        return float(np.abs(amps[0]) ** 2)
-    probs = np.abs(amps) ** 2
-    hits = int(np.count_nonzero(sample_indices(probs, shots.shots, shots.seed) == 0))
-    return hits / shots.shots
-
-
-def measure_expectations(
-    state: StateVector,
-    qubits: Sequence[int] | None = None,
-    shots: ShotConfig = EXACT,
-) -> list[float]:
-    """Per-qubit Pauli-Z expectation values, exact or estimated from samples."""
-    n = state.n_qubits
-    if qubits is None:
-        qubits = range(n)
-    qubits = list(qubits)
-    for q in qubits:
-        if not 0 <= q < n:
-            raise ValueError(f"qubit {q} out of range for {n} qubits")
-    if shots.exact:
-        probs = state.probabilities().reshape([2] * n)
-        out = []
-        for q in qubits:
-            other = tuple(i for i in range(n) if i != q)
-            marginal = probs.sum(axis=other) if other else probs
-            out.append(float(marginal[0] - marginal[1]))
-        return out
-    samples = sample_indices(state.probabilities(), shots.shots, shots.seed)
-    out = []
-    for q in qubits:
-        bits = (samples >> (n - 1 - q)) & 1
-        out.append(float(np.mean(1.0 - 2.0 * bits)))
-    return out
+    psi = run(build_feature_map(kind, x))
+    psi2 = run(build_feature_map(kind, x2))
+    p = float(np.abs(np.vdot(psi2, psi)) ** 2)
+    return p if shots.exact else sampled_frequency(p, shots.shots, shots.seed)

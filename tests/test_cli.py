@@ -7,6 +7,7 @@ import pytest
 from conftest import make_log, make_trace, xes_doc
 from icppm.cli import main
 from icppm.eventlog import parse_csv, write_csv
+from icppm.oracles import MAX_ORACLE_QUBITS, run_kernel_check
 
 
 @pytest.fixture
@@ -227,3 +228,11 @@ class TestKernelCheck:
         for fm in ("angle", "zz", "angle_zz"):
             assert main(["kernel-check", "--qubits", "2", "--samples", "3",
                          "--feature-map", fm]) == 0
+
+    def test_beyond_dense_cap(self):
+        # Above MAX_ORACLE_QUBITS the per-pair overlap is the only reference.
+        n = MAX_ORACLE_QUBITS + 1
+        report = run_kernel_check(n, "zz", n_samples=3)
+        assert report["passed"], report["failures"]
+        assert report["dense_oracle"] is False
+        assert not run_kernel_check(n, "zz", n_samples=3, perturb=1.0)["passed"]

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from icppm import oracles, qkernel
-from icppm.encoding import FeatureVector
 from icppm.errors import ConfigError
 from icppm.qkernel import (
     KernelKind,
@@ -74,6 +73,11 @@ class TestClassicalKernels:
         assert gram(x, KernelKind.linear()).eval_count == 0
         assert gram(x, KernelKind.rbf()).eval_count == 0
 
+    @pytest.mark.parametrize("kind", [KernelKind.linear(), KernelKind.rbf(), KernelKind.rbf(0.7)])
+    def test_gram_is_cross_of_rows_with_themselves(self, kind):
+        x = points(3, 9, 4)
+        assert np.array_equal(gram(x, kind).values, cross(x, x, kind).values)
+
 
 class TestQuantumGram:
     def test_matches_pairwise_overlaps(self):
@@ -93,12 +97,6 @@ class TestQuantumGram:
     def test_eval_count_is_upper_triangle(self):
         x = points(5, 7, 2)
         assert gram(x, QUANTUM).eval_count == 7 * 6 // 2
-
-    def test_accepts_feature_vectors(self):
-        rows = [FeatureVector(np.array([0.1, 0.2]), ("a", "b")),
-                FeatureVector(np.array([0.3, 0.4]), ("a", "b"))]
-        got = gram(rows, KernelKind.linear()).values
-        assert got[0, 1] == pytest.approx(0.1 * 0.3 + 0.2 * 0.4)
 
     def test_rejects_bad_shapes(self):
         with pytest.raises(ValueError):

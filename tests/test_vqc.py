@@ -113,7 +113,7 @@ class TestForward:
         x = np.array([0.4, 1.1])
         model = VqcModel(ANGLE, np.zeros((1, 2)), ("a", "b"), entangle=False)
         state = run(build_feature_map(ANGLE, x))
-        probs = state.probabilities().reshape(2, 2).sum(axis=1)
+        probs = (np.abs(state) ** 2).reshape(2, 2).sum(axis=1)
         assert forward(model, x) == pytest.approx(probs)
 
     def test_shot_estimate_near_exact(self):
