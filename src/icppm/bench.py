@@ -259,6 +259,11 @@ class RunResult:
     # Mean over folds of the VQC's last training loss; None for other
     # classifiers. Reported in results.json only.
     vqc_final_loss: float | None = None
+    # SMO pair updates summed over folds and one-vs-rest problems, and the
+    # largest exact final KKT gap among them; 0 and None for classifiers
+    # without an SVM. Reported in results.json only.
+    smo_iterations: int = 0
+    smo_kkt_gap: float | None = None
 
     def to_dict(self) -> dict:
         return asdict(self) | {"fold_accuracies": list(self.fold_accuracies)}
@@ -427,6 +432,8 @@ def run_experiment(
     cross_evals = 0
     states = 0
     final_losses: list[float] = []
+    smo_iterations = 0
+    smo_gaps: list[float] = []
     for fold in range(cfg.folds):
         train_idx, test_idx = folds.split(fold)
         x_train, y_train, x_test, y_test = _encode_fold(
@@ -435,6 +442,7 @@ def run_experiment(
         shot_seed = derive_seed(cfg.seed, f"shots/{fold}")
         shots = ShotConfig(cfg.shots, shot_seed) if cfg.shots else EXACT
         t_fit0 = time.perf_counter()
+        fold_note = ""
         if kind == "majority":
             counts = Counter(y_train)
             top = max(counts.values())
@@ -483,6 +491,11 @@ def run_experiment(
                 k_train = psd_repair(k_train)
             model = fit_multiclass(k_train, y_train, C=cfg.C, tol=cfg.tol)
             fit_time += time.perf_counter() - t_fit0
+            fold_iterations = sum(m.iterations for m in model.models)
+            fold_gap = max(m.kkt_gap for m in model.models)
+            smo_iterations += fold_iterations
+            smo_gaps.append(fold_gap)
+            fold_note = f" smo_iterations={fold_iterations} smo_kkt_gap={fold_gap:.3e}"
             k_test = cross(x_test, x_train, kernel_kind)
             cross_evals += k_test.eval_count
             states += k_test.states_simulated
@@ -490,8 +503,8 @@ def run_experiment(
         correct = sum(1 for p, t in zip(predictions, y_test) if p == t)
         acc = correct / len(y_test)
         fold_accs.append(acc)
-        log_.info("fold %d/%d: accuracy %.4f (%d test samples)",
-                  fold + 1, cfg.folds, acc, len(y_test))
+        log_.info("fold %d/%d: accuracy %.4f (%d test samples)%s",
+                  fold + 1, cfg.folds, acc, len(y_test), fold_note)
 
     return RunResult(
         classifier=cfg.classifier,
@@ -509,6 +522,8 @@ def run_experiment(
         n_samples=len(samples),
         states_simulated=states,
         vqc_final_loss=float(np.mean(final_losses)) if final_losses else None,
+        smo_iterations=smo_iterations,
+        smo_kkt_gap=max(smo_gaps) if smo_gaps else None,
     )
 
 
@@ -557,6 +572,9 @@ def sweep(
         states_simulated=sum(r.states_simulated for r in results),
         vqc_final_loss=None if results[0].vqc_final_loss is None
         else float(np.mean([r.vqc_final_loss for r in results])),
+        smo_iterations=sum(r.smo_iterations for r in results),
+        smo_kkt_gap=None if results[0].smo_kkt_gap is None
+        else max(r.smo_kkt_gap for r in results),
     )
     return results + [averaged]
 

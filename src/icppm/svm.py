@@ -1,16 +1,27 @@
 """Soft-margin SVM on precomputed kernels, trained by SMO.
 
 The dual problem  max sum(a) - 1/2 aQa  s.t. 0 <= a <= C, y.a = 0  is
-solved by repeatedly picking the maximal-KKT-violating pair (the argmax /
-argmin of y_i - u_i over the up/low index sets) and solving the two-
-variable subproblem analytically. Training stops when the violation gap
-drops below ``tol``, which bounds every KKT residual by tol; the pairwise
-updates keep sum(a_i y_i) = 0 to float precision throughout.
+solved by sequential minimal optimization with second-order working-set
+selection (WSS2; Fan, Chen & Lin, JMLR 6:1889, 2005). With v_t = y_t - u_t,
+where u = K(a*y), ``i`` is the argmax of v over the up set and ``j`` the
+index of the low set with v_j < v_i that maximizes the guaranteed gain
+b^2 / eta, b = v_i - v_j and eta = K_ii + K_jj - 2 K_ij; the two-variable
+subproblem is then solved analytically. Kernel rows are read instead of
+columns, which needs a symmetric kernel: ``fit`` raises ``ValueError`` on an
+asymmetric one.
+
+The solver state is updated in place: v moves by step * (K_i - K_j), and
+only the up/low membership and the box clip of a_i and a_j are touched.
+Once the incremental violation gap max_up(v) - min_low(v) drops to ``tol``,
+v is recomputed exactly as y - K(a*y); the bias and the reported gap come
+from that exact v, and if its gap is still above ``tol`` the loop goes on
+from it. So every returned model has an exact KKT gap <= tol, which bounds
+every KKT residual by tol; the pairwise updates keep sum(a_i y_i) = 0 to
+float precision throughout.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -20,17 +31,26 @@ from .errors import ConvergenceError, DegenerateModelError
 from .qkernel import KernelMatrix
 
 _BOUND_EPS = 1e-12
-SERIALIZATION_VERSION = 1
+# Largest |K - K^T| accepted, relative to max|K|.
+_SYMMETRY_RTOL = 1e-9
+# Elements per row block of the symmetry check (rows * m).
+_SYMMETRY_BLOCK = 32768
 
 
 @dataclass
 class SvmModel:
-    """dual_coefs holds a_i * y_i for support vectors only (a_i > 0)."""
+    """dual_coefs holds a_i * y_i for support vectors only (a_i > 0).
+
+    ``iterations`` counts SMO pair updates and ``kkt_gap`` is the exact final
+    violation gap max(0, max_up(v) - min_low(v)) of the trained model.
+    """
 
     dual_coefs: np.ndarray
     support_indices: np.ndarray
     bias: float
     C: float
+    iterations: int = 0
+    kkt_gap: float = 0.0
 
     def __post_init__(self):
         self.dual_coefs = np.asarray(self.dual_coefs, dtype=np.float64)
@@ -40,32 +60,39 @@ class SvmModel:
         if np.any(np.abs(self.dual_coefs) > self.C + 1e-9):
             raise ValueError("dual coefficients exceed the box constraint")
 
-    def to_dict(self) -> dict:
-        return {
-            "version": SERIALIZATION_VERSION,
-            "kind": "binary",
-            "dual_coefs": self.dual_coefs.tolist(),
-            "support_indices": self.support_indices.tolist(),
-            "bias": self.bias,
-            "C": self.C,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "SvmModel":
-        if data.get("version") != SERIALIZATION_VERSION:
-            raise ValueError(f"unsupported model version {data.get('version')!r}")
-        return cls(
-            np.array(data["dual_coefs"]),
-            np.array(data["support_indices"], dtype=np.int64),
-            float(data["bias"]),
-            float(data["C"]),
-        )
-
 
 def _kernel_values(kernel) -> np.ndarray:
     if isinstance(kernel, KernelMatrix):
         return kernel.values
     return np.asarray(kernel, dtype=np.float64)
+
+
+def _check_kernel(k: np.ndarray, m: int) -> None:
+    """Raise ValueError unless K is m x m, finite and symmetric to within
+    _SYMMETRY_RTOL * max|K|.
+
+    Compares the upper triangle block by block against the transposed lower
+    triangle, so no m x m temporary is allocated.
+    """
+    if k.shape != (m, m):
+        raise ValueError(f"kernel shape {k.shape} does not match {m} labels")
+    scale = max(float(k.max()), -float(k.min()))
+    if not np.isfinite(scale):
+        raise ValueError("kernel has non-finite entries")
+    limit = _SYMMETRY_RTOL * scale
+    rows = max(1, _SYMMETRY_BLOCK // m)
+    buf = np.empty(rows * m)
+    for lo in range(0, m, rows):
+        hi = min(lo + rows, m)
+        diff = buf[: (hi - lo) * (m - lo)].reshape(hi - lo, m - lo)
+        np.subtract(k[lo:hi, lo:], k[lo:, lo:hi].T, out=diff)
+        np.abs(diff, out=diff)
+        worst = float(diff.max())
+        if worst > limit:
+            raise ValueError(
+                f"kernel is not symmetric: |K - K^T| reaches {worst:.3e} "
+                f"in rows {lo}..{hi - 1} (limit {limit:.3e})"
+            )
 
 
 def fit(
@@ -75,12 +102,15 @@ def fit(
     tol: float = 1e-3,
     max_passes: int = 100_000,
 ) -> SvmModel:
-    """Train a binary SVM on a precomputed kernel with labels in {-1, +1}."""
+    """Train a binary SVM on a precomputed symmetric kernel with labels in {-1, +1}."""
     k = _kernel_values(kernel)
     y = np.asarray(y, dtype=np.float64)
-    m = len(y)
-    if k.shape != (m, m):
-        raise ValueError(f"kernel shape {k.shape} does not match {m} labels")
+    _check_kernel(k, len(y))
+    return _smo(k, y, C, tol, max_passes)
+
+
+def _smo(k: np.ndarray, y: np.ndarray, C: float, tol: float, max_passes: int) -> SvmModel:
+    """The solver of ``fit`` on a kernel that passed ``_check_kernel``."""
     if not np.all(np.isin(y, (-1.0, 1.0))):
         raise ValueError("labels must be -1 or +1")
     if np.all(y == y[0]):
@@ -88,46 +118,78 @@ def fit(
     if C <= 0:
         raise ValueError(f"C must be positive, got {C}")
 
-    alpha = np.zeros(m)
-    grad = -np.ones(m)  # gradient of the dual objective (to be minimized)
+    m = len(y)
     pos = y > 0
-
-    for _ in range(max_passes):
-        val = -y * grad  # equals y_i - u_i
-        up = (pos & (alpha < C - _BOUND_EPS)) | (~pos & (alpha > _BOUND_EPS))
-        low = (~pos & (alpha < C - _BOUND_EPS)) | (pos & (alpha > _BOUND_EPS))
-        up_val = np.where(up, val, -np.inf)
-        low_val = np.where(low, val, np.inf)
-        i = int(np.argmax(up_val))
-        j = int(np.argmin(low_val))
-        gap = up_val[i] - low_val[j]
+    diag = np.ascontiguousarray(np.diagonal(k))
+    alpha = np.zeros(m)
+    v = y.copy()  # y_t - u_t at a = 0
+    # Up/low membership as additive masks: 0 inside the set, -inf (up) or
+    # +inf (low) outside, so one add yields the masked values.
+    up_mask = np.where(pos, 0.0, -np.inf)
+    low_mask = np.where(pos, np.inf, 0.0)
+    up_v = np.empty(m)
+    low_v = np.empty(m)
+    gain = np.empty(m)
+    eta = np.empty(m)
+    exact = False
+    iterations = 0
+    while True:
+        np.add(v, up_mask, out=up_v)
+        i = int(up_v.argmax())
+        v_i = float(up_v[i])
+        np.add(v, low_mask, out=low_v)
+        gap = v_i - float(low_v[low_v.argmin()])
         if gap <= tol:
-            break
-        eta = k[i, i] + k[j, j] - 2.0 * k[i, j]
-        step = gap / max(eta, _BOUND_EPS)
+            if exact:
+                break
+            # Confirm on the exact gradient; go on from it if still above tol.
+            v = y - k @ (alpha * y)
+            exact = True
+            continue
+        if iterations == max_passes:
+            raise ConvergenceError(
+                f"SMO did not converge within {max_passes} passes (gap {gap:.3e})"
+            )
+        # j maximizes b_t^2 / eta_t over the low set where b_t = v_i - v_t > 0.
+        k_i = k[i]
+        np.subtract(v_i, low_v, out=gain)
+        np.maximum(gain, 0.0, out=gain)
+        np.square(gain, out=gain)
+        np.multiply(k_i, -2.0, out=eta)
+        eta += diag
+        eta += k_i[i]
+        np.maximum(eta, _BOUND_EPS, out=eta)
+        gain /= eta
+        j = int(gain.argmax())
+        step = (v_i - float(v[j])) / float(eta[j])
         cap_i = (C - alpha[i]) if pos[i] else alpha[i]
         cap_j = alpha[j] if pos[j] else (C - alpha[j])
         step = min(step, cap_i, cap_j)
-        alpha[i] += y[i] * step
-        alpha[j] -= y[j] * step
-        np.clip(alpha, 0.0, C, out=alpha)
-        grad += step * y * (k[:, i] - k[:, j])
-    else:
-        raise ConvergenceError(f"SMO did not converge within {max_passes} passes (gap {gap:.3e})")
+        alpha[i] = min(max(alpha[i] + y[i] * step, 0.0), C)
+        alpha[j] = min(max(alpha[j] - y[j] * step, 0.0), C)
+        for t in (i, j):
+            below = alpha[t] < C - _BOUND_EPS
+            above = alpha[t] > _BOUND_EPS
+            is_up, is_low = (below, above) if pos[t] else (above, below)
+            up_mask[t] = 0.0 if is_up else -np.inf
+            low_mask[t] = 0.0 if is_low else np.inf
+        np.subtract(k_i, k[j], out=eta)
+        eta *= step
+        v -= eta
+        iterations += 1
+        exact = False
 
-    val = -y * grad
     free = (alpha > _BOUND_EPS) & (alpha < C - _BOUND_EPS)
     if free.any():
-        bias = float(np.mean(val[free]))
+        bias = float(np.mean(v[free]))
     else:
-        up = (pos & (alpha < C - _BOUND_EPS)) | (~pos & (alpha > _BOUND_EPS))
-        low = (~pos & (alpha < C - _BOUND_EPS)) | (pos & (alpha > _BOUND_EPS))
-        hi = np.max(val[up]) if up.any() else 0.0
-        lo = np.min(val[low]) if low.any() else 0.0
-        bias = float(0.5 * (hi + lo))
+        hi = float(up_v.max())
+        lo = float(low_v.min())
+        bias = 0.5 * ((hi if np.isfinite(hi) else 0.0) + (lo if np.isfinite(lo) else 0.0))
 
     support = np.flatnonzero(alpha > _BOUND_EPS)
-    return SvmModel((alpha * y)[support], support, bias, C)
+    return SvmModel((alpha * y)[support], support, bias, C,
+                    iterations=iterations, kkt_gap=max(gap, 0.0))
 
 
 def decision(model: SvmModel, kernel_row: Sequence[float]) -> float:
@@ -166,30 +228,6 @@ class MulticlassModel:
             scores[:, c] = rows[:, model.support_indices] @ model.dual_coefs + model.bias
         return scores
 
-    def to_dict(self) -> dict:
-        return {
-            "version": SERIALIZATION_VERSION,
-            "kind": "one_vs_rest",
-            "classes": list(self.classes),
-            "models": [m.to_dict() for m in self.models],
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "MulticlassModel":
-        if data.get("version") != SERIALIZATION_VERSION:
-            raise ValueError(f"unsupported model version {data.get('version')!r}")
-        return cls(
-            tuple(data["classes"]),
-            tuple(SvmModel.from_dict(m) for m in data["models"]),
-        )
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "MulticlassModel":
-        return cls.from_dict(json.loads(text))
-
 
 def fit_multiclass(
     kernel,
@@ -204,10 +242,11 @@ def fit_multiclass(
     if len(classes) < 2:
         raise DegenerateModelError(f"need at least 2 classes, got {classes}")
     k = _kernel_values(kernel)
+    _check_kernel(k, len(labels))
     models = []
     for cls_label in classes:
         y = np.array([1.0 if lab == cls_label else -1.0 for lab in labels])
-        models.append(fit(k, y, C=C, tol=tol, max_passes=max_passes))
+        models.append(_smo(k, y, C, tol, max_passes))
     return MulticlassModel(classes, tuple(models))
 
 

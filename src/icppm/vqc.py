@@ -17,7 +17,6 @@ L + 3 such batches in memory.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -35,7 +34,6 @@ from .qsim import (
     sample_indices,
 )
 
-SERIALIZATION_VERSION = 1
 _P_FLOOR = 1e-12
 
 
@@ -90,36 +88,6 @@ class VqcModel:
     @property
     def readout_qubits(self) -> int:
         return max(1, math.ceil(math.log2(len(self.classes))))
-
-    def to_dict(self) -> dict:
-        return {
-            "version": SERIALIZATION_VERSION,
-            "feature_map": {"variant": self.feature_map.variant, "layers": self.feature_map.layers},
-            "theta": self.theta.tolist(),
-            "classes": list(self.classes),
-            "entangle": self.entangle,
-            "loss_history": list(self.loss_history),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "VqcModel":
-        if data.get("version") != SERIALIZATION_VERSION:
-            raise ValueError(f"unsupported checkpoint version {data.get('version')!r}")
-        fm = data["feature_map"]
-        return cls(
-            FeatureMapKind(fm["variant"], fm["layers"]),
-            np.array(data["theta"]),
-            tuple(data["classes"]),
-            bool(data["entangle"]),
-            tuple(data.get("loss_history", ())),
-        )
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "VqcModel":
-        return cls.from_dict(json.loads(text))
 
 
 def _ring_permutation(n: int, entangle: bool) -> np.ndarray | None:

@@ -1,6 +1,14 @@
 from __future__ import annotations
 
-import random
+import os
+
+# Pin BLAS to one thread before anything imports numpy, as the benchmark
+# does: multi-threaded BLAS on small matrix products makes timing checks
+# (acceptance criterion 8) swing by an order of magnitude between runs.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import random  # noqa: E402
 from datetime import datetime, timedelta, timezone
 
 import pytest

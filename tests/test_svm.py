@@ -1,11 +1,20 @@
 from __future__ import annotations
 
+import json
+import logging
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import icppm.svm as svm
 import oracles
-from icppm.errors import DegenerateModelError
-from icppm.qkernel import KernelKind, KernelMatrix, cross, gram
+from conftest import random_log
+from icppm.bench import ExperimentConfig, emit_results, run_experiment
+from icppm.errors import ConvergenceError, DegenerateModelError
+from icppm.eventlog import write_csv
+from icppm.qkernel import KernelKind, KernelMatrix, cross, gram, psd_repair
+from icppm.qsim import FeatureMapKind, ShotConfig
 from icppm.svm import (
     MulticlassModel,
     SvmModel,
@@ -210,31 +219,175 @@ class TestMulticlass:
         assert scores.shape == (4, 3)
 
 
-class TestSerialization:
-    def test_round_trip_preserves_predictions(self):
-        x = np.random.default_rng(1).normal(size=(12, 2))
-        labels = ["u" if xi[0] < 0 else "v" for xi in x]
-        k = gram(x, RBF)
-        model = fit_multiclass(k, labels)
-        clone = MulticlassModel.from_json(model.to_json())
-        assert clone.classes == model.classes
-        assert predict(clone, k) == predict(model, k)
-        for a, b in zip(clone.models, model.models):
-            assert np.array_equal(a.dual_coefs, b.dual_coefs)
-            assert np.array_equal(a.support_indices, b.support_indices)
-            assert a.bias == b.bias
-
-    def test_unsupported_version_rejected(self):
-        with pytest.raises(ValueError):
-            SvmModel.from_dict({"version": 99})
-        with pytest.raises(ValueError):
-            MulticlassModel.from_dict({"version": 99})
-
+class TestSvmModel:
     def test_model_validation(self):
         with pytest.raises(ValueError):
             SvmModel(np.array([1.0, 2.0]), np.array([0]), 0.0, 1.0)
         with pytest.raises(ValueError):
             SvmModel(np.array([5.0]), np.array([0]), 0.0, 1.0)
+
+
+def exact_gap(k: np.ndarray, y: np.ndarray, alpha: np.ndarray, C: float) -> float:
+    """max(0, max_up(v) - min_low(v)) with v = y - K(a*y) computed from scratch."""
+    v = y - k @ (alpha * y)
+    below, above = alpha < C - 1e-12, alpha > 1e-12
+    pos = y > 0
+    up = (pos & below) | (~pos & above)
+    low = (~pos & below) | (pos & above)
+    return max(0.0, float(v[up].max() - v[low].min()))
+
+
+def assert_solved(k: np.ndarray, y: np.ndarray, C: float, tol: float) -> SvmModel:
+    """Fit, then check the oracle optimum and the exact KKT gap."""
+    model = fit(k, y, C=C, tol=tol)
+    alpha = alphas_from_model(model, len(y))
+    want, _ = oracles.qp_dual_optimum(k, y, C)
+    assert dual_objective(k, y, alpha) == pytest.approx(want, abs=1e-5)
+    assert model.kkt_gap == pytest.approx(exact_gap(k, y, alpha, C), abs=1e-10)
+    assert model.kkt_gap <= tol
+    return model
+
+
+class TestSolverEdgeCases:
+    def test_duplicate_rows_same_label(self):
+        rng = np.random.default_rng(5)
+        x = rng.normal(size=(4, 2))
+        x = np.vstack([x, x[:3]])
+        y = np.array([1.0, -1.0, 1.0, -1.0, 1.0, -1.0, 1.0])
+        assert_solved(gram(x, RBF).values, y, C=1.0, tol=1e-8)
+
+    def test_identical_pair_with_opposite_labels(self):
+        # eta = K_ii + K_jj - 2 K_ij is 0: the step is capped by the box.
+        k = np.ones((2, 2))
+        y = np.array([1.0, -1.0])
+        model = assert_solved(k, y, C=0.5, tol=1e-8)
+        assert np.array_equal(alphas_from_model(model, 2), [0.5, 0.5])
+        assert model.iterations == 1
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_duplicate_rows_opposite_labels(self, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(5, 2))
+        x = np.vstack([x, x[:2]])
+        y = np.array([1.0, -1.0, 1.0, -1.0, 1.0, -1.0, 1.0])
+        assert_solved(gram(x, RBF).values, y, C=1.0, tol=1e-8)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_near_singular_shot_gram_after_psd_repair(self, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.uniform(0.0, np.pi, size=(4, 3))
+        x = np.vstack([x, x[:3]])
+        kind = KernelKind.quantum(FeatureMapKind("zz", 2), ShotConfig(40, seed))
+        k = psd_repair(gram(x, kind)).values
+        assert np.linalg.eigvalsh(k)[0] < 1e-6
+        y = np.array([1.0, -1.0, 1.0, -1.0, 1.0, -1.0, -1.0])
+        assert_solved(k, y, C=1.0, tol=1e-8)
+
+
+class TestExactGradientStop:
+    @pytest.mark.parametrize("C", [0.05, 1.0, 100.0])
+    def test_reported_gap_is_exact_and_within_tol(self, C):
+        rng = np.random.default_rng(8)
+        x = rng.normal(size=(150, 3))
+        y = np.where(x[:, 0] + 0.5 * rng.normal(size=150) > 0, 1.0, -1.0)
+        k = gram(x, RBF).values
+        tol = 1e-3
+        model = fit(k, y, C=C, tol=tol)
+        alpha = alphas_from_model(model, len(y))
+        assert model.iterations > 0
+        assert model.kkt_gap == pytest.approx(exact_gap(k, y, alpha, C), abs=1e-10)
+        assert model.kkt_gap <= tol
+
+    def test_multiclass_models_carry_counters(self):
+        rng = np.random.default_rng(2)
+        x = rng.normal(size=(40, 2))
+        labels = [("a", "b", "c")[int(v) % 3] for v in 3 * (x[:, 0] + 2)]
+        model = fit_multiclass(gram(x, RBF), labels, tol=1e-4)
+        for m in model.models:
+            assert m.iterations > 0
+            assert 0.0 <= m.kkt_gap <= 1e-4
+
+    def test_iteration_budget_exhausted_raises(self):
+        k, y = random_problem(1, m=8)
+        with pytest.raises(ConvergenceError):
+            fit(k, y, tol=1e-12, max_passes=1)
+
+
+class TestSymmetryGuard:
+    def test_asymmetric_kernel_rejected(self):
+        k, y = random_problem(0)
+        k = k.copy()
+        k[1, 4] += 1e-3
+        with pytest.raises(ValueError, match="not symmetric"):
+            fit(k, y)
+        with pytest.raises(ValueError, match="not symmetric"):
+            fit_multiclass(k, ["p" if v > 0 else "n" for v in y])
+
+    def test_float_level_asymmetry_accepted(self):
+        k, y = random_problem(0)
+        noisy = k.copy()
+        noisy[1, 4] += 1e-15
+        noisy[5, 0] -= 1e-15
+        model = fit(noisy, y, tol=1e-8)
+        got = dual_objective(k, y, alphas_from_model(model, len(y)))
+        assert got == pytest.approx(oracles.qp_dual_optimum(k, y, 1.0)[0], abs=1e-5)
+
+    def test_asymmetry_in_last_row_block_found(self):
+        x = np.random.default_rng(3).normal(size=(300, 2))
+        k = gram(x, RBF).values
+        k[299, 0] += 1e-6
+        y = np.where(x[:, 0] > 0, 1.0, -1.0)
+        with pytest.raises(ValueError, match="not symmetric"):
+            fit(k, y)
+
+    def test_non_finite_kernel_rejected(self):
+        k, y = random_problem(0)
+        k = k.copy()
+        k[2, 2] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            fit(k, y)
+
+    def test_check_allocates_no_full_matrix(self):
+        m = 1000
+        k = gram(np.random.default_rng(4).normal(size=(m, 2)), RBF).values
+        tracemalloc.start()
+        try:
+            svm._check_kernel(k, m)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < k.nbytes / 8
+
+
+class TestRunCounters:
+    def test_smo_counters_in_results_json_only(self, tmp_path, caplog):
+        log = random_log(2, n_cases=24)
+        path = tmp_path / "log.csv"
+        with path.open("w") as sink:
+            write_csv(log, sink)
+        cfg = ExperimentConfig(dataset=str(path), classifier="svc_rbf", k=2, folds=2)
+        with caplog.at_level(logging.INFO, logger="icppm.bench"):
+            result = run_experiment(cfg)
+        fold_lines = [r.getMessage() for r in caplog.records if "accuracy" in r.getMessage()]
+        assert len(fold_lines) == cfg.folds
+        assert all("smo_iterations=" in line and "smo_kkt_gap=" in line for line in fold_lines)
+        assert result.smo_iterations > 0
+        assert 0.0 <= result.smo_kkt_gap <= cfg.tol
+        csv_path, json_path = emit_results([result], tmp_path / "out")
+        run = json.loads(json_path.read_text())["runs"][0]
+        assert run["smo_iterations"] == result.smo_iterations
+        assert run["smo_kkt_gap"] == result.smo_kkt_gap
+        assert "smo" not in csv_path.read_text()
+
+    def test_no_smo_counters_without_svm(self, tmp_path):
+        log = random_log(2, n_cases=12)
+        path = tmp_path / "log.csv"
+        with path.open("w") as sink:
+            write_csv(log, sink)
+        result = run_experiment(ExperimentConfig(dataset=str(path), classifier="majority",
+                                                 folds=2))
+        assert result.smo_iterations == 0
+        assert result.smo_kkt_gap is None
 
 
 class TestDualObjective:

@@ -236,23 +236,6 @@ class TestTrain:
         assert model.readout_qubits == 2
 
 
-class TestCheckpoint:
-    def test_json_round_trip(self):
-        xs, labels = separable_fixture()
-        model = train(xs, labels, ANGLE, 2, OptimizerConfig(epochs=2, seed=8))
-        clone = VqcModel.from_json(model.to_json())
-        assert np.array_equal(clone.theta, model.theta)
-        assert clone.classes == model.classes
-        assert clone.feature_map == model.feature_map
-        assert clone.entangle == model.entangle
-        assert clone.loss_history == model.loss_history
-        assert [predict(clone, x) for x in xs] == [predict(model, x) for x in xs]
-
-    def test_unsupported_version_rejected(self):
-        with pytest.raises(ValueError):
-            VqcModel.from_dict({"version": 2})
-
-
 def grad_gap_ok(got: np.ndarray, want: np.ndarray) -> bool:
     """Gradients agree to TOL times max(1, largest entry): the -1/p of the
     cross-entropy scales float error in p by the same factor as the gradient."""
