@@ -1,0 +1,148 @@
+"""Golden bytes: feature CSVs and results.csv of seeded logs, pinned by hash.
+
+The hashes were taken before the fold encoding moved from per-sample
+feature vectors to whole matrices; any change to how a feature value is
+computed, scaled or written shows up here as a different digest. To
+re-pin after an intended change, run ``python tests/test_golden.py`` and
+paste the printed table.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import random
+import sys
+from pathlib import Path
+
+import pytest
+
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+
+from conftest import make_event  # noqa: E402
+from icppm.cli import main  # noqa: E402
+from icppm.eventlog import EventLog, Trace, write_csv  # noqa: E402
+from icppm.intercase import FEATURES  # noqa: E402
+
+LOGS = {"float": False, "int": True}
+
+ENCODE_CASES = {
+    "scaled": ("float", []),
+    "no_scale": ("float", ["--no-scale"]),
+    "last_state": ("int", ["--encoder", "last_state", "--no-scale"]),
+    "agg_count": ("int", ["--encoder", "agg_count"]),
+    "agg_bool": ("int", ["--encoder", "agg_bool", "--no-scale"]),
+    "static": ("float", ["--encoder", "static", "--static-attrs", "channel,tier"]),
+    **{
+        f"{feature}@{kind}": (kind, ["--k", "3", "--inter", feature, "--epsilon", "100"])
+        for feature in FEATURES
+        for kind in LOGS
+    },
+}
+
+BENCH_CASES = {
+    f"{clf}+{'+'.join(feats)}": {"classifier": clf, "inter_features": list(feats)}
+    for clf in ("majority", "svc_rbf")
+    for feats in (("peer_cases", "avg_delay"), ("freq_act", "batch"))
+}
+
+GOLDEN = {
+    "encode/agg_bool": "e2fc5a18fa5742f48c78fdeed5c32ff2d1320d0e8998c1b5eb64436c1a573d08",
+    "encode/agg_count": "489ed8ce8a6c05fde149a74ddad2a9f03c1a5e321144561ccadc6bd44ed403ef",
+    "encode/avg_delay@float": "faf600264dedd4e694b68508e734c3e09f42319bc9ac15aa0b86b39571fb0a71",
+    "encode/avg_delay@int": "3d53758a7da892906af971e359cfd6689359980558fea0e2fe9610750253bbeb",
+    "encode/batch@float": "4bcf553c7df70b41cbd24fa5d114687f775d1da00e639d9dc4f3a06f5a5b3664",
+    "encode/batch@int": "4bcf553c7df70b41cbd24fa5d114687f775d1da00e639d9dc4f3a06f5a5b3664",
+    "encode/freq_act@float": "09fc6efcd73b2586c36f00ce46dcb7f770dbd9f42eb5a8475d48b107c8a007c9",
+    "encode/freq_act@int": "6829001d944f46494ee2291985f704a1018b8d86c2a941087179d9bf079c3dfb",
+    "encode/last_state": "1878b672eb8a4ca3c09d5366e4f9d89154570626c0710824d404b72a89d3a830",
+    "encode/no_scale": "e225d69342e8f0fa3a81db53b809fb7907eeaaeb308ee6fb30b2bfa2435cfd3d",
+    "encode/peer_act@float": "f3ea6e5f895c4afa7f7748ca79b8be80674bca346bea0ca9e85487c2926bc95a",
+    "encode/peer_act@int": "5e2daa69bae81dd70f42562388b519b4263cfadd43012ad9d28fb126c5584b37",
+    "encode/peer_cases@float": "ca529034140841dcf18b8b946a2e74f9b62e09bd4861fa69a803ee27b0b87f74",
+    "encode/peer_cases@int": "054991753ca32d1ba4b62f20add76ea534b39b03aca7bd37d57a0d5db12c1522",
+    "encode/res_count@float": "58bf0f8598baf20a745dcde26e0f51e6bd9d2da2a4fea4e7168e873a7ae0c504",
+    "encode/res_count@int": "344df8012936c4018f648d193a785f0a6756fce09cad44df8129466453a343e4",
+    "encode/scaled": "57931c86fa279ab4058f05696625ce9c76d457d1ad87832a426b2719c38e43e3",
+    "encode/static": "7a48ca78038171673dca9306668de712961b753fd289cb92e66b2cab0e917e2d",
+    "encode/top_res@float": "fdc4c8919070d5bb42ac0bb8abd20ac27c561d89904e6ca85c89994bc1321352",
+    "encode/top_res@int": "f5110e136035bc4938760996ee9b54414bceba6a7b5cdfcbfc9793d1f56777ee",
+    "bench/majority+freq_act+batch": "6b27aa1859dc8488c75e8a59586a7b4f9208b7fa085dfff5287fac4e4af14834",
+    "bench/majority+peer_cases+avg_delay": "32e276019d6f8a51e4b7b2a31246ac03e50ca87960c73d4cbc102df1286f5d6f",
+    "bench/svc_rbf+freq_act+batch": "98ed8f516239c69608c36be8a9428734beebfc791b84c1815851e752111a5acb",
+    "bench/svc_rbf+peer_cases+avg_delay": "88d01f77a031a1493c13c93a42c69958bb6a5ee5c71035ee4ee536c744de8c00",
+}
+
+
+def golden_log(integer_times: bool) -> EventLog:
+    """A seeded log of overlapping cases with two case attributes.
+
+    Activities follow a chain in which each activity has its own successor
+    set, so the batch feature differs between anchors.
+    """
+    rng = random.Random(5)
+    successors = {"a": "bc", "b": "cd", "c": "d", "d": "ab"}
+    traces = []
+    for c in range(40):
+        cid = f"case{c}"
+        t = rng.uniform(0, 5000.0)
+        act = rng.choice("ab")
+        events = []
+        for _ in range(rng.randint(1, 6)):
+            if integer_times:
+                t = float(int(t))
+            res = rng.choice(("r1", "r2", "r3")) if rng.random() < 0.8 else None
+            events.append(make_event(cid, act, t, res))
+            t += rng.uniform(1, 500.0)
+            act = rng.choice(successors[act])
+        attrs = {"channel": ("web", "phone", "mail")[c % 3], "tier": ("gold", "basic")[c % 2]}
+        traces.append(Trace.build(cid, events, attrs))
+    return EventLog.from_traces(traces)
+
+
+def _write_log(directory: Path, kind: str) -> Path:
+    path = directory / f"golden-{kind}.csv"
+    if not path.exists():
+        with path.open("w") as sink:
+            write_csv(golden_log(LOGS[kind]), sink)
+    return path
+
+
+def encode_digest(directory: Path, case: str) -> str:
+    kind, flags = ENCODE_CASES[case]
+    out = directory / f"encode-{case}.csv"
+    assert main(["encode", str(_write_log(directory, kind)), "--out", str(out), *flags]) == 0
+    return hashlib.sha256(out.read_bytes()).hexdigest()
+
+
+def bench_digest(directory: Path, case: str) -> str:
+    cfg = {"dataset": str(_write_log(directory, "float")), "folds": 3, "seed": 1,
+           "epsilon": 100.0, **BENCH_CASES[case]}
+    cfg_path = directory / f"bench-{case}.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out_dir = directory / f"bench-{case}"
+    assert main(["bench", "--config", str(cfg_path), "--out-dir", str(out_dir)]) == 0
+    return hashlib.sha256((out_dir / "results.csv").read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("case", sorted(ENCODE_CASES))
+def test_encode_output_bytes(case, tmp_path, capsys):
+    assert encode_digest(tmp_path, case) == GOLDEN[f"encode/{case}"]
+
+
+@pytest.mark.parametrize("case", sorted(BENCH_CASES))
+def test_results_csv_bytes(case, tmp_path, capsys):
+    assert bench_digest(tmp_path, case) == GOLDEN[f"bench/{case}"]
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        directory = Path(tmp)
+        table = {f"encode/{c}": encode_digest(directory, c) for c in sorted(ENCODE_CASES)}
+        table |= {f"bench/{c}": bench_digest(directory, c) for c in sorted(BENCH_CASES)}
+    print("GOLDEN = {")
+    for key, digest in table.items():
+        print(f'    "{key}": "{digest}",')
+    print("}")
