@@ -264,6 +264,9 @@ class RunResult:
     # without an SVM. Reported in results.json only.
     smo_iterations: int = 0
     smo_kkt_gap: float | None = None
+    # Seconds spent fitting the fold encoders, encoding and scaling, summed
+    # over folds. Reported in results.json only.
+    encode_time_s: float = 0.0
 
     def to_dict(self) -> dict:
         return asdict(self) | {"fold_accuracies": list(self.fold_accuracies)}
@@ -332,11 +335,12 @@ def _train_window_width(cfg: ExperimentConfig, train_log: EventLog) -> float:
 
 def fit_encoder(
     cfg: ExperimentConfig, fit_log: EventLog, index: EventIndex | None
-) -> Callable[[PrefixSample], FeatureVector]:
+) -> Callable[[Sequence[PrefixSample]], FeatureVector]:
     """Fit everything a feature row needs on ``fit_log``: vocabularies, the
     intra-case encoder and, for inter-case features, the transition and
-    batch statistics and the window width. Returns sample -> feature row;
-    the window features count peer events in ``index``."""
+    batch statistics and the window width. Returns samples -> feature block
+    with one row per sample; the window features count peer events in
+    ``index``."""
     act_vocab = _build_vocab(fit_log.activity_vocab)
     res_vocab = _build_vocab(fit_log.resource_vocab)
     attr_vocabs = {
@@ -363,10 +367,12 @@ def fit_encoder(
         ),
     )
 
-    def encode(sample: PrefixSample) -> FeatureVector:
-        anchor = sample.prefix.events[-1]
-        return compose(intra(sample), inter.encode(
-            anchor.timestamp.timestamp(), sample.case_id, anchor.activity
+    def encode(samples: Sequence[PrefixSample]) -> FeatureVector:
+        anchors = [s.prefix.events[-1] for s in samples]
+        return compose(intra(samples), inter.encode(
+            np.array([a.timestamp.timestamp() for a in anchors], dtype=np.float64),
+            [s.case_id for s in samples],
+            [a.activity for a in anchors],
         ))
 
     return encode
@@ -385,11 +391,11 @@ def _encode_fold(
         [t for t in log.traces if t.case_id in train_cases]
     )
     encode = fit_encoder(cfg, train_log, index)
-    train_vecs = [encode(samples[i]) for i in train_idx]
-    test_vecs = [encode(samples[i]) for i in test_idx]
-    scaler = fit_scaler(train_vecs, (cfg.scale_lo, cfg.scale_hi))
-    x_train = np.stack([apply_scaler(v, scaler).values for v in train_vecs])
-    x_test = np.stack([apply_scaler(v, scaler).values for v in test_vecs])
+    train = encode([samples[i] for i in train_idx])
+    test = encode([samples[i] for i in test_idx])
+    scaler = fit_scaler(train, (cfg.scale_lo, cfg.scale_hi))
+    x_train = apply_scaler(train, scaler).values
+    x_test = apply_scaler(test, scaler).values
     y_train = [samples[i].label for i in train_idx]
     y_test = [samples[i].label for i in test_idx]
     return x_train, y_train, x_test, y_test
@@ -434,11 +440,15 @@ def run_experiment(
     final_losses: list[float] = []
     smo_iterations = 0
     smo_gaps: list[float] = []
+    encode_time = 0.0
     for fold in range(cfg.folds):
         train_idx, test_idx = folds.split(fold)
+        t_enc0 = time.perf_counter()
         x_train, y_train, x_test, y_test = _encode_fold(
             cfg, log, index, samples, train_idx, test_idx
         )
+        fold_encode = time.perf_counter() - t_enc0
+        encode_time += fold_encode
         shot_seed = derive_seed(cfg.seed, f"shots/{fold}")
         shots = ShotConfig(cfg.shots, shot_seed) if cfg.shots else EXACT
         t_fit0 = time.perf_counter()
@@ -503,8 +513,8 @@ def run_experiment(
         correct = sum(1 for p, t in zip(predictions, y_test) if p == t)
         acc = correct / len(y_test)
         fold_accs.append(acc)
-        log_.info("fold %d/%d: accuracy %.4f (%d test samples)%s",
-                  fold + 1, cfg.folds, acc, len(y_test), fold_note)
+        log_.info("fold %d/%d: accuracy %.4f (%d test samples) encode_s=%.4f%s",
+                  fold + 1, cfg.folds, acc, len(y_test), fold_encode, fold_note)
 
     return RunResult(
         classifier=cfg.classifier,
@@ -524,6 +534,7 @@ def run_experiment(
         vqc_final_loss=float(np.mean(final_losses)) if final_losses else None,
         smo_iterations=smo_iterations,
         smo_kkt_gap=max(smo_gaps) if smo_gaps else None,
+        encode_time_s=encode_time,
     )
 
 
@@ -575,6 +586,7 @@ def sweep(
         smo_iterations=sum(r.smo_iterations for r in results),
         smo_kkt_gap=None if results[0].smo_kkt_gap is None
         else max(r.smo_kkt_gap for r in results),
+        encode_time_s=sum(r.encode_time_s for r in results),
     )
     return results + [averaged]
 

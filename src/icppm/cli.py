@@ -88,17 +88,15 @@ def _cmd_encode(args) -> int:
     )
     log, samples = bench_mod.prepare_samples(cfg)
     index = bench_mod.EventIndex(log) if inter_features else None
-    encode = bench_mod.fit_encoder(cfg, log, index)
-    vectors = [encode(sample) for sample in samples]
+    block = bench_mod.fit_encoder(cfg, log, index)(samples)
     if args.scale:
-        scaler = fit_scaler(vectors, (cfg.scale_lo, cfg.scale_hi))
-        vectors = [apply_scaler(v, scaler) for v in vectors]
+        block = apply_scaler(block, fit_scaler(block, (cfg.scale_lo, cfg.scale_hi)))
     labels = [s.label for s in samples]
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     with out.open("w", newline="") as sink:
-        write_feature_csv(vectors, labels, sink)
-    print(f"wrote {len(vectors)} samples x {len(vectors[0])} features to {out}")
+        write_feature_csv(block, labels, sink)
+    print(f"wrote {len(block)} samples x {len(block.schema)} features to {out}")
     return 0
 
 

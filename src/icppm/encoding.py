@@ -55,80 +55,98 @@ class Vocabulary:
     def __contains__(self, value: str) -> bool:
         return value in self._lookup
 
+    def codes(self, values: Iterable[str | None]) -> np.ndarray:
+        """``index`` of every value, as a float64 array."""
+        get = self._lookup.get
+        return np.array([get(v, 0) for v in values], dtype=np.float64)
+
 
 @dataclass(eq=False)
 class FeatureVector:
-    """Numeric feature values with a parallel schema of feature names."""
+    """Numeric feature values with a parallel schema of feature names.
+
+    ``values`` is one row ``(d,)`` or a block of rows ``(n, d)``; the schema
+    names the last axis. ``len`` counts rows of a block and features of a
+    row, and iterating a block yields its rows.
+    """
 
     values: np.ndarray
     schema: tuple[str, ...]
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64)
-        if self.values.ndim != 1 or len(self.values) != len(self.schema):
+        if self.values.ndim not in (1, 2) or self.values.shape[-1] != len(self.schema):
             raise ValueError("values and schema lengths differ")
-        if not np.all(np.isfinite(self.values)):
+        if not np.isfinite(self.values).all():
             raise ValueError("feature values must be finite")
 
     def __len__(self) -> int:
-        return len(self.schema)
+        return len(self.values)
+
+    def __iter__(self):
+        if self.values.ndim != 2:
+            raise TypeError("only a block of feature rows is iterable")
+        return (FeatureVector(row, self.schema) for row in self.values)
 
     def concat(self, other: "FeatureVector") -> "FeatureVector":
         return FeatureVector(
-            np.concatenate([self.values, other.values]),
+            np.concatenate([self.values, other.values], axis=-1),
             self.schema + other.schema,
         )
 
 
 def encode_static(
-    prefix: PrefixSample,
+    samples: Sequence[PrefixSample],
     attr_names: Sequence[str],
     attr_vocabs: Mapping[str, Vocabulary],
 ) -> FeatureVector:
     """One ordinal code per selected case attribute; missing values map to 0."""
-    values = []
-    for name in attr_names:
+    out = np.zeros((len(samples), len(attr_names)))
+    for j, name in enumerate(attr_names):
         vocab = attr_vocabs.get(name)
-        raw = prefix.prefix.attributes.get(name)
-        values.append(float(vocab.index(raw)) if vocab else 0.0)
-    return FeatureVector(np.array(values), tuple(f"static_{n}" for n in attr_names))
+        if vocab is not None:
+            out[:, j] = vocab.codes(s.prefix.attributes.get(name) for s in samples)
+    return FeatureVector(out, tuple(f"static_{n}" for n in attr_names))
 
 
 def encode_last_state(
-    prefix: PrefixSample,
+    samples: Sequence[PrefixSample],
     act_vocab: Vocabulary,
     res_vocab: Vocabulary | None = None,
 ) -> FeatureVector:
     """Ordinal code of the last activity, plus the last resource when present."""
-    last = prefix.prefix.events[-1]
-    values = [float(act_vocab.index(last.activity))]
-    schema = ["last_act"]
-    if res_vocab is not None and len(res_vocab) > 1:
-        values.append(float(res_vocab.index(last.resource)))
-        schema.append("last_res")
-    return FeatureVector(np.array(values), tuple(schema))
+    lasts = [s.prefix.events[-1] for s in samples]
+    with_res = res_vocab is not None and len(res_vocab) > 1
+    schema = ("last_act", "last_res") if with_res else ("last_act",)
+    out = np.empty((len(samples), len(schema)))
+    out[:, 0] = act_vocab.codes(e.activity for e in lasts)
+    if with_res:
+        out[:, 1] = res_vocab.codes(e.resource for e in lasts)
+    return FeatureVector(out, schema)
 
 
 def encode_aggregation(
-    prefix: PrefixSample,
+    samples: Sequence[PrefixSample],
     act_vocab: Vocabulary,
     mode: str = "count",
 ) -> FeatureVector:
     """Occurrence counts (or presence flags) per known activity."""
     if mode not in ("count", "boolean"):
         raise ConfigError(f"aggregation mode must be count or boolean, got {mode!r}")
-    values = np.zeros(len(act_vocab) - 1)
-    for ev in prefix.prefix.events:
-        code = act_vocab.index(ev.activity)
-        if code > 0:
-            values[code - 1] += 1.0
+    n, width = len(samples), len(act_vocab) - 1
+    lengths = [len(s.prefix.events) for s in samples]
+    codes = act_vocab.codes(e.activity for s in samples for e in s.prefix.events)
+    rows = np.repeat(np.arange(n), lengths)
+    known = codes > 0
+    cells = rows[known] * width + codes[known].astype(np.int64) - 1
+    out = np.bincount(cells, minlength=n * width).reshape(n, width).astype(np.float64)
     if mode == "boolean":
-        values = (values > 0).astype(np.float64)
-    return FeatureVector(values, tuple(f"agg_{a}" for a in act_vocab.entries[1:]))
+        out = (out > 0).astype(np.float64)
+    return FeatureVector(out, tuple(f"agg_{a}" for a in act_vocab.entries[1:]))
 
 
 def encode_index_based(
-    prefix: PrefixSample,
+    samples: Sequence[PrefixSample],
     k: int,
     act_vocab: Vocabulary,
     res_vocab: Vocabulary | None = None,
@@ -139,14 +157,21 @@ def encode_index_based(
     """
     if k < 1:
         raise ConfigError(f"index encoding needs k >= 1, got {k}")
-    events = prefix.prefix.events[-k:]
-    pad = k - len(events)
-    acts = [0.0] * pad + [float(act_vocab.index(e.activity)) for e in events]
     schema = [f"act_{i + 1}" for i in range(k)]
-    if res_vocab is not None and len(res_vocab) > 1:
-        acts += [0.0] * pad + [float(res_vocab.index(e.resource)) for e in events]
+    with_res = res_vocab is not None and len(res_vocab) > 1
+    if with_res:
         schema += [f"res_{i + 1}" for i in range(k)]
-    return FeatureVector(np.array(acts), tuple(schema))
+    tails = [s.prefix.events[-k:] for s in samples]
+    events = [e for tail in tails for e in tail]
+    lengths = np.array([len(tail) for tail in tails], dtype=np.int64)
+    rows = np.repeat(np.arange(len(samples)), lengths)
+    # Slot of each event: its place in the tail, shifted right by the padding.
+    cols = np.arange(len(events)) + np.repeat(k - np.cumsum(lengths), lengths)
+    out = np.zeros((len(samples), len(schema)))
+    out[rows, cols] = act_vocab.codes(e.activity for e in events)
+    if with_res:
+        out[rows, k + cols] = res_vocab.codes(e.resource for e in events)
+    return FeatureVector(out, tuple(schema))
 
 
 @dataclass(frozen=True)
@@ -161,24 +186,24 @@ class ScalingParams:
 
 
 def fit_scaler(
-    train: Sequence[FeatureVector],
+    train: FeatureVector,
     target: tuple[float, float] = (0.0, math.pi),
 ) -> ScalingParams:
-    if not train:
+    """Per-feature min/max of a training block of rows."""
+    if train.values.ndim != 2:
+        raise ValueError("a scaler is fitted on a block of feature rows")
+    if len(train) == 0:
         raise ConfigError("cannot fit a scaler on an empty training set")
     lo, hi = target
     if not lo < hi:
         raise ConfigError(f"scaling interval must be increasing, got {target}")
-    matrix = np.stack([fv.values for fv in train])
-    schema = train[0].schema
-    for fv in train:
-        if fv.schema != schema:
-            raise ValueError("training vectors disagree on schema")
-    return ScalingParams(matrix.min(axis=0), matrix.max(axis=0), schema, lo, hi)
+    return ScalingParams(
+        train.values.min(axis=0), train.values.max(axis=0), train.schema, lo, hi
+    )
 
 
 def apply_scaler(fv: FeatureVector, params: ScalingParams) -> FeatureVector:
-    """Scale into [lo, hi]; out-of-range values are clamped first.
+    """Scale a row or a block into [lo, hi]; out-of-range values are clamped first.
 
     A feature that was constant in training maps to the interval midpoint.
     """
@@ -195,23 +220,17 @@ def apply_scaler(fv: FeatureVector, params: ScalingParams) -> FeatureVector:
 
 
 def write_feature_csv(
-    vectors: Sequence[FeatureVector],
+    block: FeatureVector,
     labels: Sequence[str],
     sink: IO[str],
 ) -> None:
-    """Feature matrix as CSV: header is the schema, label in the last column."""
-    if len(vectors) != len(labels):
-        raise ValueError("vectors and labels lengths differ")
+    """Feature block as CSV: header is the schema, label in the last column."""
+    if len(block) != len(labels):
+        raise ValueError("rows and labels lengths differ")
     writer = csv.writer(sink, lineterminator="\n")
-    if not vectors:
-        writer.writerow(["label"])
-        return
-    schema = vectors[0].schema
-    writer.writerow(list(schema) + ["label"])
-    for fv, label in zip(vectors, labels):
-        if fv.schema != schema:
-            raise ValueError("inconsistent schema across rows")
-        writer.writerow([repr(v) for v in fv.values.tolist()] + [label])
+    writer.writerow(list(block.schema) + ["label"])
+    for row, label in zip(block.values.tolist(), labels):
+        writer.writerow([repr(v) for v in row] + [label])
 
 
 INTRA_ENCODERS = ("static", "last_state", "agg_count", "agg_bool", "index_bsd")
@@ -225,18 +244,18 @@ def make_intra_encoder(
     static_attrs: Sequence[str] = (),
     attr_vocabs: Mapping[str, Vocabulary] | None = None,
 ):
-    """Bind an encoder name to fitted vocabularies; returns prefix -> vector."""
+    """Bind an encoder name to fitted vocabularies; returns samples -> block."""
     if name == "static":
         if not static_attrs:
             raise ConfigError("static encoder requires at least one case attribute")
         vocabs = attr_vocabs or {}
-        return lambda p: encode_static(p, static_attrs, vocabs)
+        return lambda ss: encode_static(ss, static_attrs, vocabs)
     if name == "last_state":
-        return lambda p: encode_last_state(p, act_vocab, res_vocab)
+        return lambda ss: encode_last_state(ss, act_vocab, res_vocab)
     if name == "agg_count":
-        return lambda p: encode_aggregation(p, act_vocab, "count")
+        return lambda ss: encode_aggregation(ss, act_vocab, "count")
     if name == "agg_bool":
-        return lambda p: encode_aggregation(p, act_vocab, "boolean")
+        return lambda ss: encode_aggregation(ss, act_vocab, "boolean")
     if name == "index_bsd":
-        return lambda p: encode_index_based(p, k, act_vocab, res_vocab)
+        return lambda ss: encode_index_based(ss, k, act_vocab, res_vocab)
     raise ConfigError(f"unknown intra-case encoder {name!r}, expected {INTRA_ENCODERS}")

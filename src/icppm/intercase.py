@@ -2,8 +2,9 @@
 
 Each feature looks at the events of *other* live cases inside the window
 [t - width, t] (both ends inclusive) anchored at a prefix's last event.
-The log is indexed once (time-sorted arrays, binary-searched bounds) so a
-query costs O(log N + W) instead of a full scan.
+The log is indexed once into time-sorted arrays. A block of anchors gets
+its window bounds from one binary search over all anchor times, and each
+feature is computed for every anchor of the block at once.
 
 Conventions that keep results bit-identical to a naive full scan:
 window membership compares epoch-second floats (``datetime.timestamp()``),
@@ -17,7 +18,7 @@ import math
 import weakref
 from collections import Counter
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -34,6 +35,16 @@ FEATURES = (
     "top_res",
     "batch",
 )
+
+# Largest gather, in bytes, that counting window codes may build at once:
+# anchors are taken in chunks whose window positions, expanded one int64
+# array per step (anchor, position, code, key, sorted key), fit in it. One
+# anchor whose window alone exceeds it still forms a chunk of its own.
+GATHER_BUDGET_BYTES = 16 << 20
+_GATHER_ARRAYS = 5
+
+# (lo, hi) index arrays: anchor i's window is events lo[i]:hi[i] of the index.
+Bounds = tuple[np.ndarray, np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -181,6 +192,7 @@ class EventIndex:
         self.pair_codes = np.where(
             prev_acts >= 0, prev_acts * n_acts + self.act_codes, -1
         )
+        self.cases = tuple(case_ids)
         self.activities = tuple(acts)
         self.resources = tuple(ress)
         for arr in (self.times, self.case_codes, self.act_codes,
@@ -193,13 +205,17 @@ class EventIndex:
     def __len__(self) -> int:
         return len(self.times)
 
-    def window_slice(self, t: float, window: PeerWindow) -> tuple[int, int]:
-        lo = int(np.searchsorted(self.times, t - window.width, side="left"))
-        hi = int(np.searchsorted(self.times, t, side="right"))
+    def window_bounds(self, times: np.ndarray, window: PeerWindow) -> Bounds:
+        """Event range [lo, hi) of the window ending at each anchor time."""
+        times = np.asarray(times, dtype=np.float64)
+        lo = np.searchsorted(self.times, times - window.width, side="left")
+        hi = np.searchsorted(self.times, times, side="right")
         return lo, hi
 
-    def case_code(self, case_id: str) -> int | None:
-        return self._case_code.get(case_id)
+    def case_codes_of(self, case_ids: Sequence[str]) -> np.ndarray:
+        """Internal code of each case id; -1 for a case the index lacks."""
+        get = self._case_code.get
+        return np.array([get(c, -1) for c in case_ids], dtype=np.int64)
 
     def _vocab_map(self, vocab: Vocabulary, internal: tuple[str, ...],
                    cache: dict) -> np.ndarray:
@@ -233,100 +249,133 @@ class EventIndex:
         return table
 
 
-def peer_cases(index: EventIndex, t: float, case_id: str, window: PeerWindow) -> int:
-    """Distinct cases with an event in the window, the anchor case included."""
-    lo, hi = index.window_slice(t, window)
-    cases = set(np.unique(index.case_codes[lo:hi]).tolist())
-    code = index.case_code(case_id)
-    if code is None or code not in cases:
-        return len(cases) + 1
-    return len(cases)
+def _window_counts(
+    bounds: Bounds, codes: np.ndarray, n_codes: int
+) -> Iterator[tuple[int, int, np.ndarray, np.ndarray, np.ndarray]]:
+    """How often each code occurs in each anchor's window, chunk by chunk.
+
+    Yields ``(start, stop, anchor, code, count)`` for the anchors
+    ``start:stop``: one entry per distinct (anchor, code) pair among the
+    window events whose code is >= 0, with ``anchor`` relative to ``start``
+    and the entries sorted by anchor, then code.
+    """
+    lo, hi = bounds
+    sizes = hi - lo
+    ends = np.cumsum(sizes)
+    per_chunk = max(1, GATHER_BUDGET_BYTES // (8 * _GATHER_ARRAYS))
+    start = 0
+    while start < len(lo):
+        done = int(ends[start - 1]) if start else 0
+        stop = max(start + 1, int(np.searchsorted(ends, done + per_chunk, side="right")))
+        chunk = sizes[start:stop]
+        anchor = np.repeat(np.arange(stop - start), chunk)
+        # Window positions: lo of the anchor plus the offset inside its window.
+        pos = np.arange(len(anchor)) + np.repeat(
+            lo[start:stop] - (np.cumsum(chunk) - chunk), chunk
+        )
+        code = codes[pos]
+        keep = code >= 0
+        keys, count = np.unique(anchor[keep] * n_codes + code[keep], return_counts=True)
+        yield start, stop, keys // n_codes, keys % n_codes, count
+        start = stop
 
 
-def peer_act(index: EventIndex, t: float, case_id: str, window: PeerWindow) -> int:
-    """Total number of events (all cases) in the window."""
-    lo, hi = index.window_slice(t, window)
+def _most_frequent(
+    bounds: Bounds, codes: np.ndarray, n_codes: int, translation: np.ndarray
+) -> np.ndarray:
+    """Per anchor, the smallest translated code among the window's most
+    frequent codes; 0 for a window without codes."""
+    out = np.zeros(len(bounds[0]), dtype=np.int64)
+    for start, _, anchor, code, count in _window_counts(bounds, codes, n_codes):
+        if not len(anchor):
+            continue
+        # Entries are grouped by anchor: reduce each group to its top count,
+        # then to the smallest translation among the codes reaching it.
+        first = np.flatnonzero(np.r_[True, anchor[1:] != anchor[:-1]])
+        best = np.repeat(np.maximum.reduceat(count, first), np.diff(np.r_[first, len(anchor)]))
+        tops = np.where(count == best, translation[code], np.iinfo(np.int64).max)
+        out[start + anchor[first]] = np.minimum.reduceat(tops, first)
+    return out
+
+
+def peer_cases(index: EventIndex, bounds: Bounds, case_ids: Sequence[str]) -> np.ndarray:
+    """Distinct cases with an event in each window, the anchor case included."""
+    own = index.case_codes_of(case_ids)
+    distinct = np.zeros(len(own), dtype=np.int64)
+    present = np.zeros(len(own), dtype=bool)
+    n_cases = max(len(index.cases), 1)
+    for start, stop, anchor, code, _ in _window_counts(bounds, index.case_codes, n_cases):
+        distinct[start:stop] = np.bincount(anchor, minlength=stop - start)
+        mine = anchor[code == own[start:stop][anchor]]
+        present[start + mine] = True
+    return distinct + ~present
+
+
+def peer_act(index: EventIndex, bounds: Bounds) -> np.ndarray:
+    """Total number of events (all cases) in each window."""
+    lo, hi = bounds
     return hi - lo
 
 
-def res_count(index: EventIndex, t: float, case_id: str, window: PeerWindow) -> int:
-    """Distinct non-empty resources active in the window."""
-    lo, hi = index.window_slice(t, window)
-    codes = index.res_codes[lo:hi]
-    return int(np.unique(codes[codes >= 0]).size)
+def res_count(index: EventIndex, bounds: Bounds) -> np.ndarray:
+    """Distinct non-empty resources active in each window."""
+    out = np.zeros(len(bounds[0]), dtype=np.int64)
+    n_res = max(len(index.resources), 1)
+    for start, stop, anchor, _, _ in _window_counts(bounds, index.res_codes, n_res):
+        out[start:stop] = np.bincount(anchor, minlength=stop - start)
+    return out
 
 
-def avg_delay(
-    index: EventIndex,
-    t: float,
-    case_id: str,
-    window: PeerWindow,
-    stats: TransitionStats,
-) -> float:
-    """Mean observed/expected duration ratio of transitions ending in the window.
+def avg_delay(index: EventIndex, bounds: Bounds, stats: TransitionStats) -> np.ndarray:
+    """Mean observed/expected duration ratio of transitions ending in each window.
 
     Only same-case consecutive pairs whose transition has a positive training
     mean are eligible; with no eligible pair the neutral ratio 1.0 is returned.
     """
-    lo, hi = index.window_slice(t, window)
-    pairs = index.pair_codes[lo:hi]
     means = index.mean_by_pair(stats)
-    eligible = pairs >= 0
-    looked = np.where(eligible, pairs, 0)
-    pair_means = means[looked]
+    eligible = index.pair_codes >= 0
+    pair_means = means[np.where(eligible, index.pair_codes, 0)]
     ok = eligible & np.isfinite(pair_means)
-    if not ok.any():
-        return 1.0
-    ratios = index.prev_gaps[lo:hi][ok] / pair_means[ok]
-    return math.fsum(ratios) / int(ok.sum())
+    ratios = (index.prev_gaps[ok] / pair_means[ok]).tolist()
+    # Eligible events of each window: a range of the eligible positions.
+    positions = np.flatnonzero(ok)
+    lo, hi = bounds
+    first = np.searchsorted(positions, lo).tolist()
+    last = np.searchsorted(positions, hi).tolist()
+    return np.array([
+        math.fsum(ratios[a:b]) / (b - a) if b > a else 1.0
+        for a, b in zip(first, last)
+    ], dtype=np.float64)
 
 
-def _most_frequent(codes: np.ndarray, translation: np.ndarray) -> int:
-    if codes.size == 0:
-        return 0
-    counts = np.bincount(codes)
-    best = np.flatnonzero(counts == counts.max())
-    return int(translation[best].min())
-
-
-def freq_act(
-    index: EventIndex,
-    t: float,
-    case_id: str,
-    window: PeerWindow,
-    act_vocab: Vocabulary,
-) -> int:
-    """Vocabulary code of the most frequent window activity.
+def freq_act(index: EventIndex, bounds: Bounds, act_vocab: Vocabulary) -> np.ndarray:
+    """Vocabulary code of the most frequent activity in each window.
 
     Ties resolve to the smallest vocabulary index; an empty window gives 0.
     """
-    lo, hi = index.window_slice(t, window)
-    return _most_frequent(index.act_codes[lo:hi], index.act_map(act_vocab))
+    return _most_frequent(
+        bounds, index.act_codes, max(len(index.activities), 1), index.act_map(act_vocab)
+    )
 
 
-def top_res(
-    index: EventIndex,
-    t: float,
-    case_id: str,
-    window: PeerWindow,
-    res_vocab: Vocabulary,
-) -> int:
-    """Vocabulary code of the busiest resource in the window; 0 when none."""
-    lo, hi = index.window_slice(t, window)
-    codes = index.res_codes[lo:hi]
-    return _most_frequent(codes[codes >= 0], index.res_map(res_vocab))
+def top_res(index: EventIndex, bounds: Bounds, res_vocab: Vocabulary) -> np.ndarray:
+    """Vocabulary code of the busiest resource in each window; 0 when none."""
+    return _most_frequent(
+        bounds, index.res_codes, max(len(index.resources), 1), index.res_map(res_vocab)
+    )
 
 
 def batch_indicator(
-    last_activity: str,
+    last_activities: Sequence[str],
     stats: BatchStats,
     successors: Mapping[str, Sequence[str]],
-) -> float:
-    """Largest burst score among training successors of the anchor activity."""
-    nexts = successors.get(last_activity, ())
-    if not nexts:
-        return 0.0
-    return max(stats.scores.get(b, 0.0) for b in nexts)
+) -> np.ndarray:
+    """Largest burst score among training successors of each anchor activity."""
+    table = {
+        a: max((stats.scores.get(b, 0.0) for b in successors.get(a, ())), default=0.0)
+        for a in set(last_activities)
+    }
+    return np.array([table[a] for a in last_activities], dtype=np.float64)
 
 
 @dataclass(eq=False)
@@ -357,37 +406,40 @@ class InterCaseEncoder:
         if "top_res" in self.features and self.res_vocab is None:
             raise ConfigError("top_res requires a resource vocabulary")
 
-    def encode(self, t: float, case_id: str, last_activity: str) -> FeatureVector:
-        values = []
-        w = self.window
-        for name in self.features:
+    def encode(
+        self,
+        times: np.ndarray,
+        case_ids: Sequence[str],
+        last_activities: Sequence[str],
+    ) -> FeatureVector:
+        """Feature block, one row per anchor (time, case, last activity)."""
+        index = self.index
+        bounds = index.window_bounds(times, self.window)
+        out = np.empty((len(case_ids), len(self.features)))
+        for j, name in enumerate(self.features):
             if name == "peer_cases":
-                values.append(float(peer_cases(self.index, t, case_id, w)))
+                out[:, j] = peer_cases(index, bounds, case_ids)
             elif name == "peer_act":
-                values.append(float(peer_act(self.index, t, case_id, w)))
+                out[:, j] = peer_act(index, bounds)
             elif name == "res_count":
-                values.append(float(res_count(self.index, t, case_id, w)))
+                out[:, j] = res_count(index, bounds)
             elif name == "avg_delay":
-                values.append(
-                    avg_delay(self.index, t, case_id, w, self.transition_stats)
-                )
+                out[:, j] = avg_delay(index, bounds, self.transition_stats)
             elif name == "freq_act":
-                values.append(float(freq_act(self.index, t, case_id, w, self.act_vocab)))
+                out[:, j] = freq_act(index, bounds, self.act_vocab)
             elif name == "top_res":
-                values.append(float(top_res(self.index, t, case_id, w, self.res_vocab)))
+                out[:, j] = top_res(index, bounds, self.res_vocab)
             elif name == "batch":
-                values.append(
-                    batch_indicator(
-                        last_activity, self.batch_stats, self.transition_stats.successors
-                    )
+                out[:, j] = batch_indicator(
+                    last_activities, self.batch_stats, self.transition_stats.successors
                 )
-        return FeatureVector(np.array(values), self.features)
+        return FeatureVector(out, self.features)
 
 
 def compose(intra: FeatureVector, inter: FeatureVector) -> FeatureVector:
     """Concatenate intra- and inter-case features (at most two of the latter)."""
-    if len(inter) > 2:
+    if len(inter.schema) > 2:
         raise ConfigError(
-            f"at most 2 inter-case features may be composed, got {len(inter)}"
+            f"at most 2 inter-case features may be composed, got {len(inter.schema)}"
         )
     return intra.concat(inter)

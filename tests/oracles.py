@@ -21,6 +21,26 @@ from icppm.encoding import Vocabulary
 from icppm.eventlog import EventLog
 
 
+def intra_row(name, sample, act_vocab, res_vocab, k, attr_names, attr_vocabs):
+    """One sample's intra-case feature row, built value by value."""
+    events = sample.prefix.events
+    with_res = res_vocab is not None and len(res_vocab) > 1
+    if name == "static":
+        return [float(attr_vocabs[a].index(sample.prefix.attributes.get(a)))
+                if a in attr_vocabs else 0.0 for a in attr_names]
+    if name == "last_state":
+        row = [float(act_vocab.index(events[-1].activity))]
+        return row + ([float(res_vocab.index(events[-1].resource))] if with_res else [])
+    if name in ("agg_count", "agg_bool"):
+        counts = Counter(ev.activity for ev in events)
+        row = [float(counts[a]) for a in act_vocab.entries[1:]]
+        return [float(c > 0) for c in row] if name == "agg_bool" else row
+    tail = list(events[-k:])
+    pad = [0.0] * (k - len(tail))
+    row = pad + [float(act_vocab.index(ev.activity)) for ev in tail]
+    return row + (pad + [float(res_vocab.index(ev.resource)) for ev in tail] if with_res else [])
+
+
 def window_events(log: EventLog, t: float, width: float):
     """All events of all cases with epoch time in [t - width, t]."""
     out = []

@@ -285,24 +285,34 @@ class TestCriterion6IntercaseOracle:
         bstats = fit_batch_stats(log, epsilon, min_burst)
         scores = ref.burst_scores(log, epsilon, min_burst)
         assert bstats.scores == scores
-        window = PeerWindow(width)
+        events = [ev for trace in log.traces for ev in trace.events]
+        times = np.array([ev.timestamp.timestamp() for ev in events])
+        case_ids = [ev.case_id for ev in events]
+        acts = [ev.activity for ev in events]
+        bounds = idx.window_bounds(times, PeerWindow(width))
+        got = zip(
+            peer_cases(idx, bounds, case_ids).tolist(),
+            peer_act(idx, bounds).tolist(),
+            res_count(idx, bounds).tolist(),
+            avg_delay(idx, bounds, stats).tolist(),
+            freq_act(idx, bounds, act_vocab).tolist(),
+            top_res(idx, bounds, res_vocab).tolist(),
+            batch_indicator(acts, bstats, stats.successors).tolist(),
+        )
         checked = 0
-        for trace in log.traces:
-            for ev in trace.events:
-                t = ev.timestamp.timestamp()
-                cid = trace.case_id
-                assert peer_cases(idx, t, cid, window) == ref.peer_cases(log, t, cid, width)
-                assert peer_act(idx, t, cid, window) == ref.peer_act(log, t, cid, width)
-                assert res_count(idx, t, cid, window) == ref.res_count(log, t, cid, width)
-                assert avg_delay(idx, t, cid, window, stats) == ref.avg_delay(
-                    log, t, cid, width, means)
-                assert freq_act(idx, t, cid, window, act_vocab) == ref.freq_act(
-                    log, t, cid, width, act_vocab)
-                assert top_res(idx, t, cid, window, res_vocab) == ref.top_res(
-                    log, t, cid, width, res_vocab)
-                assert batch_indicator(ev.activity, bstats, stats.successors) == \
-                    ref.batch_indicator(ev.activity, scores, successors)
-                checked += 1
+        for ev, row in zip(events, got):
+            t = ev.timestamp.timestamp()
+            cid = ev.case_id
+            assert row == (
+                ref.peer_cases(log, t, cid, width),
+                ref.peer_act(log, t, cid, width),
+                ref.res_count(log, t, cid, width),
+                ref.avg_delay(log, t, cid, width, means),
+                ref.freq_act(log, t, cid, width, act_vocab),
+                ref.top_res(log, t, cid, width, res_vocab),
+                ref.batch_indicator(ev.activity, scores, successors),
+            )
+            checked += 1
         return checked
 
     def test_all_features_match_oracle_on_randomized_logs(self, capsys):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import logging
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from icppm.bench import (
     run_experiment,
     sweep,
 )
+from icppm.encoding import FeatureVector
 from icppm.errors import ConfigError
 from icppm.eventlog import build_prefix_log, make_cv_folds, write_csv
 
@@ -677,3 +679,50 @@ class TestWindowWidth:
         log = make_log(make_trace("c1", [("a", 0)]))
         with pytest.raises(ConfigError, match="window width"):
             bench._train_window_width(cfg, log)
+
+
+class TestFoldEncoding:
+    def _run(self, monkeypatch, n_cases: int, folds: int) -> int:
+        """FeatureVector constructions during one run on a two-label log."""
+        cfg = ExperimentConfig(classifier="svc_rbf", folds=folds, window_base=300.0,
+                               inter_features=("peer_cases", "avg_delay"))
+        log, samples = two_label_setup(cfg, n_cases)
+        built = []
+        real = FeatureVector.__post_init__
+        monkeypatch.setattr(FeatureVector, "__post_init__",
+                            lambda fv: built.append(1) or real(fv))
+        run_experiment(cfg, log, samples)
+        monkeypatch.setattr(FeatureVector, "__post_init__", real)
+        return len(built)
+
+    def test_feature_vectors_built_per_fold_not_per_sample(self, monkeypatch):
+        small = self._run(monkeypatch, n_cases=9, folds=3)
+        large = self._run(monkeypatch, n_cases=60, folds=3)
+        assert small == large
+        assert 3 <= large <= 10 * 3
+        assert self._run(monkeypatch, n_cases=60, folds=2) == large * 2 // 3
+
+    def test_encode_time_in_results_json_only(self, tmp_path, caplog):
+        cfg = ExperimentConfig(classifier="majority", folds=2, window_base=300.0,
+                               inter_features=("peer_cases",))
+        log, samples = two_label_setup(cfg)
+        with caplog.at_level(logging.INFO, logger="icppm.bench"):
+            result = run_experiment(cfg, log, samples)
+        fold_lines = [r.getMessage() for r in caplog.records if "accuracy" in r.getMessage()]
+        assert len(fold_lines) == cfg.folds
+        assert all(" encode_s=" in line for line in fold_lines)
+        assert result.encode_time_s > 0
+        csv_path, json_path = emit_results([result], tmp_path / "out")
+        run = json.loads(json_path.read_text())["runs"][0]
+        assert run["encode_time_s"] == result.encode_time_s
+        assert "encode" not in csv_path.read_text()
+
+    def test_encoder_returns_one_block_per_call(self):
+        cfg = ExperimentConfig(classifier="majority", window_base=300.0,
+                               inter_features=("peer_cases", "avg_delay"))
+        log, samples = two_label_setup(cfg)
+        encode = bench.fit_encoder(cfg, log, bench.EventIndex(log))
+        block = encode(samples)
+        assert block.values.shape == (len(samples), 4 + 2)
+        assert block.schema[-2:] == ("peer_cases", "avg_delay")
+        assert encode(samples[:1]).values.tolist() == block.values[:1].tolist()
