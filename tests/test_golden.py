@@ -1,8 +1,11 @@
-"""Golden bytes: feature CSVs and results.csv of seeded logs, pinned by hash.
+"""Golden bytes: feature CSVs, results.csv of seeded logs and feature-map
+states, pinned by hash.
 
-The hashes were taken before the fold encoding moved from per-sample
-feature vectors to whole matrices; any change to how a feature value is
-computed, scaled or written shows up here as a different digest. To
+The encode and classical bench hashes were taken before the fold encoding
+moved from per-sample feature vectors to whole matrices; the quantum bench
+and state hashes before the statevector engine moved its gates onto float64
+views and reused buffers. Any change to how a feature value, amplitude or
+score is computed, scaled or written shows up here as a different digest. To
 re-pin after an intended change, run ``python tests/test_golden.py`` and
 paste the printed table.
 """
@@ -15,6 +18,7 @@ import random
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
@@ -23,6 +27,7 @@ from conftest import make_event  # noqa: E402
 from icppm.cli import main  # noqa: E402
 from icppm.eventlog import EventLog, Trace, write_csv  # noqa: E402
 from icppm.intercase import FEATURES  # noqa: E402
+from icppm.qsim import FEATURE_MAPS, FeatureMapKind, feature_map_states  # noqa: E402
 
 LOGS = {"float": False, "int": True}
 
@@ -40,10 +45,27 @@ ENCODE_CASES = {
     },
 }
 
+# Case -> (config entries, CLI flags).
 BENCH_CASES = {
-    f"{clf}+{'+'.join(feats)}": {"classifier": clf, "inter_features": list(feats)}
-    for clf in ("majority", "svc_rbf")
-    for feats in (("peer_cases", "avg_delay"), ("freq_act", "batch"))
+    **{
+        f"{clf}+{'+'.join(feats)}": ({"classifier": clf, "inter_features": list(feats)}, [])
+        for clf in ("majority", "svc_rbf")
+        for feats in (("peer_cases", "avg_delay"), ("freq_act", "batch"))
+    },
+    **{
+        f"{clf}+peer_cases{tag}": ({"classifier": clf, "inter_features": ["peer_cases"],
+                                    "epochs": 3}, flags)
+        for clf in ("qke_zz_2", "vqc_angle_1")
+        for tag, flags in (("", []), ("@shots50", ["--shots", "50"]))
+    },
+}
+
+# Case -> (feature map, map layers, qubits).
+STATE_CASES = {
+    f"{variant}x{layers}@{n}": (variant, layers, n)
+    for variant in FEATURE_MAPS
+    for layers in (1, 2)
+    for n in (1, 2, 9)
 }
 
 GOLDEN = {
@@ -69,8 +91,30 @@ GOLDEN = {
     "encode/top_res@int": "f5110e136035bc4938760996ee9b54414bceba6a7b5cdfcbfc9793d1f56777ee",
     "bench/majority+freq_act+batch": "6b27aa1859dc8488c75e8a59586a7b4f9208b7fa085dfff5287fac4e4af14834",
     "bench/majority+peer_cases+avg_delay": "32e276019d6f8a51e4b7b2a31246ac03e50ca87960c73d4cbc102df1286f5d6f",
+    "bench/qke_zz_2+peer_cases": "f4dd95eca108b444b8f760d9c488068f3071de1a2de0f38718633a08b288c916",
+    "bench/qke_zz_2+peer_cases@shots50": "80389707c3cae0eca41e79b21e4ee21df903e0055d12cf328cf2ab40e7becf0d",
     "bench/svc_rbf+freq_act+batch": "98ed8f516239c69608c36be8a9428734beebfc791b84c1815851e752111a5acb",
     "bench/svc_rbf+peer_cases+avg_delay": "88d01f77a031a1493c13c93a42c69958bb6a5ee5c71035ee4ee536c744de8c00",
+    "bench/vqc_angle_1+peer_cases": "e6b041efa35aba865a2b3124ecf9bc85d2263d425c461adae0acd7b3f8f9f35c",
+    "bench/vqc_angle_1+peer_cases@shots50": "36030373e087790f4c23855af3bf9cb8c78b914763378fcf41735fed416a977a",
+    "states/angle_zzx1@1": "fe1699321995efbbfed239b4d4f45663828611dd32f31a8ea34f6a6f87261c0b",
+    "states/angle_zzx1@2": "36c1b088e81d74b4e724121be48ddb42ff306e1f9b71904f876e93d3b46b3d0e",
+    "states/angle_zzx1@9": "98476acac9cdae688d642a48eb0e0fe9059bfee9a3878ef77f7b54881cdef262",
+    "states/angle_zzx2@1": "b638a5cb797a2fc22b08c2f07ed75d6352003e06dd7b5b0462088d53b6856161",
+    "states/angle_zzx2@2": "228058288580a9c03f1ac4ec5a1a7e0637a9c13d351408d3460ceb6923c98377",
+    "states/angle_zzx2@9": "9b131bcf89eb612105043cd7c46862db41cc658a67c88b8fe9b52e51b46ea0dd",
+    "states/anglex1@1": "fd2f704137694f227b6301946c8bb30012e1b7f97c1b52551831ff95f7a98784",
+    "states/anglex1@2": "1eded482fafc06383ee214fb6be71f9a208aee42b229541f7f80d7a2df572ede",
+    "states/anglex1@9": "5c7e1ae55fe7363855c6b79b4d939f357e55f8f717fa43171426b5acae37e530",
+    "states/anglex2@1": "f1edef83a9d7baf436950bd62f7c09c39160e0131daa6917a42a416276263203",
+    "states/anglex2@2": "0d0be097fb7cadf598207a530d5d5839af4a5ac94a9281cb7bc7398d05ac9d60",
+    "states/anglex2@9": "973e58360581a1f15e34fec3442114b7a74b50f082b93814f6f83bea4581dc5f",
+    "states/zzx1@1": "b1690da96197ab9d6c85af75732b8cffcda577dba7df928c9bc4a383518437a7",
+    "states/zzx1@2": "b2700f800d062d28f2a835649514f4a0b3195ccdd3cd05f8ee0b60b00aff87cb",
+    "states/zzx1@9": "41206da59c7812615882ab95aa1b5bdd88b3d9de1f4ffab19a47fdfb1d252b01",
+    "states/zzx2@1": "d0ef62cde1765acc205f58a2bfe5faddd8c7fc2b7403d12dcaa3ed510ad136c6",
+    "states/zzx2@2": "303cff52e0f7fd0b96ab4778d8f040d597943de3554b18d9c1452321b2875e95",
+    "states/zzx2@9": "71c0b7dd66f697564cb2bb5980b30c0f3a987b63518346e8c1b3f9b6e6733b85",
 }
 
 
@@ -116,13 +160,21 @@ def encode_digest(directory: Path, case: str) -> str:
 
 
 def bench_digest(directory: Path, case: str) -> str:
+    entries, flags = BENCH_CASES[case]
     cfg = {"dataset": str(_write_log(directory, "float")), "folds": 3, "seed": 1,
-           "epsilon": 100.0, **BENCH_CASES[case]}
+           "epsilon": 100.0, **entries}
     cfg_path = directory / f"bench-{case}.json"
     cfg_path.write_text(json.dumps(cfg))
     out_dir = directory / f"bench-{case}"
-    assert main(["bench", "--config", str(cfg_path), "--out-dir", str(out_dir)]) == 0
+    assert main(["bench", "--config", str(cfg_path), "--out-dir", str(out_dir), *flags]) == 0
     return hashlib.sha256((out_dir / "results.csv").read_bytes()).hexdigest()
+
+
+def state_digest(case: str) -> str:
+    variant, layers, n = STATE_CASES[case]
+    x = np.random.default_rng(n).uniform(0.0, np.pi, size=(6, n))
+    states = feature_map_states(FeatureMapKind(variant, layers), x)
+    return hashlib.sha256(states.tobytes()).hexdigest()
 
 
 @pytest.mark.parametrize("case", sorted(ENCODE_CASES))
@@ -135,6 +187,11 @@ def test_results_csv_bytes(case, tmp_path, capsys):
     assert bench_digest(tmp_path, case) == GOLDEN[f"bench/{case}"]
 
 
+@pytest.mark.parametrize("case", sorted(STATE_CASES))
+def test_feature_map_state_bytes(case):
+    assert state_digest(case) == GOLDEN[f"states/{case}"]
+
+
 if __name__ == "__main__":
     import tempfile
 
@@ -142,6 +199,7 @@ if __name__ == "__main__":
         directory = Path(tmp)
         table = {f"encode/{c}": encode_digest(directory, c) for c in sorted(ENCODE_CASES)}
         table |= {f"bench/{c}": bench_digest(directory, c) for c in sorted(BENCH_CASES)}
+    table |= {f"states/{c}": state_digest(c) for c in sorted(STATE_CASES)}
     print("GOLDEN = {")
     for key, digest in table.items():
         print(f'    "{key}": "{digest}",')
