@@ -89,6 +89,8 @@ def _as_matrix(data) -> np.ndarray:
             raise ValueError(f"expected a 2-d sample matrix, got shape {out.shape}")
         return out
     rows = list(data)
+    if not rows:
+        raise ValueError("an empty row list has no feature width; pass a (0, d) array")
     return np.asarray(rows, dtype=np.float64).reshape(len(rows), -1)
 
 

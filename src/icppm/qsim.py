@@ -5,10 +5,17 @@ the state reshaped to [2]*n, i.e. qubit 0 is the most significant bit of
 the basis index; index 0 is |0...0>. One gate engine, ``_apply_op``, updates
 a batch of states in place via axis slicing, O(2^n) per gate and state, and
 never materializes a 2^n x 2^n matrix (the dense-matrix construction used
-for cross-checks lives in ``icppm.oracles``). ``feature_map_states`` runs one
-feature map over many inputs and serves the kernels and the VQC; ``run``
-simulates one circuit gate by gate as a batch of one, and ``kernel_overlap``
-reads a kernel entry off two such states, as the per-pair reference.
+for cross-checks lives in ``icppm.oracles``). H and RY are real 2x2 gates,
+so they act alike on the real and imaginary parts: they run on the batch's
+float64 view, where every operand is a float64 array that numpy iterates
+without a cast buffer, except on the last qubit, whose halves coalesce to
+one strided complex axis. Their products go into a caller's scratch buffer
+with ``out=`` and are combined in place, so a gate allocates no batch-sized
+temporary. ``feature_map_states`` runs one feature map over many inputs
+with one scratch buffer for the whole call and serves the kernels and the
+VQC; ``run`` simulates one circuit gate by gate as a batch of one, and
+``kernel_overlap`` reads a kernel entry off two such states, as the
+per-pair reference.
 """
 
 from __future__ import annotations
@@ -110,34 +117,64 @@ def _per_row(angle, n_free: int):
     return angle
 
 
+def _halves(scratch: np.ndarray | None, shape: tuple, dtype) -> tuple[np.ndarray, np.ndarray]:
+    """Two arrays of ``shape`` and ``dtype`` over ``scratch``, which must hold
+    at least twice their bytes (None allocates them)."""
+    size = math.prod(shape)
+    if scratch is None:
+        flat = np.empty(2 * size, dtype=dtype)
+    else:
+        flat = scratch.reshape(-1).view(dtype)[:2 * size]
+    return flat[:size].reshape(shape), flat[size:].reshape(shape)
+
+
 def _apply_op(psi: np.ndarray, n: int, kind: str, targets: tuple[int, ...],
-              angle=None) -> None:
-    """Mutate a (B, 2, ..., 2) batch of B states of n qubits in place.
+              angle=None, scratch: np.ndarray | None = None) -> None:
+    """Mutate a C-contiguous (B, 2, ..., 2) batch of B states of n qubits in
+    place.
 
     ``angle`` is one float for the whole batch or an array of B angles,
-    one per state.
+    one per state. ``scratch`` is any C-contiguous array of at least the
+    batch's bytes that H and RY may overwrite; without it they allocate
+    their own.
     """
-    if kind == "H":
+    if kind in ("H", "RY"):
         (q,) = targets
-        i0, i1 = _idx(n, (q, 0)), _idx(n, (q, 1))
-        s0, s1 = psi[i0], psi[i1]
-        inv = 1.0 / math.sqrt(2.0)
-        new0 = (s0 + s1) * inv
-        new1 = (s0 - s1) * inv
-        psi[i0] = new0
-        psi[i1] = new1
-    elif kind == "RY":
-        (q,) = targets
-        i0, i1 = _idx(n, (q, 0)), _idx(n, (q, 1))
+        if q == n - 1:
+            # The halves of the last qubit are each one strided complex axis.
+            view = psi
+        else:
+            view = psi.view(np.float64).reshape(psi.shape + (2,))
+        s0, s1 = view[_idx(n, (q, 0))], view[_idx(n, (q, 1))]
+        t0, t1 = _halves(scratch, s0.shape, view.dtype)
+        # numpy gives every strided operand of a ufunc its own iteration
+        # buffer, so each call below touches at most one strided half.
+        if kind == "H":
+            inv = 1.0 / math.sqrt(2.0)
+            np.copyto(t1, s1)
+            np.subtract(s0, t1, out=t0)
+            np.add(s0, t1, out=t1)
+            np.multiply(t1, inv, out=s0)     # (s0 + s1) / sqrt 2
+            np.multiply(t0, inv, out=s1)     # (s0 - s1) / sqrt 2
+            return
         if isinstance(angle, np.ndarray):
-            c, s = _per_row(np.cos(angle / 2.0), n - 1), _per_row(np.sin(angle / 2.0), n - 1)
+            # Per-row factors in the view's dtype, so no operand needs a cast.
+            c = _per_row(np.cos(angle / 2.0).astype(view.dtype), t0.ndim - 1)
+            s = _per_row(np.sin(angle / 2.0).astype(view.dtype), t0.ndim - 1)
         else:
             c, s = math.cos(angle / 2.0), math.sin(angle / 2.0)
-        s0, s1 = psi[i0], psi[i1]
-        new0 = c * s0 - s * s1
-        new1 = s * s0 + c * s1
-        psi[i0] = new0
-        psi[i1] = new1
+        np.copyto(t0, s0)
+        t0 *= c
+        np.copyto(t1, s1)
+        t1 *= s
+        t0 -= t1                             # c s0 - s s1
+        np.copyto(t1, s0)
+        t1 *= s                              # s s0
+        np.copyto(s0, t0)
+        np.copyto(t0, s1)
+        t0 *= c
+        t0 += t1                             # c s1 + s s0
+        np.copyto(s1, t0)
     elif kind == "P":
         (q,) = targets
         psi[_idx(n, (q, 1))] *= _per_row(np.exp(1j * angle), n - 1)
@@ -205,7 +242,8 @@ def build_feature_map(kind: FeatureMapKind, x: Sequence[float]) -> CircuitSpec:
 
 
 # Basis states per block when folding diagonal gates into phases; bounds the
-# (block, n(n-1)/2) pair table at a few MB for wide maps.
+# (block, n(n-1)/2) pair table at a few MB for wide maps. The block size
+# decides how BLAS splits the products, so changing it moves the last bit.
 _PHASE_BLOCK = 4096
 
 
@@ -216,51 +254,58 @@ def _layer_phase(kind: FeatureMapKind, x: np.ndarray) -> np.ndarray:
     phi = (2x).b + a.diff - sum(a)/2, where a_ij = 2(pi - x_i)(pi - x_j) is
     the RZZ angle of pair i < j and diff_ij marks b_i != b_j. The first term
     is the P(2x_i) gates of the ``zz`` map; ``angle_zz`` has RY there instead,
-    which is not diagonal and runs as a gate.
+    which is not diagonal and runs as a gate. phi is written into the
+    imaginary part of the returned buffer and exponentiated in place.
     """
     b, n = x.shape
     iu, ju = np.triu_indices(n, 1)
     c = math.pi - x
     a = 2.0 * c[:, iu] * c[:, ju]
     shifts = np.arange(n - 1, -1, -1)
-    phase = np.empty((b, 2 ** n))
+    phase = np.zeros((b, 2 ** n), dtype=np.complex128)
     for start in range(0, 2 ** n, _PHASE_BLOCK):
         k = np.arange(start, min(start + _PHASE_BLOCK, 2 ** n))
-        bits = (k[:, None] >> shifts) & 1
+        bits = ((k[:, None] >> shifts) & 1).astype(np.uint8)
         # a.diff - sum(a)/2 in one product: each pair adds +a/2 or -a/2.
         block = a @ ((bits[:, iu] != bits[:, ju]) - 0.5).T
         if kind.variant == "zz":
             block += (2.0 * x) @ bits.T
-        phase[:, start:start + len(k)] = block
-    return np.exp(1j * phase)
+        phase.imag[:, start:start + len(k)] = block
+    return np.exp(phase, out=phase)
 
 
 def feature_map_states(kind: FeatureMapKind, x) -> np.ndarray:
     """States V(x)|0...0> for every row of ``x``, shape (B, 2**n).
 
     Same circuit as ``build_feature_map`` per row, run for the whole batch at
-    once: H and RY through ``_apply_op`` with one angle per row, and each
-    layer's diagonal gates folded into one phase per basis state.
+    once: H and RY through ``_apply_op`` with one angle per row and one
+    scratch buffer for the whole call, and each layer's diagonal gates
+    folded into one phase per basis state. Zero rows give a (0, 2**n)
+    batch; a non-finite feature raises ValueError.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] == 0:
         raise ValueError(f"expected a non-empty (rows, features) matrix, got shape {x.shape}")
+    finite = np.isfinite(x).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"feature row {int(np.argmin(finite))} is not finite")
     b, n = x.shape
     psi = np.zeros((b,) + (2,) * n, dtype=np.complex128)
     psi[(slice(None),) + (0,) * n] = 1.0
     phase = None if kind.variant == "angle" else _layer_phase(kind, x).reshape(psi.shape)
+    scratch = np.empty_like(psi)
     for _ in range(kind.layers):
         if kind.variant == "angle":
             for q in range(n):
-                _apply_op(psi, n, "RY", (q,), x[:, q])
+                _apply_op(psi, n, "RY", (q,), x[:, q], scratch)
             continue
         for q in range(n):
-            _apply_op(psi, n, "H", (q,))
+            _apply_op(psi, n, "H", (q,), scratch=scratch)
         if kind.variant == "angle_zz":
             for q in range(n):
-                _apply_op(psi, n, "RY", (q,), 2.0 * x[:, q])
+                _apply_op(psi, n, "RY", (q,), 2.0 * x[:, q], scratch)
         psi *= phase
-    return psi.reshape(b, -1)
+    return psi.reshape(b, 2 ** n)
 
 
 def weight_layer(theta: Sequence[float], n_qubits: int, entangle: bool = True) -> CircuitSpec:

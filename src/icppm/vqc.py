@@ -11,8 +11,14 @@ SPSA as a cheaper seeded alternative.
 Rows run as one batch: ``qsim.feature_map_states`` simulates the feature
 map once per call (once per ``train``), and the weight layers act on that
 (rows, 2^n) batch with one angle per RY gate for all rows and the CNOT
-ring as one basis-index permutation. A parameter-shift step keeps about
-L + 3 such batches in memory.
+ring as one basis-index permutation. ``train`` allocates one workspace and
+reuses it for every loss, parameter-shift step and readout: three (rows,
+2^n) complex buffers, which take turns as the unshifted prefix state, the
+state being advanced, and the gate scratch or the ring's destination, plus
+one (rows, 2^n) float buffer for |psi|^2. With the cached feature-map
+states it holds 4.5 batches, whatever the number of layers. ``loss`` and
+``parameter_shift_gradient`` allocate one workspace per call, and
+``forward_many`` one spare batch and one |psi|^2 buffer.
 """
 
 from __future__ import annotations
@@ -108,28 +114,50 @@ def _ring_permutation(n: int, entangle: bool) -> np.ndarray | None:
     return perm
 
 
-def _ry_block(psi: np.ndarray, angles: np.ndarray) -> None:
+def _workspace(rows: int, n: int) -> tuple[np.ndarray, ...]:
+    """Three complex state buffers and one |psi|^2 buffer for batches of up
+    to ``rows`` states of n qubits; a batch of b rows uses ``buf[:b]`` of
+    each, which stays C-contiguous."""
+    dim = 2 ** n
+    return (*(np.empty((rows, dim), dtype=np.complex128) for _ in range(3)),
+            np.empty((rows, dim)))
+
+
+def _ry_block(psi: np.ndarray, angles: np.ndarray, scratch: np.ndarray) -> None:
     """RY(angles[q]) on every qubit q of a (B, 2**n) batch, in place; one
     angle per gate for all rows."""
     n = len(angles)
     view = psi.reshape((len(psi),) + (2,) * n)
     for q in range(n):
-        _apply_op(view, n, "RY", (q,), float(angles[q]))
+        _apply_op(view, n, "RY", (q,), float(angles[q]), scratch)
 
 
-def _run_layers(psi: np.ndarray, theta: np.ndarray, perm: np.ndarray | None,
-                start: int = 0) -> np.ndarray:
-    """Weight layers ``start``.. applied to a (B, 2**n) batch that may be
-    overwritten; returns the final batch."""
+def _ring(psi: np.ndarray, spare: np.ndarray, perm: np.ndarray | None):
+    """The CNOT ring as ``psi[:, perm]`` written into ``spare``; returns
+    (state, free buffer)."""
+    if perm is None:
+        return psi, spare
+    # mode="clip" skips the bounds check for which numpy would first gather
+    # into a temporary of the output's size.
+    np.take(psi, perm, axis=1, out=spare, mode="clip")
+    return spare, psi
+
+
+def _run_layers(psi: np.ndarray, spare: np.ndarray, theta: np.ndarray,
+                perm: np.ndarray | None, start: int = 0):
+    """Weight layers ``start``.. applied to the (B, 2**n) batch ``psi``, with
+    ``spare`` as gate scratch and ring destination; both are overwritten.
+    Returns (final state, free buffer)."""
     for layer in theta[start:]:
-        _ry_block(psi, layer)
-        if perm is not None:
-            psi = psi[:, perm]
-    return psi
+        _ry_block(psi, layer, spare)
+        psi, spare = _ring(psi, spare, perm)
+    return psi, spare
 
 
-def _readout(psi: np.ndarray, n_classes: int, shots: ShotConfig) -> np.ndarray:
-    """Class scores per row of a (B, 2**n) batch, shape (B, n_classes).
+def _readout(psi: np.ndarray, n_classes: int, shots: ShotConfig,
+             probs: np.ndarray) -> np.ndarray:
+    """Class scores per row of a (B, 2**n) batch, shape (B, n_classes);
+    |psi|^2 goes into ``probs``, a (B, 2**n) float buffer.
 
     Marginal of the first r qubits (exact, or counted from ``shots.shots``
     samples per row, every row drawn with ``shots.seed``), bitstring b dealt
@@ -138,15 +166,16 @@ def _readout(psi: np.ndarray, n_classes: int, shots: ShotConfig) -> np.ndarray:
     b, dim = psi.shape
     n = dim.bit_length() - 1
     r = max(1, math.ceil(math.log2(n_classes)))
-    probs = np.abs(psi) ** 2
+    np.abs(psi, out=probs)
+    np.square(probs, out=probs)
     if shots.exact:
-        marginal = probs.reshape(b, 2 ** r, -1).sum(axis=2)
+        marginal = probs.reshape(b, 2 ** r, dim >> r).sum(axis=2)
     else:
         counts = [
             np.bincount(sample_indices(p, shots.shots, shots.seed) >> (n - r), minlength=2 ** r)
             for p in probs
         ]
-        marginal = np.array(counts) / shots.shots
+        marginal = np.array(counts).reshape(b, 2 ** r) / shots.shots
     # 2**r < 2C, so each class collects one or two bitstrings.
     dealt = np.zeros((b, 2 * n_classes))
     dealt[:, :2 ** r] = marginal
@@ -166,9 +195,10 @@ def _feature_states(model: VqcModel, xs) -> np.ndarray:
 
 def forward_many(model: VqcModel, xs, shots: ShotConfig = EXACT) -> np.ndarray:
     """Per-class probability scores of every row, shape (rows, classes)."""
-    psi = _run_layers(_feature_states(model, xs), model.theta,
-                      _ring_permutation(model.n_qubits, model.entangle))
-    return _readout(psi, len(model.classes), shots)
+    states = _feature_states(model, xs)
+    psi, _ = _run_layers(states, np.empty_like(states), model.theta,
+                         _ring_permutation(model.n_qubits, model.entangle))
+    return _readout(psi, len(model.classes), shots, np.empty(states.shape))
 
 
 def forward(model: VqcModel, x: Sequence[float], shots: ShotConfig = EXACT) -> np.ndarray:
@@ -205,18 +235,34 @@ def _batch_loss(
     n_classes: int,
     perm: np.ndarray | None,
     shots: ShotConfig,
+    ws: tuple[np.ndarray, ...],
 ) -> float:
     """Mean cross-entropy over a batch of cached feature-map states."""
-    probs = _readout(_run_layers(states.copy(), theta, perm), n_classes, shots)
-    return _cross_entropy(probs[np.arange(len(probs)), class_idx])
+    b = len(states)
+    psi, spare, _, probs = (buf[:b] for buf in ws)
+    np.copyto(psi, states)
+    psi, _ = _run_layers(psi, spare, theta, perm)
+    scores = _readout(psi, n_classes, shots, probs)
+    return _cross_entropy(scores[np.arange(b), class_idx])
+
+
+def _labelled_states(model: VqcModel, xs, labels) -> tuple[np.ndarray, np.ndarray]:
+    """Feature-map states and class indices of a labelled batch, which must
+    not be empty: its mean loss would be 0/0."""
+    class_idx = _class_indices(model.classes, labels)
+    states = _feature_states(model, xs)
+    if len(states) == 0:
+        raise ValueError("empty batch: the mean loss of zero samples is undefined")
+    return states, class_idx
 
 
 def loss(model: VqcModel, xs, labels, shots: ShotConfig = EXACT) -> float:
     """Mean cross-entropy of the model on (samples, labels)."""
-    class_idx = _class_indices(model.classes, labels)
+    states, class_idx = _labelled_states(model, xs, labels)
     return _batch_loss(
-        _feature_states(model, xs), model.theta, class_idx, len(model.classes),
+        states, model.theta, class_idx, len(model.classes),
         _ring_permutation(model.n_qubits, model.entangle), shots,
+        _workspace(len(states), model.n_qubits),
     )
 
 
@@ -235,32 +281,32 @@ def _shift_gradient(
     n_classes: int,
     perm: np.ndarray | None,
     shots: ShotConfig,
+    ws: tuple[np.ndarray, ...],
 ) -> np.ndarray:
     """Parameter-shift gradient of the mean cross-entropy on cached states.
 
     RY(t +- pi/2) = RY(+-pi/2) RY(t), and the RYs of one layer commute, so
     the two circuits shifted at (l, q) share everything up to the end of
-    layer l's RY block: each is one RY(+-pi/2) on a copy of that state, then
-    the ring and the later layers.
+    layer l's RY block: each is one RY(+-pi/2) on a copy of that prefix
+    state, then the ring and the later layers, run in the other two buffers.
     """
     m = len(states)
     n_layers, n = theta.shape
     rows = np.arange(m)
     shifted_p = np.empty((2, m, n_layers, n))
-    psi = states.copy()
+    prefix, work, spare, probs = (buf[:m] for buf in ws)
+    np.copyto(prefix, states)
     for l in range(n_layers):
-        _ry_block(psi, theta[l])
+        _ry_block(prefix, theta[l], work)
         for q in range(n):
             for side, angle in enumerate((math.pi / 2.0, -math.pi / 2.0)):
-                shifted = psi.copy()
-                _apply_op(shifted.reshape((m,) + (2,) * n), n, "RY", (q,), angle)
-                if perm is not None:
-                    shifted = shifted[:, perm]
-                shifted = _run_layers(shifted, theta, perm, l + 1)
-                shifted_p[side, :, l, q] = _readout(shifted, n_classes, shots)[rows, class_idx]
-        if perm is not None:
-            psi = psi[:, perm]
-    p_true = _readout(psi, n_classes, shots)[rows, class_idx]
+                np.copyto(work, prefix)
+                _apply_op(work.reshape((m,) + (2,) * n), n, "RY", (q,), angle, spare)
+                psi, free = _ring(work, spare, perm)
+                psi, _ = _run_layers(psi, free, theta, perm, l + 1)
+                shifted_p[side, :, l, q] = _readout(psi, n_classes, shots, probs)[rows, class_idx]
+        prefix, work = _ring(prefix, work, perm)
+    p_true = _readout(prefix, n_classes, shots, probs)[rows, class_idx]
     inv_p = -1.0 / np.maximum(p_true, _P_FLOOR)
     # dp/dt = (p(t + pi/2) - p(t - pi/2)) / 2; rows are summed in order.
     terms = inv_p[:, None, None] * 0.5 * (shifted_p[0] - shifted_p[1])
@@ -278,10 +324,11 @@ def parameter_shift_gradient(
     Each RY weight parameter obeys the parameter-shift rule
     dp/dt = (p(t + pi/2) - p(t - pi/2)) / 2 for every outcome probability.
     """
-    class_idx = _class_indices(model.classes, labels)
+    states, class_idx = _labelled_states(model, xs, labels)
     return _shift_gradient(
-        _feature_states(model, xs), model.theta, class_idx, len(model.classes),
+        states, model.theta, class_idx, len(model.classes),
         _ring_permutation(model.n_qubits, model.entangle), shots,
+        _workspace(len(states), model.n_qubits),
     )
 
 
@@ -294,10 +341,11 @@ def _spsa_gradient(
     rng: np.random.Generator,
     c_step: float,
     shots: ShotConfig,
+    ws: tuple[np.ndarray, ...],
 ) -> np.ndarray:
     delta = rng.choice((-1.0, 1.0), size=theta.shape)
-    up = _batch_loss(states, theta + c_step * delta, class_idx, n_classes, perm, shots)
-    down = _batch_loss(states, theta - c_step * delta, class_idx, n_classes, perm, shots)
+    up = _batch_loss(states, theta + c_step * delta, class_idx, n_classes, perm, shots, ws)
+    down = _batch_loss(states, theta - c_step * delta, class_idx, n_classes, perm, shots, ws)
     return (up - down) / (2.0 * c_step) * delta
 
 
@@ -331,28 +379,32 @@ def train(
     n_classes = len(classes)
     states = feature_map_states(feature_map, xs)
     perm = _ring_permutation(n, entangle)
+    ws = _workspace(len(xs), n)
 
-    history = [_batch_loss(states, model.theta, class_idx, n_classes, perm, shots)]
+    history = [_batch_loss(states, model.theta, class_idx, n_classes, perm, shots, ws)]
     for epoch in range(opt.epochs):
         if not math.isfinite(history[-1]):
             raise TrainingError("training loss diverged", epoch=epoch)
         for batch in _batches(len(xs), opt.batch_size, rng):
             if opt.method == "parameter_shift":
                 grad = _shift_gradient(states[batch], model.theta, class_idx[batch],
-                                       n_classes, perm, shots)
+                                       n_classes, perm, shots, ws)
             else:
                 grad = _spsa_gradient(model.theta, states[batch], class_idx[batch],
-                                      n_classes, perm, rng, opt.spsa_step, shots)
+                                      n_classes, perm, rng, opt.spsa_step, shots, ws)
             model.theta = model.theta - opt.learning_rate * grad
-        history.append(_batch_loss(states, model.theta, class_idx, n_classes, perm, shots))
+        history.append(_batch_loss(states, model.theta, class_idx, n_classes, perm, shots, ws))
         if not math.isfinite(history[-1]):
             raise TrainingError("training loss diverged", epoch=epoch)
     model.loss_history = tuple(history)
     return model
 
 
-def _batches(m: int, batch_size: int | None, rng: np.random.Generator) -> list[np.ndarray]:
+def _batches(m: int, batch_size: int | None,
+             rng: np.random.Generator) -> list[np.ndarray | slice]:
+    """Row selections of one epoch; a full batch is a slice, so that
+    indexing the cached states with it copies nothing."""
     if batch_size is None or batch_size >= m:
-        return [np.arange(m)]
+        return [slice(None)]
     order = rng.permutation(m)
     return [order[i:i + batch_size] for i in range(0, m, batch_size)]

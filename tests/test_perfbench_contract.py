@@ -31,7 +31,7 @@ spans = _load("spans")
 run = _load("run")
 
 # Workload -> events in the small log the traced run reads.
-SMALL = {"encode_window": 400, "qke_gram": 30}
+SMALL = {"encode_window": 400, "qke_gram": 30, "vqc_train": 45}
 
 
 @pytest.fixture(params=sorted(SMALL))
@@ -73,3 +73,9 @@ def test_layer_calls_per_fold(traced):
     assert metrics["encoding.intra_calls"] == 2 * cfg.folds
     assert metrics["intercase.encode_calls"] == 2 * cfg.folds
     assert metrics["encoding.scale_calls"] == 3 * cfg.folds
+
+
+def test_traced_outputs_pass_the_benchmark_checks(traced):
+    # Oracle kernel entries, a symmetric unit-diagonal Gram and a falling VQC loss.
+    workload, _, rec, _ = traced
+    assert run.check_outputs(workload, rec, 1) == []

@@ -411,3 +411,15 @@ class TestFeatureMapStates:
             feature_map_states(FeatureMapKind("zz"), np.zeros(3))
         with pytest.raises(ValueError):
             feature_map_states(FeatureMapKind("zz"), np.zeros((2, 0)))
+
+    @pytest.mark.parametrize("variant", FEATURE_MAPS)
+    def test_zero_rows_give_an_empty_batch(self, variant):
+        states = feature_map_states(FeatureMapKind(variant, 2), np.zeros((0, 3)))
+        assert states.shape == (0, 8) and states.dtype == np.complex128
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_feature_rejected(self, bad):
+        x = np.zeros((3, 2))
+        x[1, 0] = bad
+        with pytest.raises(ValueError, match="row 1 is not finite"):
+            feature_map_states(FeatureMapKind("angle"), x)

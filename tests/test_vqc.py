@@ -343,6 +343,31 @@ class TestBatchedEngine:
             parameter_shift_gradient(model, np.zeros((1, 3)), ["a"])
 
 
+class TestEdgeBatches:
+    MODEL = VqcModel(FeatureMapKind("zz"), np.full((2, 3), 0.3), ("a", "b", "c"))
+
+    def test_zero_rows(self):
+        empty = np.zeros((0, 3))
+        assert forward_many(self.MODEL, empty).shape == (0, 3)
+        assert forward_many(self.MODEL, empty, ShotConfig(20, seed=1)).shape == (0, 3)
+        assert predict_many(self.MODEL, empty) == []
+        with pytest.raises(ValueError, match="empty batch"):
+            loss(self.MODEL, empty, [])
+        with pytest.raises(ValueError, match="empty batch"):
+            parameter_shift_gradient(self.MODEL, empty, [])
+
+    def test_empty_row_list_names_the_missing_width(self):
+        with pytest.raises(ValueError, match="no feature width"):
+            forward_many(self.MODEL, [])
+
+    def test_non_finite_features_raise(self):
+        bad = [[math.nan, 0.0, 0.0]]
+        with pytest.raises(ValueError, match="not finite"):
+            parameter_shift_gradient(self.MODEL, bad, ["a"])
+        with pytest.raises(ValueError, match="not finite"):
+            forward_many(self.MODEL, [[0.0, math.inf, 0.0]])
+
+
 class TestPredictMany:
     def test_equals_per_row_predict(self):
         rng = np.random.default_rng(8)
