@@ -6,14 +6,15 @@ the basis index; index 0 is |0...0>. One gate engine, ``_apply_op``, updates
 a batch of states in place via axis slicing, O(2^n) per gate and state, and
 never materializes a 2^n x 2^n matrix (the dense-matrix construction used
 for cross-checks lives in ``icppm.oracles``). H and RY are real 2x2 gates,
-so they act alike on the real and imaginary parts: they run on the batch's
-float64 view, where every operand is a float64 array that numpy iterates
-without a cast buffer, except on the last qubit, whose halves coalesce to
-one strided complex axis. Their products go into a caller's scratch buffer
-with ``out=`` and are combined in place, so a gate allocates no batch-sized
-temporary. ``feature_map_states`` runs one feature map over many inputs
-with one scratch buffer for the whole call and serves the kernels and the
-VQC; ``run`` simulates one circuit gate by gate as a batch of one, and
+so they act alike on the real and imaginary parts and run on the batch's
+float64 view; on the last qubit, whose halves are each one strided axis of
+the complex view, they run on that. Their products go into two scratch
+half-batches that the caller passes and are combined in place, and each
+numpy call touches at most one strided half, so a gate allocates neither a
+batch-sized temporary nor more than one numpy iteration buffer.
+``feature_map_states`` runs one feature map over many inputs with one
+scratch buffer for the whole call and serves the kernels and the VQC;
+``run`` simulates one circuit gate by gate as a batch of one, and
 ``kernel_overlap`` reads a kernel entry off two such states, as the
 per-pair reference.
 """
