@@ -18,6 +18,7 @@ import json
 import logging
 import math
 import os
+import statistics
 import time
 from collections import Counter
 from dataclasses import asdict, dataclass, fields, replace
@@ -125,7 +126,7 @@ class ExperimentConfig:
     seed: int = 0
     scale_lo: float = 0.0
     scale_hi: float = math.pi
-    # Accepted for existing configs; kernels run as one batch and ignore it.
+    # Has no effect (kernels run as one batch); perfbench/run.py still passes it.
     threads: int = 1
     cache_dir: str | None = None
     mode: str = "experiment"
@@ -186,15 +187,7 @@ class ExperimentConfig:
         return cls.from_dict(data)
 
     def to_dict(self) -> dict:
-        out = {}
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, tuple):
-                value = list(value)
-            elif isinstance(value, Mapping):
-                value = dict(value)
-            out[f.name] = value
-        return out
+        return asdict(self)
 
     def fingerprint(self) -> str:
         payload = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
@@ -272,8 +265,29 @@ class RunResult:
         return asdict(self) | {"fold_accuracies": list(self.fold_accuracies)}
 
 
-def _build_vocab(values) -> Vocabulary:
-    return Vocabulary.from_values(values)
+# The RunResult counters that add up, with their zero: a run sums them over
+# its folds and a window sweep's average row over its runs.
+SUMMED = {
+    "fit_time_s": 0.0,
+    "gram_time_s": 0.0,
+    "kernel_evaluations": 0,
+    "cross_evaluations": 0,
+    "states_simulated": 0,
+    "smo_iterations": 0,
+    "encode_time_s": 0.0,
+}
+
+
+def _aggregate(parts: Sequence[Mapping]) -> dict:
+    """One RunResult's counters from those of its folds or runs: the sum of
+    each SUMMED counter, the mean ``vqc_final_loss`` and the largest
+    ``smo_kkt_gap`` (None where no part has one)."""
+    losses = [p["vqc_final_loss"] for p in parts if p["vqc_final_loss"] is not None]
+    gaps = [p["smo_kkt_gap"] for p in parts if p["smo_kkt_gap"] is not None]
+    return {name: sum(p[name] for p in parts) for name in SUMMED} | {
+        "vqc_final_loss": float(np.mean(losses)) if losses else None,
+        "smo_kkt_gap": max(gaps) if gaps else None,
+    }
 
 
 def feature_label(cfg: ExperimentConfig) -> str:
@@ -318,12 +332,7 @@ def _train_window_width(cfg: ExperimentConfig, train_log: EventLog) -> float:
     if isinstance(cfg.window_base, (int, float)):
         base = float(cfg.window_base)
     else:
-        durations = sorted(t.duration.total_seconds() for t in train_log.traces)
-        mid = len(durations) // 2
-        if len(durations) % 2:
-            base = durations[mid]
-        else:
-            base = 0.5 * (durations[mid - 1] + durations[mid])
+        base = statistics.median(t.duration.total_seconds() for t in train_log.traces)
     width = cfg.window_fraction * base
     if width <= 0:
         raise ConfigError(
@@ -341,10 +350,10 @@ def fit_encoder(
     batch statistics and the window width. Returns samples -> feature block
     with one row per sample; the window features count peer events in
     ``index``."""
-    act_vocab = _build_vocab(fit_log.activity_vocab)
-    res_vocab = _build_vocab(fit_log.resource_vocab)
+    act_vocab = Vocabulary.from_values(fit_log.activity_vocab)
+    res_vocab = Vocabulary.from_values(fit_log.resource_vocab)
     attr_vocabs = {
-        name: _build_vocab(t.attributes.get(name, "") for t in fit_log.traces)
+        name: Vocabulary.from_values(t.attributes.get(name, "") for t in fit_log.traces)
         for name in cfg.static_attrs
     }
     intra = make_intra_encoder(
@@ -432,23 +441,15 @@ def run_experiment(
     index = EventIndex(log) if cfg.inter_features else None
 
     fold_accs: list[float] = []
-    fit_time = 0.0
-    gram_time = 0.0
-    gram_evals = 0
-    cross_evals = 0
-    states = 0
-    final_losses: list[float] = []
-    smo_iterations = 0
-    smo_gaps: list[float] = []
-    encode_time = 0.0
+    parts: list[dict] = []
     for fold in range(cfg.folds):
         train_idx, test_idx = folds.split(fold)
+        part = dict(SUMMED, vqc_final_loss=None, smo_kkt_gap=None)
         t_enc0 = time.perf_counter()
         x_train, y_train, x_test, y_test = _encode_fold(
             cfg, log, index, samples, train_idx, test_idx
         )
-        fold_encode = time.perf_counter() - t_enc0
-        encode_time += fold_encode
+        part["encode_time_s"] = time.perf_counter() - t_enc0
         shot_seed = derive_seed(cfg.seed, f"shots/{fold}")
         shots = ShotConfig(cfg.shots, shot_seed) if cfg.shots else EXACT
         t_fit0 = time.perf_counter()
@@ -458,7 +459,7 @@ def run_experiment(
             top = max(counts.values())
             majority = min(lab for lab, c in counts.items() if c == top)
             predictions = [majority] * len(y_test)
-            fit_time += time.perf_counter() - t_fit0
+            part["fit_time_s"] = time.perf_counter() - t_fit0
         elif kind == "vqc":
             opt = OptimizerConfig(
                 learning_rate=cfg.learning_rate,
@@ -470,10 +471,10 @@ def run_experiment(
                 x_train, y_train, FeatureMapKind(variant, fm_layers),
                 cfg.vqc_layers, opt, shots=shots,
             )
-            fit_time += time.perf_counter() - t_fit0
+            part["fit_time_s"] = time.perf_counter() - t_fit0
             predictions = vqc_predict(model, x_test, shots)
-            states += len(x_train) + len(x_test)
-            final_losses.append(model.loss_history[-1])
+            part["states_simulated"] = len(x_train) + len(x_test)
+            part["vqc_final_loss"] = model.loss_history[-1]
         else:
             kernel_kind = _kernel_kind(cfg, kind, variant, fm_layers, shots)
             key = None
@@ -492,49 +493,40 @@ def run_experiment(
             if k_train is None:
                 t_gram0 = time.perf_counter()
                 k_train = gram(x_train, kernel_kind)
-                gram_time += time.perf_counter() - t_gram0
+                part["gram_time_s"] = time.perf_counter() - t_gram0
                 if key is not None:
                     save_kernel(k_train, cfg.cache_dir, key)
-            gram_evals += k_train.eval_count
-            states += k_train.states_simulated
             if kernel_kind.variant == "quantum" and not kernel_kind.shots.exact:
                 k_train = psd_repair(k_train)
             model = fit_multiclass(k_train, y_train, C=cfg.C, tol=cfg.tol)
-            fit_time += time.perf_counter() - t_fit0
-            fold_iterations = sum(m.iterations for m in model.models)
-            fold_gap = max(m.kkt_gap for m in model.models)
-            smo_iterations += fold_iterations
-            smo_gaps.append(fold_gap)
-            fold_note = f" smo_iterations={fold_iterations} smo_kkt_gap={fold_gap:.3e}"
+            part["fit_time_s"] = time.perf_counter() - t_fit0
+            part["smo_iterations"] = sum(m.iterations for m in model.models)
+            part["smo_kkt_gap"] = max(m.kkt_gap for m in model.models)
+            fold_note = (f" smo_iterations={part['smo_iterations']}"
+                         f" smo_kkt_gap={part['smo_kkt_gap']:.3e}")
             k_test = cross(x_test, x_train, kernel_kind)
-            cross_evals += k_test.eval_count
-            states += k_test.states_simulated
+            part["kernel_evaluations"] = k_train.eval_count
+            part["cross_evaluations"] = k_test.eval_count
+            part["states_simulated"] = k_train.states_simulated + k_test.states_simulated
             predictions = svm_predict(model, k_test)
+        parts.append(part)
         correct = sum(1 for p, t in zip(predictions, y_test) if p == t)
         acc = correct / len(y_test)
         fold_accs.append(acc)
         log_.info("fold %d/%d: accuracy %.4f (%d test samples) encode_s=%.4f%s",
-                  fold + 1, cfg.folds, acc, len(y_test), fold_encode, fold_note)
+                  fold + 1, cfg.folds, acc, len(y_test), part["encode_time_s"], fold_note)
 
     return RunResult(
         classifier=cfg.classifier,
         features=feature_label(cfg),
         fold_accuracies=tuple(fold_accs),
         mean_accuracy=float(np.mean(fold_accs)),
-        fit_time_s=fit_time,
-        gram_time_s=gram_time,
-        kernel_evaluations=gram_evals,
-        cross_evaluations=cross_evals,
         config_fingerprint=cfg.fingerprint(),
         window_fraction=cfg.window_fraction if cfg.inter_features else None,
         sampling_fraction=cfg.sampling_fraction,
         seed=cfg.seed,
         n_samples=len(samples),
-        states_simulated=states,
-        vqc_final_loss=float(np.mean(final_losses)) if final_losses else None,
-        smo_iterations=smo_iterations,
-        smo_kkt_gap=max(smo_gaps) if smo_gaps else None,
-        encode_time_s=encode_time,
+        **_aggregate(parts),
     )
 
 
@@ -566,27 +558,14 @@ def sweep(
     if cfg.mode != "window_sweep":
         return results
     per_fold = np.mean([r.fold_accuracies for r in results], axis=0)
-    averaged = RunResult(
-        classifier=cfg.classifier,
+    averaged = replace(
+        results[0],
         features=feature_label(cfg) + "@avg",
         fold_accuracies=tuple(float(a) for a in per_fold),
         mean_accuracy=float(np.mean([r.mean_accuracy for r in results])),
-        fit_time_s=sum(r.fit_time_s for r in results),
-        gram_time_s=sum(r.gram_time_s for r in results),
-        kernel_evaluations=sum(r.kernel_evaluations for r in results),
-        cross_evaluations=sum(r.cross_evaluations for r in results),
         config_fingerprint=cfg.fingerprint(),
         window_fraction=None,
-        sampling_fraction=cfg.sampling_fraction,
-        seed=cfg.seed,
-        n_samples=results[0].n_samples,
-        states_simulated=sum(r.states_simulated for r in results),
-        vqc_final_loss=None if results[0].vqc_final_loss is None
-        else float(np.mean([r.vqc_final_loss for r in results])),
-        smo_iterations=sum(r.smo_iterations for r in results),
-        smo_kkt_gap=None if results[0].smo_kkt_gap is None
-        else max(r.smo_kkt_gap for r in results),
-        encode_time_s=sum(r.encode_time_s for r in results),
+        **_aggregate([asdict(r) for r in results]),
     )
     return results + [averaged]
 

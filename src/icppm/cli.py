@@ -12,7 +12,7 @@ import argparse
 import json
 import logging
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 from . import bench as bench_mod
@@ -24,34 +24,38 @@ from .oracles import run_kernel_check
 from .qsim import FEATURE_MAPS
 
 
+CONFIG_KEYS = frozenset(f.name for f in fields(ExperimentConfig))
+
+
+def _csv_tuple(text: str) -> tuple[str, ...]:
+    return tuple(item for item in text.split(",") if item)
+
+
+def _config(args, base: ExperimentConfig | None = None) -> ExperimentConfig:
+    """``base`` (default: the config defaults) with every config key given on
+    the command line: a flag whose destination is a config key sets it, and a
+    flag left out keeps the base's value."""
+    given = {key: value for key, value in vars(args).items() if key in CONFIG_KEYS}
+    return replace(base or ExperimentConfig(), **given)
+
+
 def _add_io_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("log", help=f"event log path (.xes/.csv, optionally .gz); "
-                                    f"relative paths also resolve under ${DATA_DIR_ENV}")
-    parser.add_argument("--format", dest="fmt", choices=("xes", "csv"), default=None,
+    parser.add_argument("dataset", metavar="log",
+                        help=f"event log path (.xes/.csv, optionally .gz); "
+                             f"relative paths also resolve under ${DATA_DIR_ENV}")
+    parser.add_argument("--format", dest="fmt", choices=("xes", "csv"),
                         help="override format detection")
     parser.add_argument("--filter-singletons", action="store_true",
                         help="drop cases whose activity sequence occurs only once")
-    parser.add_argument("--date-start", default=None, help="keep cases from this day (YYYYMMDD)")
-    parser.add_argument("--date-end", default=None, help="keep cases up to this day (YYYYMMDD)")
-    parser.add_argument("--slice-rule", choices=("first", "all", "any"), default="first",
-                        help="which events must fall in the date range (default: first)")
-
-
-def _io_config(args, **fields) -> ExperimentConfig:
-    """Config of the log and preprocessing flags from ``_add_io_flags``."""
-    return ExperimentConfig(
-        dataset=args.log,
-        fmt=args.fmt,
-        filter_singletons=args.filter_singletons,
-        date_start=args.date_start,
-        date_end=args.date_end,
-        slice_rule=args.slice_rule,
-        **fields,
-    )
+    parser.add_argument("--date-start", help="keep cases from this day (YYYYMMDD)")
+    parser.add_argument("--date-end", help="keep cases up to this day (YYYYMMDD)")
+    parser.add_argument("--slice-rule", choices=("first", "all", "any"),
+                        help="which events must fall in the date range "
+                             f"(default: {ExperimentConfig.slice_rule})")
 
 
 def _cmd_stats(args) -> int:
-    stats = log_statistics(bench_mod.load_and_slice(_io_config(args)))
+    stats = log_statistics(bench_mod.load_and_slice(_config(args)))
     if args.json:
         print(json.dumps(stats, sort_keys=True))
     else:
@@ -61,7 +65,7 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_prepare(args) -> int:
-    log = bench_mod.load_and_slice(_io_config(args))
+    log = bench_mod.load_and_slice(_config(args))
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     with out.open("w", newline="") as sink:
@@ -71,23 +75,9 @@ def _cmd_prepare(args) -> int:
 
 
 def _cmd_encode(args) -> int:
-    inter_features = tuple(f for f in (args.inter or "").split(",") if f)
-    cfg = _io_config(
-        args,
-        min_prefix=args.min_prefix,
-        max_prefix=args.max_prefix,
-        encoder=args.encoder,
-        k=args.k,
-        static_attrs=tuple(args.static_attrs.split(",")) if args.static_attrs else (),
-        inter_features=inter_features,
-        window_fraction=args.window_fraction,
-        window_base=args.window_base if args.window_base is not None else "train_median",
-        epsilon=args.epsilon,
-        min_burst=args.min_burst,
-        seed=args.seed,
-    )
+    cfg = _config(args)
     log, samples = bench_mod.prepare_samples(cfg)
-    index = bench_mod.EventIndex(log) if inter_features else None
+    index = bench_mod.EventIndex(log) if cfg.inter_features else None
     block = bench_mod.fit_encoder(cfg, log, index)(samples)
     if args.scale:
         block = apply_scaler(block, fit_scaler(block, (cfg.scale_lo, cfg.scale_hi)))
@@ -101,18 +91,9 @@ def _cmd_encode(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    cfg = ExperimentConfig.from_json(args.config)
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.threads is not None:
-        overrides["threads"] = args.threads
-    if args.shots is not None:
-        overrides["shots"] = args.shots
+    cfg = _config(args, ExperimentConfig.from_json(args.config))
     if args.exact:
-        overrides["shots"] = None
-    if overrides:
-        cfg = replace(cfg, **overrides)
+        cfg = replace(cfg, shots=None)
 
     results = bench_mod.sweep(cfg)
     for r in results:
@@ -160,48 +141,49 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--verbose", action="store_true", help="log progress to stderr")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_stats = sub.add_parser("stats", help="print summary statistics of a log")
+    # Flags default to argparse.SUPPRESS, so only flags given on the command
+    # line reach _config.
+    config_parser = dict(argument_default=argparse.SUPPRESS)
+    p_stats = sub.add_parser("stats", help="print summary statistics of a log", **config_parser)
     _add_io_flags(p_stats)
-    p_stats.add_argument("--json", action="store_true", help="machine-readable output")
+    p_stats.add_argument("--json", action="store_true", default=False,
+                         help="machine-readable output")
     p_stats.set_defaults(func=_cmd_stats)
 
-    p_prep = sub.add_parser("prepare", help="preprocess a log and write canonical CSV")
+    p_prep = sub.add_parser("prepare", help="preprocess a log and write canonical CSV",
+                            **config_parser)
     _add_io_flags(p_prep)
     p_prep.add_argument("--out", required=True, help="output CSV path")
     p_prep.set_defaults(func=_cmd_prepare)
 
-    p_enc = sub.add_parser("encode", help="expand prefixes and write a feature CSV")
+    p_enc = sub.add_parser("encode", help="expand prefixes and write a feature CSV",
+                           **config_parser)
     _add_io_flags(p_enc)
     p_enc.add_argument("--out", required=True, help="output CSV path")
-    p_enc.add_argument("--encoder", default="index_bsd", choices=INTRA_ENCODERS)
-    p_enc.add_argument("--k", type=int, default=4, help="index encoding prefix length")
-    p_enc.add_argument("--static-attrs", default="",
+    p_enc.add_argument("--encoder", choices=INTRA_ENCODERS)
+    p_enc.add_argument("--k", type=int, help="index encoding prefix length")
+    p_enc.add_argument("--static-attrs", type=_csv_tuple,
                        help="comma-separated case attributes for the static encoder")
-    p_enc.add_argument("--inter", default="",
+    p_enc.add_argument("--inter", dest="inter_features", type=_csv_tuple,
                        help="comma-separated inter-case features (max 2)")
-    p_enc.add_argument("--window-fraction", type=float, default=0.3)
-    p_enc.add_argument("--window-base", type=float, default=None,
+    p_enc.add_argument("--window-fraction", type=float)
+    p_enc.add_argument("--window-base", type=float,
                        help="window base in seconds (default: median case duration)")
-    p_enc.add_argument("--epsilon", type=float, default=86400.0,
-                       help="batch detection window in seconds")
-    p_enc.add_argument("--min-burst", type=int, default=3,
-                       help="distinct cases needed to mark a batch")
-    p_enc.add_argument("--min-prefix", type=int, default=1)
-    p_enc.add_argument("--max-prefix", type=int, default=None)
-    p_enc.add_argument("--seed", type=int, default=0)
+    p_enc.add_argument("--epsilon", type=float, help="batch detection window in seconds")
+    p_enc.add_argument("--min-burst", type=int, help="distinct cases needed to mark a batch")
+    p_enc.add_argument("--min-prefix", type=int)
+    p_enc.add_argument("--max-prefix", type=int)
+    p_enc.add_argument("--seed", type=int)
     p_enc.add_argument("--no-scale", dest="scale", action="store_false",
                        help="write raw feature values instead of [0, pi] scaled")
     p_enc.set_defaults(func=_cmd_encode, scale=True)
 
-    p_bench = sub.add_parser("bench", help="run a cross-validated experiment")
+    p_bench = sub.add_parser("bench", help="run a cross-validated experiment", **config_parser)
     p_bench.add_argument("--config", required=True, help="experiment config JSON")
     p_bench.add_argument("--out-dir", default="results", help="output directory")
-    p_bench.add_argument("--seed", type=int, default=None, help="override config seed")
-    p_bench.add_argument("--threads", type=int, default=None,
-                         help="accepted for existing scripts; has no effect")
-    p_bench.add_argument("--shots", type=int, default=None,
-                         help="override shots per kernel estimate")
-    p_bench.add_argument("--exact", action="store_true",
+    p_bench.add_argument("--seed", type=int, help="override config seed")
+    p_bench.add_argument("--shots", type=int, help="override shots per kernel estimate")
+    p_bench.add_argument("--exact", action="store_true", default=False,
                          help="force exact simulation (overrides --shots)")
     p_bench.set_defaults(func=_cmd_bench)
 

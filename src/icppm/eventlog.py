@@ -92,6 +92,12 @@ class Trace:
         ordered = tuple(sorted(events, key=lambda e: e.timestamp))
         return cls(case_id, ordered, dict(attributes or {}))
 
+    def prefix(self, k: int) -> "Trace":
+        """The first k events; a slice of a checked trace needs no re-check."""
+        prefix = object.__new__(Trace)
+        prefix.__dict__.update(vars(self), events=self.events[:k])
+        return prefix
+
     def __len__(self) -> int:
         return len(self.events)
 
@@ -241,7 +247,7 @@ def parse_xes(source: IO[bytes] | bytes) -> EventLog:
                     raise RecordError(
                         f"trace {case_id!r}: bad timestamp {raw_ts!r}: {exc}"
                     ) from exc
-                events.append(Event(case_id, activity, ts, attrs.get(RESOURCE_KEY)))
+                events.append(Event(case_id, activity, ts, attrs.get(RESOURCE_KEY) or None))
             traces.append(Trace.build(case_id, events, case_attrs))
             root.clear()
     except ET.ParseError as exc:
@@ -447,7 +453,7 @@ def build_prefix_log(
         n = len(trace)
         top = n if max_prefix is None else min(n, max_prefix)
         for k in range(min_prefix, top + 1):
-            prefix = Trace(trace.case_id, trace.events[:k], trace.attributes)
+            prefix = trace.prefix(k)
             label = trace.events[k].activity if k < n else END_LABEL
             samples.append(PrefixSample(trace.case_id, prefix, label))
     return samples

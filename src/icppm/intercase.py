@@ -15,7 +15,6 @@ durations are exact ``timedelta.total_seconds()``, and means use
 from __future__ import annotations
 
 import math
-import weakref
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Sequence
@@ -100,7 +99,7 @@ def fit_batch_stats(
     epsilon: float = 86400.0,
     min_burst: int = 3,
 ) -> BatchStats:
-    if epsilon <= 0:
+    if not epsilon > 0:
         raise ConfigError(f"epsilon must be positive, got {epsilon}")
     if min_burst < 2:
         raise ConfigError(f"min_burst must be >= 2, got {min_burst}")
@@ -116,23 +115,21 @@ def fit_batch_stats(
         times = [t for t, _ in occ]
         cases = [c for _, c in occ]
         n = len(occ)
-        marked = [False] * n
+        # Burst intervals [left, right) only move forward, so the marked
+        # occurrences are counted through the end of the range covered so far.
+        marked = covered = right = 0
         counts: Counter = Counter()
-        right = 0
         for left in range(n):
-            if right < left:
-                right = left
-                counts = Counter()
             while right < n and times[right] - times[left] <= epsilon:
                 counts[cases[right]] += 1
                 right += 1
             if len(counts) >= min_burst:
-                for i in range(left, right):
-                    marked[i] = True
+                marked += right - max(left, covered)
+                covered = right
             counts[cases[left]] -= 1
             if counts[cases[left]] == 0:
                 del counts[cases[left]]
-        scores[activity] = sum(marked) / n
+        scores[activity] = marked / n
     return BatchStats(scores, epsilon, min_burst)
 
 
@@ -160,7 +157,7 @@ class EventIndex:
                     self._act_code[ev.activity] = len(acts)
                     acts.append(ev.activity)
                 acode = self._act_code[ev.activity]
-                if ev.resource is None:
+                if not ev.resource:
                     rcode = -1
                 else:
                     if ev.resource not in self._res_code:
@@ -198,9 +195,6 @@ class EventIndex:
         for arr in (self.times, self.case_codes, self.act_codes,
                     self.res_codes, self.prev_gaps, self.pair_codes):
             arr.flags.writeable = False
-        self._act_maps: dict[tuple[str, ...], np.ndarray] = {}
-        self._res_maps: dict[tuple[str, ...], np.ndarray] = {}
-        self._stats_means: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
     def __len__(self) -> int:
         return len(self.times)
@@ -217,35 +211,16 @@ class EventIndex:
         get = self._case_code.get
         return np.array([get(c, -1) for c in case_ids], dtype=np.int64)
 
-    def _vocab_map(self, vocab: Vocabulary, internal: tuple[str, ...],
-                   cache: dict) -> np.ndarray:
-        key = vocab.entries
-        mapped = cache.get(key)
-        if mapped is None:
-            mapped = np.array([vocab.index(v) for v in internal], dtype=np.int64)
-            cache[key] = mapped
-        return mapped
-
-    def act_map(self, vocab: Vocabulary) -> np.ndarray:
-        return self._vocab_map(vocab, self.activities, self._act_maps)
-
-    def res_map(self, vocab: Vocabulary) -> np.ndarray:
-        return self._vocab_map(vocab, self.resources, self._res_maps)
-
     def mean_by_pair(self, stats: TransitionStats) -> np.ndarray:
         """Training mean duration per internal transition code; NaN when the
         transition is unknown or its mean is zero (no usable ratio)."""
-        table = self._stats_means.get(stats)
-        if table is None:
-            n_acts = max(len(self.activities), 1)
-            table = np.full(n_acts * n_acts, math.nan)
-            for (a, b), mean in stats.mean_duration.items():
-                ia = self._act_code.get(a)
-                ib = self._act_code.get(b)
-                if ia is not None and ib is not None and mean > 0:
-                    table[ia * n_acts + ib] = mean
-            table.flags.writeable = False
-            self._stats_means[stats] = table
+        n_acts = max(len(self.activities), 1)
+        table = np.full(n_acts * n_acts, math.nan)
+        for (a, b), mean in stats.mean_duration.items():
+            ia = self._act_code.get(a)
+            ib = self._act_code.get(b)
+            if ia is not None and ib is not None and mean > 0:
+                table[ia * n_acts + ib] = mean
         return table
 
 
@@ -354,14 +329,16 @@ def freq_act(index: EventIndex, bounds: Bounds, act_vocab: Vocabulary) -> np.nda
     Ties resolve to the smallest vocabulary index; an empty window gives 0.
     """
     return _most_frequent(
-        bounds, index.act_codes, max(len(index.activities), 1), index.act_map(act_vocab)
+        bounds, index.act_codes, max(len(index.activities), 1),
+        act_vocab.codes(index.activities).astype(np.int64),
     )
 
 
 def top_res(index: EventIndex, bounds: Bounds, res_vocab: Vocabulary) -> np.ndarray:
     """Vocabulary code of the busiest resource in each window; 0 when none."""
     return _most_frequent(
-        bounds, index.res_codes, max(len(index.resources), 1), index.res_map(res_vocab)
+        bounds, index.res_codes, max(len(index.resources), 1),
+        res_vocab.codes(index.resources).astype(np.int64),
     )
 
 

@@ -20,7 +20,7 @@ from icppm.bench import (
     run_experiment,
     sweep,
 )
-from icppm.encoding import FeatureVector
+from icppm.encoding import FeatureVector, Vocabulary
 from icppm.errors import ConfigError
 from icppm.eventlog import build_prefix_log, make_cv_folds, write_csv
 
@@ -355,9 +355,10 @@ class TestTrainOnlyFitting:
         cfg = ExperimentConfig(classifier="majority", folds=2)
         log, samples = two_label_setup(cfg, n_cases=6)
         calls = []
-        real = bench._build_vocab
+        real = Vocabulary.from_values
         monkeypatch.setattr(
-            bench, "_build_vocab", lambda values: calls.append(1) or real(values)
+            Vocabulary, "from_values",
+            classmethod(lambda cls, values: calls.append(1) or real(values)),
         )
         run_experiment(cfg, log, samples)
         assert len(calls) == 2 * cfg.folds
@@ -466,6 +467,28 @@ class TestWindowSweep:
         assert avg.mean_accuracy == pytest.approx(
             np.mean([r.mean_accuracy for r in per_window])
         )
+
+    @pytest.mark.parametrize("classifier", ["qke_angle_1", "vqc_angle_1"])
+    def test_average_row_counters(self, classifier):
+        cfg = dataclasses.replace(self._cfg(), classifier=classifier, k=2, epochs=2)
+        log, samples = two_label_setup(cfg, n_cases=8)
+        *runs, avg = sweep(cfg, log=log, samples=samples)
+        summed = ("fit_time_s", "gram_time_s", "kernel_evaluations", "cross_evaluations",
+                  "states_simulated", "smo_iterations", "encode_time_s")
+        for name in summed:
+            assert getattr(avg, name) == sum(getattr(r, name) for r in runs), name
+        assert avg.states_simulated > 0
+        if classifier == "vqc_angle_1":
+            assert avg.vqc_final_loss == np.mean([r.vqc_final_loss for r in runs])
+            assert avg.smo_kkt_gap is None
+        else:
+            assert avg.smo_iterations > 0
+            assert avg.smo_kkt_gap == max(r.smo_kkt_gap for r in runs)
+            assert avg.vqc_final_loss is None
+        assert (avg.classifier, avg.seed, avg.n_samples) == (
+            runs[0].classifier, runs[0].seed, runs[0].n_samples
+        )
+        assert avg.config_fingerprint == cfg.fingerprint()
 
     def test_single_fraction(self):
         cfg = dataclasses.replace(self._cfg(), window_fractions=(0.3,))

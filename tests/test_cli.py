@@ -5,6 +5,7 @@ import json
 import pytest
 
 from conftest import make_log, make_trace, xes_doc
+from icppm.bench import ExperimentConfig
 from icppm.cli import main
 from icppm.eventlog import parse_csv, write_csv
 from icppm.oracles import MAX_ORACLE_QUBITS, run_kernel_check
@@ -117,6 +118,22 @@ class TestEncode:
         values = [float(v) for v in first[:-1]]
         assert all(v == int(v) for v in values)
 
+    def test_defaults_come_from_the_config(self, log_path, tmp_path):
+        d = ExperimentConfig()
+        spelled_out = [
+            "--encoder", d.encoder, "--k", str(d.k), "--static-attrs", ",".join(d.static_attrs),
+            "--window-fraction", repr(d.window_fraction), "--epsilon", repr(d.epsilon),
+            "--min-burst", str(d.min_burst), "--min-prefix", str(d.min_prefix),
+            "--seed", str(d.seed), "--slice-rule", d.slice_rule,
+        ]
+        outs = []
+        for flags in ([], spelled_out):
+            out = tmp_path / f"features{len(outs)}.csv"
+            assert main(["encode", str(log_path), "--out", str(out),
+                         "--inter", "avg_delay,batch", *flags]) == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
+
     def test_unknown_encoder_exits_2(self, log_path, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["encode", str(log_path), "--out", str(tmp_path / "x.csv"),
@@ -183,6 +200,16 @@ class TestBench:
         runs = json.loads((out_dir / "results.json").read_text())["runs"]
         assert len(runs) == 3
         assert runs[-1]["features"].endswith("@avg")
+
+    def test_threads_flag_is_gone(self, log_path, tmp_path):
+        cfg = self._config(tmp_path, log_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--config", str(cfg), "--out-dir", str(tmp_path), "--threads", "2"])
+        assert exc.value.code == 2
+
+    def test_threads_config_key_still_accepted(self, log_path, tmp_path):
+        cfg = self._config(tmp_path, log_path, threads=2)
+        assert main(["bench", "--config", str(cfg), "--out-dir", str(tmp_path / "r")]) == 0
 
     def test_sampling_fraction_above_one_exits_2(self, log_path, tmp_path, capsys):
         cfg = self._config(tmp_path, log_path, sampling_fraction=1.5)

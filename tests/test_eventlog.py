@@ -108,6 +108,12 @@ class TestParseXes:
         assert log.traces[0].events[0].resource == "alice"
         assert log.traces[0].attributes["channel"] == "web"
 
+    def test_empty_resource_is_no_resource(self):
+        doc = xes_doc([("t1", [("a", "2023-01-01T10:00:00Z", "")], {})])
+        log = parse_xes(doc)
+        assert log.traces[0].events[0].resource is None
+        assert not log.has_resources
+
     def test_trace_without_name_gets_generated_id(self):
         doc = xes_doc([(None, [("a", "2023-01-01T10:00:00Z", None)], {})])
         log = parse_xes(doc)
@@ -375,6 +381,16 @@ class TestBuildPrefixLog:
         log = make_log(make_trace("c1", [("a", 0), ("b", 1)], {"channel": "web"}))
         samples = build_prefix_log(log)
         assert samples[0].prefix.attributes["channel"] == "web"
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_prefixes_equal_checked_traces(self, seed):
+        log = random_log(seed)
+        traces = {t.case_id: t for t in log.traces}
+        for s in build_prefix_log(log):
+            trace = traces[s.case_id]
+            want = Trace(trace.case_id, trace.events[:len(s.prefix)], trace.attributes)
+            assert s.prefix == want
+            assert type(s.prefix) is Trace
 
 
 class TestStratifiedSubsample:

@@ -5,10 +5,10 @@ import pytest
 
 import oracles
 from icppm import intercase
-from conftest import BASE, make_event, make_log, make_trace, random_log
+from conftest import BASE, make_event, make_log, make_trace, random_log, xes_doc
 from icppm.encoding import FeatureVector, Vocabulary
 from icppm.errors import ConfigError
-from icppm.eventlog import EventLog, Trace
+from icppm.eventlog import EventLog, Trace, parse_xes
 from icppm.intercase import (
     FEATURES,
     BatchStats,
@@ -238,8 +238,9 @@ class TestFitBatchStats:
 
     def test_parameter_validation(self):
         log = log_at(("c1", [("a", 0)]))
-        with pytest.raises(ConfigError):
-            fit_batch_stats(log, epsilon=0.0, min_burst=3)
+        for epsilon in (0.0, float("nan")):
+            with pytest.raises(ConfigError):
+                fit_batch_stats(log, epsilon=epsilon, min_burst=3)
         with pytest.raises(ConfigError):
             fit_batch_stats(log, epsilon=10.0, min_burst=1)
 
@@ -371,6 +372,26 @@ class TestOracleAgreement:
         anchors = np.concatenate([mids, mids, times])
         cases = case_ids[1:] + ["ghost"] * len(mids) + case_ids[::-1]
         assert_window_features_match_oracle(log, EventIndex(log), anchors, cases, 120.0)
+
+    def test_empty_resource_is_no_resource(self):
+        # One resource, an empty one and none: only "r1" is a resource, both
+        # as parsed from XES and as an Event built with resource "".
+        doc = xes_doc([
+            ("c1", [("a", "2023-01-01T10:00:00Z", ""), ("b", "2023-01-01T10:00:20Z", "r1")], {}),
+            ("c2", [("a", "2023-01-01T10:00:10Z", "")], {}),
+        ])
+        built = log_at(
+            ("c1", [("a", 0, ""), ("b", 20, "r1")]),
+            ("c2", [("a", 10, "")]),
+        )
+        for log in (parse_xes(doc), built):
+            idx = EventIndex(log)
+            times, case_ids, _ = every_event(log)
+            assert_window_features_match_oracle(log, idx, times, case_ids, 60.0)
+            assert idx.resources == ("r1",)
+            bounds = idx.window_bounds(times.max(keepdims=True), PeerWindow(60.0))
+            assert res_count(idx, bounds).tolist() == [1]
+            assert top_res(idx, bounds, Vocabulary.from_values(["r1"])).tolist() == [1]
 
     def test_empty_index(self):
         log = EventLog.from_traces([])
