@@ -190,7 +190,10 @@ class ExperimentConfig:
         return asdict(self)
 
     def fingerprint(self) -> str:
-        payload = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
+        """Hash of the keys that decide the results: ``threads`` has no effect
+        and ``cache_dir`` only says where Gram matrices are kept."""
+        kept = {k: v for k, v in self.to_dict().items() if k not in ("threads", "cache_dir")}
+        payload = json.dumps(kept, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
 
 
@@ -246,8 +249,9 @@ class RunResult:
     sampling_fraction: float
     seed: int
     n_samples: int
-    # Quantum feature-map states simulated for the kernels (0 for cached
-    # Gram matrices) and the VQC; reported in results.json only.
+    # Quantum feature-map states simulated for the kernels and the VQC:
+    # each fold's train and test rows once, also when the Gram matrix is
+    # cached; reported in results.json only.
     states_simulated: int = 0
     # Mean over folds of the VQC's last training loss; None for other
     # classifiers. Reported in results.json only.
@@ -504,7 +508,7 @@ def run_experiment(
             part["smo_kkt_gap"] = max(m.kkt_gap for m in model.models)
             fold_note = (f" smo_iterations={part['smo_iterations']}"
                          f" smo_kkt_gap={part['smo_kkt_gap']:.3e}")
-            k_test = cross(x_test, x_train, kernel_kind)
+            k_test = cross(x_test, x_train, kernel_kind, train_states=k_train.conj_states)
             part["kernel_evaluations"] = k_train.eval_count
             part["cross_evaluations"] = k_test.eval_count
             part["states_simulated"] = k_train.states_simulated + k_test.states_simulated

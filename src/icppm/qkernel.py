@@ -1,16 +1,20 @@
 """Kernel matrices: classical (linear, rbf) and quantum overlap kernels.
 
 A quantum kernel entry is |<psi(x')|psi(x)>|^2 with psi(x) = V(x)|0...0>.
-Each call simulates every input row's feature-map state once, as one batch
-(``qsim.feature_map_states``), and reads all entries off the state inner
+Each input row's feature-map state is simulated once, as one batch
+(``qsim.feature_map_states``), and all entries are read off the state inner
 products: a Gram matrix is |S S^H|^2 over its strict upper triangle
 (m(m-1)/2 logical entries, tracked in ``eval_count``), mirrored, with the
 diagonal fixed at 1; a cross matrix is |S_test S_train^H|^2. The batch holds
-m * 2^n complex amplitudes. Shot mode samples each entry from a per-pair
-seed derived from (global seed, i, j) by ``qsim.sampled_frequency``, so a
-matrix equals the per-pair ``qsim.kernel_overlap`` estimates entry for
-entry. A classical Gram matrix is the cross matrix of the rows with
-themselves. Matrices can be persisted to .npz keyed by a config hash.
+m * 2^n complex amplitudes. Both products read the conjugated batch of
+their columns: ``gram`` returns the train rows' conjugated batch
+(``KernelMatrix.conj_states``), and ``cross`` given it simulates only the
+test rows, so a fold simulates each row once. Shot mode samples each entry
+from a per-pair seed derived from (global seed, i, j) by
+``qsim.sampled_frequency``, so a matrix equals the per-pair
+``qsim.kernel_overlap`` estimates entry for entry. A classical Gram matrix
+is the cross matrix of the rows with themselves. Matrices can be persisted
+to .npz keyed by a config hash.
 """
 
 from __future__ import annotations
@@ -75,11 +79,15 @@ class KernelMatrix:
     of a Gram matrix, every entry of a cross matrix); ``states_simulated``
     counts feature-map states simulated to produce them. Both are 0 for
     classical kernels, and ``states_simulated`` is 0 for a cached matrix.
+    ``conj_states`` is the complex-conjugated (m, 2**n) batch of the rows a
+    quantum Gram matrix was read off, for ``cross`` to reuse; it is None for
+    classical, cached and cross matrices.
     """
 
     values: np.ndarray
     eval_count: int = 0
     states_simulated: int = 0
+    conj_states: np.ndarray | None = None
 
 
 def _as_matrix(data) -> np.ndarray:
@@ -99,9 +107,10 @@ def pair_seed(seed: int, i: int, j: int) -> int:
     return int(np.random.SeedSequence((seed, i, j)).generate_state(1)[0])
 
 
-def _overlaps(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """|<psi(c)|psi(r)>|^2 for every state pair, from (B, 2**n) state batches."""
-    return np.abs(rows @ cols.conj().T) ** 2
+def _overlaps(rows: np.ndarray, conj_cols: np.ndarray) -> np.ndarray:
+    """|<psi(c)|psi(r)>|^2 for every state pair, from (B, 2**n) batches of
+    the row states and of the conjugated column states."""
+    return np.abs(rows @ conj_cols.T) ** 2
 
 
 def _shot_estimate(p: float, shots: ShotConfig, i: int, j: int) -> float:
@@ -115,14 +124,16 @@ def gram(train, kind: KernelKind) -> KernelMatrix:
     A classical kernel is ``cross`` of the rows with themselves. For the
     quantum kernel every row's state is simulated once; the strict upper
     triangle is read off the state inner products (or shot-sampled),
-    mirrored, and the diagonal is 1 by construction.
+    mirrored, and the diagonal is 1 by construction. The conjugated states
+    come back as ``conj_states`` for ``cross``.
     """
     x = _as_matrix(train)
     if kind.variant != "quantum":
         return cross(x, x, kind)
     m = len(x)
     states = feature_map_states(kind.feature_map, x)
-    overlaps = _overlaps(states, states)
+    conj_states = states.conj()
+    overlaps = _overlaps(states, conj_states)
     upper = np.triu_indices(m, 1)
     values = np.ones((m, m))
     if kind.shots.exact:
@@ -130,11 +141,17 @@ def gram(train, kind: KernelKind) -> KernelMatrix:
     else:
         values[upper] = [_shot_estimate(overlaps[i, j], kind.shots, i, j) for i, j in zip(*upper)]
     values.T[upper] = values[upper]
-    return KernelMatrix(values, eval_count=len(upper[0]), states_simulated=m)
+    return KernelMatrix(values, eval_count=len(upper[0]), states_simulated=m,
+                        conj_states=conj_states)
 
 
-def cross(test, train, kind: KernelKind) -> KernelMatrix:
-    """Rectangular test-by-train kernel matrix (all p*m entries)."""
+def cross(test, train, kind: KernelKind, train_states: np.ndarray | None = None) -> KernelMatrix:
+    """Rectangular test-by-train kernel matrix (all p*m entries).
+
+    For the quantum kernel, ``train_states`` is the ``conj_states`` of
+    ``gram(train, kind)``; given it, only the test rows are simulated. A
+    batch whose shape is not (m, 2**n) for ``train`` raises ValueError.
+    """
     xt = _as_matrix(test)
     xr = _as_matrix(train)
     if xt.shape[1] != xr.shape[1]:
@@ -143,23 +160,31 @@ def cross(test, train, kind: KernelKind) -> KernelMatrix:
         return KernelMatrix(xt @ xr.T)
     if kind.variant == "rbf":
         gamma = kind.gamma if kind.gamma is not None else 1.0 / xr.shape[1]
-        d2 = np.maximum(
-            np.sum(xt ** 2, axis=1)[:, None]
-            + np.sum(xr ** 2, axis=1)[None, :]
-            - 2.0 * (xt @ xr.T),
-            0.0,
-        )
-        return KernelMatrix(np.exp(-gamma * d2))
-    values = _overlaps(
-        feature_map_states(kind.feature_map, xt), feature_map_states(kind.feature_map, xr)
-    )
+        # exp(-gamma * max(|t|^2 + |r|^2 - 2 t.r, 0)) in the output buffer,
+        # with the dot products as the only other p x m array.
+        values = np.sum(xt ** 2, axis=1)[:, None] + np.sum(xr ** 2, axis=1)
+        dots = xt @ xr.T
+        dots *= 2.0
+        values -= dots
+        np.maximum(values, 0.0, out=values)
+        values *= -gamma
+        return KernelMatrix(np.exp(values, out=values))
+    simulated = len(xt)
+    if train_states is None:
+        train_states = feature_map_states(kind.feature_map, xr)
+        np.conjugate(train_states, out=train_states)
+        simulated += len(xr)
+    elif train_states.shape != (len(xr), 2 ** xr.shape[1]):
+        raise ValueError(f"train states of shape {train_states.shape} do not match "
+                         f"{len(xr)} train rows of {xr.shape[1]} qubits")
+    values = _overlaps(feature_map_states(kind.feature_map, xt), train_states)
     p, m = values.shape
     if not kind.shots.exact:
         values = np.array([
             [_shot_estimate(values[i, j], kind.shots, i, j) for j in range(m)]
             for i in range(p)
         ]).reshape(p, m)
-    return KernelMatrix(values, eval_count=p * m, states_simulated=p + m)
+    return KernelMatrix(values, eval_count=p * m, states_simulated=simulated)
 
 
 def psd_repair(kernel: KernelMatrix, floor: float = 1e-9) -> KernelMatrix:
@@ -173,7 +198,7 @@ def psd_repair(kernel: KernelMatrix, floor: float = 1e-9) -> KernelMatrix:
     shift = max(0.0, floor - min_eig)
     if shift > 0.0:
         sym = sym + shift * np.eye(len(sym))
-    return KernelMatrix(sym, kernel.eval_count, kernel.states_simulated)
+    return KernelMatrix(sym, kernel.eval_count, kernel.states_simulated, kernel.conj_states)
 
 
 def cache_key(dataset_hash: str, encoder_config: dict, kernel_config: dict, seed: int) -> str:

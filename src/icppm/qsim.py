@@ -13,7 +13,10 @@ half-batches that the caller passes and are combined in place, and each
 numpy call touches at most one strided half, so a gate allocates neither a
 batch-sized temporary nor more than one numpy iteration buffer.
 ``feature_map_states`` runs one feature map over many inputs with one
-scratch buffer for the whole call and serves the kernels and the VQC;
+scratch buffer for the whole call and serves the kernels and the VQC. It
+writes the first layer's H on every qubit of |0...0> as one fill with
+(1/sqrt 2)^n, rounded as the n gates round it, so the states keep their
+bits;
 ``run`` simulates one circuit gate by gate as a batch of one, and
 ``kernel_overlap`` reads a kernel entry off two such states, as the
 per-pair reference.
@@ -275,14 +278,25 @@ def _layer_phase(kind: FeatureMapKind, x: np.ndarray) -> np.ndarray:
     return np.exp(phase, out=phase)
 
 
+def _uniform_amplitude(n: int) -> float:
+    """Every amplitude of H on each of n qubits of |0...0>: (1/sqrt 2)^n, as
+    the n sequential products the gates perform, so the bits match theirs."""
+    amp = 1.0
+    for _ in range(n):
+        amp *= 1.0 / math.sqrt(2.0)
+    return amp
+
+
 def feature_map_states(kind: FeatureMapKind, x) -> np.ndarray:
     """States V(x)|0...0> for every row of ``x``, shape (B, 2**n).
 
     Same circuit as ``build_feature_map`` per row, run for the whole batch at
     once: H and RY through ``_apply_op`` with one angle per row and one
     scratch buffer for the whole call, and each layer's diagonal gates
-    folded into one phase per basis state. Zero rows give a (0, 2**n)
-    batch; a non-finite feature raises ValueError.
+    folded into one phase per basis state. The first layer's H gates act on
+    |0...0> and are one fill with their known output, so the one-layer
+    ``zz`` map runs no gate and allocates no scratch. Zero rows give a
+    (0, 2**n) batch; a non-finite feature raises ValueError.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] == 0:
@@ -291,17 +305,25 @@ def feature_map_states(kind: FeatureMapKind, x) -> np.ndarray:
     if not finite.all():
         raise ValueError(f"feature row {int(np.argmin(finite))} is not finite")
     b, n = x.shape
-    psi = np.zeros((b,) + (2,) * n, dtype=np.complex128)
-    psi[(slice(None),) + (0,) * n] = 1.0
-    phase = None if kind.variant == "angle" else _layer_phase(kind, x).reshape(psi.shape)
-    scratch = np.empty_like(psi)
-    for _ in range(kind.layers):
+    shape = (b,) + (2,) * n
+    if kind.variant == "angle":
+        psi = np.zeros(shape, dtype=np.complex128)
+        psi[(slice(None),) + (0,) * n] = 1.0
+        phase = None
+    else:
+        # The phase table first, so its temporaries are freed before psi.
+        phase = _layer_phase(kind, x).reshape(shape)
+        psi = np.full(shape, _uniform_amplitude(n), dtype=np.complex128)
+    no_gates = kind.variant == "zz" and kind.layers == 1
+    scratch = None if no_gates else np.empty_like(psi)
+    for layer in range(kind.layers):
         if kind.variant == "angle":
             for q in range(n):
                 _apply_op(psi, n, "RY", (q,), x[:, q], scratch)
             continue
-        for q in range(n):
-            _apply_op(psi, n, "H", (q,), scratch=scratch)
+        if layer > 0:
+            for q in range(n):
+                _apply_op(psi, n, "H", (q,), scratch=scratch)
         if kind.variant == "angle_zz":
             for q in range(n):
                 _apply_op(psi, n, "RY", (q,), 2.0 * x[:, q], scratch)

@@ -106,13 +106,14 @@ def fit(
     k = _kernel_values(kernel)
     y = np.asarray(y, dtype=np.float64)
     _check_kernel(k, len(y))
+    if not np.all(np.isin(y, (-1.0, 1.0))):
+        raise ValueError("labels must be -1 or +1")
     return _smo(k, y, C, tol, max_passes)
 
 
 def _smo(k: np.ndarray, y: np.ndarray, C: float, tol: float, max_passes: int) -> SvmModel:
-    """The solver of ``fit`` on a kernel that passed ``_check_kernel``."""
-    if not np.all(np.isin(y, (-1.0, 1.0))):
-        raise ValueError("labels must be -1 or +1")
+    """The solver of ``fit`` on a kernel that passed ``_check_kernel`` and
+    labels in {-1, +1}."""
     if np.all(y == y[0]):
         raise DegenerateModelError("all training labels belong to one class")
     if C <= 0:
@@ -243,10 +244,10 @@ def fit_multiclass(
         raise DegenerateModelError(f"need at least 2 classes, got {classes}")
     k = _kernel_values(kernel)
     _check_kernel(k, len(labels))
-    models = []
-    for cls_label in classes:
-        y = np.array([1.0 if lab == cls_label else -1.0 for lab in labels])
-        models.append(_smo(k, y, C, tol, max_passes))
+    position = {cls_label: c for c, cls_label in enumerate(classes)}
+    codes = np.array([position[lab] for lab in labels])
+    models = [_smo(k, np.where(codes == c, 1.0, -1.0), C, tol, max_passes)
+              for c in range(len(classes))]
     return MulticlassModel(classes, tuple(models))
 
 

@@ -146,7 +146,11 @@ class TestExperimentConfig:
         a = ExperimentConfig(seed=1)
         assert a.fingerprint() == ExperimentConfig(seed=1).fingerprint()
         assert a.fingerprint() != ExperimentConfig(seed=2).fingerprint()
+        assert a.fingerprint() != ExperimentConfig(seed=1, classifier="qke_zz_2").fingerprint()
         assert len(a.fingerprint()) == 16
+        # Neither key can change a result.
+        assert a.fingerprint() == ExperimentConfig(seed=1, threads=2).fingerprint()
+        assert a.fingerprint() == ExperimentConfig(seed=1, cache_dir="/tmp/k").fingerprint()
 
 
 class TestParseClassifier:
@@ -250,7 +254,7 @@ class TestRunExperiment:
             m, p = len(train_idx), len(test_idx)
             want_gram += m * (m - 1) // 2
             want_cross += p * m
-            want_states += m + (p + m)
+            want_states += m + p
         result = run_experiment(cfg, log, samples)
         assert result.kernel_evaluations == want_gram
         assert result.cross_evaluations == want_cross
@@ -377,6 +381,8 @@ class TestGramCache:
         assert second.gram_time_s == 0.0
         assert second.kernel_evaluations == first.kernel_evaluations
         assert second.fold_accuracies == first.fold_accuracies
+        # A cached Gram matrix has no states, so cross simulates the train rows.
+        assert second.states_simulated == first.states_simulated
 
     def test_truncated_entry_is_recomputed(self, tmp_path):
         cfg = ExperimentConfig(

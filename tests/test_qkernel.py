@@ -18,7 +18,7 @@ from icppm.qkernel import (
     psd_repair,
     save_kernel,
 )
-from icppm.qsim import FeatureMapKind, ShotConfig, kernel_overlap
+from icppm.qsim import FeatureMapKind, ShotConfig, feature_map_states, kernel_overlap
 
 QUANTUM = KernelKind.quantum(FeatureMapKind("zz"))
 
@@ -72,6 +72,17 @@ class TestClassicalKernels:
         x = points(2, 4, 2)
         assert gram(x, KernelKind.linear()).eval_count == 0
         assert gram(x, KernelKind.rbf()).eval_count == 0
+
+    @pytest.mark.parametrize("gamma", [None, 0.3])
+    def test_rbf_equals_textbook_formula(self, gamma):
+        xt, xr = points(7, 5, 4), points(8, 6, 4)
+        g = gamma if gamma is not None else 1.0 / 4
+        d2 = np.maximum(
+            np.sum(xt ** 2, axis=1)[:, None] + np.sum(xr ** 2, axis=1)[None, :]
+            - 2.0 * (xt @ xr.T),
+            0.0,
+        )
+        assert np.array_equal(cross(xt, xr, KernelKind.rbf(gamma)).values, np.exp(-g * d2))
 
     @pytest.mark.parametrize("kind", [KernelKind.linear(), KernelKind.rbf(), KernelKind.rbf(0.7)])
     def test_gram_is_cross_of_rows_with_themselves(self, kind):
@@ -184,9 +195,42 @@ class TestCross:
             assert out.values[0, j] == pytest.approx(want, abs=1e-12)
 
     def test_states_simulated_is_test_plus_train(self):
-        out = cross(points(22, 3, 2), points(23, 5, 2), QUANTUM)
+        xt, xr = points(22, 3, 2), points(23, 5, 2)
+        out = cross(xt, xr, QUANTUM)
         assert out.states_simulated == 3 + 5
         assert out.eval_count == 3 * 5
+        # Given the Gram's train batch, only the test rows are simulated.
+        reused = cross(xt, xr, QUANTUM, train_states=gram(xr, QUANTUM).conj_states)
+        assert reused.states_simulated == 3
+        assert reused.eval_count == 3 * 5
+
+    @pytest.mark.parametrize("variant", ["angle", "zz", "angle_zz"])
+    @pytest.mark.parametrize("layers", [1, 2])
+    @pytest.mark.parametrize("shots", [None, 50])
+    def test_gram_states_give_the_same_cross(self, variant, layers, shots):
+        kind = KernelKind.quantum(FeatureMapKind(variant, layers), ShotConfig(shots, seed=9))
+        xt, xr = points(26, 4, 3), points(27, 6, 3)
+        k_train = gram(xr, kind)
+        assert np.array_equal(k_train.conj_states,
+                              np.conj(feature_map_states(kind.feature_map, xr)))
+        reused = cross(xt, xr, kind, train_states=k_train.conj_states)
+        assert np.array_equal(reused.values, cross(xt, xr, kind).values)
+
+    def test_wrong_shape_train_states_raise(self):
+        xt, xr = points(28, 2, 3), points(29, 5, 3)
+        states = gram(xr, QUANTUM).conj_states
+        narrow = gram(points(30, 5, 2), QUANTUM).conj_states
+        for bad in (states[:4], narrow, states.reshape(5, 2, 4)):
+            with pytest.raises(ValueError, match="train states"):
+                cross(xt, xr, QUANTUM, train_states=bad)
+
+    def test_only_quantum_gram_matrices_carry_states(self):
+        x = points(31, 4, 2)
+        k = gram(x, QUANTUM)
+        assert k.conj_states.shape == (4, 4)
+        assert psd_repair(k).conj_states is k.conj_states
+        assert cross(x, x, QUANTUM).conj_states is None
+        assert gram(x, KernelKind.rbf()).conj_states is None
 
     def test_shot_mode_entries_equal_per_pair_estimates(self):
         fm = FeatureMapKind("zz", 2)
@@ -272,6 +316,7 @@ class TestCache:
         assert loaded is not None
         assert np.array_equal(loaded.values, km.values)
         assert loaded.eval_count == km.eval_count
+        assert loaded.conj_states is None
 
     def test_miss_returns_none(self, tmp_path):
         assert load_kernel(tmp_path, "nope") is None

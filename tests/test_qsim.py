@@ -406,6 +406,33 @@ class TestFeatureMapStates:
         monkeypatch.setattr(qsim, "_PHASE_BLOCK", 3)
         assert np.max(np.abs(feature_map_states(kind, x) - whole)) < 1e-15
 
+    @pytest.mark.parametrize("variant", FEATURE_MAPS)
+    @pytest.mark.parametrize("layers", [1, 2, 3])
+    def test_first_layer_hadamards_run_as_a_fill(self, monkeypatch, variant, layers):
+        gates = []
+        real = qsim._apply_op
+
+        def counted(psi, n, kind, *args, **kwargs):
+            gates.append(kind)
+            real(psi, n, kind, *args, **kwargs)
+
+        monkeypatch.setattr(qsim, "_apply_op", counted)
+        n = 4
+        feature_map_states(FeatureMapKind(variant, layers),
+                           np.random.default_rng(layers).uniform(0, math.pi, (3, n)))
+        assert gates.count("H") == (0 if variant == "angle" else n * (layers - 1))
+        assert gates.count("RY") == (0 if variant == "zz" else n * layers)
+        assert len(gates) == gates.count("H") + gates.count("RY")
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_fill_has_the_bits_of_the_hadamard_gates(self, n):
+        psi = np.zeros((2,) + (2,) * n, dtype=np.complex128)
+        psi[(slice(None),) + (0,) * n] = 1.0
+        for q in range(n):
+            _apply_op(psi, n, "H", (q,))
+        fill = np.full(psi.shape, qsim._uniform_amplitude(n), dtype=np.complex128)
+        assert psi.tobytes() == fill.tobytes()
+
     def test_rejects_bad_shapes(self):
         with pytest.raises(ValueError):
             feature_map_states(FeatureMapKind("zz"), np.zeros(3))

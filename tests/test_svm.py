@@ -197,6 +197,17 @@ class TestMulticlass:
         want = ["pos" if d > 0 else "neg" for d in decisions(binary, k.values)]
         assert predict(ovr, k) == want
 
+    def test_each_model_is_the_binary_fit_of_its_class(self):
+        x, labels = self._three_clusters()
+        k = gram(x, RBF).values
+        ovr = fit_multiclass(k, labels, C=2.0)
+        for cls_label, model in zip(ovr.classes, ovr.models):
+            y = np.array([1.0 if lab == cls_label else -1.0 for lab in labels])
+            want = fit(k, y, C=2.0)
+            assert np.array_equal(model.dual_coefs, want.dual_coefs)
+            assert np.array_equal(model.support_indices, want.support_indices)
+            assert (model.bias, model.iterations) == (want.bias, want.iterations)
+
     def test_tie_goes_to_smaller_class(self):
         empty = np.array([])
         tied = MulticlassModel(
