@@ -22,6 +22,7 @@ from .eventlog import (
     Event,
     EventLog,
     PrefixSample,
+    PrefixSet,
     Trace,
     build_prefix_log,
     load_log,
@@ -48,6 +49,7 @@ __all__ = [
     "Event",
     "EventLog",
     "PrefixSample",
+    "PrefixSet",
     "Trace",
     "build_prefix_log",
     "load_log",

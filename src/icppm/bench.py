@@ -39,10 +39,12 @@ from .errors import ConfigError
 from .eventlog import (
     EventLog,
     PrefixSample,
+    PrefixSet,
     build_prefix_log,
     filter_singleton_variants,
     load_log,
     make_cv_folds,
+    seconds,
     slice_date_range,
     stratified_subsample,
 )
@@ -322,7 +324,7 @@ def load_and_slice(cfg: ExperimentConfig) -> EventLog:
     return log
 
 
-def prepare_samples(cfg: ExperimentConfig) -> tuple[EventLog, list[PrefixSample]]:
+def prepare_samples(cfg: ExperimentConfig) -> tuple[EventLog, PrefixSet]:
     """Load and preprocess the configured dataset and expand it into every
     prefix sample; ``run_experiment`` applies ``sampling_fraction``."""
     log = load_and_slice(cfg)
@@ -336,7 +338,7 @@ def _train_window_width(cfg: ExperimentConfig, train_log: EventLog) -> float:
     if isinstance(cfg.window_base, (int, float)):
         base = float(cfg.window_base)
     else:
-        base = statistics.median(t.duration.total_seconds() for t in train_log.traces)
+        base = statistics.median(train_log.case_durations().tolist())
     width = cfg.window_fraction * base
     if width <= 0:
         raise ConfigError(
@@ -348,7 +350,7 @@ def _train_window_width(cfg: ExperimentConfig, train_log: EventLog) -> float:
 
 def fit_encoder(
     cfg: ExperimentConfig, fit_log: EventLog, index: EventIndex | None
-) -> Callable[[Sequence[PrefixSample]], FeatureVector]:
+) -> Callable[[PrefixSet | Sequence[PrefixSample]], FeatureVector]:
     """Fit everything a feature row needs on ``fit_log``: vocabularies, the
     intra-case encoder and, for inter-case features, the transition and
     batch statistics and the window width. Returns samples -> feature block
@@ -357,7 +359,7 @@ def fit_encoder(
     act_vocab = Vocabulary.from_values(fit_log.activity_vocab)
     res_vocab = Vocabulary.from_values(fit_log.resource_vocab)
     attr_vocabs = {
-        name: Vocabulary.from_values(t.attributes.get(name, "") for t in fit_log.traces)
+        name: Vocabulary.from_values(attrs.get(name, "") for attrs in fit_log.attributes)
         for name in cfg.static_attrs
     }
     intra = make_intra_encoder(
@@ -380,12 +382,15 @@ def fit_encoder(
         ),
     )
 
-    def encode(samples: Sequence[PrefixSample]) -> FeatureVector:
-        anchors = [s.prefix.events[-1] for s in samples]
-        return compose(intra(samples), inter.encode(
-            np.array([a.timestamp.timestamp() for a in anchors], dtype=np.float64),
-            [s.case_id for s in samples],
-            [a.activity for a in anchors],
+    def encode(samples: PrefixSet | Sequence[PrefixSample]) -> FeatureVector:
+        prefixes = PrefixSet.of(samples)
+        log, last = prefixes.log, prefixes.ends - 1
+        # Anchors go in as case and activity codes, which are the index's own
+        # only for prefixes of the log the index was built from.
+        if log.case_ids is not index.cases:
+            raise ValueError("prefixes are not of the event index's log")
+        return compose(intra(prefixes), inter.encode(
+            seconds(log.time_us[last]), prefixes.case, log.activity[last]
         ))
 
     return encode
@@ -393,25 +398,20 @@ def fit_encoder(
 
 def _encode_fold(
     cfg: ExperimentConfig,
-    log: EventLog,
     index: EventIndex | None,
-    samples: Sequence[PrefixSample],
-    train_idx: Sequence[int],
-    test_idx: Sequence[int],
+    train: PrefixSet,
+    test: PrefixSet,
 ):
-    train_cases = {samples[i].case_id for i in train_idx}
-    train_log = EventLog.from_traces(
-        [t for t in log.traces if t.case_id in train_cases]
-    )
-    encode = fit_encoder(cfg, train_log, index)
-    train = encode([samples[i] for i in train_idx])
-    test = encode([samples[i] for i in test_idx])
-    scaler = fit_scaler(train, (cfg.scale_lo, cfg.scale_hi))
-    x_train = apply_scaler(train, scaler).values
-    x_test = apply_scaler(test, scaler).values
-    y_train = [samples[i].label for i in train_idx]
-    y_test = [samples[i].label for i in test_idx]
-    return x_train, y_train, x_test, y_test
+    """Scaled train and test matrices and labels, with every encoder fitted
+    on the log of the cases that train prefixes come from."""
+    train_cases = np.zeros(len(train.log), dtype=bool)
+    train_cases[train.case] = True
+    encode = fit_encoder(cfg, train.log.select_cases(train_cases), index)
+    train_block, test_block = encode(train), encode(test)
+    scaler = fit_scaler(train_block, (cfg.scale_lo, cfg.scale_hi))
+    x_train = apply_scaler(train_block, scaler).values
+    x_test = apply_scaler(test_block, scaler).values
+    return x_train, train.labels, x_test, test.labels
 
 
 def _kernel_kind(cfg: ExperimentConfig, kind: str, variant: str | None, layers: int | None,
@@ -426,16 +426,16 @@ def _kernel_kind(cfg: ExperimentConfig, kind: str, variant: str | None, layers: 
 def run_experiment(
     cfg: ExperimentConfig,
     log: EventLog | None = None,
-    samples: Sequence[PrefixSample] | None = None,
+    samples: PrefixSet | Sequence[PrefixSample] | None = None,
 ) -> RunResult:
     """One cross-validated run; pass (log, samples) to skip re-preprocessing.
 
-    ``samples`` is the full prefix set: a ``sampling_fraction`` below 1
-    draws the run's stratified subsample from it.
+    ``samples`` is the full prefix set of ``log``: a ``sampling_fraction``
+    below 1 draws the run's stratified subsample from it.
     """
     if log is None or samples is None:
         log, samples = prepare_samples(cfg)
-    samples = list(samples)
+    samples = PrefixSet.of(samples)
     if cfg.sampling_fraction < 1.0:
         samples = stratified_subsample(
             samples, cfg.sampling_fraction, derive_seed(cfg.seed, "subsample")
@@ -451,7 +451,7 @@ def run_experiment(
         part = dict(SUMMED, vqc_final_loss=None, smo_kkt_gap=None)
         t_enc0 = time.perf_counter()
         x_train, y_train, x_test, y_test = _encode_fold(
-            cfg, log, index, samples, train_idx, test_idx
+            cfg, index, samples[train_idx], samples[test_idx]
         )
         part["encode_time_s"] = time.perf_counter() - t_enc0
         shot_seed = derive_seed(cfg.seed, f"shots/{fold}")
@@ -537,7 +537,7 @@ def run_experiment(
 def sweep(
     cfg: ExperimentConfig,
     log: EventLog | None = None,
-    samples: Sequence[PrefixSample] | None = None,
+    samples: PrefixSet | Sequence[PrefixSample] | None = None,
 ) -> list[RunResult]:
     """The runs of ``cfg.mode``: one run in experiment mode, else one run per
     value of the mode's grid, all on the same preprocessed log.

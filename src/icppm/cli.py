@@ -81,7 +81,7 @@ def _cmd_encode(args) -> int:
     block = bench_mod.fit_encoder(cfg, log, index)(samples)
     if args.scale:
         block = apply_scaler(block, fit_scaler(block, (cfg.scale_lo, cfg.scale_hi)))
-    labels = [s.label for s in samples]
+    labels = samples.labels
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     with out.open("w", newline="") as sink:

@@ -6,6 +6,10 @@ count of downstream quantum models, stays equal to the slot count instead
 of growing with the vocabulary. Scaling maps each feature into a fixed
 target interval, by default [0, pi], with train-fitted min/max and
 clamping at prediction time.
+
+Encoders take a ``PrefixSet`` (or a list of ``PrefixSample`` views of one
+log) and gather each prefix's events straight from the log's code columns,
+through one table per vocabulary from log codes to vocabulary indices.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from typing import IO, Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import ConfigError
-from .eventlog import PrefixSample
+from .eventlog import PrefixSample, PrefixSet
 
 PAD_TOKEN = "<PAD>"
 
@@ -95,50 +99,63 @@ class FeatureVector:
         )
 
 
+def _code_table(vocab: Vocabulary, names: Sequence[str]) -> np.ndarray:
+    """``vocab`` index of each log code's name, with 0 appended for code -1."""
+    return np.append(vocab.codes(names), 0.0)
+
+
 def encode_static(
-    samples: Sequence[PrefixSample],
+    samples: PrefixSet | Sequence[PrefixSample],
     attr_names: Sequence[str],
     attr_vocabs: Mapping[str, Vocabulary],
 ) -> FeatureVector:
     """One ordinal code per selected case attribute; missing values map to 0."""
-    out = np.zeros((len(samples), len(attr_names)))
+    prefixes = PrefixSet.of(samples)
+    out = np.zeros((len(prefixes), len(attr_names)))
     for j, name in enumerate(attr_names):
         vocab = attr_vocabs.get(name)
         if vocab is not None:
-            out[:, j] = vocab.codes(s.prefix.attributes.get(name) for s in samples)
+            per_case = vocab.codes(attrs.get(name) for attrs in prefixes.log.attributes)
+            out[:, j] = per_case[prefixes.case]
     return FeatureVector(out, tuple(f"static_{n}" for n in attr_names))
 
 
 def encode_last_state(
-    samples: Sequence[PrefixSample],
+    samples: PrefixSet | Sequence[PrefixSample],
     act_vocab: Vocabulary,
     res_vocab: Vocabulary | None = None,
 ) -> FeatureVector:
     """Ordinal code of the last activity, plus the last resource when present."""
-    lasts = [s.prefix.events[-1] for s in samples]
+    prefixes = PrefixSet.of(samples)
+    log, last = prefixes.log, prefixes.ends - 1
     with_res = res_vocab is not None and len(res_vocab) > 1
     schema = ("last_act", "last_res") if with_res else ("last_act",)
-    out = np.empty((len(samples), len(schema)))
-    out[:, 0] = act_vocab.codes(e.activity for e in lasts)
+    out = np.empty((len(prefixes), len(schema)))
+    out[:, 0] = _code_table(act_vocab, log.activity_vocab)[log.activity[last]]
     if with_res:
-        out[:, 1] = res_vocab.codes(e.resource for e in lasts)
+        out[:, 1] = _code_table(res_vocab, log.resource_vocab)[log.resource[last]]
     return FeatureVector(out, schema)
 
 
 def encode_aggregation(
-    samples: Sequence[PrefixSample],
+    samples: PrefixSet | Sequence[PrefixSample],
     act_vocab: Vocabulary,
     mode: str = "count",
 ) -> FeatureVector:
     """Occurrence counts (or presence flags) per known activity."""
     if mode not in ("count", "boolean"):
         raise ConfigError(f"aggregation mode must be count or boolean, got {mode!r}")
-    n, width = len(samples), len(act_vocab) - 1
-    lengths = [len(s.prefix.events) for s in samples]
-    codes = act_vocab.codes(e.activity for s in samples for e in s.prefix.events)
+    prefixes = PrefixSet.of(samples)
+    log, lengths = prefixes.log, prefixes.length
+    n, width = len(prefixes), len(act_vocab) - 1
     rows = np.repeat(np.arange(n), lengths)
+    # Rows of every prefix's events: its first row plus the event's place in it.
+    pos = np.arange(len(rows)) + np.repeat(
+        log.offsets[prefixes.case] - (np.cumsum(lengths) - lengths), lengths
+    )
+    codes = _code_table(act_vocab, log.activity_vocab)[log.activity[pos]].astype(np.int64)
     known = codes > 0
-    cells = rows[known] * width + codes[known].astype(np.int64) - 1
+    cells = rows[known] * width + codes[known] - 1
     out = np.bincount(cells, minlength=n * width).reshape(n, width).astype(np.float64)
     if mode == "boolean":
         out = (out > 0).astype(np.float64)
@@ -146,7 +163,7 @@ def encode_aggregation(
 
 
 def encode_index_based(
-    samples: Sequence[PrefixSample],
+    samples: PrefixSet | Sequence[PrefixSample],
     k: int,
     act_vocab: Vocabulary,
     res_vocab: Vocabulary | None = None,
@@ -161,16 +178,19 @@ def encode_index_based(
     with_res = res_vocab is not None and len(res_vocab) > 1
     if with_res:
         schema += [f"res_{i + 1}" for i in range(k)]
-    tails = [s.prefix.events[-k:] for s in samples]
-    events = [e for tail in tails for e in tail]
-    lengths = np.array([len(tail) for tail in tails], dtype=np.int64)
-    rows = np.repeat(np.arange(len(samples)), lengths)
-    # Slot of each event: its place in the tail, shifted right by the padding.
-    cols = np.arange(len(events)) + np.repeat(k - np.cumsum(lengths), lengths)
-    out = np.zeros((len(samples), len(schema)))
-    out[rows, cols] = act_vocab.codes(e.activity for e in events)
-    if with_res:
-        out[rows, k + cols] = res_vocab.codes(e.resource for e in events)
+    prefixes = PrefixSet.of(samples)
+    log = prefixes.log
+    starts, ends = log.offsets[prefixes.case], prefixes.ends
+    act_table = _code_table(act_vocab, log.activity_vocab)
+    res_table = _code_table(res_vocab, log.resource_vocab) if with_res else None
+    out = np.zeros((len(prefixes), len(schema)))
+    # Slot j holds row end - k + j; a slot before the case's first row is padding.
+    for j in range(k):
+        pos = ends - (k - j)
+        real = np.flatnonzero(pos >= starts)
+        out[real, j] = act_table[log.activity[pos[real]]]
+        if with_res:
+            out[real, k + j] = res_table[log.resource[pos[real]]]
     return FeatureVector(out, tuple(schema))
 
 

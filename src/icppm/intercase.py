@@ -7,9 +7,10 @@ its window bounds from one binary search over all anchor times, and each
 feature is computed for every anchor of the block at once.
 
 Conventions that keep results bit-identical to a naive full scan:
-window membership compares epoch-second floats (``datetime.timestamp()``),
-durations are exact ``timedelta.total_seconds()``, and means use
-``math.fsum`` so summation order cannot change the result.
+window membership compares epoch-second floats and durations are float
+seconds, both ``eventlog.seconds`` of the log's integer microseconds, which
+equals ``datetime.timestamp()`` and ``timedelta.total_seconds()``; means
+use ``math.fsum`` so summation order cannot change the result.
 """
 
 from __future__ import annotations
@@ -17,13 +18,14 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .encoding import FeatureVector, Vocabulary
 from .errors import ConfigError
-from .eventlog import EventLog
+from .eventlog import EventLog, seconds
 
 FEATURES = (
     "peer_cases",
@@ -80,18 +82,23 @@ class BatchStats:
 
 
 def fit_transition_stats(log: EventLog) -> TransitionStats:
-    gaps: dict[tuple[str, str], list[float]] = {}
-    succ: dict[str, set[str]] = {}
-    for trace in log.traces:
-        for a, b in zip(trace.events, trace.events[1:]):
-            pair = (a.activity, b.activity)
-            gaps.setdefault(pair, []).append(
-                (b.timestamp - a.timestamp).total_seconds()
-            )
-            succ.setdefault(a.activity, set()).add(b.activity)
-    means = {pair: math.fsum(v) / len(v) for pair, v in gaps.items()}
-    successors = {a: tuple(sorted(bs)) for a, bs in succ.items()}
-    return TransitionStats(means, successors)
+    names = log.activity_vocab
+    n_acts = max(len(names), 1)
+    # Consecutive events of one case: rows r and r + 1 of the same case.
+    same = np.flatnonzero(log.case[1:] == log.case[:-1])
+    pairs = log.activity[same] * n_acts + log.activity[same + 1]
+    gaps = seconds(log.time_us[same + 1] - log.time_us[same])
+    order = np.argsort(pairs, kind="stable")
+    keys, starts = np.unique(pairs[order], return_index=True)
+    groups = np.split(gaps[order], starts[1:])
+    means: dict[tuple[str, str], float] = {}
+    succ: dict[str, list[str]] = {}
+    # Keys ascend, so each activity's successors come in name order.
+    for key, group in zip(keys.tolist(), groups):
+        a, b = names[key // n_acts], names[key % n_acts]
+        means[(a, b)] = math.fsum(group.tolist()) / len(group)
+        succ.setdefault(a, []).append(b)
+    return TransitionStats(means, {a: tuple(bs) for a, bs in succ.items()})
 
 
 def fit_batch_stats(
@@ -103,18 +110,17 @@ def fit_batch_stats(
         raise ConfigError(f"epsilon must be positive, got {epsilon}")
     if min_burst < 2:
         raise ConfigError(f"min_burst must be >= 2, got {min_burst}")
-    occurrences: dict[str, list[tuple[float, str]]] = {}
-    for trace in log.traces:
-        for ev in trace.events:
-            occurrences.setdefault(ev.activity, []).append(
-                (ev.timestamp.timestamp(), ev.case_id)
-            )
+    # Occurrences grouped by activity, each group sorted stably by time.
+    all_times = seconds(log.time_us)
+    order = np.lexsort((all_times, log.activity))
+    acts = log.activity[order]
+    bounds = np.r_[np.flatnonzero(np.diff(acts, prepend=-1)), len(acts)].tolist()
+    sorted_times, sorted_cases = all_times[order].tolist(), log.case[order].tolist()
     scores: dict[str, float] = {}
-    for activity, occ in occurrences.items():
-        occ.sort(key=lambda pair: pair[0])
-        times = [t for t, _ in occ]
-        cases = [c for _, c in occ]
-        n = len(occ)
+    for first, end in zip(bounds, bounds[1:]):
+        times = sorted_times[first:end]
+        cases = sorted_cases[first:end]
+        n = end - first
         # Burst intervals [left, right) only move forward, so the marked
         # occurrences are counted through the end of the range covered so far.
         marked = covered = right = 0
@@ -129,69 +135,41 @@ def fit_batch_stats(
             counts[cases[left]] -= 1
             if counts[cases[left]] == 0:
                 del counts[cases[left]]
-        scores[activity] = marked / n
+        scores[log.activity_vocab[acts[first]]] = marked / n
     return BatchStats(scores, epsilon, min_burst)
 
 
+def _coded(values) -> bool:
+    """Whether ``values`` is an integer array of an index's own codes."""
+    return isinstance(values, np.ndarray) and values.dtype.kind in "iu"
+
+
 class EventIndex:
-    """Time-sorted arrays over a log, shared by all window feature queries."""
+    """Time-sorted columns of a log, shared by all window feature queries.
+
+    Case, activity and resource codes are the log's own.
+    """
 
     def __init__(self, log: EventLog):
-        case_ids: list[str] = []
-        acts: list[str] = []
-        ress: list[str] = []
-        self._case_code: dict[str, int] = {}
-        self._act_code: dict[str, int] = {}
-        self._res_code: dict[str, int] = {}
-
-        times, case_codes, act_codes, res_codes = [], [], [], []
-        prev_pairs, prev_gaps = [], []
-        for trace in log.traces:
-            if trace.case_id not in self._case_code:
-                self._case_code[trace.case_id] = len(case_ids)
-                case_ids.append(trace.case_id)
-            ccode = self._case_code[trace.case_id]
-            prev_ev = None
-            for ev in trace.events:
-                if ev.activity not in self._act_code:
-                    self._act_code[ev.activity] = len(acts)
-                    acts.append(ev.activity)
-                acode = self._act_code[ev.activity]
-                if not ev.resource:
-                    rcode = -1
-                else:
-                    if ev.resource not in self._res_code:
-                        self._res_code[ev.resource] = len(ress)
-                        ress.append(ev.resource)
-                    rcode = self._res_code[ev.resource]
-                times.append(ev.timestamp.timestamp())
-                case_codes.append(ccode)
-                act_codes.append(acode)
-                res_codes.append(rcode)
-                if prev_ev is None:
-                    prev_pairs.append(-1)
-                    prev_gaps.append(math.nan)
-                else:
-                    prev_pairs.append(self._act_code[prev_ev.activity])
-                    prev_gaps.append(
-                        (ev.timestamp - prev_ev.timestamp).total_seconds()
-                    )
-                prev_ev = ev
-
-        order = np.argsort(np.asarray(times, dtype=np.float64), kind="stable")
-        self.times = np.asarray(times, dtype=np.float64)[order]
-        self.case_codes = np.asarray(case_codes, dtype=np.int64)[order]
-        self.act_codes = np.asarray(act_codes, dtype=np.int64)[order]
-        self.res_codes = np.asarray(res_codes, dtype=np.int64)[order]
-        prev_acts = np.asarray(prev_pairs, dtype=np.int64)[order]
-        self.prev_gaps = np.asarray(prev_gaps, dtype=np.float64)[order]
-        n_acts = max(len(acts), 1)
+        times = seconds(log.time_us)
+        order = np.argsort(times, kind="stable")
+        self.times = times[order]
+        self.case_codes = log.case[order]
+        self.act_codes = log.activity[order]
+        self.res_codes = log.resource[order]
+        # Previous event of the same case: its activity and the gap to it.
+        has_prev = np.ones(log.n_events, dtype=bool)
+        has_prev[log.offsets[:-1][np.diff(log.offsets) > 0]] = False
+        prev_acts = np.where(has_prev, np.roll(log.activity, 1), -1)[order]
+        gaps = seconds(log.time_us - np.roll(log.time_us, 1))
+        self.prev_gaps = np.where(has_prev, gaps, math.nan)[order]
+        n_acts = max(len(log.activity_vocab), 1)
         self.pair_codes = np.where(
             prev_acts >= 0, prev_acts * n_acts + self.act_codes, -1
         )
-        self.cases = tuple(case_ids)
-        self.activities = tuple(acts)
-        self.resources = tuple(ress)
+        self.cases = log.case_ids
+        self.activities = log.activity_vocab
+        self.resources = log.resource_vocab
         for arr in (self.times, self.case_codes, self.act_codes,
                     self.res_codes, self.prev_gaps, self.pair_codes):
             arr.flags.writeable = False
@@ -206,19 +184,27 @@ class EventIndex:
         hi = np.searchsorted(self.times, times, side="right")
         return lo, hi
 
-    def case_codes_of(self, case_ids: Sequence[str]) -> np.ndarray:
-        """Internal code of each case id; -1 for a case the index lacks."""
+    @cached_property
+    def _case_code(self) -> dict[str, int]:
+        return {case_id: code for code, case_id in enumerate(self.cases)}
+
+    def case_codes_of(self, cases: Sequence[str] | np.ndarray) -> np.ndarray:
+        """Internal code of each case id; -1 for a case the index lacks. An
+        integer array is taken to hold internal codes already."""
+        if _coded(cases):
+            return cases.astype(np.int64, copy=False)
         get = self._case_code.get
-        return np.array([get(c, -1) for c in case_ids], dtype=np.int64)
+        return np.array([get(c, -1) for c in cases], dtype=np.int64)
 
     def mean_by_pair(self, stats: TransitionStats) -> np.ndarray:
         """Training mean duration per internal transition code; NaN when the
         transition is unknown or its mean is zero (no usable ratio)."""
         n_acts = max(len(self.activities), 1)
+        code = {a: i for i, a in enumerate(self.activities)}
         table = np.full(n_acts * n_acts, math.nan)
         for (a, b), mean in stats.mean_duration.items():
-            ia = self._act_code.get(a)
-            ib = self._act_code.get(b)
+            ia = code.get(a)
+            ib = code.get(b)
             if ia is not None and ib is not None and mean > 0:
                 table[ia * n_acts + ib] = mean
         return table
@@ -386,10 +372,14 @@ class InterCaseEncoder:
     def encode(
         self,
         times: np.ndarray,
-        case_ids: Sequence[str],
-        last_activities: Sequence[str],
+        case_ids: Sequence[str] | np.ndarray,
+        last_activities: Sequence[str] | np.ndarray,
     ) -> FeatureVector:
-        """Feature block, one row per anchor (time, case, last activity)."""
+        """Feature block, one row per anchor (time, case, last activity).
+
+        Cases and activities are ids and names, or integer arrays of the
+        index's own codes.
+        """
         index = self.index
         bounds = index.window_bounds(times, self.window)
         out = np.empty((len(case_ids), len(self.features)))
@@ -407,9 +397,12 @@ class InterCaseEncoder:
             elif name == "top_res":
                 out[:, j] = top_res(index, bounds, self.res_vocab)
             elif name == "batch":
-                out[:, j] = batch_indicator(
-                    last_activities, self.batch_stats, self.transition_stats.successors
+                coded = _coded(last_activities)
+                scores = batch_indicator(
+                    index.activities if coded else last_activities,
+                    self.batch_stats, self.transition_stats.successors,
                 )
+                out[:, j] = scores[last_activities] if coded else scores
         return FeatureVector(out, self.features)
 
 

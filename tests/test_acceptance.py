@@ -431,18 +431,23 @@ class TestCriterion8SamplingScaling:
             classifier="qke_zz_1", k=2, folds=3, seed=0,
             mode="sampling_sweep", sampling_fractions=(1.0, 0.5),
         )
-        full, half = sweep(cfg, log=log, samples=samples)
+        # Best of three sweeps per fraction: one scheduler stall during a
+        # ~3 ms Gram must not decide the time ratio.
+        sweeps = [sweep(cfg, log=log, samples=samples) for _ in range(3)]
+        full, half = sweeps[0]
+        full_s = min(f.gram_time_s for f, _ in sweeps)
+        half_s = min(h.gram_time_s for _, h in sweeps)
         ratio = half.kernel_evaluations / full.kernel_evaluations
-        time_ratio = half.gram_time_s / full.gram_time_s
+        time_ratio = half_s / full_s
         count_ok = abs(ratio - 0.25) <= 0.01 * 0.25
         superlinear = time_ratio < 0.5
         ok = count_ok and superlinear
         report(capsys, 8, "sampling-scaling", "PASS" if ok else "FAIL",
                f"eval ratio {ratio:.4f} (target 0.25), "
-               f"gram time {full.gram_time_s:.2f}s -> {half.gram_time_s:.2f}s "
+               f"best-of-3 gram time {full_s:.4f}s -> {half_s:.4f}s "
                f"(x{time_ratio:.2f})")
         assert count_ok, f"kernel eval ratio {ratio} outside 1% of 0.25"
         assert superlinear, (
             f"gram time ratio {time_ratio} is not superlinear "
-            f"({full.gram_time_s:.3f}s -> {half.gram_time_s:.3f}s)"
+            f"({full_s:.4f}s -> {half_s:.4f}s)"
         )
