@@ -38,7 +38,6 @@ from .encoding import (
 from .errors import ConfigError
 from .eventlog import (
     EventLog,
-    PrefixSample,
     PrefixSet,
     build_prefix_log,
     filter_singleton_variants,
@@ -65,12 +64,10 @@ log_ = logging.getLogger("icppm.bench")
 
 DATA_DIR_ENV = "ICPPM_DATA_DIR"
 
-CLASSIFIERS = ("majority", "svc_linear", "svc_rbf", "qke", "vqc")
-
 # Sweep mode -> (config field set per run, config field holding the grid,
 # test each grid value must pass, that test in words, label tag). A tagged
-# run's features label gains "@<tag><value>"; prefix-grid labels already
-# differ by k.
+# run's features label gains "@<tag><value:g>"; a prefix-grid run's label
+# names its k as "index_bsd_<k>".
 SWEEPS = {
     "window_sweep": ("window_fraction", "window_fractions", lambda v: v > 0,
                      "positive", "w"),
@@ -152,12 +149,21 @@ class ExperimentConfig:
                 f"sampling_fraction must be in (0, 1], got {self.sampling_fraction}"
             )
         if self.mode in SWEEPS:
-            _, grid_name, valid, rule, _ = SWEEPS[self.mode]
+            _, grid_name, valid, rule, tag = SWEEPS[self.mode]
             grid = getattr(self, grid_name)
             if not grid:
                 raise ConfigError(f"{self.mode} needs at least one value in {grid_name}")
             if not all(valid(v) for v in grid):
                 raise ConfigError(f"{grid_name} must be {rule}, got {grid}")
+            if self.mode == "prefix_grid" and self.encoder != "index_bsd":
+                raise ConfigError(
+                    f"prefix_grid varies k, which only the index_bsd encoder reads, "
+                    f"not {self.encoder!r}"
+                )
+            # Every run needs its own label: results.csv keeps one cell per label.
+            names = [f"{v:g}" if tag else f"{v}" for v in grid]
+            if len(set(names)) < len(names):
+                raise ConfigError(f"{grid_name} values {grid} give repeated run labels {names}")
             if self.mode == "window_sweep" and not self.inter_features:
                 raise ConfigError("window sweep requires at least one inter-case feature")
         elif self.mode != "experiment":
@@ -350,11 +356,11 @@ def _train_window_width(cfg: ExperimentConfig, train_log: EventLog) -> float:
 
 def fit_encoder(
     cfg: ExperimentConfig, fit_log: EventLog, index: EventIndex | None
-) -> Callable[[PrefixSet | Sequence[PrefixSample]], FeatureVector]:
+) -> Callable[[PrefixSet], FeatureVector]:
     """Fit everything a feature row needs on ``fit_log``: vocabularies, the
     intra-case encoder and, for inter-case features, the transition and
-    batch statistics and the window width. Returns samples -> feature block
-    with one row per sample; the window features count peer events in
+    batch statistics and the window width. Returns prefixes -> feature block
+    with one row per prefix; the window features count peer events in
     ``index``."""
     act_vocab = Vocabulary.from_values(fit_log.activity_vocab)
     res_vocab = Vocabulary.from_values(fit_log.resource_vocab)
@@ -382,8 +388,7 @@ def fit_encoder(
         ),
     )
 
-    def encode(samples: PrefixSet | Sequence[PrefixSample]) -> FeatureVector:
-        prefixes = PrefixSet.of(samples)
+    def encode(prefixes: PrefixSet) -> FeatureVector:
         log, last = prefixes.log, prefixes.ends - 1
         # Anchors go in as case and activity codes, which are the index's own
         # only for prefixes of the log the index was built from.
@@ -426,7 +431,7 @@ def _kernel_kind(cfg: ExperimentConfig, kind: str, variant: str | None, layers: 
 def run_experiment(
     cfg: ExperimentConfig,
     log: EventLog | None = None,
-    samples: PrefixSet | Sequence[PrefixSample] | None = None,
+    samples: PrefixSet | None = None,
 ) -> RunResult:
     """One cross-validated run; pass (log, samples) to skip re-preprocessing.
 
@@ -435,7 +440,6 @@ def run_experiment(
     """
     if log is None or samples is None:
         log, samples = prepare_samples(cfg)
-    samples = PrefixSet.of(samples)
     if cfg.sampling_fraction < 1.0:
         samples = stratified_subsample(
             samples, cfg.sampling_fraction, derive_seed(cfg.seed, "subsample")
@@ -537,7 +541,7 @@ def run_experiment(
 def sweep(
     cfg: ExperimentConfig,
     log: EventLog | None = None,
-    samples: PrefixSet | Sequence[PrefixSample] | None = None,
+    samples: PrefixSet | None = None,
 ) -> list[RunResult]:
     """The runs of ``cfg.mode``: one run in experiment mode, else one run per
     value of the mode's grid, all on the same preprocessed log.

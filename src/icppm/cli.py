@@ -107,8 +107,6 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_kernel_check(args) -> int:
-    if args.qubits > 20:
-        raise ConfigError(f"kernel check is capped at 20 qubits, got {args.qubits}")
     report = run_kernel_check(
         n_qubits=args.qubits,
         variant=args.feature_map,

@@ -7,9 +7,9 @@ of growing with the vocabulary. Scaling maps each feature into a fixed
 target interval, by default [0, pi], with train-fitted min/max and
 clamping at prediction time.
 
-Encoders take a ``PrefixSet`` (or a list of ``PrefixSample`` views of one
-log) and gather each prefix's events straight from the log's code columns,
-through one table per vocabulary from log codes to vocabulary indices.
+Encoders take a ``PrefixSet`` and gather each prefix's events straight from
+the log's code columns, through one table per vocabulary from log codes to
+vocabulary indices.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from typing import IO, Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import ConfigError
-from .eventlog import PrefixSample, PrefixSet
+from .eventlog import PrefixSet
 
 PAD_TOKEN = "<PAD>"
 
@@ -55,9 +55,6 @@ class Vocabulary:
 
     def __len__(self) -> int:
         return len(self.entries)
-
-    def __contains__(self, value: str) -> bool:
-        return value in self._lookup
 
     def codes(self, values: Iterable[str | None]) -> np.ndarray:
         """``index`` of every value, as a float64 array."""
@@ -105,12 +102,11 @@ def _code_table(vocab: Vocabulary, names: Sequence[str]) -> np.ndarray:
 
 
 def encode_static(
-    samples: PrefixSet | Sequence[PrefixSample],
+    prefixes: PrefixSet,
     attr_names: Sequence[str],
     attr_vocabs: Mapping[str, Vocabulary],
 ) -> FeatureVector:
     """One ordinal code per selected case attribute; missing values map to 0."""
-    prefixes = PrefixSet.of(samples)
     out = np.zeros((len(prefixes), len(attr_names)))
     for j, name in enumerate(attr_names):
         vocab = attr_vocabs.get(name)
@@ -121,12 +117,11 @@ def encode_static(
 
 
 def encode_last_state(
-    samples: PrefixSet | Sequence[PrefixSample],
+    prefixes: PrefixSet,
     act_vocab: Vocabulary,
     res_vocab: Vocabulary | None = None,
 ) -> FeatureVector:
     """Ordinal code of the last activity, plus the last resource when present."""
-    prefixes = PrefixSet.of(samples)
     log, last = prefixes.log, prefixes.ends - 1
     with_res = res_vocab is not None and len(res_vocab) > 1
     schema = ("last_act", "last_res") if with_res else ("last_act",)
@@ -138,14 +133,13 @@ def encode_last_state(
 
 
 def encode_aggregation(
-    samples: PrefixSet | Sequence[PrefixSample],
+    prefixes: PrefixSet,
     act_vocab: Vocabulary,
     mode: str = "count",
 ) -> FeatureVector:
     """Occurrence counts (or presence flags) per known activity."""
     if mode not in ("count", "boolean"):
         raise ConfigError(f"aggregation mode must be count or boolean, got {mode!r}")
-    prefixes = PrefixSet.of(samples)
     log, lengths = prefixes.log, prefixes.length
     n, width = len(prefixes), len(act_vocab) - 1
     rows = np.repeat(np.arange(n), lengths)
@@ -163,7 +157,7 @@ def encode_aggregation(
 
 
 def encode_index_based(
-    samples: PrefixSet | Sequence[PrefixSample],
+    prefixes: PrefixSet,
     k: int,
     act_vocab: Vocabulary,
     res_vocab: Vocabulary | None = None,
@@ -178,7 +172,6 @@ def encode_index_based(
     with_res = res_vocab is not None and len(res_vocab) > 1
     if with_res:
         schema += [f"res_{i + 1}" for i in range(k)]
-    prefixes = PrefixSet.of(samples)
     log = prefixes.log
     starts, ends = log.offsets[prefixes.case], prefixes.ends
     act_table = _code_table(act_vocab, log.activity_vocab)
@@ -264,18 +257,18 @@ def make_intra_encoder(
     static_attrs: Sequence[str] = (),
     attr_vocabs: Mapping[str, Vocabulary] | None = None,
 ):
-    """Bind an encoder name to fitted vocabularies; returns samples -> block."""
+    """Bind an encoder name to fitted vocabularies; returns prefixes -> block."""
     if name == "static":
         if not static_attrs:
             raise ConfigError("static encoder requires at least one case attribute")
         vocabs = attr_vocabs or {}
-        return lambda ss: encode_static(ss, static_attrs, vocabs)
+        return lambda ps: encode_static(ps, static_attrs, vocabs)
     if name == "last_state":
-        return lambda ss: encode_last_state(ss, act_vocab, res_vocab)
+        return lambda ps: encode_last_state(ps, act_vocab, res_vocab)
     if name == "agg_count":
-        return lambda ss: encode_aggregation(ss, act_vocab, "count")
+        return lambda ps: encode_aggregation(ps, act_vocab, "count")
     if name == "agg_bool":
-        return lambda ss: encode_aggregation(ss, act_vocab, "boolean")
+        return lambda ps: encode_aggregation(ps, act_vocab, "boolean")
     if name == "index_bsd":
-        return lambda ss: encode_index_based(ss, k, act_vocab, res_vocab)
+        return lambda ps: encode_index_based(ps, k, act_vocab, res_vocab)
     raise ConfigError(f"unknown intra-case encoder {name!r}, expected {INTRA_ENCODERS}")

@@ -16,9 +16,10 @@ Times stay exact integers. Where a float is needed, ``seconds`` divides by
 
 A ``PrefixSet`` is two int arrays, case and length: prefix i is the first
 length[i] events of case case[i], labelled with the next activity or
-END_LABEL. ``Event``, ``Trace``, ``PrefixSample`` and ``EventLog.traces``
-are views built from the columns on demand, for code that wants one object
-per event or prefix.
+END_LABEL. Every function here and downstream that takes prefixes takes a
+``PrefixSet``. ``Event``, ``Trace``, ``PrefixSample`` and ``EventLog.traces``
+are read-only views built from the columns on demand, for code that wants
+one object per event or prefix; nothing takes them as input.
 
 Preprocessing covers variant filtering, date slicing, prefix extraction,
 stratified subsampling, and case-level CV folds.
@@ -186,10 +187,6 @@ class EventLog:
     def n_events(self) -> int:
         return len(self.activity)
 
-    @property
-    def has_resources(self) -> bool:
-        return bool(self.resource_vocab)
-
     @cached_property
     def traces(self) -> tuple[Trace, ...]:
         """One ``Trace`` view per case, built on first use."""
@@ -332,20 +329,6 @@ class PrefixSet:
     log: EventLog = field(repr=False)
     case: np.ndarray
     length: np.ndarray
-
-    @classmethod
-    def of(cls, samples: "PrefixSet | Sequence[PrefixSample]") -> "PrefixSet":
-        """``samples`` as a PrefixSet; a sequence of views must share one log."""
-        if isinstance(samples, PrefixSet):
-            return samples
-        samples = list(samples)
-        if not samples:
-            return cls(EventLog.from_traces([]), np.zeros(0, np.int64), np.zeros(0, np.int64))
-        log = samples[0].log
-        if any(s.log is not log for s in samples):
-            raise ValueError("prefix samples of different logs")
-        return cls(log, np.array([s.case for s in samples], dtype=np.int64),
-                   np.array([s.length for s in samples], dtype=np.int64))
 
     def __len__(self) -> int:
         return len(self.case)
@@ -675,11 +658,7 @@ def build_prefix_log(
     return PrefixSet(log, case, length)
 
 
-def stratified_subsample(
-    samples: PrefixSet | Sequence[PrefixSample],
-    fraction: float,
-    seed: int,
-) -> PrefixSet:
+def stratified_subsample(prefixes: PrefixSet, fraction: float, seed: int) -> PrefixSet:
     """Sample round(fraction * size) items per label class, at least one.
 
     Sampling is without replacement and deterministic for a given seed.
@@ -687,7 +666,6 @@ def stratified_subsample(
     """
     if not 0.0 < fraction <= 1.0:
         raise ConfigError(f"sampling fraction must be in (0, 1], got {fraction}")
-    prefixes = PrefixSet.of(samples)
     codes = prefixes.label_codes()
     names = prefixes.log.activity_vocab + (END_LABEL,)
     rng = random.Random(seed)
@@ -699,9 +677,7 @@ def stratified_subsample(
     return prefixes[np.sort(np.array(chosen, dtype=np.int64))]
 
 
-def make_cv_folds(
-    samples: PrefixSet | Sequence[PrefixSample], n_folds: int, seed: int
-) -> FoldSplit:
+def make_cv_folds(prefixes: PrefixSet, n_folds: int, seed: int) -> FoldSplit:
     """Assign folds at the case level: all prefixes of a case share a fold.
 
     Distinct cases, sorted by id, are shuffled by the seed and dealt
@@ -709,7 +685,6 @@ def make_cv_folds(
     """
     if n_folds < 2:
         raise ConfigError(f"need at least 2 folds, got {n_folds}")
-    prefixes = PrefixSet.of(samples)
     case_ids = prefixes.log.case_ids
     present = np.bincount(prefixes.case, minlength=len(case_ids))
     cases = sorted(np.flatnonzero(present).tolist(), key=case_ids.__getitem__)

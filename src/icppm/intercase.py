@@ -2,9 +2,11 @@
 
 Each feature looks at the events of *other* live cases inside the window
 [t - width, t] (both ends inclusive) anchored at a prefix's last event.
-The log is indexed once into time-sorted arrays. A block of anchors gets
-its window bounds from one binary search over all anchor times, and each
-feature is computed for every anchor of the block at once.
+The log is indexed once into time-sorted arrays. Anchors come as three
+arrays: epoch-second times, and the case and last-activity codes of the
+indexed log. A block of anchors gets its window bounds from one binary
+search over all anchor times, and each feature is computed for every anchor
+of the block at once.
 
 Conventions that keep results bit-identical to a naive full scan:
 window membership compares epoch-second floats and durations are float
@@ -18,7 +20,6 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterator, Mapping, Sequence
 
 import numpy as np
@@ -139,11 +140,6 @@ def fit_batch_stats(
     return BatchStats(scores, epsilon, min_burst)
 
 
-def _coded(values) -> bool:
-    """Whether ``values`` is an integer array of an index's own codes."""
-    return isinstance(values, np.ndarray) and values.dtype.kind in "iu"
-
-
 class EventIndex:
     """Time-sorted columns of a log, shared by all window feature queries.
 
@@ -183,18 +179,6 @@ class EventIndex:
         lo = np.searchsorted(self.times, times - window.width, side="left")
         hi = np.searchsorted(self.times, times, side="right")
         return lo, hi
-
-    @cached_property
-    def _case_code(self) -> dict[str, int]:
-        return {case_id: code for code, case_id in enumerate(self.cases)}
-
-    def case_codes_of(self, cases: Sequence[str] | np.ndarray) -> np.ndarray:
-        """Internal code of each case id; -1 for a case the index lacks. An
-        integer array is taken to hold internal codes already."""
-        if _coded(cases):
-            return cases.astype(np.int64, copy=False)
-        get = self._case_code.get
-        return np.array([get(c, -1) for c in cases], dtype=np.int64)
 
     def mean_by_pair(self, stats: TransitionStats) -> np.ndarray:
         """Training mean duration per internal transition code; NaN when the
@@ -259,15 +243,15 @@ def _most_frequent(
     return out
 
 
-def peer_cases(index: EventIndex, bounds: Bounds, case_ids: Sequence[str]) -> np.ndarray:
-    """Distinct cases with an event in each window, the anchor case included."""
-    own = index.case_codes_of(case_ids)
-    distinct = np.zeros(len(own), dtype=np.int64)
-    present = np.zeros(len(own), dtype=bool)
+def peer_cases(index: EventIndex, bounds: Bounds, cases: np.ndarray) -> np.ndarray:
+    """Distinct cases with an event in each window, the anchor's case (its
+    code in ``cases``) included."""
+    distinct = np.zeros(len(cases), dtype=np.int64)
+    present = np.zeros(len(cases), dtype=bool)
     n_cases = max(len(index.cases), 1)
     for start, stop, anchor, code, _ in _window_counts(bounds, index.case_codes, n_cases):
         distinct[start:stop] = np.bincount(anchor, minlength=stop - start)
-        mine = anchor[code == own[start:stop][anchor]]
+        mine = anchor[code == cases[start:stop][anchor]]
         present[start + mine] = True
     return distinct + ~present
 
@@ -370,22 +354,16 @@ class InterCaseEncoder:
             raise ConfigError("top_res requires a resource vocabulary")
 
     def encode(
-        self,
-        times: np.ndarray,
-        case_ids: Sequence[str] | np.ndarray,
-        last_activities: Sequence[str] | np.ndarray,
+        self, times: np.ndarray, cases: np.ndarray, last_activities: np.ndarray
     ) -> FeatureVector:
-        """Feature block, one row per anchor (time, case, last activity).
-
-        Cases and activities are ids and names, or integer arrays of the
-        index's own codes.
-        """
+        """Feature block, one row per anchor (time, case, last activity);
+        cases and activities are integer arrays of the index's own codes."""
         index = self.index
         bounds = index.window_bounds(times, self.window)
-        out = np.empty((len(case_ids), len(self.features)))
+        out = np.empty((len(cases), len(self.features)))
         for j, name in enumerate(self.features):
             if name == "peer_cases":
-                out[:, j] = peer_cases(index, bounds, case_ids)
+                out[:, j] = peer_cases(index, bounds, cases)
             elif name == "peer_act":
                 out[:, j] = peer_act(index, bounds)
             elif name == "res_count":
@@ -397,12 +375,10 @@ class InterCaseEncoder:
             elif name == "top_res":
                 out[:, j] = top_res(index, bounds, self.res_vocab)
             elif name == "batch":
-                coded = _coded(last_activities)
                 scores = batch_indicator(
-                    index.activities if coded else last_activities,
-                    self.batch_stats, self.transition_stats.successors,
+                    index.activities, self.batch_stats, self.transition_stats.successors
                 )
-                out[:, j] = scores[last_activities] if coded else scores
+                out[:, j] = scores[last_activities]
         return FeatureVector(out, self.features)
 
 

@@ -159,7 +159,7 @@ def run_kernel_check(
     weight of the VQC oracle; any nonzero value must make the check fail.
     """
     if n_qubits < 1 or n_qubits > 20:
-        raise ConfigError(f"kernel-check supports 1..20 qubits, got {n_qubits}")
+        raise ConfigError(f"kernel-check needs 1..20 qubits (capped at 20), got {n_qubits}")
     kind = FeatureMapKind(variant, layers)
     quantum = qkernel.KernelKind.quantum(kind)
     rng = np.random.default_rng(seed)

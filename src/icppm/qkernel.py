@@ -91,15 +91,10 @@ class KernelMatrix:
 
 
 def _as_matrix(data) -> np.ndarray:
-    if isinstance(data, np.ndarray):
-        out = np.asarray(data, dtype=np.float64)
-        if out.ndim != 2:
-            raise ValueError(f"expected a 2-d sample matrix, got shape {out.shape}")
-        return out
-    rows = list(data)
-    if not rows:
-        raise ValueError("an empty row list has no feature width; pass a (0, d) array")
-    return np.asarray(rows, dtype=np.float64).reshape(len(rows), -1)
+    out = np.asarray(data, dtype=np.float64)
+    if out.ndim != 2:
+        raise ValueError(f"expected a 2-d sample matrix, got shape {out.shape}")
+    return out
 
 
 def pair_seed(seed: int, i: int, j: int) -> int:

@@ -4,9 +4,10 @@ The circuit is a data feature map followed by L trainable layers (RY
 rotations plus a CNOT ring). Class scores are read out from the first
 ceil(log2 C) qubits: the 2^r marginal bitstring probabilities are dealt
 round-robin onto the C classes (bitstring b -> class b mod C) and
-renormalized. Training minimizes cross-entropy by gradient descent with
-parameter-shift gradients (RY generators admit the exact +-pi/2 rule) or
-SPSA as a cheaper seeded alternative.
+renormalized. Training minimizes cross-entropy by full-batch gradient
+descent, one step per epoch over every training row, with parameter-shift
+gradients (RY generators admit the exact +-pi/2 rule) or SPSA as a cheaper
+seeded alternative.
 
 Rows run as one batch: ``qsim.feature_map_states`` simulates the feature
 map once per call (once per ``train``), and the weight layers act on that
@@ -48,7 +49,6 @@ class OptimizerConfig:
     learning_rate: float = 0.05
     epochs: int = 30
     method: str = "parameter_shift"
-    batch_size: int | None = None
     seed: int = 0
     spsa_step: float = 0.1
 
@@ -59,8 +59,6 @@ class OptimizerConfig:
             raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
         if self.method not in ("parameter_shift", "spsa"):
             raise ConfigError(f"unknown gradient method {self.method!r}")
-        if self.batch_size is not None and self.batch_size < 1:
-            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
 
 
 @dataclass
@@ -385,26 +383,14 @@ def train(
     for epoch in range(opt.epochs):
         if not math.isfinite(history[-1]):
             raise TrainingError("training loss diverged", epoch=epoch)
-        for batch in _batches(len(xs), opt.batch_size, rng):
-            if opt.method == "parameter_shift":
-                grad = _shift_gradient(states[batch], model.theta, class_idx[batch],
-                                       n_classes, perm, shots, ws)
-            else:
-                grad = _spsa_gradient(model.theta, states[batch], class_idx[batch],
-                                      n_classes, perm, rng, opt.spsa_step, shots, ws)
-            model.theta = model.theta - opt.learning_rate * grad
+        if opt.method == "parameter_shift":
+            grad = _shift_gradient(states, model.theta, class_idx, n_classes, perm, shots, ws)
+        else:
+            grad = _spsa_gradient(model.theta, states, class_idx, n_classes, perm, rng,
+                                  opt.spsa_step, shots, ws)
+        model.theta = model.theta - opt.learning_rate * grad
         history.append(_batch_loss(states, model.theta, class_idx, n_classes, perm, shots, ws))
         if not math.isfinite(history[-1]):
             raise TrainingError("training loss diverged", epoch=epoch)
     model.loss_history = tuple(history)
     return model
-
-
-def _batches(m: int, batch_size: int | None,
-             rng: np.random.Generator) -> list[np.ndarray | slice]:
-    """Row selections of one epoch; a full batch is a slice, so that
-    indexing the cached states with it copies nothing."""
-    if batch_size is None or batch_size >= m:
-        return [slice(None)]
-    order = rng.permutation(m)
-    return [order[i:i + batch_size] for i in range(0, m, batch_size)]

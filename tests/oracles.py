@@ -41,6 +41,14 @@ def intra_row(name, sample, act_vocab, res_vocab, k, attr_names, attr_vocabs):
     return row + (pad + [float(res_vocab.index(ev.resource)) for ev in tail] if with_res else [])
 
 
+def index_codes(names, vocab) -> np.ndarray:
+    """Each name's position in ``vocab``, -1 for a name it lacks: case ids
+    and activity names as the codes of an ``EventIndex`` (its ``cases`` or
+    ``activities``), the form ``intercase`` takes anchors in."""
+    code = {v: i for i, v in enumerate(vocab)}
+    return np.array([code.get(n, -1) for n in names], dtype=np.int64)
+
+
 def window_events(log: EventLog, t: float, width: float):
     """All events of all cases with epoch time in [t - width, t]."""
     out = []
@@ -269,18 +277,17 @@ def vqc_train(xs, labels, feature_map, n_layers, opt, entangle=True, shots=qsim.
     theta = rng.uniform(-0.1, 0.1, size=(n_layers, xs.shape[1]))
     history = [vqc_loss(feature_map, theta, xs, class_idx, n_classes, entangle, shots)]
     for _ in range(opt.epochs):
-        for batch in vqc._batches(len(xs), opt.batch_size, rng):
-            if opt.method == "parameter_shift":
-                grad = vqc_shift_gradient(feature_map, theta, xs[batch], class_idx[batch],
-                                          n_classes, entangle, shots)
-            else:
-                delta = rng.choice((-1.0, 1.0), size=theta.shape)
-                c = opt.spsa_step
-                up = vqc_loss(feature_map, theta + c * delta, xs[batch], class_idx[batch],
-                              n_classes, entangle, shots)
-                down = vqc_loss(feature_map, theta - c * delta, xs[batch], class_idx[batch],
-                                n_classes, entangle, shots)
-                grad = (up - down) / (2.0 * c) * delta
-            theta = theta - opt.learning_rate * grad
+        if opt.method == "parameter_shift":
+            grad = vqc_shift_gradient(feature_map, theta, xs, class_idx, n_classes,
+                                      entangle, shots)
+        else:
+            delta = rng.choice((-1.0, 1.0), size=theta.shape)
+            c = opt.spsa_step
+            up = vqc_loss(feature_map, theta + c * delta, xs, class_idx, n_classes,
+                          entangle, shots)
+            down = vqc_loss(feature_map, theta - c * delta, xs, class_idx, n_classes,
+                            entangle, shots)
+            grad = (up - down) / (2.0 * c) * delta
+        theta = theta - opt.learning_rate * grad
         history.append(vqc_loss(feature_map, theta, xs, class_idx, n_classes, entangle, shots))
     return theta, tuple(history)

@@ -291,7 +291,7 @@ class TestCriterion6IntercaseOracle:
         acts = [ev.activity for ev in events]
         bounds = idx.window_bounds(times, PeerWindow(width))
         got = zip(
-            peer_cases(idx, bounds, case_ids).tolist(),
+            peer_cases(idx, bounds, ref.index_codes(case_ids, idx.cases)).tolist(),
             peer_act(idx, bounds).tolist(),
             res_count(idx, bounds).tolist(),
             avg_delay(idx, bounds, stats).tolist(),

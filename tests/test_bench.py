@@ -570,8 +570,28 @@ class TestPrefixGrid:
         with pytest.raises(ConfigError):
             dataclasses.replace(cfg, mode="prefix_grid", prefix_lengths=(0,))
 
+    def test_needs_the_encoder_that_reads_k(self):
+        # Only index_bsd reads k: any other encoder would repeat one run
+        # under one label, so results.csv would keep one cell of three runs.
+        with pytest.raises(ConfigError, match="index_bsd"):
+            ExperimentConfig(classifier="majority", folds=2, mode="prefix_grid",
+                             encoder="agg_count", prefix_lengths=(1, 2, 3))
+
 
 class TestSweep:
+    @pytest.mark.parametrize("mode,grid", [
+        ("window_sweep", {"window_fractions": (0.3, 0.5, 0.3)}),
+        ("window_sweep", {"window_fractions": (0.3, 0.3000001)}),
+        ("sampling_sweep", {"sampling_fractions": (0.5, 0.5)}),
+        ("prefix_grid", {"prefix_lengths": (2, 3, 2)}),
+    ], ids=["window_repeat", "window_prints_alike", "sampling_repeat", "prefix_repeat"])
+    def test_grid_values_with_one_run_label_rejected(self, mode, grid):
+        # 0.3 and 0.3000001 both print as "@w0.3": their runs would share a
+        # results.csv cell and both enter the "@avg" row.
+        with pytest.raises(ConfigError, match="repeated run labels"):
+            ExperimentConfig(classifier="majority", folds=2, mode=mode,
+                             inter_features=("peer_cases",), **grid)
+
     def test_experiment_mode_is_one_run(self):
         cfg = ExperimentConfig(classifier="majority", folds=2)
         log, samples = two_label_setup(cfg)

@@ -189,7 +189,8 @@ def reference_fold_block(cfg, log, index, prefixes, train_idx, test_idx):
     )
     anchors = [prefixes[i][0].events[prefixes[i][1] - 1] for i in test_idx]
     block = inter.encode(np.array([ev.timestamp.timestamp() for ev in anchors]),
-                         [ev.case_id for ev in anchors], [ev.activity for ev in anchors])
+                         oracles.index_codes([ev.case_id for ev in anchors], index.cases),
+                         oracles.index_codes([ev.activity for ev in anchors], index.activities))
     return np.concatenate([intra, block.values], axis=1)
 
 

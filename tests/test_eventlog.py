@@ -73,10 +73,6 @@ class TestEventLog:
         with pytest.raises(ValueError):
             make_log(make_trace("c1", [("a", 0)]), make_trace("c1", [("b", 1)]))
 
-    def test_has_resources(self):
-        assert make_log(make_trace("c", [("a", 0, "r")])).has_resources
-        assert not make_log(make_trace("c", [("a", 0)])).has_resources
-
 
 class TestParseXes:
     def test_zero_traces(self):
@@ -113,7 +109,7 @@ class TestParseXes:
         doc = xes_doc([("t1", [("a", "2023-01-01T10:00:00Z", "")], {})])
         log = parse_xes(doc)
         assert log.traces[0].events[0].resource is None
-        assert not log.has_resources
+        assert not log.resource_vocab
 
     def test_trace_without_name_gets_generated_id(self):
         doc = xes_doc([(None, [("a", "2023-01-01T10:00:00Z", None)], {})])
@@ -412,12 +408,12 @@ class TestStratifiedSubsample:
             for _ in range(n):
                 traces.append(make_trace(f"c{i}", [(label, 0), (label + "_next", 1)]))
                 i += 1
-        log = make_log(*traces)
-        return [s for s in build_prefix_log(log) if s.label != END_LABEL]
+        prefixes = build_prefix_log(make_log(*traces))
+        return prefixes[np.array(prefixes.labels) != END_LABEL]
 
     def test_fraction_one_is_identity(self):
         samples = self._samples({"a": 10, "b": 5})
-        assert list(stratified_subsample(samples, 1.0, seed=0)) == samples
+        assert list(stratified_subsample(samples, 1.0, seed=0)) == list(samples)
 
     def test_per_class_rounding(self):
         samples = self._samples({"a": 100, "b": 50})

@@ -59,27 +59,32 @@ class TestPeerCases:
             ("c3", [("a", 85)]),
         )
         idx = EventIndex(log)
-        assert peer_cases(idx, at(idx, 100, 95, 85), ["c1", "c2", "c3"]).tolist() == [2, 2, 1]
+        cases = oracles.index_codes(["c1", "c2", "c3"], idx.cases)
+        assert peer_cases(idx, at(idx, 100, 95, 85), cases).tolist() == [2, 2, 1]
 
     def test_anchor_alone(self):
         log = log_at(("c1", [("a", 100)]))
         idx = EventIndex(log)
-        assert peer_cases(idx, at(idx, 100), ["c1"]).tolist() == [1]
+        cases = oracles.index_codes(["c1"], idx.cases)
+        assert peer_cases(idx, at(idx, 100), cases).tolist() == [1]
 
     def test_anchor_before_other_activity(self):
         log = log_at(("c1", [("a", 0)]), ("c2", [("a", 500)]))
         idx = EventIndex(log)
-        assert peer_cases(idx, at(idx, 0), ["c1"]).tolist() == [1]
+        cases = oracles.index_codes(["c1"], idx.cases)
+        assert peer_cases(idx, at(idx, 0), cases).tolist() == [1]
 
     def test_counts_anchor_even_without_its_event(self):
         log = log_at(("c1", [("a", 0)]), ("c2", [("a", 95)]))
         idx = EventIndex(log)
-        assert peer_cases(idx, at(idx, 100, 100), ["c1", "ghost"]).tolist() == [2, 2]
+        cases = oracles.index_codes(["c1", "ghost"], idx.cases)
+        assert peer_cases(idx, at(idx, 100, 100), cases).tolist() == [2, 2]
 
     def test_same_case_multiple_events_counted_once(self):
         log = log_at(("c1", [("a", 92), ("b", 96), ("c", 100)]))
         idx = EventIndex(log)
-        assert peer_cases(idx, at(idx, 100, 96), ["c1", "c1"]).tolist() == [1, 1]
+        cases = oracles.index_codes(["c1", "c1"], idx.cases)
+        assert peer_cases(idx, at(idx, 100, 96), cases).tolist() == [1, 1]
 
 
 class TestPeerAct:
@@ -321,7 +326,7 @@ def assert_window_features_match_oracle(log, idx, times, case_ids, width):
     means = oracles.transition_means(log)
     bounds = idx.window_bounds(times, PeerWindow(width))
     got = {
-        "peer_cases": peer_cases(idx, bounds, case_ids).tolist(),
+        "peer_cases": peer_cases(idx, bounds, oracles.index_codes(case_ids, idx.cases)).tolist(),
         "peer_act": peer_act(idx, bounds).tolist(),
         "res_count": res_count(idx, bounds).tolist(),
         "avg_delay": avg_delay(idx, bounds, stats).tolist(),
@@ -417,7 +422,7 @@ class TestOracleAgreement:
         for width in (10.0, 100.0, 1000.0, 10_000.0):
             bounds = idx.window_bounds(times, PeerWindow(width))
             cur = np.stack([
-                peer_cases(idx, bounds, case_ids),
+                peer_cases(idx, bounds, oracles.index_codes(case_ids, idx.cases)),
                 peer_act(idx, bounds),
                 res_count(idx, bounds),
             ])
@@ -430,7 +435,8 @@ class TestOracleAgreement:
         times = np.array([tr.events[-1].timestamp.timestamp() for tr in log.traces])
         bounds = idx.window_bounds(times, PeerWindow(700.0))
         acts = peer_act(idx, bounds)
-        assert (peer_cases(idx, bounds, [tr.case_id for tr in log.traces]) <= acts).all()
+        cases = oracles.index_codes([tr.case_id for tr in log.traces], idx.cases)
+        assert (peer_cases(idx, bounds, cases) <= acts).all()
         assert (res_count(idx, bounds) <= acts).all()
 
 
@@ -465,7 +471,9 @@ class TestInterCaseEncoder:
     def test_encode_selected_features(self):
         log, idx = self._index()
         enc = InterCaseEncoder(idx, ("peer_cases", "peer_act"), PeerWindow(10.0))
-        fv = enc.encode(np.array([epoch(100), epoch(95)]), ["c1", "c2"], ["b", "a"])
+        fv = enc.encode(np.array([epoch(100), epoch(95)]),
+                        oracles.index_codes(["c1", "c2"], idx.cases),
+                        oracles.index_codes(["b", "a"], idx.activities))
         assert fv.schema == ("peer_cases", "peer_act")
         assert fv.values.tolist() == [[2.0, 3.0], [2.0, 1.0]]
 
@@ -502,7 +510,9 @@ class TestInterCaseEncoder:
             transition_stats=tstats,
             batch_stats=bstats,
         )
-        fv = enc.encode(np.array([epoch(100), epoch(100)]), ["c1", "c1"], ["a", "b"])
+        fv = enc.encode(np.array([epoch(100), epoch(100)]),
+                        oracles.index_codes(["c1", "c1"], idx.cases),
+                        oracles.index_codes(["a", "b"], idx.activities))
         assert fv.values.tolist() == [[0.7], [0.0]]
 
 

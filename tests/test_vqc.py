@@ -56,8 +56,6 @@ class TestOptimizerConfig:
             OptimizerConfig(epochs=-1)
         with pytest.raises(ConfigError):
             OptimizerConfig(method="adam")
-        with pytest.raises(ConfigError):
-            OptimizerConfig(batch_size=0)
 
     def test_zero_epochs_allowed(self):
         assert OptimizerConfig(epochs=0).epochs == 0
@@ -207,12 +205,6 @@ class TestTrain:
         assert np.array_equal(a.theta, b.theta)
         assert a.loss_history == b.loss_history
 
-    def test_minibatches_cover_all_samples(self):
-        xs, labels = separable_fixture()
-        opt = OptimizerConfig(epochs=2, batch_size=2, seed=1)
-        model = train(xs, labels, ANGLE, 1, opt)
-        assert len(model.loss_history) == 3
-
     def test_spsa_runs_and_is_seeded(self):
         xs, labels = separable_fixture()
         opt = OptimizerConfig(epochs=3, method="spsa", seed=7)
@@ -288,15 +280,13 @@ class TestBatchedEngine:
             want = ref.vqc_shift_gradient(fm, model.theta, xs, class_idx, n_classes, True, shots)
             assert np.array_equal(grad, want)
 
-    @pytest.mark.parametrize("method,batch_size", [("parameter_shift", None),
-                                                   ("parameter_shift", 4), ("spsa", 3)])
-    def test_shot_mode_training_bit_identical_to_reference(self, method, batch_size):
+    @pytest.mark.parametrize("method", ["parameter_shift", "spsa"])
+    def test_shot_mode_training_bit_identical_to_reference(self, method):
         rng = np.random.default_rng(3)
         xs = rng.uniform(0.0, math.pi, (10, 3))
         labels = list(rng.integers(0, 3, 10))
         fm = FeatureMapKind("zz")
-        opt = OptimizerConfig(learning_rate=0.3, epochs=2, method=method,
-                              batch_size=batch_size, seed=4)
+        opt = OptimizerConfig(learning_rate=0.3, epochs=2, method=method, seed=4)
         shots = ShotConfig(60, seed=2)
         model = train(xs, labels, fm, 2, opt, shots=shots)
         theta, history = ref.vqc_train(xs, labels, fm, 2, opt, shots=shots)
@@ -332,7 +322,7 @@ class TestBatchedEngine:
         xs, labels = separable_fixture()
         for method in ("parameter_shift", "spsa"):
             calls.clear()
-            train(xs, labels, ANGLE, 2, OptimizerConfig(epochs=3, method=method, batch_size=2))
+            train(xs, labels, ANGLE, 2, OptimizerConfig(epochs=3, method=method))
             assert calls == [len(xs)]
 
     def test_feature_dimension_checked(self):
@@ -355,10 +345,6 @@ class TestEdgeBatches:
             loss(self.MODEL, empty, [])
         with pytest.raises(ValueError, match="empty batch"):
             parameter_shift_gradient(self.MODEL, empty, [])
-
-    def test_empty_row_list_names_the_missing_width(self):
-        with pytest.raises(ValueError, match="no feature width"):
-            forward_many(self.MODEL, [])
 
     def test_non_finite_features_raise(self):
         bad = [[math.nan, 0.0, 0.0]]
