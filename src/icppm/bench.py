@@ -56,7 +56,7 @@ from .intercase import (
     fit_transition_stats,
 )
 from .qkernel import KernelKind, cache_key, cross, gram, load_kernel, psd_repair, save_kernel
-from .qsim import EXACT, FEATURE_MAPS, FeatureMapKind, ShotConfig
+from .qsim import FEATURE_MAPS, FeatureMapKind, ShotConfig
 from .svm import fit_multiclass, predict as svm_predict
 from .vqc import OptimizerConfig, predict_many as vqc_predict, train as vqc_train
 
@@ -73,7 +73,8 @@ SWEEPS = {
                      "positive", "w"),
     "sampling_sweep": ("sampling_fraction", "sampling_fractions", lambda v: 0 < v <= 1,
                        "in (0, 1]", "s"),
-    "prefix_grid": ("k", "prefix_lengths", lambda v: v >= 1, ">= 1", None),
+    "prefix_grid": ("k", "prefix_lengths", lambda v: type(v) is int and v >= 1,
+                    "integers >= 1", None),
 }
 
 
@@ -134,6 +135,14 @@ class ExperimentConfig:
     prefix_lengths: tuple[int, ...] = ()
 
     def __post_init__(self):
+        for name in ("k", "min_prefix", "max_prefix", "shots"):
+            value = getattr(self, name)
+            if value is not None and type(value) is not int:
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+        ShotConfig(self.shots)  # shots >= 1, or None for exact
+        for name in ("C", "tol"):
+            if not getattr(self, name) > 0:
+                raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
         if len(self.inter_features) > 2:
             raise ConfigError(
                 f"at most 2 inter-case features are allowed, got {self.inter_features}"
@@ -458,8 +467,7 @@ def run_experiment(
             cfg, index, samples[train_idx], samples[test_idx]
         )
         part["encode_time_s"] = time.perf_counter() - t_enc0
-        shot_seed = derive_seed(cfg.seed, f"shots/{fold}")
-        shots = ShotConfig(cfg.shots, shot_seed) if cfg.shots else EXACT
+        shots = ShotConfig(cfg.shots, derive_seed(cfg.seed, f"shots/{fold}"))
         t_fit0 = time.perf_counter()
         fold_note = ""
         if kind == "majority":
@@ -495,7 +503,7 @@ def run_experiment(
                     data_hash,
                     {"features": feature_label(cfg), "scale": [cfg.scale_lo, cfg.scale_hi]},
                     {"classifier": cfg.classifier, "shots": cfg.shots, "gamma": cfg.gamma},
-                    shot_seed,
+                    shots.seed,
                 )
                 k_train = load_kernel(cfg.cache_dir, key, size=len(x_train))
             if k_train is None:

@@ -9,12 +9,12 @@ diagonal fixed at 1; a cross matrix is |S_test S_train^H|^2. The batch holds
 m * 2^n complex amplitudes. Both products read the conjugated batch of
 their columns: ``gram`` returns the train rows' conjugated batch
 (``KernelMatrix.conj_states``), and ``cross`` given it simulates only the
-test rows, so a fold simulates each row once. Shot mode samples each entry
-from a per-pair seed derived from (global seed, i, j) by
-``qsim.sampled_frequency``, so a matrix equals the per-pair
-``qsim.kernel_overlap`` estimates entry for entry. A classical Gram matrix
-is the cross matrix of the rows with themselves. Matrices can be persisted
-to .npz keyed by a config hash.
+test rows, so a fold simulates each row once. Shot mode draws row i of
+the exact matrix as binomial(shots, p) / shots from a generator seeded by
+(global seed, i) (``_sample``), so a shot Gram matrix equals the shot cross
+matrix of the rows with themselves above the diagonal. A classical Gram
+matrix is the cross matrix of the rows with themselves. Matrices can be
+persisted to .npz keyed by a config hash.
 """
 
 from __future__ import annotations
@@ -31,14 +31,14 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError
-from .qsim import EXACT, FeatureMapKind, ShotConfig, feature_map_states, sampled_frequency
+from .qsim import EXACT, FeatureMapKind, ShotConfig, feature_map_states
 
 log_ = logging.getLogger("icppm.qkernel")
 
 KERNEL_VARIANTS = ("linear", "rbf", "quantum")
 # Part of every cache key: raise it whenever a change to the simulator or
 # the kernels changes the matrices, so stale cache entries are never served.
-CACHE_FORMAT_VERSION = 2
+CACHE_FORMAT_VERSION = 3
 # Largest |K - K^T| entry a cached Gram matrix may have.
 _CACHE_SYMMETRY_TOL = 1e-12
 
@@ -97,20 +97,21 @@ def _as_matrix(data) -> np.ndarray:
     return out
 
 
-def pair_seed(seed: int, i: int, j: int) -> int:
-    """Stable per-pair shot seed: a function of (seed, i, j) only."""
-    return int(np.random.SeedSequence((seed, i, j)).generate_state(1)[0])
-
-
 def _overlaps(rows: np.ndarray, conj_cols: np.ndarray) -> np.ndarray:
     """|<psi(c)|psi(r)>|^2 for every state pair, from (B, 2**n) batches of
     the row states and of the conjugated column states."""
     return np.abs(rows @ conj_cols.T) ** 2
 
 
-def _shot_estimate(p: float, shots: ShotConfig, i: int, j: int) -> float:
-    """Shot estimate of entry (i, j): ``kernel_overlap`` with ``pair_seed``."""
-    return sampled_frequency(p, shots.shots, pair_seed(shots.seed, i, j))
+def _sample(overlaps: np.ndarray, shots: ShotConfig) -> np.ndarray:
+    """Shot frequencies of an overlap matrix, written over it: row i draws
+    binomial(shots, p) from ``default_rng((seed, i))``, with p clamped to 1,
+    which exact self-overlaps exceed in the last bit."""
+    np.minimum(overlaps, 1.0, out=overlaps)
+    for i, row in enumerate(overlaps):
+        row[:] = np.random.default_rng((shots.seed, i)).binomial(shots.shots, row)
+    overlaps /= shots.shots
+    return overlaps
 
 
 def gram(train, kind: KernelKind) -> KernelMatrix:
@@ -118,7 +119,7 @@ def gram(train, kind: KernelKind) -> KernelMatrix:
 
     A classical kernel is ``cross`` of the rows with themselves. For the
     quantum kernel every row's state is simulated once; the strict upper
-    triangle is read off the state inner products (or shot-sampled),
+    triangle is read off the state inner products (or their ``_sample``),
     mirrored, and the diagonal is 1 by construction. The conjugated states
     come back as ``conj_states`` for ``cross``.
     """
@@ -129,12 +130,11 @@ def gram(train, kind: KernelKind) -> KernelMatrix:
     states = feature_map_states(kind.feature_map, x)
     conj_states = states.conj()
     overlaps = _overlaps(states, conj_states)
+    if not kind.shots.exact:
+        overlaps = _sample(overlaps, kind.shots)
     upper = np.triu_indices(m, 1)
     values = np.ones((m, m))
-    if kind.shots.exact:
-        values[upper] = overlaps[upper]
-    else:
-        values[upper] = [_shot_estimate(overlaps[i, j], kind.shots, i, j) for i, j in zip(*upper)]
+    values[upper] = overlaps[upper]
     values.T[upper] = values[upper]
     return KernelMatrix(values, eval_count=len(upper[0]), states_simulated=m,
                         conj_states=conj_states)
@@ -173,13 +173,9 @@ def cross(test, train, kind: KernelKind, train_states: np.ndarray | None = None)
         raise ValueError(f"train states of shape {train_states.shape} do not match "
                          f"{len(xr)} train rows of {xr.shape[1]} qubits")
     values = _overlaps(feature_map_states(kind.feature_map, xt), train_states)
-    p, m = values.shape
     if not kind.shots.exact:
-        values = np.array([
-            [_shot_estimate(values[i, j], kind.shots, i, j) for j in range(m)]
-            for i in range(p)
-        ]).reshape(p, m)
-    return KernelMatrix(values, eval_count=p * m, states_simulated=simulated)
+        values = _sample(values, kind.shots)
+    return KernelMatrix(values, eval_count=values.size, states_simulated=simulated)
 
 
 def psd_repair(kernel: KernelMatrix, floor: float = 1e-9) -> KernelMatrix:

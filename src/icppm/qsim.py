@@ -18,8 +18,9 @@ writes the first layer's H on every qubit of |0...0> as one fill with
 (1/sqrt 2)^n, rounded as the n gates round it, so the states keep their
 bits;
 ``run`` simulates one circuit gate by gate as a batch of one, and
-``kernel_overlap`` reads a kernel entry off two such states, as the
-per-pair reference.
+``kernel_overlap`` reads an exact kernel entry off two such states, as the
+per-pair reference. Shot sampling lives with its readouts, in
+``icppm.qkernel`` and ``icppm.vqc``.
 """
 
 from __future__ import annotations
@@ -346,41 +347,12 @@ def weight_layer(theta: Sequence[float], n_qubits: int, entangle: bool = True) -
     return CircuitSpec(n_qubits, tuple(ops))
 
 
-def sample_indices(probs: np.ndarray, shots: int, seed: int) -> np.ndarray:
-    """Inverse-CDF sampling of basis-state indices, seeded per evaluation."""
-    cum = np.cumsum(probs)
-    cum[-1] = max(cum[-1], 1.0)
-    u = np.random.default_rng(seed).random(shots)
-    return np.searchsorted(cum, u, side="right")
-
-
-def sampled_frequency(p: float, shots: int, seed: int) -> float:
-    """Frequency of an outcome of probability ``p`` over ``shots`` seeded draws.
-
-    A draw hits when its uniform falls below p: the slot [0, p) that the
-    all-zeros outcome owns in ``sample_indices``' CDF, so this is its
-    zero-outcome count on the same stream.
-    """
-    u = np.random.default_rng(seed).random(shots)
-    return int(np.count_nonzero(u < p)) / shots
-
-
-def kernel_overlap(
-    x: Sequence[float],
-    x2: Sequence[float],
-    kind: FeatureMapKind,
-    shots: ShotConfig = EXACT,
-) -> float:
-    """Kernel entry |<psi(x2)|psi(x)>|^2 from two gate-by-gate states.
-
-    Shot mode estimates it by ``sampled_frequency`` over ``shots.shots``
-    draws seeded by ``shots.seed``.
-    """
+def kernel_overlap(x: Sequence[float], x2: Sequence[float], kind: FeatureMapKind) -> float:
+    """Exact kernel entry |<psi(x2)|psi(x)>|^2 from two gate-by-gate states."""
     x = np.asarray(x, dtype=np.float64)
     x2 = np.asarray(x2, dtype=np.float64)
     if x.shape != x2.shape:
         raise ValueError(f"feature dimensions differ: {x.shape} vs {x2.shape}")
     psi = run(build_feature_map(kind, x))
     psi2 = run(build_feature_map(kind, x2))
-    p = float(np.abs(np.vdot(psi2, psi)) ** 2)
-    return p if shots.exact else sampled_frequency(p, shots.shots, shots.seed)
+    return float(np.abs(np.vdot(psi2, psi)) ** 2)

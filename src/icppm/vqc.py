@@ -38,7 +38,6 @@ from .qsim import (
     ShotConfig,
     _apply_op,
     feature_map_states,
-    sample_indices,
 )
 
 _P_FLOOR = 1e-12
@@ -157,23 +156,25 @@ def _readout(psi: np.ndarray, n_classes: int, shots: ShotConfig,
     """Class scores per row of a (B, 2**n) batch, shape (B, n_classes);
     |psi|^2 goes into ``probs``, a (B, 2**n) float buffer.
 
-    Marginal of the first r qubits (exact, or counted from ``shots.shots``
-    samples per row, every row drawn with ``shots.seed``), bitstring b dealt
-    to class b mod C, renormalized.
+    Marginal of the first r qubits (exact, or counted from the same
+    ``shots.shots`` uniforms of ``shots.seed`` for every row), bitstring b
+    dealt to class b mod C, renormalized. A uniform u samples basis state
+    #{k: cdf[k] <= u}, with the last cdf entry raised to at least 1, so
+    readout groups 0..g hold the uniforms below the cdf (accumulated in
+    ``probs``) at group g's last state.
     """
     b, dim = psi.shape
-    n = dim.bit_length() - 1
     r = max(1, math.ceil(math.log2(n_classes)))
     np.abs(psi, out=probs)
     np.square(probs, out=probs)
     if shots.exact:
         marginal = probs.reshape(b, 2 ** r, dim >> r).sum(axis=2)
     else:
-        counts = [
-            np.bincount(sample_indices(p, shots.shots, shots.seed) >> (n - r), minlength=2 ** r)
-            for p in probs
-        ]
-        marginal = np.array(counts).reshape(b, 2 ** r) / shots.shots
+        u = np.sort(np.random.default_rng(shots.seed).random(shots.shots))
+        cdf = np.cumsum(probs, axis=1, out=probs)
+        np.maximum(cdf[:, -1], 1.0, out=cdf[:, -1])
+        below = np.searchsorted(u, cdf[:, (dim >> r) - 1::dim >> r])
+        marginal = np.diff(below, axis=1, prepend=0) / shots.shots
     # 2**r < 2C, so each class collects one or two bitstrings.
     dealt = np.zeros((b, 2 * n_classes))
     dealt[:, :2 ** r] = marginal

@@ -213,8 +213,17 @@ def qp_dual_optimum(kernel: np.ndarray, y: np.ndarray, C: float):
 
 # Per-row VQC reference: every circuit rebuilt gate by gate and simulated
 # through ``qsim._apply_ops``, with the feature map re-run for every sample,
-# loss term and shifted parameter. The batched engine in ``icppm.vqc`` must
-# match it to 1e-12 exactly and bit for bit in shot mode.
+# loss term and shifted parameter, and each row's shots drawn one by one by
+# ``sample_indices``. The batched engine in ``icppm.vqc`` must match it to
+# 1e-12 exactly and bit for bit in shot mode.
+
+
+def sample_indices(probs: np.ndarray, shots: int, seed: int) -> np.ndarray:
+    """Inverse-CDF sampling of basis-state indices, seeded per evaluation."""
+    cum = np.cumsum(probs)
+    cum[-1] = max(cum[-1], 1.0)
+    u = np.random.default_rng(seed).random(shots)
+    return np.searchsorted(cum, u, side="right")
 
 
 def vqc_class_probs(feature_map, theta, x, n_classes, entangle, shots) -> np.ndarray:
@@ -230,7 +239,7 @@ def vqc_class_probs(feature_map, theta, x, n_classes, entangle, shots) -> np.nda
     if shots.exact:
         marginal = probs.reshape(2 ** r, -1).sum(axis=1)
     else:
-        samples = qsim.sample_indices(probs, shots.shots, shots.seed)
+        samples = sample_indices(probs, shots.shots, shots.seed)
         groups = samples >> (n - r)
         marginal = np.bincount(groups, minlength=2 ** r) / shots.shots
     scores = np.zeros(n_classes)

@@ -106,6 +106,31 @@ class TestExperimentConfig:
         assert ExperimentConfig(sampling_fraction=1.0).sampling_fraction == 1.0
         assert ExperimentConfig(sampling_fraction=0.01).sampling_fraction == 0.01
 
+    @pytest.mark.parametrize("field, value", [
+        ("k", 2.5), ("min_prefix", 1.5), ("max_prefix", 2.5), ("k", True),
+    ])
+    def test_integer_fields_reject_other_values(self, field, value):
+        with pytest.raises(ConfigError, match=f"{field} must be an integer"):
+            ExperimentConfig(**{field: value})
+
+    @pytest.mark.parametrize("lengths", [(2.5,), (2, 2.0)])
+    def test_prefix_lengths_must_be_integers(self, lengths):
+        with pytest.raises(ConfigError, match="prefix_lengths must be integers"):
+            ExperimentConfig(classifier="majority", folds=2, mode="prefix_grid",
+                             prefix_lengths=lengths)
+
+    @pytest.mark.parametrize("field, value", [
+        ("C", 0.0), ("C", -1.0), ("C", float("nan")),
+        ("tol", 0.0), ("tol", -1e-3), ("shots", 0), ("shots", -5),
+    ])
+    def test_out_of_range_values_rejected_before_any_work(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            ExperimentConfig(**{field: value})
+
+    def test_range_bounds_accepted(self):
+        assert ExperimentConfig(shots=None).shots is None
+        assert ExperimentConfig(shots=1, C=1e-6, tol=1e-12).shots == 1
+
     # Empty grids and the other bounds are checked in the sweep test classes.
     @pytest.mark.parametrize("mode, grid, values", [
         ("window_sweep", "window_fractions", (0.3, 0.0)),

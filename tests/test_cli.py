@@ -216,6 +216,18 @@ class TestBench:
         assert main(["bench", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 2
         assert "sampling_fraction" in capsys.readouterr().err
 
+    def test_nonpositive_c_exits_2_before_the_run(self, log_path, tmp_path, capsys):
+        cfg = self._config(tmp_path, log_path, classifier="svc_rbf", C=0)
+        assert main(["bench", "--config", str(cfg), "--out-dir", str(tmp_path / "r")]) == 2
+        assert "C must be positive" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
+    def test_zero_shots_flag_exits_2(self, log_path, tmp_path, capsys):
+        cfg = self._config(tmp_path, log_path, classifier="qke_angle_1", k=2)
+        assert main(["bench", "--config", str(cfg), "--out-dir", str(tmp_path / "r"),
+                     "--shots", "0"]) == 2
+        assert "shots must be >= 1" in capsys.readouterr().err
+
     def test_missing_config_exits_2(self, tmp_path, capsys):
         assert main(["bench", "--config", str(tmp_path / "none.json")]) == 2
         assert "not found" in capsys.readouterr().err

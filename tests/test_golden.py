@@ -4,7 +4,9 @@ states, pinned by hash.
 The encode and classical bench hashes were taken before the fold encoding
 moved from per-sample feature vectors to whole matrices; the quantum bench
 and state hashes before the statevector engine moved its gates onto float64
-views and reused buffers. Any change to how a feature value, amplitude or
+views and reused buffers; the shot-mode qke hash was re-pinned once, when
+kernel shots moved from one generator per entry to one binomial generator
+per row (a new random stream, the same distribution). Any change to how a feature value, amplitude or
 score is computed, scaled or written shows up here as a different digest. To
 re-pin after an intended change, run ``python tests/test_golden.py`` and
 paste the printed table.
@@ -92,7 +94,7 @@ GOLDEN = {
     "bench/majority+freq_act+batch": "6b27aa1859dc8488c75e8a59586a7b4f9208b7fa085dfff5287fac4e4af14834",
     "bench/majority+peer_cases+avg_delay": "32e276019d6f8a51e4b7b2a31246ac03e50ca87960c73d4cbc102df1286f5d6f",
     "bench/qke_zz_2+peer_cases": "f4dd95eca108b444b8f760d9c488068f3071de1a2de0f38718633a08b288c916",
-    "bench/qke_zz_2+peer_cases@shots50": "80389707c3cae0eca41e79b21e4ee21df903e0055d12cf328cf2ab40e7becf0d",
+    "bench/qke_zz_2+peer_cases@shots50": "d2be583da5f1d2271f49b633310e48aa740a7ed044279a05ac80f057a096be27",
     "bench/svc_rbf+freq_act+batch": "98ed8f516239c69608c36be8a9428734beebfc791b84c1815851e752111a5acb",
     "bench/svc_rbf+peer_cases+avg_delay": "88d01f77a031a1493c13c93a42c69958bb6a5ee5c71035ee4ee536c744de8c00",
     "bench/vqc_angle_1+peer_cases": "e6b041efa35aba865a2b3124ecf9bc85d2263d425c461adae0acd7b3f8f9f35c",

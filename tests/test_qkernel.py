@@ -14,7 +14,6 @@ from icppm.qkernel import (
     cross,
     gram,
     load_kernel,
-    pair_seed,
     psd_repair,
     save_kernel,
 )
@@ -25,6 +24,15 @@ QUANTUM = KernelKind.quantum(FeatureMapKind("zz"))
 
 def points(seed: int, m: int, dim: int) -> np.ndarray:
     return np.random.default_rng(seed).uniform(0.0, math.pi, (m, dim))
+
+
+def row_draws(exact: np.ndarray, shots: int, seed: int) -> np.ndarray:
+    """The shot rule written out: row i of an exact overlap matrix, clamped
+    to 1, as binomial(shots, p) / shots drawn by default_rng((seed, i))."""
+    return np.array([
+        np.random.default_rng((seed, i)).binomial(shots, np.minimum(row, 1.0)) / shots
+        for i, row in enumerate(exact)
+    ])
 
 
 class TestKernelKind:
@@ -121,17 +129,20 @@ class TestQuantumGram:
         assert np.max(np.abs(permuted - base[np.ix_(perm, perm)])) < 1e-12
 
     @pytest.mark.parametrize("shots", [1, 7, 200])
-    def test_shot_mode_entries_equal_per_pair_estimates(self, shots):
+    def test_shot_mode_rows_equal_row_generator_draws(self, shots):
+        upper = np.triu_indices(5, 1)
         for variant in ("angle", "zz", "angle_zz"):
             fm = FeatureMapKind(variant)
             kind = KernelKind.quantum(fm, ShotConfig(shots, seed=11))
             x = points(7, 5, 2)
+            want = row_draws(cross(x, x, KernelKind.quantum(fm)).values, shots, 11)
             got = gram(x, kind).values
-            for i in range(5):
-                for j in range(i + 1, 5):
-                    want = kernel_overlap(x[i], x[j], fm, ShotConfig(shots, pair_seed(11, i, j)))
-                    assert got[i, j] == got[j, i] == want
+            assert np.array_equal(got[upper], want[upper])
+            assert np.array_equal(got.T[upper], want[upper])
             assert np.array_equal(np.diag(got), np.ones(5))
+            # Above the diagonal, the Gram matrix is the shot cross matrix of
+            # the rows with themselves.
+            assert np.array_equal(got[upper], cross(x, x, kind).values[upper])
 
     def test_states_simulated_once_per_row(self):
         x = points(21, 7, 2)
@@ -147,9 +158,17 @@ class TestQuantumGram:
         other = KernelKind.quantum(FeatureMapKind("zz"), ShotConfig(300, seed=3))
         assert not np.array_equal(gram(x, kind).values, gram(x, other).values)
 
-    def test_pair_seed_depends_on_pair(self):
-        assert pair_seed(0, 1, 2) != pair_seed(0, 2, 1)
-        assert pair_seed(0, 1, 2) == pair_seed(0, 1, 2)
+    def test_rows_draw_from_their_own_generators(self):
+        # Rows 0 and 1 are the same point: equal exact rows, different draws,
+        # since row i's generator is seeded by (seed, i) alone. Row 0 of any
+        # other matrix over the same exact row draws the same values.
+        x = np.vstack([points(32, 1, 2), points(32, 1, 2), points(33, 4, 2)])
+        kind = KernelKind.quantum(FeatureMapKind("zz"), ShotConfig(100, seed=0))
+        exact = cross(x, x, KernelKind.quantum(kind.feature_map)).values
+        assert np.array_equal(exact[0], exact[1])
+        got = cross(x, x, kind).values
+        assert not np.array_equal(got[0], got[1])
+        assert np.array_equal(cross(x[1:], x, kind).values[0], got[0])
 
 
 class TestAgainstOracles:
@@ -232,16 +251,13 @@ class TestCross:
         assert cross(x, x, QUANTUM).conj_states is None
         assert gram(x, KernelKind.rbf()).conj_states is None
 
-    def test_shot_mode_entries_equal_per_pair_estimates(self):
+    def test_shot_mode_rows_equal_row_generator_draws(self):
         fm = FeatureMapKind("zz", 2)
         kind = KernelKind.quantum(fm, ShotConfig(50, seed=4))
         xt = points(24, 3, 3)
         xr = points(25, 4, 3)
-        got = cross(xt, xr, kind).values
-        for i in range(3):
-            for j in range(4):
-                want = kernel_overlap(xt[i], xr[j], fm, ShotConfig(50, pair_seed(4, i, j)))
-                assert got[i, j] == want
+        exact = cross(xt, xr, KernelKind.quantum(fm)).values
+        assert np.array_equal(cross(xt, xr, kind).values, row_draws(exact, 50, 4))
 
     def test_row_permutation_permutes_exact_cross(self):
         xt = points(26, 4, 2)
@@ -269,6 +285,54 @@ class TestCross:
             for j in range(3):
                 d2 = float(np.sum((xt[i] - xr[j]) ** 2))
                 assert got[i, j] == pytest.approx(math.exp(-0.7 * d2))
+
+
+class TestShotDistribution:
+    """Shot entries over many seeds against the binomial law of ``shots``
+    draws at the exact overlap p: each entry's mean and sample variance lie
+    within 5 standard errors of p and p(1-p)/shots. No particular random
+    stream is read."""
+
+    SHOTS = 50
+    SEEDS = 400
+
+    def _z_scores(self, samples: np.ndarray, p: np.ndarray):
+        s, n = len(samples), self.SHOTS
+        pq = p * (1.0 - p)
+        var = pq / n
+        mean_z = (samples.mean(axis=0) - p) / np.sqrt(var / s)
+        # Fourth central moment of a binomial frequency, then the variance of
+        # the unbiased sample variance of s draws.
+        mu4 = pq * (1.0 + 3.0 * (n - 2) * pq) / n ** 3
+        var_of_var = mu4 / s - var ** 2 * (s - 3) / (s * (s - 1))
+        var_z = (samples.var(axis=0, ddof=1) - var) / np.sqrt(var_of_var)
+        return mean_z, var_z
+
+    def test_entries_have_binomial_mean_and_variance(self):
+        fm = FeatureMapKind("zz")
+        x, xt = points(41, 6, 2), points(42, 4, 2)
+        upper = np.triu_indices(6, 1)
+        exact_g = gram(x, KernelKind.quantum(fm)).values[upper]
+        exact_c = cross(xt, x, KernelKind.quantum(fm)).values.ravel()
+        assert np.all((exact_g > 0.02) & (exact_g < 0.98))
+        assert np.all((exact_c > 0.02) & (exact_c < 0.98))
+        g_samples, c_samples = [], []
+        for seed in range(self.SEEDS):
+            kind = KernelKind.quantum(fm, ShotConfig(self.SHOTS, seed))
+            g_samples.append(gram(x, kind).values[upper])
+            c_samples.append(cross(xt, x, kind).values.ravel())
+        for samples, p in ((g_samples, exact_g), (c_samples, exact_c)):
+            mean_z, var_z = self._z_scores(np.array(samples), p)
+            assert np.max(np.abs(mean_z)) < 5.0
+            assert np.max(np.abs(var_z)) < 5.0
+
+    def test_self_overlaps_above_one_sample_to_one(self):
+        # Exact self-overlaps of the angle map round above 1 in the last bit.
+        fm = FeatureMapKind("angle", 2)
+        x = points(33, 60, 6)
+        assert np.any(np.diag(cross(x, x, KernelKind.quantum(fm)).values) > 1.0)
+        sampled = cross(x, x, KernelKind.quantum(fm, ShotConfig(20, seed=1))).values
+        assert np.array_equal(np.diag(sampled), np.ones(60))
 
 
 class TestPsdRepair:

@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import oracles as ref
 from icppm import oracles, qsim
 from icppm.errors import ConfigError, IcppmError
+from icppm.qkernel import KernelKind, cross
 from icppm.qsim import (
     EXACT,
     FEATURE_MAPS,
@@ -20,8 +22,6 @@ from icppm.qsim import (
     feature_map_states,
     kernel_overlap,
     run,
-    sample_indices,
-    sampled_frequency,
     weight_layer,
 )
 
@@ -164,22 +164,16 @@ class TestShotConfig:
 
     def test_sampling_deterministic_per_seed(self):
         probs = np.array([0.25, 0.25, 0.25, 0.25])
-        a = sample_indices(probs, 1000, seed=7)
-        b = sample_indices(probs, 1000, seed=7)
-        c = sample_indices(probs, 1000, seed=8)
+        a = ref.sample_indices(probs, 1000, seed=7)
+        b = ref.sample_indices(probs, 1000, seed=7)
+        c = ref.sample_indices(probs, 1000, seed=8)
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
-    def test_sampled_frequency_is_zero_outcome_count(self):
-        rng = np.random.default_rng(12)
-        for shots in (1, 7, 200):
-            for seed in range(20):
-                probs = rng.dirichlet(np.ones(8))
-                zeros = np.count_nonzero(sample_indices(probs, shots, seed) == 0)
-                assert sampled_frequency(probs[0], shots, seed) == zeros / shots
-
     def test_sampled_frequency_within_bound(self):
-        est = sampled_frequency(0.5, 40_000, seed=3)
+        # One-qubit angle overlap cos^2((x - x')/2) is 1/2 at pi/2 apart.
+        kind = KernelKind.quantum(FeatureMapKind("angle"), ShotConfig(40_000, seed=3))
+        est = cross([[0.0]], [[math.pi / 2]], kind).values[0, 0]
         assert abs(est - 0.5) < 2.5 / math.sqrt(40_000)
 
 
@@ -280,10 +274,11 @@ class TestKernelOverlap:
             kernel_overlap([0.1], [0.1, 0.2], FeatureMapKind("angle"))
 
     def test_shot_estimate_reproducible_and_close(self):
-        x, x2 = (0.5, 1.0), (0.2, 0.8)
-        cfg = ShotConfig(20_000, seed=5)
-        a = kernel_overlap(x, x2, FeatureMapKind("zz"), cfg)
-        b = kernel_overlap(x, x2, FeatureMapKind("zz"), cfg)
+        # Shot estimates come from the kernel matrices; see test_qkernel.
+        x, x2 = [(0.5, 1.0)], [(0.2, 0.8)]
+        kind = KernelKind.quantum(FeatureMapKind("zz"), ShotConfig(20_000, seed=5))
+        a = cross(x, x2, kind).values[0, 0]
+        b = cross(x, x2, kind).values[0, 0]
         assert a == b
         sigma = math.sqrt(ZZ_KERNEL_1L * (1 - ZZ_KERNEL_1L) / 20_000)
         assert abs(a - ZZ_KERNEL_1L) < 5 * sigma

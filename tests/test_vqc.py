@@ -293,6 +293,28 @@ class TestBatchedEngine:
         assert np.array_equal(model.theta, theta)
         assert model.loss_history == history
 
+    @pytest.mark.parametrize("n_classes", [2, 3, 4, 5])
+    def test_readout_counts_equal_per_row_inverse_cdf(self, n_classes):
+        # Random distributions, some with empty readout groups and some whose
+        # cdf ends just below or above 1, against per-row sample_indices.
+        rng = np.random.default_rng(12)
+        n = 4
+        r = max(1, math.ceil(math.log2(n_classes)))
+        probs = rng.dirichlet(np.full(2 ** n, 0.3), size=12)
+        probs[3, : 2 ** n >> r] = 0.0
+        probs[4, -(2 ** n >> r):] = 0.0
+        probs[5] *= 1.0 - 1e-15
+        probs[6] *= 1.0 + 1e-15
+        psi = np.sqrt(probs).astype(np.complex128)
+        for shots in (ShotConfig(1, seed=3), ShotConfig(7, seed=4), ShotConfig(200, seed=5)):
+            got = vqc._readout(psi, n_classes, shots, np.empty(psi.shape))
+            for row, p in zip(got, np.abs(psi) ** 2):
+                groups = ref.sample_indices(p, shots.shots, shots.seed) >> (n - r)
+                scores = np.zeros(n_classes)
+                np.add.at(scores, np.arange(2 ** r) % n_classes,
+                          np.bincount(groups, minlength=2 ** r) / shots.shots)
+                assert np.array_equal(row, scores / scores.sum())
+
     def test_exact_training_matches_reference(self):
         rng = np.random.default_rng(5)
         xs = rng.uniform(0.0, math.pi, (8, 4))
