@@ -48,6 +48,7 @@ from .eventlog import (
     stratified_subsample,
 )
 from .intercase import (
+    FEATURES,
     EventIndex,
     InterCaseEncoder,
     PeerWindow,
@@ -135,7 +136,8 @@ class ExperimentConfig:
     prefix_lengths: tuple[int, ...] = ()
 
     def __post_init__(self):
-        for name in ("k", "min_prefix", "max_prefix", "shots"):
+        for name in ("k", "min_prefix", "max_prefix", "shots", "folds", "epochs",
+                     "vqc_layers", "seed", "min_burst"):
             value = getattr(self, name)
             if value is not None and type(value) is not int:
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
@@ -147,6 +149,11 @@ class ExperimentConfig:
             raise ConfigError(
                 f"at most 2 inter-case features are allowed, got {self.inter_features}"
             )
+        unknown = [f for f in self.inter_features if f not in FEATURES]
+        if unknown:
+            raise ConfigError(f"unknown inter-case features {unknown}, expected {FEATURES}")
+        if len(set(self.inter_features)) < len(self.inter_features):
+            raise ConfigError(f"inter-case features repeat: {self.inter_features}")
         if self.folds < 2:
             raise ConfigError(f"need at least 2 folds, got {self.folds}")
         if isinstance(self.window_base, str) and self.window_base != "train_median":
@@ -188,6 +195,8 @@ class ExperimentConfig:
         coerced = dict(data)
         for key in ("static_attrs", "inter_features", "window_fractions",
                     "sampling_fractions", "prefix_lengths"):
+            if isinstance(coerced.get(key), str):
+                raise ConfigError(f"{key} must be a list, got the string {coerced[key]!r}")
             if key in coerced and coerced[key] is not None:
                 coerced[key] = tuple(coerced[key])
         return cls(**coerced)

@@ -102,7 +102,7 @@ def vqc_probs_via_unitary(model: vqc.VqcModel, x) -> np.ndarray:
 
 def _vqc_scores(model: vqc.VqcModel, state: np.ndarray) -> np.ndarray:
     for layer in model.theta:
-        state = state_via_unitary(qsim.weight_layer(layer, model.n_qubits, model.entangle), state)
+        state = state_via_unitary(qsim.weight_layer(layer, model.n_qubits), state)
     n_classes = len(model.classes)
     marginal = (np.abs(state) ** 2).reshape(2 ** model.readout_qubits, -1).sum(axis=1)
     scores = np.zeros(n_classes)
@@ -122,7 +122,7 @@ def vqc_gradient_via_unitary(model: vqc.VqcModel, x, c: int) -> np.ndarray:
         for shift in (math.pi / 2.0, -math.pi / 2.0):
             theta = model.theta.copy()
             theta[l, q] += shift
-            shifted = vqc.VqcModel(model.feature_map, theta, model.classes, model.entangle)
+            shifted = vqc.VqcModel(model.feature_map, theta, model.classes)
             sides.append(_vqc_scores(shifted, state)[c])
         grad[l, q] = -0.5 * (sides[0] - sides[1]) / p_c
     return grad

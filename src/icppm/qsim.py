@@ -332,17 +332,14 @@ def feature_map_states(kind: FeatureMapKind, x) -> np.ndarray:
     return psi.reshape(b, 2 ** n)
 
 
-def weight_layer(theta: Sequence[float], n_qubits: int, entangle: bool = True) -> CircuitSpec:
-    """One trainable layer: RY(theta_i) per qubit, then a CNOT ring.
-
-    The ring i -> (i+1) mod n is dropped for a single qubit, or when
-    ``entangle`` is off.
-    """
+def weight_layer(theta: Sequence[float], n_qubits: int) -> CircuitSpec:
+    """One trainable layer: RY(theta_i) per qubit, then the CNOT ring
+    i -> (i+1) mod n, which a single qubit does without."""
     theta = np.asarray(theta, dtype=np.float64)
     if theta.shape != (n_qubits,):
         raise ValueError(f"expected {n_qubits} parameters, got shape {theta.shape}")
     ops = [GateOp("RY", (i,), float(theta[i])) for i in range(n_qubits)]
-    if entangle and n_qubits >= 2:
+    if n_qubits >= 2:
         ops.extend(GateOp("CNOT", (i, (i + 1) % n_qubits)) for i in range(n_qubits))
     return CircuitSpec(n_qubits, tuple(ops))
 

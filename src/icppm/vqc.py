@@ -1,8 +1,9 @@
 """Variational quantum classifier.
 
 The circuit is a data feature map followed by L trainable layers (RY
-rotations plus a CNOT ring). Class scores are read out from the first
-ceil(log2 C) qubits: the 2^r marginal bitstring probabilities are dealt
+rotations plus a CNOT ring from two qubits on). Class scores are read out
+from the first ceil(log2 C) qubits: the 2^r marginal bitstring
+probabilities (in shot mode, frequencies sampled from them) are dealt
 round-robin onto the C classes (bitstring b -> class b mod C) and
 renormalized. Training minimizes cross-entropy by full-batch gradient
 descent, one step per epoch over every training row, with parameter-shift
@@ -41,6 +42,8 @@ from .qsim import (
 )
 
 _P_FLOOR = 1e-12
+# SPSA perturbation c: grad ~ (L(theta + c delta) - L(theta - c delta)) / 2c * delta.
+_SPSA_STEP = 0.1
 
 
 @dataclass(frozen=True)
@@ -49,7 +52,6 @@ class OptimizerConfig:
     epochs: int = 30
     method: str = "parameter_shift"
     seed: int = 0
-    spsa_step: float = 0.1
 
     def __post_init__(self):
         if self.learning_rate <= 0:
@@ -65,7 +67,6 @@ class VqcModel:
     feature_map: FeatureMapKind
     theta: np.ndarray
     classes: tuple
-    entangle: bool = True
     loss_history: tuple[float, ...] = field(default_factory=tuple)
 
     def __post_init__(self):
@@ -93,13 +94,14 @@ class VqcModel:
         return max(1, math.ceil(math.log2(len(self.classes))))
 
 
-def _ring_permutation(n: int, entangle: bool) -> np.ndarray | None:
-    """Basis-index permutation of one layer's CNOT ring, or None without a ring.
+def _ring_permutation(n: int) -> np.ndarray | None:
+    """Basis-index permutation of one layer's CNOT ring, or None for one
+    qubit, which has no ring.
 
     The ring CNOT(0, 1), ..., CNOT(n-1, 0) sends basis state k to ring(k);
     with ``perm`` its inverse, ``psi[:, perm]`` applies the ring to a batch.
     """
-    if not entangle or n < 2:
+    if n < 2:
         return None
     k = np.arange(2 ** n)
     image = k.copy()
@@ -156,33 +158,24 @@ def _readout(psi: np.ndarray, n_classes: int, shots: ShotConfig,
     """Class scores per row of a (B, 2**n) batch, shape (B, n_classes);
     |psi|^2 goes into ``probs``, a (B, 2**n) float buffer.
 
-    Marginal of the first r qubits (exact, or counted from the same
-    ``shots.shots`` uniforms of ``shots.seed`` for every row), bitstring b
-    dealt to class b mod C, renormalized. A uniform u samples basis state
-    #{k: cdf[k] <= u}, with the last cdf entry raised to at least 1, so
-    readout groups 0..g hold the uniforms below the cdf (accumulated in
-    ``probs``) at group g's last state.
+    The exact marginal of the first r qubits, which shot mode replaces by
+    one multinomial draw of ``shots.shots`` per row, all rows from one
+    generator seeded by ``shots.seed``; bitstring b is dealt to class
+    b mod C and the scores renormalized.
     """
     b, dim = psi.shape
     r = max(1, math.ceil(math.log2(n_classes)))
     np.abs(psi, out=probs)
     np.square(probs, out=probs)
-    if shots.exact:
-        marginal = probs.reshape(b, 2 ** r, dim >> r).sum(axis=2)
-    else:
-        u = np.sort(np.random.default_rng(shots.seed).random(shots.shots))
-        cdf = np.cumsum(probs, axis=1, out=probs)
-        np.maximum(cdf[:, -1], 1.0, out=cdf[:, -1])
-        below = np.searchsorted(u, cdf[:, (dim >> r) - 1::dim >> r])
-        marginal = np.diff(below, axis=1, prepend=0) / shots.shots
+    marginal = probs.reshape(b, 2 ** r, dim >> r).sum(axis=2)
+    if not shots.exact:
+        rng = np.random.default_rng(shots.seed)
+        marginal = rng.multinomial(shots.shots, marginal) / shots.shots
     # 2**r < 2C, so each class collects one or two bitstrings.
     dealt = np.zeros((b, 2 * n_classes))
     dealt[:, :2 ** r] = marginal
     scores = dealt.reshape(b, 2, n_classes).sum(axis=1)
-    total = scores.sum(axis=1, keepdims=True)
-    out = np.full_like(scores, 1.0 / n_classes)
-    np.divide(scores, total, out=out, where=total > 0)
-    return out
+    return scores / scores.sum(axis=1, keepdims=True)
 
 
 def _feature_states(model: VqcModel, xs) -> np.ndarray:
@@ -196,7 +189,7 @@ def forward_many(model: VqcModel, xs, shots: ShotConfig = EXACT) -> np.ndarray:
     """Per-class probability scores of every row, shape (rows, classes)."""
     states = _feature_states(model, xs)
     psi, _ = _run_layers(states, np.empty_like(states), model.theta,
-                         _ring_permutation(model.n_qubits, model.entangle))
+                         _ring_permutation(model.n_qubits))
     return _readout(psi, len(model.classes), shots, np.empty(states.shape))
 
 
@@ -260,7 +253,7 @@ def loss(model: VqcModel, xs, labels, shots: ShotConfig = EXACT) -> float:
     states, class_idx = _labelled_states(model, xs, labels)
     return _batch_loss(
         states, model.theta, class_idx, len(model.classes),
-        _ring_permutation(model.n_qubits, model.entangle), shots,
+        _ring_permutation(model.n_qubits), shots,
         _workspace(len(states), model.n_qubits),
     )
 
@@ -326,7 +319,7 @@ def parameter_shift_gradient(
     states, class_idx = _labelled_states(model, xs, labels)
     return _shift_gradient(
         states, model.theta, class_idx, len(model.classes),
-        _ring_permutation(model.n_qubits, model.entangle), shots,
+        _ring_permutation(model.n_qubits), shots,
         _workspace(len(states), model.n_qubits),
     )
 
@@ -338,14 +331,13 @@ def _spsa_gradient(
     n_classes: int,
     perm: np.ndarray | None,
     rng: np.random.Generator,
-    c_step: float,
     shots: ShotConfig,
     ws: tuple[np.ndarray, ...],
 ) -> np.ndarray:
     delta = rng.choice((-1.0, 1.0), size=theta.shape)
-    up = _batch_loss(states, theta + c_step * delta, class_idx, n_classes, perm, shots, ws)
-    down = _batch_loss(states, theta - c_step * delta, class_idx, n_classes, perm, shots, ws)
-    return (up - down) / (2.0 * c_step) * delta
+    up = _batch_loss(states, theta + _SPSA_STEP * delta, class_idx, n_classes, perm, shots, ws)
+    down = _batch_loss(states, theta - _SPSA_STEP * delta, class_idx, n_classes, perm, shots, ws)
+    return (up - down) / (2.0 * _SPSA_STEP) * delta
 
 
 def train(
@@ -354,7 +346,6 @@ def train(
     feature_map: FeatureMapKind,
     n_layers: int,
     opt: OptimizerConfig = OptimizerConfig(),
-    entangle: bool = True,
     shots: ShotConfig = EXACT,
 ) -> VqcModel:
     """Gradient-descent training; theta starts at uniform(-0.1, 0.1) per seed.
@@ -373,11 +364,11 @@ def train(
     n = xs.shape[1]
     rng = np.random.default_rng(opt.seed)
     theta = rng.uniform(-0.1, 0.1, size=(n_layers, n))
-    model = VqcModel(feature_map, theta, classes, entangle)
+    model = VqcModel(feature_map, theta, classes)
     class_idx = _class_indices(classes, labels)
     n_classes = len(classes)
     states = feature_map_states(feature_map, xs)
-    perm = _ring_permutation(n, entangle)
+    perm = _ring_permutation(n)
     ws = _workspace(len(xs), n)
 
     history = [_batch_loss(states, model.theta, class_idx, n_classes, perm, shots, ws)]
@@ -387,8 +378,7 @@ def train(
         if opt.method == "parameter_shift":
             grad = _shift_gradient(states, model.theta, class_idx, n_classes, perm, shots, ws)
         else:
-            grad = _spsa_gradient(model.theta, states, class_idx, n_classes, perm, rng,
-                                  opt.spsa_step, shots, ws)
+            grad = _spsa_gradient(model.theta, states, class_idx, n_classes, perm, rng, shots, ws)
         model.theta = model.theta - opt.learning_rate * grad
         history.append(_batch_loss(states, model.theta, class_idx, n_classes, perm, shots, ws))
         if not math.isfinite(history[-1]):

@@ -212,71 +212,71 @@ def qp_dual_optimum(kernel: np.ndarray, y: np.ndarray, C: float):
 
 
 # Per-row VQC reference: every circuit rebuilt gate by gate and simulated
-# through ``qsim._apply_ops``, with the feature map re-run for every sample,
-# loss term and shifted parameter, and each row's shots drawn one by one by
-# ``sample_indices``. The batched engine in ``icppm.vqc`` must match it to
-# 1e-12 exactly and bit for bit in shot mode.
+# through ``qsim._apply_ops``, with the feature map re-run for every row,
+# loss term and shifted parameter. Each row's exact marginal is computed on
+# its own; shot mode stacks them and draws the batch with the engine's one
+# rule, so the batched engine in ``icppm.vqc`` must match it to 1e-12 in
+# exact mode and bit for bit in shot mode.
 
 
-def sample_indices(probs: np.ndarray, shots: int, seed: int) -> np.ndarray:
-    """Inverse-CDF sampling of basis-state indices, seeded per evaluation."""
-    cum = np.cumsum(probs)
-    cum[-1] = max(cum[-1], 1.0)
-    u = np.random.default_rng(seed).random(shots)
-    return np.searchsorted(cum, u, side="right")
-
-
-def vqc_class_probs(feature_map, theta, x, n_classes, entangle, shots) -> np.ndarray:
+def vqc_marginal(feature_map, theta, x, r: int) -> np.ndarray:
+    """Exact probabilities of the first r qubits' bitstrings for one row."""
     n = theta.shape[1]
     ops = list(qsim.build_feature_map(feature_map, x).ops)
     for layer in theta:
-        ops.extend(qsim.weight_layer(layer, n, entangle).ops)
+        ops.extend(qsim.weight_layer(layer, n).ops)
     amps = np.zeros(2 ** n, dtype=np.complex128)
     amps[0] = 1.0
     amps = qsim._apply_ops(amps, n, ops)
-    probs = np.abs(amps) ** 2
+    return (np.abs(amps) ** 2).reshape(2 ** r, -1).sum(axis=1)
+
+
+def vqc_class_probs(feature_map, theta, xs, n_classes, shots) -> np.ndarray:
+    """Class scores of every row of ``xs``, shape (rows, classes)."""
     r = max(1, math.ceil(math.log2(n_classes)))
-    if shots.exact:
-        marginal = probs.reshape(2 ** r, -1).sum(axis=1)
-    else:
-        samples = sample_indices(probs, shots.shots, shots.seed)
-        groups = samples >> (n - r)
-        marginal = np.bincount(groups, minlength=2 ** r) / shots.shots
-    scores = np.zeros(n_classes)
-    for b in range(2 ** r):
-        scores[b % n_classes] += marginal[b]
-    total = scores.sum()
-    if total <= 0:
-        return np.full(n_classes, 1.0 / n_classes)
-    return scores / total
+    marginals = np.array([vqc_marginal(feature_map, theta, x, r) for x in xs])
+    if not shots.exact:
+        rng = np.random.default_rng(shots.seed)
+        marginals = rng.multinomial(shots.shots, marginals) / shots.shots
+    out = np.zeros((len(xs), n_classes))
+    for row, marginal in zip(out, marginals):
+        for b in range(2 ** r):
+            row[b % n_classes] += marginal[b]
+        row /= row.sum()
+    return out
 
 
-def vqc_loss(feature_map, theta, xs, class_idx, n_classes, entangle, shots) -> float:
+def vqc_loss(feature_map, theta, xs, class_idx, n_classes, shots) -> float:
+    p = vqc_class_probs(feature_map, theta, xs, n_classes, shots)
     total = 0.0
-    for x, c in zip(xs, class_idx):
-        p = vqc_class_probs(feature_map, theta, x, n_classes, entangle, shots)
-        total += -math.log(max(p[c], vqc._P_FLOOR))
+    for row, c in zip(p, class_idx):
+        total += -math.log(max(row[c], vqc._P_FLOOR))
     return total / len(xs)
 
 
-def vqc_shift_gradient(feature_map, theta, xs, class_idx, n_classes, entangle,
-                       shots) -> np.ndarray:
+def vqc_shift_gradient(feature_map, theta, xs, class_idx, n_classes, shots) -> np.ndarray:
+    rows = np.arange(len(xs))
+
+    def p_true(t):
+        return vqc_class_probs(feature_map, t, xs, n_classes, shots)[rows, class_idx]
+
+    p_plus = np.empty((len(xs),) + theta.shape)
+    p_minus = np.empty_like(p_plus)
+    for l in range(theta.shape[0]):
+        for q in range(theta.shape[1]):
+            shifted = theta.copy()
+            shifted[l, q] += math.pi / 2.0
+            p_plus[:, l, q] = p_true(shifted)
+            shifted[l, q] -= math.pi
+            p_minus[:, l, q] = p_true(shifted)
     grad = np.zeros_like(theta)
-    for x, c in zip(xs, class_idx):
-        p_base = vqc_class_probs(feature_map, theta, x, n_classes, entangle, shots)
-        inv_p = -1.0 / max(p_base[c], vqc._P_FLOOR)
-        for l in range(theta.shape[0]):
-            for q in range(theta.shape[1]):
-                shifted = theta.copy()
-                shifted[l, q] += math.pi / 2.0
-                p_plus = vqc_class_probs(feature_map, shifted, x, n_classes, entangle, shots)
-                shifted[l, q] -= math.pi
-                p_minus = vqc_class_probs(feature_map, shifted, x, n_classes, entangle, shots)
-                grad[l, q] += inv_p * 0.5 * (p_plus[c] - p_minus[c])
+    for p_c, plus, minus in zip(p_true(theta), p_plus, p_minus):
+        inv_p = -1.0 / max(p_c, vqc._P_FLOOR)
+        grad += inv_p * 0.5 * (plus - minus)
     return grad / len(xs)
 
 
-def vqc_train(xs, labels, feature_map, n_layers, opt, entangle=True, shots=qsim.EXACT):
+def vqc_train(xs, labels, feature_map, n_layers, opt, shots=qsim.EXACT):
     """The training loop of ``vqc.train`` on the per-row reference; returns
     (theta, loss_history)."""
     classes = tuple(sorted(set(labels)))
@@ -284,19 +284,16 @@ def vqc_train(xs, labels, feature_map, n_layers, opt, entangle=True, shots=qsim.
     class_idx = vqc._class_indices(classes, labels)
     rng = np.random.default_rng(opt.seed)
     theta = rng.uniform(-0.1, 0.1, size=(n_layers, xs.shape[1]))
-    history = [vqc_loss(feature_map, theta, xs, class_idx, n_classes, entangle, shots)]
+    history = [vqc_loss(feature_map, theta, xs, class_idx, n_classes, shots)]
     for _ in range(opt.epochs):
         if opt.method == "parameter_shift":
-            grad = vqc_shift_gradient(feature_map, theta, xs, class_idx, n_classes,
-                                      entangle, shots)
+            grad = vqc_shift_gradient(feature_map, theta, xs, class_idx, n_classes, shots)
         else:
             delta = rng.choice((-1.0, 1.0), size=theta.shape)
-            c = opt.spsa_step
-            up = vqc_loss(feature_map, theta + c * delta, xs, class_idx, n_classes,
-                          entangle, shots)
-            down = vqc_loss(feature_map, theta - c * delta, xs, class_idx, n_classes,
-                            entangle, shots)
+            c = vqc._SPSA_STEP
+            up = vqc_loss(feature_map, theta + c * delta, xs, class_idx, n_classes, shots)
+            down = vqc_loss(feature_map, theta - c * delta, xs, class_idx, n_classes, shots)
             grad = (up - down) / (2.0 * c) * delta
         theta = theta - opt.learning_rate * grad
-        history.append(vqc_loss(feature_map, theta, xs, class_idx, n_classes, entangle, shots))
+        history.append(vqc_loss(feature_map, theta, xs, class_idx, n_classes, shots))
     return theta, tuple(history)

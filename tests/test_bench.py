@@ -75,6 +75,24 @@ class TestExperimentConfig:
         assert cfg.inter_features == ("peer_cases",)
         assert cfg.window_fractions == (0.1, 0.2)
 
+    @pytest.mark.parametrize("key, value", [
+        ("static_attrs", "channel"), ("inter_features", "peer_cases"),
+        ("window_fractions", "0.3"), ("sampling_fractions", "1.0"), ("prefix_lengths", "2"),
+    ])
+    def test_from_dict_rejects_a_string_for_a_list(self, key, value):
+        # tuple("channel") would be seven one-letter names.
+        with pytest.raises(ConfigError, match=f"{key} must be a list"):
+            ExperimentConfig.from_dict({key: value})
+
+    def test_inter_features_checked_before_the_dataset_is_read(self, tmp_path):
+        cfg = {"dataset": str(tmp_path / "missing.csv"), "inter_features": ["peer_cases", "queue"]}
+        with pytest.raises(ConfigError, match="unknown inter-case features"):
+            bench.sweep(ExperimentConfig.from_dict(cfg))
+
+    def test_repeated_inter_feature_rejected(self):
+        with pytest.raises(ConfigError, match="repeat"):
+            ExperimentConfig(inter_features=("peer_cases", "peer_cases"))
+
     def test_too_many_inter_features(self):
         with pytest.raises(ConfigError):
             ExperimentConfig(inter_features=("peer_cases", "peer_act", "res_count"))
@@ -108,6 +126,7 @@ class TestExperimentConfig:
 
     @pytest.mark.parametrize("field, value", [
         ("k", 2.5), ("min_prefix", 1.5), ("max_prefix", 2.5), ("k", True),
+        ("folds", 2.5), ("epochs", 2.5), ("vqc_layers", 1.5), ("seed", 1.5), ("min_burst", 2.5),
     ])
     def test_integer_fields_reject_other_values(self, field, value):
         with pytest.raises(ConfigError, match=f"{field} must be an integer"):

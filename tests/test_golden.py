@@ -6,8 +6,12 @@ moved from per-sample feature vectors to whole matrices; the quantum bench
 and state hashes before the statevector engine moved its gates onto float64
 views and reused buffers; the shot-mode qke hash was re-pinned once, when
 kernel shots moved from one generator per entry to one binomial generator
-per row (a new random stream, the same distribution). Any change to how a feature value, amplitude or
-score is computed, scaled or written shows up here as a different digest. To
+per row (a new random stream, the same distribution); the shot-mode vqc hash
+was re-pinned once, when the VQC readout moved from uniforms shared by every
+row to one multinomial draw per row over the exact marginal (a new random
+stream, the same per-row distribution, rows independent). Any change to how
+a feature value, amplitude or score is computed, scaled or written shows up
+here as a different digest. To
 re-pin after an intended change, run ``python tests/test_golden.py`` and
 paste the printed table.
 """
@@ -98,7 +102,7 @@ GOLDEN = {
     "bench/svc_rbf+freq_act+batch": "98ed8f516239c69608c36be8a9428734beebfc791b84c1815851e752111a5acb",
     "bench/svc_rbf+peer_cases+avg_delay": "88d01f77a031a1493c13c93a42c69958bb6a5ee5c71035ee4ee536c744de8c00",
     "bench/vqc_angle_1+peer_cases": "e6b041efa35aba865a2b3124ecf9bc85d2263d425c461adae0acd7b3f8f9f35c",
-    "bench/vqc_angle_1+peer_cases@shots50": "36030373e087790f4c23855af3bf9cb8c78b914763378fcf41735fed416a977a",
+    "bench/vqc_angle_1+peer_cases@shots50": "68e34569a4dd329788af1b141b3c72658a1d01946f8de96f3746a30d9a56d2bd",
     "states/angle_zzx1@1": "fe1699321995efbbfed239b4d4f45663828611dd32f31a8ea34f6a6f87261c0b",
     "states/angle_zzx1@2": "36c1b088e81d74b4e724121be48ddb42ff306e1f9b71904f876e93d3b46b3d0e",
     "states/angle_zzx1@9": "98476acac9cdae688d642a48eb0e0fe9059bfee9a3878ef77f7b54881cdef262",

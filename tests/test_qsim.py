@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-import oracles as ref
 from icppm import oracles, qsim
 from icppm.errors import ConfigError, IcppmError
 from icppm.qkernel import KernelKind, cross
+from icppm.vqc import VqcModel, forward_many
 from icppm.qsim import (
     EXACT,
     FEATURE_MAPS,
@@ -163,12 +163,17 @@ class TestShotConfig:
             ShotConfig(0)
 
     def test_sampling_deterministic_per_seed(self):
-        probs = np.array([0.25, 0.25, 0.25, 0.25])
-        a = ref.sample_indices(probs, 1000, seed=7)
-        b = ref.sample_indices(probs, 1000, seed=7)
-        c = ref.sample_indices(probs, 1000, seed=8)
-        assert np.array_equal(a, b)
-        assert not np.array_equal(a, c)
+        # Both shot readouts, kernel entries and VQC class scores.
+        angle = FeatureMapKind("angle")
+        xs = np.linspace(0.1, 3.0, 12).reshape(6, 2)
+        model = VqcModel(angle, np.full((1, 2), 0.3), ("a", "b"))
+        for sample in (
+            lambda seed: cross(xs, xs, KernelKind.quantum(angle, ShotConfig(1000, seed))).values,
+            lambda seed: forward_many(model, xs, ShotConfig(1000, seed)),
+        ):
+            a, b, c = sample(7), sample(7), sample(8)
+            assert np.array_equal(a, b)
+            assert not np.array_equal(a, c)
 
     def test_sampled_frequency_within_bound(self):
         # One-qubit angle overlap cos^2((x - x')/2) is 1/2 at pi/2 apart.
@@ -327,10 +332,6 @@ class TestWeightLayer:
     def test_single_qubit_has_no_entangler(self):
         layer = weight_layer([0.4], 1)
         assert [op.kind for op in layer.ops] == ["RY"]
-
-    def test_entangle_off(self):
-        layer = weight_layer(np.ones(3), 3, entangle=False)
-        assert all(op.kind == "RY" for op in layer.ops)
 
     def test_parameter_shape_checked(self):
         with pytest.raises(ValueError):

@@ -95,23 +95,26 @@ class TestForward:
         with pytest.raises(ValueError):
             forward(model, [0.1, 0.2, 0.3])
 
+    # With zero weights a two-qubit layer is its CNOT ring, which sends the
+    # basis state |b0 b1> to |b1, b0 xor b1>; the angle map writes x = 0 or
+    # pi as bit 0 or 1.
     def test_first_qubit_drives_binary_readout(self):
-        model = VqcModel(ANGLE, np.zeros((1, 2)), ("a", "b"), entangle=False)
-        assert forward(model, [0.0, 0.0])[0] == pytest.approx(1.0)
-        assert forward(model, [math.pi, 0.0])[1] == pytest.approx(1.0)
+        model = VqcModel(ANGLE, np.zeros((1, 2)), ("a", "b"))
+        for x, out in [((0, 0), 0), ((1, 0), 0), ((0, 1), 1), ((1, 1), 1)]:
+            assert forward(model, math.pi * np.array(x))[out] == pytest.approx(1.0)
 
     def test_bitstring_groups_deal_round_robin(self):
-        model = VqcModel(ANGLE, np.zeros((1, 2)), ("a", "b", "c"), entangle=False)
-        assert forward(model, [0.0, 0.0])[0] == pytest.approx(1.0)
-        assert forward(model, [0.0, math.pi])[1] == pytest.approx(1.0)
-        assert forward(model, [math.pi, 0.0])[2] == pytest.approx(1.0)
-        assert forward(model, [math.pi, math.pi])[0] == pytest.approx(1.0)
+        model = VqcModel(ANGLE, np.zeros((1, 2)), ("a", "b", "c"))
+        # Inputs reaching output bitstrings 0, 1, 2, 3; bitstring 3 wraps to class 0.
+        for x, out in [((0, 0), 0), ((1, 0), 1), ((1, 1), 2), ((0, 1), 0)]:
+            assert forward(model, math.pi * np.array(x))[out] == pytest.approx(1.0)
 
     def test_identity_weights_match_bare_feature_map(self):
+        # The ring moves qubit 1 of the bare feature-map state onto qubit 0.
         x = np.array([0.4, 1.1])
-        model = VqcModel(ANGLE, np.zeros((1, 2)), ("a", "b"), entangle=False)
+        model = VqcModel(ANGLE, np.zeros((1, 2)), ("a", "b"))
         state = run(build_feature_map(ANGLE, x))
-        probs = (np.abs(state) ** 2).reshape(2, 2).sum(axis=1)
+        probs = (np.abs(state) ** 2).reshape(2, 2).sum(axis=0)
         assert forward(model, x) == pytest.approx(probs)
 
     def test_shot_estimate_near_exact(self):
@@ -134,9 +137,12 @@ class TestForward:
 
 class TestPredict:
     def test_follows_argmax(self):
-        model = VqcModel(ANGLE, np.zeros((1, 2)), ("a", "b"), entangle=False)
+        # Zero weights: the ring puts the second input qubit on the readout.
+        model = VqcModel(ANGLE, np.zeros((1, 2)), ("a", "b"))
         assert predict(model, [0.0, 0.0]) == "a"
-        assert predict(model, [math.pi, 0.0]) == "b"
+        assert predict(model, [0.0, math.pi]) == "b"
+        assert predict(model, [1.0, 0.4]) == "a"
+        assert predict(model, [1.0, 2.6]) == "b"
 
     def test_tie_goes_to_smaller_class(self, monkeypatch):
         model = VqcModel(ANGLE, np.zeros((1, 2)), ("a", "b", "c"))
@@ -234,28 +240,30 @@ def grad_gap_ok(got: np.ndarray, want: np.ndarray) -> bool:
     return float(np.max(np.abs(got - want))) <= TOL * max(1.0, float(np.max(np.abs(want))))
 
 
-def random_case(rng, n: int, layers: int, n_classes: int, fm, entangle: bool, rows: int):
+def random_case(rng, n: int, layers: int, n_classes: int, fm, rows: int):
     model = VqcModel(fm, rng.uniform(-math.pi, math.pi, (layers, n)),
-                     tuple(range(n_classes)), entangle)
+                     tuple(range(n_classes)))
     xs = rng.uniform(0.0, math.pi, (rows, n))
     class_idx = rng.integers(0, n_classes, rows)
     return model, xs, class_idx
 
 
 class TestBatchedEngine:
-    @pytest.mark.parametrize("entangle", [True, False])
+    # one_row: a batch of one row, as ``forward`` and ``predict`` run it,
+    # against a batch of three.
+    @pytest.mark.parametrize("one_row", [True, False])
     @pytest.mark.parametrize("layers", [1, 2, 3])
     @pytest.mark.parametrize("fm", MAPS, ids=lambda k: f"{k.variant}{k.layers}")
-    def test_matches_per_row_reference_and_dense_oracle(self, fm, layers, entangle):
-        rng = np.random.default_rng(100 * layers + 10 * MAPS.index(fm) + entangle)
+    def test_matches_per_row_reference_and_dense_oracle(self, fm, layers, one_row):
+        rng = np.random.default_rng(100 * layers + 10 * MAPS.index(fm) + one_row)
         for n in range(1, 10):
             n_classes = min(2 + (n + layers) % 5, 2 ** n)
-            model, xs, class_idx = random_case(rng, n, layers, n_classes, fm, entangle, rows=2)
+            rows = 1 if one_row else 3
+            model, xs, class_idx = random_case(rng, n, layers, n_classes, fm, rows)
             labels = list(class_idx)
-            args = (fm, model.theta, xs, class_idx, n_classes, entangle, EXACT)
+            args = (fm, model.theta, xs, class_idx, n_classes, EXACT)
             probs = forward_many(model, xs)
-            want = np.array([ref.vqc_class_probs(fm, model.theta, x, n_classes, entangle, EXACT)
-                             for x in xs])
+            want = ref.vqc_class_probs(fm, model.theta, xs, n_classes, EXACT)
             assert np.max(np.abs(probs - want)) <= TOL
             assert abs(loss(model, xs, labels) - ref.vqc_loss(*args)) <= TOL
             grad = parameter_shift_gradient(model, xs, labels)
@@ -272,12 +280,14 @@ class TestBatchedEngine:
         rng = np.random.default_rng(7)
         shots = ShotConfig(40, seed=11)
         for n, layers, n_classes, rows in [(1, 2, 2, 3), (3, 1, 3, 11), (4, 2, 5, 9)]:
-            model, xs, class_idx = random_case(rng, n, layers, n_classes, fm, True, rows)
-            for x in xs:
-                want = ref.vqc_class_probs(fm, model.theta, x, n_classes, True, shots)
-                assert np.array_equal(forward(model, x, shots), want)
+            model, xs, class_idx = random_case(rng, n, layers, n_classes, fm, rows)
+            want = ref.vqc_class_probs(fm, model.theta, xs, n_classes, shots)
+            assert np.array_equal(forward_many(model, xs, shots), want)
+            assert np.array_equal(forward(model, xs[0], shots), want[0])
+            assert loss(model, xs, list(class_idx), shots) == ref.vqc_loss(
+                fm, model.theta, xs, class_idx, n_classes, shots)
             grad = parameter_shift_gradient(model, xs, list(class_idx), shots)
-            want = ref.vqc_shift_gradient(fm, model.theta, xs, class_idx, n_classes, True, shots)
+            want = ref.vqc_shift_gradient(fm, model.theta, xs, class_idx, n_classes, shots)
             assert np.array_equal(grad, want)
 
     @pytest.mark.parametrize("method", ["parameter_shift", "spsa"])
@@ -294,9 +304,9 @@ class TestBatchedEngine:
         assert model.loss_history == history
 
     @pytest.mark.parametrize("n_classes", [2, 3, 4, 5])
-    def test_readout_counts_equal_per_row_inverse_cdf(self, n_classes):
-        # Random distributions, some with empty readout groups and some whose
-        # cdf ends just below or above 1, against per-row sample_indices.
+    def test_readout_is_multinomial_draw_over_exact_marginal(self, n_classes):
+        # Random distributions, some with empty readout groups and some
+        # summing to just below or above 1; the draw is dealt round-robin.
         rng = np.random.default_rng(12)
         n = 4
         r = max(1, math.ceil(math.log2(n_classes)))
@@ -306,14 +316,42 @@ class TestBatchedEngine:
         probs[5] *= 1.0 - 1e-15
         probs[6] *= 1.0 + 1e-15
         psi = np.sqrt(probs).astype(np.complex128)
+        marginal = (np.abs(psi) ** 2).reshape(len(psi), 2 ** r, -1).sum(axis=2)
         for shots in (ShotConfig(1, seed=3), ShotConfig(7, seed=4), ShotConfig(200, seed=5)):
             got = vqc._readout(psi, n_classes, shots, np.empty(psi.shape))
-            for row, p in zip(got, np.abs(psi) ** 2):
-                groups = ref.sample_indices(p, shots.shots, shots.seed) >> (n - r)
+            counts = np.random.default_rng(shots.seed).multinomial(shots.shots, marginal)
+            for row, freq in zip(got, counts / shots.shots):
                 scores = np.zeros(n_classes)
-                np.add.at(scores, np.arange(2 ** r) % n_classes,
-                          np.bincount(groups, minlength=2 ** r) / shots.shots)
+                np.add.at(scores, np.arange(2 ** r) % n_classes, freq)
                 assert np.array_equal(row, scores / scores.sum())
+
+    def test_shot_frequencies_have_binomial_mean_and_variance(self):
+        # Per row and class, over 500 seeds: the mean frequency against p and
+        # the sample variance against p(1 - p)/shots, each within 5 standard
+        # errors (the variance's from the binomial fourth central moment).
+        rng = np.random.default_rng(21)
+        n, n_classes, shots, seeds = 3, 3, 40, 500
+        psi = np.sqrt(rng.dirichlet(np.ones(2 ** n), size=4)).astype(np.complex128)
+        p = vqc._readout(psi, n_classes, EXACT, np.empty(psi.shape))
+        freq = np.array([vqc._readout(psi, n_classes, ShotConfig(shots, seed=s),
+                                      np.empty(psi.shape)) for s in range(seeds)])
+        pq = p * (1.0 - p)
+        var = pq / shots
+        mu4 = pq * (1.0 + 3.0 * (shots - 2) * pq) / shots ** 3
+        assert np.all(np.abs(freq.mean(axis=0) - p) <= 5.0 * np.sqrt(var / seeds))
+        var_se = np.sqrt((mu4 - var ** 2 * (seeds - 3) / (seeds - 1)) / seeds)
+        assert np.all(np.abs(freq.var(axis=0, ddof=1) - var) <= 5.0 * var_se)
+
+    def test_identical_rows_draw_independently(self):
+        # Two copies of one state in a batch: over 500 seeds the correlation
+        # of their errors is within 5 standard errors (1/sqrt(seeds)) of 0.
+        seeds = 500
+        psi = np.tile(np.sqrt([0.3, 0.2, 0.4, 0.1]).astype(np.complex128), (2, 1))
+        freq = np.array([vqc._readout(psi, 2, ShotConfig(50, seed=s), np.empty(psi.shape))
+                         for s in range(seeds)])
+        errors = freq[:, :, 0] - 0.5
+        corr = np.corrcoef(errors[:, 0], errors[:, 1])[0, 1]
+        assert abs(corr) <= 5.0 / math.sqrt(seeds)
 
     def test_exact_training_matches_reference(self):
         rng = np.random.default_rng(5)
@@ -331,10 +369,9 @@ class TestBatchedEngine:
         psi = rng.normal(size=2 ** n) + 1j * rng.normal(size=2 ** n)
         ring = [op for op in qsim.weight_layer(np.zeros(n), n).ops if op.kind == "CNOT"]
         want = qsim._apply_ops(psi.copy(), n, ring)
-        perm = vqc._ring_permutation(n, True)
+        perm = vqc._ring_permutation(n)
         got = psi if perm is None else psi[perm]
         assert np.array_equal(got, want)
-        assert vqc._ring_permutation(n, False) is None
 
     def test_feature_map_simulated_once_per_train_call(self, monkeypatch):
         calls = []
@@ -382,8 +419,12 @@ class TestPredictMany:
         model = VqcModel(FeatureMapKind("zz"), rng.uniform(-1, 1, (2, 3)), ("a", "b", "c"))
         xs = rng.uniform(0.0, math.pi, (12, 3))
         assert predict_many(model, xs) == [predict(model, x) for x in xs]
+        # In shot mode the rows of one batch draw one after another from the
+        # seed's stream, so only the first row's draw matches a batch of one.
         shots = ShotConfig(30, seed=5)
-        assert predict_many(model, xs, shots) == [predict(model, x, shots) for x in xs]
+        scores = forward_many(model, xs, shots)
+        assert predict_many(model, xs, shots) == [model.classes[i] for i in scores.argmax(axis=1)]
+        assert predict_many(model, xs[:1], shots) == [predict(model, xs[0], shots)]
 
     def test_tie_goes_to_smaller_class(self, monkeypatch):
         model = VqcModel(ANGLE, np.zeros((1, 2)), ("a", "b", "c"))
