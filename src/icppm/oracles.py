@@ -29,8 +29,8 @@ MAX_ORACLE_QUBITS = 10
 # Largest gap allowed between a batched engine (kernels, VQC) and a reference.
 BATCHED_TOL = 1e-12
 # Weight layers and rows of the VQC part of ``run_kernel_check``; the
-# gradient is checked on the first row only, as it needs 2 L n + 1 dense
-# circuits.
+# gradients are checked on the first row only, as their dense reference
+# needs 2 L n + 1 dense circuits.
 _VQC_LAYERS = 2
 _VQC_ROWS = 3
 
@@ -150,10 +150,10 @@ def run_kernel_check(
     overlaps of two gate-by-gate ``qsim.run`` states and, up to the dense
     cap, with dense unitaries to ``BATCHED_TOL``. Up to the dense cap,
     batched VQC class scores must match ``vqc_probs_via_unitary`` to
-    ``BATCHED_TOL`` and the parameter-shift gradient must match the shift
-    rule applied to it, to ``BATCHED_TOL`` times max(1, largest gradient
-    entry): the -1/p of the cross-entropy scales float error with the
-    gradient. Returns a report dict with ``passed`` and a list of failure
+    ``BATCHED_TOL`` and the parameter-shift and adjoint gradients must
+    match the shift rule applied to it, to ``BATCHED_TOL`` times max(1,
+    largest gradient entry): the -1/p of the cross-entropy scales float
+    error with the gradient. Returns a report dict with ``passed`` and a list of failure
     strings. ``perturb`` injects an angle error into the first parametrized
     gate of the second state of each per-pair overlap and into the first
     weight of the VQC oracle; any nonzero value must make the check fail.
@@ -244,9 +244,10 @@ def _vqc_check(kind: FeatureMapKind, xs: np.ndarray, rng: np.random.Generator,
         if gap > BATCHED_TOL:
             failures.append(f"batched VQC scores differ from dense oracle at row {i}: {gap:.3e}")
     label = int(rng.integers(len(classes)))
-    grad = vqc.parameter_shift_gradient(model, xs[:1], [label])
     want = vqc_gradient_via_unitary(oracle, xs[0], label)
-    gap = float(np.max(np.abs(grad - want)))
-    if gap > BATCHED_TOL * max(1.0, float(np.max(np.abs(want)))):
-        failures.append(f"VQC parameter-shift gradient differs from dense oracle: {gap:.3e}")
+    for name, gradient in (("parameter-shift", vqc.parameter_shift_gradient),
+                           ("adjoint", vqc.adjoint_gradient)):
+        gap = float(np.max(np.abs(gradient(model, xs[:1], [label]) - want)))
+        if gap > BATCHED_TOL * max(1.0, float(np.max(np.abs(want)))):
+            failures.append(f"VQC {name} gradient differs from dense oracle: {gap:.3e}")
     return failures

@@ -5,13 +5,12 @@ the state reshaped to [2]*n, i.e. qubit 0 is the most significant bit of
 the basis index; index 0 is |0...0>. One gate engine, ``_apply_op``, updates
 a batch of states in place via axis slicing, O(2^n) per gate and state, and
 never materializes a 2^n x 2^n matrix (the dense-matrix construction used
-for cross-checks lives in ``icppm.oracles``). H and RY are real 2x2 gates,
-so they act alike on the real and imaginary parts and run on the batch's
-float64 view; on the last qubit, whose halves are each one strided axis of
-the complex view, they run on that. Their products go into two scratch
-half-batches that the caller passes and are combined in place, and each
-numpy call touches at most one strided half, so a gate allocates neither a
-batch-sized temporary nor more than one numpy iteration buffer.
+for cross-checks lives in ``icppm.oracles``). H and RY copy the target
+qubit's two halves into two scratch half-batches that the caller passes,
+each contiguous run of amplitudes as one void item, compute on those
+contiguous copies and copy the results back the same way, so a gate
+allocates no batch-sized temporary. They are real 2x2 gates and compute on
+float64 views, except on the last qubit, which keeps complex arithmetic.
 ``feature_map_states`` runs one feature map over many inputs with one
 scratch buffer for the whole call and serves the kernels and the VQC. It
 writes the first layer's H on every qubit of |0...0> as one fill with
@@ -133,6 +132,11 @@ def _halves(scratch: np.ndarray | None, shape: tuple, dtype) -> tuple[np.ndarray
     return flat[:size].reshape(shape), flat[size:].reshape(shape)
 
 
+def _runs(a: np.ndarray, nbytes: int) -> np.ndarray:
+    """A C-contiguous array as a 1-D array of void items of ``nbytes`` each."""
+    return a.reshape(-1).view(np.dtype((np.void, nbytes)))
+
+
 def _apply_op(psi: np.ndarray, n: int, kind: str, targets: tuple[int, ...],
               angle=None, scratch: np.ndarray | None = None) -> None:
     """Mutate a C-contiguous (B, 2, ..., 2) batch of B states of n qubits in
@@ -145,41 +149,50 @@ def _apply_op(psi: np.ndarray, n: int, kind: str, targets: tuple[int, ...],
     """
     if kind in ("H", "RY"):
         (q,) = targets
-        if q == n - 1:
-            # The halves of the last qubit are each one strided complex axis.
-            view = psi
-        else:
-            view = psi.view(np.float64).reshape(psi.shape + (2,))
-        s0, s1 = view[_idx(n, (q, 0))], view[_idx(n, (q, 1))]
-        t0, t1 = _halves(scratch, s0.shape, view.dtype)
-        # numpy gives every strided operand of a ufunc its own iteration
-        # buffer, so each call below touches at most one strided half.
+        b = len(psi)
+        # H and RY are real: the float64 view, except on the last qubit, which
+        # keeps complex arithmetic so that states keep their bits.
+        dtype = np.dtype(np.complex128 if q == n - 1 else np.float64)
+        t0, t1 = _halves(scratch, (b, 2 ** (n - 1) * 16 // dtype.itemsize), dtype)
+        # Qubit q's halves alternate in runs of 2**(n-q-1) amplitudes. Each
+        # copy between a half and a scratch half moves whole runs as void
+        # items, one strided axis, and the arithmetic runs on the contiguous
+        # scratch halves only.
+        runs = _runs(psi, 16 << (n - q - 1)).reshape(-1, 2)
+        s0, s1 = runs[:, 0], runs[:, 1]
+        r0, r1 = _runs(t0, s0.itemsize), _runs(t1, s0.itemsize)
         if kind == "H":
             inv = 1.0 / math.sqrt(2.0)
-            np.copyto(t1, s1)
-            np.subtract(s0, t1, out=t0)
-            np.add(s0, t1, out=t1)
-            np.multiply(t1, inv, out=s0)     # (s0 + s1) / sqrt 2
-            np.multiply(t0, inv, out=s1)     # (s0 - s1) / sqrt 2
+            np.copyto(r0, s0)
+            np.copyto(r1, s1)
+            # Both halves are out, so the state's own memory is a third
+            # contiguous buffer.
+            u = psi.reshape(-1).view(dtype)[:t0.size].reshape(t0.shape)
+            np.add(t0, t1, out=u)
+            np.subtract(t0, t1, out=t0)
+            np.multiply(u, inv, out=t1)      # (s0 + s1) / sqrt 2
+            t0 *= inv                        # (s0 - s1) / sqrt 2
+            np.copyto(s0, r1)
+            np.copyto(s1, r0)
             return
         if isinstance(angle, np.ndarray):
-            # Per-row factors in the view's dtype, so no operand needs a cast.
-            c = _per_row(np.cos(angle / 2.0).astype(view.dtype), t0.ndim - 1)
-            s = _per_row(np.sin(angle / 2.0).astype(view.dtype), t0.ndim - 1)
+            # Per-row factors in the scratch dtype, so no operand needs a cast.
+            c = _per_row(np.cos(angle / 2.0).astype(dtype), 1)
+            s = _per_row(np.sin(angle / 2.0).astype(dtype), 1)
         else:
             c, s = math.cos(angle / 2.0), math.sin(angle / 2.0)
-        np.copyto(t0, s0)
+        np.copyto(r0, s0)
         t0 *= c
-        np.copyto(t1, s1)
+        np.copyto(r1, s1)
         t1 *= s
         t0 -= t1                             # c s0 - s s1
-        np.copyto(t1, s0)
+        np.copyto(r1, s0)
         t1 *= s                              # s s0
-        np.copyto(s0, t0)
-        np.copyto(t0, s1)
+        np.copyto(s0, r0)
+        np.copyto(r0, s1)
         t0 *= c
         t0 += t1                             # c s1 + s s0
-        np.copyto(s1, t0)
+        np.copyto(s1, r0)
     elif kind == "P":
         (q,) = targets
         psi[_idx(n, (q, 1))] *= _per_row(np.exp(1j * angle), n - 1)

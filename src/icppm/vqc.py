@@ -6,21 +6,26 @@ from the first ceil(log2 C) qubits: the 2^r marginal bitstring
 probabilities (in shot mode, frequencies sampled from them) are dealt
 round-robin onto the C classes (bitstring b -> class b mod C) and
 renormalized. Training minimizes cross-entropy by full-batch gradient
-descent, one step per epoch over every training row, with parameter-shift
-gradients (RY generators admit the exact +-pi/2 rule) or SPSA as a cheaper
-seeded alternative.
+descent, one step per epoch over every training row. The default method
+takes exact gradients: in exact mode by adjoint differentiation, one
+forward pass that also gives the loss and one backward walk, O(L) layer
+passes; in shot mode by the parameter-shift rule (RY generators admit the
+exact +-pi/2 rule), the estimator hardware would use.
+``parameter_shift_gradient`` applies that rule in either mode and is the
+reference for ``adjoint_gradient``. SPSA is a cheaper seeded alternative.
 
 Rows run as one batch: ``qsim.feature_map_states`` simulates the feature
 map once per call (once per ``train``), and the weight layers act on that
 (rows, 2^n) batch with one angle per RY gate for all rows and the CNOT
 ring as one basis-index permutation. ``train`` allocates one workspace and
-reuses it for every loss, parameter-shift step and readout: three (rows,
-2^n) complex buffers, which take turns as the unshifted prefix state, the
-state being advanced, and the gate scratch or the ring's destination, plus
-one (rows, 2^n) float buffer for |psi|^2. With the cached feature-map
-states it holds 4.5 batches, whatever the number of layers. ``loss`` and
-``parameter_shift_gradient`` allocate one workspace per call, and
-``forward_many`` one spare batch and one |psi|^2 buffer.
+reuses it for every loss, gradient and readout: three (rows, 2^n) complex
+buffers, which take turns as the states being advanced (the prefix and
+the shifted state, or the adjoint's state and costate) and the gate
+scratch or the ring's destination, plus one (rows, 2^n) float buffer for
+|psi|^2 and the adjoint's weights. With the cached feature-map states it
+holds 4.5 batches, whatever the number of layers. ``loss`` and the two
+gradient functions allocate one workspace per call, and ``forward_many``
+one spare batch and one |psi|^2 buffer.
 """
 
 from __future__ import annotations
@@ -94,18 +99,16 @@ class VqcModel:
         return max(1, math.ceil(math.log2(len(self.classes))))
 
 
-def _ring_permutation(n: int) -> np.ndarray | None:
-    """Basis-index permutation of one layer's CNOT ring, or None for one
-    qubit, which has no ring.
+def _ring_permutation(n: int) -> np.ndarray:
+    """Basis-index permutation of one layer's CNOT ring; the identity for
+    one qubit, which has no ring.
 
     The ring CNOT(0, 1), ..., CNOT(n-1, 0) sends basis state k to ring(k);
     with ``perm`` its inverse, ``psi[:, perm]`` applies the ring to a batch.
     """
-    if n < 2:
-        return None
     k = np.arange(2 ** n)
     image = k.copy()
-    for c in range(n):
+    for c in range(n if n > 1 else 0):
         t = (c + 1) % n
         image ^= ((image >> (n - 1 - c)) & 1) << (n - 1 - t)
     perm = np.empty_like(k)
@@ -131,11 +134,9 @@ def _ry_block(psi: np.ndarray, angles: np.ndarray, scratch: np.ndarray) -> None:
         _apply_op(view, n, "RY", (q,), float(angles[q]), scratch)
 
 
-def _ring(psi: np.ndarray, spare: np.ndarray, perm: np.ndarray | None):
+def _ring(psi: np.ndarray, spare: np.ndarray, perm: np.ndarray):
     """The CNOT ring as ``psi[:, perm]`` written into ``spare``; returns
     (state, free buffer)."""
-    if perm is None:
-        return psi, spare
     # mode="clip" skips the bounds check for which numpy would first gather
     # into a temporary of the output's size.
     np.take(psi, perm, axis=1, out=spare, mode="clip")
@@ -143,7 +144,7 @@ def _ring(psi: np.ndarray, spare: np.ndarray, perm: np.ndarray | None):
 
 
 def _run_layers(psi: np.ndarray, spare: np.ndarray, theta: np.ndarray,
-                perm: np.ndarray | None, start: int = 0):
+                perm: np.ndarray, start: int = 0):
     """Weight layers ``start``.. applied to the (B, 2**n) batch ``psi``, with
     ``spare`` as gate scratch and ring destination; both are overwritten.
     Returns (final state, free buffer)."""
@@ -220,22 +221,29 @@ def _cross_entropy(p_true: np.ndarray) -> float:
     return total / len(p_true)
 
 
-def _batch_loss(
+def _forward(
     states: np.ndarray,
     theta: np.ndarray,
     class_idx: np.ndarray,
     n_classes: int,
-    perm: np.ndarray | None,
+    perm: np.ndarray,
     shots: ShotConfig,
     ws: tuple[np.ndarray, ...],
-) -> float:
-    """Mean cross-entropy over a batch of cached feature-map states."""
+):
+    """The weight layers on a copy of cached feature-map states, then the
+    readout. Returns (mean cross-entropy, true-class scores, final state,
+    free buffer); the free buffer holds the state before the last ring."""
     b = len(states)
     psi, spare, _, probs = (buf[:b] for buf in ws)
     np.copyto(psi, states)
-    psi, _ = _run_layers(psi, spare, theta, perm)
-    scores = _readout(psi, n_classes, shots, probs)
-    return _cross_entropy(scores[np.arange(b), class_idx])
+    psi, free = _run_layers(psi, spare, theta, perm)
+    p_true = _readout(psi, n_classes, shots, probs)[np.arange(b), class_idx]
+    return _cross_entropy(p_true), p_true, psi, free
+
+
+def _batch_loss(states, theta, class_idx, n_classes, perm, shots, ws) -> float:
+    """Mean cross-entropy over a batch of cached feature-map states."""
+    return _forward(states, theta, class_idx, n_classes, perm, shots, ws)[0]
 
 
 def _labelled_states(model: VqcModel, xs, labels) -> tuple[np.ndarray, np.ndarray]:
@@ -271,7 +279,7 @@ def _shift_gradient(
     theta: np.ndarray,
     class_idx: np.ndarray,
     n_classes: int,
-    perm: np.ndarray | None,
+    perm: np.ndarray,
     shots: ShotConfig,
     ws: tuple[np.ndarray, ...],
 ) -> np.ndarray:
@@ -324,12 +332,74 @@ def parameter_shift_gradient(
     )
 
 
+def _adjoint(
+    states: np.ndarray,
+    theta: np.ndarray,
+    class_idx: np.ndarray,
+    n_classes: int,
+    perm: np.ndarray,
+    ws: tuple[np.ndarray, ...],
+) -> tuple[float, np.ndarray]:
+    """Exact mean cross-entropy and its gradient from one forward pass and
+    one backward walk (adjoint differentiation, Jones & Gacon,
+    arXiv:2009.02823).
+
+    Over phi, the state before the last ring, the loss gradient is that of
+    sum_k w_k |phi_k|^2 with w_k = -1/(m max(p, floor)) where the ring image
+    of basis state k falls in the row's class, else 0; lambda = w phi. The
+    RYs of a layer commute, so at the end of layer l's RY block
+    d loss/d theta[l, q] = Re<lambda|-iY_q|phi>. phi and lambda then step
+    back through RY(-theta[l]) and the ring before it, in the workspace:
+    the final state's buffer becomes the scratch, the third buffer lambda
+    and the |psi|^2 buffer w.
+    """
+    m = len(states)
+    n_layers, n = theta.shape
+    value, p_true, psi, phi = _forward(states, theta, class_idx, n_classes, perm, EXACT, ws)
+    # Entry k of phi lands on basis state image[k] after the ring.
+    image = np.argsort(perm)
+    r = max(1, math.ceil(math.log2(n_classes)))
+    on_class = np.arange(n_classes)[:, None] == (image >> (n - r)) % n_classes
+    weights = -1.0 / (m * np.maximum(p_true, _P_FLOOR))
+    lam, w = ws[2][:m], ws[3][:m]
+    # w = (each row's weight on its class) @ (class indicator per basis
+    # state): one product into the buffer, each entry a weight or 0.
+    np.matmul(np.eye(n_classes)[class_idx] * weights[:, None], on_class * 1.0, out=w)
+    np.multiply(phi.real, w, out=lam.real)
+    np.multiply(phi.imag, w, out=lam.imag)
+    grad = np.empty(theta.shape)
+    scratch = psi
+    for l in range(n_layers - 1, -1, -1):
+        for q in range(n):
+            # Float64 views of qubit q's halves: (runs, 0 or 1, run).
+            lv, pv = (a.view(np.float64).reshape(-1, 2, 2 ** (n - q)) for a in (lam, phi))
+            grad[l, q] = (np.einsum("ij,ij->", lv[:, 1], pv[:, 0])
+                          - np.einsum("ij,ij->", lv[:, 0], pv[:, 1]))
+        if l:
+            _ry_block(phi, -theta[l], scratch)
+            _ry_block(lam, -theta[l], scratch)
+            phi, scratch = _ring(phi, scratch, image)
+            lam, scratch = _ring(lam, scratch, image)
+    return value, grad
+
+
+def adjoint_gradient(model: VqcModel, xs, labels) -> np.ndarray:
+    """Exact gradient of the mean cross-entropy w.r.t. every theta entry by
+    adjoint differentiation; exact mode only, as it reads the simulated
+    state, which hardware cannot."""
+    states, class_idx = _labelled_states(model, xs, labels)
+    return _adjoint(
+        states, model.theta, class_idx, len(model.classes),
+        _ring_permutation(model.n_qubits), _workspace(len(states), model.n_qubits),
+    )[1]
+
+
 def _spsa_gradient(
     theta: np.ndarray,
     states: np.ndarray,
     class_idx: np.ndarray,
     n_classes: int,
-    perm: np.ndarray | None,
+    perm: np.ndarray,
     rng: np.random.Generator,
     shots: ShotConfig,
     ws: tuple[np.ndarray, ...],
@@ -352,8 +422,11 @@ def train(
 
     The feature-map states of ``xs`` do not depend on theta: they are
     simulated once, and every loss and gradient evaluation applies only the
-    weight layers to them. Zero epochs return the freshly initialized model.
-    A non-finite loss aborts with a TrainingError naming the epoch.
+    weight layers to them. Each epoch takes the loss and the gradient at the
+    current theta, in exact parameter-shift mode from one adjoint pass; the
+    final theta gets one more loss. Zero epochs return the freshly
+    initialized model. A non-finite loss aborts with a TrainingError naming
+    the epoch whose update led to it (epoch 0 for the initial loss).
     """
     xs = _as_matrix(xs)
     classes = tuple(sorted(set(labels)))
@@ -371,17 +444,24 @@ def train(
     perm = _ring_permutation(n)
     ws = _workspace(len(xs), n)
 
-    history = [_batch_loss(states, model.theta, class_idx, n_classes, perm, shots, ws)]
+    def step(theta):
+        if opt.method == "spsa":
+            return (_batch_loss(states, theta, class_idx, n_classes, perm, shots, ws),
+                    _spsa_gradient(theta, states, class_idx, n_classes, perm, rng, shots, ws))
+        if shots.exact:
+            return _adjoint(states, theta, class_idx, n_classes, perm, ws)
+        return (_batch_loss(states, theta, class_idx, n_classes, perm, shots, ws),
+                _shift_gradient(states, theta, class_idx, n_classes, perm, shots, ws))
+
+    history = []
     for epoch in range(opt.epochs):
-        if not math.isfinite(history[-1]):
-            raise TrainingError("training loss diverged", epoch=epoch)
-        if opt.method == "parameter_shift":
-            grad = _shift_gradient(states, model.theta, class_idx, n_classes, perm, shots, ws)
-        else:
-            grad = _spsa_gradient(model.theta, states, class_idx, n_classes, perm, rng, shots, ws)
+        value, grad = step(model.theta)
+        history.append(value)
+        if not math.isfinite(value):
+            raise TrainingError("training loss diverged", epoch=max(epoch - 1, 0))
         model.theta = model.theta - opt.learning_rate * grad
-        history.append(_batch_loss(states, model.theta, class_idx, n_classes, perm, shots, ws))
-        if not math.isfinite(history[-1]):
-            raise TrainingError("training loss diverged", epoch=epoch)
+    history.append(_batch_loss(states, model.theta, class_idx, n_classes, perm, shots, ws))
+    if not math.isfinite(history[-1]):
+        raise TrainingError("training loss diverged", epoch=max(opt.epochs - 1, 0))
     model.loss_history = tuple(history)
     return model

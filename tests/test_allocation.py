@@ -55,13 +55,16 @@ def test_train_peak_is_states_plus_workspace():
     xs, labels = data()
     workspace = BATCH + 3 * BATCH + BATCH // 2
 
-    def peak(epochs: int) -> int:
+    def peak(epochs: int, layers: int = 1) -> int:
         opt = OptimizerConfig(learning_rate=0.5, epochs=epochs)
-        return traced_peak(lambda: train(xs, labels, FeatureMapKind("angle"), 1, opt))
+        return traced_peak(lambda: train(xs, labels, FeatureMapKind("angle"), layers, opt))
 
     one, five = peak(1), peak(5)
     assert one <= workspace + SLACK
     assert five <= one + EPOCH_SLACK
+    # The adjoint's backward walk through three layers reuses the same
+    # buffers.
+    assert peak(1, layers=3) <= one + EPOCH_SLACK
 
 
 @pytest.mark.parametrize("variant", FEATURE_MAPS)

@@ -258,6 +258,7 @@ class TestKernelCheck:
         assert "detected" in out
         assert "batched VQC scores differ from dense oracle" in out
         assert "VQC parameter-shift gradient differs" in out
+        assert "VQC adjoint gradient differs" in out
 
     def test_qubit_cap(self, capsys):
         assert main(["kernel-check", "--qubits", "21"]) == 2

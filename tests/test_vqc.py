@@ -13,6 +13,7 @@ from icppm.qsim import EXACT, FeatureMapKind, ShotConfig, build_feature_map, run
 from icppm.vqc import (
     OptimizerConfig,
     VqcModel,
+    adjoint_gradient,
     forward,
     forward_many,
     loss,
@@ -159,9 +160,9 @@ class TestGradient:
         xs = rng.uniform(0, math.pi, (3, n))
         labels = ["a", "b", "a"]
         model = VqcModel(ANGLE, rng.uniform(-1.0, 1.0, (layers, n)), ("a", "b"))
-        analytic = parameter_shift_gradient(model, xs, labels)
         numeric = finite_difference(model, xs, labels)
-        assert np.max(np.abs(analytic - numeric)) < 1e-5
+        for gradient in (parameter_shift_gradient, adjoint_gradient):
+            assert np.max(np.abs(gradient(model, xs, labels) - numeric)) < 1e-5
 
     def test_gradient_zero_at_optimum_direction(self):
         xs = np.array([[0.0], [math.pi]])
@@ -219,12 +220,37 @@ class TestTrain:
         assert np.array_equal(a.theta, b.theta)
         assert len(a.loss_history) == 4
 
+    @staticmethod
+    def diverge_after(monkeypatch, finite_calls: int) -> None:
+        """Every training loss comes from ``_forward``, one call per epoch at
+        the current theta and one at the final theta; all calls after the
+        first ``finite_calls`` return a NaN loss."""
+        real, calls = vqc._forward, []
+
+        def forward(*args):
+            calls.append(None)
+            value, *rest = real(*args)
+            return (value if len(calls) <= finite_calls else math.nan, *rest)
+
+        monkeypatch.setattr(vqc, "_forward", forward)
+
     def test_divergence_raises_with_epoch(self, monkeypatch):
         xs, labels = separable_fixture()
-        monkeypatch.setattr(vqc, "_batch_loss", lambda *a, **k: math.nan)
+        self.diverge_after(monkeypatch, 0)
         with pytest.raises(TrainingError) as err:
             train(xs, labels, ANGLE, 1, OptimizerConfig(epochs=2))
         assert err.value.epoch == 0
+
+    def test_divergence_after_update_names_that_epoch(self, monkeypatch):
+        # The loss at theta_k, k >= 1, names epoch k - 1, whose update gave
+        # theta_k; the last one comes from the final plain loss.
+        xs, labels = separable_fixture()
+        for finite_calls, epoch in [(1, 0), (2, 1)]:
+            self.diverge_after(monkeypatch, finite_calls)
+            with pytest.raises(TrainingError) as err:
+                train(xs, labels, ANGLE, 1, OptimizerConfig(epochs=2))
+            assert err.value.epoch == epoch
+            monkeypatch.undo()
 
     def test_multiclass_training_smoke(self):
         xs = np.array([[0.1, 0.1], [0.2, 0.1], [2.9, 0.2], [3.0, 0.1], [0.2, 3.0], [0.1, 2.9]])
@@ -267,13 +293,17 @@ class TestBatchedEngine:
             assert np.max(np.abs(probs - want)) <= TOL
             assert abs(loss(model, xs, labels) - ref.vqc_loss(*args)) <= TOL
             grad = parameter_shift_gradient(model, xs, labels)
-            assert grad_gap_ok(grad, ref.vqc_shift_gradient(*args))
+            adjoint = adjoint_gradient(model, xs, labels)
+            want = ref.vqc_shift_gradient(*args)
+            assert grad_gap_ok(grad, want)
+            assert grad_gap_ok(adjoint, want)
             if n <= 5:
                 dense = np.array([oracles.vqc_probs_via_unitary(model, x) for x in xs])
                 assert np.max(np.abs(probs - dense)) <= TOL
                 dense_grad = np.mean([oracles.vqc_gradient_via_unitary(model, x, c)
                                       for x, c in zip(xs, class_idx)], axis=0)
                 assert grad_gap_ok(grad, dense_grad)
+                assert grad_gap_ok(adjoint, dense_grad)
 
     @pytest.mark.parametrize("fm", MAPS, ids=lambda k: f"{k.variant}{k.layers}")
     def test_shot_mode_bit_identical_to_reference(self, fm):
@@ -354,14 +384,38 @@ class TestBatchedEngine:
         assert abs(corr) <= 5.0 / math.sqrt(seeds)
 
     def test_exact_training_matches_reference(self):
+        # Exact training takes adjoint gradients; the reference takes
+        # parameter-shift ones.
         rng = np.random.default_rng(5)
         xs = rng.uniform(0.0, math.pi, (8, 4))
         labels = list(rng.integers(0, 2, 8))
         opt = OptimizerConfig(learning_rate=0.5, epochs=3, seed=1)
-        model = train(xs, labels, ANGLE, 2, opt)
-        theta, history = ref.vqc_train(xs, labels, ANGLE, 2, opt)
-        assert np.max(np.abs(model.theta - theta)) <= TOL
-        assert np.max(np.abs(np.array(model.loss_history) - history)) <= TOL
+        for layers in (2, 3):
+            model = train(xs, labels, ANGLE, layers, opt)
+            theta, history = ref.vqc_train(xs, labels, ANGLE, layers, opt)
+            assert np.max(np.abs(model.theta - theta)) <= TOL
+            assert np.max(np.abs(np.array(model.loss_history) - history)) <= TOL
+
+    def test_exact_epoch_ry_count_is_linear_in_layers(self, monkeypatch):
+        # The adjoint runs L n RYs forward and 2 (L - 1) n backward, where
+        # parameter shift would run O(L^2 n); one epoch adds the final
+        # loss's L n. The feature map's gates run in qsim, uncounted.
+        calls = []
+        real = vqc._apply_op
+        monkeypatch.setattr(vqc, "_apply_op", lambda psi, n, kind, *rest: (
+            calls.append(kind), real(psi, n, kind, *rest)))
+        rng = np.random.default_rng(2)
+        n = 3
+        xs = rng.uniform(0.0, math.pi, (5, n))
+        labels = list(rng.integers(0, 2, 5))
+        for layers in range(1, 5):
+            model = VqcModel(ANGLE, rng.uniform(-1.0, 1.0, (layers, n)), (0, 1))
+            calls.clear()
+            adjoint_gradient(model, xs, labels)
+            assert calls == ["RY"] * (3 * layers - 2) * n
+            calls.clear()
+            train(xs, labels, ANGLE, layers, OptimizerConfig(epochs=1))
+            assert calls == ["RY"] * (4 * layers - 2) * n
 
     @pytest.mark.parametrize("n", range(1, 11))
     def test_ring_permutation_equals_gate_by_gate_ring(self, n):
@@ -370,8 +424,7 @@ class TestBatchedEngine:
         ring = [op for op in qsim.weight_layer(np.zeros(n), n).ops if op.kind == "CNOT"]
         want = qsim._apply_ops(psi.copy(), n, ring)
         perm = vqc._ring_permutation(n)
-        got = psi if perm is None else psi[perm]
-        assert np.array_equal(got, want)
+        assert np.array_equal(psi[perm], want)
 
     def test_feature_map_simulated_once_per_train_call(self, monkeypatch):
         calls = []
@@ -390,6 +443,8 @@ class TestBatchedEngine:
             forward_many(model, np.zeros((3, 3)))
         with pytest.raises(ValueError):
             parameter_shift_gradient(model, np.zeros((1, 3)), ["a"])
+        with pytest.raises(ValueError):
+            adjoint_gradient(model, np.zeros((1, 3)), ["a"])
 
 
 class TestEdgeBatches:
@@ -404,11 +459,15 @@ class TestEdgeBatches:
             loss(self.MODEL, empty, [])
         with pytest.raises(ValueError, match="empty batch"):
             parameter_shift_gradient(self.MODEL, empty, [])
+        with pytest.raises(ValueError, match="empty batch"):
+            adjoint_gradient(self.MODEL, empty, [])
 
     def test_non_finite_features_raise(self):
         bad = [[math.nan, 0.0, 0.0]]
         with pytest.raises(ValueError, match="not finite"):
             parameter_shift_gradient(self.MODEL, bad, ["a"])
+        with pytest.raises(ValueError, match="not finite"):
+            adjoint_gradient(self.MODEL, bad, ["a"])
         with pytest.raises(ValueError, match="not finite"):
             forward_many(self.MODEL, [[0.0, math.inf, 0.0]])
 
