@@ -30,7 +30,7 @@ from .eventlog import (
     parse_xes,
 )
 from .intercase import EventIndex, InterCaseEncoder, PeerWindow
-from .qkernel import KernelKind, KernelMatrix, cross, gram, psd_repair
+from .qkernel import KernelKind, KernelMatrix, cross, gram
 from .qsim import CircuitSpec, FeatureMapKind, GateOp, ShotConfig, run
 from .svm import MulticlassModel, SvmModel, fit, fit_multiclass
 from .vqc import OptimizerConfig, VqcModel, train
@@ -72,7 +72,6 @@ __all__ = [
     "KernelMatrix",
     "cross",
     "gram",
-    "psd_repair",
     "MulticlassModel",
     "SvmModel",
     "fit",

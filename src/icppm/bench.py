@@ -56,7 +56,7 @@ from .intercase import (
     fit_batch_stats,
     fit_transition_stats,
 )
-from .qkernel import KernelKind, cache_key, cross, gram, load_kernel, psd_repair, save_kernel
+from .qkernel import KernelKind, cache_key, cross, gram, load_kernel, save_kernel
 from .qsim import FEATURE_MAPS, FeatureMapKind, ShotConfig
 from .svm import fit_multiclass, predict as svm_predict
 from .vqc import OptimizerConfig, predict_many as vqc_predict, train as vqc_train
@@ -437,13 +437,49 @@ def _encode_fold(
     return x_train, train.labels, x_test, test.labels
 
 
-def _kernel_kind(cfg: ExperimentConfig, kind: str, variant: str | None, layers: int | None,
-                 shots: ShotConfig) -> KernelKind:
+def _kernel_fold(cfg: ExperimentConfig, kind: str, variant: str | None, layers: int | None,
+                 shots: ShotConfig, x_train: np.ndarray, y_train: list,
+                 x_test: np.ndarray, part: dict) -> list:
+    """A kernel classifier's predictions for one fold, counters written to
+    ``part``. The fold's kernel matrices live in this call, one at a time:
+    the train Gram matrix is dropped before the cross matrix is built."""
     if kind == "svc_linear":
-        return KernelKind.linear()
-    if kind == "svc_rbf":
-        return KernelKind.rbf(cfg.gamma)
-    return KernelKind.quantum(FeatureMapKind(variant, layers), shots)
+        kernel_kind = KernelKind.linear()
+    elif kind == "svc_rbf":
+        kernel_kind = KernelKind.rbf(cfg.gamma)
+    else:
+        kernel_kind = KernelKind.quantum(FeatureMapKind(variant, layers), shots)
+    t_fit0 = time.perf_counter()
+    key = k_train = None
+    if cfg.cache_dir:
+        data_hash = hashlib.sha256(
+            x_train.tobytes() + "\x1f".join(map(str, y_train)).encode("utf-8")
+        ).hexdigest()
+        key = cache_key(
+            data_hash,
+            {"features": feature_label(cfg), "scale": [cfg.scale_lo, cfg.scale_hi]},
+            {"classifier": cfg.classifier, "shots": cfg.shots, "gamma": cfg.gamma},
+            shots.seed,
+        )
+        k_train = load_kernel(cfg.cache_dir, key, size=len(x_train))
+    if k_train is None:
+        t_gram0 = time.perf_counter()
+        k_train = gram(x_train, kernel_kind)
+        part["gram_time_s"] = time.perf_counter() - t_gram0
+        if key is not None:
+            save_kernel(k_train, cfg.cache_dir, key)
+    model = fit_multiclass(k_train, y_train, C=cfg.C, tol=cfg.tol)
+    part["fit_time_s"] = time.perf_counter() - t_fit0
+    part["smo_iterations"] = sum(m.iterations for m in model.models)
+    part["smo_kkt_gap"] = max(m.kkt_gap for m in model.models)
+    part["kernel_evaluations"] = k_train.eval_count
+    part["states_simulated"] = k_train.states_simulated
+    train_states = k_train.conj_states
+    del k_train
+    k_test = cross(x_test, x_train, kernel_kind, train_states=train_states)
+    part["cross_evaluations"] = k_test.eval_count
+    part["states_simulated"] += k_test.states_simulated
+    return svm_predict(model, k_test)
 
 
 def run_experiment(
@@ -501,39 +537,10 @@ def run_experiment(
             part["states_simulated"] = len(x_train) + len(x_test)
             part["vqc_final_loss"] = model.loss_history[-1]
         else:
-            kernel_kind = _kernel_kind(cfg, kind, variant, fm_layers, shots)
-            key = None
-            k_train = None
-            if cfg.cache_dir:
-                data_hash = hashlib.sha256(
-                    x_train.tobytes() + "\x1f".join(map(str, y_train)).encode("utf-8")
-                ).hexdigest()
-                key = cache_key(
-                    data_hash,
-                    {"features": feature_label(cfg), "scale": [cfg.scale_lo, cfg.scale_hi]},
-                    {"classifier": cfg.classifier, "shots": cfg.shots, "gamma": cfg.gamma},
-                    shots.seed,
-                )
-                k_train = load_kernel(cfg.cache_dir, key, size=len(x_train))
-            if k_train is None:
-                t_gram0 = time.perf_counter()
-                k_train = gram(x_train, kernel_kind)
-                part["gram_time_s"] = time.perf_counter() - t_gram0
-                if key is not None:
-                    save_kernel(k_train, cfg.cache_dir, key)
-            if kernel_kind.variant == "quantum" and not kernel_kind.shots.exact:
-                k_train = psd_repair(k_train)
-            model = fit_multiclass(k_train, y_train, C=cfg.C, tol=cfg.tol)
-            part["fit_time_s"] = time.perf_counter() - t_fit0
-            part["smo_iterations"] = sum(m.iterations for m in model.models)
-            part["smo_kkt_gap"] = max(m.kkt_gap for m in model.models)
+            predictions = _kernel_fold(cfg, kind, variant, fm_layers, shots,
+                                       x_train, y_train, x_test, part)
             fold_note = (f" smo_iterations={part['smo_iterations']}"
                          f" smo_kkt_gap={part['smo_kkt_gap']:.3e}")
-            k_test = cross(x_test, x_train, kernel_kind, train_states=k_train.conj_states)
-            part["kernel_evaluations"] = k_train.eval_count
-            part["cross_evaluations"] = k_test.eval_count
-            part["states_simulated"] = k_train.states_simulated + k_test.states_simulated
-            predictions = svm_predict(model, k_test)
         parts.append(part)
         correct = sum(1 for p, t in zip(predictions, y_test) if p == t)
         acc = correct / len(y_test)

@@ -41,6 +41,9 @@ KERNEL_VARIANTS = ("linear", "rbf", "quantum")
 CACHE_FORMAT_VERSION = 3
 # Largest |K - K^T| entry a cached Gram matrix may have.
 _CACHE_SYMMETRY_TOL = 1e-12
+# Elements per row block of an m-column pass (rows * m): the RBF chain and
+# the symmetry scan allocate one block, not a second m x m array.
+_BLOCK_ELEMENTS = 32768
 
 
 @dataclass(frozen=True)
@@ -95,6 +98,23 @@ def _as_matrix(data) -> np.ndarray:
     if out.ndim != 2:
         raise ValueError(f"expected a 2-d sample matrix, got shape {out.shape}")
     return out
+
+
+def asymmetry(values: np.ndarray) -> float:
+    """Largest |K - K^T| entry of a square matrix (NaN or inf if an entry is
+    not finite), from row blocks of the upper triangle against the
+    transposed lower one, so no m x m temporary is allocated."""
+    m = len(values)
+    rows = max(1, _BLOCK_ELEMENTS // max(m, 1))
+    buf = np.empty(rows * m)
+    worst = 0.0
+    for lo in range(0, m, rows):
+        diff = buf[: min(rows, m - lo) * (m - lo)].reshape(-1, m - lo)
+        with np.errstate(invalid="ignore"):  # inf - inf
+            np.subtract(values[lo:lo + rows, lo:], values[lo:, lo:lo + rows].T, out=diff)
+        np.abs(diff, out=diff)
+        worst = float(np.maximum(worst, diff.max()))  # keeps a NaN
+    return worst
 
 
 def _overlaps(rows: np.ndarray, conj_cols: np.ndarray) -> np.ndarray:
@@ -155,15 +175,22 @@ def cross(test, train, kind: KernelKind, train_states: np.ndarray | None = None)
         return KernelMatrix(xt @ xr.T)
     if kind.variant == "rbf":
         gamma = kind.gamma if kind.gamma is not None else 1.0 / xr.shape[1]
-        # exp(-gamma * max(|t|^2 + |r|^2 - 2 t.r, 0)) in the output buffer,
-        # with the dot products as the only other p x m array.
-        values = np.sum(xt ** 2, axis=1)[:, None] + np.sum(xr ** 2, axis=1)
-        dots = xt @ xr.T
-        dots *= 2.0
-        values -= dots
-        np.maximum(values, 0.0, out=values)
-        values *= -gamma
-        return KernelMatrix(np.exp(values, out=values))
+        # exp(-gamma * max(|t|^2 + |r|^2 - 2 t.r, 0)): the dot products go into
+        # the output (a Gram keeps numpy's syrk path), the rest per row block.
+        values = np.matmul(xt, xr.T, out=np.empty((len(xt), len(xr))))
+        sq_t, sq_r = np.sum(xt ** 2, axis=1), np.sum(xr ** 2, axis=1)
+        rows = max(1, _BLOCK_ELEMENTS // max(len(xr), 1))
+        buf = np.empty(rows * len(xr))
+        for lo in range(0, len(xt), rows):
+            dots = values[lo:lo + rows]
+            block = np.add(sq_t[lo:lo + rows, None], sq_r,
+                           out=buf[:dots.size].reshape(dots.shape))
+            dots *= 2.0
+            block -= dots
+            np.maximum(block, 0.0, out=block)
+            block *= -gamma
+            np.exp(block, out=dots)
+        return KernelMatrix(values)
     simulated = len(xt)
     if train_states is None:
         train_states = feature_map_states(kind.feature_map, xr)
@@ -176,20 +203,6 @@ def cross(test, train, kind: KernelKind, train_states: np.ndarray | None = None)
     if not kind.shots.exact:
         values = _sample(values, kind.shots)
     return KernelMatrix(values, eval_count=values.size, states_simulated=simulated)
-
-
-def psd_repair(kernel: KernelMatrix, floor: float = 1e-9) -> KernelMatrix:
-    """Symmetrize, then shift the diagonal just enough for lambda_min >= floor.
-
-    Intended for shot-noise Gram matrices; an already-PSD matrix only gets
-    the (no-op) symmetrization.
-    """
-    sym = 0.5 * (kernel.values + kernel.values.T)
-    min_eig = float(np.linalg.eigvalsh(sym)[0])
-    shift = max(0.0, floor - min_eig)
-    if shift > 0.0:
-        sym = sym + shift * np.eye(len(sym))
-    return KernelMatrix(sym, kernel.eval_count, kernel.states_simulated, kernel.conj_states)
 
 
 def cache_key(dataset_hash: str, encoder_config: dict, kernel_config: dict, seed: int) -> str:
@@ -250,13 +263,9 @@ def load_kernel(directory: str | Path, key: str, size: int | None = None) -> Ker
     shape_ok = values.ndim == 2 and values.shape[0] == values.shape[1]
     if size is not None:
         shape_ok = values.shape == (size, size)
-    if not shape_ok or not np.all(np.isfinite(values)):
-        log_.warning("ignoring kernel cache entry %s: shape %s or non-finite values",
-                     path, values.shape)
-        return None
-    asymmetry = float(np.max(np.abs(values - values.T), initial=0.0))
-    if asymmetry > _CACHE_SYMMETRY_TOL:
-        log_.warning("ignoring kernel cache entry %s: |K - K^T| reaches %.3e",
-                     path, asymmetry)
+    worst = asymmetry(values) if shape_ok else np.inf
+    if not worst <= _CACHE_SYMMETRY_TOL:
+        log_.warning("ignoring kernel cache entry %s: shape %s, non-finite values or "
+                     "|K - K^T| reaching %.3e", path, values.shape, worst)
         return None
     return KernelMatrix(values, eval_count)

@@ -28,13 +28,11 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConvergenceError, DegenerateModelError
-from .qkernel import KernelMatrix
+from .qkernel import KernelMatrix, asymmetry
 
 _BOUND_EPS = 1e-12
 # Largest |K - K^T| accepted, relative to max|K|.
 _SYMMETRY_RTOL = 1e-9
-# Elements per row block of the symmetry check (rows * m).
-_SYMMETRY_BLOCK = 32768
 
 
 @dataclass
@@ -69,30 +67,17 @@ def _kernel_values(kernel) -> np.ndarray:
 
 def _check_kernel(k: np.ndarray, m: int) -> None:
     """Raise ValueError unless K is m x m, finite and symmetric to within
-    _SYMMETRY_RTOL * max|K|.
-
-    Compares the upper triangle block by block against the transposed lower
-    triangle, so no m x m temporary is allocated.
-    """
+    _SYMMETRY_RTOL * max|K|, with no m x m temporary (``asymmetry``)."""
     if k.shape != (m, m):
         raise ValueError(f"kernel shape {k.shape} does not match {m} labels")
     scale = max(float(k.max()), -float(k.min()))
     if not np.isfinite(scale):
         raise ValueError("kernel has non-finite entries")
     limit = _SYMMETRY_RTOL * scale
-    rows = max(1, _SYMMETRY_BLOCK // m)
-    buf = np.empty(rows * m)
-    for lo in range(0, m, rows):
-        hi = min(lo + rows, m)
-        diff = buf[: (hi - lo) * (m - lo)].reshape(hi - lo, m - lo)
-        np.subtract(k[lo:hi, lo:], k[lo:, lo:hi].T, out=diff)
-        np.abs(diff, out=diff)
-        worst = float(diff.max())
-        if worst > limit:
-            raise ValueError(
-                f"kernel is not symmetric: |K - K^T| reaches {worst:.3e} "
-                f"in rows {lo}..{hi - 1} (limit {limit:.3e})"
-            )
+    worst = asymmetry(k)
+    if worst > limit:
+        raise ValueError(f"kernel is not symmetric: |K - K^T| reaches {worst:.3e} "
+                         f"(limit {limit:.3e})")
 
 
 def fit(

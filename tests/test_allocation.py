@@ -1,4 +1,5 @@
-"""Traced allocation peaks of the statevector engine stay at its workspace.
+"""Traced allocation peaks of the statevector engine and the kernel matrices
+stay at their workspace.
 
 ``vqc.train`` holds the cached feature-map states plus one workspace (three
 state buffers and a |psi|^2 buffer), and ``feature_map_states`` holds its
@@ -10,6 +11,10 @@ would lift the traced peak above these by at least half a batch (120 KiB at
 30 rows and 9 qubits); numpy's own iteration buffers and small per-call
 arrays fit in the slack. More epochs or layers, beyond the second layer's
 scratch, must not raise the peak.
+
+An RBF ``gram`` or ``cross`` holds its output and one row block, a cache
+hit its loaded matrix and one row block, and a kernel run holds one kernel
+matrix at a time, never two of one fold or one of the fold before.
 """
 
 from __future__ import annotations
@@ -19,7 +24,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from icppm.qkernel import KernelKind, cross, gram
+from conftest import random_log
+from icppm.bench import ExperimentConfig, derive_seed, run_experiment
+from icppm.eventlog import build_prefix_log, make_cv_folds
+from icppm.qkernel import KernelKind, cache_key, cross, gram, load_kernel, save_kernel
 from icppm.qsim import FEATURE_MAPS, FeatureMapKind, feature_map_states
 from icppm.vqc import OptimizerConfig, train
 
@@ -96,3 +104,35 @@ def test_fold_peak_is_one_train_batch_its_conjugate_and_the_test_batch(variant):
         cross(test, xs, kind, train_states=k_train.conj_states)
 
     assert traced_peak(fold) <= 2 * BATCH + BATCH // 3 + SLACK
+
+
+def test_rbf_kernels_peak_at_their_output_and_one_row_block():
+    rng = np.random.default_rng(2)
+    xt, xr = rng.normal(size=(700, 9)), rng.normal(size=(800, 9))
+    # Both span more than ten row blocks of the 32768-element budget.
+    assert traced_peak(lambda: gram(xr, KernelKind.rbf())) < 1.15 * 800 * 800 * 8
+    assert traced_peak(lambda: cross(xt, xr, KernelKind.rbf())) < 1.15 * 700 * 800 * 8
+
+
+def test_cache_hit_checks_symmetry_without_full_size_temporaries(tmp_path):
+    m = 1000
+    kernel = gram(np.random.default_rng(4).normal(size=(m, 2)), KernelKind.rbf())
+    key = cache_key("data", {}, {}, 0)
+    save_kernel(kernel, tmp_path, key)
+    assert np.array_equal(load_kernel(tmp_path, key, size=m).values, kernel.values)
+    # The loaded matrix itself is the one full-size allocation.
+    nbytes = kernel.values.nbytes
+    assert traced_peak(lambda: load_kernel(tmp_path, key, size=m)) < nbytes + nbytes / 8
+
+
+def test_kernel_run_holds_one_kernel_matrix_at_a_time():
+    log = random_log(5, n_cases=330)
+    samples = build_prefix_log(log, 1, None)
+    cfg = ExperimentConfig(classifier="svc_rbf", k=2, folds=3, tol=1e-2)
+    folds = make_cv_folds(samples, cfg.folds, derive_seed(cfg.seed, "folds"))
+    m = max(len(folds.split(f)[0]) for f in range(cfg.folds))
+    assert m >= 800
+    # A second live kernel array (an m x m product temporary, the Gram kept
+    # alive into the cross, or the fold before's cross into the next Gram)
+    # would lift the peak to 1.5 Gram bytes or more.
+    assert traced_peak(lambda: run_experiment(cfg, log, samples)) < 1.3 * m * m * 8

@@ -4,9 +4,12 @@ states, pinned by hash.
 The encode and classical bench hashes were taken before the fold encoding
 moved from per-sample feature vectors to whole matrices; the quantum bench
 and state hashes before the statevector engine moved its gates onto float64
-views and reused buffers; the shot-mode qke hash was re-pinned once, when
+views and reused buffers; the shot-mode qke hash was re-pinned twice: when
 kernel shots moved from one generator per entry to one binomial generator
-per row (a new random stream, the same distribution); the shot-mode vqc hash
+per row (a new random stream, the same distribution), and when shot Gram
+matrices went to the SVM as drawn instead of with their diagonal shifted
+to make them positive semi-definite (the same draws, a different fit,
+mean accuracy 0.3372 -> 0.3436); the shot-mode vqc hash
 was re-pinned once, when the VQC readout moved from uniforms shared by every
 row to one multinomial draw per row over the exact marginal (a new random
 stream, the same per-row distribution, rows independent). Any change to how
@@ -98,7 +101,7 @@ GOLDEN = {
     "bench/majority+freq_act+batch": "6b27aa1859dc8488c75e8a59586a7b4f9208b7fa085dfff5287fac4e4af14834",
     "bench/majority+peer_cases+avg_delay": "32e276019d6f8a51e4b7b2a31246ac03e50ca87960c73d4cbc102df1286f5d6f",
     "bench/qke_zz_2+peer_cases": "f4dd95eca108b444b8f760d9c488068f3071de1a2de0f38718633a08b288c916",
-    "bench/qke_zz_2+peer_cases@shots50": "d2be583da5f1d2271f49b633310e48aa740a7ed044279a05ac80f057a096be27",
+    "bench/qke_zz_2+peer_cases@shots50": "2aa9bfec0ca91660f9f60d6f3da225421adc2994a6c2764ce166eff4c42aa61c",
     "bench/svc_rbf+freq_act+batch": "98ed8f516239c69608c36be8a9428734beebfc791b84c1815851e752111a5acb",
     "bench/svc_rbf+peer_cases+avg_delay": "88d01f77a031a1493c13c93a42c69958bb6a5ee5c71035ee4ee536c744de8c00",
     "bench/vqc_angle_1+peer_cases": "e6b041efa35aba865a2b3124ecf9bc85d2263d425c461adae0acd7b3f8f9f35c",

@@ -14,7 +14,6 @@ from icppm.qkernel import (
     cross,
     gram,
     load_kernel,
-    psd_repair,
     save_kernel,
 )
 from icppm.qsim import FeatureMapKind, ShotConfig, feature_map_states, kernel_overlap
@@ -83,14 +82,19 @@ class TestClassicalKernels:
 
     @pytest.mark.parametrize("gamma", [None, 0.3])
     def test_rbf_equals_textbook_formula(self, gamma):
-        xt, xr = points(7, 5, 4), points(8, 6, 4)
+        # 300 x 250 spans three row blocks of the 32768-element budget; a
+        # Gram's products must be numpy's own x @ x.T (its syrk path).
         g = gamma if gamma is not None else 1.0 / 4
-        d2 = np.maximum(
-            np.sum(xt ** 2, axis=1)[:, None] + np.sum(xr ** 2, axis=1)[None, :]
-            - 2.0 * (xt @ xr.T),
-            0.0,
-        )
-        assert np.array_equal(cross(xt, xr, KernelKind.rbf(gamma)).values, np.exp(-g * d2))
+        for p, m in ((5, 6), (300, 250)):
+            xt, xr = points(7, p, 4), points(8, m, 4)
+            for got, a, b in ((cross(xt, xr, KernelKind.rbf(gamma)), xt, xr),
+                              (gram(xr, KernelKind.rbf(gamma)), xr, xr)):
+                d2 = np.maximum(
+                    np.sum(a ** 2, axis=1)[:, None] + np.sum(b ** 2, axis=1)[None, :]
+                    - 2.0 * (a @ b.T),
+                    0.0,
+                )
+                assert np.array_equal(got.values, np.exp(-g * d2))
 
     @pytest.mark.parametrize("kind", [KernelKind.linear(), KernelKind.rbf(), KernelKind.rbf(0.7)])
     def test_gram_is_cross_of_rows_with_themselves(self, kind):
@@ -247,7 +251,6 @@ class TestCross:
         x = points(31, 4, 2)
         k = gram(x, QUANTUM)
         assert k.conj_states.shape == (4, 4)
-        assert psd_repair(k).conj_states is k.conj_states
         assert cross(x, x, QUANTUM).conj_states is None
         assert gram(x, KernelKind.rbf()).conj_states is None
 
@@ -335,41 +338,6 @@ class TestShotDistribution:
         assert np.array_equal(np.diag(sampled), np.ones(60))
 
 
-class TestPsdRepair:
-    def test_indefinite_matrix_shifted(self):
-        km = KernelMatrix(np.array([[1.0, 1.2], [1.2, 1.0]]), eval_count=1)
-        fixed = psd_repair(km, floor=0.0)
-        assert fixed.values[0, 0] == pytest.approx(1.2)
-        assert fixed.values[0, 1] == pytest.approx(1.2)
-        assert np.linalg.eigvalsh(fixed.values)[0] >= -1e-12
-
-    def test_psd_input_untouched_up_to_symmetrization(self):
-        x = points(18, 6, 2)
-        km = gram(x, KernelKind.rbf())
-        fixed = psd_repair(km, floor=0.0)
-        assert np.allclose(fixed.values, km.values)
-
-    def test_identity_unchanged(self):
-        km = KernelMatrix(np.eye(3))
-        assert np.array_equal(psd_repair(km, floor=1.0).values, np.eye(3))
-
-    def test_asymmetric_input_symmetrized(self):
-        km = KernelMatrix(np.array([[1.0, 0.4], [0.2, 1.0]]))
-        fixed = psd_repair(km)
-        assert fixed.values[0, 1] == fixed.values[1, 0] == pytest.approx(0.3)
-
-    def test_eval_count_preserved(self):
-        km = KernelMatrix(np.eye(2), eval_count=17)
-        assert psd_repair(km).eval_count == 17
-
-    def test_floor_respected(self):
-        rng = np.random.default_rng(19)
-        noisy = rng.normal(size=(6, 6))
-        km = KernelMatrix(0.5 * (noisy + noisy.T))
-        fixed = psd_repair(km, floor=1e-6)
-        assert np.linalg.eigvalsh(fixed.values)[0] >= 1e-6 - 1e-12
-
-
 class TestCache:
     def test_round_trip(self, tmp_path):
         x = points(20, 5, 2)
@@ -410,6 +378,16 @@ class TestCache:
         bad = np.eye(2)
         bad[0, 1] = np.nan
         save_kernel(KernelMatrix(bad, 1), tmp_path, "k")
+        assert load_kernel(tmp_path, "k") is None
+
+    @pytest.mark.parametrize("entry, value", [((0, 0), np.nan), ((0, 299), np.inf),
+                                              ((150, 2), -np.inf), ((299, 299), np.inf)])
+    def test_non_finite_entry_in_any_row_block_is_a_miss(self, tmp_path, entry, value):
+        # 300 rows span three blocks of the symmetry scan; a NaN found in an
+        # early block must not be dropped by a later, finite one.
+        values = gram(points(21, 300, 2), KernelKind.rbf()).values
+        values[entry] = value
+        save_kernel(KernelMatrix(values), tmp_path, "k")
         assert load_kernel(tmp_path, "k") is None
 
     def test_key_changes_with_format_version(self, monkeypatch):
