@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import logging
 import tracemalloc
@@ -422,3 +423,76 @@ class TestDualObjective:
         coef = alpha * y
         want = alpha.sum() - 0.5 * coef @ k @ coef
         assert dual_objective(k, y, alpha) == pytest.approx(want)
+
+
+def _smo_cases():
+    """Case name -> (kernel, labels, C, tol, max_passes) for the SMO digest."""
+    cases = {}
+    for m in (20, 200, 600):
+        rng = np.random.default_rng(m)
+        x = rng.normal(size=(m, 3))
+        y = np.where(x[:, 0] + 0.5 * rng.normal(size=m) > 0, 1.0, -1.0)
+        k = gram(x, RBF).values
+        for C in (1e-13, 0.3, 1.0, 100.0, np.inf):
+            cases[f"rbf{m}@C={C:g}"] = (k, y, C, 1e-3, 20_000)
+    rng = np.random.default_rng(0)
+    x = rng.uniform(0.0, np.pi, size=(4, 3))
+    x = np.vstack([x, x[:3]])
+    kind = KernelKind.quantum(FeatureMapKind("zz", 2), ShotConfig(40, 0))
+    shot_y = np.array([1.0, -1.0, 1.0, -1.0, 1.0, -1.0, -1.0])
+    cases["shot7"] = (gram(x, kind).values, shot_y, 1.0, 1e-8, 100_000)
+    k, y = cases["rbf20@C=1"][:2]
+    for max_passes in (0, 1):
+        cases[f"rbf20@passes={max_passes}"] = (k, y, 1.0, 1e-3, max_passes)
+    return cases
+
+
+def _smo_digest(k, y, C, tol, max_passes) -> str:
+    """sha256 prefix of every field of the fitted model, or of the error text."""
+    try:
+        model = fit(k, y, C=C, tol=tol, max_passes=max_passes)
+    except ConvergenceError as err:
+        blob = str(err).encode()
+    else:
+        blob = b"".join([
+            model.dual_coefs.tobytes(),
+            model.support_indices.tobytes(),
+            np.float64(model.bias).tobytes(),
+            np.int64(model.iterations).tobytes(),
+            np.float64(model.kkt_gap).tobytes(),
+        ])
+    return hashlib.sha256(blob).hexdigest()[:16]
+
+
+# Taken before the SMO loop moved its up/low values into the solver state;
+# any change to the pair path, the clip, the bias or the stop shows here.
+SMO_DIGESTS = {
+    'rbf20@C=1e-13': '00e720bce715d093',
+    'rbf20@C=0.3': '95fddea35e9fd446',
+    'rbf20@C=1': 'f25170ab7e813fc5',
+    'rbf20@C=100': '4fb026948b5e6414',
+    'rbf20@C=inf': '4fb026948b5e6414',
+    'rbf200@C=1e-13': '4f8e0db044a27148',
+    'rbf200@C=0.3': 'dd57317433abfb3e',
+    'rbf200@C=1': 'f9d7f458f7e98d91',
+    'rbf200@C=100': 'f5724e5890af9c81',
+    'rbf200@C=inf': 'c8090987cc65c151',
+    'rbf600@C=1e-13': '5dff9fe05e7b8697',
+    'rbf600@C=0.3': '6cb89bd6bcb1aa78',
+    'rbf600@C=1': '77c23b84c2a41c2c',
+    'rbf600@C=100': 'cdcabd94afe05700',
+    'rbf600@C=inf': '19c755716a416986',
+    'shot7': 'cdf9f331410df31c',
+    'rbf20@passes=0': 'be513023ec3ce0a2',
+    'rbf20@passes=1': '339e87469e2a2690',
+}
+
+
+def test_smo_models_byte_identical():
+    got = {name: _smo_digest(*case) for name, case in _smo_cases().items()}
+    assert got == SMO_DIGESTS
+
+
+if __name__ == "__main__":
+    for name, case in _smo_cases().items():
+        print(f"    {name!r}: {_smo_digest(*case)!r},")
