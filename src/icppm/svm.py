@@ -7,21 +7,25 @@ where u = K(a*y), ``i`` is the argmax of v over the up set and ``j`` the
 index of the low set with v_j < v_i that maximizes the guaranteed gain
 b^2 / eta, b = v_i - v_j and eta = K_ii + K_jj - 2 K_ij; the two-variable
 subproblem is then solved analytically. Kernel rows are read instead of
-columns, which needs a symmetric kernel: ``fit`` raises ``ValueError`` on an
-asymmetric one.
+columns, which needs a symmetric kernel. ``fit`` raises ``ValueError`` on an
+asymmetric kernel, on C or tol not > 0 (C = inf is allowed) and on a
+``max_passes`` that is not an integer >= 0.
 
-The solver state is updated in place: v moves by step * (K_i - K_j), and
-only the up/low membership and the box clip of a_i and a_j are touched.
-Once the incremental violation gap max_up(v) - min_low(v) drops to ``tol``,
-v is recomputed exactly as y - K(a*y); the bias and the reported gap come
-from that exact v, and if its gap is still above ``tol`` the loop goes on
-from it. So every returned model has an exact KKT gap <= tol, which bounds
-every KKT residual by tol; the pairwise updates keep sum(a_i y_i) = 0 to
-float precision throughout.
+The state is v on each set: ``up_v`` holds v_t on the up set and -inf
+outside it, ``low_v`` v_t on the low set and +inf outside it. A pair update
+subtracts step * (K_i - K_j) from both; only a_i and a_j move, so only they
+can change sets, taking v from the array that still holds it. Alphas, label
+signs and memberships are Python floats and bools. Once the incremental gap
+max_up(v) - min_low(v) drops to ``tol``, both arrays are rebuilt from the
+exact v = y - K(a*y); the bias and the reported gap come from it, and if its
+gap is still above ``tol`` the loop goes on. So every returned model has an
+exact KKT gap <= tol, which bounds every KKT residual by tol; the pairwise
+updates keep sum(a_i y_i) = 0 to float precision throughout.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -80,14 +84,17 @@ def _check_kernel(k: np.ndarray, m: int) -> None:
                          f"(limit {limit:.3e})")
 
 
-def fit(
-    kernel,
-    y: Sequence[float],
-    C: float = 1.0,
-    tol: float = 1e-3,
-    max_passes: int = 100_000,
-) -> SvmModel:
+def _check_args(C: float, tol: float, max_passes: int) -> None:
+    """Raise ValueError unless C > 0 (inf allowed), tol > 0 and max_passes >= 0."""
+    if not (C > 0 and tol > 0 and isinstance(max_passes, numbers.Integral) and max_passes >= 0):
+        raise ValueError(f"need C > 0, tol > 0 and an integer max_passes >= 0, "
+                         f"got C={C}, tol={tol}, max_passes={max_passes!r}")
+
+
+def fit(kernel, y: Sequence[float], C: float = 1.0, tol: float = 1e-3,
+        max_passes: int = 100_000) -> SvmModel:
     """Train a binary SVM on a precomputed symmetric kernel with labels in {-1, +1}."""
+    _check_args(C, tol, max_passes)
     k = _kernel_values(kernel)
     y = np.asarray(y, dtype=np.float64)
     _check_kernel(k, len(y))
@@ -97,80 +104,77 @@ def fit(
 
 
 def _smo(k: np.ndarray, y: np.ndarray, C: float, tol: float, max_passes: int) -> SvmModel:
-    """The solver of ``fit`` on a kernel that passed ``_check_kernel`` and
-    labels in {-1, +1}."""
+    """The solver of ``fit`` and ``fit_multiclass``, on inputs they checked."""
     if np.all(y == y[0]):
         raise DegenerateModelError("all training labels belong to one class")
-    if C <= 0:
-        raise ValueError(f"C must be positive, got {C}")
-
     m = len(y)
-    pos = y > 0
+    pos = (y > 0).tolist()
     diag = np.ascontiguousarray(np.diagonal(k))
-    alpha = np.zeros(m)
-    v = y.copy()  # y_t - u_t at a = 0
-    # Up/low membership as additive masks: 0 inside the set, -inf (up) or
-    # +inf (low) outside, so one add yields the masked values.
-    up_mask = np.where(pos, 0.0, -np.inf)
-    low_mask = np.where(pos, np.inf, 0.0)
-    up_v = np.empty(m)
-    low_v = np.empty(m)
-    gain = np.empty(m)
-    eta = np.empty(m)
-    exact = False
-    iterations = 0
+    alpha = [0.0] * m
+    below_c = C - _BOUND_EPS
+    # Membership; outside a set its array holds -inf (up) or +inf (low).
+    in_up, in_low = list(pos), [not p for p in pos]
+    up_v, low_v = np.where(y > 0, y, -np.inf), np.where(y > 0, np.inf, y)
+    zeros, eps = np.zeros(m), np.full(m, _BOUND_EPS)
+    scalar = np.empty(())  # one 0-d operand for v_i, K_ii and the step
+    gain, eta = np.empty(m), np.empty(m)
+    exact, iterations = False, 0
     while True:
-        np.add(v, up_mask, out=up_v)
         i = int(up_v.argmax())
-        v_i = float(up_v[i])
-        np.add(v, low_mask, out=low_v)
-        gap = v_i - float(low_v[low_v.argmin()])
+        v_i = up_v.item(i)
+        gap = v_i - low_v.item(low_v.argmin())
         if gap <= tol:
             if exact:
                 break
             # Confirm on the exact gradient; go on from it if still above tol.
-            v = y - k @ (alpha * y)
+            v = y - k @ (np.fromiter(alpha, float, m) * y)
+            up_v = np.where(up_v > -np.inf, v, -np.inf)
+            low_v = np.where(low_v < np.inf, v, np.inf)
             exact = True
             continue
         if iterations == max_passes:
-            raise ConvergenceError(
-                f"SMO did not converge within {max_passes} passes (gap {gap:.3e})"
-            )
+            raise ConvergenceError(f"SMO did not converge within {max_passes} passes "
+                                   f"(gap {gap:.3e})")
         # j maximizes b_t^2 / eta_t over the low set where b_t = v_i - v_t > 0.
         k_i = k[i]
-        np.subtract(v_i, low_v, out=gain)
-        np.maximum(gain, 0.0, out=gain)
+        scalar[()] = v_i
+        np.subtract(scalar, low_v, out=gain)
+        np.maximum(gain, zeros, out=gain)
         np.square(gain, out=gain)
-        np.multiply(k_i, -2.0, out=eta)
-        eta += diag
-        eta += k_i[i]
-        np.maximum(eta, _BOUND_EPS, out=eta)
+        np.add(k_i, k_i, out=eta)
+        np.subtract(diag, eta, out=eta)
+        scalar[()] = k_i.item(i)
+        eta += scalar
+        np.maximum(eta, eps, out=eta)
         gain /= eta
         j = int(gain.argmax())
-        step = (v_i - float(v[j])) / float(eta[j])
-        cap_i = (C - alpha[i]) if pos[i] else alpha[i]
-        cap_j = alpha[j] if pos[j] else (C - alpha[j])
-        step = min(step, cap_i, cap_j)
-        alpha[i] = min(max(alpha[i] + y[i] * step, 0.0), C)
-        alpha[j] = min(max(alpha[j] - y[j] * step, 0.0), C)
-        for t in (i, j):
-            below = alpha[t] < C - _BOUND_EPS
-            above = alpha[t] > _BOUND_EPS
-            is_up, is_low = (below, above) if pos[t] else (above, below)
-            up_mask[t] = 0.0 if is_up else -np.inf
-            low_mask[t] = 0.0 if is_low else np.inf
+        v_j = low_v.item(j) if in_low[j] else up_v.item(j)
+        a_i, a_j = alpha[i], alpha[j]
+        step = min((v_i - v_j) / eta.item(j), C - a_i if pos[i] else a_i,
+                   a_j if pos[j] else C - a_j)
+        alpha[i] = min(max(a_i + step if pos[i] else a_i - step, 0.0), C)
+        alpha[j] = min(max(a_j - step if pos[j] else a_j + step, 0.0), C)
+        scalar[()] = step
         np.subtract(k_i, k[j], out=eta)
-        eta *= step
-        v -= eta
-        iterations += 1
-        exact = False
+        eta *= scalar
+        up_v -= eta
+        low_v -= eta
+        for t in (i, j):
+            below, above = alpha[t] < below_c, alpha[t] > _BOUND_EPS
+            is_up, is_low = (below, above) if pos[t] else (above, below)
+            if is_up != in_up[t] or is_low != in_low[t]:
+                v_t = up_v.item(t) if in_up[t] else low_v.item(t)
+                up_v[t] = v_t if is_up else -np.inf
+                low_v[t] = v_t if is_low else np.inf
+                in_up[t], in_low[t] = is_up, is_low
+        iterations, exact = iterations + 1, False
 
-    free = (alpha > _BOUND_EPS) & (alpha < C - _BOUND_EPS)
+    alpha = np.fromiter(alpha, float, m)
+    free = (alpha > _BOUND_EPS) & (alpha < below_c)
     if free.any():
         bias = float(np.mean(v[free]))
     else:
-        hi = float(up_v.max())
-        lo = float(low_v.min())
+        hi, lo = float(up_v.max()), float(low_v.min())
         bias = 0.5 * ((hi if np.isfinite(hi) else 0.0) + (lo if np.isfinite(lo) else 0.0))
 
     support = np.flatnonzero(alpha > _BOUND_EPS)
@@ -215,14 +219,10 @@ class MulticlassModel:
         return scores
 
 
-def fit_multiclass(
-    kernel,
-    labels: Sequence,
-    C: float = 1.0,
-    tol: float = 1e-3,
-    max_passes: int = 100_000,
-) -> MulticlassModel:
+def fit_multiclass(kernel, labels: Sequence, C: float = 1.0, tol: float = 1e-3,
+                   max_passes: int = 100_000) -> MulticlassModel:
     """Train one binary model per class against the rest."""
+    _check_args(C, tol, max_passes)
     labels = list(labels)
     classes = tuple(sorted(set(labels)))
     if len(classes) < 2:

@@ -103,6 +103,30 @@ class TestBinaryFit:
         with pytest.raises(ValueError):
             fit(k, np.array([-1.0, 1.0]), C=0.0)
 
+    @pytest.mark.parametrize("train", [fit, fit_multiclass])
+    def test_nan_c_rejected_before_any_work(self, train):
+        # A mis-shaped kernel shows that the arguments are checked first.
+        with pytest.raises(ValueError, match="got C=nan"):
+            train(np.eye(3), [-1.0, 1.0], C=float("nan"))
+
+    @pytest.mark.parametrize("train", [fit, fit_multiclass])
+    @pytest.mark.parametrize("tol", [0.0, -1e-3])
+    def test_non_positive_tol_rejected_before_any_work(self, train, tol):
+        with pytest.raises(ValueError, match=f"tol={tol}"):
+            train(np.eye(3), [-1.0, 1.0], tol=tol)
+
+    @pytest.mark.parametrize("train", [fit, fit_multiclass])
+    def test_nan_tol_rejected_before_any_work(self, train):
+        with pytest.raises(ValueError, match="tol=nan"):
+            train(np.eye(3), [-1.0, 1.0], tol=float("nan"))
+
+    @pytest.mark.parametrize("train", [fit, fit_multiclass])
+    @pytest.mark.parametrize("max_passes", [-1, 2.5])
+    def test_negative_or_fractional_max_passes_rejected_before_any_work(self, train,
+                                                                        max_passes):
+        with pytest.raises(ValueError, match=f"max_passes={max_passes}"):
+            train(np.eye(3), [-1.0, 1.0], max_passes=max_passes)
+
     def test_kernel_label_shape_mismatch(self):
         with pytest.raises(ValueError):
             fit(np.eye(3), np.array([-1.0, 1.0]))
@@ -246,7 +270,8 @@ def exact_gap(k: np.ndarray, y: np.ndarray, alpha: np.ndarray, C: float) -> floa
     pos = y > 0
     up = (pos & below) | (~pos & above)
     low = (~pos & below) | (pos & above)
-    return max(0.0, float(v[up].max() - v[low].min()))
+    # At C <= 2e-12 an index can sit in neither set, and a set can be empty.
+    return max(0.0, float(v[up].max(initial=-np.inf) - v[low].min(initial=np.inf)))
 
 
 def assert_solved(k: np.ndarray, y: np.ndarray, C: float, tol: float) -> SvmModel:
@@ -304,6 +329,26 @@ class TestSolverEdgeCases:
             alpha = alphas_from_model(model, len(y))
             assert model.kkt_gap == pytest.approx(exact_gap(k, y, alpha, 1.0), abs=1e-10)
             assert model.kkt_gap <= 1e-8
+
+
+    @pytest.mark.parametrize("C", [1e-13, 1e-12, 1.5e-12, 2e-12])
+    @pytest.mark.parametrize("tol", [1e-3, 1e-14])
+    def test_degenerate_box_converges_or_raises(self, C, tol):
+        # At C <= 2 * 1e-12 an alpha can be neither below C - 1e-12 nor above
+        # 1e-12, so its index leaves both the up and the low set.
+        rng = np.random.default_rng(0)
+        x = rng.normal(size=(40, 2))
+        y = np.where(x[:, 0] + 0.3 * rng.normal(size=40) > 0, 1.0, -1.0)
+        k = gram(x, RBF).values
+        for max_passes in (100_000, 1):
+            try:
+                model = fit(k, y, C=C, tol=tol, max_passes=max_passes)
+            except ConvergenceError:
+                continue
+            alpha = alphas_from_model(model, len(y))
+            assert np.all(alpha <= C)
+            assert model.kkt_gap == pytest.approx(exact_gap(k, y, alpha, C), abs=1e-10)
+            assert model.kkt_gap <= tol
 
 
 class TestExactGradientStop:
