@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import math
 
 import numpy as np
@@ -490,3 +491,126 @@ class TestPredictMany:
         monkeypatch.setattr(vqc, "forward_many",
                             lambda m, xs, shots=EXACT: np.array([[0.2, 0.4, 0.4]] * len(xs)))
         assert vqc.predict_many(model, np.zeros((2, 2))) == ["b", "b"]
+
+
+def _vqc_cases():
+    """Case name -> (feature map, layers, xs, labels, opt, shots) for the VQC
+    digest."""
+    cases = {}
+    for fm in (FeatureMapKind("angle"), FeatureMapKind("zz", 2), FeatureMapKind("angle_zz")):
+        for n, n_classes in ((3, 2), (4, 3), (5, 5)):
+            rng = np.random.default_rng(10 * n + n_classes)
+            xs = rng.uniform(0.0, math.pi, (8, n))
+            labels = [int(c) for c in rng.permutation(np.arange(8) % n_classes)]
+            for layers in (1, 3):
+                for method in ("parameter_shift", "spsa"):
+                    opt = OptimizerConfig(learning_rate=0.3, epochs=4, method=method, seed=n)
+                    for shots in (EXACT, ShotConfig(40, 9)):
+                        mode = "exact" if shots.exact else "shots"
+                        name = f"{fm.variant}x{fm.layers}/n={n},C={n_classes}/L={layers}/{method}/{mode}"
+                        cases[name] = (fm, layers, xs, labels, opt, shots)
+    return cases
+
+
+def _vqc_digest(fm, layers, xs, labels, opt, shots) -> str:
+    """sha256 prefix of the trained model and of every loss, score and
+    gradient function at its theta."""
+    model = train(xs, labels, fm, layers, opt, shots)
+    blob = b"".join([
+        model.theta.tobytes(),
+        np.array(model.loss_history).tobytes(),
+        forward_many(model, xs, shots).tobytes(),
+        np.float64(loss(model, xs, labels, shots)).tobytes(),
+        parameter_shift_gradient(model, xs, labels, shots).tobytes(),
+        adjoint_gradient(model, xs, labels).tobytes(),
+    ])
+    return hashlib.sha256(blob).hexdigest()[:16]
+
+
+# Taken before the VQC helpers took one labelled batch in place of the
+# states, class indices, class count, ring permutation and workspace; any
+# change to the weight layers, the readout, the losses or a gradient shows.
+VQC_DIGESTS = {
+    'anglex1/n=3,C=2/L=1/parameter_shift/exact': '0272d5cd88e8e7be',
+    'anglex1/n=3,C=2/L=1/parameter_shift/shots': '11060c953338136c',
+    'anglex1/n=3,C=2/L=1/spsa/exact': 'b9aeac8bf1f5b7f9',
+    'anglex1/n=3,C=2/L=1/spsa/shots': '9524a8a7dcf0e099',
+    'anglex1/n=3,C=2/L=3/parameter_shift/exact': 'cfaa56cd9f297e94',
+    'anglex1/n=3,C=2/L=3/parameter_shift/shots': 'f6ffd5d30babbdb5',
+    'anglex1/n=3,C=2/L=3/spsa/exact': 'fc382d5c2fd72907',
+    'anglex1/n=3,C=2/L=3/spsa/shots': 'd98848e03fe90b3c',
+    'anglex1/n=4,C=3/L=1/parameter_shift/exact': '8954ba97dccb7703',
+    'anglex1/n=4,C=3/L=1/parameter_shift/shots': '58ab4a05d7f9f885',
+    'anglex1/n=4,C=3/L=1/spsa/exact': '52ab963c389e0973',
+    'anglex1/n=4,C=3/L=1/spsa/shots': '20245b4c66ad3bdf',
+    'anglex1/n=4,C=3/L=3/parameter_shift/exact': '770eedbc3e72fc52',
+    'anglex1/n=4,C=3/L=3/parameter_shift/shots': '12f366acfca8e8c4',
+    'anglex1/n=4,C=3/L=3/spsa/exact': '1f51fcc3284ab79d',
+    'anglex1/n=4,C=3/L=3/spsa/shots': '5e8f9ad9a2e2d932',
+    'anglex1/n=5,C=5/L=1/parameter_shift/exact': 'a439b0e716cad6f1',
+    'anglex1/n=5,C=5/L=1/parameter_shift/shots': '71cbe56d9e371257',
+    'anglex1/n=5,C=5/L=1/spsa/exact': '600deb73e25fc513',
+    'anglex1/n=5,C=5/L=1/spsa/shots': 'c37e5296e4f72e51',
+    'anglex1/n=5,C=5/L=3/parameter_shift/exact': '6ada5688dffbdc3e',
+    'anglex1/n=5,C=5/L=3/parameter_shift/shots': 'ead523a45af6ab34',
+    'anglex1/n=5,C=5/L=3/spsa/exact': 'db69ad7dd2beece5',
+    'anglex1/n=5,C=5/L=3/spsa/shots': '1ab262b87e45d4fa',
+    'zzx2/n=3,C=2/L=1/parameter_shift/exact': '02a40d3c896392d5',
+    'zzx2/n=3,C=2/L=1/parameter_shift/shots': 'e308c28073331c82',
+    'zzx2/n=3,C=2/L=1/spsa/exact': 'feaa388dd23081e1',
+    'zzx2/n=3,C=2/L=1/spsa/shots': 'e707061fa6e86a18',
+    'zzx2/n=3,C=2/L=3/parameter_shift/exact': 'd09918189df2d2b8',
+    'zzx2/n=3,C=2/L=3/parameter_shift/shots': '8f09195b05e8190c',
+    'zzx2/n=3,C=2/L=3/spsa/exact': '9e7ed018bc615b74',
+    'zzx2/n=3,C=2/L=3/spsa/shots': '1a90caa55f1ab0a4',
+    'zzx2/n=4,C=3/L=1/parameter_shift/exact': '0eb126b63cd5cab9',
+    'zzx2/n=4,C=3/L=1/parameter_shift/shots': 'a501c7c3655e40f6',
+    'zzx2/n=4,C=3/L=1/spsa/exact': '967ead2d61366d69',
+    'zzx2/n=4,C=3/L=1/spsa/shots': 'a6641e46b37c74e7',
+    'zzx2/n=4,C=3/L=3/parameter_shift/exact': '695c9c92ac80be51',
+    'zzx2/n=4,C=3/L=3/parameter_shift/shots': '890874b46fc11ae1',
+    'zzx2/n=4,C=3/L=3/spsa/exact': 'a4065daf9ac6dbdb',
+    'zzx2/n=4,C=3/L=3/spsa/shots': 'b3451beb351dbc2a',
+    'zzx2/n=5,C=5/L=1/parameter_shift/exact': 'c5904e60b1701957',
+    'zzx2/n=5,C=5/L=1/parameter_shift/shots': '7e698c010d76a933',
+    'zzx2/n=5,C=5/L=1/spsa/exact': '8be16fdad729e9c3',
+    'zzx2/n=5,C=5/L=1/spsa/shots': 'a1fc7d4478a74caa',
+    'zzx2/n=5,C=5/L=3/parameter_shift/exact': 'ea64321ef32647e4',
+    'zzx2/n=5,C=5/L=3/parameter_shift/shots': '425e9c80725174c1',
+    'zzx2/n=5,C=5/L=3/spsa/exact': 'cfae72c0ddcccf7d',
+    'zzx2/n=5,C=5/L=3/spsa/shots': 'ba22aa86437642f4',
+    'angle_zzx1/n=3,C=2/L=1/parameter_shift/exact': '4c5530a8f913a095',
+    'angle_zzx1/n=3,C=2/L=1/parameter_shift/shots': '272134f59d239a1f',
+    'angle_zzx1/n=3,C=2/L=1/spsa/exact': '3e31144ae160759f',
+    'angle_zzx1/n=3,C=2/L=1/spsa/shots': 'a2c9bebda8dcb26a',
+    'angle_zzx1/n=3,C=2/L=3/parameter_shift/exact': '0792c8b0863b48bc',
+    'angle_zzx1/n=3,C=2/L=3/parameter_shift/shots': '720431ed39a0305e',
+    'angle_zzx1/n=3,C=2/L=3/spsa/exact': 'd0ddf08bad0f3c70',
+    'angle_zzx1/n=3,C=2/L=3/spsa/shots': 'a1d3337e6ac90505',
+    'angle_zzx1/n=4,C=3/L=1/parameter_shift/exact': 'd30058c9882f7851',
+    'angle_zzx1/n=4,C=3/L=1/parameter_shift/shots': '3f003129bec46e0e',
+    'angle_zzx1/n=4,C=3/L=1/spsa/exact': '9295c2134c5edde8',
+    'angle_zzx1/n=4,C=3/L=1/spsa/shots': '5a183bbbfd5ae0db',
+    'angle_zzx1/n=4,C=3/L=3/parameter_shift/exact': '5cb24a0d375a5367',
+    'angle_zzx1/n=4,C=3/L=3/parameter_shift/shots': '51bc7711ce711b4b',
+    'angle_zzx1/n=4,C=3/L=3/spsa/exact': '4bb1e8279f7f22f5',
+    'angle_zzx1/n=4,C=3/L=3/spsa/shots': '8031dbf722664f65',
+    'angle_zzx1/n=5,C=5/L=1/parameter_shift/exact': '4c02c439b666dc0d',
+    'angle_zzx1/n=5,C=5/L=1/parameter_shift/shots': '73c894fe03fb866a',
+    'angle_zzx1/n=5,C=5/L=1/spsa/exact': '38e457287804bc4d',
+    'angle_zzx1/n=5,C=5/L=1/spsa/shots': '0db34260050c3b4d',
+    'angle_zzx1/n=5,C=5/L=3/parameter_shift/exact': '74cf503e9babbf20',
+    'angle_zzx1/n=5,C=5/L=3/parameter_shift/shots': 'ae5fb0c2a1e3e2e4',
+    'angle_zzx1/n=5,C=5/L=3/spsa/exact': '088e75fbd15a5c37',
+    'angle_zzx1/n=5,C=5/L=3/spsa/shots': '172e630452b34be8',
+}
+
+
+def test_vqc_models_byte_identical():
+    got = {name: _vqc_digest(*case) for name, case in _vqc_cases().items()}
+    assert got == VQC_DIGESTS
+
+
+if __name__ == "__main__":
+    for name, case in _vqc_cases().items():
+        print(f"    {name!r}: {_vqc_digest(*case)!r},")
