@@ -29,16 +29,20 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .encoding import (
+    INTRA_ENCODERS,
     FeatureVector,
     Vocabulary,
+    _checked_target,
     apply_scaler,
     fit_scaler,
     make_intra_encoder,
 )
 from .errors import ConfigError
 from .eventlog import (
+    _SLICE_RULES,
     EventLog,
     PrefixSet,
+    _check_prefix_range,
     build_prefix_log,
     filter_singleton_variants,
     load_log,
@@ -52,6 +56,7 @@ from .intercase import (
     EventIndex,
     InterCaseEncoder,
     PeerWindow,
+    _check_burst_rule,
     compose,
     fit_batch_stats,
     fit_transition_stats,
@@ -160,10 +165,30 @@ class ExperimentConfig:
             raise ConfigError(
                 f"window_base must be a number of seconds or 'train_median', got {self.window_base!r}"
             )
-        if not 0 < self.sampling_fraction <= 1:
-            raise ConfigError(
-                f"sampling_fraction must be in (0, 1], got {self.sampling_fraction}"
-            )
+        # A run's own value obeys the rule of the grid a sweep puts there.
+        for name, grid_name, valid, rule, _ in SWEEPS.values():
+            if not valid(getattr(self, name)):
+                raise ConfigError(f"{name} must pass the {grid_name} rule ({rule}), "
+                                  f"got {getattr(self, name)!r}")
+        if self.encoder not in INTRA_ENCODERS:
+            raise ConfigError(f"unknown intra-case encoder {self.encoder!r}, "
+                              f"expected {INTRA_ENCODERS}")
+        if self.slice_rule not in _SLICE_RULES:
+            raise ConfigError(f"unknown slice rule {self.slice_rule!r}, "
+                              f"expected one of {_SLICE_RULES}")
+        if self.date_start or self.date_end:
+            if not (self.date_start and self.date_end):
+                raise ConfigError("date slicing needs both date_start and date_end")
+            _parse_date(self.date_start)
+            _parse_date(self.date_end)
+        _check_prefix_range(self.min_prefix, self.max_prefix)
+        _checked_target((self.scale_lo, self.scale_hi))
+        KernelKind.rbf(self.gamma)
+        _check_burst_rule(self.epsilon, self.min_burst)
+        OptimizerConfig(learning_rate=self.learning_rate, epochs=self.epochs,
+                        method=self.opt_method)
+        if self.vqc_layers < 1:
+            raise ConfigError(f"vqc_layers must be >= 1, got {self.vqc_layers}")
         if self.mode in SWEEPS:
             _, grid_name, valid, rule, tag = SWEEPS[self.mode]
             grid = getattr(self, grid_name)
@@ -339,9 +364,7 @@ def load_and_slice(cfg: ExperimentConfig) -> EventLog:
               path.name, len(log), log.n_events, time.perf_counter() - t0)
     if cfg.filter_singletons:
         log = filter_singleton_variants(log)
-    if cfg.date_start or cfg.date_end:
-        if not (cfg.date_start and cfg.date_end):
-            raise ConfigError("date slicing needs both date_start and date_end")
+    if cfg.date_start:  # the config holds both dates or neither
         log = slice_date_range(
             log, _parse_date(cfg.date_start), _parse_date(cfg.date_end), cfg.slice_rule
         )

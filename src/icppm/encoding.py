@@ -198,6 +198,14 @@ class ScalingParams:
     hi: float = math.pi
 
 
+def _checked_target(target: tuple[float, float]) -> tuple[float, float]:
+    """The scaling interval ``target`` as (lo, hi), which must increase."""
+    lo, hi = target
+    if not lo < hi:
+        raise ConfigError(f"scaling interval must be increasing, got {target}")
+    return lo, hi
+
+
 def fit_scaler(
     train: FeatureVector,
     target: tuple[float, float] = (0.0, math.pi),
@@ -207,9 +215,7 @@ def fit_scaler(
         raise ValueError("a scaler is fitted on a block of feature rows")
     if len(train) == 0:
         raise ConfigError("cannot fit a scaler on an empty training set")
-    lo, hi = target
-    if not lo < hi:
-        raise ConfigError(f"scaling interval must be increasing, got {target}")
+    lo, hi = _checked_target(target)
     return ScalingParams(
         train.values.min(axis=0), train.values.max(axis=0), train.schema, lo, hi
     )

@@ -633,6 +633,13 @@ def slice_date_range(
     return log.select_cases(keep)
 
 
+def _check_prefix_range(min_prefix: int, max_prefix: int | None) -> None:
+    if min_prefix < 1:
+        raise ConfigError(f"min_prefix must be >= 1, got {min_prefix}")
+    if max_prefix is not None and max_prefix < min_prefix:
+        raise ConfigError(f"max_prefix {max_prefix} < min_prefix {min_prefix}")
+
+
 def build_prefix_log(
     log: EventLog,
     min_prefix: int = 1,
@@ -644,10 +651,7 @@ def build_prefix_log(
     END_LABEL when k == n. Prefix lengths run from min_prefix to
     min(n, max_prefix); prefixes come case by case, shortest first.
     """
-    if min_prefix < 1:
-        raise ConfigError(f"min_prefix must be >= 1, got {min_prefix}")
-    if max_prefix is not None and max_prefix < min_prefix:
-        raise ConfigError(f"max_prefix {max_prefix} < min_prefix {min_prefix}")
+    _check_prefix_range(min_prefix, max_prefix)
     top = np.diff(log.offsets)
     if max_prefix is not None:
         top = np.minimum(top, max_prefix)

@@ -102,15 +102,19 @@ def fit_transition_stats(log: EventLog) -> TransitionStats:
     return TransitionStats(means, {a: tuple(bs) for a, bs in succ.items()})
 
 
+def _check_burst_rule(epsilon: float, min_burst: int) -> None:
+    if not epsilon > 0:
+        raise ConfigError(f"epsilon must be positive, got {epsilon}")
+    if min_burst < 2:
+        raise ConfigError(f"min_burst must be >= 2, got {min_burst}")
+
+
 def fit_batch_stats(
     log: EventLog,
     epsilon: float = 86400.0,
     min_burst: int = 3,
 ) -> BatchStats:
-    if not epsilon > 0:
-        raise ConfigError(f"epsilon must be positive, got {epsilon}")
-    if min_burst < 2:
-        raise ConfigError(f"min_burst must be >= 2, got {min_burst}")
+    _check_burst_rule(epsilon, min_burst)
     # Occurrences grouped by activity, each group sorted stably by time.
     all_times = seconds(log.time_us)
     order = np.lexsort((all_times, log.activity))

@@ -113,14 +113,6 @@ def _idx(n: int, *fixed: tuple[int, int]) -> tuple:
     return tuple(sel)
 
 
-def _per_row(angle, n_free: int):
-    """A scalar angle as is; a per-row angle shaped to broadcast against
-    a gate's amplitude slice, which keeps ``n_free`` qubit axes."""
-    if isinstance(angle, np.ndarray):
-        return angle.reshape((-1,) + (1,) * n_free)
-    return angle
-
-
 def _halves(scratch: np.ndarray | None, shape: tuple, dtype) -> tuple[np.ndarray, np.ndarray]:
     """Two arrays of ``shape`` and ``dtype`` over ``scratch``, which must hold
     at least twice their bytes (None allocates them)."""
@@ -142,10 +134,10 @@ def _apply_op(psi: np.ndarray, n: int, kind: str, targets: tuple[int, ...],
     """Mutate a C-contiguous (B, 2, ..., 2) batch of B states of n qubits in
     place.
 
-    ``angle`` is one float for the whole batch or an array of B angles,
-    one per state. ``scratch`` is any C-contiguous array of at least the
-    batch's bytes that H and RY may overwrite; without it they allocate
-    their own.
+    ``angle`` is one float for the whole batch; RY also takes an array of B
+    angles, one per state. ``scratch`` is any C-contiguous array of at
+    least the batch's bytes that H and RY may overwrite; without it they
+    allocate their own.
     """
     if kind in ("H", "RY"):
         (q,) = targets
@@ -177,8 +169,8 @@ def _apply_op(psi: np.ndarray, n: int, kind: str, targets: tuple[int, ...],
             return
         if isinstance(angle, np.ndarray):
             # Per-row factors in the scratch dtype, so no operand needs a cast.
-            c = _per_row(np.cos(angle / 2.0).astype(dtype), 1)
-            s = _per_row(np.sin(angle / 2.0).astype(dtype), 1)
+            c = np.cos(angle / 2.0).astype(dtype)[:, None]
+            s = np.sin(angle / 2.0).astype(dtype)[:, None]
         else:
             c, s = math.cos(angle / 2.0), math.sin(angle / 2.0)
         np.copyto(r0, s0)
@@ -195,7 +187,7 @@ def _apply_op(psi: np.ndarray, n: int, kind: str, targets: tuple[int, ...],
         np.copyto(s1, r0)
     elif kind == "P":
         (q,) = targets
-        psi[_idx(n, (q, 1))] *= _per_row(np.exp(1j * angle), n - 1)
+        psi[_idx(n, (q, 1))] *= np.exp(1j * angle)
     elif kind == "CNOT":
         c, t = targets
         i10 = _idx(n, (c, 1), (t, 0))
@@ -205,7 +197,7 @@ def _apply_op(psi: np.ndarray, n: int, kind: str, targets: tuple[int, ...],
         psi[i11] = tmp
     elif kind == "RZZ":
         a, b = targets
-        same = _per_row(np.exp(-0.5j * angle), n - 2)
+        same = np.exp(-0.5j * angle)
         diff = np.conj(same)
         psi[_idx(n, (a, 0), (b, 0))] *= same
         psi[_idx(n, (a, 1), (b, 1))] *= same

@@ -15,17 +15,20 @@ exact +-pi/2 rule), the estimator hardware would use.
 reference for ``adjoint_gradient``. SPSA is a cheaper seeded alternative.
 
 Rows run as one batch: ``qsim.feature_map_states`` simulates the feature
-map once per call (once per ``train``), and the weight layers act on that
-(rows, 2^n) batch with one angle per RY gate for all rows and the CNOT
-ring as one basis-index permutation. ``train`` allocates one workspace and
-reuses it for every loss, gradient and readout: three (rows, 2^n) complex
+map once, and the weight layers act on that (rows, 2^n) batch with one
+angle per RY gate for all rows and the CNOT ring as one basis-index
+permutation. Every loss and gradient reads one labelled batch
+(``_Batch``): the cached feature-map states, each row's class index, the
+class count, the ring permutation and a workspace that every loss,
+gradient and readout reuses. The workspace is three (rows, 2^n) complex
 buffers, which take turns as the states being advanced (the prefix and
 the shifted state, or the adjoint's state and costate) and the gate
 scratch or the ring's destination, plus one (rows, 2^n) float buffer for
-|psi|^2 and the adjoint's weights. With the cached feature-map states it
-holds 4.5 batches, whatever the number of layers. ``loss`` and the two
-gradient functions allocate one workspace per call, and ``forward_many``
-one spare batch and one |psi|^2 buffer.
+|psi|^2 and the adjoint's weights; with the states a batch holds 4.5
+(rows, 2^n) batches, whatever the number of layers. ``train`` builds one
+labelled batch for all its epochs; ``loss`` and the two gradient
+functions build one per call, and ``forward_many`` allocates one spare
+batch and one |psi|^2 buffer.
 """
 
 from __future__ import annotations
@@ -96,7 +99,13 @@ class VqcModel:
 
     @property
     def readout_qubits(self) -> int:
-        return max(1, math.ceil(math.log2(len(self.classes))))
+        return _readout_qubits(len(self.classes))
+
+
+def _readout_qubits(n_classes: int) -> int:
+    """r = max(1, ceil(log2 C)): the qubits whose 2^r bitstrings cover C
+    classes."""
+    return max(1, math.ceil(math.log2(n_classes)))
 
 
 def _ring_permutation(n: int) -> np.ndarray:
@@ -114,15 +123,6 @@ def _ring_permutation(n: int) -> np.ndarray:
     perm = np.empty_like(k)
     perm[image] = k
     return perm
-
-
-def _workspace(rows: int, n: int) -> tuple[np.ndarray, ...]:
-    """Three complex state buffers and one |psi|^2 buffer for batches of up
-    to ``rows`` states of n qubits; a batch of b rows uses ``buf[:b]`` of
-    each, which stays C-contiguous."""
-    dim = 2 ** n
-    return (*(np.empty((rows, dim), dtype=np.complex128) for _ in range(3)),
-            np.empty((rows, dim)))
 
 
 def _ry_block(psi: np.ndarray, angles: np.ndarray, scratch: np.ndarray) -> None:
@@ -165,7 +165,7 @@ def _readout(psi: np.ndarray, n_classes: int, shots: ShotConfig,
     b mod C and the scores renormalized.
     """
     b, dim = psi.shape
-    r = max(1, math.ceil(math.log2(n_classes)))
+    r = _readout_qubits(n_classes)
     np.abs(psi, out=probs)
     np.square(probs, out=probs)
     marginal = probs.reshape(b, 2 ** r, dim >> r).sum(axis=2)
@@ -221,51 +221,6 @@ def _cross_entropy(p_true: np.ndarray) -> float:
     return total / len(p_true)
 
 
-def _forward(
-    states: np.ndarray,
-    theta: np.ndarray,
-    class_idx: np.ndarray,
-    n_classes: int,
-    perm: np.ndarray,
-    shots: ShotConfig,
-    ws: tuple[np.ndarray, ...],
-):
-    """The weight layers on a copy of cached feature-map states, then the
-    readout. Returns (mean cross-entropy, true-class scores, final state,
-    free buffer); the free buffer holds the state before the last ring."""
-    b = len(states)
-    psi, spare, _, probs = (buf[:b] for buf in ws)
-    np.copyto(psi, states)
-    psi, free = _run_layers(psi, spare, theta, perm)
-    p_true = _readout(psi, n_classes, shots, probs)[np.arange(b), class_idx]
-    return _cross_entropy(p_true), p_true, psi, free
-
-
-def _batch_loss(states, theta, class_idx, n_classes, perm, shots, ws) -> float:
-    """Mean cross-entropy over a batch of cached feature-map states."""
-    return _forward(states, theta, class_idx, n_classes, perm, shots, ws)[0]
-
-
-def _labelled_states(model: VqcModel, xs, labels) -> tuple[np.ndarray, np.ndarray]:
-    """Feature-map states and class indices of a labelled batch, which must
-    not be empty: its mean loss would be 0/0."""
-    class_idx = _class_indices(model.classes, labels)
-    states = _feature_states(model, xs)
-    if len(states) == 0:
-        raise ValueError("empty batch: the mean loss of zero samples is undefined")
-    return states, class_idx
-
-
-def loss(model: VqcModel, xs, labels, shots: ShotConfig = EXACT) -> float:
-    """Mean cross-entropy of the model on (samples, labels)."""
-    states, class_idx = _labelled_states(model, xs, labels)
-    return _batch_loss(
-        states, model.theta, class_idx, len(model.classes),
-        _ring_permutation(model.n_qubits), shots,
-        _workspace(len(states), model.n_qubits),
-    )
-
-
 def _class_indices(classes: tuple, labels) -> np.ndarray:
     lookup = {c: i for i, c in enumerate(classes)}
     try:
@@ -274,39 +229,77 @@ def _class_indices(classes: tuple, labels) -> np.ndarray:
         raise ValueError(f"label {exc.args[0]!r} not among model classes {classes}") from exc
 
 
-def _shift_gradient(
-    states: np.ndarray,
-    theta: np.ndarray,
-    class_idx: np.ndarray,
-    n_classes: int,
-    perm: np.ndarray,
-    shots: ShotConfig,
-    ws: tuple[np.ndarray, ...],
-) -> np.ndarray:
-    """Parameter-shift gradient of the mean cross-entropy on cached states.
+@dataclass(frozen=True)
+class _Batch:
+    """A labelled batch: cached feature-map states, each row's class index,
+    the class count, the ring permutation and the workspace (three complex
+    state buffers and one |psi|^2 buffer, each of the states' shape)."""
+
+    states: np.ndarray
+    class_idx: np.ndarray
+    n_classes: int
+    perm: np.ndarray
+    ws: tuple[np.ndarray, ...]
+
+    @classmethod
+    def of(cls, model: VqcModel, xs, labels) -> "_Batch":
+        """The batch of (xs, labels) under ``model``'s feature map and
+        classes; it must not be empty, as its mean loss would be 0/0."""
+        class_idx = _class_indices(model.classes, labels)
+        states = _feature_states(model, xs)
+        if len(states) == 0:
+            raise ValueError("empty batch: the mean loss of zero samples is undefined")
+        ws = (*(np.empty_like(states) for _ in range(3)), np.empty(states.shape))
+        return cls(states, class_idx, len(model.classes),
+                   _ring_permutation(model.n_qubits), ws)
+
+    def p_true(self, psi: np.ndarray, shots: ShotConfig) -> np.ndarray:
+        """Each row's score on its own class from the final states ``psi``;
+        the readout's |psi|^2 goes into the workspace's float buffer."""
+        scores = _readout(psi, self.n_classes, shots, self.ws[3])
+        return scores[np.arange(len(psi)), self.class_idx]
+
+
+def _forward(batch: _Batch, theta: np.ndarray, shots: ShotConfig):
+    """The weight layers on a copy of the batch's states, then the readout.
+    Returns (mean cross-entropy, true-class scores, final state, free
+    buffer); the free buffer holds the state before the last ring."""
+    psi, spare = batch.ws[:2]
+    np.copyto(psi, batch.states)
+    psi, free = _run_layers(psi, spare, theta, batch.perm)
+    p_true = batch.p_true(psi, shots)
+    return _cross_entropy(p_true), p_true, psi, free
+
+
+def loss(model: VqcModel, xs, labels, shots: ShotConfig = EXACT) -> float:
+    """Mean cross-entropy of the model on (samples, labels)."""
+    return _forward(_Batch.of(model, xs, labels), model.theta, shots)[0]
+
+
+def _shift_gradient(batch: _Batch, theta: np.ndarray, shots: ShotConfig) -> np.ndarray:
+    """Parameter-shift gradient of the batch's mean cross-entropy.
 
     RY(t +- pi/2) = RY(+-pi/2) RY(t), and the RYs of one layer commute, so
     the two circuits shifted at (l, q) share everything up to the end of
     layer l's RY block: each is one RY(+-pi/2) on a copy of that prefix
     state, then the ring and the later layers, run in the other two buffers.
     """
-    m = len(states)
+    m = len(batch.states)
     n_layers, n = theta.shape
-    rows = np.arange(m)
     shifted_p = np.empty((2, m, n_layers, n))
-    prefix, work, spare, probs = (buf[:m] for buf in ws)
-    np.copyto(prefix, states)
+    prefix, work, spare = batch.ws[:3]
+    np.copyto(prefix, batch.states)
     for l in range(n_layers):
         _ry_block(prefix, theta[l], work)
         for q in range(n):
             for side, angle in enumerate((math.pi / 2.0, -math.pi / 2.0)):
                 np.copyto(work, prefix)
                 _apply_op(work.reshape((m,) + (2,) * n), n, "RY", (q,), angle, spare)
-                psi, free = _ring(work, spare, perm)
-                psi, _ = _run_layers(psi, free, theta, perm, l + 1)
-                shifted_p[side, :, l, q] = _readout(psi, n_classes, shots, probs)[rows, class_idx]
-        prefix, work = _ring(prefix, work, perm)
-    p_true = _readout(prefix, n_classes, shots, probs)[rows, class_idx]
+                psi, free = _ring(work, spare, batch.perm)
+                psi, _ = _run_layers(psi, free, theta, batch.perm, l + 1)
+                shifted_p[side, :, l, q] = batch.p_true(psi, shots)
+        prefix, work = _ring(prefix, work, batch.perm)
+    p_true = batch.p_true(prefix, shots)
     inv_p = -1.0 / np.maximum(p_true, _P_FLOOR)
     # dp/dt = (p(t + pi/2) - p(t - pi/2)) / 2; rows are summed in order.
     terms = inv_p[:, None, None] * 0.5 * (shifted_p[0] - shifted_p[1])
@@ -324,22 +317,10 @@ def parameter_shift_gradient(
     Each RY weight parameter obeys the parameter-shift rule
     dp/dt = (p(t + pi/2) - p(t - pi/2)) / 2 for every outcome probability.
     """
-    states, class_idx = _labelled_states(model, xs, labels)
-    return _shift_gradient(
-        states, model.theta, class_idx, len(model.classes),
-        _ring_permutation(model.n_qubits), shots,
-        _workspace(len(states), model.n_qubits),
-    )
+    return _shift_gradient(_Batch.of(model, xs, labels), model.theta, shots)
 
 
-def _adjoint(
-    states: np.ndarray,
-    theta: np.ndarray,
-    class_idx: np.ndarray,
-    n_classes: int,
-    perm: np.ndarray,
-    ws: tuple[np.ndarray, ...],
-) -> tuple[float, np.ndarray]:
+def _adjoint(batch: _Batch, theta: np.ndarray) -> tuple[float, np.ndarray]:
     """Exact mean cross-entropy and its gradient from one forward pass and
     one backward walk (adjoint differentiation, Jones & Gacon,
     arXiv:2009.02823).
@@ -353,18 +334,19 @@ def _adjoint(
     the final state's buffer becomes the scratch, the third buffer lambda
     and the |psi|^2 buffer w.
     """
-    m = len(states)
+    m = len(batch.states)
     n_layers, n = theta.shape
-    value, p_true, psi, phi = _forward(states, theta, class_idx, n_classes, perm, EXACT, ws)
+    n_classes = batch.n_classes
+    value, p_true, psi, phi = _forward(batch, theta, EXACT)
     # Entry k of phi lands on basis state image[k] after the ring.
-    image = np.argsort(perm)
-    r = max(1, math.ceil(math.log2(n_classes)))
-    on_class = np.arange(n_classes)[:, None] == (image >> (n - r)) % n_classes
+    image = np.argsort(batch.perm)
+    on_class = (np.arange(n_classes)[:, None]
+                == (image >> (n - _readout_qubits(n_classes))) % n_classes)
     weights = -1.0 / (m * np.maximum(p_true, _P_FLOOR))
-    lam, w = ws[2][:m], ws[3][:m]
+    lam, w = batch.ws[2:]
     # w = (each row's weight on its class) @ (class indicator per basis
     # state): one product into the buffer, each entry a weight or 0.
-    np.matmul(np.eye(n_classes)[class_idx] * weights[:, None], on_class * 1.0, out=w)
+    np.matmul(np.eye(n_classes)[batch.class_idx] * weights[:, None], on_class * 1.0, out=w)
     np.multiply(phi.real, w, out=lam.real)
     np.multiply(phi.imag, w, out=lam.imag)
     grad = np.empty(theta.shape)
@@ -387,26 +369,14 @@ def adjoint_gradient(model: VqcModel, xs, labels) -> np.ndarray:
     """Exact gradient of the mean cross-entropy w.r.t. every theta entry by
     adjoint differentiation; exact mode only, as it reads the simulated
     state, which hardware cannot."""
-    states, class_idx = _labelled_states(model, xs, labels)
-    return _adjoint(
-        states, model.theta, class_idx, len(model.classes),
-        _ring_permutation(model.n_qubits), _workspace(len(states), model.n_qubits),
-    )[1]
+    return _adjoint(_Batch.of(model, xs, labels), model.theta)[1]
 
 
-def _spsa_gradient(
-    theta: np.ndarray,
-    states: np.ndarray,
-    class_idx: np.ndarray,
-    n_classes: int,
-    perm: np.ndarray,
-    rng: np.random.Generator,
-    shots: ShotConfig,
-    ws: tuple[np.ndarray, ...],
-) -> np.ndarray:
+def _spsa_gradient(batch: _Batch, theta: np.ndarray, shots: ShotConfig,
+                   rng: np.random.Generator) -> np.ndarray:
     delta = rng.choice((-1.0, 1.0), size=theta.shape)
-    up = _batch_loss(states, theta + _SPSA_STEP * delta, class_idx, n_classes, perm, shots, ws)
-    down = _batch_loss(states, theta - _SPSA_STEP * delta, class_idx, n_classes, perm, shots, ws)
+    up = _forward(batch, theta + _SPSA_STEP * delta, shots)[0]
+    down = _forward(batch, theta - _SPSA_STEP * delta, shots)[0]
     return (up - down) / (2.0 * _SPSA_STEP) * delta
 
 
@@ -434,24 +404,17 @@ def train(
         raise ConfigError(f"need at least 2 classes to train, got {classes}")
     if n_layers < 1:
         raise ConfigError(f"need at least 1 weight layer, got {n_layers}")
-    n = xs.shape[1]
     rng = np.random.default_rng(opt.seed)
-    theta = rng.uniform(-0.1, 0.1, size=(n_layers, n))
+    theta = rng.uniform(-0.1, 0.1, size=(n_layers, xs.shape[1]))
     model = VqcModel(feature_map, theta, classes)
-    class_idx = _class_indices(classes, labels)
-    n_classes = len(classes)
-    states = feature_map_states(feature_map, xs)
-    perm = _ring_permutation(n)
-    ws = _workspace(len(xs), n)
+    batch = _Batch.of(model, xs, labels)
 
     def step(theta):
         if opt.method == "spsa":
-            return (_batch_loss(states, theta, class_idx, n_classes, perm, shots, ws),
-                    _spsa_gradient(theta, states, class_idx, n_classes, perm, rng, shots, ws))
+            return _forward(batch, theta, shots)[0], _spsa_gradient(batch, theta, shots, rng)
         if shots.exact:
-            return _adjoint(states, theta, class_idx, n_classes, perm, ws)
-        return (_batch_loss(states, theta, class_idx, n_classes, perm, shots, ws),
-                _shift_gradient(states, theta, class_idx, n_classes, perm, shots, ws))
+            return _adjoint(batch, theta)
+        return _forward(batch, theta, shots)[0], _shift_gradient(batch, theta, shots)
 
     history = []
     for epoch in range(opt.epochs):
@@ -460,7 +423,7 @@ def train(
         if not math.isfinite(value):
             raise TrainingError("training loss diverged", epoch=max(epoch - 1, 0))
         model.theta = model.theta - opt.learning_rate * grad
-    history.append(_batch_loss(states, model.theta, class_idx, n_classes, perm, shots, ws))
+    history.append(_forward(batch, model.theta, shots)[0])
     if not math.isfinite(history[-1]):
         raise TrainingError("training loss diverged", epoch=max(opt.epochs - 1, 0))
     model.loss_history = tuple(history)

@@ -744,11 +744,10 @@ class TestPrepareSamples:
         path = tmp_path / "log.csv"
         with path.open("w") as sink:
             write_csv(log, sink)
-        cfg = ExperimentConfig(
-            dataset=str(path), classifier="majority", folds=2, date_start="2023-03-01"
-        )
         with pytest.raises(ConfigError, match="both"):
-            prepare_samples(cfg)
+            prepare_samples(ExperimentConfig(
+                dataset=str(path), classifier="majority", folds=2, date_start="2023-03-01"
+            ))
 
 
 class TestWindowWidth:

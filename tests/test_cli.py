@@ -5,8 +5,10 @@ import json
 import pytest
 
 from conftest import make_log, make_trace, xes_doc
+from icppm import bench
 from icppm.bench import ExperimentConfig
 from icppm.cli import main
+from icppm.errors import ConfigError
 from icppm.eventlog import parse_csv, write_csv
 from icppm.oracles import MAX_ORACLE_QUBITS, run_kernel_check
 
@@ -169,6 +171,26 @@ class TestBench:
         assert "mean accuracy" in out
         assert (out_dir / "results.csv").exists()
         assert (out_dir / "results.json").exists()
+
+    # A majority classifier ignores most of these keys; each bad value still
+    # fails as a config error before the log is parsed.
+    @pytest.mark.parametrize("values", [
+        {"encoder": "onehot"}, {"k": 0}, {"slice_rule": "some"},
+        {"min_prefix": 0}, {"min_prefix": 3, "max_prefix": 2},
+        {"date_start": "2023-02-30", "date_end": "20230301"},
+        {"date_start": "20230301"}, {"date_end": "20230301"},
+        {"scale_lo": 1.0, "scale_hi": 1.0}, {"gamma": 0.0},
+        {"window_fraction": 0.0}, {"epsilon": 0.0}, {"min_burst": 1},
+        {"learning_rate": 0.0}, {"epochs": -1}, {"vqc_layers": 0}, {"opt_method": "adam"},
+    ], ids=lambda values: ",".join(f"{k}={v}" for k, v in values.items()))
+    def test_bad_value_rejected_before_the_log_is_read(self, log_path, tmp_path, monkeypatch,
+                                                      capsys, values):
+        with pytest.raises(ConfigError):
+            ExperimentConfig.from_dict(values)
+        monkeypatch.setattr(bench, "load_log", lambda *_: pytest.fail("the log was read"))
+        cfg = self._config(tmp_path, log_path, **values)
+        assert main(["bench", "--config", str(cfg), "--out-dir", str(tmp_path / "out")]) == 2
+        assert "error" in capsys.readouterr().err
 
     def test_same_seed_reproduces_csv(self, log_path, tmp_path):
         cfg = self._config(tmp_path, log_path, classifier="qke_angle_1", k=2)
