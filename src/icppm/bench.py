@@ -29,9 +29,9 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .encoding import (
-    INTRA_ENCODERS,
     FeatureVector,
     Vocabulary,
+    _check_intra_encoder,
     _checked_target,
     apply_scaler,
     fit_scaler,
@@ -39,9 +39,9 @@ from .encoding import (
 )
 from .errors import ConfigError
 from .eventlog import (
-    _SLICE_RULES,
     EventLog,
     PrefixSet,
+    _check_date_slice,
     _check_prefix_range,
     build_prefix_log,
     filter_singleton_variants,
@@ -52,11 +52,11 @@ from .eventlog import (
     stratified_subsample,
 )
 from .intercase import (
-    FEATURES,
     EventIndex,
     InterCaseEncoder,
     PeerWindow,
     _check_burst_rule,
+    _check_features,
     compose,
     fit_batch_stats,
     fit_transition_stats,
@@ -150,15 +150,7 @@ class ExperimentConfig:
         for name in ("C", "tol"):
             if not getattr(self, name) > 0:
                 raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
-        if len(self.inter_features) > 2:
-            raise ConfigError(
-                f"at most 2 inter-case features are allowed, got {self.inter_features}"
-            )
-        unknown = [f for f in self.inter_features if f not in FEATURES]
-        if unknown:
-            raise ConfigError(f"unknown inter-case features {unknown}, expected {FEATURES}")
-        if len(set(self.inter_features)) < len(self.inter_features):
-            raise ConfigError(f"inter-case features repeat: {self.inter_features}")
+        _check_features(self.inter_features)
         if self.folds < 2:
             raise ConfigError(f"need at least 2 folds, got {self.folds}")
         if isinstance(self.window_base, str) and self.window_base != "train_median":
@@ -170,17 +162,11 @@ class ExperimentConfig:
             if not valid(getattr(self, name)):
                 raise ConfigError(f"{name} must pass the {grid_name} rule ({rule}), "
                                   f"got {getattr(self, name)!r}")
-        if self.encoder not in INTRA_ENCODERS:
-            raise ConfigError(f"unknown intra-case encoder {self.encoder!r}, "
-                              f"expected {INTRA_ENCODERS}")
-        if self.slice_rule not in _SLICE_RULES:
-            raise ConfigError(f"unknown slice rule {self.slice_rule!r}, "
-                              f"expected one of {_SLICE_RULES}")
-        if self.date_start or self.date_end:
-            if not (self.date_start and self.date_end):
-                raise ConfigError("date slicing needs both date_start and date_end")
-            _parse_date(self.date_start)
-            _parse_date(self.date_end)
+        _check_intra_encoder(self.encoder, self.static_attrs)
+        dates = [_parse_date(d) for d in (self.date_start, self.date_end) if d]
+        if len(dates) == 1:
+            raise ConfigError("date slicing needs both date_start and date_end")
+        _check_date_slice(self.slice_rule, *dates)
         _check_prefix_range(self.min_prefix, self.max_prefix)
         _checked_target((self.scale_lo, self.scale_hi))
         KernelKind.rbf(self.gamma)
@@ -475,15 +461,7 @@ def _kernel_fold(cfg: ExperimentConfig, kind: str, variant: str | None, layers: 
     t_fit0 = time.perf_counter()
     key = k_train = None
     if cfg.cache_dir:
-        data_hash = hashlib.sha256(
-            x_train.tobytes() + "\x1f".join(map(str, y_train)).encode("utf-8")
-        ).hexdigest()
-        key = cache_key(
-            data_hash,
-            {"features": feature_label(cfg), "scale": [cfg.scale_lo, cfg.scale_hi]},
-            {"classifier": cfg.classifier, "shots": cfg.shots, "gamma": cfg.gamma},
-            shots.seed,
-        )
+        key = cache_key(x_train, kernel_kind)
         k_train = load_kernel(cfg.cache_dir, key, size=len(x_train))
     if k_train is None:
         t_gram0 = time.perf_counter()

@@ -19,7 +19,7 @@ from . import bench as bench_mod
 from .bench import DATA_DIR_ENV, ExperimentConfig
 from .encoding import INTRA_ENCODERS, apply_scaler, fit_scaler, write_feature_csv
 from .errors import ConfigError, IcppmError, ParseError
-from .eventlog import log_statistics, write_csv
+from .eventlog import _SLICE_RULES, log_statistics, write_csv
 from .oracles import run_kernel_check
 from .qsim import FEATURE_MAPS
 
@@ -49,7 +49,7 @@ def _add_io_flags(parser: argparse.ArgumentParser) -> None:
                         help="drop cases whose activity sequence occurs only once")
     parser.add_argument("--date-start", help="keep cases from this day (YYYYMMDD)")
     parser.add_argument("--date-end", help="keep cases up to this day (YYYYMMDD)")
-    parser.add_argument("--slice-rule", choices=("first", "all", "any"),
+    parser.add_argument("--slice-rule", choices=_SLICE_RULES,
                         help="which events must fall in the date range "
                              f"(default: {ExperimentConfig.slice_rule})")
 

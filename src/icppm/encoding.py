@@ -255,6 +255,14 @@ def write_feature_csv(
 INTRA_ENCODERS = ("static", "last_state", "agg_count", "agg_bool", "index_bsd")
 
 
+def _check_intra_encoder(name: str, static_attrs: Sequence[str]) -> None:
+    """``name`` is one of INTRA_ENCODERS, and "static" has attributes to read."""
+    if name not in INTRA_ENCODERS:
+        raise ConfigError(f"unknown intra-case encoder {name!r}, expected {INTRA_ENCODERS}")
+    if name == "static" and not static_attrs:
+        raise ConfigError("static encoder requires at least one case attribute")
+
+
 def make_intra_encoder(
     name: str,
     act_vocab: Vocabulary,
@@ -264,9 +272,8 @@ def make_intra_encoder(
     attr_vocabs: Mapping[str, Vocabulary] | None = None,
 ):
     """Bind an encoder name to fitted vocabularies; returns prefixes -> block."""
+    _check_intra_encoder(name, static_attrs)
     if name == "static":
-        if not static_attrs:
-            raise ConfigError("static encoder requires at least one case attribute")
         vocabs = attr_vocabs or {}
         return lambda ps: encode_static(ps, static_attrs, vocabs)
     if name == "last_state":
@@ -275,6 +282,4 @@ def make_intra_encoder(
         return lambda ps: encode_aggregation(ps, act_vocab, "count")
     if name == "agg_bool":
         return lambda ps: encode_aggregation(ps, act_vocab, "boolean")
-    if name == "index_bsd":
-        return lambda ps: encode_index_based(ps, k, act_vocab, res_vocab)
-    raise ConfigError(f"unknown intra-case encoder {name!r}, expected {INTRA_ENCODERS}")
+    return lambda ps: encode_index_based(ps, k, act_vocab, res_vocab)

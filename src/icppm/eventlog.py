@@ -601,6 +601,14 @@ def filter_singleton_variants(log: EventLog) -> EventLog:
 _SLICE_RULES = ("first", "all", "any")
 
 
+def _check_date_slice(rule: str, start: date | None = None, end: date | None = None) -> None:
+    """``rule`` is one of _SLICE_RULES, and [start, end], if given, is not empty."""
+    if rule not in _SLICE_RULES:
+        raise ConfigError(f"unknown slice rule {rule!r}, expected one of {_SLICE_RULES}")
+    if start is not None and start > end:
+        raise ConfigError(f"empty date range: {start} > {end}")
+
+
 def slice_date_range(
     log: EventLog,
     start: date,
@@ -614,10 +622,7 @@ def slice_date_range(
     Both endpoints are inclusive, interpreted as full UTC days. Cases
     without events are dropped.
     """
-    if rule not in _SLICE_RULES:
-        raise ConfigError(f"unknown slice rule {rule!r}, expected one of {_SLICE_RULES}")
-    if start > end:
-        raise ConfigError(f"empty date range: {start} > {end}")
+    _check_date_slice(rule, start, end)
     lo = _micros(datetime(start.year, start.month, start.day, tzinfo=timezone.utc))
     hi = _micros(datetime(end.year, end.month, end.day, tzinfo=timezone.utc)
                  + timedelta(days=1))

@@ -38,6 +38,18 @@ FEATURES = (
     "batch",
 )
 
+
+def _check_features(features: Sequence[str]) -> None:
+    """An inter-case feature list has at most two distinct names of FEATURES."""
+    if len(features) > 2:
+        raise ConfigError(f"at most 2 inter-case features are allowed, got {features}")
+    unknown = [f for f in features if f not in FEATURES]
+    if unknown:
+        raise ConfigError(f"unknown inter-case features {unknown}, expected {FEATURES}")
+    if len(set(features)) < len(features):
+        raise ConfigError(f"inter-case features repeat: {features}")
+
+
 # Largest gather, in bytes, that counting window codes may build at once:
 # anchors are taken in chunks whose window positions, expanded one int64
 # array per step (anchor, position, code, key, sorted key), fit in it. One
@@ -343,9 +355,7 @@ class InterCaseEncoder:
 
     def __post_init__(self):
         self.features = tuple(self.features)
-        unknown = [f for f in self.features if f not in FEATURES]
-        if unknown:
-            raise ConfigError(f"unknown inter-case features {unknown}, expected {FEATURES}")
+        _check_features(self.features)
         if "avg_delay" in self.features and self.transition_stats is None:
             raise ConfigError("avg_delay requires fitted transition stats")
         if "batch" in self.features and (
@@ -387,9 +397,7 @@ class InterCaseEncoder:
 
 
 def compose(intra: FeatureVector, inter: FeatureVector) -> FeatureVector:
-    """Concatenate intra- and inter-case features (at most two of the latter)."""
-    if len(inter.schema) > 2:
-        raise ConfigError(
-            f"at most 2 inter-case features may be composed, got {len(inter.schema)}"
-        )
+    """Concatenate intra- and inter-case features; the latter's names must
+    pass ``_check_features``."""
+    _check_features(inter.schema)
     return intra.concat(inter)

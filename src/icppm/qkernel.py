@@ -13,14 +13,15 @@ test rows, so a fold simulates each row once. Shot mode draws row i of
 the exact matrix as binomial(shots, p) / shots from a generator seeded by
 (global seed, i) (``_sample``), so a shot Gram matrix equals the shot cross
 matrix of the rows with themselves above the diagonal. A classical Gram
-matrix is the cross matrix of the rows with themselves. Matrices can be
-persisted to .npz keyed by a config hash.
+matrix is the cross matrix of the rows with themselves. A Gram matrix can
+be persisted to .npz under ``cache_key``, a hash of only what it depends
+on: the rows, the kernel kind and ``CACHE_FORMAT_VERSION``. Labels and
+solver settings (C, tol) are not in it, so changing them reuses the entry.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 import logging
 import os
 import tempfile
@@ -205,19 +206,14 @@ def cross(test, train, kind: KernelKind, train_states: np.ndarray | None = None)
     return KernelMatrix(values, eval_count=values.size, states_simulated=simulated)
 
 
-def cache_key(dataset_hash: str, encoder_config: dict, kernel_config: dict, seed: int) -> str:
-    payload = json.dumps(
-        {
-            "dataset": dataset_hash,
-            "encoder": encoder_config,
-            "kernel": kernel_config,
-            "seed": seed,
-            "version": CACHE_FORMAT_VERSION,
-        },
-        sort_keys=True,
-        separators=(",", ":"),
-    )
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+def cache_key(x, kind: KernelKind) -> str:
+    """Cache key of the Gram matrix of rows ``x`` under ``kind``: a hash of
+    the cache-format version, the rows' shape and bytes, and the kernel kind
+    (variant, gamma, feature map, shot count and shot seed)."""
+    x = _as_matrix(x)
+    digest = hashlib.sha256(f"{CACHE_FORMAT_VERSION}|{x.shape}|{kind!r}|".encode("utf-8"))
+    digest.update(x.tobytes())
+    return digest.hexdigest()
 
 
 def save_kernel(kernel: KernelMatrix, directory: str | Path, key: str) -> Path:

@@ -44,7 +44,10 @@ class SvmModel:
     """dual_coefs holds a_i * y_i for support vectors only (a_i > 0).
 
     ``iterations`` counts SMO pair updates and ``kkt_gap`` is the exact final
-    violation gap max(0, max_up(v) - min_low(v)) of the trained model.
+    violation gap max(0, max_up(v) - min_low(v)) of the solver's final
+    alphas, taken before alphas <= 1e-12 are dropped from ``dual_coefs``. So
+    at C <= ~2e-12, where a dropped alpha can sit at the bound C, a gap
+    recomputed from the model's own ``dual_coefs`` can read higher.
     """
 
     dual_coefs: np.ndarray

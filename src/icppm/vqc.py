@@ -244,9 +244,12 @@ class _Batch:
     @classmethod
     def of(cls, model: VqcModel, xs, labels) -> "_Batch":
         """The batch of (xs, labels) under ``model``'s feature map and
-        classes; it must not be empty, as its mean loss would be 0/0."""
+        classes: one label per row, and not empty, as its mean loss would
+        be 0/0."""
         class_idx = _class_indices(model.classes, labels)
         states = _feature_states(model, xs)
+        if len(class_idx) != len(states):
+            raise ValueError(f"{len(states)} rows of xs but {len(class_idx)} labels")
         if len(states) == 0:
             raise ValueError("empty batch: the mean loss of zero samples is undefined")
         ws = (*(np.empty_like(states) for _ in range(3)), np.empty(states.shape))

@@ -116,8 +116,9 @@ def test_rbf_kernels_peak_at_their_output_and_one_row_block():
 
 def test_cache_hit_checks_symmetry_without_full_size_temporaries(tmp_path):
     m = 1000
-    kernel = gram(np.random.default_rng(4).normal(size=(m, 2)), KernelKind.rbf())
-    key = cache_key("data", {}, {}, 0)
+    x = np.random.default_rng(4).normal(size=(m, 2))
+    kernel = gram(x, KernelKind.rbf())
+    key = cache_key(x, KernelKind.rbf())
     save_kernel(kernel, tmp_path, key)
     assert np.array_equal(load_kernel(tmp_path, key, size=m).values, kernel.values)
     # The loaded matrix itself is the one full-size allocation.

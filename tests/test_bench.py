@@ -89,6 +89,15 @@ class TestExperimentConfig:
         with pytest.raises(ConfigError, match="unknown inter-case features"):
             bench.sweep(ExperimentConfig.from_dict(cfg))
 
+    def test_inverted_date_range_rejected_at_construction(self):
+        with pytest.raises(ConfigError, match="empty date range"):
+            ExperimentConfig(date_start="20230401", date_end="20230301")
+
+    def test_static_encoder_without_attributes_rejected_at_construction(self):
+        with pytest.raises(ConfigError, match="static encoder"):
+            ExperimentConfig(encoder="static")
+        assert ExperimentConfig(encoder="static", static_attrs=("kind",)).encoder == "static"
+
     def test_repeated_inter_feature_rejected(self):
         with pytest.raises(ConfigError, match="repeat"):
             ExperimentConfig(inter_features=("peer_cases", "peer_cases"))
@@ -427,6 +436,18 @@ class TestGramCache:
         assert second.fold_accuracies == first.fold_accuracies
         # A cached Gram matrix has no states, so cross simulates the train rows.
         assert second.states_simulated == first.states_simulated
+
+    def test_new_C_or_tol_loads_every_fold_gram(self, tmp_path):
+        # Solver settings never shape a Gram matrix, so they are not in its key.
+        cfg = ExperimentConfig(
+            classifier="qke_angle_1", k=2, folds=2, seed=3, cache_dir=str(tmp_path)
+        )
+        log, samples = two_label_setup(cfg, n_cases=8)
+        first = run_experiment(cfg, log, samples)
+        second = run_experiment(dataclasses.replace(cfg, C=0.25, tol=1e-4), log, samples)
+        assert len(list(tmp_path.glob("*.npz"))) == cfg.folds
+        assert second.gram_time_s == 0.0
+        assert second.kernel_evaluations == first.kernel_evaluations
 
     def test_truncated_entry_is_recomputed(self, tmp_path):
         cfg = ExperimentConfig(

@@ -179,6 +179,7 @@ class TestBench:
         {"min_prefix": 0}, {"min_prefix": 3, "max_prefix": 2},
         {"date_start": "2023-02-30", "date_end": "20230301"},
         {"date_start": "20230301"}, {"date_end": "20230301"},
+        {"date_start": "20230401", "date_end": "20230301"}, {"encoder": "static"},
         {"scale_lo": 1.0, "scale_hi": 1.0}, {"gamma": 0.0},
         {"window_fraction": 0.0}, {"epsilon": 0.0}, {"min_burst": 1},
         {"learning_rate": 0.0}, {"epochs": -1}, {"vqc_layers": 0}, {"opt_method": "adam"},

@@ -342,7 +342,7 @@ class TestCache:
     def test_round_trip(self, tmp_path):
         x = points(20, 5, 2)
         km = gram(x, QUANTUM)
-        key = cache_key("abc", {"encoder": "index_bsd"}, {"variant": "quantum"}, 0)
+        key = cache_key(x, QUANTUM)
         save_kernel(km, tmp_path, key)
         loaded = load_kernel(tmp_path, key)
         assert loaded is not None
@@ -354,11 +354,29 @@ class TestCache:
         assert load_kernel(tmp_path, "nope") is None
 
     def test_key_is_stable_and_sensitive(self):
-        base = cache_key("h", {"a": 1, "b": 2}, {"k": "linear"}, 5)
-        assert cache_key("h", {"b": 2, "a": 1}, {"k": "linear"}, 5) == base
-        assert cache_key("h", {"a": 1, "b": 2}, {"k": "linear"}, 6) != base
-        assert cache_key("g", {"a": 1, "b": 2}, {"k": "linear"}, 5) != base
+        x = points(3, 4, 2)
+        zz, shots = FeatureMapKind("zz"), ShotConfig(50, seed=7)
+        base = cache_key(x, KernelKind.quantum(zz, shots))
         assert len(base) == 64
+        # Equal rows and kinds give the same key, whatever the array layout.
+        assert cache_key(np.asfortranarray(x), KernelKind.quantum(zz, shots)) == base
+        assert cache_key(x.tolist(), KernelKind.quantum(FeatureMapKind("zz"),
+                                                        ShotConfig(50, seed=7))) == base
+        keys = [cache_key(rows, kind) for rows, kind in [
+            (x + 1e-12, KernelKind.quantum(zz, shots)),
+            (x.reshape(2, 4), KernelKind.quantum(zz, shots)),  # the same bytes
+            (x, KernelKind.quantum(FeatureMapKind("angle"), shots)),
+            (x, KernelKind.quantum(FeatureMapKind("zz", 2), shots)),
+            (x, KernelKind.quantum(zz, ShotConfig(51, seed=7))),
+            (x, KernelKind.quantum(zz, ShotConfig(50, seed=8))),
+            (x, KernelKind.quantum(zz)),
+            (x, KernelKind.linear()),
+            (x, KernelKind.rbf()),
+            (x, KernelKind.rbf(0.5)),
+            (x, KernelKind.rbf(0.25)),
+        ]]
+        assert base not in keys
+        assert len(set(keys)) == len(keys)
 
     def test_truncated_entry_is_a_miss(self, tmp_path, caplog):
         km = gram(points(28, 4, 2), QUANTUM)
@@ -391,7 +409,7 @@ class TestCache:
         assert load_kernel(tmp_path, "k") is None
 
     def test_key_changes_with_format_version(self, monkeypatch):
-        args = ("h", {"a": 1}, {"k": "quantum"}, 5)
+        args = (points(3, 4, 2), QUANTUM)
         base = cache_key(*args)
         monkeypatch.setattr(qkernel, "CACHE_FORMAT_VERSION", qkernel.CACHE_FORMAT_VERSION + 1)
         assert cache_key(*args) != base

@@ -177,6 +177,15 @@ class TestGradient:
         with pytest.raises(ValueError):
             loss(model, np.array([[0.1]]), ["zzz"])
 
+    def test_label_count_must_match_rows(self):
+        xs, labels = np.full((6, 2), 0.3), ["a", "b", "a", "b", "a"]
+        model = VqcModel(ANGLE, np.zeros((1, 2)), ("a", "b"))
+        for fn in (loss, parameter_shift_gradient, adjoint_gradient):
+            with pytest.raises(ValueError, match="6 rows of xs but 5 labels"):
+                fn(model, xs, labels)
+        with pytest.raises(ValueError, match="6 rows of xs but 5 labels"):
+            train(xs, labels, ANGLE, 1, OptimizerConfig(epochs=1))
+
 
 class TestTrain:
     def test_classes_sorted_and_required(self):
