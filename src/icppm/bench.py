@@ -18,6 +18,7 @@ import json
 import logging
 import math
 import os
+import re
 import statistics
 import time
 from collections import Counter
@@ -42,6 +43,7 @@ from .eventlog import (
     EventLog,
     PrefixSet,
     _check_date_slice,
+    _check_fold_count,
     _check_prefix_range,
     build_prefix_log,
     filter_singleton_variants,
@@ -62,9 +64,10 @@ from .intercase import (
     fit_transition_stats,
 )
 from .qkernel import KernelKind, cache_key, cross, gram, load_kernel, save_kernel
-from .qsim import FEATURE_MAPS, FeatureMapKind, ShotConfig
+from .qsim import EXACT, FeatureMapKind, ShotConfig
 from .svm import fit_multiclass, predict as svm_predict
-from .vqc import OptimizerConfig, predict_many as vqc_predict, train as vqc_train
+from .vqc import OptimizerConfig, _check_weight_layers
+from .vqc import predict_many as vqc_predict, train as vqc_train
 
 log_ = logging.getLogger("icppm.bench")
 
@@ -141,22 +144,20 @@ class ExperimentConfig:
     prefix_lengths: tuple[int, ...] = ()
 
     def __post_init__(self):
-        for name in ("k", "min_prefix", "max_prefix", "shots", "folds", "epochs",
-                     "vqc_layers", "seed", "min_burst"):
-            value = getattr(self, name)
-            if value is not None and type(value) is not int:
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type in ("int", "int | None") and value is not None and type(value) is not int:
+                raise ConfigError(f"{f.name} must be an integer, got {value!r}")
         ShotConfig(self.shots)  # shots >= 1, or None for exact
         for name in ("C", "tol"):
             if not getattr(self, name) > 0:
                 raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
         _check_features(self.inter_features)
-        if self.folds < 2:
-            raise ConfigError(f"need at least 2 folds, got {self.folds}")
-        if isinstance(self.window_base, str) and self.window_base != "train_median":
-            raise ConfigError(
-                f"window_base must be a number of seconds or 'train_median', got {self.window_base!r}"
-            )
+        _check_fold_count(self.folds)
+        base = self.window_base
+        if base != "train_median" and not (type(base) in (int, float) and 0 < base < math.inf):
+            raise ConfigError(f"window_base must be a positive number of seconds "
+                              f"or 'train_median', got {base!r}")
         # A run's own value obeys the rule of the grid a sweep puts there.
         for name, grid_name, valid, rule, _ in SWEEPS.values():
             if not valid(getattr(self, name)):
@@ -173,8 +174,7 @@ class ExperimentConfig:
         _check_burst_rule(self.epsilon, self.min_burst)
         OptimizerConfig(learning_rate=self.learning_rate, epochs=self.epochs,
                         method=self.opt_method)
-        if self.vqc_layers < 1:
-            raise ConfigError(f"vqc_layers must be >= 1, got {self.vqc_layers}")
+        _check_weight_layers(self.vqc_layers)
         if self.mode in SWEEPS:
             _, grid_name, valid, rule, tag = SWEEPS[self.mode]
             grid = getattr(self, grid_name)
@@ -204,8 +204,7 @@ class ExperimentConfig:
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         coerced = dict(data)
-        for key in ("static_attrs", "inter_features", "window_fractions",
-                    "sampling_fractions", "prefix_lengths"):
+        for key in (f.name for f in fields(cls) if f.type.startswith("tuple[")):
             if isinstance(coerced.get(key), str):
                 raise ConfigError(f"{key} must be a list, got the string {coerced[key]!r}")
             if key in coerced and coerced[key] is not None:
@@ -234,22 +233,19 @@ class ExperimentConfig:
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
 
 
-def _parse_classifier(name: str) -> tuple[str, str | None, int | None]:
-    """Split a classifier label into (kind, feature map variant, map layers)."""
+def _parse_classifier(name: str) -> tuple[str, FeatureMapKind | None]:
+    """A classifier label's family and, for ``qke``/``vqc``, the feature map it
+    names: ``<map>_<layers>``, ``zz_a`` for ``angle_zz``, no leading zero."""
     if name in ("majority", "svc_linear", "svc_rbf"):
-        return name, None, None
-    parts = name.split("_")
-    if len(parts) >= 3 and parts[0] in ("qke", "vqc"):
-        variant = "_".join(parts[1:-1])
-        if variant == "zz_a":
-            variant = "angle_zz"
+        return name, None
+    family, _, rest = name.partition("_")
+    variant, _, layers = rest.rpartition("_")
+    if family in ("qke", "vqc") and variant and re.fullmatch("0|[1-9][0-9]*", layers):
+        variant = "angle_zz" if variant == "zz_a" else variant
         try:
-            layers = int(parts[-1])
-        except ValueError:
-            raise ConfigError(f"classifier {name!r}: trailing layer count missing") from None
-        if variant not in FEATURE_MAPS:
-            raise ConfigError(f"classifier {name!r}: unknown feature map {variant!r}")
-        return parts[0], variant, layers
+            return family, FeatureMapKind(variant, int(layers))
+        except ConfigError as exc:
+            raise ConfigError(f"classifier {name!r}: {exc}") from None
     raise ConfigError(
         f"unknown classifier {name!r} (expected majority, svc_linear, svc_rbf, "
         f"qke_<map>_<layers> or vqc_<map>_<layers>)"
@@ -446,18 +442,11 @@ def _encode_fold(
     return x_train, train.labels, x_test, test.labels
 
 
-def _kernel_fold(cfg: ExperimentConfig, kind: str, variant: str | None, layers: int | None,
-                 shots: ShotConfig, x_train: np.ndarray, y_train: list,
-                 x_test: np.ndarray, part: dict) -> list:
+def _kernel_fold(cfg: ExperimentConfig, kernel_kind: KernelKind, x_train: np.ndarray,
+                 y_train: list, x_test: np.ndarray, part: dict) -> list:
     """A kernel classifier's predictions for one fold, counters written to
     ``part``. The fold's kernel matrices live in this call, one at a time:
     the train Gram matrix is dropped before the cross matrix is built."""
-    if kind == "svc_linear":
-        kernel_kind = KernelKind.linear()
-    elif kind == "svc_rbf":
-        kernel_kind = KernelKind.rbf(cfg.gamma)
-    else:
-        kernel_kind = KernelKind.quantum(FeatureMapKind(variant, layers), shots)
     t_fit0 = time.perf_counter()
     key = k_train = None
     if cfg.cache_dir:
@@ -499,7 +488,7 @@ def run_experiment(
         samples = stratified_subsample(
             samples, cfg.sampling_fraction, derive_seed(cfg.seed, "subsample")
         )
-    kind, variant, fm_layers = _parse_classifier(cfg.classifier)
+    family, feature_map = _parse_classifier(cfg.classifier)
     folds = make_cv_folds(samples, cfg.folds, derive_seed(cfg.seed, "folds"))
     index = EventIndex(log) if cfg.inter_features else None
 
@@ -513,33 +502,34 @@ def run_experiment(
             cfg, index, samples[train_idx], samples[test_idx]
         )
         part["encode_time_s"] = time.perf_counter() - t_enc0
-        shots = ShotConfig(cfg.shots, derive_seed(cfg.seed, f"shots/{fold}"))
+        # An exact run draws nothing, so it carries no per-fold shot seed.
+        shots = (ShotConfig(cfg.shots, derive_seed(cfg.seed, f"shots/{fold}"))
+                 if cfg.shots else EXACT)
         t_fit0 = time.perf_counter()
         fold_note = ""
-        if kind == "majority":
+        if family == "majority":
             counts = Counter(y_train)
             top = max(counts.values())
             majority = min(lab for lab, c in counts.items() if c == top)
             predictions = [majority] * len(y_test)
             part["fit_time_s"] = time.perf_counter() - t_fit0
-        elif kind == "vqc":
+        elif family == "vqc":
             opt = OptimizerConfig(
                 learning_rate=cfg.learning_rate,
                 epochs=cfg.epochs,
                 method=cfg.opt_method,
                 seed=derive_seed(cfg.seed, f"vqc/{fold}"),
             )
-            model = vqc_train(
-                x_train, y_train, FeatureMapKind(variant, fm_layers),
-                cfg.vqc_layers, opt, shots=shots,
-            )
+            model = vqc_train(x_train, y_train, feature_map, cfg.vqc_layers, opt, shots=shots)
             part["fit_time_s"] = time.perf_counter() - t_fit0
             predictions = vqc_predict(model, x_test, shots)
             part["states_simulated"] = len(x_train) + len(x_test)
             part["vqc_final_loss"] = model.loss_history[-1]
         else:
-            predictions = _kernel_fold(cfg, kind, variant, fm_layers, shots,
-                                       x_train, y_train, x_test, part)
+            kernel_kind = (KernelKind.quantum(feature_map, shots) if family == "qke"
+                           else KernelKind.linear() if family == "svc_linear"
+                           else KernelKind.rbf(cfg.gamma))
+            predictions = _kernel_fold(cfg, kernel_kind, x_train, y_train, x_test, part)
             fold_note = (f" smo_iterations={part['smo_iterations']}"
                          f" smo_kkt_gap={part['smo_kkt_gap']:.3e}")
         parts.append(part)

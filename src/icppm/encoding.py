@@ -199,10 +199,10 @@ class ScalingParams:
 
 
 def _checked_target(target: tuple[float, float]) -> tuple[float, float]:
-    """The scaling interval ``target`` as (lo, hi), which must increase."""
+    """The scaling interval ``target`` as (lo, hi), increasing and of finite width."""
     lo, hi = target
-    if not lo < hi:
-        raise ConfigError(f"scaling interval must be increasing, got {target}")
+    if not (lo < hi and math.isfinite(float(hi) - float(lo))):
+        raise ConfigError(f"scaling interval must be increasing and finite, got {target}")
     return lo, hi
 
 

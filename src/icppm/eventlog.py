@@ -686,14 +686,18 @@ def stratified_subsample(prefixes: PrefixSet, fraction: float, seed: int) -> Pre
     return prefixes[np.sort(np.array(chosen, dtype=np.int64))]
 
 
+def _check_fold_count(n_folds: int) -> None:
+    if n_folds < 2:
+        raise ConfigError(f"need at least 2 folds, got {n_folds}")
+
+
 def make_cv_folds(prefixes: PrefixSet, n_folds: int, seed: int) -> FoldSplit:
     """Assign folds at the case level: all prefixes of a case share a fold.
 
     Distinct cases, sorted by id, are shuffled by the seed and dealt
     round-robin.
     """
-    if n_folds < 2:
-        raise ConfigError(f"need at least 2 folds, got {n_folds}")
+    _check_fold_count(n_folds)
     case_ids = prefixes.log.case_ids
     present = np.bincount(prefixes.case, minlength=len(case_ids))
     cases = sorted(np.flatnonzero(present).tolist(), key=case_ids.__getitem__)

@@ -57,8 +57,8 @@ class KernelKind:
     def __post_init__(self):
         if self.variant not in KERNEL_VARIANTS:
             raise ConfigError(f"unknown kernel {self.variant!r}, expected {KERNEL_VARIANTS}")
-        if self.gamma is not None and self.gamma <= 0:
-            raise ConfigError(f"rbf gamma must be positive, got {self.gamma}")
+        if self.gamma is not None and not 0 < self.gamma < np.inf:
+            raise ConfigError(f"rbf gamma must be positive and finite, got {self.gamma}")
         if self.variant == "quantum" and self.feature_map is None:
             raise ConfigError("quantum kernel requires a feature map")
 

@@ -62,8 +62,8 @@ class OptimizerConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ConfigError(f"learning rate must be positive, got {self.learning_rate}")
+        if not 0 < self.learning_rate < math.inf:
+            raise ConfigError(f"learning rate must be finite and > 0, got {self.learning_rate}")
         if self.epochs < 0:
             raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
         if self.method not in ("parameter_shift", "spsa"):
@@ -383,6 +383,11 @@ def _spsa_gradient(batch: _Batch, theta: np.ndarray, shots: ShotConfig,
     return (up - down) / (2.0 * _SPSA_STEP) * delta
 
 
+def _check_weight_layers(n_layers: int) -> None:
+    if n_layers < 1:
+        raise ConfigError(f"need at least 1 weight layer, got {n_layers}")
+
+
 def train(
     xs,
     labels: Sequence,
@@ -405,8 +410,7 @@ def train(
     classes = tuple(sorted(set(labels)))
     if len(classes) < 2:
         raise ConfigError(f"need at least 2 classes to train, got {classes}")
-    if n_layers < 1:
-        raise ConfigError(f"need at least 1 weight layer, got {n_layers}")
+    _check_weight_layers(n_layers)
     rng = np.random.default_rng(opt.seed)
     theta = rng.uniform(-0.1, 0.1, size=(n_layers, xs.shape[1]))
     model = VqcModel(feature_map, theta, classes)

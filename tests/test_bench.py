@@ -3,6 +3,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import logging
+import math
 
 import numpy as np
 import pytest
@@ -23,6 +24,8 @@ from icppm.bench import (
 from icppm.encoding import FeatureVector, Vocabulary
 from icppm.errors import ConfigError
 from icppm.eventlog import build_prefix_log, make_cv_folds, write_csv
+from icppm.qkernel import KernelKind, cache_key
+from icppm.qsim import FeatureMapKind
 
 
 def two_label_log(n_cases: int = 12):
@@ -37,6 +40,20 @@ def two_label_log(n_cases: int = 12):
 def two_label_setup(cfg: ExperimentConfig, n_cases: int = 12):
     log = two_label_log(n_cases)
     return log, build_prefix_log(log, cfg.min_prefix, cfg.max_prefix)
+
+
+def distinct_grams(cfg: ExperimentConfig, samples) -> int:
+    """Distinct exact Gram matrices among the folds of a run of ``cfg``
+    without inter-case features: folds whose scaled train rows are
+    byte-identical share one cache entry."""
+    _, feature_map = bench._parse_classifier(cfg.classifier)
+    folds = make_cv_folds(samples, cfg.folds, derive_seed(cfg.seed, "folds"))
+    keys = set()
+    for fold in range(cfg.folds):
+        train_idx, test_idx = folds.split(fold)
+        x_train = bench._encode_fold(cfg, None, samples[train_idx], samples[test_idx])[0]
+        keys.add(cache_key(x_train, KernelKind.quantum(feature_map)))
+    return len(keys)
 
 
 def write_log(log, path):
@@ -112,9 +129,31 @@ class TestExperimentConfig:
 
     def test_window_base_values(self):
         assert ExperimentConfig(window_base=3600.0).window_base == 3600.0
+        assert ExperimentConfig(window_base=60).window_base == 60
         assert ExperimentConfig(window_base="train_median").window_base == "train_median"
         with pytest.raises(ConfigError):
             ExperimentConfig(window_base="median")
+
+    @pytest.mark.parametrize("base", [-5.0, 0.0, math.inf, math.nan, None, True])
+    def test_window_base_must_be_a_positive_finite_number(self, base):
+        with pytest.raises(ConfigError, match="window_base"):
+            ExperimentConfig(window_base=base)
+
+    @pytest.mark.parametrize("values", [
+        {"gamma": math.nan}, {"gamma": math.inf}, {"learning_rate": math.nan},
+        {"learning_rate": math.inf}, {"scale_hi": math.inf}, {"scale_hi": math.nan},
+        {"scale_lo": -1e308, "scale_hi": 1e308},
+    ], ids=lambda values: ",".join(f"{k}={v}" for k, v in values.items()))
+    def test_non_finite_values_rejected_at_construction(self, values):
+        with pytest.raises(ConfigError):
+            ExperimentConfig(**values)
+
+    @pytest.mark.parametrize("name", [
+        "qke_zz_0", "vqc_angle_-2", "qke_zz_01", "qke_zz_ 1", "qke_zz_+1", "qke_zz_\u0661",
+    ])
+    def test_bad_layer_count_rejected_at_construction(self, name):
+        with pytest.raises(ConfigError, match="classifier"):
+            ExperimentConfig(classifier=name)
 
     def test_unknown_mode(self):
         with pytest.raises(ConfigError):
@@ -136,6 +175,7 @@ class TestExperimentConfig:
     @pytest.mark.parametrize("field, value", [
         ("k", 2.5), ("min_prefix", 1.5), ("max_prefix", 2.5), ("k", True),
         ("folds", 2.5), ("epochs", 2.5), ("vqc_layers", 1.5), ("seed", 1.5), ("min_burst", 2.5),
+        ("threads", 2.0), ("shots", 10.0),
     ])
     def test_integer_fields_reject_other_values(self, field, value):
         with pytest.raises(ConfigError, match=f"{field} must be an integer"):
@@ -209,20 +249,30 @@ class TestExperimentConfig:
 class TestParseClassifier:
     def test_plain_names(self):
         for name in ("majority", "svc_linear", "svc_rbf"):
-            assert bench._parse_classifier(name) == (name, None, None)
+            assert bench._parse_classifier(name) == (name, None)
 
     def test_kernel_and_vqc_names(self):
-        assert bench._parse_classifier("qke_zz_1") == ("qke", "zz", 1)
-        assert bench._parse_classifier("qke_angle_2") == ("qke", "angle", 2)
-        assert bench._parse_classifier("vqc_angle_zz_1") == ("vqc", "angle_zz", 1)
+        assert bench._parse_classifier("qke_zz_1") == ("qke", FeatureMapKind("zz", 1))
+        assert bench._parse_classifier("qke_angle_2") == ("qke", FeatureMapKind("angle", 2))
+        assert bench._parse_classifier("vqc_angle_zz_1") == ("vqc", FeatureMapKind("angle_zz", 1))
+        assert bench._parse_classifier("vqc_zz_10") == ("vqc", FeatureMapKind("zz", 10))
 
     def test_zz_a_alias(self):
-        assert bench._parse_classifier("qke_zz_a_1") == ("qke", "angle_zz", 1)
+        assert bench._parse_classifier("qke_zz_a_1") == ("qke", FeatureMapKind("angle_zz", 1))
 
     def test_rejects_malformed(self):
-        for name in ("qke", "qke_zz", "qke_zz_x", "qke_poly_1", "forest"):
+        for name in ("qke", "qke_zz", "qke_zz_x", "qke_poly_1", "forest", "svc_zz_1", "qke__1"):
             with pytest.raises(ConfigError):
                 bench._parse_classifier(name)
+
+    @pytest.mark.parametrize("name, owner_message", [
+        ("qke_zz_0", "layers must be >= 1"), ("vqc_angle_-2", "unknown classifier"),
+        ("qke_zz_01", "unknown classifier"), ("qke_zz_ 1", "unknown classifier"),
+        ("vqc_poly_1", "unknown feature map"),
+    ])
+    def test_map_and_layer_count_checked_once(self, name, owner_message):
+        with pytest.raises(ConfigError, match=owner_message):
+            bench._parse_classifier(name)
 
 
 class TestFeatureLabel:
@@ -428,8 +478,9 @@ class TestGramCache:
         )
         log, samples = two_label_setup(cfg, n_cases=8)
         first = run_experiment(cfg, log, samples)
-        stored = list(tmp_path.glob("*.npz"))
-        assert len(stored) == cfg.folds
+        # Every case is a -> b -> c, so both folds train on byte-identical
+        # rows, and an exact Gram matrix is keyed without a per-fold seed.
+        assert len(list(tmp_path.glob("*.npz"))) == distinct_grams(cfg, samples) == 1
         second = run_experiment(cfg, log, samples)
         assert second.gram_time_s == 0.0
         assert second.kernel_evaluations == first.kernel_evaluations
@@ -445,7 +496,7 @@ class TestGramCache:
         log, samples = two_label_setup(cfg, n_cases=8)
         first = run_experiment(cfg, log, samples)
         second = run_experiment(dataclasses.replace(cfg, C=0.25, tol=1e-4), log, samples)
-        assert len(list(tmp_path.glob("*.npz"))) == cfg.folds
+        assert len(list(tmp_path.glob("*.npz"))) == distinct_grams(cfg, samples)
         assert second.gram_time_s == 0.0
         assert second.kernel_evaluations == first.kernel_evaluations
 
@@ -483,12 +534,26 @@ class TestGramCache:
             np.savez(path, values=values, eval_count=np.int64(1))
         with caplog.at_level("WARNING", logger="icppm.qkernel"):
             second = run_experiment(cfg, log, samples)
-        assert caplog.text.count("ignoring kernel cache entry") == cfg.folds
+        # The first fold rewrites the shared entry, which the second then loads.
+        assert caplog.text.count("ignoring kernel cache entry") == distinct_grams(cfg, samples)
         assert second.fold_accuracies == first.fold_accuracies
         assert second.states_simulated == first.states_simulated
         assert second.kernel_evaluations == first.kernel_evaluations
         third = run_experiment(cfg, log, samples)
         assert third.gram_time_s == 0.0
+
+    def test_shot_grams_keyed_per_fold(self, tmp_path):
+        # Each fold draws its shots from its own seed, so equal rows still
+        # give one entry per fold.
+        cfg = ExperimentConfig(
+            classifier="qke_angle_1", k=2, folds=2, seed=3, shots=50, cache_dir=str(tmp_path)
+        )
+        log, samples = two_label_setup(cfg, n_cases=8)
+        first = run_experiment(cfg, log, samples)
+        assert len(list(tmp_path.glob("*.npz"))) == cfg.folds
+        second = run_experiment(cfg, log, samples)
+        assert second.gram_time_s == 0.0
+        assert second.fold_accuracies == first.fold_accuracies
 
     def test_cache_ignored_without_dir(self, tmp_path):
         cfg = ExperimentConfig(classifier="qke_angle_1", k=2, folds=2, seed=3)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import math
 
 import pytest
 
@@ -183,6 +184,10 @@ class TestBench:
         {"scale_lo": 1.0, "scale_hi": 1.0}, {"gamma": 0.0},
         {"window_fraction": 0.0}, {"epsilon": 0.0}, {"min_burst": 1},
         {"learning_rate": 0.0}, {"epochs": -1}, {"vqc_layers": 0}, {"opt_method": "adam"},
+        {"gamma": math.nan}, {"gamma": math.inf}, {"scale_hi": math.inf},
+        {"scale_lo": -1e308, "scale_hi": 1e308}, {"learning_rate": math.inf},
+        {"learning_rate": math.nan}, {"window_base": -5.0}, {"classifier": "qke_zz_0"},
+        {"classifier": "vqc_angle_-2"}, {"classifier": "qke_zz_01"},
     ], ids=lambda values: ",".join(f"{k}={v}" for k, v in values.items()))
     def test_bad_value_rejected_before_the_log_is_read(self, log_path, tmp_path, monkeypatch,
                                                       capsys, values):

@@ -286,6 +286,13 @@ class TestScaler:
         params = fit_scaler(self._block((0.0,), (2.0,)), target=(-1.0, 1.0))
         assert apply_scaler(self._fv(1.0), params).values[0] == pytest.approx(0.0)
 
+    @pytest.mark.parametrize("target", [
+        (1.0, 1.0), (0.0, math.inf), (0.0, math.nan), (math.nan, 1.0), (-1e308, 1e308),
+    ])
+    def test_interval_must_increase_with_finite_width(self, target):
+        with pytest.raises(ConfigError, match="scaling interval"):
+            fit_scaler(self._block((0.0,), (2.0,)), target=target)
+
     def test_empty_training_set(self):
         with pytest.raises(ConfigError):
             fit_scaler(FeatureVector(np.zeros((0, 3)), ("a", "b", "c")))

@@ -45,6 +45,11 @@ class TestKernelKind:
         with pytest.raises(ConfigError):
             KernelKind.rbf(gamma=-1.0)
 
+    @pytest.mark.parametrize("gamma", [math.nan, math.inf])
+    def test_gamma_must_be_finite(self, gamma):
+        with pytest.raises(ConfigError, match="gamma"):
+            KernelKind.rbf(gamma=gamma)
+
     def test_quantum_needs_feature_map(self):
         with pytest.raises(ConfigError):
             KernelKind("quantum")

@@ -59,6 +59,11 @@ class TestOptimizerConfig:
         with pytest.raises(ConfigError):
             OptimizerConfig(method="adam")
 
+    @pytest.mark.parametrize("rate", [math.nan, math.inf])
+    def test_learning_rate_must_be_finite(self, rate):
+        with pytest.raises(ConfigError, match="learning rate"):
+            OptimizerConfig(learning_rate=rate)
+
     def test_zero_epochs_allowed(self):
         assert OptimizerConfig(epochs=0).epochs == 0
 
