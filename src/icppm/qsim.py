@@ -15,7 +15,8 @@ float64 views, except on the last qubit, which keeps complex arithmetic.
 scratch buffer for the whole call and serves the kernels and the VQC. It
 writes the first layer's H on every qubit of |0...0> as one fill with
 (1/sqrt 2)^n, rounded as the n gates round it, so the states keep their
-bits;
+bits. ``product_states`` writes RY on every qubit of |0...0> as n outer
+products instead of n gates; the VQC builds its angle-map states with it.
 ``run`` simulates one circuit gate by gate as a batch of one, and
 ``kernel_overlap`` reads an exact kernel entry off two such states, as the
 per-pair reference. Shot sampling lives with its readouts, in
@@ -293,6 +294,46 @@ def _uniform_amplitude(n: int) -> float:
     return amp
 
 
+def _checked_rows(x) -> np.ndarray:
+    """``x`` as a float64 (rows, features) matrix with at least one feature
+    and only finite values; ValueError otherwise."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 2 or x.shape[1] == 0:
+        raise ValueError(f"expected a non-empty (rows, features) matrix, got shape {x.shape}")
+    finite = np.isfinite(x).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"feature row {int(np.argmin(finite))} is not finite")
+    return x
+
+
+def product_states(angles: np.ndarray, out: np.ndarray) -> None:
+    """RY(angles[:, q]) on every qubit q of |0...0>, written into ``out``, a
+    C-contiguous complex (rows, 2**n) buffer for the (rows, n) ``angles``.
+
+    The result is the product state of the per-qubit factors
+    (cos(a/2), sin(a/2)), built by n outer products over the rows, least
+    significant qubit first, so it costs O(2^n) per row instead of n gates.
+    The products are real: the partial products alternate between the real
+    and the imaginary parts of ``out``, so no operand overlaps the product
+    it feeds and no batch-sized temporary is made, and the imaginary parts
+    are zeroed last.
+    """
+    b, n = angles.shape
+    half = angles / 2.0
+    factors = np.empty((b, n, 2))
+    np.cos(half, out=factors[..., 0])
+    np.sin(half, out=factors[..., 1])
+    parts = (out.real, out.imag)
+    # The product over the last k qubits sits in parts[(n - k) % 2][:, :2**k].
+    parts[n % 2][:, :1] = 1.0
+    for k in range(n):
+        low = parts[(n - k) % 2][:, :2 ** k]
+        high = parts[(n - k - 1) % 2][:, :2 ** (k + 1)]
+        np.matmul(factors[:, n - 1 - k, :, None], low[:, None, :],
+                  out=high.reshape(b, 2, 2 ** k))
+    out.imag[...] = 0.0
+
+
 def feature_map_states(kind: FeatureMapKind, x) -> np.ndarray:
     """States V(x)|0...0> for every row of ``x``, shape (B, 2**n).
 
@@ -304,12 +345,7 @@ def feature_map_states(kind: FeatureMapKind, x) -> np.ndarray:
     ``zz`` map runs no gate and allocates no scratch. Zero rows give a
     (0, 2**n) batch; a non-finite feature raises ValueError.
     """
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] == 0:
-        raise ValueError(f"expected a non-empty (rows, features) matrix, got shape {x.shape}")
-    finite = np.isfinite(x).all(axis=1)
-    if not finite.all():
-        raise ValueError(f"feature row {int(np.argmin(finite))} is not finite")
+    x = _checked_rows(x)
     b, n = x.shape
     shape = (b,) + (2,) * n
     if kind.variant == "angle":

@@ -14,21 +14,34 @@ exact +-pi/2 rule), the estimator hardware would use.
 ``parameter_shift_gradient`` applies that rule in either mode and is the
 reference for ``adjoint_gradient``. SPSA is a cheaper seeded alternative.
 
-Rows run as one batch: ``qsim.feature_map_states`` simulates the feature
-map once, and the weight layers act on that (rows, 2^n) batch with one
-angle per RY gate for all rows and the CNOT ring as one basis-index
-permutation. Every loss and gradient reads one labelled batch
-(``_Batch``): the cached feature-map states, each row's class index, the
-class count, the ring permutation and a workspace that every loss,
+Rows run as one batch: the weight layers act on a (rows, 2^n) batch with
+one angle per RY gate for all rows and the CNOT ring as one basis-index
+permutation. Every evaluation starts from the state after weight layer
+0's RY block (``_first_block``). For the ``zz`` and ``angle_zz`` maps,
+``qsim.feature_map_states`` simulates the feature map once per batch, and
+each evaluation copies those states and runs layer 0's RYs on them. The
+``angle`` map is folded into layer 0 instead: on each qubit
+RY(theta_0q) RY(x_q)^L = RY(L x_q + theta_0q), and no entangler sits
+between the two, so that state is a product state, which
+``qsim.product_states`` writes from the angles L x + theta_0 without a
+gate. An angle-map batch keeps only the (rows, n) angles L x, and an exact
+epoch runs (L - 1) n RY gates forward and 2 (L - 1) n backward, none at
+L = 1; the other maps run L n forward.
+
+Every loss and gradient reads one labelled batch (``_Batch``): the
+encoded rows (the angles or the cached feature-map states), each row's
+class index, the class count, the ring permutation and its inverse, the
+class indicator per basis state and a workspace that every loss,
 gradient and readout reuses. The workspace is three (rows, 2^n) complex
 buffers, which take turns as the states being advanced (the prefix and
 the shifted state, or the adjoint's state and costate) and the gate
 scratch or the ring's destination, plus one (rows, 2^n) float buffer for
-|psi|^2 and the adjoint's weights; with the states a batch holds 4.5
-(rows, 2^n) batches, whatever the number of layers. ``train`` builds one
-labelled batch for all its epochs; ``loss`` and the two gradient
-functions build one per call, and ``forward_many`` allocates one spare
-batch and one |psi|^2 buffer.
+|psi|^2 and the adjoint's weights; a batch holds 3.5 (rows, 2^n) batches
+on the angle map and, with the cached states, 4.5 on the others, whatever
+the number of layers. ``train`` builds one labelled batch for all its
+epochs; ``loss`` and the two gradient functions build one per call, and
+``forward_many`` allocates the state, one spare batch and one |psi|^2
+buffer (the ``zz`` and ``angle_zz`` states are rotated in place).
 """
 
 from __future__ import annotations
@@ -46,7 +59,9 @@ from .qsim import (
     FeatureMapKind,
     ShotConfig,
     _apply_op,
+    _checked_rows,
     feature_map_states,
+    product_states,
 )
 
 _P_FLOOR = 1e-12
@@ -144,7 +159,7 @@ def _ring(psi: np.ndarray, spare: np.ndarray, perm: np.ndarray):
 
 
 def _run_layers(psi: np.ndarray, spare: np.ndarray, theta: np.ndarray,
-                perm: np.ndarray, start: int = 0):
+                perm: np.ndarray, start: int):
     """Weight layers ``start``.. applied to the (B, 2**n) batch ``psi``, with
     ``spare`` as gate scratch and ring destination; both are overwritten.
     Returns (final state, free buffer)."""
@@ -179,19 +194,59 @@ def _readout(psi: np.ndarray, n_classes: int, shots: ShotConfig,
     return scores / scores.sum(axis=1, keepdims=True)
 
 
-def _feature_states(model: VqcModel, xs) -> np.ndarray:
+def _folds(model: VqcModel) -> bool:
+    """Whether the feature map folds into weight layer 0 (the angle map)."""
+    return model.feature_map.variant == "angle"
+
+
+def _encode(model: VqcModel, xs) -> np.ndarray:
+    """The rows as ``_first_block`` takes them: the (rows, n) angles L x for
+    the angle map, else the (rows, 2**n) feature-map states. A row of the
+    wrong width or with a non-finite feature raises ValueError."""
     xs = _as_matrix(xs)
     if xs.shape[1] != model.n_qubits:
         raise ValueError(f"expected {model.n_qubits} features, got shape {xs.shape}")
+    if _folds(model):
+        return model.feature_map.layers * _checked_rows(xs)
     return feature_map_states(model.feature_map, xs)
+
+
+def _first_block(encoded: np.ndarray, folded: bool, theta0: np.ndarray,
+                 out: np.ndarray, scratch: np.ndarray) -> None:
+    """The state after weight layer 0's RY block, written into ``out``.
+
+    Folded (angle map), ``encoded`` holds the angles L x and the state is
+    the product state of L x + theta0. Otherwise ``encoded`` holds the
+    feature-map states, which are copied into ``out`` (unless ``out`` is
+    ``encoded`` itself) and rotated by RY(theta0) with ``scratch``.
+    """
+    if folded:
+        product_states(encoded + theta0, out)
+        return
+    if out is not encoded:
+        np.copyto(out, encoded)
+    _ry_block(out, theta0, scratch)
+
+
+def _run_circuit(encoded: np.ndarray, folded: bool, theta: np.ndarray,
+                 perm: np.ndarray, psi: np.ndarray, spare: np.ndarray):
+    """Every weight layer from the encoded rows, in the buffers ``psi`` and
+    ``spare``. Returns (final state, free buffer); the free buffer holds the
+    state before the last ring."""
+    _first_block(encoded, folded, theta[0], psi, spare)
+    psi, spare = _ring(psi, spare, perm)
+    return _run_layers(psi, spare, theta, perm, 1)
 
 
 def forward_many(model: VqcModel, xs, shots: ShotConfig = EXACT) -> np.ndarray:
     """Per-class probability scores of every row, shape (rows, classes)."""
-    states = _feature_states(model, xs)
-    psi, _ = _run_layers(states, np.empty_like(states), model.theta,
-                         _ring_permutation(model.n_qubits))
-    return _readout(psi, len(model.classes), shots, np.empty(states.shape))
+    encoded = _encode(model, xs)
+    folded = _folds(model)
+    shape = (len(encoded), 2 ** model.n_qubits)
+    psi = np.empty(shape, dtype=np.complex128) if folded else encoded
+    psi, _ = _run_circuit(encoded, folded, model.theta, _ring_permutation(model.n_qubits),
+                          psi, np.empty(shape, dtype=np.complex128))
+    return _readout(psi, len(model.classes), shots, np.empty(shape))
 
 
 def forward(model: VqcModel, x: Sequence[float], shots: ShotConfig = EXACT) -> np.ndarray:
@@ -231,14 +286,19 @@ def _class_indices(classes: tuple, labels) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _Batch:
-    """A labelled batch: cached feature-map states, each row's class index,
-    the class count, the ring permutation and the workspace (three complex
-    state buffers and one |psi|^2 buffer, each of the states' shape)."""
+    """A labelled batch: the encoded rows (``_encode``) and whether they are
+    folded angles, each row's class index, the class count, the ring
+    permutation, its inverse ``image``, the float class indicator per basis
+    state the adjoint reads, and the workspace (three complex state buffers
+    and one |psi|^2 buffer, each (rows, 2**n))."""
 
-    states: np.ndarray
+    encoded: np.ndarray
+    folded: bool
     class_idx: np.ndarray
     n_classes: int
     perm: np.ndarray
+    image: np.ndarray
+    on_class: np.ndarray
     ws: tuple[np.ndarray, ...]
 
     @classmethod
@@ -247,14 +307,20 @@ class _Batch:
         classes: one label per row, and not empty, as its mean loss would
         be 0/0."""
         class_idx = _class_indices(model.classes, labels)
-        states = _feature_states(model, xs)
-        if len(class_idx) != len(states):
-            raise ValueError(f"{len(states)} rows of xs but {len(class_idx)} labels")
-        if len(states) == 0:
+        encoded = _encode(model, xs)
+        m, n, n_classes = len(encoded), model.n_qubits, len(model.classes)
+        if len(class_idx) != m:
+            raise ValueError(f"{m} rows of xs but {len(class_idx)} labels")
+        if m == 0:
             raise ValueError("empty batch: the mean loss of zero samples is undefined")
-        ws = (*(np.empty_like(states) for _ in range(3)), np.empty(states.shape))
-        return cls(states, class_idx, len(model.classes),
-                   _ring_permutation(model.n_qubits), ws)
+        perm = _ring_permutation(n)
+        # Entry k of the state before a ring lands on basis state image[k].
+        image = np.argsort(perm)
+        on_class = (np.arange(n_classes)[:, None]
+                    == (image >> (n - _readout_qubits(n_classes))) % n_classes) * 1.0
+        shape = (m, 2 ** n)
+        ws = (*(np.empty(shape, dtype=np.complex128) for _ in range(3)), np.empty(shape))
+        return cls(encoded, _folds(model), class_idx, n_classes, perm, image, on_class, ws)
 
     def p_true(self, psi: np.ndarray, shots: ShotConfig) -> np.ndarray:
         """Each row's score on its own class from the final states ``psi``;
@@ -264,12 +330,10 @@ class _Batch:
 
 
 def _forward(batch: _Batch, theta: np.ndarray, shots: ShotConfig):
-    """The weight layers on a copy of the batch's states, then the readout.
+    """The circuit on the batch's rows in its workspace, then the readout.
     Returns (mean cross-entropy, true-class scores, final state, free
     buffer); the free buffer holds the state before the last ring."""
-    psi, spare = batch.ws[:2]
-    np.copyto(psi, batch.states)
-    psi, free = _run_layers(psi, spare, theta, batch.perm)
+    psi, free = _run_circuit(batch.encoded, batch.folded, theta, batch.perm, *batch.ws[:2])
     p_true = batch.p_true(psi, shots)
     return _cross_entropy(p_true), p_true, psi, free
 
@@ -286,14 +350,16 @@ def _shift_gradient(batch: _Batch, theta: np.ndarray, shots: ShotConfig) -> np.n
     the two circuits shifted at (l, q) share everything up to the end of
     layer l's RY block: each is one RY(+-pi/2) on a copy of that prefix
     state, then the ring and the later layers, run in the other two buffers.
+    Layer 0's prefix is ``_first_block``.
     """
-    m = len(batch.states)
+    m = len(batch.encoded)
     n_layers, n = theta.shape
     shifted_p = np.empty((2, m, n_layers, n))
     prefix, work, spare = batch.ws[:3]
-    np.copyto(prefix, batch.states)
+    _first_block(batch.encoded, batch.folded, theta[0], prefix, work)
     for l in range(n_layers):
-        _ry_block(prefix, theta[l], work)
+        if l:
+            _ry_block(prefix, theta[l], work)
         for q in range(n):
             for side, angle in enumerate((math.pi / 2.0, -math.pi / 2.0)):
                 np.copyto(work, prefix)
@@ -337,19 +403,15 @@ def _adjoint(batch: _Batch, theta: np.ndarray) -> tuple[float, np.ndarray]:
     the final state's buffer becomes the scratch, the third buffer lambda
     and the |psi|^2 buffer w.
     """
-    m = len(batch.states)
+    m = len(batch.encoded)
     n_layers, n = theta.shape
-    n_classes = batch.n_classes
     value, p_true, psi, phi = _forward(batch, theta, EXACT)
-    # Entry k of phi lands on basis state image[k] after the ring.
-    image = np.argsort(batch.perm)
-    on_class = (np.arange(n_classes)[:, None]
-                == (image >> (n - _readout_qubits(n_classes))) % n_classes)
     weights = -1.0 / (m * np.maximum(p_true, _P_FLOOR))
     lam, w = batch.ws[2:]
     # w = (each row's weight on its class) @ (class indicator per basis
     # state): one product into the buffer, each entry a weight or 0.
-    np.matmul(np.eye(n_classes)[batch.class_idx] * weights[:, None], on_class * 1.0, out=w)
+    np.matmul(np.eye(batch.n_classes)[batch.class_idx] * weights[:, None], batch.on_class,
+              out=w)
     np.multiply(phi.real, w, out=lam.real)
     np.multiply(phi.imag, w, out=lam.imag)
     grad = np.empty(theta.shape)
@@ -363,8 +425,8 @@ def _adjoint(batch: _Batch, theta: np.ndarray) -> tuple[float, np.ndarray]:
         if l:
             _ry_block(phi, -theta[l], scratch)
             _ry_block(lam, -theta[l], scratch)
-            phi, scratch = _ring(phi, scratch, image)
-            lam, scratch = _ring(lam, scratch, image)
+            phi, scratch = _ring(phi, scratch, batch.image)
+            lam, scratch = _ring(lam, scratch, batch.image)
     return value, grad
 
 
@@ -398,9 +460,10 @@ def train(
 ) -> VqcModel:
     """Gradient-descent training; theta starts at uniform(-0.1, 0.1) per seed.
 
-    The feature-map states of ``xs`` do not depend on theta: they are
-    simulated once, and every loss and gradient evaluation applies only the
-    weight layers to them. Each epoch takes the loss and the gradient at the
+    The encoded rows do not depend on theta: the ``zz`` and ``angle_zz``
+    feature-map states are simulated once and the angle map's angles taken
+    once, and every loss and gradient evaluation runs only the weight layers
+    from them. Each epoch takes the loss and the gradient at the
     current theta, in exact parameter-shift mode from one adjoint pass; the
     final theta gets one more loss. Zero epochs return the freshly
     initialized model. A non-finite loss aborts with a TrainingError naming

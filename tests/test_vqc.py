@@ -98,9 +98,10 @@ class TestForward:
         assert p.sum() == pytest.approx(1.0, abs=1e-9)
 
     def test_feature_dimension_checked(self):
-        model = VqcModel(ANGLE, np.zeros((1, 2)), ("a", "b"))
-        with pytest.raises(ValueError):
-            forward(model, [0.1, 0.2, 0.3])
+        for fm in MAPS:
+            model = VqcModel(fm, np.zeros((1, 2)), ("a", "b"))
+            with pytest.raises(ValueError, match="expected 2 features"):
+                forward(model, [0.1, 0.2, 0.3])
 
     # With zero weights a two-qubit layer is its CNOT ring, which sends the
     # basis state |b0 b1> to |b1, b0 xor b1>; the angle map writes x = 0 or
@@ -414,7 +415,9 @@ class TestBatchedEngine:
     def test_exact_epoch_ry_count_is_linear_in_layers(self, monkeypatch):
         # The adjoint runs L n RYs forward and 2 (L - 1) n backward, where
         # parameter shift would run O(L^2 n); one epoch adds the final
-        # loss's L n. The feature map's gates run in qsim, uncounted.
+        # loss's L n. The angle map folds into weight layer 0, whose n RYs
+        # become one product state, so it runs n fewer per pass. The
+        # feature map's gates run in qsim, uncounted.
         calls = []
         real = vqc._apply_op
         monkeypatch.setattr(vqc, "_apply_op", lambda psi, n, kind, *rest: (
@@ -423,14 +426,16 @@ class TestBatchedEngine:
         n = 3
         xs = rng.uniform(0.0, math.pi, (5, n))
         labels = list(rng.integers(0, 2, 5))
-        for layers in range(1, 5):
-            model = VqcModel(ANGLE, rng.uniform(-1.0, 1.0, (layers, n)), (0, 1))
-            calls.clear()
-            adjoint_gradient(model, xs, labels)
-            assert calls == ["RY"] * (3 * layers - 2) * n
-            calls.clear()
-            train(xs, labels, ANGLE, layers, OptimizerConfig(epochs=1))
-            assert calls == ["RY"] * (4 * layers - 2) * n
+        for fm in MAPS:
+            folded = fm.variant == "angle"
+            for layers in range(1, 5):
+                model = VqcModel(fm, rng.uniform(-1.0, 1.0, (layers, n)), (0, 1))
+                calls.clear()
+                adjoint_gradient(model, xs, labels)
+                assert calls == ["RY"] * (3 * layers - (3 if folded else 2)) * n
+                calls.clear()
+                train(xs, labels, fm, layers, OptimizerConfig(epochs=1))
+                assert calls == ["RY"] * (4 * layers - (4 if folded else 2)) * n
 
     @pytest.mark.parametrize("n", range(1, 11))
     def test_ring_permutation_equals_gate_by_gate_ring(self, n):
@@ -442,49 +447,79 @@ class TestBatchedEngine:
         assert np.array_equal(psi[perm], want)
 
     def test_feature_map_simulated_once_per_train_call(self, monkeypatch):
+        # The angle map is folded into weight layer 0 and never simulated.
         calls = []
         real = vqc.feature_map_states
         monkeypatch.setattr(vqc, "feature_map_states",
                             lambda kind, x: calls.append(len(x)) or real(kind, x))
         xs, labels = separable_fixture()
-        for method in ("parameter_shift", "spsa"):
-            calls.clear()
-            train(xs, labels, ANGLE, 2, OptimizerConfig(epochs=3, method=method))
-            assert calls == [len(xs)]
+        for fm in MAPS:
+            for method in ("parameter_shift", "spsa"):
+                calls.clear()
+                train(xs, labels, fm, 2, OptimizerConfig(epochs=3, method=method))
+                assert calls == ([] if fm.variant == "angle" else [len(xs)])
 
     def test_feature_dimension_checked(self):
-        model = VqcModel(ANGLE, np.zeros((1, 2)), ("a", "b"))
-        with pytest.raises(ValueError):
-            forward_many(model, np.zeros((3, 3)))
-        with pytest.raises(ValueError):
-            parameter_shift_gradient(model, np.zeros((1, 3)), ["a"])
-        with pytest.raises(ValueError):
-            adjoint_gradient(model, np.zeros((1, 3)), ["a"])
+        for fm in MAPS:
+            model = VqcModel(fm, np.zeros((1, 2)), ("a", "b"))
+            with pytest.raises(ValueError, match="expected 2 features"):
+                forward_many(model, np.zeros((3, 3)))
+            with pytest.raises(ValueError, match="expected 2 features"):
+                parameter_shift_gradient(model, np.zeros((1, 3)), ["a"])
+            with pytest.raises(ValueError, match="expected 2 features"):
+                adjoint_gradient(model, np.zeros((1, 3)), ["a"])
+
+    # Angles outside [0, pi], negative and above 2 pi included, as scaling
+    # intervals are user settings.
+    @pytest.mark.parametrize("one_row", [True, False])
+    @pytest.mark.parametrize("layers", [1, 2, 3])
+    def test_folded_first_block_matches_feature_map_then_weight_layer(self, layers, one_row):
+        rng = np.random.default_rng(10 * layers + one_row)
+        fm = FeatureMapKind("angle", layers)
+        rows = 1 if one_row else 7
+        for n in range(1, 10):
+            xs = rng.uniform(-8.0, 8.0, (rows, n))
+            xs[0, 0] = -2.5
+            xs[-1, -1] = 2.0 * math.pi + 0.7
+            theta0 = rng.uniform(-2.0 * math.pi, 2.0 * math.pi, n)
+            model = VqcModel(fm, theta0[None, :], (0, 1))
+            want = qsim.feature_map_states(fm, xs)
+            vqc._ry_block(want, theta0, np.empty_like(want))
+            got = np.empty_like(want)
+            vqc._first_block(vqc._encode(model, xs), True, theta0, got, np.empty_like(want))
+            assert np.max(np.abs(got - want)) <= TOL
 
 
 class TestEdgeBatches:
-    MODEL = VqcModel(FeatureMapKind("zz"), np.full((2, 3), 0.3), ("a", "b", "c"))
+    # One model per feature map: the angle map reads its rows as angles, not
+    # through feature_map_states, and must check them all the same.
+    MODELS = tuple(VqcModel(fm, np.full((2, 3), 0.3), ("a", "b", "c")) for fm in MAPS)
 
     def test_zero_rows(self):
         empty = np.zeros((0, 3))
-        assert forward_many(self.MODEL, empty).shape == (0, 3)
-        assert forward_many(self.MODEL, empty, ShotConfig(20, seed=1)).shape == (0, 3)
-        assert predict_many(self.MODEL, empty) == []
-        with pytest.raises(ValueError, match="empty batch"):
-            loss(self.MODEL, empty, [])
-        with pytest.raises(ValueError, match="empty batch"):
-            parameter_shift_gradient(self.MODEL, empty, [])
-        with pytest.raises(ValueError, match="empty batch"):
-            adjoint_gradient(self.MODEL, empty, [])
+        for model in self.MODELS:
+            assert forward_many(model, empty).shape == (0, 3)
+            assert forward_many(model, empty, ShotConfig(20, seed=1)).shape == (0, 3)
+            assert predict_many(model, empty) == []
+            with pytest.raises(ValueError, match="empty batch"):
+                loss(model, empty, [])
+            with pytest.raises(ValueError, match="empty batch"):
+                parameter_shift_gradient(model, empty, [])
+            with pytest.raises(ValueError, match="empty batch"):
+                adjoint_gradient(model, empty, [])
 
     def test_non_finite_features_raise(self):
         bad = [[math.nan, 0.0, 0.0]]
-        with pytest.raises(ValueError, match="not finite"):
-            parameter_shift_gradient(self.MODEL, bad, ["a"])
-        with pytest.raises(ValueError, match="not finite"):
-            adjoint_gradient(self.MODEL, bad, ["a"])
-        with pytest.raises(ValueError, match="not finite"):
-            forward_many(self.MODEL, [[0.0, math.inf, 0.0]])
+        for model in self.MODELS:
+            with pytest.raises(ValueError, match="not finite"):
+                parameter_shift_gradient(model, bad, ["a"])
+            with pytest.raises(ValueError, match="not finite"):
+                adjoint_gradient(model, bad, ["a"])
+            with pytest.raises(ValueError, match="not finite"):
+                forward_many(model, [[0.0, math.inf, 0.0]])
+            with pytest.raises(ValueError, match="not finite"):
+                train([[0.0, 0.0, -math.inf], [0.1, 0.2, 0.3]], ["a", "b"],
+                      model.feature_map, 1, OptimizerConfig(epochs=1))
 
 
 class TestPredictMany:
@@ -544,31 +579,34 @@ def _vqc_digest(fm, layers, xs, labels, opt, shots) -> str:
 # Taken before the VQC helpers took one labelled batch in place of the
 # states, class indices, class count, ring permutation and workspace; any
 # change to the weight layers, the readout, the losses or a gradient shows.
+# The anglex1 entries were re-pinned when the angle map was folded into
+# weight layer 0 as one product state, which moves its amplitudes in the
+# last bits; every zzx2 and angle_zzx1 entry held.
 VQC_DIGESTS = {
-    'anglex1/n=3,C=2/L=1/parameter_shift/exact': '0272d5cd88e8e7be',
-    'anglex1/n=3,C=2/L=1/parameter_shift/shots': '11060c953338136c',
-    'anglex1/n=3,C=2/L=1/spsa/exact': 'b9aeac8bf1f5b7f9',
-    'anglex1/n=3,C=2/L=1/spsa/shots': '9524a8a7dcf0e099',
-    'anglex1/n=3,C=2/L=3/parameter_shift/exact': 'cfaa56cd9f297e94',
-    'anglex1/n=3,C=2/L=3/parameter_shift/shots': 'f6ffd5d30babbdb5',
-    'anglex1/n=3,C=2/L=3/spsa/exact': 'fc382d5c2fd72907',
-    'anglex1/n=3,C=2/L=3/spsa/shots': 'd98848e03fe90b3c',
-    'anglex1/n=4,C=3/L=1/parameter_shift/exact': '8954ba97dccb7703',
-    'anglex1/n=4,C=3/L=1/parameter_shift/shots': '58ab4a05d7f9f885',
-    'anglex1/n=4,C=3/L=1/spsa/exact': '52ab963c389e0973',
-    'anglex1/n=4,C=3/L=1/spsa/shots': '20245b4c66ad3bdf',
-    'anglex1/n=4,C=3/L=3/parameter_shift/exact': '770eedbc3e72fc52',
-    'anglex1/n=4,C=3/L=3/parameter_shift/shots': '12f366acfca8e8c4',
-    'anglex1/n=4,C=3/L=3/spsa/exact': '1f51fcc3284ab79d',
-    'anglex1/n=4,C=3/L=3/spsa/shots': '5e8f9ad9a2e2d932',
-    'anglex1/n=5,C=5/L=1/parameter_shift/exact': 'a439b0e716cad6f1',
-    'anglex1/n=5,C=5/L=1/parameter_shift/shots': '71cbe56d9e371257',
-    'anglex1/n=5,C=5/L=1/spsa/exact': '600deb73e25fc513',
-    'anglex1/n=5,C=5/L=1/spsa/shots': 'c37e5296e4f72e51',
-    'anglex1/n=5,C=5/L=3/parameter_shift/exact': '6ada5688dffbdc3e',
-    'anglex1/n=5,C=5/L=3/parameter_shift/shots': 'ead523a45af6ab34',
-    'anglex1/n=5,C=5/L=3/spsa/exact': 'db69ad7dd2beece5',
-    'anglex1/n=5,C=5/L=3/spsa/shots': '1ab262b87e45d4fa',
+    'anglex1/n=3,C=2/L=1/parameter_shift/exact': '4544ca282beac1eb',
+    'anglex1/n=3,C=2/L=1/parameter_shift/shots': '610676baa1083cf9',
+    'anglex1/n=3,C=2/L=1/spsa/exact': '7ef1b3b8974c09b0',
+    'anglex1/n=3,C=2/L=1/spsa/shots': 'c50ab717e6ac6193',
+    'anglex1/n=3,C=2/L=3/parameter_shift/exact': 'f3b919856453a173',
+    'anglex1/n=3,C=2/L=3/parameter_shift/shots': '26b1be1d4c6bd687',
+    'anglex1/n=3,C=2/L=3/spsa/exact': '75ba7157077f1eb5',
+    'anglex1/n=3,C=2/L=3/spsa/shots': '70bed28e28fa0dca',
+    'anglex1/n=4,C=3/L=1/parameter_shift/exact': '9a2a96db00a87d93',
+    'anglex1/n=4,C=3/L=1/parameter_shift/shots': '33e7137de84bb239',
+    'anglex1/n=4,C=3/L=1/spsa/exact': '90921b3a45297311',
+    'anglex1/n=4,C=3/L=1/spsa/shots': 'a8b626a97f8db84b',
+    'anglex1/n=4,C=3/L=3/parameter_shift/exact': '06676a6c2f783257',
+    'anglex1/n=4,C=3/L=3/parameter_shift/shots': 'a85d3ca376042f1a',
+    'anglex1/n=4,C=3/L=3/spsa/exact': 'c3d431a40d170b96',
+    'anglex1/n=4,C=3/L=3/spsa/shots': '81be27b79b068f56',
+    'anglex1/n=5,C=5/L=1/parameter_shift/exact': 'e6f08e991aa4e57e',
+    'anglex1/n=5,C=5/L=1/parameter_shift/shots': 'e6b5ef02ab4bc4c4',
+    'anglex1/n=5,C=5/L=1/spsa/exact': 'ba4a68d48b387d04',
+    'anglex1/n=5,C=5/L=1/spsa/shots': '61e6b51ca576d277',
+    'anglex1/n=5,C=5/L=3/parameter_shift/exact': '4bcd8b05dafb8c6b',
+    'anglex1/n=5,C=5/L=3/parameter_shift/shots': '8db91def129715ed',
+    'anglex1/n=5,C=5/L=3/spsa/exact': 'caabc7c8f36f4559',
+    'anglex1/n=5,C=5/L=3/spsa/shots': 'dd187fc992a11d90',
     'zzx2/n=3,C=2/L=1/parameter_shift/exact': '02a40d3c896392d5',
     'zzx2/n=3,C=2/L=1/parameter_shift/shots': 'e308c28073331c82',
     'zzx2/n=3,C=2/L=1/spsa/exact': 'feaa388dd23081e1',
