@@ -64,7 +64,7 @@ BENCH_CASES = {
     **{
         f"{clf}+peer_cases{tag}": ({"classifier": clf, "inter_features": ["peer_cases"],
                                     "epochs": 3}, flags)
-        for clf in ("qke_zz_2", "vqc_angle_1")
+        for clf in ("qke_zz_2", "qke_angle_1", "vqc_angle_1")
         for tag, flags in (("", []), ("@shots50", ["--shots", "50"]))
     },
 }
@@ -100,6 +100,8 @@ GOLDEN = {
     "encode/top_res@int": "f5110e136035bc4938760996ee9b54414bceba6a7b5cdfcbfc9793d1f56777ee",
     "bench/majority+freq_act+batch": "6b27aa1859dc8488c75e8a59586a7b4f9208b7fa085dfff5287fac4e4af14834",
     "bench/majority+peer_cases+avg_delay": "32e276019d6f8a51e4b7b2a31246ac03e50ca87960c73d4cbc102df1286f5d6f",
+    "bench/qke_angle_1+peer_cases": "f44d7e8de89accca6c0688b8b430e825faf93af08e305176a24f3fad9fcab89c",
+    "bench/qke_angle_1+peer_cases@shots50": "0fba0fce72bba8a025dee04b341ab83958fbac030ba704bcceb5161f39abcddb",
     "bench/qke_zz_2+peer_cases": "f4dd95eca108b444b8f760d9c488068f3071de1a2de0f38718633a08b288c916",
     "bench/qke_zz_2+peer_cases@shots50": "2aa9bfec0ca91660f9f60d6f3da225421adc2994a6c2764ce166eff4c42aa61c",
     "bench/svc_rbf+freq_act+batch": "98ed8f516239c69608c36be8a9428734beebfc791b84c1815851e752111a5acb",
