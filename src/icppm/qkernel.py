@@ -39,7 +39,7 @@ log_ = logging.getLogger("icppm.qkernel")
 KERNEL_VARIANTS = ("linear", "rbf", "quantum")
 # Part of every cache key: raise it whenever a change to the simulator or
 # the kernels changes the matrices, so stale cache entries are never served.
-CACHE_FORMAT_VERSION = 3
+CACHE_FORMAT_VERSION = 4
 # Largest |K - K^T| entry a cached Gram matrix may have.
 _CACHE_SYMMETRY_TOL = 1e-12
 # Elements per row block of an m-column pass (rows * m): the RBF chain and

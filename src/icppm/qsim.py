@@ -10,13 +10,13 @@ qubit's two halves into two scratch half-batches that the caller passes,
 each contiguous run of amplitudes as one void item, compute on those
 contiguous copies and copy the results back the same way, so a gate
 allocates no batch-sized temporary. They are real 2x2 gates and compute on
-float64 views, except on the last qubit, which keeps complex arithmetic.
-``feature_map_states`` runs one feature map over many inputs with one
-scratch buffer for the whole call and serves the kernels and the VQC. It
-writes the first layer's H on every qubit of |0...0> as one fill with
-(1/sqrt 2)^n, rounded as the n gates round it, so the states keep their
-bits. ``product_states`` writes RY on every qubit of |0...0> as n outer
-products instead of n gates; the VQC builds its angle-map states with it.
+float64 views on every qubit. ``feature_map_states`` runs one feature map
+over many inputs with one scratch buffer for the whole call and serves the
+kernels and the VQC. It writes the first layer's H on every qubit of
+|0...0> as one fill with (1/sqrt 2)^n, rounded as the n gates round it, so
+the states keep their bits. ``product_states`` writes RY on every qubit of
+|0...0> as n outer products instead of n gates; the angle map, whose only
+gates are RY, is written with it in ``feature_map_states`` and in the VQC.
 ``run`` simulates one circuit gate by gate as a batch of one, and
 ``kernel_overlap`` reads an exact kernel entry off two such states, as the
 per-pair reference. Shot sampling lives with its readouts, in
@@ -114,14 +114,14 @@ def _idx(n: int, *fixed: tuple[int, int]) -> tuple:
     return tuple(sel)
 
 
-def _halves(scratch: np.ndarray | None, shape: tuple, dtype) -> tuple[np.ndarray, np.ndarray]:
-    """Two arrays of ``shape`` and ``dtype`` over ``scratch``, which must hold
-    at least twice their bytes (None allocates them)."""
+def _halves(scratch: np.ndarray | None, shape: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """Two float64 arrays of ``shape`` over ``scratch``, which must hold at
+    least twice their bytes (None allocates them)."""
     size = math.prod(shape)
     if scratch is None:
-        flat = np.empty(2 * size, dtype=dtype)
+        flat = np.empty(2 * size)
     else:
-        flat = scratch.reshape(-1).view(dtype)[:2 * size]
+        flat = scratch.reshape(-1).view(np.float64)[:2 * size]
     return flat[:size].reshape(shape), flat[size:].reshape(shape)
 
 
@@ -142,11 +142,9 @@ def _apply_op(psi: np.ndarray, n: int, kind: str, targets: tuple[int, ...],
     """
     if kind in ("H", "RY"):
         (q,) = targets
-        b = len(psi)
-        # H and RY are real: the float64 view, except on the last qubit, which
-        # keeps complex arithmetic so that states keep their bits.
-        dtype = np.dtype(np.complex128 if q == n - 1 else np.float64)
-        t0, t1 = _halves(scratch, (b, 2 ** (n - 1) * 16 // dtype.itemsize), dtype)
+        # H and RY are real, so they act on real and imaginary parts alike:
+        # the arithmetic runs on float64 views.
+        t0, t1 = _halves(scratch, (len(psi), 2 ** n))
         # Qubit q's halves alternate in runs of 2**(n-q-1) amplitudes. Each
         # copy between a half and a scratch half moves whole runs as void
         # items, one strided axis, and the arithmetic runs on the contiguous
@@ -160,7 +158,7 @@ def _apply_op(psi: np.ndarray, n: int, kind: str, targets: tuple[int, ...],
             np.copyto(r1, s1)
             # Both halves are out, so the state's own memory is a third
             # contiguous buffer.
-            u = psi.reshape(-1).view(dtype)[:t0.size].reshape(t0.shape)
+            u = psi.reshape(-1).view(np.float64)[:t0.size].reshape(t0.shape)
             np.add(t0, t1, out=u)
             np.subtract(t0, t1, out=t0)
             np.multiply(u, inv, out=t1)      # (s0 + s1) / sqrt 2
@@ -169,9 +167,7 @@ def _apply_op(psi: np.ndarray, n: int, kind: str, targets: tuple[int, ...],
             np.copyto(s1, r0)
             return
         if isinstance(angle, np.ndarray):
-            # Per-row factors in the scratch dtype, so no operand needs a cast.
-            c = np.cos(angle / 2.0).astype(dtype)[:, None]
-            s = np.sin(angle / 2.0).astype(dtype)[:, None]
+            c, s = np.cos(angle / 2.0)[:, None], np.sin(angle / 2.0)[:, None]
         else:
             c, s = math.cos(angle / 2.0), math.sin(angle / 2.0)
         np.copyto(r0, s0)
@@ -337,32 +333,30 @@ def product_states(angles: np.ndarray, out: np.ndarray) -> None:
 def feature_map_states(kind: FeatureMapKind, x) -> np.ndarray:
     """States V(x)|0...0> for every row of ``x``, shape (B, 2**n).
 
-    Same circuit as ``build_feature_map`` per row, run for the whole batch at
-    once: H and RY through ``_apply_op`` with one angle per row and one
-    scratch buffer for the whole call, and each layer's diagonal gates
-    folded into one phase per basis state. The first layer's H gates act on
-    |0...0> and are one fill with their known output, so the one-layer
-    ``zz`` map runs no gate and allocates no scratch. Zero rows give a
-    (0, 2**n) batch; a non-finite feature raises ValueError.
+    Same state as ``build_feature_map`` per row, for the whole batch at
+    once. The ``angle`` map's L layers of RY(x) are RY(L x) on each qubit
+    with no entangler between them, so its states are ``product_states`` of
+    L x and run no gate. The other maps run H and RY through ``_apply_op``
+    with one angle per row and one scratch buffer for the whole call, and
+    fold each layer's diagonal gates into one phase per basis state. Their
+    first layer's H gates act on |0...0> and are one fill with their known
+    output, so the one-layer ``zz`` map runs no gate and allocates no
+    scratch. Zero rows give a (0, 2**n) batch; a non-finite feature raises
+    ValueError.
     """
     x = _checked_rows(x)
     b, n = x.shape
-    shape = (b,) + (2,) * n
     if kind.variant == "angle":
-        psi = np.zeros(shape, dtype=np.complex128)
-        psi[(slice(None),) + (0,) * n] = 1.0
-        phase = None
-    else:
-        # The phase table first, so its temporaries are freed before psi.
-        phase = _layer_phase(kind, x).reshape(shape)
-        psi = np.full(shape, _uniform_amplitude(n), dtype=np.complex128)
+        out = np.empty((b, 2 ** n), dtype=np.complex128)
+        product_states(kind.layers * x, out)
+        return out
+    shape = (b,) + (2,) * n
+    # The phase table first, so its temporaries are freed before psi.
+    phase = _layer_phase(kind, x).reshape(shape)
+    psi = np.full(shape, _uniform_amplitude(n), dtype=np.complex128)
     no_gates = kind.variant == "zz" and kind.layers == 1
     scratch = None if no_gates else np.empty_like(psi)
     for layer in range(kind.layers):
-        if kind.variant == "angle":
-            for q in range(n):
-                _apply_op(psi, n, "RY", (q,), x[:, q], scratch)
-            continue
         if layer > 0:
             for q in range(n):
                 _apply_op(psi, n, "H", (q,), scratch=scratch)

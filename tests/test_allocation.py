@@ -6,7 +6,8 @@ buffer) plus, on the ``zz`` and ``angle_zz`` maps, the cached feature-map
 states; the angle map keeps only its (rows, n) angles, as it is folded into
 the first weight layer. ``feature_map_states`` holds its
 result, one gate scratch buffer when a gate runs (every map but the
-one-layer ``zz``) and, for maps with diagonal layers, the phase table. A
+one-layer ``zz`` and the ``angle`` map, which runs no gate) and, for maps
+with diagonal layers, the phase table. A
 quantum fold's ``gram`` and ``cross`` hold one train batch, its conjugate
 and the test batch. A batch-sized temporary per gate, shift step or readout
 would lift the traced peak above these by at least half a batch (120 KiB at
@@ -92,7 +93,8 @@ def test_feature_map_states_peak_is_result_scratch_and_phases(variant):
         assert one <= 2 * BATCH + SLACK
         assert two <= 3 * BATCH + SLACK
     else:
-        assert one <= (2 if variant == "angle" else 3) * BATCH + SLACK
+        # The angle map's product states are built in the result itself.
+        assert one <= (1 if variant == "angle" else 3) * BATCH + SLACK
         assert two <= one + EPOCH_SLACK
     assert three <= two + EPOCH_SLACK
 

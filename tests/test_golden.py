@@ -4,19 +4,23 @@ states, pinned by hash.
 The encode and classical bench hashes were taken before the fold encoding
 moved from per-sample feature vectors to whole matrices; the quantum bench
 and state hashes before the statevector engine moved its gates onto float64
-views and reused buffers; the shot-mode qke hash was re-pinned twice: when
-kernel shots moved from one generator per entry to one binomial generator
-per row (a new random stream, the same distribution), and when shot Gram
-matrices went to the SVM as drawn instead of with their diagonal shifted
-to make them positive semi-definite (the same draws, a different fit,
-mean accuracy 0.3372 -> 0.3436); the shot-mode vqc hash
-was re-pinned once, when the VQC readout moved from uniforms shared by every
-row to one multinomial draw per row over the exact marginal (a new random
-stream, the same per-row distribution, rows independent). Any change to how
-a feature value, amplitude or score is computed, scaled or written shows up
-here as a different digest. To
-re-pin after an intended change, run ``python tests/test_golden.py`` and
-paste the printed table.
+views and reused buffers. The angle-map state hashes anglex1@9 and
+anglex2@* were re-pinned when that map became one product state of L x
+(the same values to 1e-15, multiplied in another order), and angle_zzx1@1
+when H and RY moved to float64 views on the last qubit too (values
+``np.array_equal``, only the sign of zero imaginary parts changed). The
+shot-mode qke hash was re-pinned twice: when kernel shots moved from one
+generator per entry to one binomial generator per row (a new random
+stream, the same distribution), and when shot Gram matrices went to the SVM
+as drawn instead of with their diagonal shifted to make them positive
+semi-definite (the same draws, a different fit, mean accuracy 0.3372 ->
+0.3436); the shot-mode vqc hash was re-pinned once, when the VQC readout
+moved from uniforms shared by every row to one multinomial draw per row
+over the exact marginal (a new random stream, the same per-row
+distribution, rows independent). Any change to how a feature value,
+amplitude or score is computed, scaled or written shows up here as a
+different digest. To re-pin after an intended change, run
+``python tests/test_golden.py`` and paste the printed table.
 """
 
 from __future__ import annotations
@@ -108,7 +112,7 @@ GOLDEN = {
     "bench/svc_rbf+peer_cases+avg_delay": "88d01f77a031a1493c13c93a42c69958bb6a5ee5c71035ee4ee536c744de8c00",
     "bench/vqc_angle_1+peer_cases": "e6b041efa35aba865a2b3124ecf9bc85d2263d425c461adae0acd7b3f8f9f35c",
     "bench/vqc_angle_1+peer_cases@shots50": "68e34569a4dd329788af1b141b3c72658a1d01946f8de96f3746a30d9a56d2bd",
-    "states/angle_zzx1@1": "fe1699321995efbbfed239b4d4f45663828611dd32f31a8ea34f6a6f87261c0b",
+    "states/angle_zzx1@1": "573e3a59061c05df1c3cb887d13ca629a34d946322c04fbe6c136dc206fcea54",
     "states/angle_zzx1@2": "36c1b088e81d74b4e724121be48ddb42ff306e1f9b71904f876e93d3b46b3d0e",
     "states/angle_zzx1@9": "98476acac9cdae688d642a48eb0e0fe9059bfee9a3878ef77f7b54881cdef262",
     "states/angle_zzx2@1": "b638a5cb797a2fc22b08c2f07ed75d6352003e06dd7b5b0462088d53b6856161",
@@ -116,10 +120,10 @@ GOLDEN = {
     "states/angle_zzx2@9": "9b131bcf89eb612105043cd7c46862db41cc658a67c88b8fe9b52e51b46ea0dd",
     "states/anglex1@1": "fd2f704137694f227b6301946c8bb30012e1b7f97c1b52551831ff95f7a98784",
     "states/anglex1@2": "1eded482fafc06383ee214fb6be71f9a208aee42b229541f7f80d7a2df572ede",
-    "states/anglex1@9": "5c7e1ae55fe7363855c6b79b4d939f357e55f8f717fa43171426b5acae37e530",
-    "states/anglex2@1": "f1edef83a9d7baf436950bd62f7c09c39160e0131daa6917a42a416276263203",
-    "states/anglex2@2": "0d0be097fb7cadf598207a530d5d5839af4a5ac94a9281cb7bc7398d05ac9d60",
-    "states/anglex2@9": "973e58360581a1f15e34fec3442114b7a74b50f082b93814f6f83bea4581dc5f",
+    "states/anglex1@9": "60e469d07503a3c4e6eae3aaf20e29e7421ba30556e74348e937f375d7d53800",
+    "states/anglex2@1": "38e3f92285f889a60585b7c15f0bfd3dfe52e713a6fa970f4ddabbd9f5726c98",
+    "states/anglex2@2": "e2cdee9fafd3fa8921c4afc5e231b99cc073ff63929b4a639c65d61710a69a67",
+    "states/anglex2@9": "92990cdc8889da8720b57910afd7bdf0dbfb66340a45d48faf497c213b983a6a",
     "states/zzx1@1": "b1690da96197ab9d6c85af75732b8cffcda577dba7df928c9bc4a383518437a7",
     "states/zzx1@2": "b2700f800d062d28f2a835649514f4a0b3195ccdd3cd05f8ee0b60b00aff87cb",
     "states/zzx1@9": "41206da59c7812615882ab95aa1b5bdd88b3d9de1f4ffab19a47fdfb1d252b01",

@@ -353,7 +353,7 @@ class TestRun:
 class TestBatchedEngine:
     def test_per_row_angles_match_scalar_runs(self):
         # Only RY takes per-row angles: feature_map_states encodes each
-        # row's features with it.
+        # row's features with it on the angle_zz map.
         rng = np.random.default_rng(31)
         n, b = 3, 4
         start = rng.normal(size=(b, 2 ** n)) + 1j * rng.normal(size=(b, 2 ** n))
@@ -374,10 +374,12 @@ class TestBatchedEngine:
 
 class TestFeatureMapStates:
     @pytest.mark.parametrize("variant", FEATURE_MAPS)
-    @pytest.mark.parametrize("layers", [1, 2])
+    @pytest.mark.parametrize("layers", [1, 2, 3])
     def test_rows_match_dense_unitary(self, variant, layers):
+        # Features outside [0, pi] too: the angle map's L x is no longer an
+        # angle in [0, L pi] that each RY layer would see.
         kind = FeatureMapKind(variant, layers)
-        x = np.random.default_rng(40 + layers).uniform(0, math.pi, (5, 3))
+        x = np.random.default_rng(40 + layers).uniform(-2 * math.pi, 3 * math.pi, (5, 3))
         states = feature_map_states(kind, x)
         assert states.shape == (5, 8)
         for r in range(5):
@@ -417,8 +419,9 @@ class TestFeatureMapStates:
         n = 4
         feature_map_states(FeatureMapKind(variant, layers),
                            np.random.default_rng(layers).uniform(0, math.pi, (3, n)))
+        # The angle map is a product state and runs no gate at all.
         assert gates.count("H") == (0 if variant == "angle" else n * (layers - 1))
-        assert gates.count("RY") == (0 if variant == "zz" else n * layers)
+        assert gates.count("RY") == (n * layers if variant == "angle_zz" else 0)
         assert len(gates) == gates.count("H") + gates.count("RY")
 
     @pytest.mark.parametrize("n", range(1, 11))
