@@ -123,12 +123,13 @@ def _readout_qubits(n_classes: int) -> int:
     return max(1, math.ceil(math.log2(n_classes)))
 
 
-def _ring_permutation(n: int) -> np.ndarray:
-    """Basis-index permutation of one layer's CNOT ring; the identity for
-    one qubit, which has no ring.
+def _ring_permutation(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Basis-index permutations (perm, image) of one layer's CNOT ring; the
+    identity for one qubit, which has no ring.
 
-    The ring CNOT(0, 1), ..., CNOT(n-1, 0) sends basis state k to ring(k);
-    with ``perm`` its inverse, ``psi[:, perm]`` applies the ring to a batch.
+    The ring CNOT(0, 1), ..., CNOT(n-1, 0) sends basis state k to
+    ``image[k]``; with ``perm`` its inverse, ``psi[:, perm]`` applies the
+    ring to a batch.
     """
     k = np.arange(2 ** n)
     image = k.copy()
@@ -137,7 +138,7 @@ def _ring_permutation(n: int) -> np.ndarray:
         image ^= ((image >> (n - 1 - c)) & 1) << (n - 1 - t)
     perm = np.empty_like(k)
     perm[image] = k
-    return perm
+    return perm, image
 
 
 def _ry_block(psi: np.ndarray, angles: np.ndarray, scratch: np.ndarray) -> None:
@@ -244,8 +245,9 @@ def forward_many(model: VqcModel, xs, shots: ShotConfig = EXACT) -> np.ndarray:
     folded = _folds(model)
     shape = (len(encoded), 2 ** model.n_qubits)
     psi = np.empty(shape, dtype=np.complex128) if folded else encoded
-    psi, _ = _run_circuit(encoded, folded, model.theta, _ring_permutation(model.n_qubits),
-                          psi, np.empty(shape, dtype=np.complex128))
+    perm, _ = _ring_permutation(model.n_qubits)
+    psi, _ = _run_circuit(encoded, folded, model.theta, perm, psi,
+                          np.empty(shape, dtype=np.complex128))
     return _readout(psi, len(model.classes), shots, np.empty(shape))
 
 
@@ -313,9 +315,8 @@ class _Batch:
             raise ValueError(f"{m} rows of xs but {len(class_idx)} labels")
         if m == 0:
             raise ValueError("empty batch: the mean loss of zero samples is undefined")
-        perm = _ring_permutation(n)
         # Entry k of the state before a ring lands on basis state image[k].
-        image = np.argsort(perm)
+        perm, image = _ring_permutation(n)
         on_class = (np.arange(n_classes)[:, None]
                     == (image >> (n - _readout_qubits(n_classes))) % n_classes) * 1.0
         shape = (m, 2 ** n)

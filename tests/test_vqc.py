@@ -443,8 +443,9 @@ class TestBatchedEngine:
         psi = rng.normal(size=2 ** n) + 1j * rng.normal(size=2 ** n)
         ring = [op for op in qsim.weight_layer(np.zeros(n), n).ops if op.kind == "CNOT"]
         want = qsim._apply_ops(psi.copy(), n, ring)
-        perm = vqc._ring_permutation(n)
+        perm, image = vqc._ring_permutation(n)
         assert np.array_equal(psi[perm], want)
+        assert np.array_equal(image[perm], np.arange(2 ** n))
 
     def test_feature_map_simulated_once_per_train_call(self, monkeypatch):
         # The angle map is folded into weight layer 0 and never simulated.
