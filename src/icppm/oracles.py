@@ -148,7 +148,8 @@ def run_kernel_check(
 
     The batched ``qkernel.gram``/``cross`` matrices must agree with per-pair
     overlaps of two gate-by-gate ``qsim.run`` states and, up to the dense
-    cap, with dense unitaries to ``BATCHED_TOL``. Up to the dense cap,
+    cap, with dense unitaries to ``BATCHED_TOL``; on the angle map, at any
+    width, also with ``angle_kernel_closed_form``. Up to the dense cap,
     batched VQC class scores must match ``vqc_probs_via_unitary`` to
     ``BATCHED_TOL`` and the parameter-shift and adjoint gradients must
     match the shift rule applied to it, to ``BATCHED_TOL`` times max(1,
@@ -160,6 +161,8 @@ def run_kernel_check(
     """
     if n_qubits < 1 or n_qubits > 20:
         raise ConfigError(f"kernel-check needs 1..20 qubits (capped at 20), got {n_qubits}")
+    if n_samples < 1:
+        raise ConfigError(f"kernel-check needs at least one sample, got {n_samples}")
     kind = FeatureMapKind(variant, layers)
     quantum = qkernel.KernelKind.quantum(kind)
     rng = np.random.default_rng(seed)
@@ -201,6 +204,7 @@ def run_kernel_check(
         if variant == "angle":
             ref = angle_kernel_closed_form(xs[i], xs[j], layers)
             compare("closed-form mismatch", i, j, k_ij, ref, 1e-10)
+            compare("batched cross differs from closed form", i, j, ring[i], ref, BATCHED_TOL)
 
     m = min(n_samples, 12)
     gram = qkernel.gram(xs[:m], quantum).values
@@ -211,6 +215,9 @@ def run_kernel_check(
             if (i, j) in dense_refs:
                 compare("batched Gram differs from dense oracle", i, j,
                         gram[i, j], dense_refs[i, j], BATCHED_TOL)
+            if variant == "angle":
+                compare("batched Gram differs from closed form", i, j, gram[i, j],
+                        angle_kernel_closed_form(xs[i], xs[j], layers), BATCHED_TOL)
     min_eig = float(np.linalg.eigvalsh(gram)[0])
     if min_eig < -1e-8:
         failures.append(f"gram matrix has eigenvalue {min_eig:.3e} < -1e-8")

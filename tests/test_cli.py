@@ -6,7 +6,7 @@ import math
 import pytest
 
 from conftest import make_log, make_trace, xes_doc
-from icppm import bench
+from icppm import bench, oracles
 from icppm.bench import ExperimentConfig
 from icppm.cli import main
 from icppm.errors import ConfigError
@@ -188,6 +188,7 @@ class TestBench:
         {"scale_lo": -1e308, "scale_hi": 1e308}, {"learning_rate": math.inf},
         {"learning_rate": math.nan}, {"window_base": -5.0}, {"classifier": "qke_zz_0"},
         {"classifier": "vqc_angle_-2"}, {"classifier": "qke_zz_01"},
+        {"C": "1"}, {"filter_singletons": "false"},
     ], ids=lambda values: ",".join(f"{k}={v}" for k, v in values.items()))
     def test_bad_value_rejected_before_the_log_is_read(self, log_path, tmp_path, monkeypatch,
                                                       capsys, values):
@@ -292,6 +293,11 @@ class TestKernelCheck:
         assert main(["kernel-check", "--qubits", "21"]) == 2
         assert "capped" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("samples", ["0", "-1"])
+    def test_sample_count_checked(self, capsys, samples):
+        assert main(["kernel-check", "--samples", samples]) == 2
+        assert "at least one sample" in capsys.readouterr().err
+
     def test_all_feature_maps(self):
         for fm in ("angle", "zz", "angle_zz"):
             assert main(["kernel-check", "--qubits", "2", "--samples", "3",
@@ -304,3 +310,13 @@ class TestKernelCheck:
         assert report["passed"], report["failures"]
         assert report["dense_oracle"] is False
         assert not run_kernel_check(n, "zz", n_samples=3, perturb=1.0)["passed"]
+
+    def test_angle_closed_form_checks_batched_entries_beyond_dense_cap(self, monkeypatch):
+        n = MAX_ORACLE_QUBITS + 1
+        assert run_kernel_check(n, "angle", layers=2, n_samples=3)["passed"]
+        real = oracles.angle_kernel_closed_form
+        monkeypatch.setattr(oracles, "angle_kernel_closed_form",
+                            lambda *args: real(*args) + 1e-9)
+        failures = "\n".join(run_kernel_check(n, "angle", layers=2, n_samples=3)["failures"])
+        assert "batched cross differs from closed form" in failures
+        assert "batched Gram differs from closed form" in failures
