@@ -82,9 +82,42 @@ SWEEPS = {
                      "positive", "w"),
     "sampling_sweep": ("sampling_fraction", "sampling_fractions", lambda v: 0 < v <= 1,
                        "in (0, 1]", "s"),
-    "prefix_grid": ("k", "prefix_lengths", lambda v: type(v) is int and v >= 1,
-                    "integers >= 1", None),
+    "prefix_grid": ("k", "prefix_lengths", lambda v: v >= 1, ">= 1", None),
 }
+
+# Item type of a config field's annotation -> (test, the type in words, its
+# plural). A JSON true is no number and "1" no integer, so the tests go by
+# type, not by what a value converts to.
+_FIELD_TYPES = {
+    "int": (lambda v: type(v) is int, "an integer", "integers"),
+    "float": (lambda v: isinstance(v, (int, float)) and type(v) is not bool,
+              "a number", "numbers"),
+    "bool": (lambda v: type(v) is bool, "true or false", None),
+    "str": (lambda v: isinstance(v, str), "a string", "strings"),
+    "None": (lambda v: v is None, "null", None),
+}
+
+
+def _check_field_type(name: str, annotation: str, value) -> None:
+    """ConfigError unless ``value`` has the type the field's annotation names:
+    ``X | None`` also takes None, ``tuple[X, ...]`` takes a tuple of X and
+    ``Mapping[str, str]`` a mapping of strings to strings."""
+    kinds = annotation.split(" | ")
+    if value is None and "None" in kinds:
+        return
+    if kinds[0].startswith("tuple["):
+        test, _, plural = _FIELD_TYPES[kinds[0].removeprefix("tuple[").removesuffix(", ...]")]
+        if not isinstance(value, tuple):
+            raise ConfigError(f"{name} must be a list of {plural}, got {value!r}")
+        if not all(map(test, value)):
+            raise ConfigError(f"{name} must be {plural}, got {value!r}")
+    elif kinds[0] == "Mapping[str, str]":
+        if not (isinstance(value, Mapping)
+                and all(isinstance(s, str) for s in (*value, *value.values()))):
+            raise ConfigError(f"{name} must map strings to strings, got {value!r}")
+    elif not any(_FIELD_TYPES[kind][0](value) for kind in kinds):
+        words = " or ".join(_FIELD_TYPES[kind][1] for kind in kinds)
+        raise ConfigError(f"{name} must be {words}, got {value!r}")
 
 
 def derive_seed(master: int, tag: str) -> int:
@@ -145,9 +178,7 @@ class ExperimentConfig:
 
     def __post_init__(self):
         for f in fields(self):
-            value = getattr(self, f.name)
-            if f.type in ("int", "int | None") and value is not None and type(value) is not int:
-                raise ConfigError(f"{f.name} must be an integer, got {value!r}")
+            _check_field_type(f.name, f.type, getattr(self, f.name))
         ShotConfig(self.shots)  # shots >= 1, or None for exact
         for name in ("C", "tol"):
             if not getattr(self, name) > 0:
@@ -203,13 +234,10 @@ class ExperimentConfig:
         unknown = set(data) - known
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        coerced = dict(data)
-        for key in (f.name for f in fields(cls) if f.type.startswith("tuple[")):
-            if isinstance(coerced.get(key), str):
-                raise ConfigError(f"{key} must be a list, got the string {coerced[key]!r}")
-            if key in coerced and coerced[key] is not None:
-                coerced[key] = tuple(coerced[key])
-        return cls(**coerced)
+        # JSON has lists, the grids are tuples; anything else is left for the
+        # type check.
+        return cls(**{key: tuple(value) if isinstance(value, list) else value
+                      for key, value in data.items()})
 
     @classmethod
     def from_json(cls, path: str | Path) -> "ExperimentConfig":

@@ -101,6 +101,29 @@ class TestExperimentConfig:
         with pytest.raises(ConfigError, match=f"{key} must be a list"):
             ExperimentConfig.from_dict({key: value})
 
+    @pytest.mark.parametrize("key, value", [
+        ("C", "1"), ("C", True), ("tol", "0.1"), ("learning_rate", "0.1"),
+        ("window_fraction", "0.3"), ("gamma", "1"), ("scale_hi", "3"), ("epsilon", None),
+        ("classifier", 5), ("date_start", 20230101), ("filter_singletons", "yes"),
+        ("filter_singletons", "false"), ("filter_singletons", 1), ("mode", None),
+        ("column_map", {"case_id": 3}), ("column_map", ["case_id"]),
+        ("window_fractions", ["a"]), ("sampling_fractions", ["0.5"]),
+        ("prefix_lengths", [True]), ("window_fractions", 5),
+    ])
+    def test_from_dict_rejects_a_value_of_the_wrong_type(self, key, value):
+        # Each once crashed with a raw TypeError or AttributeError, or, like
+        # C = true and filter_singletons = "false", was taken as given.
+        with pytest.raises(ConfigError, match=f"{key} must "):
+            ExperimentConfig.from_dict({key: value})
+
+    def test_from_dict_takes_every_json_type_a_field_allows(self):
+        cfg = ExperimentConfig.from_dict({
+            "C": 1, "gamma": None, "shots": None, "filter_singletons": True,
+            "column_map": {"case_id": "Case"}, "window_fractions": [1, 0.5],
+            "window_base": 60, "dataset": None,
+        })
+        assert (cfg.C, cfg.window_fractions, cfg.filter_singletons) == (1, (1, 0.5), True)
+
     def test_inter_features_checked_before_the_dataset_is_read(self, tmp_path):
         cfg = {"dataset": str(tmp_path / "missing.csv"), "inter_features": ["peer_cases", "queue"]}
         with pytest.raises(ConfigError, match="unknown inter-case features"):
