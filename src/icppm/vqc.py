@@ -315,7 +315,6 @@ class _Batch:
             raise ValueError(f"{m} rows of xs but {len(class_idx)} labels")
         if m == 0:
             raise ValueError("empty batch: the mean loss of zero samples is undefined")
-        # Entry k of the state before a ring lands on basis state image[k].
         perm, image = _ring_permutation(n)
         on_class = (np.arange(n_classes)[:, None]
                     == (image >> (n - _readout_qubits(n_classes))) % n_classes) * 1.0
