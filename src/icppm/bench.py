@@ -311,8 +311,9 @@ class RunResult:
     seed: int
     n_samples: int
     # Quantum feature-map states simulated for the kernels and the VQC:
-    # each fold's train and test rows once, also when the Gram matrix is
-    # cached; reported in results.json only.
+    # each fold's train and test rows once (an exact kernel's distinct
+    # rows), also when the Gram matrix is cached; reported in results.json
+    # only. kernel_evaluations and cross_evaluations count over the same rows.
     states_simulated: int = 0
     # Mean over folds of the VQC's last training loss; None for other
     # classifiers. Reported in results.json only.
@@ -325,6 +326,11 @@ class RunResult:
     # Seconds spent fitting the fold encoders, encoding and scaling, summed
     # over folds. Reported in results.json only.
     encode_time_s: float = 0.0
+    # Distinct feature rows the kernel folds were built on, summed over
+    # folds (every row of a shot fold counts); 0 for classifiers without a
+    # kernel. Reported in results.json only.
+    distinct_train_rows: int = 0
+    distinct_test_rows: int = 0
 
     def to_dict(self) -> dict:
         return asdict(self) | {"fold_accuracies": list(self.fold_accuracies)}
@@ -340,6 +346,8 @@ SUMMED = {
     "states_simulated": 0,
     "smo_iterations": 0,
     "encode_time_s": 0.0,
+    "distinct_train_rows": 0,
+    "distinct_test_rows": 0,
 }
 
 
@@ -470,23 +478,52 @@ def _encode_fold(
     return x_train, train.labels, x_test, test.labels
 
 
+def _distinct_rows(x: np.ndarray, merge: bool) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of ``x`` (sorted) and each row's index among them;
+    without ``merge``, ``x`` itself and 0..len(x)-1."""
+    if not merge:
+        return x, np.arange(len(x))
+    rows, row_of = np.unique(x, axis=0, return_inverse=True)
+    return rows, row_of.reshape(-1)  # numpy 2.0.x returns the inverse 2-d
+
+
 def _kernel_fold(cfg: ExperimentConfig, kernel_kind: KernelKind, x_train: np.ndarray,
                  y_train: list, x_test: np.ndarray, part: dict) -> list:
     """A kernel classifier's predictions for one fold, counters written to
-    ``part``. The fold's kernel matrices live in this call, one at a time:
-    the train Gram matrix is dropped before the cross matrix is built."""
+    ``part``.
+
+    Equal rows have equal kernel rows under every exact kernel, so the
+    kernels are built on the fold's distinct train and test rows only, and
+    train rows that share both their row and their label are one SVM
+    variable whose box is C times their count (``sample_weight``), which
+    leaves the dual optimum as it is. A shot kernel draws every row on its
+    own, so a shot fold keeps one row and one variable per sample. The
+    fold's kernel matrices live in this call, one at a time: the train Gram
+    matrix is dropped before the cross matrix is built.
+    """
     t_fit0 = time.perf_counter()
+    merge = kernel_kind.shots.exact
+    rows, row_of = _distinct_rows(x_train, merge)
+    # Groups are (row, label) pairs, sorted by row: with one label per row,
+    # group g is row g.
+    classes, label_of = np.unique(y_train, return_inverse=True)
+    pairs, counts = np.unique(row_of * len(classes) + label_of, return_counts=True)
+    group_row = pairs // len(classes)
     key = k_train = None
     if cfg.cache_dir:
-        key = cache_key(x_train, kernel_kind)
-        k_train = load_kernel(cfg.cache_dir, key, size=len(x_train))
+        key = cache_key(rows, kernel_kind)
+        k_train = load_kernel(cfg.cache_dir, key, size=len(rows))
     if k_train is None:
         t_gram0 = time.perf_counter()
-        k_train = gram(x_train, kernel_kind)
+        k_train = gram(rows, kernel_kind)
         part["gram_time_s"] = time.perf_counter() - t_gram0
         if key is not None:
             save_kernel(k_train, cfg.cache_dir, key)
-    model = fit_multiclass(k_train, y_train, C=cfg.C, tol=cfg.tol)
+    regrouped = len(pairs) != len(rows)
+    k_groups = k_train.values[np.ix_(group_row, group_row)] if regrouped else k_train
+    model = fit_multiclass(k_groups, classes[pairs % len(classes)].tolist(),
+                           C=cfg.C, tol=cfg.tol, sample_weight=counts)
+    del k_groups
     part["fit_time_s"] = time.perf_counter() - t_fit0
     part["smo_iterations"] = sum(m.iterations for m in model.models)
     part["smo_kkt_gap"] = max(m.kkt_gap for m in model.models)
@@ -494,10 +531,13 @@ def _kernel_fold(cfg: ExperimentConfig, kernel_kind: KernelKind, x_train: np.nda
     part["states_simulated"] = k_train.states_simulated
     train_states = k_train.conj_states
     del k_train
-    k_test = cross(x_test, x_train, kernel_kind, train_states=train_states)
+    test_rows, test_of = _distinct_rows(x_test, merge)
+    k_test = cross(test_rows, rows, kernel_kind, train_states=train_states)
     part["cross_evaluations"] = k_test.eval_count
     part["states_simulated"] += k_test.states_simulated
-    return svm_predict(model, k_test)
+    part["distinct_train_rows"], part["distinct_test_rows"] = len(rows), len(test_rows)
+    predictions = svm_predict(model, k_test.values[:, group_row] if regrouped else k_test)
+    return [predictions[i] for i in test_of.tolist()]
 
 
 def run_experiment(
@@ -558,7 +598,8 @@ def run_experiment(
                            else KernelKind.linear() if family == "svc_linear"
                            else KernelKind.rbf(cfg.gamma))
             predictions = _kernel_fold(cfg, kernel_kind, x_train, y_train, x_test, part)
-            fold_note = (f" smo_iterations={part['smo_iterations']}"
+            fold_note = (f" rows={part['distinct_train_rows']}/{len(x_train)}"
+                         f" smo_iterations={part['smo_iterations']}"
                          f" smo_kkt_gap={part['smo_kkt_gap']:.3e}")
         parts.append(part)
         correct = sum(1 for p, t in zip(predictions, y_test) if p == t)

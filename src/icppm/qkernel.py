@@ -153,11 +153,11 @@ def gram(train, kind: KernelKind) -> KernelMatrix:
     overlaps = _overlaps(states, conj_states)
     if not kind.shots.exact:
         overlaps = _sample(overlaps, kind.shots)
-    upper = np.triu_indices(m, 1)
-    values = np.ones((m, m))
-    values[upper] = overlaps[upper]
-    values.T[upper] = values[upper]
-    return KernelMatrix(values, eval_count=len(upper[0]), states_simulated=m,
+    upper = np.triu(overlaps, 1)
+    del overlaps
+    values = upper + upper.T
+    np.fill_diagonal(values, 1.0)
+    return KernelMatrix(values, eval_count=m * (m - 1) // 2, states_simulated=m,
                         conj_states=conj_states)
 
 

@@ -8,8 +8,15 @@ index of the low set with v_j < v_i that maximizes the guaranteed gain
 b^2 / eta, b = v_i - v_j and eta = K_ii + K_jj - 2 K_ij; the two-variable
 subproblem is then solved analytically. Kernel rows are read instead of
 columns, which needs a symmetric kernel. ``fit`` raises ``ValueError`` on an
-asymmetric kernel, on C or tol not > 0 (C = inf is allowed) and on a
-``max_passes`` that is not an integer >= 0.
+asymmetric kernel, on C or tol not > 0 (C = inf is allowed), on a
+``max_passes`` that is not an integer >= 0 and on a ``sample_weight`` that
+is not one finite entry > 0 per label.
+
+``sample_weight`` scales the box of each variable: 0 <= a_t <= C * w_t, the
+per-instance C of LIBSVM's weighted SVC. Equal rows with equal labels can
+thus be merged into one variable whose weight is their count: the merged
+dual has the same optimum value, and its optimum spread evenly over a group
+is an optimum of the unmerged dual.
 
 The state is v on each set: ``up_v`` holds v_t on the up set and -inf
 outside it, ``low_v`` v_t on the low set and +inf outside it. A pair update
@@ -41,7 +48,8 @@ _SYMMETRY_RTOL = 1e-9
 
 @dataclass
 class SvmModel:
-    """dual_coefs holds a_i * y_i for support vectors only (a_i > 0).
+    """dual_coefs holds a_i * y_i for support vectors only (a_i > 0), and
+    ``caps`` the box bound C * w_i of each of them (None: every bound is C).
 
     ``iterations`` counts SMO pair updates and ``kkt_gap`` is the exact final
     violation gap max(0, max_up(v) - min_low(v)) of the solver's final
@@ -56,13 +64,19 @@ class SvmModel:
     C: float
     iterations: int = 0
     kkt_gap: float = 0.0
+    caps: np.ndarray | None = None
 
     def __post_init__(self):
         self.dual_coefs = np.asarray(self.dual_coefs, dtype=np.float64)
         self.support_indices = np.asarray(self.support_indices, dtype=np.int64)
         if self.dual_coefs.shape != self.support_indices.shape:
             raise ValueError("dual_coefs and support_indices lengths differ")
-        if np.any(np.abs(self.dual_coefs) > self.C + 1e-9):
+        caps = self.C
+        if self.caps is not None:
+            self.caps = caps = np.asarray(self.caps, dtype=np.float64)
+            if caps.shape != self.dual_coefs.shape:
+                raise ValueError("caps and dual_coefs lengths differ")
+        if np.any(np.abs(self.dual_coefs) > caps + 1e-9):
             raise ValueError("dual coefficients exceed the box constraint")
 
 
@@ -94,19 +108,37 @@ def _check_args(C: float, tol: float, max_passes: int) -> None:
                          f"got C={C}, tol={tol}, max_passes={max_passes!r}")
 
 
+def _checked_weights(sample_weight, m: int) -> np.ndarray | None:
+    """``sample_weight`` as a float array, or None; ValueError unless it holds
+    m entries, each finite and > 0."""
+    if sample_weight is None:
+        return None
+    w = np.asarray(sample_weight, dtype=np.float64)
+    if w.shape != (m,):
+        raise ValueError(f"need one sample weight per label, got {w.shape} for {m} labels")
+    if not np.all(np.isfinite(w)):
+        raise ValueError("sample weights must be finite")
+    if not np.all(w > 0):
+        raise ValueError(f"sample weights must be > 0, got minimum {w.min()}")
+    return w
+
+
 def fit(kernel, y: Sequence[float], C: float = 1.0, tol: float = 1e-3,
-        max_passes: int = 100_000) -> SvmModel:
-    """Train a binary SVM on a precomputed symmetric kernel with labels in {-1, +1}."""
+        max_passes: int = 100_000, sample_weight: Sequence[float] | None = None) -> SvmModel:
+    """Train a binary SVM on a precomputed symmetric kernel with labels in
+    {-1, +1}; variable t is boxed by C * sample_weight[t] (by C if None)."""
     _check_args(C, tol, max_passes)
-    k = _kernel_values(kernel)
     y = np.asarray(y, dtype=np.float64)
+    w = _checked_weights(sample_weight, len(y))
+    k = _kernel_values(kernel)
     _check_kernel(k, len(y))
     if not np.all(np.isin(y, (-1.0, 1.0))):
         raise ValueError("labels must be -1 or +1")
-    return _smo(k, y, C, tol, max_passes)
+    return _smo(k, y, C, tol, max_passes, w)
 
 
-def _smo(k: np.ndarray, y: np.ndarray, C: float, tol: float, max_passes: int) -> SvmModel:
+def _smo(k: np.ndarray, y: np.ndarray, C: float, tol: float, max_passes: int,
+         w: np.ndarray | None = None) -> SvmModel:
     """The solver of ``fit`` and ``fit_multiclass``, on inputs they checked."""
     if np.all(y == y[0]):
         raise DegenerateModelError("all training labels belong to one class")
@@ -114,7 +146,9 @@ def _smo(k: np.ndarray, y: np.ndarray, C: float, tol: float, max_passes: int) ->
     pos = (y > 0).tolist()
     diag = np.ascontiguousarray(np.diagonal(k))
     alpha = [0.0] * m
-    below_c = C - _BOUND_EPS
+    # Each variable's box bound C * w_t, and that bound less the bound slack.
+    cap = [C] * m if w is None else (C * w).tolist()
+    below_c = [c - _BOUND_EPS for c in cap]
     # Membership; outside a set its array holds -inf (up) or +inf (low).
     in_up, in_low = list(pos), [not p for p in pos]
     up_v, low_v = np.where(y > 0, y, -np.inf), np.where(y > 0, np.inf, y)
@@ -153,17 +187,17 @@ def _smo(k: np.ndarray, y: np.ndarray, C: float, tol: float, max_passes: int) ->
         j = int(gain.argmax())
         v_j = low_v.item(j) if in_low[j] else up_v.item(j)
         a_i, a_j = alpha[i], alpha[j]
-        step = min((v_i - v_j) / eta.item(j), C - a_i if pos[i] else a_i,
-                   a_j if pos[j] else C - a_j)
-        alpha[i] = min(max(a_i + step if pos[i] else a_i - step, 0.0), C)
-        alpha[j] = min(max(a_j - step if pos[j] else a_j + step, 0.0), C)
+        step = min((v_i - v_j) / eta.item(j), cap[i] - a_i if pos[i] else a_i,
+                   a_j if pos[j] else cap[j] - a_j)
+        alpha[i] = min(max(a_i + step if pos[i] else a_i - step, 0.0), cap[i])
+        alpha[j] = min(max(a_j - step if pos[j] else a_j + step, 0.0), cap[j])
         scalar[()] = step
         np.subtract(k_i, k[j], out=eta)
         eta *= scalar
         up_v -= eta
         low_v -= eta
         for t in (i, j):
-            below, above = alpha[t] < below_c, alpha[t] > _BOUND_EPS
+            below, above = alpha[t] < below_c[t], alpha[t] > _BOUND_EPS
             is_up, is_low = (below, above) if pos[t] else (above, below)
             if is_up != in_up[t] or is_low != in_low[t]:
                 v_t = up_v.item(t) if in_up[t] else low_v.item(t)
@@ -173,7 +207,7 @@ def _smo(k: np.ndarray, y: np.ndarray, C: float, tol: float, max_passes: int) ->
         iterations, exact = iterations + 1, False
 
     alpha = np.fromiter(alpha, float, m)
-    free = (alpha > _BOUND_EPS) & (alpha < below_c)
+    free = (alpha > _BOUND_EPS) & (alpha < np.array(below_c))
     if free.any():
         bias = float(np.mean(v[free]))
     else:
@@ -182,7 +216,8 @@ def _smo(k: np.ndarray, y: np.ndarray, C: float, tol: float, max_passes: int) ->
 
     support = np.flatnonzero(alpha > _BOUND_EPS)
     return SvmModel((alpha * y)[support], support, bias, C,
-                    iterations=iterations, kkt_gap=max(gap, 0.0))
+                    iterations=iterations, kkt_gap=max(gap, 0.0),
+                    caps=None if w is None else C * w[support])
 
 
 def decision(model: SvmModel, kernel_row: Sequence[float]) -> float:
@@ -223,10 +258,13 @@ class MulticlassModel:
 
 
 def fit_multiclass(kernel, labels: Sequence, C: float = 1.0, tol: float = 1e-3,
-                   max_passes: int = 100_000) -> MulticlassModel:
-    """Train one binary model per class against the rest."""
+                   max_passes: int = 100_000,
+                   sample_weight: Sequence[float] | None = None) -> MulticlassModel:
+    """Train one binary model per class against the rest, each with the
+    boxes C * sample_weight of ``fit``."""
     _check_args(C, tol, max_passes)
     labels = list(labels)
+    w = _checked_weights(sample_weight, len(labels))
     classes = tuple(sorted(set(labels)))
     if len(classes) < 2:
         raise DegenerateModelError(f"need at least 2 classes, got {classes}")
@@ -234,7 +272,7 @@ def fit_multiclass(kernel, labels: Sequence, C: float = 1.0, tol: float = 1e-3,
     _check_kernel(k, len(labels))
     position = {cls_label: c for c, cls_label in enumerate(classes)}
     codes = np.array([position[lab] for lab in labels])
-    models = [_smo(k, np.where(codes == c, 1.0, -1.0), C, tol, max_passes)
+    models = [_smo(k, np.where(codes == c, 1.0, -1.0), C, tol, max_passes, w)
               for c in range(len(classes))]
     return MulticlassModel(classes, tuple(models))
 

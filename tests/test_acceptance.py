@@ -48,6 +48,7 @@ from icppm.qsim import FeatureMapKind, ShotConfig, kernel_overlap
 from icppm.svm import alphas_from_model, decision, dual_objective, fit
 from icppm.vqc import OptimizerConfig, VqcModel, parameter_shift_gradient, loss, predict, train
 
+from dataclasses import replace
 from datetime import date
 
 
@@ -419,22 +420,33 @@ class TestCriterion7TrendCheck:
 
 
 class TestCriterion8SamplingScaling:
-    def test_half_fraction_quarter_cost(self, capsys):
+    # 600 cases a -> b, each with its own resource: with k = 2 the index
+    # encoding's resource slots make every one of the 1,200 prefixes a
+    # distinct row, so no train row is merged and a fold's Gram grows with
+    # the square of its rows (m = 800 at fraction 1, 400 at 0.5, 4 qubits).
+    N_CASES = 600
+
+    def sampled_log(self):
         traces = [
-            make_trace(f"c{i:03d}", [("a", i * 40.0), ("b", i * 40.0 + 10.0)])
-            for i in range(150)
+            make_trace(f"c{i:03d}", [("a", i * 40.0, f"r{i}"), ("b", i * 40.0 + 10.0, f"r{i}")])
+            for i in range(self.N_CASES)
         ]
         log = make_log(*traces)
         samples = build_prefix_log(log, 1, None)
-        assert len(samples) == 300
+        assert len(samples) == 2 * self.N_CASES
         cfg = ExperimentConfig(
             classifier="qke_zz_1", k=2, folds=3, seed=0,
             mode="sampling_sweep", sampling_fractions=(1.0, 0.5),
         )
+        return cfg, log, samples
+
+    def test_half_fraction_quarter_cost(self, capsys):
+        cfg, log, samples = self.sampled_log()
         # Best of three sweeps per fraction: one scheduler stall during a
-        # ~3 ms Gram must not decide the time ratio.
+        # Gram must not decide the time ratio.
         sweeps = [sweep(cfg, log=log, samples=samples) for _ in range(3)]
         full, half = sweeps[0]
+        assert full.distinct_train_rows == (cfg.folds - 1) * len(samples)
         full_s = min(f.gram_time_s for f, _ in sweeps)
         half_s = min(h.gram_time_s for _, h in sweeps)
         ratio = half.kernel_evaluations / full.kernel_evaluations
@@ -451,3 +463,23 @@ class TestCriterion8SamplingScaling:
             f"gram time ratio {time_ratio} is not superlinear "
             f"({full_s:.4f}s -> {half_s:.4f}s)"
         )
+
+    def test_repeated_rows_add_no_kernel_entries(self, capsys):
+        cfg, log, samples = self.sampled_log()
+        cfg = replace(cfg, mode="experiment")
+        # Every prefix twice: each copy shares its case, so its fold and row.
+        doubled = samples[np.repeat(np.arange(len(samples)), 2)]
+        once = run_experiment(cfg, log, samples)
+        twice = run_experiment(cfg, log, doubled)
+        folds = make_cv_folds(samples, cfg.folds, derive_seed(cfg.seed, "folds"))
+        train_rows = [len(folds.split(fold)[0]) for fold in range(cfg.folds)]
+        counters = ("kernel_evaluations", "cross_evaluations", "states_simulated",
+                    "distinct_train_rows", "distinct_test_rows")
+        same = all(getattr(once, name) == getattr(twice, name) for name in counters)
+        report(capsys, 8, "repeated-rows", "PASS" if same else "FAIL",
+               f"{once.kernel_evaluations} Gram entries from {once.n_samples} samples, "
+               f"{twice.kernel_evaluations} from {twice.n_samples}")
+        assert twice.n_samples == 2 * once.n_samples
+        assert once.kernel_evaluations == sum(m * (m - 1) // 2 for m in train_rows)
+        for name in counters:
+            assert getattr(twice, name) == getattr(once, name), name

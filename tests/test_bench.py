@@ -44,15 +44,15 @@ def two_label_setup(cfg: ExperimentConfig, n_cases: int = 12):
 
 def distinct_grams(cfg: ExperimentConfig, samples) -> int:
     """Distinct exact Gram matrices among the folds of a run of ``cfg``
-    without inter-case features: folds whose scaled train rows are
-    byte-identical share one cache entry."""
+    without inter-case features: folds whose distinct scaled train rows
+    are byte-identical share one cache entry."""
     _, feature_map = bench._parse_classifier(cfg.classifier)
     folds = make_cv_folds(samples, cfg.folds, derive_seed(cfg.seed, "folds"))
     keys = set()
     for fold in range(cfg.folds):
         train_idx, test_idx = folds.split(fold)
         x_train = bench._encode_fold(cfg, None, samples[train_idx], samples[test_idx])[0]
-        keys.add(cache_key(x_train, KernelKind.quantum(feature_map)))
+        keys.add(cache_key(np.unique(x_train, axis=0), KernelKind.quantum(feature_map)))
     return len(keys)
 
 
@@ -368,23 +368,39 @@ class TestRunExperiment:
         assert a.kernel_evaluations == b.kernel_evaluations
         assert a.config_fingerprint == b.config_fingerprint
 
-    def test_kernel_evaluation_counts(self):
-        cfg = ExperimentConfig(classifier="qke_angle_1", k=2, folds=3, seed=0)
-        log, samples = two_label_setup(cfg)
+    def fold_rows(self, cfg, samples, distinct: bool):
+        """Per fold, the train and test rows a kernel is built on: the
+        distinct scaled rows, or every row."""
         folds = make_cv_folds(samples, cfg.folds, derive_seed(cfg.seed, "folds"))
-        want_gram = 0
-        want_cross = 0
-        want_states = 0
         for fold in range(cfg.folds):
             train_idx, test_idx = folds.split(fold)
-            m, p = len(train_idx), len(test_idx)
-            want_gram += m * (m - 1) // 2
-            want_cross += p * m
-            want_states += m + p
+            x_train, _, x_test, _ = bench._encode_fold(cfg, None, samples[train_idx],
+                                                       samples[test_idx])
+            if distinct:
+                # Every case runs a -> b -> c, so rows repeat in every fold.
+                assert len(np.unique(x_train, axis=0)) < len(x_train)
+                x_train, x_test = np.unique(x_train, axis=0), np.unique(x_test, axis=0)
+            yield len(x_train), len(x_test)
+
+    def assert_counts_over(self, cfg, distinct: bool):
+        log, samples = two_label_setup(cfg)
+        rows = list(self.fold_rows(cfg, samples, distinct))
         result = run_experiment(cfg, log, samples)
-        assert result.kernel_evaluations == want_gram
-        assert result.cross_evaluations == want_cross
-        assert result.states_simulated == want_states
+        assert result.kernel_evaluations == sum(m * (m - 1) // 2 for m, _ in rows)
+        assert result.cross_evaluations == sum(p * m for m, p in rows)
+        assert result.states_simulated == sum(m + p for m, p in rows)
+        assert result.distinct_train_rows == sum(m for m, _ in rows)
+        assert result.distinct_test_rows == sum(p for _, p in rows)
+
+    def test_kernel_evaluation_counts(self):
+        self.assert_counts_over(
+            ExperimentConfig(classifier="qke_angle_1", k=2, folds=3, seed=0), distinct=True)
+
+    def test_shot_kernel_counts_every_row(self):
+        # Each row of a shot kernel draws on its own, so no row is merged.
+        self.assert_counts_over(
+            ExperimentConfig(classifier="qke_angle_1", k=2, folds=3, seed=0, shots=50),
+            distinct=False)
 
     def test_classical_runs_report_zero_kernel_evals(self):
         cfg = ExperimentConfig(classifier="svc_rbf", k=2, folds=3)
@@ -633,7 +649,8 @@ class TestWindowSweep:
         log, samples = two_label_setup(cfg, n_cases=8)
         *runs, avg = sweep(cfg, log=log, samples=samples)
         summed = ("fit_time_s", "gram_time_s", "kernel_evaluations", "cross_evaluations",
-                  "states_simulated", "smo_iterations", "encode_time_s")
+                  "states_simulated", "smo_iterations", "encode_time_s",
+                  "distinct_train_rows", "distinct_test_rows")
         for name in summed:
             assert getattr(avg, name) == sum(getattr(r, name) for r in runs), name
         assert avg.states_simulated > 0
@@ -917,6 +934,20 @@ class TestFoldEncoding:
         run = json.loads(json_path.read_text())["runs"][0]
         assert run["encode_time_s"] == result.encode_time_s
         assert "encode" not in csv_path.read_text()
+
+    def test_distinct_rows_in_results_json_only(self, tmp_path, caplog):
+        cfg = ExperimentConfig(classifier="svc_rbf", k=2, folds=2)
+        log, samples = two_label_setup(cfg)
+        with caplog.at_level(logging.INFO, logger="icppm.bench"):
+            result = run_experiment(cfg, log, samples)
+        # Every case runs a -> b -> c: three distinct rows per train fold.
+        fold_lines = [r.getMessage() for r in caplog.records if "accuracy" in r.getMessage()]
+        assert [line.split(" rows=")[1].split()[0] for line in fold_lines] == ["3/18", "3/18"]
+        assert (result.distinct_train_rows, result.distinct_test_rows) == (6, 6)
+        csv_path, json_path = emit_results([result], tmp_path / "out")
+        run = json.loads(json_path.read_text())["runs"][0]
+        assert (run["distinct_train_rows"], run["distinct_test_rows"]) == (6, 6)
+        assert "rows" not in csv_path.read_text()
 
     def test_encoder_returns_one_block_per_call(self):
         cfg = ExperimentConfig(classifier="majority", window_base=300.0,

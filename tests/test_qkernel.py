@@ -121,6 +121,8 @@ class TestQuantumGram:
         got = gram(x, QUANTUM).values
         assert np.array_equal(got, got.T)
         assert np.array_equal(np.diag(got), np.ones(8))
+        # Above the diagonal, the exact overlaps bit for bit.
+        assert np.array_equal(np.triu(got, 1), np.triu(cross(x, x, QUANTUM).values, 1))
 
     def test_eval_count_is_upper_triangle(self):
         x = points(5, 7, 2)

@@ -127,6 +127,23 @@ class TestBinaryFit:
         with pytest.raises(ValueError, match=f"max_passes={max_passes}"):
             train(np.eye(3), [-1.0, 1.0], max_passes=max_passes)
 
+    @pytest.mark.parametrize("train", [fit, fit_multiclass])
+    def test_weight_count_rejected_before_any_work(self, train):
+        with pytest.raises(ValueError, match="one sample weight per label"):
+            train(np.eye(3), [-1.0, 1.0], sample_weight=[1.0, 1.0, 1.0])
+
+    @pytest.mark.parametrize("train", [fit, fit_multiclass])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_weight_rejected_before_any_work(self, train, bad):
+        with pytest.raises(ValueError, match="sample weights must be finite"):
+            train(np.eye(3), [-1.0, 1.0], sample_weight=[1.0, bad])
+
+    @pytest.mark.parametrize("train", [fit, fit_multiclass])
+    @pytest.mark.parametrize("bad", [0.0, -2.0])
+    def test_non_positive_weight_rejected_before_any_work(self, train, bad):
+        with pytest.raises(ValueError, match="sample weights must be > 0"):
+            train(np.eye(3), [-1.0, 1.0], sample_weight=[1.0, bad])
+
     def test_kernel_label_shape_mismatch(self):
         with pytest.raises(ValueError):
             fit(np.eye(3), np.array([-1.0, 1.0]))
@@ -262,9 +279,78 @@ class TestSvmModel:
         with pytest.raises(ValueError):
             SvmModel(np.array([5.0]), np.array([0]), 0.0, 1.0)
 
+    def test_each_coefficient_checked_against_its_own_cap(self):
+        SvmModel(np.array([1.5, -0.5]), np.array([0, 3]), 0.0, 1.0, caps=[2.0, 1.0])
+        with pytest.raises(ValueError, match="box constraint"):
+            SvmModel(np.array([1.5, -1.5]), np.array([0, 3]), 0.0, 1.0, caps=[2.0, 1.0])
+        with pytest.raises(ValueError, match="caps"):
+            SvmModel(np.array([1.5]), np.array([0]), 0.0, 1.0, caps=[2.0, 1.0])
 
-def exact_gap(k: np.ndarray, y: np.ndarray, alpha: np.ndarray, C: float) -> float:
-    """max(0, max_up(v) - min_low(v)) with v = y - K(a*y) computed from scratch."""
+
+def duplicated_problem(seed: int):
+    """Distinct rows with a label and a multiplicity each, and the same
+    problem with every row repeated that many times."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(30, 2))
+    y = np.where(x[:, 0] + 0.7 * rng.normal(size=30) > 0, 1.0, -1.0)
+    counts = rng.integers(1, 5, size=30)
+    return x, y, counts, np.repeat(x, counts, axis=0), np.repeat(y, counts)
+
+
+class TestSampleWeight:
+    def test_unit_weights_are_byte_identical_to_none(self):
+        k, y = _smo_cases()["rbf200@C=1"][:2]
+        plain, weighted = fit(k, y), fit(k, y, sample_weight=np.ones(len(y)))
+        assert plain.dual_coefs.tobytes() == weighted.dual_coefs.tobytes()
+        assert np.array_equal(plain.support_indices, weighted.support_indices)
+        assert (plain.bias, plain.iterations, plain.kkt_gap) == (
+            weighted.bias, weighted.iterations, weighted.kkt_gap)
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("C", [0.05, 1.0, 20.0])
+    def test_merged_duplicates_reach_the_expanded_optimum(self, seed, C):
+        x, y, counts, x_all, y_all = duplicated_problem(seed)
+        tol = 1e-3
+        k, k_all = gram(x, RBF).values, gram(x_all, RBF).values
+        merged = fit(k, y, C=C, tol=tol, sample_weight=counts)
+        expanded = fit(k_all, y_all, C=C, tol=tol)
+        alpha = alphas_from_model(merged, len(y))
+        alpha_all = alphas_from_model(expanded, len(y_all))
+        caps = C * counts
+        assert np.all(alpha <= caps)
+        assert np.array_equal(merged.caps, caps[merged.support_indices])
+        assert merged.kkt_gap == pytest.approx(exact_gap(k, y, alpha, caps), abs=1e-10)
+        assert merged.kkt_gap <= tol
+        # A feasible alpha with violating-pair gap g is within g * sum(caps) / 2
+        # of the optimum, and both problems share the optimum and sum(caps).
+        bound = tol * C * len(y_all) / 2 + 1e-9
+        assert abs(dual_objective(k, y, alpha) - dual_objective(k_all, y_all, alpha_all)) <= bound
+
+    def test_merged_duplicates_match_the_oracle_optimum(self):
+        # The oracle enumerates 3^m active sets: 8 expanded rows.
+        x = np.random.default_rng(7).normal(size=(4, 2))
+        y, counts = np.array([1.0, -1.0, 1.0, -1.0]), np.array([1, 3, 2, 2])
+        k = gram(x, RBF).values
+        alpha = alphas_from_model(fit(k, y, C=0.5, tol=1e-9, sample_weight=counts), len(y))
+        want, _ = oracles.qp_dual_optimum(gram(np.repeat(x, counts, axis=0), RBF).values,
+                                          np.repeat(y, counts), 0.5)
+        assert dual_objective(k, y, alpha) == pytest.approx(want, abs=1e-6)
+
+    def test_multiclass_passes_weights_to_every_model(self):
+        x, labels = TestMulticlass()._three_clusters()
+        k = gram(x, RBF).values
+        w = np.arange(1.0, len(labels) + 1)
+        ovr = fit_multiclass(k, labels, C=0.1, sample_weight=w)
+        for cls_label, model in zip(ovr.classes, ovr.models):
+            y = np.array([1.0 if lab == cls_label else -1.0 for lab in labels])
+            want = fit(k, y, C=0.1, sample_weight=w)
+            assert np.array_equal(model.dual_coefs, want.dual_coefs)
+            assert (model.bias, model.iterations) == (want.bias, want.iterations)
+
+
+def exact_gap(k: np.ndarray, y: np.ndarray, alpha: np.ndarray, C) -> float:
+    """max(0, max_up(v) - min_low(v)) with v = y - K(a*y) computed from
+    scratch; C is one bound or one bound per variable."""
     v = y - k @ (alpha * y)
     below, above = alpha < C - 1e-12, alpha > 1e-12
     pos = y > 0
