@@ -21,7 +21,6 @@ import os
 import re
 import statistics
 import time
-from collections import Counter
 from dataclasses import asdict, dataclass, fields, replace
 from datetime import date, datetime
 from pathlib import Path
@@ -466,8 +465,8 @@ def _encode_fold(
     train: PrefixSet,
     test: PrefixSet,
 ):
-    """Scaled train and test matrices and labels, with every encoder fitted
-    on the log of the cases that train prefixes come from."""
+    """Scaled train and test matrices, with every encoder fitted on the log
+    of the cases that train prefixes come from."""
     train_cases = np.zeros(len(train.log), dtype=bool)
     train_cases[train.case] = True
     encode = fit_encoder(cfg, train.log.select_cases(train_cases), index)
@@ -475,7 +474,7 @@ def _encode_fold(
     scaler = fit_scaler(train_block, (cfg.scale_lo, cfg.scale_hi))
     x_train = apply_scaler(train_block, scaler).values
     x_test = apply_scaler(test_block, scaler).values
-    return x_train, train.labels, x_test, test.labels
+    return x_train, x_test
 
 
 def _distinct_rows(x: np.ndarray, merge: bool) -> tuple[np.ndarray, np.ndarray]:
@@ -488,7 +487,7 @@ def _distinct_rows(x: np.ndarray, merge: bool) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _kernel_fold(cfg: ExperimentConfig, kernel_kind: KernelKind, x_train: np.ndarray,
-                 y_train: list, x_test: np.ndarray, part: dict) -> list:
+                 y_train: np.ndarray, x_test: np.ndarray, part: dict) -> np.ndarray:
     """A kernel classifier's predictions for one fold, counters written to
     ``part``.
 
@@ -521,7 +520,7 @@ def _kernel_fold(cfg: ExperimentConfig, kernel_kind: KernelKind, x_train: np.nda
             save_kernel(k_train, cfg.cache_dir, key)
     regrouped = len(pairs) != len(rows)
     k_groups = k_train.values[np.ix_(group_row, group_row)] if regrouped else k_train
-    model = fit_multiclass(k_groups, classes[pairs % len(classes)].tolist(),
+    model = fit_multiclass(k_groups, classes[pairs % len(classes)],
                            C=cfg.C, tol=cfg.tol, sample_weight=counts)
     del k_groups
     part["fit_time_s"] = time.perf_counter() - t_fit0
@@ -537,7 +536,7 @@ def _kernel_fold(cfg: ExperimentConfig, kernel_kind: KernelKind, x_train: np.nda
     part["states_simulated"] += k_test.states_simulated
     part["distinct_train_rows"], part["distinct_test_rows"] = len(rows), len(test_rows)
     predictions = svm_predict(model, k_test.values[:, group_row] if regrouped else k_test)
-    return [predictions[i] for i in test_of.tolist()]
+    return np.asarray(predictions)[test_of]
 
 
 def run_experiment(
@@ -559,6 +558,7 @@ def run_experiment(
     family, feature_map = _parse_classifier(cfg.classifier)
     folds = make_cv_folds(samples, cfg.folds, derive_seed(cfg.seed, "folds"))
     index = EventIndex(log) if cfg.inter_features else None
+    labels = np.array(samples.labels)
 
     fold_accs: list[float] = []
     parts: list[dict] = []
@@ -566,9 +566,8 @@ def run_experiment(
         train_idx, test_idx = folds.split(fold)
         part = dict(SUMMED, vqc_final_loss=None, smo_kkt_gap=None)
         t_enc0 = time.perf_counter()
-        x_train, y_train, x_test, y_test = _encode_fold(
-            cfg, index, samples[train_idx], samples[test_idx]
-        )
+        x_train, x_test = _encode_fold(cfg, index, samples[train_idx], samples[test_idx])
+        y_train, y_test = labels[train_idx], labels[test_idx]
         part["encode_time_s"] = time.perf_counter() - t_enc0
         # An exact run draws nothing, so it carries no per-fold shot seed.
         shots = (ShotConfig(cfg.shots, derive_seed(cfg.seed, f"shots/{fold}"))
@@ -576,10 +575,9 @@ def run_experiment(
         t_fit0 = time.perf_counter()
         fold_note = ""
         if family == "majority":
-            counts = Counter(y_train)
-            top = max(counts.values())
-            majority = min(lab for lab, c in counts.items() if c == top)
-            predictions = [majority] * len(y_test)
+            # np.unique sorts: a tie goes to the smallest label.
+            classes, counts = np.unique(y_train, return_counts=True)
+            predictions = classes[counts.argmax()]
             part["fit_time_s"] = time.perf_counter() - t_fit0
         elif family == "vqc":
             opt = OptimizerConfig(
@@ -602,8 +600,7 @@ def run_experiment(
                          f" smo_iterations={part['smo_iterations']}"
                          f" smo_kkt_gap={part['smo_kkt_gap']:.3e}")
         parts.append(part)
-        correct = sum(1 for p, t in zip(predictions, y_test) if p == t)
-        acc = correct / len(y_test)
+        acc = int(np.count_nonzero(y_test == predictions)) / len(y_test)
         fold_accs.append(acc)
         log_.info("fold %d/%d: accuracy %.4f (%d test samples) encode_s=%.4f%s",
                   fold + 1, cfg.folds, acc, len(y_test), part["encode_time_s"], fold_note)

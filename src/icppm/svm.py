@@ -13,10 +13,11 @@ asymmetric kernel, on C or tol not > 0 (C = inf is allowed), on a
 is not one finite entry > 0 per label.
 
 ``sample_weight`` scales the box of each variable: 0 <= a_t <= C * w_t, the
-per-instance C of LIBSVM's weighted SVC. Equal rows with equal labels can
-thus be merged into one variable whose weight is their count: the merged
-dual has the same optimum value, and its optimum spread evenly over a group
-is an optimum of the unmerged dual.
+per-instance C of LIBSVM's weighted SVC; None means unit weights, so the
+solver always sets ``caps``. Equal rows with equal labels can thus be merged
+into one variable whose weight is their count: the merged dual has the same
+optimum value, and its optimum spread evenly over a group is an optimum of
+the unmerged dual.
 
 The state is v on each set: ``up_v`` holds v_t on the up set and -inf
 outside it, ``low_v`` v_t on the low set and +inf outside it. A pair update
@@ -49,7 +50,8 @@ _SYMMETRY_RTOL = 1e-9
 @dataclass
 class SvmModel:
     """dual_coefs holds a_i * y_i for support vectors only (a_i > 0), and
-    ``caps`` the box bound C * w_i of each of them (None: every bound is C).
+    ``caps`` the box bound C * w_i of each of them (None: every bound is C,
+    which only a hand-built model leaves; the solver always sets it).
 
     ``iterations`` counts SMO pair updates and ``kkt_gap`` is the exact final
     violation gap max(0, max_up(v) - min_low(v)) of the solver's final
@@ -108,11 +110,11 @@ def _check_args(C: float, tol: float, max_passes: int) -> None:
                          f"got C={C}, tol={tol}, max_passes={max_passes!r}")
 
 
-def _checked_weights(sample_weight, m: int) -> np.ndarray | None:
-    """``sample_weight`` as a float array, or None; ValueError unless it holds
-    m entries, each finite and > 0."""
+def _checked_weights(sample_weight, m: int) -> np.ndarray:
+    """``sample_weight`` as a float array, m unit weights for None; ValueError
+    unless it holds m entries, each finite and > 0."""
     if sample_weight is None:
-        return None
+        return np.ones(m)
     w = np.asarray(sample_weight, dtype=np.float64)
     if w.shape != (m,):
         raise ValueError(f"need one sample weight per label, got {w.shape} for {m} labels")
@@ -126,7 +128,7 @@ def _checked_weights(sample_weight, m: int) -> np.ndarray | None:
 def fit(kernel, y: Sequence[float], C: float = 1.0, tol: float = 1e-3,
         max_passes: int = 100_000, sample_weight: Sequence[float] | None = None) -> SvmModel:
     """Train a binary SVM on a precomputed symmetric kernel with labels in
-    {-1, +1}; variable t is boxed by C * sample_weight[t] (by C if None)."""
+    {-1, +1}; variable t is boxed by C * sample_weight[t] (unit weights if None)."""
     _check_args(C, tol, max_passes)
     y = np.asarray(y, dtype=np.float64)
     w = _checked_weights(sample_weight, len(y))
@@ -138,7 +140,7 @@ def fit(kernel, y: Sequence[float], C: float = 1.0, tol: float = 1e-3,
 
 
 def _smo(k: np.ndarray, y: np.ndarray, C: float, tol: float, max_passes: int,
-         w: np.ndarray | None = None) -> SvmModel:
+         w: np.ndarray) -> SvmModel:
     """The solver of ``fit`` and ``fit_multiclass``, on inputs they checked."""
     if np.all(y == y[0]):
         raise DegenerateModelError("all training labels belong to one class")
@@ -147,7 +149,7 @@ def _smo(k: np.ndarray, y: np.ndarray, C: float, tol: float, max_passes: int,
     diag = np.ascontiguousarray(np.diagonal(k))
     alpha = [0.0] * m
     # Each variable's box bound C * w_t, and that bound less the bound slack.
-    cap = [C] * m if w is None else (C * w).tolist()
+    cap = (C * w).tolist()
     below_c = [c - _BOUND_EPS for c in cap]
     # Membership; outside a set its array holds -inf (up) or +inf (low).
     in_up, in_low = list(pos), [not p for p in pos]
@@ -217,7 +219,7 @@ def _smo(k: np.ndarray, y: np.ndarray, C: float, tol: float, max_passes: int,
     support = np.flatnonzero(alpha > _BOUND_EPS)
     return SvmModel((alpha * y)[support], support, bias, C,
                     iterations=iterations, kkt_gap=max(gap, 0.0),
-                    caps=None if w is None else C * w[support])
+                    caps=C * w[support])
 
 
 def decision(model: SvmModel, kernel_row: Sequence[float]) -> float:

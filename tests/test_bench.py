@@ -374,8 +374,8 @@ class TestRunExperiment:
         folds = make_cv_folds(samples, cfg.folds, derive_seed(cfg.seed, "folds"))
         for fold in range(cfg.folds):
             train_idx, test_idx = folds.split(fold)
-            x_train, _, x_test, _ = bench._encode_fold(cfg, None, samples[train_idx],
-                                                       samples[test_idx])
+            x_train, x_test = bench._encode_fold(cfg, None, samples[train_idx],
+                                                 samples[test_idx])
             if distinct:
                 # Every case runs a -> b -> c, so rows repeat in every fold.
                 assert len(np.unique(x_train, axis=0)) < len(x_train)
