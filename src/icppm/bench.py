@@ -478,12 +478,18 @@ def _encode_fold(
 
 
 def _distinct_rows(x: np.ndarray, merge: bool) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct rows of ``x`` (sorted) and each row's index among them;
-    without ``merge``, ``x`` itself and 0..len(x)-1."""
+    """The distinct rows of ``x``, sorted with the first column most
+    significant, and each row's index among them (``np.unique(x, axis=0,
+    return_inverse=True)``); without ``merge``, ``x`` itself and 0..len(x)-1."""
     if not merge:
         return x, np.arange(len(x))
-    rows, row_of = np.unique(x, axis=0, return_inverse=True)
-    return rows, row_of.reshape(-1)  # numpy 2.0.x returns the inverse 2-d
+    order = np.lexsort(x.T[::-1])
+    ordered = x[order]
+    starts = np.ones(len(x), dtype=bool)
+    starts[1:] = np.any(ordered[1:] != ordered[:-1], axis=1)
+    row_of = np.empty(len(x), dtype=np.intp)
+    row_of[order] = np.cumsum(starts) - 1
+    return ordered[starts], row_of
 
 
 def _kernel_fold(cfg: ExperimentConfig, kernel_kind: KernelKind, x_train: np.ndarray,

@@ -2,8 +2,8 @@
 
 Subcommands: stats, prepare, encode, bench, kernel-check. Exit codes:
 0 success, 2 for configuration or input problems (bad flags, unparsable
-logs, missing files), 1 for runtime failures (training divergence, a
-failed kernel self-check).
+logs, missing files, unusable output or cache paths), 1 for runtime
+failures (training divergence, a failed kernel self-check).
 """
 
 from __future__ import annotations
@@ -94,7 +94,8 @@ def _cmd_bench(args) -> int:
     cfg = _config(args, ExperimentConfig.from_json(args.config))
     if args.exact:
         cfg = replace(cfg, shots=None)
-
+    # An unusable output directory fails here, before any fold runs.
+    Path(args.out_dir).mkdir(parents=True, exist_ok=True)
     results = bench_mod.sweep(cfg)
     for r in results:
         folds = " ".join(f"{a:.4f}" for a in r.fold_accuracies)
@@ -208,10 +209,7 @@ def main(argv=None) -> int:
     )
     try:
         return args.func(args)
-    except (ConfigError, ParseError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (ConfigError, ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except IcppmError as exc:

@@ -899,6 +899,30 @@ class TestWindowWidth:
             bench._train_window_width(cfg, log)
 
 
+def _duplicate_heavy(seed: int) -> np.ndarray:
+    """400 rows drawn from 30 distinct ones over 5 columns of 3 values each,
+    so rows often tie on their leading columns."""
+    rng = np.random.default_rng(seed)
+    distinct = rng.choice([0.0, 0.5, math.pi], size=(30, 5))
+    return distinct[rng.integers(0, 30, size=400)]
+
+
+class TestDistinctRows:
+    @pytest.mark.parametrize("x", [
+        _duplicate_heavy(0),
+        _duplicate_heavy(1),
+        np.array([[0.25, 1.0, 3.0]]),
+        np.full((6, 4), 1.5),
+        np.array([[0.0, 1.0], [-0.0, 1.0], [1.0, -0.0], [1.0, 0.0], [-0.0, -0.0]]),
+    ], ids=["duplicates0", "duplicates1", "one_row", "all_equal", "signed_zeros"])
+    def test_matches_np_unique(self, x):
+        rows, row_of = bench._distinct_rows(x, merge=True)
+        want_rows, want_of = np.unique(x, axis=0, return_inverse=True)
+        assert np.array_equal(rows, want_rows)
+        assert np.array_equal(row_of, want_of.reshape(-1))
+        assert np.array_equal(rows[row_of], x)
+
+
 class TestFoldEncoding:
     def _run(self, monkeypatch, n_cases: int, folds: int) -> int:
         """FeatureVector constructions during one run on a two-label log."""

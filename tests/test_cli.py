@@ -90,6 +90,12 @@ class TestPrepare:
         assert main(["prepare", str(log_path), "--out", str(out)]) == 0
         assert out.exists()
 
+    def test_parent_that_is_a_file_exits_2(self, log_path, tmp_path, capsys):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        assert main(["prepare", str(log_path), "--out", str(blocker / "x.csv")]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
 
 class TestEncode:
     def test_feature_csv_shape(self, log_path, tmp_path, capsys):
@@ -257,6 +263,23 @@ class TestBench:
                      "--shots", "0"]) == 2
         assert "shots must be >= 1" in capsys.readouterr().err
 
+    def test_out_dir_that_is_a_file_exits_2_before_any_fold(self, log_path, tmp_path,
+                                                            monkeypatch, capsys):
+        cfg = self._config(tmp_path, log_path)
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        monkeypatch.setattr(bench, "sweep", lambda *_: pytest.fail("a fold ran"))
+        assert main(["bench", "--config", str(cfg), "--out-dir", str(blocker)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_cache_dir_that_is_a_file_exits_2(self, log_path, tmp_path, capsys):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        cfg = self._config(tmp_path, log_path, classifier="svc_rbf", k=2,
+                           cache_dir=str(blocker))
+        assert main(["bench", "--config", str(cfg), "--out-dir", str(tmp_path / "r")]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_missing_config_exits_2(self, tmp_path, capsys):
         assert main(["bench", "--config", str(tmp_path / "none.json")]) == 2
         assert "not found" in capsys.readouterr().err
@@ -304,12 +327,16 @@ class TestKernelCheck:
                          "--feature-map", fm]) == 0
 
     def test_beyond_dense_cap(self):
-        # Above MAX_ORACLE_QUBITS the per-pair overlap is the only reference.
+        # Above MAX_ORACLE_QUBITS the per-pair overlap is the only reference:
+        # zz x 1 runs no gate on the batched path, zz x 2 runs H gates and
+        # angle_zz per-row RY gates.
         n = MAX_ORACLE_QUBITS + 1
-        report = run_kernel_check(n, "zz", n_samples=3)
-        assert report["passed"], report["failures"]
-        assert report["dense_oracle"] is False
-        assert not run_kernel_check(n, "zz", n_samples=3, perturb=1.0)["passed"]
+        for variant, layers in (("zz", 1), ("zz", 2), ("angle_zz", 1), ("angle_zz", 2)):
+            report = run_kernel_check(n, variant, layers=layers, n_samples=3)
+            assert report["passed"], (variant, layers, report["failures"])
+            assert report["dense_oracle"] is False
+            perturbed = run_kernel_check(n, variant, layers=layers, n_samples=3, perturb=1.0)
+            assert not perturbed["passed"], (variant, layers)
 
     def test_angle_closed_form_checks_batched_entries_beyond_dense_cap(self, monkeypatch):
         n = MAX_ORACLE_QUBITS + 1
