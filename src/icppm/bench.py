@@ -525,7 +525,7 @@ def _kernel_fold(cfg: ExperimentConfig, kernel_kind: KernelKind, x_train: np.nda
         if key is not None:
             save_kernel(k_train, cfg.cache_dir, key)
     regrouped = len(pairs) != len(rows)
-    k_groups = k_train.values[np.ix_(group_row, group_row)] if regrouped else k_train
+    k_groups = k_train.values[np.ix_(group_row, group_row)] if regrouped else k_train.values
     model = fit_multiclass(k_groups, classes[pairs % len(classes)],
                            C=cfg.C, tol=cfg.tol, sample_weight=counts)
     del k_groups
@@ -541,7 +541,7 @@ def _kernel_fold(cfg: ExperimentConfig, kernel_kind: KernelKind, x_train: np.nda
     part["cross_evaluations"] = k_test.eval_count
     part["states_simulated"] += k_test.states_simulated
     part["distinct_train_rows"], part["distinct_test_rows"] = len(rows), len(test_rows)
-    predictions = svm_predict(model, k_test.values[:, group_row] if regrouped else k_test)
+    predictions = svm_predict(model, k_test.values[:, group_row] if regrouped else k_test.values)
     return np.asarray(predictions)[test_of]
 
 

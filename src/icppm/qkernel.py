@@ -233,13 +233,13 @@ def save_kernel(kernel: KernelMatrix, directory: str | Path, key: str) -> Path:
     return path
 
 
-def load_kernel(directory: str | Path, key: str, size: int | None = None) -> KernelMatrix | None:
-    """The cached matrix, or None on a miss.
+def load_kernel(directory: str | Path, key: str, size: int) -> KernelMatrix | None:
+    """The cached ``size`` x ``size`` matrix, or None on a miss.
 
     An entry that cannot be read, is not a real floating-point matrix, holds
-    non-finite values, is not square (``size`` x ``size`` when given) or is
-    not symmetric to 1e-12 is logged and treated as a miss, so the caller
-    recomputes and overwrites it.
+    non-finite values, is not ``size`` x ``size`` or is not symmetric to
+    1e-12 is logged and treated as a miss, so the caller recomputes and
+    overwrites it.
     """
     path = Path(directory) / f"{key}.npz"
     if not path.exists():
@@ -256,10 +256,7 @@ def load_kernel(directory: str | Path, key: str, size: int | None = None) -> Ker
                      path, values.dtype)
         return None
     values = values.astype(np.float64, copy=False)
-    shape_ok = values.ndim == 2 and values.shape[0] == values.shape[1]
-    if size is not None:
-        shape_ok = values.shape == (size, size)
-    worst = asymmetry(values) if shape_ok else np.inf
+    worst = asymmetry(values) if values.shape == (size, size) else np.inf
     if not worst <= _CACHE_SYMMETRY_TOL:
         log_.warning("ignoring kernel cache entry %s: shape %s, non-finite values or "
                      "|K - K^T| reaching %.3e", path, values.shape, worst)

@@ -1,4 +1,4 @@
-"""Soft-margin SVM on precomputed kernels, trained by SMO.
+"""Soft-margin SVM on precomputed kernel arrays, trained by SMO.
 
 The dual problem  max sum(a) - 1/2 aQa  s.t. 0 <= a <= C, y.a = 0  is
 solved by sequential minimal optimization with second-order working-set
@@ -40,7 +40,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConvergenceError, DegenerateModelError
-from .qkernel import KernelMatrix, asymmetry
+from .qkernel import asymmetry
 
 _BOUND_EPS = 1e-12
 # Largest |K - K^T| accepted, relative to max|K|.
@@ -80,12 +80,6 @@ class SvmModel:
                 raise ValueError("caps and dual_coefs lengths differ")
         if np.any(np.abs(self.dual_coefs) > caps + 1e-9):
             raise ValueError("dual coefficients exceed the box constraint")
-
-
-def _kernel_values(kernel) -> np.ndarray:
-    if isinstance(kernel, KernelMatrix):
-        return kernel.values
-    return np.asarray(kernel, dtype=np.float64)
 
 
 def _check_kernel(k: np.ndarray, m: int) -> None:
@@ -132,7 +126,7 @@ def fit(kernel, y: Sequence[float], C: float = 1.0, tol: float = 1e-3,
     _check_args(C, tol, max_passes)
     y = np.asarray(y, dtype=np.float64)
     w = _checked_weights(sample_weight, len(y))
-    k = _kernel_values(kernel)
+    k = np.asarray(kernel, dtype=np.float64)
     _check_kernel(k, len(y))
     if not np.all(np.isin(y, (-1.0, 1.0))):
         raise ValueError("labels must be -1 or +1")
@@ -230,7 +224,7 @@ def decision(model: SvmModel, kernel_row: Sequence[float]) -> float:
 
 def dual_objective(kernel, y: Sequence[float], alpha: Sequence[float]) -> float:
     """Value of the dual objective sum(a) - 1/2 sum a_i a_j y_i y_j K_ij."""
-    k = _kernel_values(kernel)
+    k = np.asarray(kernel, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     alpha = np.asarray(alpha, dtype=np.float64)
     coef = alpha * y
@@ -252,7 +246,7 @@ class MulticlassModel:
     models: tuple[SvmModel, ...]
 
     def decision_matrix(self, cross) -> np.ndarray:
-        rows = _kernel_values(cross)
+        rows = np.asarray(cross, dtype=np.float64)
         scores = np.empty((len(rows), len(self.classes)))
         for c, model in enumerate(self.models):
             scores[:, c] = rows[:, model.support_indices] @ model.dual_coefs + model.bias
@@ -270,7 +264,7 @@ def fit_multiclass(kernel, labels: Sequence, C: float = 1.0, tol: float = 1e-3,
     classes = tuple(sorted(set(labels)))
     if len(classes) < 2:
         raise DegenerateModelError(f"need at least 2 classes, got {classes}")
-    k = _kernel_values(kernel)
+    k = np.asarray(kernel, dtype=np.float64)
     _check_kernel(k, len(labels))
     position = {cls_label: c for c, cls_label in enumerate(classes)}
     codes = np.array([position[lab] for lab in labels])

@@ -251,21 +251,9 @@ def forward_many(model: VqcModel, xs, shots: ShotConfig = EXACT) -> np.ndarray:
     return _readout(psi, len(model.classes), shots, np.empty(shape))
 
 
-def forward(model: VqcModel, x: Sequence[float], shots: ShotConfig = EXACT) -> np.ndarray:
-    """Per-class probability scores (nonnegative, summing to 1)."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (model.n_qubits,):
-        raise ValueError(f"expected {model.n_qubits} features, got shape {x.shape}")
-    return forward_many(model, x[None, :], shots)[0]
-
-
-def predict(model: VqcModel, x: Sequence[float], shots: ShotConfig = EXACT):
-    """Class with the highest score; ties go to the smaller class index."""
-    return model.classes[int(np.argmax(forward(model, x, shots)))]
-
-
 def predict_many(model: VqcModel, xs, shots: ShotConfig = EXACT) -> list:
-    """``predict`` for every row of ``xs``, from one batch of states."""
+    """The class with the highest score for every row of ``xs``, from one
+    batch of states; ties go to the smaller class index."""
     return [model.classes[i] for i in np.argmax(forward_many(model, xs, shots), axis=1)]
 
 

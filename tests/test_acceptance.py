@@ -46,7 +46,7 @@ from icppm.intercase import (
 from icppm.qkernel import KernelKind, cross, gram
 from icppm.qsim import FeatureMapKind, ShotConfig, kernel_overlap
 from icppm.svm import alphas_from_model, decision, dual_objective, fit
-from icppm.vqc import OptimizerConfig, VqcModel, parameter_shift_gradient, loss, predict, train
+from icppm.vqc import OptimizerConfig, VqcModel, parameter_shift_gradient, loss, predict_many, train
 
 from dataclasses import replace
 from datetime import date
@@ -263,7 +263,7 @@ class TestCriterion5VqcGradients:
                         OptimizerConfig(learning_rate=0.2, epochs=12, seed=0))
         diffs = np.diff(trained.loss_history)
         monotone = bool(np.all(diffs <= 1e-12))
-        fitted = [predict(trained, x) for x in xs] == labels
+        fitted = predict_many(trained, xs) == labels
 
         ok = worst < 1e-5 and monotone and fitted
         report(capsys, 5, "vqc-gradients", "PASS" if ok else "FAIL",

@@ -351,14 +351,14 @@ class TestCache:
         km = gram(x, QUANTUM)
         key = cache_key(x, QUANTUM)
         save_kernel(km, tmp_path, key)
-        loaded = load_kernel(tmp_path, key)
+        loaded = load_kernel(tmp_path, key, size=5)
         assert loaded is not None
         assert np.array_equal(loaded.values, km.values)
         assert loaded.eval_count == km.eval_count
         assert loaded.conj_states is None
 
     def test_miss_returns_none(self, tmp_path):
-        assert load_kernel(tmp_path, "nope") is None
+        assert load_kernel(tmp_path, "nope", size=3) is None
 
     def test_key_is_stable_and_sensitive(self):
         x = points(3, 4, 2)
@@ -391,7 +391,7 @@ class TestCache:
         data = path.read_bytes()
         path.write_bytes(data[: len(data) // 2])
         with caplog.at_level("WARNING", logger="icppm.qkernel"):
-            assert load_kernel(tmp_path, "k") is None
+            assert load_kernel(tmp_path, "k", size=4) is None
         assert "unreadable" in caplog.text
 
     def test_wrong_shape_or_non_finite_entry_is_a_miss(self, tmp_path):
@@ -399,11 +399,12 @@ class TestCache:
         assert load_kernel(tmp_path, "k", size=3) is not None
         assert load_kernel(tmp_path, "k", size=4) is None
         save_kernel(KernelMatrix(np.ones((2, 3)), 6), tmp_path, "k")
-        assert load_kernel(tmp_path, "k") is None
+        assert load_kernel(tmp_path, "k", size=2) is None
+        assert load_kernel(tmp_path, "k", size=3) is None
         bad = np.eye(2)
         bad[0, 1] = np.nan
         save_kernel(KernelMatrix(bad, 1), tmp_path, "k")
-        assert load_kernel(tmp_path, "k") is None
+        assert load_kernel(tmp_path, "k", size=2) is None
 
     @pytest.mark.parametrize("entry, value", [((0, 0), np.nan), ((0, 299), np.inf),
                                               ((150, 2), -np.inf), ((299, 299), np.inf)])
@@ -413,7 +414,7 @@ class TestCache:
         values = gram(points(21, 300, 2), KernelKind.rbf()).values
         values[entry] = value
         save_kernel(KernelMatrix(values), tmp_path, "k")
-        assert load_kernel(tmp_path, "k") is None
+        assert load_kernel(tmp_path, "k", size=300) is None
 
     def test_key_changes_with_format_version(self, monkeypatch):
         args = (points(3, 4, 2), QUANTUM)
@@ -425,8 +426,8 @@ class TestCache:
         save_kernel(KernelMatrix(np.eye(3).astype(np.complex128), 3), tmp_path, "c")
         save_kernel(KernelMatrix(np.eye(3, dtype=np.int64), 3), tmp_path, "i")
         with caplog.at_level("WARNING", logger="icppm.qkernel"):
-            assert load_kernel(tmp_path, "c") is None
-            assert load_kernel(tmp_path, "i") is None
+            assert load_kernel(tmp_path, "c", size=3) is None
+            assert load_kernel(tmp_path, "i", size=3) is None
         assert caplog.text.count("not real floating point") == 2
 
     def test_asymmetric_entry_is_a_miss(self, tmp_path, caplog):
@@ -435,11 +436,11 @@ class TestCache:
         values[2, 0] = 0.5 + 2e-12
         save_kernel(KernelMatrix(values, 3), tmp_path, "k")
         with caplog.at_level("WARNING", logger="icppm.qkernel"):
-            assert load_kernel(tmp_path, "k") is None
+            assert load_kernel(tmp_path, "k", size=3) is None
         assert "K - K^T" in caplog.text
         values[2, 0] = 0.5 + 5e-13
         save_kernel(KernelMatrix(values, 3), tmp_path, "k")
-        assert load_kernel(tmp_path, "k") is not None
+        assert load_kernel(tmp_path, "k", size=3) is not None
 
     def test_save_leaves_no_temp_files(self, tmp_path):
         save_kernel(KernelMatrix(np.eye(2), 1), tmp_path, "k")

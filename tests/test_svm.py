@@ -14,7 +14,7 @@ from conftest import random_log
 from icppm.bench import ExperimentConfig, emit_results, run_experiment
 from icppm.errors import ConvergenceError, DegenerateModelError
 from icppm.eventlog import write_csv
-from icppm.qkernel import KernelKind, KernelMatrix, cross, gram
+from icppm.qkernel import KernelKind, cross, gram
 from icppm.qsim import FeatureMapKind, ShotConfig
 from icppm.svm import (
     MulticlassModel,
@@ -148,11 +148,6 @@ class TestBinaryFit:
         with pytest.raises(ValueError):
             fit(np.eye(3), np.array([-1.0, 1.0]))
 
-    def test_accepts_kernel_matrix_wrapper(self):
-        x, y = separable_fixture()
-        model = fit(gram(x, LINEAR), y)
-        assert np.all(np.sign(decisions(model, gram(x, LINEAR).values)) == y)
-
 
 class TestDualOptimality:
     @pytest.mark.parametrize("seed", range(10))
@@ -221,22 +216,22 @@ class TestMulticlass:
 
     def test_perfect_recovery_on_separated_clusters(self):
         x, labels = self._three_clusters()
-        k = gram(x, RBF)
+        k = gram(x, RBF).values
         model = fit_multiclass(k, labels, C=10.0)
-        assert predict(model, cross(x, x, RBF)) == labels
+        assert predict(model, cross(x, x, RBF).values) == labels
 
     def test_classes_sorted(self):
         x, labels = self._three_clusters()
-        model = fit_multiclass(gram(x, RBF), list(reversed(labels)))
+        model = fit_multiclass(gram(x, RBF).values, list(reversed(labels)))
         assert model.classes == ("a", "b", "c")
 
     def test_two_class_matches_binary_signs(self):
         x, y = separable_fixture()
         labels = ["neg" if v < 0 else "pos" for v in y]
-        k = gram(x, LINEAR)
+        k = gram(x, LINEAR).values
         ovr = fit_multiclass(k, labels, C=10.0)
-        binary = fit(k.values, y, C=10.0)
-        want = ["pos" if d > 0 else "neg" for d in decisions(binary, k.values)]
+        binary = fit(k, y, C=10.0)
+        want = ["pos" if d > 0 else "neg" for d in decisions(binary, k)]
         assert predict(ovr, k) == want
 
     def test_each_model_is_the_binary_fit_of_its_class(self):
@@ -267,8 +262,8 @@ class TestMulticlass:
 
     def test_decision_matrix_shape(self):
         x, labels = self._three_clusters()
-        model = fit_multiclass(gram(x, RBF), labels)
-        scores = model.decision_matrix(cross(x[:4], x, RBF))
+        model = fit_multiclass(gram(x, RBF).values, labels)
+        scores = model.decision_matrix(cross(x[:4], x, RBF).values)
         assert scores.shape == (4, 3)
 
 
@@ -455,7 +450,7 @@ class TestExactGradientStop:
         rng = np.random.default_rng(2)
         x = rng.normal(size=(40, 2))
         labels = [("a", "b", "c")[int(v) % 3] for v in 3 * (x[:, 0] + 2)]
-        model = fit_multiclass(gram(x, RBF), labels, tol=1e-4)
+        model = fit_multiclass(gram(x, RBF).values, labels, tol=1e-4)
         for m in model.models:
             assert m.iterations > 0
             assert 0.0 <= m.kkt_gap <= 1e-4

@@ -15,11 +15,9 @@ from icppm.vqc import (
     OptimizerConfig,
     VqcModel,
     adjoint_gradient,
-    forward,
     forward_many,
     loss,
     parameter_shift_gradient,
-    predict,
     predict_many,
     train,
 )
@@ -93,15 +91,9 @@ class TestForward:
     def test_probabilities_normalized(self):
         rng = np.random.default_rng(0)
         model = VqcModel(ANGLE, rng.uniform(-1, 1, (2, 3)), ("a", "b", "c"))
-        p = forward(model, rng.uniform(0, math.pi, 3))
+        p = forward_many(model, [rng.uniform(0, math.pi, 3)])[0]
         assert np.all(p >= 0)
         assert p.sum() == pytest.approx(1.0, abs=1e-9)
-
-    def test_feature_dimension_checked(self):
-        for fm in MAPS:
-            model = VqcModel(fm, np.zeros((1, 2)), ("a", "b"))
-            with pytest.raises(ValueError, match="expected 2 features"):
-                forward(model, [0.1, 0.2, 0.3])
 
     # With zero weights a two-qubit layer is its CNOT ring, which sends the
     # basis state |b0 b1> to |b1, b0 xor b1>; the angle map writes x = 0 or
@@ -109,13 +101,13 @@ class TestForward:
     def test_first_qubit_drives_binary_readout(self):
         model = VqcModel(ANGLE, np.zeros((1, 2)), ("a", "b"))
         for x, out in [((0, 0), 0), ((1, 0), 0), ((0, 1), 1), ((1, 1), 1)]:
-            assert forward(model, math.pi * np.array(x))[out] == pytest.approx(1.0)
+            assert forward_many(model, [math.pi * np.array(x)])[0, out] == pytest.approx(1.0)
 
     def test_bitstring_groups_deal_round_robin(self):
         model = VqcModel(ANGLE, np.zeros((1, 2)), ("a", "b", "c"))
         # Inputs reaching output bitstrings 0, 1, 2, 3; bitstring 3 wraps to class 0.
         for x, out in [((0, 0), 0), ((1, 0), 1), ((1, 1), 2), ((0, 1), 0)]:
-            assert forward(model, math.pi * np.array(x))[out] == pytest.approx(1.0)
+            assert forward_many(model, [math.pi * np.array(x)])[0, out] == pytest.approx(1.0)
 
     def test_identity_weights_match_bare_feature_map(self):
         # The ring moves qubit 1 of the bare feature-map state onto qubit 0.
@@ -123,23 +115,23 @@ class TestForward:
         model = VqcModel(ANGLE, np.zeros((1, 2)), ("a", "b"))
         state = run(build_feature_map(ANGLE, x))
         probs = (np.abs(state) ** 2).reshape(2, 2).sum(axis=0)
-        assert forward(model, x) == pytest.approx(probs)
+        assert forward_many(model, [x])[0] == pytest.approx(probs)
 
     def test_shot_estimate_near_exact(self):
         rng = np.random.default_rng(1)
         model = VqcModel(ANGLE, rng.uniform(-1, 1, (1, 2)), ("a", "b"))
         x = rng.uniform(0, math.pi, 2)
-        exact = forward(model, x)
+        exact = forward_many(model, [x])[0]
         shots = 100_000
-        est = forward(model, x, ShotConfig(shots, seed=4))
+        est = forward_many(model, [x], ShotConfig(shots, seed=4))[0]
         sigma = math.sqrt(exact[0] * (1 - exact[0]) / shots)
         assert abs(est[0] - exact[0]) < 5 * max(sigma, 1e-4)
 
     def test_shot_estimate_reproducible(self):
         model = VqcModel(ANGLE, np.full((1, 2), 0.2), ("a", "b"))
         cfg = ShotConfig(500, seed=9)
-        a = forward(model, [0.5, 1.0], cfg)
-        b = forward(model, [0.5, 1.0], cfg)
+        a = forward_many(model, [[0.5, 1.0]], cfg)
+        b = forward_many(model, [[0.5, 1.0]], cfg)
         assert np.array_equal(a, b)
 
 
@@ -147,17 +139,8 @@ class TestPredict:
     def test_follows_argmax(self):
         # Zero weights: the ring puts the second input qubit on the readout.
         model = VqcModel(ANGLE, np.zeros((1, 2)), ("a", "b"))
-        assert predict(model, [0.0, 0.0]) == "a"
-        assert predict(model, [0.0, math.pi]) == "b"
-        assert predict(model, [1.0, 0.4]) == "a"
-        assert predict(model, [1.0, 2.6]) == "b"
-
-    def test_tie_goes_to_smaller_class(self, monkeypatch):
-        model = VqcModel(ANGLE, np.zeros((1, 2)), ("a", "b", "c"))
-        monkeypatch.setattr(
-            vqc, "forward", lambda m, x, shots=EXACT: np.array([0.4, 0.4, 0.2])
-        )
-        assert vqc.predict(model, [0.0, 0.0]) == "a"
+        xs = [[0.0, 0.0], [0.0, math.pi], [1.0, 0.4], [1.0, 2.6]]
+        assert predict_many(model, xs) == ["a", "b", "a", "b"]
 
 
 class TestGradient:
@@ -218,7 +201,7 @@ class TestTrain:
         history = np.array(model.loss_history)
         assert len(history) == 13
         assert np.all(np.diff(history) <= 1e-12)
-        assert [predict(model, x) for x in xs] == labels
+        assert predict_many(model, xs) == labels
 
     def test_training_deterministic(self):
         xs, labels = separable_fixture()
@@ -329,7 +312,7 @@ class TestBatchedEngine:
             model, xs, class_idx = random_case(rng, n, layers, n_classes, fm, rows)
             want = ref.vqc_class_probs(fm, model.theta, xs, n_classes, shots)
             assert np.array_equal(forward_many(model, xs, shots), want)
-            assert np.array_equal(forward(model, xs[0], shots), want[0])
+            assert np.array_equal(forward_many(model, xs[:1], shots), want[:1])
             assert loss(model, xs, list(class_idx), shots) == ref.vqc_loss(
                 fm, model.theta, xs, class_idx, n_classes, shots)
             grad = parameter_shift_gradient(model, xs, list(class_idx), shots)
@@ -528,13 +511,13 @@ class TestPredictMany:
         rng = np.random.default_rng(8)
         model = VqcModel(FeatureMapKind("zz"), rng.uniform(-1, 1, (2, 3)), ("a", "b", "c"))
         xs = rng.uniform(0.0, math.pi, (12, 3))
-        assert predict_many(model, xs) == [predict(model, x) for x in xs]
+        assert predict_many(model, xs) == [predict_many(model, [x])[0] for x in xs]
         # In shot mode the rows of one batch draw one after another from the
         # seed's stream, so only the first row's draw matches a batch of one.
         shots = ShotConfig(30, seed=5)
         scores = forward_many(model, xs, shots)
         assert predict_many(model, xs, shots) == [model.classes[i] for i in scores.argmax(axis=1)]
-        assert predict_many(model, xs[:1], shots) == [predict(model, xs[0], shots)]
+        assert predict_many(model, xs[:1], shots) == [model.classes[scores[0].argmax()]]
 
     def test_tie_goes_to_smaller_class(self, monkeypatch):
         model = VqcModel(ANGLE, np.zeros((1, 2)), ("a", "b", "c"))
