@@ -9,14 +9,22 @@ diagonal fixed at 1; a cross matrix is |S_test S_train^H|^2. The batch holds
 m * 2^n complex amplitudes. Both products read the conjugated batch of
 their columns: ``gram`` returns the train rows' conjugated batch
 (``KernelMatrix.conj_states``), and ``cross`` given it simulates only the
-test rows, so a fold simulates each row once. Shot mode draws row i of
-the exact matrix as binomial(shots, p) / shots from a generator seeded by
-(global seed, i) (``_sample``), so a shot Gram matrix equals the shot cross
-matrix of the rows with themselves above the diagonal. A classical Gram
-matrix is the cross matrix of the rows with themselves. A Gram matrix can
-be persisted to .npz under ``cache_key``, a hash of only what it depends
-on: the rows, the kernel kind and ``CACHE_FORMAT_VERSION``. Labels and
-solver settings (C, tol) are not in it, so changing them reuses the entry.
+test rows, so a fold simulates each row once.
+
+Shot mode samples a fold's two kernels as the row blocks of one
+[train; test] x train matrix: its row r is binomial(shots, p) / shots over
+the exact row, with p clamped to 1, drawn from a generator seeded by
+(shot seed, r) (``_sample``). So Gram row i draws from (seed, i) before its
+strict upper triangle is mirrored, and cross row i, a test row, from
+(seed, len(train) + i): no test row replays the draws of the train row with
+its index, and the draws do not depend on whether ``cross`` got the train
+states or simulated them.
+
+A classical Gram matrix is the cross matrix of the rows with themselves. A
+Gram matrix can be persisted to .npz under ``cache_key``, a hash of only
+what it depends on: the rows, the kernel kind and ``CACHE_FORMAT_VERSION``.
+Labels and solver settings (C, tol) are not in it, so changing them reuses
+the entry.
 """
 
 from __future__ import annotations
@@ -124,13 +132,14 @@ def _overlaps(rows: np.ndarray, conj_cols: np.ndarray) -> np.ndarray:
     return np.abs(rows @ conj_cols.T) ** 2
 
 
-def _sample(overlaps: np.ndarray, shots: ShotConfig) -> np.ndarray:
-    """Shot frequencies of an overlap matrix, written over it: row i draws
-    binomial(shots, p) from ``default_rng((seed, i))``, with p clamped to 1,
+def _sample(overlaps: np.ndarray, shots: ShotConfig, first_row: int = 0) -> np.ndarray:
+    """Shot frequencies of an overlap matrix, written over it: its row i is
+    row r = ``first_row`` + i of a larger sampled matrix and draws
+    binomial(shots, p) from ``default_rng((seed, r))``, with p clamped to 1,
     which exact self-overlaps exceed in the last bit."""
     np.minimum(overlaps, 1.0, out=overlaps)
-    for i, row in enumerate(overlaps):
-        row[:] = np.random.default_rng((shots.seed, i)).binomial(shots.shots, row)
+    for r, row in enumerate(overlaps, first_row):
+        row[:] = np.random.default_rng((shots.seed, r)).binomial(shots.shots, row)
     overlaps /= shots.shots
     return overlaps
 
@@ -166,7 +175,9 @@ def cross(test, train, kind: KernelKind, train_states: np.ndarray | None = None)
 
     For the quantum kernel, ``train_states`` is the ``conj_states`` of
     ``gram(train, kind)``; given it, only the test rows are simulated. A
-    batch whose shape is not (m, 2**n) for ``train`` raises ValueError.
+    batch whose shape is not (m, 2**n) for ``train`` raises ValueError. In
+    shot mode test row i is row m + i of the sampled [train; test] x train
+    matrix whose first m rows are the Gram matrix's.
     """
     xt = _as_matrix(test)
     xr = _as_matrix(train)
@@ -202,7 +213,7 @@ def cross(test, train, kind: KernelKind, train_states: np.ndarray | None = None)
                          f"{len(xr)} train rows of {xr.shape[1]} qubits")
     values = _overlaps(feature_map_states(kind.feature_map, xt), train_states)
     if not kind.shots.exact:
-        values = _sample(values, kind.shots)
+        values = _sample(values, kind.shots, first_row=len(xr))
     return KernelMatrix(values, eval_count=values.size, states_simulated=simulated)
 
 

@@ -9,15 +9,19 @@ anglex2@* were re-pinned when that map became one product state of L x
 (the same values to 1e-15, multiplied in another order), and angle_zzx1@1
 when H and RY moved to float64 views on the last qubit too (values
 ``np.array_equal``, only the sign of zero imaginary parts changed). The
-shot-mode qke hash was re-pinned twice: when kernel shots moved from one
-generator per entry to one binomial generator per row (a new random
-stream, the same distribution), and when shot Gram matrices went to the SVM
+shot-mode qke hash was re-pinned three times: when kernel shots moved from
+one generator per entry to one binomial generator per row (a new random
+stream, the same distribution), when shot Gram matrices went to the SVM
 as drawn instead of with their diagonal shifted to make them positive
 semi-definite (the same draws, a different fit, mean accuracy 0.3372 ->
-0.3436); the shot-mode vqc hash was re-pinned once, when the VQC readout
-moved from uniforms shared by every row to one multinomial draw per row
-over the exact marginal (a new random stream, the same per-row
-distribution, rows independent). The svc_rbf+freq_act+batch hash was
+0.3436), and, with the shot qke_angle_1 hash, when a fold's cross rows
+moved to the generators after its Gram rows', so that test row i no longer
+replays train row i's draws (the Gram draws kept; mean accuracy
+qke_zz_2 0.3436 -> 0.3083, qke_angle_1 0.4676 -> 0.3931); the shot-mode
+vqc hash was re-pinned once, when the VQC readout moved from uniforms
+shared by every row to one multinomial draw per row over the exact
+marginal (a new random stream, the same per-row distribution, rows
+independent). The svc_rbf+freq_act+batch hash was
 re-pinned when exact kernel folds moved to one SVM variable per distinct
 (row, label) pair boxed by C times its count: the same dual optimum, solved
 to the same KKT tolerance along another path, so one test prediction near a
@@ -109,9 +113,9 @@ GOLDEN = {
     "bench/majority+freq_act+batch": "6b27aa1859dc8488c75e8a59586a7b4f9208b7fa085dfff5287fac4e4af14834",
     "bench/majority+peer_cases+avg_delay": "32e276019d6f8a51e4b7b2a31246ac03e50ca87960c73d4cbc102df1286f5d6f",
     "bench/qke_angle_1+peer_cases": "f44d7e8de89accca6c0688b8b430e825faf93af08e305176a24f3fad9fcab89c",
-    "bench/qke_angle_1+peer_cases@shots50": "0fba0fce72bba8a025dee04b341ab83958fbac030ba704bcceb5161f39abcddb",
+    "bench/qke_angle_1+peer_cases@shots50": "95cfad7ccaeb9f34f4d09f8f4b3675a0d1fd9b5299b3d5ee6d44e7d2fcb512a9",
     "bench/qke_zz_2+peer_cases": "f4dd95eca108b444b8f760d9c488068f3071de1a2de0f38718633a08b288c916",
-    "bench/qke_zz_2+peer_cases@shots50": "2aa9bfec0ca91660f9f60d6f3da225421adc2994a6c2764ce166eff4c42aa61c",
+    "bench/qke_zz_2+peer_cases@shots50": "836a71a3b34c76450d02e22fb2d7340a63fd8fa197d6520f7e86c242fcc054f6",
     "bench/svc_rbf+freq_act+batch": "ccf57fad41e00e5145ee1c73701e717a697859a95e25687a88ad1a304a987e8d",
     "bench/svc_rbf+peer_cases+avg_delay": "88d01f77a031a1493c13c93a42c69958bb6a5ee5c71035ee4ee536c744de8c00",
     "bench/vqc_angle_1+peer_cases": "e6b041efa35aba865a2b3124ecf9bc85d2263d425c461adae0acd7b3f8f9f35c",

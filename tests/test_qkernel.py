@@ -25,12 +25,13 @@ def points(seed: int, m: int, dim: int) -> np.ndarray:
     return np.random.default_rng(seed).uniform(0.0, math.pi, (m, dim))
 
 
-def row_draws(exact: np.ndarray, shots: int, seed: int) -> np.ndarray:
+def row_draws(exact: np.ndarray, shots: int, seed: int, first_row: int = 0) -> np.ndarray:
     """The shot rule written out: row i of an exact overlap matrix, clamped
-    to 1, as binomial(shots, p) / shots drawn by default_rng((seed, i))."""
+    to 1, as binomial(shots, p) / shots drawn by default_rng((seed, r)) with
+    r = first_row + i, its row in the sampled [train; test] x train matrix."""
     return np.array([
-        np.random.default_rng((seed, i)).binomial(shots, np.minimum(row, 1.0)) / shots
-        for i, row in enumerate(exact)
+        np.random.default_rng((seed, r)).binomial(shots, np.minimum(row, 1.0)) / shots
+        for r, row in enumerate(exact, first_row)
     ])
 
 
@@ -146,14 +147,15 @@ class TestQuantumGram:
             fm = FeatureMapKind(variant)
             kind = KernelKind.quantum(fm, ShotConfig(shots, seed=11))
             x = points(7, 5, 2)
-            want = row_draws(cross(x, x, KernelKind.quantum(fm)).values, shots, 11)
+            exact = cross(x, x, KernelKind.quantum(fm)).values
+            want = row_draws(exact, shots, 11)
             got = gram(x, kind).values
             assert np.array_equal(got[upper], want[upper])
             assert np.array_equal(got.T[upper], want[upper])
             assert np.array_equal(np.diag(got), np.ones(5))
-            # Above the diagonal, the Gram matrix is the shot cross matrix of
-            # the rows with themselves.
-            assert np.array_equal(got[upper], cross(x, x, kind).values[upper])
+            # The shot cross matrix of the rows with themselves is the test
+            # block below them: its row i draws as row 5 + i.
+            assert np.array_equal(cross(x, x, kind).values, row_draws(exact, shots, 11, 5))
 
     def test_states_simulated_once_per_row(self):
         x = points(21, 7, 2)
@@ -171,8 +173,9 @@ class TestQuantumGram:
 
     def test_rows_draw_from_their_own_generators(self):
         # Rows 0 and 1 are the same point: equal exact rows, different draws,
-        # since row i's generator is seeded by (seed, i) alone. Row 0 of any
-        # other matrix over the same exact row draws the same values.
+        # since cross row i's generator is seeded by (seed, len(train) + i)
+        # alone. Row 0 of any other cross matrix over the same exact row and
+        # the same number of train rows draws the same values.
         x = np.vstack([points(32, 1, 2), points(32, 1, 2), points(33, 4, 2)])
         kind = KernelKind.quantum(FeatureMapKind("zz"), ShotConfig(100, seed=0))
         exact = cross(x, x, KernelKind.quantum(kind.feature_map)).values
@@ -180,6 +183,18 @@ class TestQuantumGram:
         got = cross(x, x, kind).values
         assert not np.array_equal(got[0], got[1])
         assert np.array_equal(cross(x[1:], x, kind).values[0], got[0])
+        assert np.array_equal(got, row_draws(exact, 100, 0, len(x)))
+
+    @pytest.mark.parametrize("variant", ["angle", "zz", "angle_zz"])
+    def test_test_rows_do_not_replay_train_row_draws(self, variant):
+        # Test rows equal to the train rows have the Gram's exact rows, yet
+        # test row i draws as row m + i of the [train; test] x train matrix,
+        # not as Gram row i, so its shot errors are not the Gram row's.
+        kind = KernelKind.quantum(FeatureMapKind(variant), ShotConfig(100, seed=3))
+        x = points(34, 8, 3)
+        g, c = gram(x, kind).values, cross(x, x, kind).values
+        for i in range(len(x) - 1):
+            assert not np.array_equal(g[i, i + 1:], c[i, i + 1:])
 
 
 class TestAgainstOracles:
@@ -267,7 +282,7 @@ class TestCross:
         xt = points(24, 3, 3)
         xr = points(25, 4, 3)
         exact = cross(xt, xr, KernelKind.quantum(fm)).values
-        assert np.array_equal(cross(xt, xr, kind).values, row_draws(exact, 50, 4))
+        assert np.array_equal(cross(xt, xr, kind).values, row_draws(exact, 50, 4, len(xr)))
 
     def test_row_permutation_permutes_exact_cross(self):
         xt = points(26, 4, 2)
