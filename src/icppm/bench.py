@@ -39,6 +39,7 @@ from .encoding import (
 )
 from .errors import ConfigError
 from .eventlog import (
+    END_LABEL,
     EventLog,
     PrefixSet,
     _check_date_slice,
@@ -564,7 +565,14 @@ def run_experiment(
     family, feature_map = _parse_classifier(cfg.classifier)
     folds = make_cv_folds(samples, cfg.folds, derive_seed(cfg.seed, "folds"))
     index = EventIndex(log) if cfg.inter_features else None
-    labels = np.array(samples.labels)
+    # The labels as integer codes in name order (END_LABEL sorted in by its
+    # name, not last as in label_codes), so every class order, tie-break and
+    # majority vote is the one of the names. A numpy string array would drop
+    # trailing NULs and merge "A" with "A\x00".
+    names = samples.log.activity_vocab + (END_LABEL,)
+    rank = np.empty(len(names), dtype=np.intp)
+    rank[sorted(range(len(names)), key=names.__getitem__)] = np.arange(len(names))
+    labels = rank[samples.label_codes()]
 
     fold_accs: list[float] = []
     parts: list[dict] = []
@@ -581,7 +589,7 @@ def run_experiment(
         t_fit0 = time.perf_counter()
         fold_note = ""
         if family == "majority":
-            # np.unique sorts: a tie goes to the smallest label.
+            # np.unique sorts: a tie goes to the first label by name.
             classes, counts = np.unique(y_train, return_counts=True)
             predictions = classes[counts.argmax()]
             part["fit_time_s"] = time.perf_counter() - t_fit0

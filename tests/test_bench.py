@@ -358,6 +358,62 @@ class TestMajorityBaseline:
         assert 0.0 <= result.mean_accuracy <= 1.0
 
 
+class TestLabelCodes:
+    def test_labels_differing_by_a_trailing_nul_stay_apart(self, tmp_path):
+        # A fixed-width numpy string array drops trailing NULs, which would
+        # merge A with A\x00 into one class of 35 cases against B's 25.
+        rows = ["case_id,activity,timestamp,resource"]
+        nexts = ["A"] * 20 + ["A\x00"] * 15 + ["B"] * 25
+        for c, act in enumerate(nexts):
+            rows += [f"c{c:02d},S,2023-01-01T00:{c:02d}:00,r",
+                     f"c{c:02d},{act},2023-01-01T01:{c:02d}:00,r"]
+        path = tmp_path / "nul.csv"
+        path.write_text("\n".join(rows) + "\n")
+        cfg = ExperimentConfig(dataset=str(path), classifier="majority", folds=3, max_prefix=1)
+        log, samples = prepare_samples(cfg)
+        assert log.activity_vocab == ("A", "A\x00", "B", "S")
+        result = run_experiment(cfg, log, samples)
+        # The per-sample rule on the label strings: the most frequent train
+        # label, the first by name on a tie.
+        labels = samples.labels
+        folds = make_cv_folds(samples, cfg.folds, derive_seed(cfg.seed, "folds"))
+        want = []
+        for fold in range(cfg.folds):
+            train_idx, test_idx = folds.split(fold)
+            train = [labels[i] for i in train_idx]
+            top = min(set(train), key=lambda lab: (-train.count(lab), lab))
+            want.append(sum(labels[i] == top for i in test_idx) / len(test_idx))
+        assert result.fold_accuracies == tuple(want)
+
+    @pytest.mark.parametrize("classifier, accuracies", [
+        ("majority", (1.0, 0.5, 0.5)),
+        ("svc_rbf", (1.0, 0.5, 0.5)),
+    ])
+    def test_class_order_is_name_order_with_end_label(self, classifier, accuracies):
+        # Z < __END__ < a by name, while END's label code is the last. Every
+        # prefix is the one event Z, so the classifiers see one feature row.
+        # The cases of fold 0 end after Z; folds 1 and 2 hold two Z -> a and
+        # two Z-only cases each, so fold 0 trains on a tie between a and
+        # __END__, which goes to __END__, the first by name, and scores 1.
+        ids = [f"c{i:02d}" for i in range(12)]
+        cfg = ExperimentConfig(classifier=classifier, folds=3, max_prefix=1)
+        only_z = make_log(*(make_trace(c, [("Z", 10.0 * i)]) for i, c in enumerate(ids)))
+        fold_of = make_cv_folds(build_prefix_log(only_z, 1, 1), cfg.folds,
+                                derive_seed(cfg.seed, "folds")).fold_assignments
+        seen = [0, 0, 0]
+        traces = []
+        for i, c in enumerate(ids):
+            f = int(fold_of[i])
+            spec = [("Z", 10.0 * i)] + ([("a", 10.0 * i + 5)] if f and seen[f] % 2 else [])
+            seen[f] += 1
+            traces.append(make_trace(c, spec))
+        log = make_log(*traces)
+        samples = build_prefix_log(log, 1, 1)
+        assert log.activity_vocab == ("Z", "a")
+        assert sorted(samples.labels).count("a") == 4
+        assert run_experiment(cfg, log, samples).fold_accuracies == accuracies
+
+
 class TestRunExperiment:
     def test_deterministic_given_seed(self):
         cfg = ExperimentConfig(classifier="qke_angle_1", k=2, folds=3, seed=5)
