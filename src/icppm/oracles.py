@@ -158,6 +158,11 @@ def run_kernel_check(
     strings. ``perturb`` injects an angle error into the first parametrized
     gate of the second state of each per-pair overlap and into the first
     weight of the VQC oracle; any nonzero value must make the check fail.
+    The per-pair overlap builds its own states for that reason instead of
+    calling ``qsim.kernel_overlap``: a shifted gate angle is an error no map
+    can absorb, while a map can absorb a shifted input. On one qubit the
+    ``angle_zz`` x 2 map is RY(2x) H RY(2x) H, and H RY(2x) H = RY(-2x), so
+    it sends every input to |0>, and a shifted input changes no overlap.
     """
     if n_qubits < 1 or n_qubits > 20:
         raise ConfigError(f"kernel-check needs 1..20 qubits (capped at 20), got {n_qubits}")

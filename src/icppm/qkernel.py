@@ -132,7 +132,7 @@ def _overlaps(rows: np.ndarray, conj_cols: np.ndarray) -> np.ndarray:
     return np.abs(rows @ conj_cols.T) ** 2
 
 
-def _sample(overlaps: np.ndarray, shots: ShotConfig, first_row: int = 0) -> np.ndarray:
+def _sample(overlaps: np.ndarray, shots: ShotConfig, first_row: int) -> np.ndarray:
     """Shot frequencies of an overlap matrix, written over it: its row i is
     row r = ``first_row`` + i of a larger sampled matrix and draws
     binomial(shots, p) from ``default_rng((seed, r))``, with p clamped to 1,
@@ -161,7 +161,7 @@ def gram(train, kind: KernelKind) -> KernelMatrix:
     conj_states = states.conj()
     overlaps = _overlaps(states, conj_states)
     if not kind.shots.exact:
-        overlaps = _sample(overlaps, kind.shots)
+        overlaps = _sample(overlaps, kind.shots, first_row=0)
     upper = np.triu(overlaps, 1)
     del overlaps
     values = upper + upper.T
