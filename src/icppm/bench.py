@@ -505,7 +505,10 @@ def _kernel_fold(cfg: ExperimentConfig, kernel_kind: KernelKind, x_train: np.nda
     leaves the dual optimum as it is. A shot kernel draws every row on its
     own, so a shot fold keeps one row and one variable per sample. The
     fold's kernel matrices live in this call, one at a time: the train Gram
-    matrix is dropped before the cross matrix is built.
+    matrix is dropped before the cross matrix is built, and in a regrouped
+    fold (a distinct row with two labels) as soon as its (row, label) gather
+    is taken, so the fit holds the gather and its η table, not three m x m
+    arrays.
     """
     t_fit0 = time.perf_counter()
     merge = kernel_kind.shots.exact
@@ -525,18 +528,18 @@ def _kernel_fold(cfg: ExperimentConfig, kernel_kind: KernelKind, x_train: np.nda
         part["gram_time_s"] = time.perf_counter() - t_gram0
         if key is not None:
             save_kernel(k_train, cfg.cache_dir, key)
+    part["kernel_evaluations"] = k_train.eval_count
+    part["states_simulated"] = k_train.states_simulated
+    train_states = k_train.conj_states
     regrouped = len(pairs) != len(rows)
     k_groups = k_train.values[np.ix_(group_row, group_row)] if regrouped else k_train.values
+    del k_train
     model = fit_multiclass(k_groups, classes[pairs % len(classes)],
                            C=cfg.C, tol=cfg.tol, sample_weight=counts)
     del k_groups
     part["fit_time_s"] = time.perf_counter() - t_fit0
     part["smo_iterations"] = sum(m.iterations for m in model.models)
     part["smo_kkt_gap"] = max(m.kkt_gap for m in model.models)
-    part["kernel_evaluations"] = k_train.eval_count
-    part["states_simulated"] = k_train.states_simulated
-    train_states = k_train.conj_states
-    del k_train
     test_rows, test_of = _distinct_rows(x_test, merge)
     k_test = cross(test_rows, rows, kernel_kind, train_states=train_states)
     part["cross_evaluations"] = k_test.eval_count

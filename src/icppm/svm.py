@@ -130,17 +130,29 @@ def fit(kernel, y: Sequence[float], C: float = 1.0, tol: float = 1e-3,
     _check_kernel(k, len(y))
     if not np.all(np.isin(y, (-1.0, 1.0))):
         raise ValueError("labels must be -1 or +1")
-    return _smo(k, y, C, tol, max_passes, w)
+    return _smo(k, _eta_table(k), y, C, tol, max_passes, w)
 
 
-def _smo(k: np.ndarray, y: np.ndarray, C: float, tol: float, max_passes: int,
-         w: np.ndarray) -> SvmModel:
-    """The solver of ``fit`` and ``fit_multiclass``, on inputs they checked."""
+def _eta_table(k: np.ndarray) -> np.ndarray:
+    """eta[i, t] = max(K_ii + K_tt - 2 K_it, 1e-12) for every pair: the WSS2
+    denominator, which depends on the kernel only, so every one-vs-rest
+    problem of a kernel reads the same table. One m x m array, no other."""
+    diag = np.diagonal(k)
+    eta = np.add(k, k)
+    np.subtract(diag, eta, out=eta)
+    eta += diag[:, None]
+    np.maximum(eta, _BOUND_EPS, out=eta)
+    return eta
+
+
+def _smo(k: np.ndarray, eta: np.ndarray, y: np.ndarray, C: float, tol: float,
+         max_passes: int, w: np.ndarray) -> SvmModel:
+    """The solver of ``fit`` and ``fit_multiclass``, on inputs they checked;
+    ``eta`` is ``_eta_table(k)``."""
     if np.all(y == y[0]):
         raise DegenerateModelError("all training labels belong to one class")
     m = len(y)
     pos = (y > 0).tolist()
-    diag = np.ascontiguousarray(np.diagonal(k))
     alpha = [0.0] * m
     # Each variable's box bound C * w_t, and that bound less the bound slack.
     cap = (C * w).tolist()
@@ -148,9 +160,10 @@ def _smo(k: np.ndarray, y: np.ndarray, C: float, tol: float, max_passes: int,
     # Membership; outside a set its array holds -inf (up) or +inf (low).
     in_up, in_low = list(pos), [not p for p in pos]
     up_v, low_v = np.where(y > 0, y, -np.inf), np.where(y > 0, np.inf, y)
-    zeros, eps = np.zeros(m), np.full(m, _BOUND_EPS)
-    scalar = np.empty(())  # one 0-d operand for v_i, K_ii and the step
-    gain, eta = np.empty(m), np.empty(m)
+    zeros = np.zeros(m)
+    scalar = np.empty(())  # one 0-d operand for v_i and the step
+    gain, delta = np.empty(m), np.empty(m)
+    subtract, maximum, square = np.subtract, np.maximum, np.square
     exact, iterations = False, 0
     while True:
         i = int(up_v.argmax())
@@ -169,29 +182,24 @@ def _smo(k: np.ndarray, y: np.ndarray, C: float, tol: float, max_passes: int,
             raise ConvergenceError(f"SMO did not converge within {max_passes} passes "
                                    f"(gap {gap:.3e})")
         # j maximizes b_t^2 / eta_t over the low set where b_t = v_i - v_t > 0.
-        k_i = k[i]
+        eta_i = eta[i]
         scalar[()] = v_i
-        np.subtract(scalar, low_v, out=gain)
-        np.maximum(gain, zeros, out=gain)
-        np.square(gain, out=gain)
-        np.add(k_i, k_i, out=eta)
-        np.subtract(diag, eta, out=eta)
-        scalar[()] = k_i.item(i)
-        eta += scalar
-        np.maximum(eta, eps, out=eta)
-        gain /= eta
+        subtract(scalar, low_v, out=gain)
+        maximum(gain, zeros, out=gain)
+        square(gain, out=gain)
+        gain /= eta_i
         j = int(gain.argmax())
         v_j = low_v.item(j) if in_low[j] else up_v.item(j)
-        a_i, a_j = alpha[i], alpha[j]
-        step = min((v_i - v_j) / eta.item(j), cap[i] - a_i if pos[i] else a_i,
-                   a_j if pos[j] else cap[j] - a_j)
-        alpha[i] = min(max(a_i + step if pos[i] else a_i - step, 0.0), cap[i])
-        alpha[j] = min(max(a_j - step if pos[j] else a_j + step, 0.0), cap[j])
+        a_i, a_j, pos_i, pos_j = alpha[i], alpha[j], pos[i], pos[j]
+        step = min((v_i - v_j) / eta_i.item(j), cap[i] - a_i if pos_i else a_i,
+                   a_j if pos_j else cap[j] - a_j)
+        alpha[i] = min(max(a_i + step if pos_i else a_i - step, 0.0), cap[i])
+        alpha[j] = min(max(a_j - step if pos_j else a_j + step, 0.0), cap[j])
         scalar[()] = step
-        np.subtract(k_i, k[j], out=eta)
-        eta *= scalar
-        up_v -= eta
-        low_v -= eta
+        subtract(k[i], k[j], out=delta)
+        delta *= scalar
+        up_v -= delta
+        low_v -= delta
         for t in (i, j):
             below, above = alpha[t] < below_c[t], alpha[t] > _BOUND_EPS
             is_up, is_low = (below, above) if pos[t] else (above, below)
@@ -268,7 +276,8 @@ def fit_multiclass(kernel, labels: Sequence, C: float = 1.0, tol: float = 1e-3,
     _check_kernel(k, len(labels))
     position = {cls_label: c for c, cls_label in enumerate(classes)}
     codes = np.array([position[lab] for lab in labels])
-    models = [_smo(k, np.where(codes == c, 1.0, -1.0), C, tol, max_passes, w)
+    eta = _eta_table(k)
+    models = [_smo(k, eta, np.where(codes == c, 1.0, -1.0), C, tol, max_passes, w)
               for c in range(len(classes))]
     return MulticlassModel(classes, tuple(models))
 

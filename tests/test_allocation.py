@@ -17,7 +17,9 @@ scratch, must not raise the peak.
 
 An RBF ``gram`` or ``cross`` holds its output and one row block, a cache
 hit its loaded matrix and one row block, and a kernel run holds one kernel
-matrix at a time, never two of one fold or one of the fold before.
+matrix at a time, never two of one fold or one of the fold before. The SVM
+fit adds its η table, and a regrouped fold drops its distinct Gram matrix
+before the fit, so the fit holds the (row, label) gather and the table.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ import numpy as np
 import pytest
 
 from conftest import random_log
+from icppm import bench
 from icppm.bench import ExperimentConfig, derive_seed, run_experiment
 from icppm.eventlog import build_prefix_log, make_cv_folds
 from icppm.qkernel import KernelKind, cache_key, cross, gram, load_kernel, save_kernel
@@ -143,3 +146,21 @@ def test_kernel_run_holds_one_kernel_matrix_at_a_time():
     # alive into the cross, or the fold before's cross into the next Gram)
     # would lift the peak to 1.5 Gram bytes or more.
     assert traced_peak(lambda: run_experiment(cfg, log, samples)) < 1.3 * m * m * 8
+
+
+def test_regrouped_fold_fits_on_the_gather_and_the_eta_table_alone():
+    rng = np.random.default_rng(6)
+    rows = rng.normal(size=(600, 2))
+    # 600 distinct rows; the first 300 carry a second label, so the fold
+    # fits 900 (row, label) groups.
+    x = np.vstack([rows, rows[:300]])
+    y = np.r_[(rows[:, 0] > 0).astype(np.int64), np.full(300, 2)]
+    cfg = ExperimentConfig(classifier="svc_rbf", tol=1e-2)
+    part = {}
+    fold = lambda: bench._kernel_fold(cfg, KernelKind.rbf(cfg.gamma), x, y,
+                                      rng.normal(size=(40, 2)), part)
+    m_g = 900
+    # The gather and the table are 2 group Grams; the distinct Gram kept
+    # alive into the fit would add 600² / 900² = 0.44 more.
+    assert traced_peak(fold) < 2.3 * m_g * m_g * 8
+    assert part["distinct_train_rows"] == 600
