@@ -18,7 +18,6 @@ use ``math.fsum`` so summation order cannot change the result.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Sequence
 
@@ -132,28 +131,48 @@ def fit_batch_stats(
     order = np.lexsort((all_times, log.activity))
     acts = log.activity[order]
     bounds = np.r_[np.flatnonzero(np.diff(acts, prepend=-1)), len(acts)].tolist()
-    sorted_times, sorted_cases = all_times[order].tolist(), log.case[order].tolist()
-    scores: dict[str, float] = {}
-    for first, end in zip(bounds, bounds[1:]):
-        times = sorted_times[first:end]
-        cases = sorted_cases[first:end]
-        n = end - first
-        # Burst intervals [left, right) only move forward, so the marked
-        # occurrences are counted through the end of the range covered so far.
-        marked = covered = right = 0
-        counts: Counter = Counter()
-        for left in range(n):
-            while right < n and times[right] - times[left] <= epsilon:
-                counts[cases[right]] += 1
-                right += 1
-            if len(counts) >= min_burst:
-                marked += right - max(left, covered)
-                covered = right
-            counts[cases[left]] -= 1
-            if counts[cases[left]] == 0:
-                del counts[cases[left]]
-        scores[log.activity_vocab[acts[first]]] = marked / n
+    times, cases = all_times[order], log.case[order]
+    scores = {
+        log.activity_vocab[acts[first]]:
+            _burst_marked(times[first:end], cases[first:end], epsilon, min_burst) / (end - first)
+        for first, end in zip(bounds, bounds[1:])
+    }
     return BatchStats(scores, epsilon, min_burst)
+
+
+def _burst_marked(times: np.ndarray, cases: np.ndarray, epsilon: float, min_burst: int) -> int:
+    """How many of one activity's occurrences (sorted by time) lie in a burst.
+
+    The interval starting at occurrence l is [l, right[l]): every r >= l with
+    times[r] - times[l] <= epsilon. That test holds on a prefix of r and
+    fails on a prefix of l, so right ascends. Occurrence p brings a new case
+    into the interval of l exactly when its case's previous occurrence lies
+    before l, l <= p and right[l] > p: an index range of l, added up by one
+    difference array. The marked occurrences are the union of the intervals
+    holding at least ``min_burst`` cases.
+    """
+    n = len(times)
+    idx = np.arange(n)
+    right = np.searchsorted(times, times + epsilon, side="right")
+    # times + epsilon rounds, so move right, a block of equal times at a time,
+    # until the test itself holds just before it and fails at it.
+    while True:
+        at = np.minimum(right, n - 1)
+        ahead = (right < n) & (times[at] - times <= epsilon)
+        behind = times[right - 1] - times > epsilon
+        if not (ahead.any() or behind.any()):
+            break
+        right = np.where(ahead, np.searchsorted(times, times[at], side="right"), right)
+        right = np.where(behind, np.searchsorted(times, times[right - 1], side="left"), right)
+    by_case = np.argsort(cases, kind="stable")
+    prev = np.full(n, -1)
+    same = cases[by_case[1:]] == cases[by_case[:-1]]
+    prev[by_case[1:][same]] = by_case[:-1][same]
+    start = np.maximum(prev + 1, np.searchsorted(right, idx, side="right"))
+    distinct = np.cumsum(np.bincount(start, minlength=n + 1) - np.bincount(idx + 1, minlength=n + 1))
+    burst = distinct[:n] >= min_burst
+    cover = np.bincount(idx[burst], minlength=n + 1) - np.bincount(right[burst], minlength=n + 1)
+    return int(np.count_nonzero(np.cumsum(cover)[:n]))
 
 
 class EventIndex:

@@ -1,14 +1,17 @@
 from __future__ import annotations
 
+from datetime import datetime, timedelta, timezone
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import oracles
 from icppm import intercase
 from conftest import BASE, make_event, make_log, make_trace, random_log, xes_doc
 from icppm.encoding import FeatureVector, Vocabulary
 from icppm.errors import ConfigError
-from icppm.eventlog import EventLog, Trace, parse_xes
+from icppm.eventlog import Event, EventLog, Trace, parse_xes
 from icppm.intercase import (
     FEATURES,
     BatchStats,
@@ -27,6 +30,9 @@ from icppm.intercase import (
     res_count,
     top_res,
 )
+
+
+EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 
 
 def epoch(offset_s: float) -> float:
@@ -260,6 +266,49 @@ class TestFitBatchStats:
         log = random_log(7, n_cases=25, span_s=300.0)
         stats = fit_batch_stats(log, epsilon=40.0, min_burst=2)
         assert all(0.0 <= v <= 1.0 for v in stats.scores.values())
+
+    # Epsilon in microseconds, and the gap in units of it before each
+    # occurrence: 0 repeats a time, 1 and 1/2 + 1/2 span exactly epsilon,
+    # and one microsecond either side of it crosses the bound. Times near
+    # BASE are floats on a 2**-22 s grid, so times[r] - times[l] is exact
+    # and a grid point, while times[l] + epsilon rounds to the nearest one:
+    # where epsilon / 2**-22 has a fraction above 1/2 (3, 100_001 and
+    # 100_003 us), that rounds past the bound, and occurrences the
+    # predicate leaves out fall below times[l] + epsilon. Times that start
+    # within 3 s of the Unix epoch are near zero, where times[r] - times[l]
+    # itself rounds, and occurrences the predicate takes in can lie above
+    # times[l] + epsilon.
+    @settings(max_examples=300, deadline=None)
+    # times[l] + epsilon rounds above times[r] though times[r] - times[l] > epsilon.
+    @example(start=BASE, start_us=0, epsilon_us=3, min_burst=2,
+             occurrences=[(0, "a", "0"), (1, "a", "1")])
+    # times[r] - times[l] <= epsilon though times[r] > times[l] + epsilon.
+    @example(start=EPOCH, start_us=-1_756_673, epsilon_us=2_500_000, min_burst=3,
+             occurrences=[(3, "a", "0"), (3, "a", "1/2"), (2, "a", "1/2"),
+                          (2, "a", "1/2"), (0, "a", "0"), (2, "a", "1")])
+    @given(
+        start=st.sampled_from([BASE, EPOCH]),
+        start_us=st.integers(-3_000_000, 3_000_000),
+        epsilon_us=st.sampled_from([3, 100_001, 100_003, 1_000_000, 2_500_000, 86_400_000_000]),
+        min_burst=st.integers(2, 5),
+        occurrences=st.lists(
+            st.tuples(st.integers(0, 5), st.sampled_from("ab"),
+                      st.sampled_from(["0", "1", "1/2", "1-", "1+", "3"])),
+            min_size=1, max_size=40),
+    )
+    def test_matches_brute_force_oracle_at_the_epsilon_bound(self, start, start_us, epsilon_us,
+                                                            min_burst, occurrences):
+        step = {"0": 0, "1": epsilon_us, "1/2": epsilon_us // 2, "1-": epsilon_us - 1,
+                "1+": epsilon_us + 1, "3": 3 * epsilon_us}
+        us, events = start_us, {}
+        for case, activity, gap in occurrences:
+            us += step[gap]
+            events.setdefault(f"c{case}", []).append(
+                Event(f"c{case}", activity, start + timedelta(microseconds=us)))
+        log = make_log(*(Trace.build(cid, evs) for cid, evs in events.items()))
+        epsilon = epsilon_us / 1e6
+        got = fit_batch_stats(log, epsilon, min_burst).scores
+        assert got == oracles.burst_scores(log, epsilon, min_burst)
 
 
 class TestBatchIndicator:
