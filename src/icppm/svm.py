@@ -248,10 +248,12 @@ def alphas_from_model(model: SvmModel, m: int) -> np.ndarray:
 
 @dataclass
 class MulticlassModel:
-    """One-vs-rest ensemble; class order is the sorted label order."""
+    """One-vs-rest ensemble; class order is the sorted label order, and
+    ``class_weights`` holds each class's summed training ``sample_weight``."""
 
     classes: tuple
     models: tuple[SvmModel, ...]
+    class_weights: np.ndarray
 
     def decision_matrix(self, cross) -> np.ndarray:
         rows = np.asarray(cross, dtype=np.float64)
@@ -279,10 +281,15 @@ def fit_multiclass(kernel, labels: Sequence, C: float = 1.0, tol: float = 1e-3,
     eta = _eta_table(k)
     models = [_smo(k, eta, np.where(codes == c, 1.0, -1.0), C, tol, max_passes, w)
               for c in range(len(classes))]
-    return MulticlassModel(classes, tuple(models))
+    return MulticlassModel(classes, tuple(models),
+                           np.bincount(codes, weights=w, minlength=len(classes)))
 
 
 def predict(model: MulticlassModel, cross) -> list:
-    """Highest one-vs-rest score wins; ties go to the smaller class index."""
+    """Highest one-vs-rest score wins. An exact tie goes to the tied class
+    with the largest training weight, then to the smaller class index, so a
+    row on which every score ties gets the majority class."""
     scores = model.decision_matrix(cross)
-    return [model.classes[i] for i in np.argmax(scores, axis=1)]
+    tied = scores == scores.max(axis=1, keepdims=True)
+    best = np.argmax(np.where(tied, model.class_weights, -np.inf), axis=1)
+    return [model.classes[i] for i in best]

@@ -358,18 +358,24 @@ class TestMajorityBaseline:
         assert 0.0 <= result.mean_accuracy <= 1.0
 
 
+def nul_label_log(tmp_path) -> str:
+    """A 60-case CSV log: S, then A (20 cases), A\x00 (15) or B (25)."""
+    rows = ["case_id,activity,timestamp,resource"]
+    nexts = ["A"] * 20 + ["A\x00"] * 15 + ["B"] * 25
+    for c, act in enumerate(nexts):
+        rows += [f"c{c:02d},S,2023-01-01T00:{c:02d}:00,r",
+                 f"c{c:02d},{act},2023-01-01T01:{c:02d}:00,r"]
+    path = tmp_path / "nul.csv"
+    path.write_text("\n".join(rows) + "\n")
+    return str(path)
+
+
 class TestLabelCodes:
     def test_labels_differing_by_a_trailing_nul_stay_apart(self, tmp_path):
         # A fixed-width numpy string array drops trailing NULs, which would
         # merge A with A\x00 into one class of 35 cases against B's 25.
-        rows = ["case_id,activity,timestamp,resource"]
-        nexts = ["A"] * 20 + ["A\x00"] * 15 + ["B"] * 25
-        for c, act in enumerate(nexts):
-            rows += [f"c{c:02d},S,2023-01-01T00:{c:02d}:00,r",
-                     f"c{c:02d},{act},2023-01-01T01:{c:02d}:00,r"]
-        path = tmp_path / "nul.csv"
-        path.write_text("\n".join(rows) + "\n")
-        cfg = ExperimentConfig(dataset=str(path), classifier="majority", folds=3, max_prefix=1)
+        cfg = ExperimentConfig(dataset=nul_label_log(tmp_path), classifier="majority",
+                               folds=3, max_prefix=1)
         log, samples = prepare_samples(cfg)
         assert log.activity_vocab == ("A", "A\x00", "B", "S")
         result = run_experiment(cfg, log, samples)
@@ -384,6 +390,20 @@ class TestLabelCodes:
             top = min(set(train), key=lambda lab: (-train.count(lab), lab))
             want.append(sum(labels[i] == top for i in test_idx) / len(test_idx))
         assert result.fold_accuracies == tuple(want)
+
+    @pytest.mark.parametrize("seed", [3, 9])
+    def test_svm_on_one_distinct_row_scores_the_majority_class(self, tmp_path, seed):
+        # Every prefix is the one event S, so every one-vs-rest score ties on
+        # every test row; the tie goes to the heaviest train class. Sending
+        # it to class index 0 (A) instead scored a mean 0.333 on both seeds,
+        # against the majority's 0.417.
+        cfg = ExperimentConfig(dataset=nul_label_log(tmp_path), classifier="majority",
+                               folds=3, max_prefix=1, seed=seed)
+        log, samples = prepare_samples(cfg)
+        majority = run_experiment(cfg, log, samples).fold_accuracies
+        svc = run_experiment(dataclasses.replace(cfg, classifier="svc_rbf"), log,
+                             samples).fold_accuracies
+        assert svc == majority
 
     @pytest.mark.parametrize("classifier, accuracies", [
         ("majority", (1.0, 0.5, 0.5)),

@@ -245,16 +245,34 @@ class TestMulticlass:
             assert np.array_equal(model.support_indices, want.support_indices)
             assert (model.bias, model.iterations) == (want.bias, want.iterations)
 
-    def test_tie_goes_to_smaller_class(self):
+    @staticmethod
+    def _constant_model(biases, weights):
+        """Scores equal to ``biases`` on every row: no support vectors."""
         empty = np.array([])
-        tied = MulticlassModel(
-            ("a", "b"),
-            (
-                SvmModel(empty, empty, bias=0.5, C=1.0),
-                SvmModel(empty, empty, bias=0.5, C=1.0),
-            ),
-        )
+        return MulticlassModel(tuple("abc"[:len(biases)]),
+                               tuple(SvmModel(empty, empty, bias=b, C=1.0) for b in biases),
+                               np.array(weights, dtype=np.float64))
+
+    def test_tie_goes_to_smaller_class(self):
+        tied = self._constant_model([0.5, 0.5], [1.0, 1.0])
         assert predict(tied, np.zeros((3, 4))) == ["a", "a", "a"]
+
+    def test_tie_goes_to_heavier_class_first(self):
+        rows = np.zeros((2, 4))
+        assert predict(self._constant_model([0.5, 0.5, 0.5], [2.0, 2.0, 1.0]), rows) == ["a", "a"]
+        assert predict(self._constant_model([0.5, 0.5, 0.5], [1.0, 3.0, 3.0]), rows) == ["b", "b"]
+        # Only the classes at the top score compete.
+        assert predict(self._constant_model([0.5, 0.2, 0.5], [1.0, 9.0, 2.0]), rows) == ["c", "c"]
+        assert predict(self._constant_model([0.1, 0.7, 0.5], [9.0, 1.0, 9.0]), rows) == ["b", "b"]
+
+    def test_all_tied_scores_predict_the_majority_class(self):
+        # One distinct row: every binary bias is -1, so every score ties, and
+        # the heaviest class (13 + 4 for "c") wins.
+        model = fit_multiclass(np.ones((4, 4)), ["a", "b", "c", "c"],
+                               sample_weight=[13, 10, 13, 4])
+        assert [m.bias for m in model.models] == [-1.0, -1.0, -1.0]
+        assert model.class_weights.tolist() == [13.0, 10.0, 17.0]
+        assert predict(model, np.ones((2, 4))) == ["c", "c"]
 
     def test_single_class_rejected(self):
         with pytest.raises(DegenerateModelError):
