@@ -6,7 +6,9 @@ selection (WSS2; Fan, Chen & Lin, JMLR 6:1889, 2005). With v_t = y_t - u_t,
 where u = K(a*y), ``i`` is the argmax of v over the up set and ``j`` the
 index of the low set with v_j < v_i that maximizes the guaranteed gain
 b^2 / eta, b = v_i - v_j and eta = K_ii + K_jj - 2 K_ij; the two-variable
-subproblem is then solved analytically. Kernel rows are read instead of
+subproblem is then solved analytically. eta depends on the kernel alone, so
+it is one m x m table (``_eta_table``) that ``fit_multiclass`` builds once
+for all its one-vs-rest problems. Kernel rows are read instead of
 columns, which needs a symmetric kernel. ``fit`` raises ``ValueError`` on an
 asymmetric kernel, on C or tol not > 0 (C = inf is allowed), on a
 ``max_passes`` that is not an integer >= 0 and on a ``sample_weight`` that

@@ -347,15 +347,20 @@ class TestMajorityBaseline:
         assert result.cross_evaluations == 0
 
     def test_majority_tie_prefers_smaller_label(self):
-        traces = [
-            make_trace(f"c{i}", [("a", i * 10.0), ("b" if i % 2 else "c", i * 10.0 + 5)])
-            for i in range(6)
-        ]
-        log = make_log(*traces)
+        # Fold 1 holds two b- and two c-cases, fold 0 one b- and three
+        # c-cases. So fold 0 trains on a b/c tie, which goes to b and scores
+        # 1/4 (c would score 3/4), and fold 1 trains on c and scores 2/4.
+        ids = [f"c{i}" for i in range(8)]
         cfg = ExperimentConfig(classifier="majority", folds=2, max_prefix=1)
-        samples = build_prefix_log(log, 1, 1)
-        result = run_experiment(cfg, log, samples)
-        assert 0.0 <= result.mean_accuracy <= 1.0
+        only_a = make_log(*(make_trace(c, [("a", 10.0 * i)]) for i, c in enumerate(ids)))
+        fold_of = make_cv_folds(build_prefix_log(only_a, 1, 1), cfg.folds,
+                                derive_seed(cfg.seed, "folds")).fold_assignments
+        nexts = {0: iter("bccc"), 1: iter("bbcc")}
+        log = make_log(*(make_trace(c, [("a", 10.0 * i), (next(nexts[int(fold_of[i])]),
+                                                             10.0 * i + 5)])
+                         for i, c in enumerate(ids)))
+        result = run_experiment(cfg, log, build_prefix_log(log, 1, 1))
+        assert result.fold_accuracies == (0.25, 0.5)
 
 
 def nul_label_log(tmp_path) -> str:
