@@ -147,9 +147,10 @@ def _burst_marked(times: np.ndarray, cases: np.ndarray, epsilon: float, min_burs
     times[r] - times[l] <= epsilon. That test holds on a prefix of r and
     fails on a prefix of l, so right ascends. Occurrence p brings a new case
     into the interval of l exactly when its case's previous occurrence lies
-    before l, l <= p and right[l] > p: an index range of l, added up by one
-    difference array. The marked occurrences are the union of the intervals
-    holding at least ``min_burst`` cases.
+    before l, l <= p and right[l] > p: l runs over [start[p], p], so the
+    intervals holding l count the starts up to l less the l occurrences
+    before it. Occurrence q is marked when a qualifying interval (at least
+    ``min_burst`` cases) starting at or before q still reaches past it.
     """
     n = len(times)
     idx = np.arange(n)
@@ -169,10 +170,9 @@ def _burst_marked(times: np.ndarray, cases: np.ndarray, epsilon: float, min_burs
     same = cases[by_case[1:]] == cases[by_case[:-1]]
     prev[by_case[1:][same]] = by_case[:-1][same]
     start = np.maximum(prev + 1, np.searchsorted(right, idx, side="right"))
-    distinct = np.cumsum(np.bincount(start, minlength=n + 1) - np.bincount(idx + 1, minlength=n + 1))
-    burst = distinct[:n] >= min_burst
-    cover = np.bincount(idx[burst], minlength=n + 1) - np.bincount(right[burst], minlength=n + 1)
-    return int(np.count_nonzero(np.cumsum(cover)[:n]))
+    distinct = np.cumsum(np.bincount(start, minlength=n)) - idx
+    reach = np.maximum.accumulate(np.where(distinct >= min_burst, right, 0))
+    return int(np.count_nonzero(reach > idx))
 
 
 class EventIndex:
