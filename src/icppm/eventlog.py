@@ -9,6 +9,13 @@ case ``c``. Activity and resource codes index the sorted vocabularies of
 the values present. All timestamps are normalized to UTC on parse; naive
 timestamps are treated as UTC.
 
+A CSV is read by one ``csv.reader`` in blocks of rows, each turned into
+code columns by first-seen dicts. Stamps in the layouts ``isoformat()``
+gives an aware instant (``YYYY-MM-DDTHH:MM:SS[.ffffff]±HH:MM``, as
+``write_csv`` writes them) are checked and converted by integer array
+arithmetic; any other stamp, or one that fails a check, goes through
+``datetime.fromisoformat`` alone, with the same instant or error.
+
 Times stay exact integers. Where a float is needed, ``seconds`` divides by
 10**6 with correct rounding, so an instant gives the float
 ``datetime.timestamp()`` gives and a difference of two instants the float
@@ -39,6 +46,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from datetime import date, datetime, timedelta, timezone
 from functools import cached_property
+from itertools import compress, islice
 from pathlib import Path
 from typing import IO, Iterable, Mapping, Sequence
 
@@ -259,15 +267,21 @@ class _Rows:
         self.time_us.append(us)
 
     def log(self) -> EventLog:
-        case = np.array(self.case, dtype=np.int64)
-        time_us = np.array(self.time_us, dtype=np.int64)
-        order = np.lexsort((time_us, case))
-        return _make_log(
-            list(self.cases), self.attributes, case[order],
-            np.array(self.activity, dtype=np.int64)[order], list(self.activities),
-            np.array(self.resource, dtype=np.int64)[order], list(self.resources),
-            time_us[order],
+        return _grouped_log(
+            list(self.cases), self.attributes, np.array(self.case, dtype=np.int64),
+            np.array(self.activity, dtype=np.int64), list(self.activities),
+            np.array(self.resource, dtype=np.int64), list(self.resources),
+            np.array(self.time_us, dtype=np.int64),
         )
+
+
+def _grouped_log(case_ids, attributes, case, activity, activity_names, resource,
+                 resource_names, time_us) -> EventLog:
+    """A log from event columns in input order: rows grouped by case code,
+    stably sorted by time within a case."""
+    order = np.lexsort((time_us, case))
+    return _make_log(case_ids, attributes, case[order], activity[order], activity_names,
+                     resource[order], resource_names, time_us[order])
 
 
 def _sorted_codes(codes: np.ndarray, names: Sequence[str]) -> tuple[np.ndarray, tuple[str, ...]]:
@@ -497,6 +511,11 @@ def parse_csv(
         raise ParseError(f"malformed CSV: {exc}") from exc
 
 
+# Rows per block: the block's row lists, its column tuples and its int64
+# temporaries stay a few tens of KiB.
+_CSV_BLOCK_ROWS = 512
+
+
 def _csv_log(reader, colmap: Mapping[str, str]) -> EventLog:
     header = next(reader, None) or []
     for logical in ("case_id", "activity", "timestamp"):
@@ -512,22 +531,131 @@ def _csv_log(reader, colmap: Mapping[str, str]) -> EventLog:
         name[len(_ATTR_PREFIX):]: i for name, i in column.items() if name.startswith(_ATTR_PREFIX)
     }
     width = len(header)
-    rows = _Rows()
-    for row_no, row in enumerate(filter(None, reader), start=2):
-        if len(row) < width:
-            row += [None] * (width - len(row))
-        case_id, activity, raw_ts = row[case_col], row[act_col], row[time_col]
-        if not case_id or not activity or not raw_ts:
-            raise RecordError(f"row {row_no}: missing case_id, activity or timestamp")
+    cases: dict[str, int] = {}
+    attributes: list[Mapping[str, str]] = []
+    activities: dict[str, int] = {}
+    # None (a short row) and "" take codes 0 and 1, which become -1.
+    resources: dict[str | None, int] = {None: 0, "": 1}
+    parts = [(np.empty(0, dtype=np.int64),) * 4]
+    rows = filter(None, reader)
+    first_row = 2
+    while True:
+        block, failure = [], None
         try:
-            us = _micros(_parse_instant(raw_ts))
+            block.extend(islice(rows, _CSV_BLOCK_ROWS))
+        except Exception as exc:
+            # Malformed CSV, bytes that are not UTF-8, a truncated gzip
+            # stream: raised unchanged once the rows read before it pass.
+            failure = exc
+        if block:
+            if min(map(len, block)) < width:
+                block = [row + [None] * (width - len(row)) for row in block]
+            cols = list(zip(*block))
+            case_ids, acts, stamps = cols[case_col], cols[act_col], cols[time_col]
+            if not (all(case_ids) and all(acts) and all(stamps)):
+                bad = next(i for i, fields in enumerate(zip(case_ids, acts, stamps))
+                           if not all(fields))
+                _stamps_us(stamps[:bad], first_row)  # an earlier bad stamp wins
+                raise RecordError(f"row {first_row + bad}: missing case_id, activity or timestamp")
+            us = _stamps_us(stamps, first_row)
+            case, new = _first_seen_codes(cases, case_ids)
+            if attr_cols:
+                first = dict(zip(reversed(case_ids), range(len(block) - 1, -1, -1)))
+                new = [block[first[c]] for c in new]
+            attributes += ({a: v for a, i in attr_cols.items() if (v := row[i])} for row in new)
+            res = np.full(len(block), -1, dtype=np.int64)
+            if res_col is not None:
+                np.maximum(_first_seen_codes(resources, cols[res_col])[0] - 2, -1, out=res)
+            parts.append((case, _first_seen_codes(activities, acts)[0], res, us))
+        if failure is not None:
+            raise failure
+        if len(block) < _CSV_BLOCK_ROWS:
+            break
+        first_row += len(block)
+    case, activity, resource, time_us = map(np.concatenate, zip(*parts))
+    return _grouped_log(list(cases), attributes, case, activity, list(activities),
+                        resource, list(resources)[2:], time_us)
+
+
+def _first_seen_codes(seen: dict, values: Sequence) -> tuple[np.ndarray, list]:
+    """The code of each value in ``seen``, which first gives the values it
+    lacks the next codes in order of first occurrence; and those values."""
+    new = [value for value in dict.fromkeys(values) if value not in seen]
+    seen.update(zip(new, range(len(seen), len(seen) + len(new))))
+    return np.fromiter(map(seen.__getitem__, values), dtype=np.int64, count=len(values)), new
+
+
+# The fields of a fast stamp: year, month, day, hour, minute, second,
+# microsecond, and the offset's hours and minutes, with their ranges.
+_FIELDS = "ymdHMSfhn"
+_FIELD_MIN = np.array([1, 1, 1, 0, 0, 0, 0, 0, 0])
+_FIELD_MAX = np.array([9999, 12, 31, 23, 59, 59, 999999, 23, 59])
+
+
+def _layout(template: str) -> tuple:
+    """Per character of a stamp layout (field letters mark its digits, "+"
+    the offset's sign, anything else itself), the lowest byte allowed and
+    the span above it; and the weights that turn digits into field values,
+    as float32, which holds every field value and partial sum (< 2**24)."""
+    chars = np.frombuffer(template.encode(), dtype=np.uint8)
+    digit = np.array([c in _FIELDS for c in template])
+    low = np.where(digit, ord("0"), chars).astype(np.uint8)
+    span = np.where(digit, 9, np.where(chars == ord("+"), ord("-") - ord("+"), 0)).astype(np.uint8)
+    weights = [[10.0 ** template[i + 1:].count(f) * (c == f) for f in _FIELDS]
+               for i, c in enumerate(template)]
+    return len(template), low, span, np.array(weights, dtype=np.float32)
+
+
+# The stamps isoformat() gives an aware instant, with and without microseconds.
+_FAST_LAYOUTS = (_layout("yyyy-mm-ddTHH:MM:SS+hh:nn"), _layout("yyyy-mm-ddTHH:MM:SS.ffffff+hh:nn"))
+# Days in each month of a common year, and days before it; index 0 is unused.
+_MONTH_DAYS = np.array([0, 31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31])
+_DAYS_BEFORE = np.cumsum(_MONTH_DAYS) - _MONTH_DAYS
+# The instants a datetime can hold, in epoch microseconds.
+_MIN_US = _micros(datetime.min.replace(tzinfo=timezone.utc))
+_MAX_US = _micros(datetime.max.replace(tzinfo=timezone.utc))
+
+
+def _stamps_us(stamps: Sequence[str], first_row: int) -> np.ndarray:
+    """Epoch microseconds of the timestamp cells of rows ``first_row``,
+    ``first_row + 1``, ...: by array arithmetic for the stamps in a
+    ``_FAST_LAYOUTS`` layout whose fields pass every check ``_parse_instant``
+    makes, else by ``_parse_instant``, whose error on the first bad cell
+    becomes a RecordError."""
+    n = len(stamps)
+    us = np.zeros(n, dtype=np.int64)
+    fast = np.zeros(n, dtype=bool)
+    lengths = np.fromiter(map(len, stamps), dtype=np.int64, count=n)
+    for size, low, span, weights in _FAST_LAYOUTS:
+        rows = lengths == size
+        if not rows.any():
+            continue
+        # A character that is not ASCII becomes "?", which fails the checks.
+        text = "".join(compress(stamps, rows.tolist())).encode("ascii", "replace")
+        chars = np.frombuffer(text, dtype=np.uint8).reshape(-1, size)
+        sign = chars[:, -6]
+        fields = ((chars - np.uint8(ord("0"))) @ weights).astype(np.int64)
+        # "," lies between "+" and "-"; a byte below its range wraps above its span.
+        ok = sign != ord(",")
+        ok[np.flatnonzero((chars - low) > span) // size] = False
+        ok[np.flatnonzero((fields < _FIELD_MIN) | (fields > _FIELD_MAX)) // len(_FIELDS)] = False
+        year, month, day, hour, minute, second, micro, off_h, off_m = fields.T
+        leap = (year % 4 == 0) & ((year % 100 != 0) | (year % 400 == 0))
+        ok &= day <= _MONTH_DAYS.take(month, mode="clip") + (leap & (month == 2))
+        y = year - 1
+        days = (365 * y + y // 4 - y // 100 + y // 400 - _EPOCH.toordinal()
+                + _DAYS_BEFORE.take(month, mode="clip") + (leap & (month > 2)) + day)
+        offset = (ord(",") - sign.astype(np.int64)) * (off_h * 60 + off_m)
+        value = (((days * 24 + hour) * 60 + minute - offset) * 60 + second) * 10 ** 6 + micro
+        ok &= (value >= _MIN_US) & (value <= _MAX_US)
+        at = np.flatnonzero(rows)[ok]
+        us[at], fast[at] = value[ok], True
+    for i in np.flatnonzero(~fast).tolist():
+        try:
+            us[i] = _micros(_parse_instant(stamps[i]))
         except (ValueError, OverflowError) as exc:
-            raise RecordError(f"row {row_no}: bad timestamp {raw_ts!r}: {exc}") from exc
-        case = rows.cases.get(case_id)
-        if case is None:
-            case = rows.add_case(case_id, {a: row[i] for a, i in attr_cols.items() if row[i]})
-        rows.add(case, activity, None if res_col is None else row[res_col], us)
-    return rows.log()
+            raise RecordError(f"row {first_row + i}: bad timestamp {stamps[i]!r}: {exc}") from exc
+    return us
 
 
 def _csv_field(value: str) -> str:

@@ -11,8 +11,9 @@ of the block at once.
 Conventions that keep results bit-identical to a naive full scan:
 window membership compares epoch-second floats and durations are float
 seconds, both ``eventlog.seconds`` of the log's integer microseconds, which
-equals ``datetime.timestamp()`` and ``timedelta.total_seconds()``; means
-use ``math.fsum`` so summation order cannot change the result.
+equals ``datetime.timestamp()`` and ``timedelta.total_seconds()``; window
+means divide the correctly rounded sum ``math.fsum`` gives (``_window_sums``),
+so summation order cannot change the result.
 """
 
 from __future__ import annotations
@@ -51,8 +52,9 @@ def _check_features(features: Sequence[str]) -> None:
 
 # Largest gather, in bytes, that counting window codes may build at once:
 # anchors are taken in chunks whose window positions, expanded one int64
-# array per step (anchor, position, code, key, sorted key), fit in it. One
-# anchor whose window alone exceeds it still forms a chunk of its own.
+# array per step (anchor, position, and code, key and sorted key, or
+# previous position, window start and mask), fit in it. One anchor whose
+# window alone exceeds it still forms a chunk of its own.
 GATHER_BUDGET_BYTES = 16 << 20
 _GATHER_ARRAYS = 5
 
@@ -165,20 +167,29 @@ def _burst_marked(times: np.ndarray, cases: np.ndarray, epsilon: float, min_burs
             break
         right = np.where(ahead, np.searchsorted(times, times[at], side="right"), right)
         right = np.where(behind, np.searchsorted(times, times[right - 1], side="left"), right)
-    by_case = np.argsort(cases, kind="stable")
-    prev = np.full(n, -1)
-    same = cases[by_case[1:]] == cases[by_case[:-1]]
-    prev[by_case[1:][same]] = by_case[:-1][same]
-    start = np.maximum(prev + 1, np.searchsorted(right, idx, side="right"))
+    start = np.maximum(_previous(cases) + 1, np.searchsorted(right, idx, side="right"))
     distinct = np.cumsum(np.bincount(start, minlength=n)) - idx
     reach = np.maximum.accumulate(np.where(distinct >= min_burst, right, 0))
     return int(np.count_nonzero(reach > idx))
 
 
+def _previous(codes: np.ndarray) -> np.ndarray:
+    """Position of the previous entry with the same code: -1 for none, and
+    ``len(codes)``, after every position, for a negative code."""
+    order = np.argsort(codes, kind="stable")
+    prev = np.full(len(codes), -1)
+    same = codes[order[1:]] == codes[order[:-1]]
+    prev[order[1:][same]] = order[:-1][same]
+    prev[codes < 0] = len(codes)
+    return prev
+
+
 class EventIndex:
     """Time-sorted columns of a log, shared by all window feature queries.
 
-    Case, activity and resource codes are the log's own.
+    Case, activity and resource codes are the log's own. ``prev_case`` is
+    the position of each event's previous same-case event (-1 for none): an
+    event is its case's first in a window [lo, hi) when that lies before lo.
     """
 
     def __init__(self, log: EventLog):
@@ -192,6 +203,11 @@ class EventIndex:
         has_prev = np.ones(log.n_events, dtype=bool)
         has_prev[log.offsets[:-1][np.diff(log.offsets) > 0]] = False
         prev_acts = np.where(has_prev, np.roll(log.activity, 1), -1)[order]
+        # Events of a case keep their row order here, so the previous
+        # same-case event is the previous row.
+        position = np.empty_like(order)
+        position[order] = np.arange(len(order))
+        self.prev_case = np.where(has_prev[order], position[order - 1], -1)
         gaps = seconds(log.time_us - np.roll(log.time_us, 1))
         self.prev_gaps = np.where(has_prev, gaps, math.nan)[order]
         n_acts = max(len(log.activity_vocab), 1)
@@ -201,8 +217,8 @@ class EventIndex:
         self.cases = log.case_ids
         self.activities = log.activity_vocab
         self.resources = log.resource_vocab
-        for arr in (self.times, self.case_codes, self.act_codes,
-                    self.res_codes, self.prev_gaps, self.pair_codes):
+        for arr in (self.times, self.case_codes, self.act_codes, self.res_codes,
+                    self.prev_gaps, self.pair_codes, self.prev_case):
             arr.flags.writeable = False
 
     def __len__(self) -> int:
@@ -229,15 +245,12 @@ class EventIndex:
         return table
 
 
-def _window_counts(
-    bounds: Bounds, codes: np.ndarray, n_codes: int
-) -> Iterator[tuple[int, int, np.ndarray, np.ndarray, np.ndarray]]:
-    """How often each code occurs in each anchor's window, chunk by chunk.
+def _window_positions(bounds: Bounds) -> Iterator[tuple[int, int, np.ndarray, np.ndarray]]:
+    """Every (anchor, index position) pair of the windows, chunk by chunk.
 
-    Yields ``(start, stop, anchor, code, count)`` for the anchors
-    ``start:stop``: one entry per distinct (anchor, code) pair among the
-    window events whose code is >= 0, with ``anchor`` relative to ``start``
-    and the entries sorted by anchor, then code.
+    Yields ``(start, stop, anchor, pos)`` for the anchors ``start:stop``,
+    with ``anchor`` relative to ``start`` and the pairs sorted by anchor,
+    then position.
     """
     lo, hi = bounds
     sizes = hi - lo
@@ -253,11 +266,20 @@ def _window_counts(
         pos = np.arange(len(anchor)) + np.repeat(
             lo[start:stop] - (np.cumsum(chunk) - chunk), chunk
         )
-        code = codes[pos]
-        keep = code >= 0
-        keys, count = np.unique(anchor[keep] * n_codes + code[keep], return_counts=True)
-        yield start, stop, keys // n_codes, keys % n_codes, count
+        yield start, stop, anchor, pos
         start = stop
+
+
+def _first_in_window(
+    bounds: Bounds, prev: np.ndarray
+) -> Iterator[tuple[int, int, np.ndarray, np.ndarray]]:
+    """The window events whose previous same-code event (``prev``) lies
+    before their window, one per distinct code of each window, chunk by
+    chunk, as ``_window_positions`` yields them."""
+    lo = bounds[0]
+    for start, stop, anchor, pos in _window_positions(bounds):
+        first = prev[pos] < lo[start:stop][anchor]
+        yield start, stop, anchor[first], pos[first]
 
 
 def _most_frequent(
@@ -266,9 +288,14 @@ def _most_frequent(
     """Per anchor, the smallest translated code among the window's most
     frequent codes; 0 for a window without codes."""
     out = np.zeros(len(bounds[0]), dtype=np.int64)
-    for start, _, anchor, code, count in _window_counts(bounds, codes, n_codes):
-        if not len(anchor):
+    for start, _, anchor, pos in _window_positions(bounds):
+        code = codes[pos]
+        keep = code >= 0
+        if not keep.any():
             continue
+        # One entry per distinct (anchor, code), sorted by anchor, then code.
+        keys, count = np.unique(anchor[keep] * n_codes + code[keep], return_counts=True)
+        anchor, code = keys // n_codes, keys % n_codes
         # Entries are grouped by anchor: reduce each group to its top count,
         # then to the smallest translation among the codes reaching it.
         first = np.flatnonzero(np.r_[True, anchor[1:] != anchor[:-1]])
@@ -283,10 +310,9 @@ def peer_cases(index: EventIndex, bounds: Bounds, cases: np.ndarray) -> np.ndarr
     code in ``cases``) included."""
     distinct = np.zeros(len(cases), dtype=np.int64)
     present = np.zeros(len(cases), dtype=bool)
-    n_cases = max(len(index.cases), 1)
-    for start, stop, anchor, code, _ in _window_counts(bounds, index.case_codes, n_cases):
+    for start, stop, anchor, pos in _first_in_window(bounds, index.prev_case):
         distinct[start:stop] = np.bincount(anchor, minlength=stop - start)
-        mine = anchor[code == cases[start:stop][anchor]]
+        mine = anchor[index.case_codes[pos] == cases[start:stop][anchor]]
         present[start + mine] = True
     return distinct + ~present
 
@@ -300,10 +326,66 @@ def peer_act(index: EventIndex, bounds: Bounds) -> np.ndarray:
 def res_count(index: EventIndex, bounds: Bounds) -> np.ndarray:
     """Distinct non-empty resources active in each window."""
     out = np.zeros(len(bounds[0]), dtype=np.int64)
-    n_res = max(len(index.resources), 1)
-    for start, stop, anchor, _, _ in _window_counts(bounds, index.res_codes, n_res):
+    for start, stop, anchor, _ in _first_in_window(bounds, _previous(index.res_codes)):
         out[start:stop] = np.bincount(anchor, minlength=stop - start)
     return out
+
+
+# Windows are summed exactly only while no partial sum can come near
+# overflow: the largest |value| times the longest window stays below this.
+_SAFE_SUM = 2.0 ** 1000
+
+
+def _window_sums(values: np.ndarray, first: np.ndarray, last: np.ndarray) -> np.ndarray:
+    """``math.fsum(values[a:b])`` for each window ``a, b`` of ``first,
+    last``, bit for bit, raising what ``fsum`` raises.
+
+    All windows are summed at once, one element position per step, by
+    TwoSum (Knuth; Ogita, Rump & Oishi 2005): s + x = fl(s + x) + t exactly,
+    so a window's sum is s plus the sum of its t, and e, the float sum of
+    the t, is off by at most gamma(n - 1) sum|t| <= 2 n u sum|t| for n
+    elements (u = 2**-53). Every s and t is a multiple of q, the spacing of
+    the floats at the window's smallest nonzero |x|, so e is exact while
+    sum|t| < 2**53 q. Then fl(s + e) is the correctly rounded sum, which
+    fsum returns, when e is exact, or when the rounding error d of
+    fl(s + e) (exact by TwoSum) plus the bound on e stays below half the
+    gap to the next float toward zero. A window that passes neither test
+    (a zero sum, a near-tie, a non-finite value, values near overflow) goes
+    to fsum, whose sign of a zero sum is its own.
+    """
+    sizes = last - first
+    n = len(sizes)
+    # Longest windows first, so the windows still open at a step are a prefix.
+    order = np.argsort(-sizes, kind="stable")
+    pos, n_elems = first[order], sizes[order]
+    s, err, mag, least = np.zeros(n), np.zeros(n), np.zeros(n), np.full(n, np.inf)
+    # A zero is a multiple of every q.
+    nonzero = np.where(values == 0, np.inf, np.abs(values))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j, k in enumerate((n - np.cumsum(np.bincount(sizes)))[:-1].tolist()):
+            at = pos[:k] + j
+            x, a = values[at], s[:k]
+            np.minimum(least[:k], nonzero[at], out=least[:k])
+            total = a + x
+            back = total - a
+            t = (a - (total - back)) + (x - back)
+            s[:k] = total
+            err[:k] += t
+            mag[:k] += np.abs(t)
+        rounded = s + err
+        back = rounded - s
+        d = (s - (rounded - back)) + (err - back)
+        gap = np.abs(rounded) - np.nextafter(np.abs(rounded), 0)
+        exact = ((mag < 2.0 ** 53 * np.spacing(least))
+                 | (np.abs(d) + n_elems * 2.0 ** -52 * mag < gap / 2)) & (rounded != 0)
+    if n and values.size and not np.abs(values).max() < _SAFE_SUM / max(n_elems[0], 1):
+        exact[:] = False
+    exact |= n_elems == 0
+    sums = np.empty(n)
+    sums[order] = rounded
+    for i in order[~exact].tolist():
+        sums[i] = math.fsum(values[first[i]:last[i]].tolist())
+    return sums
 
 
 def avg_delay(index: EventIndex, bounds: Bounds, stats: TransitionStats) -> np.ndarray:
@@ -316,16 +398,14 @@ def avg_delay(index: EventIndex, bounds: Bounds, stats: TransitionStats) -> np.n
     eligible = index.pair_codes >= 0
     pair_means = means[np.where(eligible, index.pair_codes, 0)]
     ok = eligible & np.isfinite(pair_means)
-    ratios = (index.prev_gaps[ok] / pair_means[ok]).tolist()
+    ratios = index.prev_gaps[ok] / pair_means[ok]
     # Eligible events of each window: a range of the eligible positions.
     positions = np.flatnonzero(ok)
     lo, hi = bounds
-    first = np.searchsorted(positions, lo).tolist()
-    last = np.searchsorted(positions, hi).tolist()
-    return np.array([
-        math.fsum(ratios[a:b]) / (b - a) if b > a else 1.0
-        for a, b in zip(first, last)
-    ], dtype=np.float64)
+    first, last = np.searchsorted(positions, lo), np.searchsorted(positions, hi)
+    count = last - first
+    return np.divide(_window_sums(ratios, first, last), count,
+                     out=np.ones(len(count)), where=count > 0)
 
 
 def freq_act(index: EventIndex, bounds: Bounds, act_vocab: Vocabulary) -> np.ndarray:

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import hashlib
 import logging
+import math
 import os
 import tempfile
 import zipfile
@@ -111,18 +112,21 @@ def _as_matrix(data) -> np.ndarray:
 
 def asymmetry(values: np.ndarray) -> float:
     """Largest |K - K^T| entry of a square matrix (NaN or inf if an entry is
-    not finite), from row blocks of the upper triangle against the
-    transposed lower one, so no m x m temporary is allocated."""
+    not finite), from square tiles of the upper triangle against their
+    transposed partners, so both are read along rows and no m x m temporary
+    is allocated."""
     m = len(values)
-    rows = max(1, _BLOCK_ELEMENTS // max(m, 1))
-    buf = np.empty(rows * m)
+    side = math.isqrt(_BLOCK_ELEMENTS)
+    buf = np.empty(side * side)
     worst = 0.0
-    for lo in range(0, m, rows):
-        diff = buf[: min(rows, m - lo) * (m - lo)].reshape(-1, m - lo)
-        with np.errstate(invalid="ignore"):  # inf - inf
-            np.subtract(values[lo:lo + rows, lo:], values[lo:, lo:lo + rows].T, out=diff)
-        np.abs(diff, out=diff)
-        worst = float(np.maximum(worst, diff.max()))  # keeps a NaN
+    for lo in range(0, m, side):
+        for hi in range(lo, m, side):
+            tile = values[lo:lo + side, hi:hi + side]
+            diff = buf[:tile.size].reshape(tile.shape)
+            with np.errstate(invalid="ignore"):  # inf - inf
+                np.subtract(tile, values[hi:hi + side, lo:lo + side].T, out=diff)
+            np.abs(diff, out=diff)
+            worst = float(np.maximum(worst, diff.max()))  # keeps a NaN
     return worst
 
 

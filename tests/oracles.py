@@ -1,8 +1,9 @@
 """Brute-force reference implementations used to validate the package.
 
-Everything here favors obviousness over speed: full scans over every event
-per query, O(n^2) interval checks, exponential active-set enumeration for
-the SVM dual, per-row VQC circuits rebuilt gate by gate. Window membership,
+Everything here favors obviousness over speed: a CSV parser that handles
+one row at a time, full scans over every event per query, O(n^2) interval
+checks, exponential active-set enumeration for the SVM dual, per-row VQC
+circuits rebuilt gate by gate. Window membership,
 durations, and means use the same exact arithmetic as the production code
 (epoch floats, timedelta seconds, fsum) so comparisons can demand bit
 equality.
@@ -10,6 +11,8 @@ equality.
 
 from __future__ import annotations
 
+import csv
+import io
 import itertools
 import math
 from collections import Counter
@@ -18,7 +21,58 @@ import numpy as np
 
 from icppm import qsim, vqc
 from icppm.encoding import Vocabulary
-from icppm.eventlog import EventLog
+from icppm.errors import ConfigError, ParseError, RecordError
+from icppm.eventlog import (
+    _ATTR_PREFIX, DEFAULT_COLUMN_MAP, EventLog, _micros, _parse_instant, _Rows,
+)
+
+
+def parse_csv(source, column_map=None) -> EventLog:
+    """``eventlog.parse_csv`` one row at a time: each row is checked, its
+    timestamp parsed by ``fromisoformat`` and its event added on its own."""
+    if isinstance(source, str):
+        source = io.StringIO(source)
+    elif isinstance(source, io.BufferedIOBase):
+        source = io.TextIOWrapper(source, encoding="utf-8", newline="")
+    colmap = {**DEFAULT_COLUMN_MAP, **(column_map or {})}
+    try:
+        return _csv_rows(csv.reader(source), colmap)
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"CSV is not valid UTF-8: {exc.reason}") from exc
+    except csv.Error as exc:
+        raise ParseError(f"malformed CSV: {exc}") from exc
+
+
+def _csv_rows(reader, colmap) -> EventLog:
+    header = next(reader, None) or []
+    for logical in ("case_id", "activity", "timestamp"):
+        if colmap[logical] not in header:
+            raise ConfigError(
+                f"CSV is missing required column {colmap[logical]!r} (for {logical})"
+            )
+    column = {name: i for i, name in enumerate(header)}
+    case_col, act_col, time_col = (column[colmap[k]] for k in ("case_id", "activity", "timestamp"))
+    res_col = column.get(colmap["resource"])
+    attr_cols = {
+        name[len(_ATTR_PREFIX):]: i for name, i in column.items() if name.startswith(_ATTR_PREFIX)
+    }
+    width = len(header)
+    rows = _Rows()
+    for row_no, row in enumerate(filter(None, reader), start=2):
+        if len(row) < width:
+            row += [None] * (width - len(row))
+        case_id, activity, raw_ts = row[case_col], row[act_col], row[time_col]
+        if not case_id or not activity or not raw_ts:
+            raise RecordError(f"row {row_no}: missing case_id, activity or timestamp")
+        try:
+            us = _micros(_parse_instant(raw_ts))
+        except (ValueError, OverflowError) as exc:
+            raise RecordError(f"row {row_no}: bad timestamp {raw_ts!r}: {exc}") from exc
+        case = rows.cases.get(case_id)
+        if case is None:
+            case = rows.add_case(case_id, {a: row[i] for a, i in attr_cols.items() if row[i]})
+        rows.add(case, activity, None if res_col is None else row[res_col], us)
+    return rows.log()
 
 
 def intra_row(name, sample, act_vocab, res_vocab, k, attr_names, attr_vocabs):

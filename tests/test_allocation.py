@@ -31,8 +31,8 @@ import pytest
 
 from conftest import random_log
 from icppm import bench
-from icppm.bench import ExperimentConfig, derive_seed, run_experiment
-from icppm.eventlog import build_prefix_log, make_cv_folds
+from icppm.bench import ExperimentConfig, run_experiment
+from icppm.eventlog import build_prefix_log
 from icppm.qkernel import KernelKind, cache_key, cross, gram, load_kernel, save_kernel
 from icppm.qsim import FEATURE_MAPS, FeatureMapKind, feature_map_states
 from icppm.vqc import OptimizerConfig, train
@@ -135,17 +135,30 @@ def test_cache_hit_checks_symmetry_without_full_size_temporaries(tmp_path):
     assert traced_peak(lambda: load_kernel(tmp_path, key, size=m)) < nbytes + nbytes / 8
 
 
-def test_kernel_run_holds_one_kernel_matrix_at_a_time():
+def test_kernel_run_holds_one_kernel_matrix_at_a_time(monkeypatch):
     log = random_log(5, n_cases=330)
     samples = build_prefix_log(log, 1, None)
-    cfg = ExperimentConfig(classifier="svc_rbf", k=2, folds=3, tol=1e-2)
-    folds = make_cv_folds(samples, cfg.folds, derive_seed(cfg.seed, "folds"))
-    m = max(len(folds.split(f)[0]) for f in range(cfg.folds))
-    assert m >= 800
-    # A second live kernel array (an m x m product temporary, the Gram kept
-    # alive into the cross, or the fold before's cross into the next Gram)
-    # would lift the peak to 1.5 Gram bytes or more.
-    assert traced_peak(lambda: run_experiment(cfg, log, samples)) < 1.3 * m * m * 8
+    # The continuous avg_delay feature makes nearly every train row distinct,
+    # so each fold fits on about as many (row, label) groups as samples.
+    cfg = ExperimentConfig(classifier="svc_rbf", k=2, folds=3, tol=1e-2,
+                           inter_features=("avg_delay",))
+    distinct = []
+    fold = bench._kernel_fold
+
+    def recorded_fold(*args):
+        predictions = fold(*args)
+        distinct.append(args[-1]["distinct_train_rows"])
+        return predictions
+
+    monkeypatch.setattr(bench, "_kernel_fold", recorded_fold)
+    peak = traced_peak(lambda: run_experiment(cfg, log, samples))
+    m_g = max(distinct)
+    assert m_g >= 800
+    # The fit holds the Gram (or its (row, label) gather) and the η table. A
+    # second live kernel array (the distinct Gram kept alive into the fit of
+    # a regrouped fold, or a matrix of the fold before) lifts the peak to 3
+    # Gram bytes or more.
+    assert peak < 2.3 * m_g * m_g * 8
 
 
 def test_regrouped_fold_fits_on_the_gather_and_the_eta_table_alone():

@@ -274,6 +274,17 @@ class TestLoadLog:
             with pytest.raises(ParseError, match="gzip"):
                 load_log(path)
 
+    def test_bad_row_before_a_truncated_gzip_end_wins(self, tmp_path):
+        # The stream ends early after its first 8 KiB read, inside the first
+        # row block; row 10, read before the end, is reported as row by row.
+        rows = [f"c{i},a,2023-01-01T10:00:00+00:00" for i in range(400)]
+        rows[8] = "c8,a,not-a-time"
+        packed = gzip.compress(("case_id,activity,timestamp\n" + "\n".join(rows)).encode())
+        path = tmp_path / "log.csv.gz"
+        path.write_bytes(packed[: len(packed) * 3 // 4])
+        with pytest.raises(RecordError, match="row 10"):
+            load_log(path)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
             load_log(tmp_path / "nope.csv")

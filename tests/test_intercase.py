@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import math
+import re
 from datetime import datetime, timedelta, timezone
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -487,6 +490,85 @@ class TestOracleAgreement:
         cases = oracles.index_codes([tr.case_id for tr in log.traces], idx.cases)
         assert (peer_cases(idx, bounds, cases) <= acts).all()
         assert (res_count(idx, bounds) <= acts).all()
+
+
+# Dyadic values whose sums tie at binade crossings, zeros and subnormals,
+# magnitudes from 1e-300 to 1e300, and values near overflow.
+sum_values = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 2.0 ** -53, 2.0 ** -52, 1.0 + 2.0 ** -52,
+                     2.0 ** 53, 2.0 ** 53 - 1, -(2.0 ** 53), 5e-324, -5e-324, 2.0 ** -1022,
+                     2.0 ** -1022 - 5e-324, 1.7e308, -1.7e308]),
+    st.builds(lambda m, e: m * 2.0 ** e, st.integers(-2 ** 12, 2 ** 12), st.integers(-60, 60)),
+    st.builds(math.ldexp, st.floats(-1, 1), st.integers(-1074, -1000)),
+    st.floats(-1e300, 1e300).filter(lambda v: v == 0 or abs(v) >= 1e-300),
+)
+
+
+@st.composite
+def windowed_values(draw):
+    values = draw(st.lists(sum_values, max_size=24))
+    ends = st.integers(0, len(values))
+    return values, draw(st.lists(st.tuples(ends, ends).map(sorted), max_size=8))
+
+
+class TestWindowSums:
+    @settings(max_examples=400, deadline=None)
+    @given(windowed_values())
+    # 1 + 2**-53 + 2**-100 after cancelling 2**60: the float sum of the
+    # TwoSum errors drops 2**-100 at a tie and rounds down.
+    @example(([2.0 ** 60, 1.0, 2.0 ** -53, 2.0 ** -100, -(2.0 ** 60)], [(0, 5), (1, 4)]))
+    # 3 + 2**-52 + 2**-120: s + e is a tie that the dropped 2**-120 decides.
+    @example(([3.0, 2.0 ** -52, 2.0 ** -120], [(0, 3)]))
+    # Exact ties, which round to even, one at the binade crossing 2**53.
+    @example(([1.0, 2.0 ** -53], [(0, 2)]))
+    @example(([2.0 ** 53 - 1, 0.5, 2.0 ** -60, 0.5], [(0, 2), (0, 3), (0, 4)]))
+    @example(([1.0 + 2.0 ** -52, 2.0 ** -53, 3.0], [(0, 2), (0, 3), (2, 2)]))
+    @example(([1.7e308, 1.7e308, -1.7e308], [(2, 3), (0, 3)]))
+    def test_equals_fsum_per_window(self, case):
+        values, windows = case
+        first = np.array([a for a, _ in windows], dtype=np.int64)
+        last = np.array([b for _, b in windows], dtype=np.int64)
+        args = (np.array(values, dtype=np.float64), first, last)
+        try:
+            want = np.array([math.fsum(values[a:b]) for a, b in windows], dtype=np.float64)
+        except OverflowError as exc:
+            with pytest.raises(OverflowError, match=re.escape(str(exc))):
+                intercase._window_sums(*args)
+            return
+        assert intercase._window_sums(*args).tobytes() == want.tobytes()
+
+
+class TestPeerCountsOnTiesAndEmptyWindows:
+    """peer_cases and res_count against the full-scan oracle on logs whose
+    events share a few whole seconds, with anchors whose windows hold no
+    event, and chunks of a few gathered entries."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        events=st.lists(st.tuples(st.sampled_from(["c1", "c2", "c3", "c4"]), st.integers(0, 6),
+                                  st.sampled_from(["r1", "r2", "", None])), max_size=14),
+        anchors=st.lists(st.tuples(st.integers(-20, 30), st.sampled_from(["c1", "c4", "ghost"])),
+                         min_size=1, max_size=8),
+        width=st.sampled_from([0.5, 1.0, 3.0, 40.0]),
+        budget_entries=st.sampled_from([1, 2, 1 << 20]),
+    )
+    def test_match_oracle(self, events, anchors, width, budget_entries):
+        spec = {}
+        for case, second, resource in events:
+            spec.setdefault(case, []).append(("a", second, resource))
+        log = log_at(*spec.items())
+        idx = EventIndex(log)
+        times = np.array([epoch(second) for second, _ in anchors])
+        case_ids = [case for _, case in anchors]
+        bounds = idx.window_bounds(times, PeerWindow(width))
+        budget = 8 * intercase._GATHER_ARRAYS * budget_entries
+        with mock.patch.object(intercase, "GATHER_BUDGET_BYTES", budget):
+            got_cases = peer_cases(idx, bounds, oracles.index_codes(case_ids, idx.cases)).tolist()
+            got_res = res_count(idx, bounds).tolist()
+        assert got_cases == [oracles.peer_cases(log, t, c, width)
+                             for t, c in zip(times.tolist(), case_ids)]
+        assert got_res == [oracles.res_count(log, t, c, width)
+                           for t, c in zip(times.tolist(), case_ids)]
 
 
 class TestEventIndex:

@@ -4,6 +4,11 @@ Every input to ``parse_xes`` and ``parse_csv`` must give an ``EventLog`` or
 raise ``ParseError``/``RecordError``; ``parse_csv`` may also raise the
 ``ConfigError`` for a mapped column missing from the header. Any other
 exception (``ValueError``, ``UnicodeDecodeError``, ...) is a bug.
+
+``parse_csv`` reads blocks of rows and converts the common timestamp layouts
+by array arithmetic; on every drawn log it must give the columns, or the
+exception type and message, of ``oracles.parse_csv``, which handles one row
+at a time.
 """
 
 from __future__ import annotations
@@ -11,11 +16,16 @@ from __future__ import annotations
 import csv
 import io
 from datetime import timedelta, timezone
+from unittest import mock
 from xml.sax.saxutils import quoteattr
 
-from hypothesis import HealthCheck, given, settings, strategies as st
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from icppm.errors import ConfigError, ParseError
+import oracles
+from icppm import eventlog
+from icppm.errors import ConfigError, ParseError, RecordError
 from icppm.eventlog import EventLog, parse_csv, parse_xes
 
 FUZZ = settings(max_examples=150, deadline=None,
@@ -127,3 +137,112 @@ class TestParseCsvFuzz:
     def test_arbitrary_text(self, text):
         _ends_typed(parse_csv, text, missing_column_ok=True)
 
+
+
+instants = st.datetimes(timezones=offsets)
+fast_stamps = st.one_of(instants.map(lambda d: d.isoformat()),
+                        instants.map(lambda d: d.replace(microsecond=0).isoformat()))
+
+
+@st.composite
+def mutated(draw, stamps) -> str:
+    """A drawn stamp with one character replaced."""
+    stamp = draw(stamps)
+    at = draw(st.integers(0, len(stamp) - 1))
+    char = draw(st.sampled_from("0123456789+-,:.TZ ?\u0663\uff13"))
+    return stamp[:at] + char + stamp[at + 1:]
+
+
+# Both fast layouts at every offset, including years 0001 and 9999 whose UTC
+# instant is out of range, the layouts that take the row-by-row path, and
+# stamps that fail one field check.
+any_stamps = st.one_of(
+    fast_stamps,
+    instants.map(lambda d: d.replace(tzinfo=None).isoformat() + "Z"),
+    instants.map(lambda d: d.replace(tzinfo=None).isoformat()),
+    fast_stamps.map(lambda s: f" {s} "),
+    mutated(fast_stamps), mutated(fast_stamps),
+    st.sampled_from([
+        "2023-02-29T10:00:00+00:00", "2024-02-29T10:00:00+00:00", "2100-02-29T00:00:00+00:00",
+        "2000-02-29T00:00:00.000000-05:00", "2023-01-01T24:00:00+00:00",
+        "2023-01-01T10:00:60+00:00", "2023-01-01T10:00:00+24:00", "2023-01-01T10:00:00-23:59",
+        "0001-01-01T00:00:00+00:01", "0001-01-01T00:00:00-00:01", "9999-12-31T23:59:59+00:01",
+        "9999-12-31T23:59:59.999999-00:01", "0000-01-01T00:00:00+00:00",
+        "2023-13-01T00:00:00+00:00", "2023-04-31T00:00:00+00:00", "2023-01-01 10:00:00+00:00",
+        "2023-01-01T10:00:00+0000", "\uff12023-01-01T10:00:00+00:00", "",
+    ]),
+)
+CELLS = {
+    "case_id": st.sampled_from(["c1", "c2", "c3", "c,4", "c\n5"]),
+    "activity": st.sampled_from(["a", "b", "a,b", "x\r\ny"]),
+    "resource": st.sampled_from(["r1", "r2", ""]),
+    "attr:x": st.sampled_from(["v", "w,1", "line\nbreak", ""]),
+    "attr:y": st.sampled_from(["u", ""]),
+    "other": st.text(max_size=3),
+}
+
+
+@st.composite
+def event_csvs(draw) -> str:
+    """CSV text with the three required columns, any of the others (possibly
+    repeated) in any order, and rows that may be blank or short. A log draws
+    either fast-layout stamps only, which mostly parse, or stamps of every
+    kind; and it may have holes: blank lines, short rows and empty cells."""
+    extra = draw(st.lists(st.sampled_from(sorted(set(CELLS) - {"case_id", "activity"})
+                                          + ["timestamp"]), max_size=4))
+    columns = draw(st.permutations(["case_id", "activity", "timestamp"] + extra))
+    cells = {**CELLS, "timestamp": draw(st.sampled_from([fast_stamps, any_stamps]))}
+    holes = draw(st.booleans())
+    sink = io.StringIO()
+    writer = csv.writer(sink, lineterminator="\n")
+    writer.writerow(columns)
+    for _ in range(draw(st.integers(0, 12))):
+        row = [draw(cells[name]) for name in columns]
+        if holes and draw(st.booleans()):
+            if draw(st.booleans()):
+                row[draw(st.integers(0, len(row) - 1))] = ""
+            else:
+                del row[draw(st.integers(0, len(row))):]
+        writer.writerow(row)
+    return sink.getvalue()
+
+
+def _outcome(parse, text):
+    """The log's columns, or the exception's type and message."""
+    try:
+        log = parse(text)
+    except (ParseError, ConfigError) as exc:
+        return type(exc), str(exc)
+    columns = (log.offsets, log.case, log.activity, log.resource, log.time_us)
+    assert all(c.dtype == np.int64 for c in columns)
+    return (log.case_ids, log.attributes, log.activity_vocab, log.resource_vocab,
+            *(c.tolist() for c in columns))
+
+
+class TestParseCsvMatchesReference:
+    @FUZZ
+    @given(event_csvs(), st.sampled_from([1, 2, 3, eventlog._CSV_BLOCK_ROWS]))
+    @example("case_id,activity,timestamp\nc1,a,2023-01-01T10:00:00+00:00\n"
+             "c1,b,2023-01-01T10:00:61+00:00\n,a,2023-01-01T10:00:00+00:00\n", 3)
+    @example("case_id,activity,timestamp\nc1,a,2023-01-01T10:00:00+00:00\n"
+             "c1,,2023-01-01T10:00:00+00:00\nc1,b,not-a-time\n", 3)
+    @example("timestamp,case_id,activity,resource,attr:x\n\n" + "".join(
+        f"2023-01-0{1 + i % 9}T10:0{i % 10}:00.{i:06d}-0{i % 7}:30,c{i % 4},a{i % 3},"
+        f"{'r' if i % 2 else ''},{i % 5}\n\n" for i in range(40)), 7)
+    @example("case_id,activity,timestamp\nc1,a,2023-01-01T10:00:0\u0663+00:00\n"
+             "c1,a,2023-01-01T10:0?:00+00:00\n", 1)
+    @example('case_id,activity,timestamp\nc1,a,"2023-01-01T10:00:00,00:00"\n', 1)
+    def test_columns_and_errors_equal_the_row_by_row_reference(self, text, block_rows):
+        expected = _outcome(oracles.parse_csv, text)
+        with mock.patch.object(eventlog, "_CSV_BLOCK_ROWS", block_rows):
+            assert _outcome(parse_csv, text) == expected
+
+    @pytest.mark.parametrize("block_rows", [1, eventlog._CSV_BLOCK_ROWS])
+    def test_bad_row_before_malformed_csv_wins(self, block_rows):
+        text = ("case_id,activity,timestamp\nc1,a,2023-01-01T10:00:00+00:00\n"
+                "c1,b,2023-01-01T10:00:00+25:00\n"
+                'c1,"' + "a" * 200_000 + '",2023-01-01T10:00:00+00:00\n')
+        expected = _outcome(oracles.parse_csv, text)
+        assert expected[0] is RecordError and "row 3" in expected[1]
+        with mock.patch.object(eventlog, "_CSV_BLOCK_ROWS", block_rows):
+            assert _outcome(parse_csv, text) == expected

@@ -466,3 +466,33 @@ class TestCache:
         km = KernelMatrix(np.eye(2), 1)
         path = save_kernel(km, tmp_path / "deep" / "nest", "k")
         assert path.exists()
+
+
+class TestAsymmetry:
+    """``asymmetry`` equals the full-size ``np.abs(k - k.T).max()`` on
+    sizes around the tile side, NaN and inf included."""
+
+    SIDE = math.isqrt(qkernel._BLOCK_ELEMENTS)
+
+    @pytest.mark.parametrize("m", [0, 1, 2, SIDE - 1, SIDE, SIDE + 1, 2 * SIDE + 7])
+    def test_random_and_symmetric_matrices(self, m):
+        rng = np.random.default_rng(m)
+        k = rng.normal(size=(m, m))
+        for values in (k, (k + k.T) / 2):
+            want = np.abs(values - values.T).max(initial=0.0)
+            assert qkernel.asymmetry(values) == want
+
+    @pytest.mark.parametrize("m", [SIDE + 1, 2 * SIDE + 7])
+    @pytest.mark.parametrize("entry", ["first", "middle", "last"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, "inf pair", 1e-3])
+    def test_one_odd_entry_in_any_tile(self, m, entry, value):
+        k = np.random.default_rng(1).normal(size=(m, m))
+        k = (k + k.T) / 2
+        i, j = {"first": (0, 1), "middle": (m // 2, m // 3), "last": (m - 2, m - 1)}[entry]
+        if value == "inf pair":  # inf - inf is NaN
+            k[i, j] = k[j, i] = math.inf
+        else:
+            k[i, j] += value
+        with np.errstate(invalid="ignore"):
+            want = np.abs(k - k.T).max()
+        assert np.array_equal(qkernel.asymmetry(k), want, equal_nan=True)
