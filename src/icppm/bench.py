@@ -66,7 +66,7 @@ from .intercase import (
 from .qkernel import KernelKind, cache_key, cross, gram, load_kernel, save_kernel
 from .qsim import EXACT, FeatureMapKind, ShotConfig
 from .svm import fit_multiclass, predict as svm_predict
-from .vqc import OptimizerConfig, _check_weight_layers
+from .vqc import OptimizerConfig, _check_weight_layers, prior_loss
 from .vqc import predict_many as vqc_predict, train as vqc_train
 
 log_ = logging.getLogger("icppm.bench")
@@ -315,9 +315,15 @@ class RunResult:
     # rows), also when the Gram matrix is cached; reported in results.json
     # only. kernel_evaluations and cross_evaluations count over the same rows.
     states_simulated: int = 0
-    # Mean over folds of the VQC's last training loss; None for other
-    # classifiers. Reported in results.json only.
+    # Means over folds of the VQC's last training loss, of the loss of
+    # scoring every row with the train fold's class frequencies (the loss
+    # of learning the class prior only), and of the norm of the gradient
+    # at the first and at the last epoch; None for other classifiers, the
+    # norms also for zero epochs. Reported in results.json only.
     vqc_final_loss: float | None = None
+    vqc_prior_loss: float | None = None
+    vqc_initial_grad_norm: float | None = None
+    vqc_final_grad_norm: float | None = None
     # SMO pair updates summed over folds and one-vs-rest problems, and the
     # largest exact final KKT gap among them; 0 and None for classifiers
     # without an SVM. Reported in results.json only.
@@ -351,16 +357,24 @@ SUMMED = {
 }
 
 
+# The RunResult values a run averages over its folds, and a window sweep's
+# average row over its runs.
+MEANS = ("vqc_final_loss", "vqc_prior_loss", "vqc_initial_grad_norm", "vqc_final_grad_norm")
+
+
 def _aggregate(parts: Sequence[Mapping]) -> dict:
     """One RunResult's counters from those of its folds or runs: the sum of
-    each SUMMED counter, the mean ``vqc_final_loss`` and the largest
-    ``smo_kkt_gap`` (None where no part has one)."""
-    losses = [p["vqc_final_loss"] for p in parts if p["vqc_final_loss"] is not None]
-    gaps = [p["smo_kkt_gap"] for p in parts if p["smo_kkt_gap"] is not None]
-    return {name: sum(p[name] for p in parts) for name in SUMMED} | {
-        "vqc_final_loss": float(np.mean(losses)) if losses else None,
-        "smo_kkt_gap": max(gaps) if gaps else None,
-    }
+    each SUMMED counter, the mean of each MEANS value and the largest
+    ``smo_kkt_gap`` (each over the parts that have one, None where none
+    has)."""
+    def present(name: str) -> list:
+        return [p[name] for p in parts if p[name] is not None]
+
+    means = {name: present(name) for name in MEANS}
+    gaps = present("smo_kkt_gap")
+    return ({name: sum(p[name] for p in parts) for name in SUMMED}
+            | {name: float(np.mean(v)) if v else None for name, v in means.items()}
+            | {"smo_kkt_gap": max(gaps) if gaps else None})
 
 
 def feature_label(cfg: ExperimentConfig) -> str:
@@ -581,7 +595,7 @@ def run_experiment(
     parts: list[dict] = []
     for fold in range(cfg.folds):
         train_idx, test_idx = folds.split(fold)
-        part = dict(SUMMED, vqc_final_loss=None, smo_kkt_gap=None)
+        part = dict(SUMMED, smo_kkt_gap=None, **dict.fromkeys(MEANS))
         t_enc0 = time.perf_counter()
         x_train, x_test = _encode_fold(cfg, index, samples[train_idx], samples[test_idx])
         y_train, y_test = labels[train_idx], labels[test_idx]
@@ -608,6 +622,10 @@ def run_experiment(
             predictions = vqc_predict(model, x_test, shots)
             part["states_simulated"] = len(x_train) + len(x_test)
             part["vqc_final_loss"] = model.loss_history[-1]
+            part["vqc_prior_loss"] = prior_loss(y_train)
+            if model.grad_norms:
+                part["vqc_initial_grad_norm"] = model.grad_norms[0]
+                part["vqc_final_grad_norm"] = model.grad_norms[-1]
         else:
             kernel_kind = (KernelKind.quantum(feature_map, shots) if family == "qke"
                            else KernelKind.linear() if family == "svc_linear"

@@ -1,6 +1,7 @@
 """Dense statevector simulator for small feature-map circuits.
 
-States hold all 2^n complex amplitudes. Qubit q corresponds to axis q of
+States hold all 2^n complex amplitudes, or 2^n float64 ones where every
+gate is real (the VQC on the angle map). Qubit q corresponds to axis q of
 the state reshaped to [2]*n, i.e. qubit 0 is the most significant bit of
 the basis index; index 0 is |0...0>. One gate engine, ``_apply_op``, updates
 a batch of states in place via axis slicing, O(2^n) per gate and state, and
@@ -10,13 +11,17 @@ qubit's two halves into two scratch half-batches that the caller passes,
 each contiguous run of amplitudes as one void item, compute on those
 contiguous copies and copy the results back the same way, so a gate
 allocates no batch-sized temporary. They are real 2x2 gates and compute on
-float64 views on every qubit. ``feature_map_states`` runs one feature map
-over many inputs with one scratch buffer for the whole call and serves the
-kernels and the VQC. It writes the first layer's H on every qubit of
-|0...0> as one fill with (1/sqrt 2)^n, rounded as the n gates round it, so
-the states keep their bits. ``product_states`` writes RY on every qubit of
-|0...0> as n outer products instead of n gates; the angle map, whose only
-gates are RY, is written with it in ``feature_map_states`` and in the VQC.
+float64 views on every qubit, so they take real batches as they are: a
+run is 2^(n-q-1) amplitudes of the batch's item size.
+``feature_map_states`` runs one feature map over many inputs with one
+scratch buffer for the whole call and serves the kernels and the VQC. It
+writes the first layer's H on every qubit of |0...0> as one fill with
+(1/sqrt 2)^n, rounded as the n gates round it, so the states keep their
+bits. ``product_states`` writes RY on every qubit of |0...0> as n outer
+products into two float buffers instead of n gates; the angle map, whose
+only gates are RY, is written with it in ``feature_map_states`` (into the
+real and imaginary parts of a complex batch) and in the VQC (into a real
+batch and a spare).
 ``run`` simulates one circuit gate by gate as a batch of one, and
 ``kernel_overlap`` reads an exact kernel entry off two such states, as the
 per-pair reference. Shot sampling lives with its readouts, in
@@ -39,6 +44,9 @@ _PARAMETRIZED = ("RY", "P", "RZZ")
 GATE_KINDS = _SINGLE_QUBIT + _TWO_QUBIT
 
 FEATURE_MAPS = ("angle", "zz", "angle_zz")
+
+# numpy's smallest ufunc buffer, in elements.
+_MIN_BUFSIZE = 16
 
 
 @dataclass(frozen=True)
@@ -135,21 +143,22 @@ def _apply_op(psi: np.ndarray, n: int, kind: str, targets: tuple[int, ...],
     """Mutate a C-contiguous (B, 2, ..., 2) batch of B states of n qubits in
     place.
 
-    ``angle`` is one float for the whole batch; RY also takes an array of B
-    angles, one per state. ``scratch`` is any C-contiguous array of at
-    least the batch's bytes that H and RY may overwrite; without it they
-    allocate their own.
+    The batch is complex128; H and RY also take a float64 batch of real
+    states. ``angle`` is one float for the whole batch; RY also takes an
+    array of B angles, one per state. ``scratch`` is any C-contiguous array
+    of at least the batch's bytes that H and RY may overwrite; without it
+    they allocate their own.
     """
     if kind in ("H", "RY"):
         (q,) = targets
         # H and RY are real, so they act on real and imaginary parts alike:
         # the arithmetic runs on float64 views.
-        t0, t1 = _halves(scratch, (len(psi), 2 ** n))
+        t0, t1 = _halves(scratch, (len(psi), 2 ** n * psi.itemsize // 16))
         # Qubit q's halves alternate in runs of 2**(n-q-1) amplitudes. Each
         # copy between a half and a scratch half moves whole runs as void
         # items, one strided axis, and the arithmetic runs on the contiguous
         # scratch halves only.
-        runs = _runs(psi, 16 << (n - q - 1)).reshape(-1, 2)
+        runs = _runs(psi, psi.itemsize << (n - q - 1)).reshape(-1, 2)
         s0, s1 = runs[:, 0], runs[:, 1]
         r0, r1 = _runs(t0, s0.itemsize), _runs(t1, s0.itemsize)
         if kind == "H":
@@ -166,22 +175,32 @@ def _apply_op(psi: np.ndarray, n: int, kind: str, targets: tuple[int, ...],
             np.copyto(s0, r1)
             np.copyto(s1, r0)
             return
-        if isinstance(angle, np.ndarray):
+        per_row = isinstance(angle, np.ndarray)
+        if per_row:
             c, s = np.cos(angle / 2.0)[:, None], np.sin(angle / 2.0)[:, None]
+            # A (B, 1) factor broadcasts along the rows, and numpy would
+            # copy it into a buffer of its default size (64 KiB) on every
+            # multiply; its smallest buffer keeps the gate at the scalar
+            # gate's allocations.
+            bufsize = np.setbufsize(_MIN_BUFSIZE)
         else:
             c, s = math.cos(angle / 2.0), math.sin(angle / 2.0)
-        np.copyto(r0, s0)
-        t0 *= c
-        np.copyto(r1, s1)
-        t1 *= s
-        t0 -= t1                             # c s0 - s s1
-        np.copyto(r1, s0)
-        t1 *= s                              # s s0
-        np.copyto(s0, r0)
-        np.copyto(r0, s1)
-        t0 *= c
-        t0 += t1                             # c s1 + s s0
-        np.copyto(s1, r0)
+        try:
+            np.copyto(r0, s0)
+            t0 *= c
+            np.copyto(r1, s1)
+            t1 *= s
+            t0 -= t1                         # c s0 - s s1
+            np.copyto(r1, s0)
+            t1 *= s                          # s s0
+            np.copyto(s0, r0)
+            np.copyto(r0, s1)
+            t0 *= c
+            t0 += t1                         # c s1 + s s0
+            np.copyto(s1, r0)
+        finally:
+            if per_row:
+                np.setbufsize(bufsize)
     elif kind == "P":
         (q,) = targets
         psi[_idx(n, (q, 1))] *= np.exp(1j * angle)
@@ -302,24 +321,24 @@ def _checked_rows(x) -> np.ndarray:
     return x
 
 
-def product_states(angles: np.ndarray, out: np.ndarray) -> None:
+def product_states(angles: np.ndarray, out: np.ndarray, spare: np.ndarray) -> None:
     """RY(angles[:, q]) on every qubit q of |0...0>, written into ``out``, a
-    C-contiguous complex (rows, 2**n) buffer for the (rows, n) ``angles``.
+    float (rows, 2**n) buffer for the (rows, n) ``angles``; ``spare``, a
+    second such buffer, is overwritten. A complex state takes
+    ``out.real`` and ``out.imag`` and zeroes the imaginary parts after.
 
     The result is the product state of the per-qubit factors
     (cos(a/2), sin(a/2)), built by n outer products over the rows, least
     significant qubit first, so it costs O(2^n) per row instead of n gates.
-    The products are real: the partial products alternate between the real
-    and the imaginary parts of ``out``, so no operand overlaps the product
-    it feeds and no batch-sized temporary is made, and the imaginary parts
-    are zeroed last.
+    The partial products alternate between the two buffers, so no operand
+    overlaps the product it feeds and no batch-sized temporary is made.
     """
     b, n = angles.shape
     half = angles / 2.0
     factors = np.empty((b, n, 2))
     np.cos(half, out=factors[..., 0])
     np.sin(half, out=factors[..., 1])
-    parts = (out.real, out.imag)
+    parts = (out, spare)
     # The product over the last k qubits sits in parts[(n - k) % 2][:, :2**k].
     parts[n % 2][:, :1] = 1.0
     for k in range(n):
@@ -327,7 +346,6 @@ def product_states(angles: np.ndarray, out: np.ndarray) -> None:
         high = parts[(n - k - 1) % 2][:, :2 ** (k + 1)]
         np.matmul(factors[:, n - 1 - k, :, None], low[:, None, :],
                   out=high.reshape(b, 2, 2 ** k))
-    out.imag[...] = 0.0
 
 
 def feature_map_states(kind: FeatureMapKind, x) -> np.ndarray:
@@ -348,7 +366,8 @@ def feature_map_states(kind: FeatureMapKind, x) -> np.ndarray:
     b, n = x.shape
     if kind.variant == "angle":
         out = np.empty((b, 2 ** n), dtype=np.complex128)
-        product_states(kind.layers * x, out)
+        product_states(kind.layers * x, out.real, out.imag)
+        out.imag[...] = 0.0
         return out
     shape = (b,) + (2,) * n
     # The phase table first, so its temporaries are freed before psi.

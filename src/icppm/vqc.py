@@ -32,15 +32,19 @@ Every loss and gradient reads one labelled batch (``_Batch``): the
 encoded rows (the angles or the cached feature-map states), each row's
 class index, the class count, the ring permutation and its inverse, the
 class indicator per basis state and a workspace that every loss,
-gradient and readout reuses. The workspace is three (rows, 2^n) complex
+gradient and readout reuses. The workspace is three (rows, 2^n) state
 buffers, which take turns as the states being advanced (the prefix and
 the shifted state, or the adjoint's state and costate) and the gate
 scratch or the ring's destination, plus one (rows, 2^n) float buffer for
-|psi|^2 and the adjoint's weights; a batch holds 3.5 (rows, 2^n) batches
-on the angle map and, with the cached states, 4.5 on the others, whatever
-the number of layers. ``train`` builds one labelled batch for all its
-epochs; ``loss`` and the two gradient functions build one per call, and
-``forward_many`` allocates the state, one spare batch and one |psi|^2
+|psi|^2 and the adjoint's weights. The state buffers take the dtype of
+the encoded rows: float64 on the angle map, whose product states, RYs and
+ring are all real, and complex128 on the others. So a batch holds four
+float (rows, 2^n) buffers on the angle map and, with the cached states,
+4.5 complex batches on the others, whatever the number of layers; the
+adjoint's costate and gradient sums run on float views with one part per
+amplitude (real) or two (complex). ``train`` builds one labelled batch
+for all its epochs; ``loss`` and the two gradient functions build one per
+call, and ``forward_many`` allocates the state, one spare and one |psi|^2
 buffer (the ``zz`` and ``angle_zz`` states are rotated in place).
 """
 
@@ -91,6 +95,8 @@ class VqcModel:
     theta: np.ndarray
     classes: tuple
     loss_history: tuple[float, ...] = field(default_factory=tuple)
+    # The norm of the gradient each training epoch stepped with.
+    grad_norms: tuple[float, ...] = field(default_factory=tuple)
 
     def __post_init__(self):
         self.theta = np.asarray(self.theta, dtype=np.float64)
@@ -172,8 +178,8 @@ def _run_layers(psi: np.ndarray, spare: np.ndarray, theta: np.ndarray,
 
 def _readout(psi: np.ndarray, n_classes: int, shots: ShotConfig,
              probs: np.ndarray) -> np.ndarray:
-    """Class scores per row of a (B, 2**n) batch, shape (B, n_classes);
-    |psi|^2 goes into ``probs``, a (B, 2**n) float buffer.
+    """Class scores per row of a real or complex (B, 2**n) batch, shape
+    (B, n_classes); |psi|^2 goes into ``probs``, a (B, 2**n) float buffer.
 
     The exact marginal of the first r qubits, which shot mode replaces by
     one multinomial draw of ``shots.shots`` per row, all rows from one
@@ -182,8 +188,9 @@ def _readout(psi: np.ndarray, n_classes: int, shots: ShotConfig,
     """
     b, dim = psi.shape
     r = _readout_qubits(n_classes)
-    np.abs(psi, out=probs)
-    np.square(probs, out=probs)
+    if np.iscomplexobj(psi):
+        psi = np.abs(psi, out=probs)
+    np.square(psi, out=probs)
     marginal = probs.reshape(b, 2 ** r, dim >> r).sum(axis=2)
     if not shots.exact:
         rng = np.random.default_rng(shots.seed)
@@ -222,7 +229,7 @@ def _first_block(encoded: np.ndarray, folded: bool, theta0: np.ndarray,
     ``encoded`` itself) and rotated by RY(theta0) with ``scratch``.
     """
     if folded:
-        product_states(encoded + theta0, out)
+        product_states(encoded + theta0, out, scratch)
         return
     if out is not encoded:
         np.copyto(out, encoded)
@@ -244,10 +251,10 @@ def forward_many(model: VqcModel, xs, shots: ShotConfig = EXACT) -> np.ndarray:
     encoded = _encode(model, xs)
     folded = _folds(model)
     shape = (len(encoded), 2 ** model.n_qubits)
-    psi = np.empty(shape, dtype=np.complex128) if folded else encoded
+    psi = np.empty(shape, encoded.dtype) if folded else encoded
     perm, _ = _ring_permutation(model.n_qubits)
     psi, _ = _run_circuit(encoded, folded, model.theta, perm, psi,
-                          np.empty(shape, dtype=np.complex128))
+                          np.empty(shape, encoded.dtype))
     return _readout(psi, len(model.classes), shots, np.empty(shape))
 
 
@@ -266,6 +273,15 @@ def _cross_entropy(p_true: np.ndarray) -> float:
     return total / len(p_true)
 
 
+def prior_loss(labels) -> float:
+    """Mean cross-entropy of scoring every row with the class frequencies
+    of ``labels``, the loss of a classifier that learned only the class
+    prior: the entropy of the labels in nats."""
+    _, counts = np.unique(np.asarray(labels), return_counts=True)
+    p = counts / counts.sum()
+    return float(-(p * np.log(p)).sum())
+
+
 def _class_indices(classes: tuple, labels) -> np.ndarray:
     lookup = {c: i for i, c in enumerate(classes)}
     try:
@@ -279,8 +295,8 @@ class _Batch:
     """A labelled batch: the encoded rows (``_encode``) and whether they are
     folded angles, each row's class index, the class count, the ring
     permutation, its inverse ``image``, the float class indicator per basis
-    state the adjoint reads, and the workspace (three complex state buffers
-    and one |psi|^2 buffer, each (rows, 2**n))."""
+    state the adjoint reads, and the workspace (three state buffers of the
+    encoded rows' dtype and one |psi|^2 buffer, each (rows, 2**n))."""
 
     encoded: np.ndarray
     folded: bool
@@ -307,7 +323,7 @@ class _Batch:
         on_class = (np.arange(n_classes)[:, None]
                     == (image >> (n - _readout_qubits(n_classes))) % n_classes) * 1.0
         shape = (m, 2 ** n)
-        ws = (*(np.empty(shape, dtype=np.complex128) for _ in range(3)), np.empty(shape))
+        ws = (*(np.empty(shape, encoded.dtype) for _ in range(3)), np.empty(shape))
         return cls(encoded, _folds(model), class_idx, n_classes, perm, image, on_class, ws)
 
     def p_true(self, psi: np.ndarray, shots: ShotConfig) -> np.ndarray:
@@ -400,14 +416,19 @@ def _adjoint(batch: _Batch, theta: np.ndarray) -> tuple[float, np.ndarray]:
     # state): one product into the buffer, each entry a weight or 0.
     np.matmul(np.eye(batch.n_classes)[batch.class_idx] * weights[:, None], batch.on_class,
               out=w)
-    np.multiply(phi.real, w, out=lam.real)
-    np.multiply(phi.imag, w, out=lam.imag)
+    # Float64 views (rows, 2**n, parts): real states have one part, complex
+    # ones a real and an imaginary part.
+    parts = phi.itemsize // 8
+    phi_f, lam_f = (a.view(np.float64).reshape(m, -1, parts) for a in (phi, lam))
+    for part in range(parts):
+        np.multiply(phi_f[..., part], w, out=lam_f[..., part])
     grad = np.empty(theta.shape)
     scratch = psi
     for l in range(n_layers - 1, -1, -1):
         for q in range(n):
             # Float64 views of qubit q's halves: (runs, 0 or 1, run).
-            lv, pv = (a.view(np.float64).reshape(-1, 2, 2 ** (n - q)) for a in (lam, phi))
+            lv, pv = (a.view(np.float64).reshape(-1, 2, parts << (n - q - 1))
+                      for a in (lam, phi))
             grad[l, q] = (np.einsum("ij,ij->", lv[:, 1], pv[:, 0])
                           - np.einsum("ij,ij->", lv[:, 0], pv[:, 1]))
         if l:
@@ -451,11 +472,12 @@ def train(
     The encoded rows do not depend on theta: the ``zz`` and ``angle_zz``
     feature-map states are simulated once and the angle map's angles taken
     once, and every loss and gradient evaluation runs only the weight layers
-    from them. Each epoch takes the loss and the gradient at the
-    current theta, in exact parameter-shift mode from one adjoint pass; the
-    final theta gets one more loss. Zero epochs return the freshly
-    initialized model. A non-finite loss aborts with a TrainingError naming
-    the epoch whose update led to it (epoch 0 for the initial loss).
+    from them. Each epoch takes the loss and the gradient at the current
+    theta, in exact parameter-shift mode from one adjoint pass, and records
+    the loss and the gradient's norm; the final theta gets one more loss.
+    Zero epochs return the freshly initialized model. A non-finite loss
+    aborts with a TrainingError naming the epoch whose update led to it
+    (epoch 0 for the initial loss).
     """
     xs = _as_matrix(xs)
     classes = tuple(sorted(set(labels)))
@@ -474,10 +496,11 @@ def train(
             return _adjoint(batch, theta)
         return _forward(batch, theta, shots)[0], _shift_gradient(batch, theta, shots)
 
-    history = []
+    history, norms = [], []
     for epoch in range(opt.epochs):
         value, grad = step(model.theta)
         history.append(value)
+        norms.append(float(np.linalg.norm(grad)))
         if not math.isfinite(value):
             raise TrainingError("training loss diverged", epoch=max(epoch - 1, 0))
         model.theta = model.theta - opt.learning_rate * grad
@@ -485,4 +508,5 @@ def train(
     if not math.isfinite(history[-1]):
         raise TrainingError("training loss diverged", epoch=max(opt.epochs - 1, 0))
     model.loss_history = tuple(history)
+    model.grad_norms = tuple(norms)
     return model

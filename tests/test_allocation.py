@@ -4,7 +4,8 @@ stay at their workspace.
 ``vqc.train`` holds one workspace (three state buffers and a |psi|^2
 buffer) plus, on the ``zz`` and ``angle_zz`` maps, the cached feature-map
 states; the angle map keeps only its (rows, n) angles, as it is folded into
-the first weight layer. ``feature_map_states`` holds its
+the first weight layer, and its states are real, so its workspace is four
+float buffers. ``feature_map_states`` holds its
 result, one gate scratch buffer when a gate runs (every map but the
 one-layer ``zz`` and the ``angle`` map, which runs no gate) and, for maps
 with diagonal layers, the phase table. A
@@ -13,7 +14,9 @@ and the test batch. A batch-sized temporary per gate, shift step or readout
 would lift the traced peak above these by at least half a batch (120 KiB at
 30 rows and 9 qubits); numpy's own iteration buffers and small per-call
 arrays fit in the slack. More epochs or layers, beyond the second layer's
-scratch, must not raise the peak.
+scratch, must not raise the peak. An RY gate with one angle per row
+allocates no more than one with a single angle, beyond its per-row
+factors.
 
 An RBF ``gram`` or ``cross`` holds its output and one row block, a cache
 hit its loaded matrix and one row block, and a kernel run holds one kernel
@@ -34,7 +37,7 @@ from icppm import bench
 from icppm.bench import ExperimentConfig, run_experiment
 from icppm.eventlog import build_prefix_log
 from icppm.qkernel import KernelKind, cache_key, cross, gram, load_kernel, save_kernel
-from icppm.qsim import FEATURE_MAPS, FeatureMapKind, feature_map_states
+from icppm.qsim import FEATURE_MAPS, FeatureMapKind, _apply_op, feature_map_states
 from icppm.vqc import OptimizerConfig, train
 
 ROWS, QUBITS = 30, 9
@@ -73,14 +76,30 @@ def test_train_peak_is_states_plus_workspace():
         opt = OptimizerConfig(learning_rate=0.5, epochs=epochs)
         return traced_peak(lambda: train(xs, labels, FeatureMapKind(variant), layers, opt))
 
-    # The angle map caches no states; zz adds them to the workspace.
-    for variant, bound in (("angle", workspace), ("zz", BATCH + workspace)):
+    # The angle map caches no states and its workspace is four float
+    # buffers, 2 complex batches, so one complex state buffer would lift
+    # the peak past the bound; zz adds its states to the complex workspace.
+    for variant, bound in (("angle", 2 * BATCH), ("zz", BATCH + workspace)):
         one, five = peak(variant, 1), peak(variant, 5)
         assert one <= bound + SLACK
         assert five <= one + EPOCH_SLACK
         # The adjoint's backward walk through three layers reuses the same
         # buffers.
         assert peak(variant, 1, layers=3) <= one + EPOCH_SLACK
+
+
+def test_per_row_ry_allocates_as_the_scalar_ry():
+    rng = np.random.default_rng(3)
+    psi = rng.normal(size=(ROWS,) + (2,) * QUBITS) + 0j
+    scratch = np.empty_like(psi)
+    angles = rng.uniform(0.0, np.pi, ROWS)
+    # Beyond the scalar gate: the per-row half angles, cosines and sines, a
+    # few small arrays, where one numpy iteration buffer takes 64 KiB.
+    factors = 4096
+    for q in range(QUBITS):
+        scalar = traced_peak(lambda: _apply_op(psi, QUBITS, "RY", (q,), 0.7, scratch))
+        per_row = traced_peak(lambda: _apply_op(psi, QUBITS, "RY", (q,), angles, scratch))
+        assert per_row <= scalar + factors, q
 
 
 @pytest.mark.parametrize("variant", FEATURE_MAPS)

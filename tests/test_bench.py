@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 import icppm.bench as bench
-from conftest import make_log, make_trace
+import icppm.vqc as vqc
+from conftest import make_log, make_trace, random_log
 from icppm.bench import (
     ExperimentConfig,
     RunResult,
@@ -490,6 +491,7 @@ class TestRunExperiment:
         assert result.kernel_evaluations == 0
         assert result.states_simulated == 0
         assert result.vqc_final_loss is None
+        assert result.vqc_prior_loss is None
         assert len(result.fold_accuracies) == 3
 
     def test_vqc_branch(self, monkeypatch):
@@ -512,6 +514,38 @@ class TestRunExperiment:
         out = result.to_dict()
         assert out["vqc_final_loss"] == result.vqc_final_loss
         assert out["states_simulated"] == result.states_simulated
+
+    def test_vqc_prior_loss_and_gradient_norms_are_fold_means(self, monkeypatch):
+        cfg = ExperimentConfig(classifier="vqc_angle_1", k=2, folds=3, epochs=2, seed=0)
+        # Labels a, b and the end label, in other proportions in each fold.
+        log = random_log(0, n_cases=8, activities=("a", "b"))
+        samples = build_prefix_log(log, cfg.min_prefix, cfg.max_prefix)
+        fits = []
+        real = bench.vqc_train
+        monkeypatch.setattr(bench, "vqc_train", lambda xs, ys, *a, **k: (
+            fits.append((ys, real(xs, ys, *a, **k))) or fits[-1][1]))
+        result = run_experiment(cfg, log, samples)
+        folds = make_cv_folds(samples, cfg.folds, derive_seed(cfg.seed, "folds"))
+        priors = []
+        for fold, (ys, model) in enumerate(fits):
+            # Each train row scored with its label's frequency in the fold.
+            names = [samples[i].label for i in folds.split(fold)[0]]
+            want = sum(-math.log(names.count(n) / len(names)) for n in names) / len(names)
+            assert vqc.prior_loss(ys) == pytest.approx(want, abs=1e-15)
+            assert len(model.grad_norms) == cfg.epochs
+            priors.append(want)
+        assert len(set(priors)) > 1
+        assert result.vqc_prior_loss == pytest.approx(np.mean(priors), abs=1e-15)
+        assert result.vqc_initial_grad_norm == np.mean([m.grad_norms[0] for _, m in fits])
+        assert result.vqc_final_grad_norm == np.mean([m.grad_norms[-1] for _, m in fits])
+        out = result.to_dict()
+        for name in ("vqc_prior_loss", "vqc_initial_grad_norm", "vqc_final_grad_norm"):
+            assert out[name] == getattr(result, name)
+        # Zero epochs take no gradient; the prior loss is still recorded.
+        untrained = run_experiment(dataclasses.replace(cfg, epochs=0), log, samples)
+        assert untrained.vqc_prior_loss == result.vqc_prior_loss
+        assert untrained.vqc_initial_grad_norm is None
+        assert untrained.vqc_final_grad_norm is None
 
     def test_inter_features_recorded(self):
         cfg = ExperimentConfig(
@@ -736,7 +770,8 @@ class TestWindowSweep:
             assert getattr(avg, name) == sum(getattr(r, name) for r in runs), name
         assert avg.states_simulated > 0
         if classifier == "vqc_angle_1":
-            assert avg.vqc_final_loss == np.mean([r.vqc_final_loss for r in runs])
+            for name in bench.MEANS:
+                assert getattr(avg, name) == np.mean([getattr(r, name) for r in runs]), name
             assert avg.smo_kkt_gap is None
         else:
             assert avg.smo_iterations > 0

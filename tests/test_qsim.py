@@ -371,6 +371,29 @@ class TestBatchedEngine:
         _apply_op(batch, 1, "RY", (0,), math.pi)
         assert np.allclose(batch, [[0.0, 1.0]] * 3)
 
+    @pytest.mark.parametrize("with_scratch", [False, True])
+    def test_real_batches_give_the_real_parts_of_complex_ones(self, with_scratch):
+        # H and RY are real gates: on a float64 batch they give, bit for
+        # bit, the real parts they give on the same batch held as complex.
+        rng = np.random.default_rng(32)
+        n, b = 5, 3
+        real = rng.normal(size=(b,) + (2,) * n)
+        cplx = real.astype(np.complex128)
+        angles = rng.uniform(-4.0, 4.0, b)
+        for q in range(n):
+            for kind, angle in (("H", None), ("RY", 0.9), ("RY", angles)):
+                for psi in (real, cplx):
+                    _apply_op(psi, n, kind, (q,), angle,
+                              np.empty_like(psi) if with_scratch else None)
+        assert np.array_equal(real, cplx.real)
+        assert not cplx.imag.any()
+
+    def test_product_states_in_real_buffers_are_the_angle_states(self):
+        x = np.random.default_rng(33).uniform(-3.0, 7.0, (5, 6))
+        out, spare = np.empty((5, 64)), np.empty((5, 64))
+        qsim.product_states(x, out, spare)
+        assert np.array_equal(out, feature_map_states(FeatureMapKind("angle"), x).real)
+
 
 class TestFeatureMapStates:
     @pytest.mark.parametrize("variant", FEATURE_MAPS)

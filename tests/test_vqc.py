@@ -211,6 +211,20 @@ class TestTrain:
         assert np.array_equal(a.theta, b.theta)
         assert a.loss_history == b.loss_history
 
+    def test_gradient_norms_recorded_per_epoch(self):
+        xs, labels = separable_fixture()
+        opt = OptimizerConfig(learning_rate=0.2, epochs=3, seed=2)
+        model = train(xs, labels, ANGLE, 2, opt)
+        assert len(model.grad_norms) == 3
+        start = train(xs, labels, ANGLE, 2, OptimizerConfig(epochs=0, seed=2))
+        assert start.grad_norms == ()
+        assert model.grad_norms[0] == np.linalg.norm(adjoint_gradient(start, xs, labels))
+
+    def test_prior_loss_is_the_label_entropy(self):
+        assert vqc.prior_loss(["a", "b"] * 3) == pytest.approx(math.log(2.0), abs=1e-15)
+        want = -(0.75 * math.log(0.75) + 0.25 * math.log(0.25))
+        assert vqc.prior_loss([2, 0, 2, 2]) == pytest.approx(want, abs=1e-15)
+
     def test_spsa_runs_and_is_seeded(self):
         xs, labels = separable_fixture()
         opt = OptimizerConfig(epochs=3, method="spsa", seed=7)
@@ -296,6 +310,7 @@ class TestBatchedEngine:
             want = ref.vqc_shift_gradient(*args)
             assert grad_gap_ok(grad, want)
             assert grad_gap_ok(adjoint, want)
+            assert grad_gap_ok(adjoint, grad)
             if n <= 5:
                 dense = np.array([oracles.vqc_probs_via_unitary(model, x) for x in xs])
                 assert np.max(np.abs(probs - dense)) <= TOL
@@ -469,9 +484,19 @@ class TestBatchedEngine:
             model = VqcModel(fm, theta0[None, :], (0, 1))
             want = qsim.feature_map_states(fm, xs)
             vqc._ry_block(want, theta0, np.empty_like(want))
-            got = np.empty_like(want)
-            vqc._first_block(vqc._encode(model, xs), True, theta0, got, np.empty_like(want))
+            # The folded block is real: it runs in float64 buffers.
+            got = np.empty(want.shape)
+            vqc._first_block(vqc._encode(model, xs), True, theta0, got, np.empty(want.shape))
             assert np.max(np.abs(got - want)) <= TOL
+
+    def test_workspace_dtype_follows_the_encoded_rows(self):
+        # The angle map's states are real (a product state, RYs and a ring
+        # permutation), so its batches run in float64 buffers.
+        xs, labels = np.full((3, 2), 0.4), ["a", "b", "a"]
+        for fm in MAPS:
+            batch = vqc._Batch.of(VqcModel(fm, np.zeros((2, 2)), ("a", "b")), xs, labels)
+            want = np.float64 if fm.variant == "angle" else np.complex128
+            assert [w.dtype for w in batch.ws] == [want] * 3 + [np.float64]
 
 
 class TestEdgeBatches:
@@ -565,32 +590,37 @@ def _vqc_digest(fm, layers, xs, labels, opt, shots) -> str:
 # change to the weight layers, the readout, the losses or a gradient shows.
 # The anglex1 entries were re-pinned when the angle map was folded into
 # weight layer 0 as one product state, which moves its amplitudes in the
-# last bits; every zzx2 and angle_zzx1 entry held.
+# last bits; every zzx2 and angle_zzx1 entry held. They were re-pinned again
+# when the angle map's states moved to float64 buffers: scores, losses and
+# parameter-shift gradients at a given theta kept their bits, but the
+# adjoint's gradient sums no longer run over interleaved zero imaginary
+# parts, so numpy's einsum adds the same products in another order (1e-16
+# apart); every zzx2 and angle_zzx1 entry held.
 VQC_DIGESTS = {
     'anglex1/n=3,C=2/L=1/parameter_shift/exact': '4544ca282beac1eb',
     'anglex1/n=3,C=2/L=1/parameter_shift/shots': '610676baa1083cf9',
     'anglex1/n=3,C=2/L=1/spsa/exact': '7ef1b3b8974c09b0',
     'anglex1/n=3,C=2/L=1/spsa/shots': 'c50ab717e6ac6193',
-    'anglex1/n=3,C=2/L=3/parameter_shift/exact': 'f3b919856453a173',
-    'anglex1/n=3,C=2/L=3/parameter_shift/shots': '26b1be1d4c6bd687',
+    'anglex1/n=3,C=2/L=3/parameter_shift/exact': '0d7700a0b9020bdc',
+    'anglex1/n=3,C=2/L=3/parameter_shift/shots': 'ca9a252af8f455be',
     'anglex1/n=3,C=2/L=3/spsa/exact': '75ba7157077f1eb5',
-    'anglex1/n=3,C=2/L=3/spsa/shots': '70bed28e28fa0dca',
-    'anglex1/n=4,C=3/L=1/parameter_shift/exact': '9a2a96db00a87d93',
-    'anglex1/n=4,C=3/L=1/parameter_shift/shots': '33e7137de84bb239',
+    'anglex1/n=3,C=2/L=3/spsa/shots': '3252e4eaf6fc1518',
+    'anglex1/n=4,C=3/L=1/parameter_shift/exact': 'a96258e3935f26a2',
+    'anglex1/n=4,C=3/L=1/parameter_shift/shots': '695933b4f4179594',
     'anglex1/n=4,C=3/L=1/spsa/exact': '90921b3a45297311',
-    'anglex1/n=4,C=3/L=1/spsa/shots': 'a8b626a97f8db84b',
-    'anglex1/n=4,C=3/L=3/parameter_shift/exact': '06676a6c2f783257',
-    'anglex1/n=4,C=3/L=3/parameter_shift/shots': 'a85d3ca376042f1a',
-    'anglex1/n=4,C=3/L=3/spsa/exact': 'c3d431a40d170b96',
-    'anglex1/n=4,C=3/L=3/spsa/shots': '81be27b79b068f56',
-    'anglex1/n=5,C=5/L=1/parameter_shift/exact': 'e6f08e991aa4e57e',
-    'anglex1/n=5,C=5/L=1/parameter_shift/shots': 'e6b5ef02ab4bc4c4',
+    'anglex1/n=4,C=3/L=1/spsa/shots': 'f203b94d26957d2a',
+    'anglex1/n=4,C=3/L=3/parameter_shift/exact': 'c7ca9b25383dd513',
+    'anglex1/n=4,C=3/L=3/parameter_shift/shots': 'c84ba513c6097a54',
+    'anglex1/n=4,C=3/L=3/spsa/exact': '9eac5e5214cf4aaa',
+    'anglex1/n=4,C=3/L=3/spsa/shots': '3e506bb6d0ad5d8f',
+    'anglex1/n=5,C=5/L=1/parameter_shift/exact': '638a0493d429f860',
+    'anglex1/n=5,C=5/L=1/parameter_shift/shots': '30ea191cd8e2954a',
     'anglex1/n=5,C=5/L=1/spsa/exact': 'ba4a68d48b387d04',
     'anglex1/n=5,C=5/L=1/spsa/shots': '61e6b51ca576d277',
-    'anglex1/n=5,C=5/L=3/parameter_shift/exact': '4bcd8b05dafb8c6b',
-    'anglex1/n=5,C=5/L=3/parameter_shift/shots': '8db91def129715ed',
-    'anglex1/n=5,C=5/L=3/spsa/exact': 'caabc7c8f36f4559',
-    'anglex1/n=5,C=5/L=3/spsa/shots': 'dd187fc992a11d90',
+    'anglex1/n=5,C=5/L=3/parameter_shift/exact': 'b39fb5cbe9265580',
+    'anglex1/n=5,C=5/L=3/parameter_shift/shots': 'a0176fe99330aa94',
+    'anglex1/n=5,C=5/L=3/spsa/exact': 'ecc97acd38cccf00',
+    'anglex1/n=5,C=5/L=3/spsa/shots': 'becb69e0d7ee7198',
     'zzx2/n=3,C=2/L=1/parameter_shift/exact': '02a40d3c896392d5',
     'zzx2/n=3,C=2/L=1/parameter_shift/shots': 'e308c28073331c82',
     'zzx2/n=3,C=2/L=1/spsa/exact': 'feaa388dd23081e1',
