@@ -73,6 +73,10 @@ log_ = logging.getLogger("icppm.bench")
 
 DATA_DIR_ENV = "ICPPM_DATA_DIR"
 
+# A VQC fold whose final training loss is not this many nats below its
+# class-prior loss learned little beyond the prior; the run logs it at INFO.
+VQC_PRIOR_MARGIN = 0.1
+
 # Sweep mode -> (config field set per run, config field holding the grid,
 # test each grid value must pass, that test in words, label tag). A tagged
 # run's features label gains "@<tag><value:g>"; a prefix-grid run's label
@@ -623,6 +627,10 @@ def run_experiment(
             part["states_simulated"] = len(x_train) + len(x_test)
             part["vqc_final_loss"] = model.loss_history[-1]
             part["vqc_prior_loss"] = prior_loss(y_train)
+            if part["vqc_final_loss"] > part["vqc_prior_loss"] - VQC_PRIOR_MARGIN:
+                log_.info("fold %d/%d: VQC final loss %.4f is not %g below the prior loss %.4f",
+                          fold + 1, cfg.folds, part["vqc_final_loss"], VQC_PRIOR_MARGIN,
+                          part["vqc_prior_loss"])
             if model.grad_norms:
                 part["vqc_initial_grad_norm"] = model.grad_norms[0]
                 part["vqc_final_grad_norm"] = model.grad_norms[-1]

@@ -344,6 +344,11 @@ def product_states(angles: np.ndarray, out: np.ndarray, spare: np.ndarray) -> No
     for k in range(n):
         low = parts[(n - k) % 2][:, :2 ** k]
         high = parts[(n - k - 1) % 2][:, :2 ** (k + 1)]
+        # A (B, 2, 1) x (B, 1, 2**k) matmul, not the broadcast np.multiply
+        # of the same operands: that is faster per call, but on a complex
+        # state's out.real/out.imag views numpy's overlap check copies the
+        # operand into a batch-sized temporary, and it keeps the sign of a
+        # -0.0 product where matmul's sum from +0.0 gives +0.0.
         np.matmul(factors[:, n - 1 - k, :, None], low[:, None, :],
                   out=high.reshape(b, 2, 2 ** k))
 

@@ -26,7 +26,10 @@ between the two, so that state is a product state, which
 ``qsim.product_states`` writes from the angles L x + theta_0 without a
 gate. An angle-map batch keeps only the (rows, n) angles L x, and an exact
 epoch runs (L - 1) n RY gates forward and 2 (L - 1) n backward, none at
-L = 1; the other maps run L n forward.
+L = 1; the other maps run L n forward. The adjoint reads each layer's
+gradient with 2 einsums per head qubit, whose half-runs are at least
+``_TAIL_BLOCK`` = 16 floats, plus one 16 x 16 product over the rows'
+16-float blocks for the (at most four) tail qubits (``_tail_pairs``).
 
 Every loss and gradient reads one labelled batch (``_Batch``): the
 encoded rows (the angles or the cached feature-map states), each row's
@@ -50,6 +53,7 @@ buffer (the ``zz`` and ``angle_zz`` states are rotated in place).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -71,6 +75,9 @@ from .qsim import (
 _P_FLOOR = 1e-12
 # SPSA perturbation c: grad ~ (L(theta + c delta) - L(theta - c delta)) / 2c * delta.
 _SPSA_STEP = 0.1
+# Float64s per block of the adjoint's tail product: a qubit whose half-runs
+# are shorter than this is read from one (block, block) product per layer.
+_TAIL_BLOCK = 16
 
 
 @dataclass(frozen=True)
@@ -129,9 +136,11 @@ def _readout_qubits(n_classes: int) -> int:
     return max(1, math.ceil(math.log2(n_classes)))
 
 
+@functools.lru_cache(maxsize=None)
 def _ring_permutation(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Basis-index permutations (perm, image) of one layer's CNOT ring; the
-    identity for one qubit, which has no ring.
+    identity for one qubit, which has no ring. Built once per width and
+    returned read-only.
 
     The ring CNOT(0, 1), ..., CNOT(n-1, 0) sends basis state k to
     ``image[k]``; with ``perm`` its inverse, ``psi[:, perm]`` applies the
@@ -144,7 +153,31 @@ def _ring_permutation(n: int) -> tuple[np.ndarray, np.ndarray]:
         image ^= ((image >> (n - 1 - c)) & 1) << (n - 1 - t)
     perm = np.empty_like(k)
     perm[image] = k
+    perm.flags.writeable = image.flags.writeable = False
     return perm, image
+
+
+@functools.lru_cache(maxsize=None)
+def _tail_pairs(n: int, parts: int) -> tuple[int, int, np.ndarray]:
+    """(head, width, pairs) for the adjoint's gradient read-out on n qubits
+    whose amplitudes take ``parts`` float64s each.
+
+    In the float view of a row, qubit q pairs each float a with a & h == 0
+    with a + h, where h = parts * 2**(n-1-q) is its half-run. The first
+    ``head`` qubits have half-runs of at least ``width`` =
+    min(_TAIL_BLOCK, row length) floats; every pair of a later (tail) qubit
+    lies inside one aligned block of ``width`` floats. Row t of the
+    read-only (n - head, width / 2) table ``pairs`` holds, for tail qubit
+    head + t, the flat index (a + h) * width + a of each of its pairs in a
+    (width, width) matrix. Built once per (n, parts).
+    """
+    width = min(_TAIL_BLOCK, parts << n)
+    runs = [parts << (n - 1 - q) for q in range(n)]
+    head = sum(h >= width for h in runs)
+    pairs = np.array([[(a + h) * width + a for a in range(width) if not a & h]
+                      for h in runs[head:]])
+    pairs.flags.writeable = False
+    return head, width, pairs
 
 
 def _ry_block(psi: np.ndarray, angles: np.ndarray, scratch: np.ndarray) -> None:
@@ -402,10 +435,13 @@ def _adjoint(batch: _Batch, theta: np.ndarray) -> tuple[float, np.ndarray]:
     sum_k w_k |phi_k|^2 with w_k = -1/(m max(p, floor)) where the ring image
     of basis state k falls in the row's class, else 0; lambda = w phi. The
     RYs of a layer commute, so at the end of layer l's RY block
-    d loss/d theta[l, q] = Re<lambda|-iY_q|phi>. phi and lambda then step
-    back through RY(-theta[l]) and the ring before it, in the workspace:
-    the final state's buffer becomes the scratch, the third buffer lambda
-    and the |psi|^2 buffer w.
+    d loss/d theta[l, q] = Re<lambda|-iY_q|phi>, the sum over qubit q's
+    float pairs (a, a + h) of lambda[a + h] phi[a] - lambda[a] phi[a + h]:
+    two einsums over strided halves per head qubit and, for the tail
+    qubits, one gather from a (width, width) product (``_tail_pairs``).
+    phi and lambda then step back through RY(-theta[l]) and the ring
+    before it, in the workspace: the final state's buffer becomes the
+    scratch, the third buffer lambda and the |psi|^2 buffer w.
     """
     m = len(batch.encoded)
     n_layers, n = theta.shape
@@ -423,14 +459,21 @@ def _adjoint(batch: _Batch, theta: np.ndarray) -> tuple[float, np.ndarray]:
     for part in range(parts):
         np.multiply(phi_f[..., part], w, out=lam_f[..., part])
     grad = np.empty(theta.shape)
+    head, width, pairs = _tail_pairs(n, parts)
     scratch = psi
     for l in range(n_layers - 1, -1, -1):
-        for q in range(n):
+        for q in range(head):
             # Float64 views of qubit q's halves: (runs, 0 or 1, run).
             lv, pv = (a.view(np.float64).reshape(-1, 2, parts << (n - q - 1))
                       for a in (lam, phi))
             grad[l, q] = (np.einsum("ij,ij->", lv[:, 1], pv[:, 0])
                           - np.einsum("ij,ij->", lv[:, 0], pv[:, 1]))
+        # The tail qubits pair floats inside one block: with M[a, b] the sum
+        # over blocks of lambda[a] phi[b], qubit q's entry is the sum of
+        # M[a + h, a] - M[a, a + h] over its pairs.
+        lam_b, phi_b = (a.view(np.float64).reshape(-1, width) for a in (lam, phi))
+        prod = lam_b.T @ phi_b
+        grad[l, head:] = (prod - prod.T).ravel()[pairs].sum(axis=1)
         if l:
             _ry_block(phi, -theta[l], scratch)
             _ry_block(lam, -theta[l], scratch)

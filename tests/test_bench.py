@@ -547,6 +547,26 @@ class TestRunExperiment:
         assert untrained.vqc_initial_grad_norm is None
         assert untrained.vqc_final_grad_norm is None
 
+    def test_verbose_names_vqc_folds_near_the_prior_loss(self, monkeypatch, caplog):
+        cfg = ExperimentConfig(classifier="vqc_angle_1", k=2, folds=3, epochs=2, seed=0)
+        log = random_log(0, n_cases=8, activities=("a", "b"))
+        samples = build_prefix_log(log, cfg.min_prefix, cfg.max_prefix)
+        fits = []
+        real = bench.vqc_train
+        monkeypatch.setattr(bench, "vqc_train", lambda xs, ys, *a, **k: (
+            fits.append((ys, real(xs, ys, *a, **k))) or fits[-1][1]))
+        with caplog.at_level(logging.INFO, logger="icppm.bench"):
+            run_experiment(cfg, log, samples)
+        lines = [r.getMessage() for r in caplog.records if "prior loss" in r.getMessage()]
+        want = []
+        for fold, (ys, model) in enumerate(fits):
+            final, prior = model.loss_history[-1], vqc.prior_loss(ys)
+            if final > prior - bench.VQC_PRIOR_MARGIN:
+                want.append(f"fold {fold + 1}/3: VQC final loss {final:.4f} is not "
+                            f"{bench.VQC_PRIOR_MARGIN:g} below the prior loss {prior:.4f}")
+        # Two epochs at the default learning rate learn little.
+        assert want and lines == want
+
     def test_inter_features_recorded(self):
         cfg = ExperimentConfig(
             classifier="majority", folds=2, inter_features=("peer_cases",)

@@ -289,15 +289,19 @@ def random_case(rng, n: int, layers: int, n_classes: int, fm, rows: int):
 
 class TestBatchedEngine:
     # one_row: a batch of one row, as ``forward`` and ``predict`` run it,
-    # against a batch of three.
+    # against a batch of three. At one and two layers the batches of three
+    # end with the vqc_train benchmark's shape, 30 rows on 9 qubits, where
+    # the adjoint's tail product sums over hundreds of 16-float blocks.
     @pytest.mark.parametrize("one_row", [True, False])
     @pytest.mark.parametrize("layers", [1, 2, 3])
     @pytest.mark.parametrize("fm", MAPS, ids=lambda k: f"{k.variant}{k.layers}")
     def test_matches_per_row_reference_and_dense_oracle(self, fm, layers, one_row):
         rng = np.random.default_rng(100 * layers + 10 * MAPS.index(fm) + one_row)
-        for n in range(1, 10):
+        shapes = [(n, 1 if one_row else 3) for n in range(1, 10)]
+        if not one_row and layers < 3:
+            shapes.append((9, 30))
+        for n, rows in shapes:
             n_classes = min(2 + (n + layers) % 5, 2 ** n)
-            rows = 1 if one_row else 3
             model, xs, class_idx = random_case(rng, n, layers, n_classes, fm, rows)
             labels = list(class_idx)
             args = (fm, model.theta, xs, class_idx, n_classes, EXACT)
@@ -444,6 +448,9 @@ class TestBatchedEngine:
         perm, image = vqc._ring_permutation(n)
         assert np.array_equal(psi[perm], want)
         assert np.array_equal(image[perm], np.arange(2 ** n))
+        # Cached per width and shared by every batch, so read-only.
+        assert vqc._ring_permutation(n)[0] is perm
+        assert not perm.flags.writeable and not image.flags.writeable
 
     def test_feature_map_simulated_once_per_train_call(self, monkeypatch):
         # The angle map is folded into weight layer 0 and never simulated.
@@ -595,80 +602,86 @@ def _vqc_digest(fm, layers, xs, labels, opt, shots) -> str:
 # parameter-shift gradients at a given theta kept their bits, but the
 # adjoint's gradient sums no longer run over interleaved zero imaginary
 # parts, so numpy's einsum adds the same products in another order (1e-16
-# apart); every zzx2 and angle_zzx1 entry held.
+# apart); every zzx2 and angle_zzx1 entry held. All 72 entries were
+# re-pinned when the adjoint read its last qubits, whose half-runs are
+# shorter than 16 floats, from one 16 x 16 product per layer instead of
+# per-qubit einsums: that adds the same products in another order. In the
+# shot-mode and SPSA cases theta, the loss history, the scores, the loss and
+# the parameter-shift gradient kept their bytes; in the exact cases, which
+# train by the adjoint, they moved by at most 3.1e-15 relative.
 VQC_DIGESTS = {
-    'anglex1/n=3,C=2/L=1/parameter_shift/exact': '4544ca282beac1eb',
-    'anglex1/n=3,C=2/L=1/parameter_shift/shots': '610676baa1083cf9',
-    'anglex1/n=3,C=2/L=1/spsa/exact': '7ef1b3b8974c09b0',
-    'anglex1/n=3,C=2/L=1/spsa/shots': 'c50ab717e6ac6193',
-    'anglex1/n=3,C=2/L=3/parameter_shift/exact': '0d7700a0b9020bdc',
-    'anglex1/n=3,C=2/L=3/parameter_shift/shots': 'ca9a252af8f455be',
-    'anglex1/n=3,C=2/L=3/spsa/exact': '75ba7157077f1eb5',
-    'anglex1/n=3,C=2/L=3/spsa/shots': '3252e4eaf6fc1518',
-    'anglex1/n=4,C=3/L=1/parameter_shift/exact': 'a96258e3935f26a2',
-    'anglex1/n=4,C=3/L=1/parameter_shift/shots': '695933b4f4179594',
-    'anglex1/n=4,C=3/L=1/spsa/exact': '90921b3a45297311',
-    'anglex1/n=4,C=3/L=1/spsa/shots': 'f203b94d26957d2a',
-    'anglex1/n=4,C=3/L=3/parameter_shift/exact': 'c7ca9b25383dd513',
-    'anglex1/n=4,C=3/L=3/parameter_shift/shots': 'c84ba513c6097a54',
-    'anglex1/n=4,C=3/L=3/spsa/exact': '9eac5e5214cf4aaa',
-    'anglex1/n=4,C=3/L=3/spsa/shots': '3e506bb6d0ad5d8f',
-    'anglex1/n=5,C=5/L=1/parameter_shift/exact': '638a0493d429f860',
-    'anglex1/n=5,C=5/L=1/parameter_shift/shots': '30ea191cd8e2954a',
-    'anglex1/n=5,C=5/L=1/spsa/exact': 'ba4a68d48b387d04',
-    'anglex1/n=5,C=5/L=1/spsa/shots': '61e6b51ca576d277',
-    'anglex1/n=5,C=5/L=3/parameter_shift/exact': 'b39fb5cbe9265580',
-    'anglex1/n=5,C=5/L=3/parameter_shift/shots': 'a0176fe99330aa94',
-    'anglex1/n=5,C=5/L=3/spsa/exact': 'ecc97acd38cccf00',
-    'anglex1/n=5,C=5/L=3/spsa/shots': 'becb69e0d7ee7198',
-    'zzx2/n=3,C=2/L=1/parameter_shift/exact': '02a40d3c896392d5',
-    'zzx2/n=3,C=2/L=1/parameter_shift/shots': 'e308c28073331c82',
-    'zzx2/n=3,C=2/L=1/spsa/exact': 'feaa388dd23081e1',
-    'zzx2/n=3,C=2/L=1/spsa/shots': 'e707061fa6e86a18',
-    'zzx2/n=3,C=2/L=3/parameter_shift/exact': 'd09918189df2d2b8',
-    'zzx2/n=3,C=2/L=3/parameter_shift/shots': '8f09195b05e8190c',
-    'zzx2/n=3,C=2/L=3/spsa/exact': '9e7ed018bc615b74',
-    'zzx2/n=3,C=2/L=3/spsa/shots': '1a90caa55f1ab0a4',
-    'zzx2/n=4,C=3/L=1/parameter_shift/exact': '0eb126b63cd5cab9',
-    'zzx2/n=4,C=3/L=1/parameter_shift/shots': 'a501c7c3655e40f6',
-    'zzx2/n=4,C=3/L=1/spsa/exact': '967ead2d61366d69',
-    'zzx2/n=4,C=3/L=1/spsa/shots': 'a6641e46b37c74e7',
-    'zzx2/n=4,C=3/L=3/parameter_shift/exact': '695c9c92ac80be51',
-    'zzx2/n=4,C=3/L=3/parameter_shift/shots': '890874b46fc11ae1',
-    'zzx2/n=4,C=3/L=3/spsa/exact': 'a4065daf9ac6dbdb',
-    'zzx2/n=4,C=3/L=3/spsa/shots': 'b3451beb351dbc2a',
-    'zzx2/n=5,C=5/L=1/parameter_shift/exact': 'c5904e60b1701957',
-    'zzx2/n=5,C=5/L=1/parameter_shift/shots': '7e698c010d76a933',
-    'zzx2/n=5,C=5/L=1/spsa/exact': '8be16fdad729e9c3',
-    'zzx2/n=5,C=5/L=1/spsa/shots': 'a1fc7d4478a74caa',
-    'zzx2/n=5,C=5/L=3/parameter_shift/exact': 'ea64321ef32647e4',
-    'zzx2/n=5,C=5/L=3/parameter_shift/shots': '425e9c80725174c1',
-    'zzx2/n=5,C=5/L=3/spsa/exact': 'cfae72c0ddcccf7d',
-    'zzx2/n=5,C=5/L=3/spsa/shots': 'ba22aa86437642f4',
-    'angle_zzx1/n=3,C=2/L=1/parameter_shift/exact': '4c5530a8f913a095',
-    'angle_zzx1/n=3,C=2/L=1/parameter_shift/shots': '272134f59d239a1f',
-    'angle_zzx1/n=3,C=2/L=1/spsa/exact': '3e31144ae160759f',
-    'angle_zzx1/n=3,C=2/L=1/spsa/shots': 'a2c9bebda8dcb26a',
-    'angle_zzx1/n=3,C=2/L=3/parameter_shift/exact': '0792c8b0863b48bc',
-    'angle_zzx1/n=3,C=2/L=3/parameter_shift/shots': '720431ed39a0305e',
-    'angle_zzx1/n=3,C=2/L=3/spsa/exact': 'd0ddf08bad0f3c70',
-    'angle_zzx1/n=3,C=2/L=3/spsa/shots': 'a1d3337e6ac90505',
-    'angle_zzx1/n=4,C=3/L=1/parameter_shift/exact': 'd30058c9882f7851',
-    'angle_zzx1/n=4,C=3/L=1/parameter_shift/shots': '3f003129bec46e0e',
-    'angle_zzx1/n=4,C=3/L=1/spsa/exact': '9295c2134c5edde8',
-    'angle_zzx1/n=4,C=3/L=1/spsa/shots': '5a183bbbfd5ae0db',
-    'angle_zzx1/n=4,C=3/L=3/parameter_shift/exact': '5cb24a0d375a5367',
-    'angle_zzx1/n=4,C=3/L=3/parameter_shift/shots': '51bc7711ce711b4b',
-    'angle_zzx1/n=4,C=3/L=3/spsa/exact': '4bb1e8279f7f22f5',
-    'angle_zzx1/n=4,C=3/L=3/spsa/shots': '8031dbf722664f65',
-    'angle_zzx1/n=5,C=5/L=1/parameter_shift/exact': '4c02c439b666dc0d',
-    'angle_zzx1/n=5,C=5/L=1/parameter_shift/shots': '73c894fe03fb866a',
-    'angle_zzx1/n=5,C=5/L=1/spsa/exact': '38e457287804bc4d',
-    'angle_zzx1/n=5,C=5/L=1/spsa/shots': '0db34260050c3b4d',
-    'angle_zzx1/n=5,C=5/L=3/parameter_shift/exact': '74cf503e9babbf20',
-    'angle_zzx1/n=5,C=5/L=3/parameter_shift/shots': 'ae5fb0c2a1e3e2e4',
-    'angle_zzx1/n=5,C=5/L=3/spsa/exact': '088e75fbd15a5c37',
-    'angle_zzx1/n=5,C=5/L=3/spsa/shots': '172e630452b34be8',
+    'anglex1/n=3,C=2/L=1/parameter_shift/exact': '1372c2a45c7a17c2',
+    'anglex1/n=3,C=2/L=1/parameter_shift/shots': 'bd62eef344296588',
+    'anglex1/n=3,C=2/L=1/spsa/exact': '05c3db64cb6599c8',
+    'anglex1/n=3,C=2/L=1/spsa/shots': 'fca7366c64957e33',
+    'anglex1/n=3,C=2/L=3/parameter_shift/exact': '485887bd4b87978d',
+    'anglex1/n=3,C=2/L=3/parameter_shift/shots': '141dc3d916ff7e2d',
+    'anglex1/n=3,C=2/L=3/spsa/exact': '006ab323c5b77507',
+    'anglex1/n=3,C=2/L=3/spsa/shots': 'de8b19e43e069892',
+    'anglex1/n=4,C=3/L=1/parameter_shift/exact': 'd1cbe3ad59a6cfef',
+    'anglex1/n=4,C=3/L=1/parameter_shift/shots': 'defed0770c76ba30',
+    'anglex1/n=4,C=3/L=1/spsa/exact': 'a8776aef5d922474',
+    'anglex1/n=4,C=3/L=1/spsa/shots': '495fc1a4a9ea0026',
+    'anglex1/n=4,C=3/L=3/parameter_shift/exact': 'c83a4746cb52cfaa',
+    'anglex1/n=4,C=3/L=3/parameter_shift/shots': 'a30194f4d24089da',
+    'anglex1/n=4,C=3/L=3/spsa/exact': 'a0b4c60d0dde89b6',
+    'anglex1/n=4,C=3/L=3/spsa/shots': '5cddcbe4683fecd6',
+    'anglex1/n=5,C=5/L=1/parameter_shift/exact': 'f54bf8b277c69171',
+    'anglex1/n=5,C=5/L=1/parameter_shift/shots': 'f6e992339664fcbf',
+    'anglex1/n=5,C=5/L=1/spsa/exact': 'f189abe698ecf88b',
+    'anglex1/n=5,C=5/L=1/spsa/shots': '3aec29e73fb23a74',
+    'anglex1/n=5,C=5/L=3/parameter_shift/exact': '896ac3997469c53e',
+    'anglex1/n=5,C=5/L=3/parameter_shift/shots': '42077ff0919b2d70',
+    'anglex1/n=5,C=5/L=3/spsa/exact': 'ea5e57e4135c3974',
+    'anglex1/n=5,C=5/L=3/spsa/shots': '550a80c068493ba0',
+    'zzx2/n=3,C=2/L=1/parameter_shift/exact': '51a33ee6a2e4206e',
+    'zzx2/n=3,C=2/L=1/parameter_shift/shots': '4cb783f1dfaa039a',
+    'zzx2/n=3,C=2/L=1/spsa/exact': '0ffb86f0621eec41',
+    'zzx2/n=3,C=2/L=1/spsa/shots': '67f1958798215506',
+    'zzx2/n=3,C=2/L=3/parameter_shift/exact': 'f463bec7bcc46631',
+    'zzx2/n=3,C=2/L=3/parameter_shift/shots': 'f8e125ff0598253f',
+    'zzx2/n=3,C=2/L=3/spsa/exact': '9e627e99cf996610',
+    'zzx2/n=3,C=2/L=3/spsa/shots': '5d8e68384b0489ba',
+    'zzx2/n=4,C=3/L=1/parameter_shift/exact': '89b0099450023a28',
+    'zzx2/n=4,C=3/L=1/parameter_shift/shots': 'b9a9660b02518e2f',
+    'zzx2/n=4,C=3/L=1/spsa/exact': 'e399ac2afb29f47f',
+    'zzx2/n=4,C=3/L=1/spsa/shots': '43e944f9027cbdeb',
+    'zzx2/n=4,C=3/L=3/parameter_shift/exact': '880778048235760c',
+    'zzx2/n=4,C=3/L=3/parameter_shift/shots': 'c9571cd67d204849',
+    'zzx2/n=4,C=3/L=3/spsa/exact': '4412b8a0f3798dcb',
+    'zzx2/n=4,C=3/L=3/spsa/shots': 'effafd01ecaedc2c',
+    'zzx2/n=5,C=5/L=1/parameter_shift/exact': '5df05cbaa9170425',
+    'zzx2/n=5,C=5/L=1/parameter_shift/shots': '71d7f918a75b33df',
+    'zzx2/n=5,C=5/L=1/spsa/exact': '2425de20c94ea548',
+    'zzx2/n=5,C=5/L=1/spsa/shots': 'c7293ef52d57f1d4',
+    'zzx2/n=5,C=5/L=3/parameter_shift/exact': 'aa3551b75eb3bf26',
+    'zzx2/n=5,C=5/L=3/parameter_shift/shots': '2a9d48f06eaeed63',
+    'zzx2/n=5,C=5/L=3/spsa/exact': 'f75bfa1c237d91d2',
+    'zzx2/n=5,C=5/L=3/spsa/shots': '1a9ef09d1eaebeea',
+    'angle_zzx1/n=3,C=2/L=1/parameter_shift/exact': '4b72c4c6411d06ed',
+    'angle_zzx1/n=3,C=2/L=1/parameter_shift/shots': '88d083c056453865',
+    'angle_zzx1/n=3,C=2/L=1/spsa/exact': '9e59e630bdd22b78',
+    'angle_zzx1/n=3,C=2/L=1/spsa/shots': 'd58256ac692c10ca',
+    'angle_zzx1/n=3,C=2/L=3/parameter_shift/exact': '0bcbd77b8aef4e94',
+    'angle_zzx1/n=3,C=2/L=3/parameter_shift/shots': '4475ee6b55d61037',
+    'angle_zzx1/n=3,C=2/L=3/spsa/exact': '360b7493fce18940',
+    'angle_zzx1/n=3,C=2/L=3/spsa/shots': '73f6292128c6fd86',
+    'angle_zzx1/n=4,C=3/L=1/parameter_shift/exact': 'a4a61c5cc22c746c',
+    'angle_zzx1/n=4,C=3/L=1/parameter_shift/shots': '643e4d9d46a28c52',
+    'angle_zzx1/n=4,C=3/L=1/spsa/exact': '441e622cc4bd36c7',
+    'angle_zzx1/n=4,C=3/L=1/spsa/shots': 'b4d9e01ba40bbdf3',
+    'angle_zzx1/n=4,C=3/L=3/parameter_shift/exact': '9053de10718731c2',
+    'angle_zzx1/n=4,C=3/L=3/parameter_shift/shots': '9aba7c2acebe17b0',
+    'angle_zzx1/n=4,C=3/L=3/spsa/exact': '4299ca91521b0fcd',
+    'angle_zzx1/n=4,C=3/L=3/spsa/shots': 'ed41ad235da7fdad',
+    'angle_zzx1/n=5,C=5/L=1/parameter_shift/exact': '0d609d570dd34c8b',
+    'angle_zzx1/n=5,C=5/L=1/parameter_shift/shots': '6e5907319aa8c2b5',
+    'angle_zzx1/n=5,C=5/L=1/spsa/exact': 'ab039f41ed9a396d',
+    'angle_zzx1/n=5,C=5/L=1/spsa/shots': '9fbb1173da697c74',
+    'angle_zzx1/n=5,C=5/L=3/parameter_shift/exact': '8af6aaa42135527a',
+    'angle_zzx1/n=5,C=5/L=3/parameter_shift/shots': 'd5bed72b283f6029',
+    'angle_zzx1/n=5,C=5/L=3/spsa/exact': 'f411b9d6b4f33f6f',
+    'angle_zzx1/n=5,C=5/L=3/spsa/shots': 'c55235ebd5acd7a0',
 }
 
 
