@@ -21,12 +21,14 @@ Times stay exact integers. Where a float is needed, ``seconds`` divides by
 ``datetime.timestamp()`` gives and a difference of two instants the float
 ``timedelta.total_seconds()`` gives.
 
+Every case holds at least one event: ``parse_xes`` drops a trace without
+events, as a CSV cannot hold one, so an XES log and the CSV ``write_csv``
+makes of it give the same log.
+
 A ``PrefixSet`` is two int arrays, case and length: prefix i is the first
 length[i] events of case case[i], labelled with the next activity or
 END_LABEL. Every function here and downstream that takes prefixes takes a
-``PrefixSet``. ``Event``, ``Trace``, ``PrefixSample`` and ``EventLog.traces``
-are read-only views built from the columns on demand, for code that wants
-one object per event or prefix; nothing takes them as input.
+``PrefixSet``; indexing one with an int gives a ``PrefixSample`` view.
 
 Preprocessing covers variant filtering, date slicing, prefix extraction,
 stratified subsampling, and case-level CV folds.
@@ -45,10 +47,9 @@ import zlib
 from collections import Counter
 from dataclasses import dataclass, field
 from datetime import date, datetime, timedelta, timezone
-from functools import cached_property
 from itertools import compress, islice
 from pathlib import Path
-from typing import IO, Iterable, Mapping, Sequence
+from typing import IO, Mapping, Sequence
 
 import numpy as np
 
@@ -93,66 +94,6 @@ def seconds(us: np.ndarray) -> np.ndarray:
     return us / 1e6
 
 
-@dataclass(frozen=True)
-class Event:
-    case_id: str
-    activity: str
-    timestamp: datetime
-    resource: str | None = None
-
-    def __post_init__(self):
-        if not self.activity:
-            raise ValueError("event requires a non-empty activity")
-        ts = self.timestamp
-        if ts.tzinfo is None:
-            ts = ts.replace(tzinfo=timezone.utc)
-        else:
-            ts = ts.astimezone(timezone.utc)
-        object.__setattr__(self, "timestamp", ts)
-
-
-@dataclass(frozen=True)
-class Trace:
-    """Events of one case, sorted by timestamp (original order kept on ties)."""
-
-    case_id: str
-    events: tuple[Event, ...]
-    attributes: Mapping[str, str] = field(default_factory=dict)
-
-    def __post_init__(self):
-        for ev in self.events:
-            if ev.case_id != self.case_id:
-                raise ValueError(
-                    f"event case_id {ev.case_id!r} != trace case_id {self.case_id!r}"
-                )
-        for a, b in zip(self.events, self.events[1:]):
-            if a.timestamp > b.timestamp:
-                raise ValueError(f"trace {self.case_id!r}: events not time-sorted")
-
-    @classmethod
-    def build(
-        cls,
-        case_id: str,
-        events: Iterable[Event],
-        attributes: Mapping[str, str] | None = None,
-    ) -> "Trace":
-        ordered = tuple(sorted(events, key=lambda e: e.timestamp))
-        return cls(case_id, ordered, dict(attributes or {}))
-
-    def __len__(self) -> int:
-        return len(self.events)
-
-    @property
-    def activities(self) -> tuple[str, ...]:
-        return tuple(e.activity for e in self.events)
-
-    @property
-    def duration(self) -> timedelta:
-        if not self.events:
-            return timedelta(0)
-        return self.events[-1].timestamp - self.events[0].timestamp
-
-
 @dataclass(frozen=True, eq=False)
 class EventLog:
     """Per-event columns grouped by case; see the module docstring.
@@ -174,17 +115,6 @@ class EventLog:
         for column in (self.offsets, self.case, self.activity, self.resource, self.time_us):
             column.flags.writeable = False
 
-    @classmethod
-    def from_traces(cls, traces: Iterable[Trace]) -> "EventLog":
-        rows = _Rows()
-        for t in traces:
-            if t.case_id in rows.cases:
-                raise ValueError(f"duplicate case_id {t.case_id!r}")
-            case = rows.add_case(t.case_id, t.attributes)
-            for ev in t.events:
-                rows.add(case, ev.activity, ev.resource, _micros(ev.timestamp))
-        return rows.log()
-
     def __repr__(self) -> str:
         return f"EventLog({len(self)} cases, {self.n_events} events)"
 
@@ -194,21 +124,6 @@ class EventLog:
     @property
     def n_events(self) -> int:
         return len(self.activity)
-
-    @cached_property
-    def traces(self) -> tuple[Trace, ...]:
-        """One ``Trace`` view per case, built on first use."""
-        acts, ress = self.activity_vocab, self.resource_vocab + (None,)
-        act, res, us = self.activity.tolist(), self.resource.tolist(), self.time_us.tolist()
-        bounds = self.offsets.tolist()
-        return tuple(
-            Trace(case_id, tuple(
-                Event(case_id, acts[act[r]], _EPOCH + timedelta(microseconds=us[r]),
-                      ress[res[r]])
-                for r in range(bounds[c], bounds[c + 1])
-            ), self.attributes[c])
-            for c, case_id in enumerate(self.case_ids)
-        )
 
     def select_cases(self, keep: np.ndarray) -> "EventLog":
         """The cases where the boolean mask ``keep`` is set, as a log whose
@@ -224,13 +139,8 @@ class EventLog:
         )
 
     def case_durations(self) -> np.ndarray:
-        """Seconds from each case's first to its last event; 0 for a case
-        without events."""
-        first, end = self.offsets[:-1], self.offsets[1:]
-        full = end > first
-        out = np.zeros(len(self))
-        out[full] = seconds(self.time_us[end[full] - 1] - self.time_us[first[full]])
-        return out
+        """Seconds from each case's first to its last event."""
+        return seconds(self.time_us[self.offsets[1:] - 1] - self.time_us[self.offsets[:-1]])
 
     def variant_keys(self) -> list[bytes]:
         """Per case, a key equal between two cases exactly when their
@@ -319,11 +229,6 @@ class PrefixSample:
         return self.log.case_ids[self.case]
 
     @property
-    def prefix(self) -> Trace:
-        trace = self.log.traces[self.case]
-        return Trace(trace.case_id, trace.events[:self.length], trace.attributes)
-
-    @property
     def label(self) -> str:
         """The next activity, or END_LABEL for the whole case."""
         row = int(self.log.offsets[self.case]) + self.length
@@ -366,7 +271,7 @@ class PrefixSet:
         log, end = self.log, len(self.log.activity_vocab)
         # The activity after each row; END after a case's last row.
         following = np.append(log.activity[1:], end)
-        following[log.offsets[1:][np.diff(log.offsets) > 0] - 1] = end
+        following[log.offsets[1:] - 1] = end
         return following[self.ends - 1]
 
     @property
@@ -412,14 +317,18 @@ def _xes_attrs(elem) -> dict[str, str]:
 def parse_xes(source: IO[bytes] | bytes) -> EventLog:
     """Parse an XES byte stream into an EventLog.
 
-    Trace-level string attributes other than concept:name are kept as case
-    attributes. Events missing concept:name or time:timestamp, and a second
-    trace with the same case id, raise a RecordError naming the trace;
-    unknown attributes are ignored.
+    Trace-level attributes other than concept:name are kept as case
+    attributes, unless empty. A trace whose concept:name is missing or empty
+    gets the case id ``trace-N``. Events missing concept:name or
+    time:timestamp, and a second trace with the same case id, raise a
+    RecordError naming the trace. A trace without events is dropped, though
+    its case id still counts as taken; unknown attributes are ignored. So
+    ``parse_csv`` reads the same log back from the CSV ``write_csv`` makes.
     """
     if isinstance(source, bytes):
         source = io.BytesIO(source)
     rows = _Rows()
+    case_ids: set[str] = set()
     n_anonymous = 0
     try:
         context = ET.iterparse(source, events=("start", "end"))
@@ -431,15 +340,13 @@ def parse_xes(source: IO[bytes] | bytes) -> EventLog:
                 continue
             trace_attrs = _xes_attrs(elem)
             case_id = trace_attrs.pop(ACTIVITY_KEY, None)
-            if case_id is None:
-                case_id = f"trace-{len(rows.cases) + n_anonymous}"
+            if not case_id:
+                case_id = f"trace-{len(case_ids) + n_anonymous}"
                 n_anonymous += 1
-            if case_id in rows.cases:
+            if case_id in case_ids:
                 raise RecordError(f"trace {case_id!r}: duplicate case id")
-            case = rows.add_case(case_id, {
-                k: v for k, v in trace_attrs.items() if not k.startswith("lifecycle:")
-            })
-            n_events = 0
+            case_ids.add(case_id)
+            events = []
             for child in elem:
                 if _localname(child.tag) != "event":
                     continue
@@ -448,11 +355,11 @@ def parse_xes(source: IO[bytes] | bytes) -> EventLog:
                 raw_ts = attrs.get(TIMESTAMP_KEY)
                 if not activity:
                     raise RecordError(
-                        f"trace {case_id!r}: event #{n_events} has no {ACTIVITY_KEY}"
+                        f"trace {case_id!r}: event #{len(events)} has no {ACTIVITY_KEY}"
                     )
                 if not raw_ts:
                     raise RecordError(
-                        f"trace {case_id!r}: event #{n_events} has no {TIMESTAMP_KEY}"
+                        f"trace {case_id!r}: event #{len(events)} has no {TIMESTAMP_KEY}"
                     )
                 try:
                     us = _micros(_parse_instant(raw_ts))
@@ -460,8 +367,13 @@ def parse_xes(source: IO[bytes] | bytes) -> EventLog:
                     raise RecordError(
                         f"trace {case_id!r}: bad timestamp {raw_ts!r}: {exc}"
                     ) from exc
-                rows.add(case, activity, attrs.get(RESOURCE_KEY), us)
-                n_events += 1
+                events.append((activity, attrs.get(RESOURCE_KEY), us))
+            if events:
+                case = rows.add_case(case_id, {
+                    k: v for k, v in trace_attrs.items() if v and not k.startswith("lifecycle:")
+                })
+                for event in events:
+                    rows.add(case, *event)
             root.clear()
     except ET.ParseError as exc:
         line = exc.position[0] if exc.position else None
@@ -747,22 +659,18 @@ def slice_date_range(
 
     Rules: "first" keeps cases whose first event lies in the range (default),
     "all" requires every event in range, "any" requires at least one.
-    Both endpoints are inclusive, interpreted as full UTC days. Cases
-    without events are dropped.
+    Both endpoints are inclusive, interpreted as full UTC days.
     """
     _check_date_slice(rule, start, end)
     lo = _micros(datetime(start.year, start.month, start.day, tzinfo=timezone.utc))
     hi = _micros(datetime(end.year, end.month, end.day, tzinfo=timezone.utc)
                  + timedelta(days=1))
     inside = (log.time_us >= lo) & (log.time_us < hi)
-    sizes = np.diff(log.offsets)
-    full = sizes > 0
     if rule == "first":
-        keep = np.zeros(len(log), dtype=bool)
-        keep[full] = inside[log.offsets[:-1][full]]
+        keep = inside[log.offsets[:-1]]
     else:
         hits = np.bincount(log.case[inside], minlength=len(log))
-        keep = full & (hits == sizes if rule == "all" else hits > 0)
+        keep = hits == np.diff(log.offsets) if rule == "all" else hits > 0
     return log.select_cases(keep)
 
 

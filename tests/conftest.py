@@ -13,32 +13,39 @@ from datetime import datetime, timedelta, timezone
 
 import pytest
 
-from icppm.eventlog import Event, EventLog, Trace
+from icppm.eventlog import _ATTR_PREFIX, _CSV_FIELDS, EventLog, _csv_field, parse_csv
 
 BASE = datetime(2023, 3, 1, 12, 0, 0, tzinfo=timezone.utc)
 
 
-def ts(offset_s: float) -> datetime:
-    """Timestamp at a fixed base plus an offset in seconds."""
+def ts(offset_s) -> datetime:
+    """Timestamp at a fixed base plus an offset in seconds; a datetime
+    offset is the timestamp itself."""
+    if isinstance(offset_s, datetime):
+        return offset_s
     return BASE + timedelta(seconds=offset_s)
 
 
-def make_event(case_id: str, activity: str, offset_s: float, resource: str | None = None) -> Event:
-    return Event(case_id, activity, ts(offset_s), resource)
+def make_trace(case_id: str, spec, attributes=None):
+    """spec: iterable of (activity, offset_s) or (activity, offset_s, resource).
 
-
-def make_trace(case_id: str, spec, attributes=None) -> Trace:
-    """spec: iterable of (activity, offset_s) or (activity, offset_s, resource)."""
-    events = []
-    for item in spec:
-        act, off = item[0], item[1]
-        res = item[2] if len(item) > 2 else None
-        events.append(make_event(case_id, act, off, res))
-    return Trace.build(case_id, events, attributes or {})
+    The case as ``oracles.cases`` gives one: (case_id, attributes, events),
+    events as (activity, datetime, resource) tuples, here in spec order.
+    """
+    events = [(item[0], ts(item[1]), item[2] if len(item) > 2 else None) for item in spec]
+    return case_id, dict(attributes or {}), events
 
 
 def make_log(*traces) -> EventLog:
-    return EventLog.from_traces(traces)
+    """The log of ``make_trace`` cases, written as CSV text (one row per
+    event, in spec order) and read back by ``parse_csv``."""
+    keys = sorted({key for _, attributes, _ in traces for key in attributes})
+    lines = [[*_CSV_FIELDS, *(_ATTR_PREFIX + key for key in keys)]]
+    for case_id, attributes, events in traces:
+        cells = [attributes.get(key, "") for key in keys]
+        lines.extend([case_id, activity, when.isoformat(timespec="microseconds"),
+                      resource or "", *cells] for activity, when, resource in events)
+    return parse_csv("".join(",".join(map(_csv_field, line)) + "\n" for line in lines))
 
 
 def random_log(
@@ -55,17 +62,16 @@ def random_log(
     rng = random.Random(seed)
     traces = []
     for c in range(n_cases):
-        cid = f"case{c}"
         t = rng.uniform(0, span_s)
-        events = []
+        spec = []
         for _ in range(rng.randint(1, max_len)):
             if integer_times:
                 t = float(int(t))
             res = rng.choice(resources) if with_resources and rng.random() < 0.8 else None
-            events.append(make_event(cid, rng.choice(activities), t, res))
+            spec.append((rng.choice(activities), t, res))
             t += rng.uniform(1, span_s / 10)
-        traces.append(Trace.build(cid, events))
-    return EventLog.from_traces(traces)
+        traces.append(make_trace(f"case{c}", spec))
+    return make_log(*traces)
 
 
 def xes_doc(traces, log_attrs: str = "") -> bytes:

@@ -15,7 +15,9 @@ import csv
 import io
 import itertools
 import math
+import weakref
 from collections import Counter
+from datetime import datetime, timedelta, timezone
 
 import numpy as np
 
@@ -25,6 +27,25 @@ from icppm.errors import ConfigError, ParseError, RecordError
 from icppm.eventlog import (
     _ATTR_PREFIX, DEFAULT_COLUMN_MAP, EventLog, _micros, _parse_instant, _Rows,
 )
+
+
+EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+_CASES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def cases(log: EventLog) -> tuple:
+    """Per case, in order: its id, its attributes and its events as
+    (activity, datetime, resource) tuples, resource None for none; read
+    from the columns once per log, for references that walk a log event
+    by event."""
+    if log not in _CASES:
+        acts, ress = log.activity_vocab, log.resource_vocab + (None,)
+        events = tuple((acts[a], EPOCH + timedelta(microseconds=us), ress[r]) for a, us, r in
+                       zip(log.activity.tolist(), log.time_us.tolist(), log.resource.tolist()))
+        bounds = log.offsets.tolist()
+        _CASES[log] = tuple((case_id, log.attributes[c], events[bounds[c]:bounds[c + 1]])
+                            for c, case_id in enumerate(log.case_ids))
+    return _CASES[log]
 
 
 def parse_csv(source, column_map=None) -> EventLog:
@@ -75,24 +96,25 @@ def _csv_rows(reader, colmap) -> EventLog:
     return rows.log()
 
 
-def intra_row(name, sample, act_vocab, res_vocab, k, attr_names, attr_vocabs):
-    """One sample's intra-case feature row, built value by value."""
-    events = sample.prefix.events
+def intra_row(name, attributes, events, act_vocab, res_vocab, k, attr_names, attr_vocabs):
+    """One prefix's intra-case feature row, built value by value from its
+    case attributes and its events, as ``cases`` gives them."""
+    acts = [act for act, _, _ in events]
+    ress = [res for _, _, res in events]
     with_res = res_vocab is not None and len(res_vocab) > 1
     if name == "static":
-        return [float(attr_vocabs[a].index(sample.prefix.attributes.get(a)))
+        return [float(attr_vocabs[a].index(attributes.get(a)))
                 if a in attr_vocabs else 0.0 for a in attr_names]
     if name == "last_state":
-        row = [float(act_vocab.index(events[-1].activity))]
-        return row + ([float(res_vocab.index(events[-1].resource))] if with_res else [])
+        row = [float(act_vocab.index(acts[-1]))]
+        return row + ([float(res_vocab.index(ress[-1]))] if with_res else [])
     if name in ("agg_count", "agg_bool"):
-        counts = Counter(ev.activity for ev in events)
+        counts = Counter(acts)
         row = [float(counts[a]) for a in act_vocab.entries[1:]]
         return [float(c > 0) for c in row] if name == "agg_bool" else row
-    tail = list(events[-k:])
-    pad = [0.0] * (k - len(tail))
-    row = pad + [float(act_vocab.index(ev.activity)) for ev in tail]
-    return row + (pad + [float(res_vocab.index(ev.resource)) for ev in tail] if with_res else [])
+    pad = [0.0] * (k - len(acts[-k:]))
+    row = pad + [float(act_vocab.index(a)) for a in acts[-k:]]
+    return row + (pad + [float(res_vocab.index(r)) for r in ress[-k:]] if with_res else [])
 
 
 def index_codes(names, vocab) -> np.ndarray:
@@ -104,20 +126,14 @@ def index_codes(names, vocab) -> np.ndarray:
 
 
 def window_events(log: EventLog, t: float, width: float):
-    """All events of all cases with epoch time in [t - width, t]."""
-    out = []
-    for trace in log.traces:
-        for ev in trace.events:
-            et = ev.timestamp.timestamp()
-            if t - width <= et <= t:
-                out.append(ev)
-    return out
+    """(case id, activity, resource) of every event of every case with epoch
+    time in [t - width, t]."""
+    return [(case_id, act, res) for case_id, _, events in cases(log)
+            for act, when, res in events if t - width <= when.timestamp() <= t]
 
 
 def peer_cases(log: EventLog, t: float, case_id: str, width: float) -> int:
-    cases = {ev.case_id for ev in window_events(log, t, width)}
-    cases.add(case_id)
-    return len(cases)
+    return len({cid for cid, _, _ in window_events(log, t, width)} | {case_id})
 
 
 def peer_act(log: EventLog, t: float, case_id: str, width: float) -> int:
@@ -125,24 +141,22 @@ def peer_act(log: EventLog, t: float, case_id: str, width: float) -> int:
 
 
 def res_count(log: EventLog, t: float, case_id: str, width: float) -> int:
-    return len({ev.resource for ev in window_events(log, t, width) if ev.resource})
+    return len({res for _, _, res in window_events(log, t, width) if res})
 
 
 def transition_means(log: EventLog) -> dict[tuple[str, str], float]:
     gaps: dict[tuple[str, str], list[float]] = {}
-    for trace in log.traces:
-        for a, b in zip(trace.events, trace.events[1:]):
-            gaps.setdefault((a.activity, b.activity), []).append(
-                (b.timestamp - a.timestamp).total_seconds()
-            )
+    for _, _, events in cases(log):
+        for (a, ta, _), (b, tb, _) in zip(events, events[1:]):
+            gaps.setdefault((a, b), []).append((tb - ta).total_seconds())
     return {pair: math.fsum(v) / len(v) for pair, v in gaps.items()}
 
 
 def successor_map(log: EventLog) -> dict[str, tuple[str, ...]]:
     succ: dict[str, set[str]] = {}
-    for trace in log.traces:
-        for a, b in zip(trace.events, trace.events[1:]):
-            succ.setdefault(a.activity, set()).add(b.activity)
+    for _, _, events in cases(log):
+        for (a, _, _), (b, _, _) in zip(events, events[1:]):
+            succ.setdefault(a, set()).add(b)
     return {a: tuple(sorted(bs)) for a, bs in succ.items()}
 
 
@@ -154,15 +168,14 @@ def avg_delay(
     means: dict[tuple[str, str], float],
 ) -> float:
     ratios = []
-    for trace in log.traces:
-        for a, b in zip(trace.events, trace.events[1:]):
-            et = b.timestamp.timestamp()
-            if not t - width <= et <= t:
+    for _, _, events in cases(log):
+        for (a, ta, _), (b, tb, _) in zip(events, events[1:]):
+            if not t - width <= tb.timestamp() <= t:
                 continue
-            mean = means.get((a.activity, b.activity))
+            mean = means.get((a, b))
             if mean is None or not mean > 0:
                 continue
-            ratios.append((b.timestamp - a.timestamp).total_seconds() / mean)
+            ratios.append((tb - ta).total_seconds() / mean)
     if not ratios:
         return 1.0
     return math.fsum(ratios) / len(ratios)
@@ -177,24 +190,20 @@ def _top_code(values, vocab: Vocabulary) -> int:
 
 
 def freq_act(log: EventLog, t: float, case_id: str, width: float, vocab: Vocabulary) -> int:
-    return _top_code([ev.activity for ev in window_events(log, t, width)], vocab)
+    return _top_code([act for _, act, _ in window_events(log, t, width)], vocab)
 
 
 def top_res(log: EventLog, t: float, case_id: str, width: float, vocab: Vocabulary) -> int:
-    return _top_code(
-        [ev.resource for ev in window_events(log, t, width) if ev.resource], vocab
-    )
+    return _top_code([res for _, _, res in window_events(log, t, width) if res], vocab)
 
 
 def burst_scores(log: EventLog, epsilon: float, min_burst: int) -> dict[str, float]:
     """Per activity: fraction of occurrences inside any epsilon interval that
     holds the activity for >= min_burst distinct cases. Quadratic scan."""
     occ: dict[str, list[tuple[float, str]]] = {}
-    for trace in log.traces:
-        for ev in trace.events:
-            occ.setdefault(ev.activity, []).append(
-                (ev.timestamp.timestamp(), ev.case_id)
-            )
+    for case_id, _, events in cases(log):
+        for act, when, _ in events:
+            occ.setdefault(act, []).append((when.timestamp(), case_id))
     scores = {}
     for activity, items in occ.items():
         items.sort(key=lambda p: p[0])

@@ -286,10 +286,11 @@ class TestCriterion6IntercaseOracle:
         bstats = fit_batch_stats(log, epsilon, min_burst)
         scores = ref.burst_scores(log, epsilon, min_burst)
         assert bstats.scores == scores
-        events = [ev for trace in log.traces for ev in trace.events]
-        times = np.array([ev.timestamp.timestamp() for ev in events])
-        case_ids = [ev.case_id for ev in events]
-        acts = [ev.activity for ev in events]
+        events = [(when.timestamp(), cid, act)
+                  for cid, _, evs in ref.cases(log) for act, when, _ in evs]
+        times = np.array([t for t, _, _ in events])
+        case_ids = [cid for _, cid, _ in events]
+        acts = [act for _, _, act in events]
         bounds = idx.window_bounds(times, PeerWindow(width))
         got = zip(
             peer_cases(idx, bounds, ref.index_codes(case_ids, idx.cases)).tolist(),
@@ -301,9 +302,7 @@ class TestCriterion6IntercaseOracle:
             batch_indicator(acts, bstats, stats.successors).tolist(),
         )
         checked = 0
-        for ev, row in zip(events, got):
-            t = ev.timestamp.timestamp()
-            cid = ev.case_id
+        for (t, cid, act), row in zip(events, got):
             assert row == (
                 ref.peer_cases(log, t, cid, width),
                 ref.peer_act(log, t, cid, width),
@@ -311,7 +310,7 @@ class TestCriterion6IntercaseOracle:
                 ref.avg_delay(log, t, cid, width, means),
                 ref.freq_act(log, t, cid, width, act_vocab),
                 ref.top_res(log, t, cid, width, res_vocab),
-                ref.batch_indicator(ev.activity, scores, successors),
+                ref.batch_indicator(act, scores, successors),
             )
             checked += 1
         return checked

@@ -596,7 +596,7 @@ class TestTrainOnlyFitting:
         for fold in range(cfg.folds):
             train_idx, _ = folds.split(fold)
             train_case_sets.append({samples[i].case_id for i in train_idx})
-        all_cases = {t.case_id for t in log.traces}
+        all_cases = set(log.case_ids)
 
         seen_transition_logs = []
         seen_batch_logs = []
@@ -624,11 +624,11 @@ class TestTrainOnlyFitting:
         assert len(seen_transition_logs) == cfg.folds
         assert len(seen_batch_logs) == cfg.folds
         for fold, lg in enumerate(seen_transition_logs):
-            cases = {t.case_id for t in lg.traces}
+            cases = set(lg.case_ids)
             assert cases == train_case_sets[fold]
             assert cases < all_cases
         for fold, lg in enumerate(seen_batch_logs):
-            assert {t.case_id for t in lg.traces} == train_case_sets[fold]
+            assert set(lg.case_ids) == train_case_sets[fold]
         for fold, size in enumerate(seen_scaler_sizes):
             assert size == len(folds.split(fold)[0])
 

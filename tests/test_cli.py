@@ -85,6 +85,24 @@ class TestPrepare:
         assert len(log) == 4
         assert log.n_events == 12
 
+    def test_xes_and_its_csv_give_the_same_stats(self, tmp_path, capsys):
+        # A trace without events, an empty attribute value and an empty case id.
+        xes = tmp_path / "odd.xes"
+        xes.write_bytes(xes_doc([
+            ("t0", [], {}),
+            ("t1", [("a", "2023-01-01T10:00:00Z", "r1")], {"k": ""}),
+            ("", [("b", "2023-01-01T11:00:00Z", None)], {}),
+        ]))
+        out = tmp_path / "odd.csv"
+        assert main(["prepare", str(xes), "--out", str(out)]) == 0
+        assert "wrote 2 cases" in capsys.readouterr().out
+        lines = []
+        for path in (xes, out):
+            assert main(["stats", str(path), "--json"]) == 0
+            lines.append(capsys.readouterr().out)
+        assert lines[0] == lines[1]
+        assert json.loads(lines[0])["cases"] == 2
+
     def test_creates_parent_directories(self, log_path, tmp_path):
         out = tmp_path / "deep" / "dir" / "prepared.csv"
         assert main(["prepare", str(log_path), "--out", str(out)]) == 0

@@ -1,9 +1,9 @@
 """The columnar log against a per-event reference.
 
-The reference here walks ``log.traces`` event by event, the way the
+The reference here walks ``oracles.cases`` event by event, the way the
 pipeline worked before the log became columns: epoch floats from
 ``datetime.timestamp()``, gaps from ``timedelta.total_seconds()``, one
-prefix object per (trace, length), fold train logs rebuilt from traces.
+prefix tuple per (case, length), fold train logs rebuilt from cases.
 Every array and feature block the columns give must equal it bit for bit.
 """
 
@@ -13,21 +13,18 @@ import math
 import random
 import statistics
 from datetime import datetime, timedelta, timezone
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import oracles
-from conftest import BASE, random_log
+from conftest import BASE, make_log, random_log
 from icppm import bench
 from icppm.bench import ExperimentConfig
 from icppm.encoding import INTRA_ENCODERS, Vocabulary
 from icppm.eventlog import (
     END_LABEL,
-    Event,
     EventLog,
-    Trace,
     build_prefix_log,
     make_cv_folds,
     seconds,
@@ -53,12 +50,11 @@ AFTER_2255 = datetime(2400, 1, 1, tzinfo=timezone.utc) - BASE + timedelta(micros
 
 def _rebuilt(log: EventLog, shift: timedelta = timedelta(0)) -> EventLog:
     """``log`` with every event moved by ``shift`` and case attributes set."""
-    return EventLog.from_traces(
-        Trace(t.case_id, tuple(Event(e.case_id, e.activity, e.timestamp + shift, e.resource)
-                               for e in t.events),
-              {"kind": ("gold", "tin", "")[i % 3]})
-        for i, t in enumerate(log.traces)
-    )
+    return make_log(*(
+        (case_id, {"kind": ("gold", "tin", "")[i % 3]},
+         [(act, when + shift, res) for act, when, res in events])
+        for i, (case_id, _, events) in enumerate(oracles.cases(log))
+    ))
 
 
 LOGS = {
@@ -77,24 +73,24 @@ def log(request) -> EventLog:
 
 
 def reference_prefixes(log):
-    """(trace, length, label) of every prefix, case by case."""
+    """(case id, attributes, events, label) of every prefix, case by case."""
     return [
-        (trace, k, trace.events[k].activity if k < len(trace) else END_LABEL)
-        for trace in log.traces
-        for k in range(1, len(trace) + 1)
+        (case_id, attributes, events[:k], events[k][0] if k < len(events) else END_LABEL)
+        for case_id, attributes, events in oracles.cases(log)
+        for k in range(1, len(events) + 1)
     ]
 
 
 def reference_folds(prefixes, n_folds, seed):
-    cases = sorted({trace.case_id for trace, _, _ in prefixes})
+    cases = sorted({case_id for case_id, _, _, _ in prefixes})
     random.Random(seed).shuffle(cases)
     fold_of = {cid: pos % n_folds for pos, cid in enumerate(cases)}
-    return np.array([fold_of[trace.case_id] for trace, _, _ in prefixes])
+    return np.array([fold_of[case_id] for case_id, _, _, _ in prefixes])
 
 
 def reference_subsample(prefixes, fraction, seed):
     by_label = {}
-    for i, (_, _, label) in enumerate(prefixes):
+    for i, (_, _, _, label) in enumerate(prefixes):
         by_label.setdefault(label, []).append(i)
     rng = random.Random(seed)
     chosen = []
@@ -105,27 +101,30 @@ def reference_subsample(prefixes, fraction, seed):
 
 
 def test_times_are_epoch_floats_and_gaps_are_total_seconds(log):
-    events = [ev for trace in log.traces for ev in trace.events]
-    assert seconds(log.time_us).tolist() == [ev.timestamp.timestamp() for ev in events]
-    assert log.case_durations().tolist() == [t.duration.total_seconds() for t in log.traces]
+    cases = oracles.cases(log)
+    assert seconds(log.time_us).tolist() == [
+        when.timestamp() for _, _, events in cases for _, when, _ in events]
+    assert log.case_durations().tolist() == [
+        (events[-1][1] - events[0][1]).total_seconds() for _, _, events in cases]
 
 
 def test_index_arrays(log):
-    events = [ev for trace in log.traces for ev in trace.events]
-    previous = [None] + events[:-1]
-    prev = [p if p is not None and p.case_id == ev.case_id else None
-            for p, ev in zip(previous, events)]
-    order = np.argsort([ev.timestamp.timestamp() for ev in events], kind="stable")
+    # (case id, activity, time, resource) of every event, and of the event
+    # before it in its case, or None.
+    events = [(case_id, *ev) for case_id, _, evs in oracles.cases(log) for ev in evs]
+    prev = [p if p is not None and p[0] == ev[0] else None
+            for p, ev in zip([None] + events[:-1], events)]
+    order = np.argsort([when.timestamp() for _, _, when, _ in events], kind="stable")
     idx = EventIndex(log)
     act_code = {a: i for i, a in enumerate(idx.activities)}
     want = {
-        "times": [ev.timestamp.timestamp() for ev in events],
-        "cases": [ev.case_id for ev in events],
-        "activities": [ev.activity for ev in events],
-        "resources": [ev.resource for ev in events],
-        "prev_gaps": [(ev.timestamp - p.timestamp).total_seconds() if p else np.nan
+        "times": [when.timestamp() for _, _, when, _ in events],
+        "cases": [case_id for case_id, _, _, _ in events],
+        "activities": [act for _, act, _, _ in events],
+        "resources": [res for _, _, _, res in events],
+        "prev_gaps": [(ev[2] - p[2]).total_seconds() if p else np.nan
                       for p, ev in zip(prev, events)],
-        "pair_codes": [act_code[p.activity] * len(act_code) + act_code[ev.activity] if p else -1
+        "pair_codes": [act_code[p[1]] * len(act_code) + act_code[ev[1]] if p else -1
                        for p, ev in zip(prev, events)],
     }
     got = {
@@ -145,14 +144,14 @@ def test_prefix_labels_and_folds(log):
     want = reference_prefixes(log)
     got = build_prefix_log(log)
     assert [(s.case_id, s.length, s.label) for s in got] == [
-        (trace.case_id, k, label) for trace, k, label in want
+        (case_id, len(events), label) for case_id, _, events, label in want
     ]
-    assert got.labels == [label for _, _, label in want]
+    assert got.labels == [label for _, _, _, label in want]
     for seed in (0, 7):
         assert np.array_equal(make_cv_folds(got, 3, seed).fold_assignments,
                               reference_folds(want, 3, seed))
         assert [(s.case_id, s.length) for s in stratified_subsample(got, 0.4, seed)] == [
-            (want[i][0].case_id, want[i][1]) for i in reference_subsample(want, 0.4, seed)
+            (want[i][0], len(want[i][2])) for i in reference_subsample(want, 0.4, seed)
         ]
 
 
@@ -164,33 +163,34 @@ def test_fitted_statistics(log):
 
 
 def reference_fold_block(cfg, log, index, prefixes, train_idx, test_idx):
-    """The test block of one fold, encoders fitted on the training traces."""
-    train_ids = {prefixes[i][0].case_id for i in train_idx}
-    train = SimpleNamespace(traces=[t for t in log.traces if t.case_id in train_ids])
-    events = [ev for trace in train.traces for ev in trace.events]
-    act_vocab = Vocabulary.from_values(ev.activity for ev in events)
-    res_vocab = Vocabulary.from_values(ev.resource for ev in events if ev.resource)
-    attr_vocabs = {"kind": Vocabulary.from_values(t.attributes.get("kind", "")
-                                                  for t in train.traces)}
+    """The test block of one fold, encoders fitted on the training cases."""
+    train_ids = {prefixes[i][0] for i in train_idx}
+    train_cases = [case for case in oracles.cases(log) if case[0] in train_ids]
+    train = make_log(*train_cases)
+    events = [ev for _, _, evs in train_cases for ev in evs]
+    act_vocab = Vocabulary.from_values(act for act, _, _ in events)
+    res_vocab = Vocabulary.from_values(res for _, _, res in events if res)
+    attr_vocabs = {"kind": Vocabulary.from_values(attributes.get("kind", "")
+                                                  for _, attributes, _ in train_cases)}
     rows = []
     for i in test_idx:
-        trace, k, _ = prefixes[i]
-        sample = SimpleNamespace(prefix=Trace(trace.case_id, trace.events[:k], trace.attributes))
-        rows.append(oracles.intra_row(cfg.encoder, sample, act_vocab, res_vocab, cfg.k,
-                                      cfg.static_attrs, attr_vocabs))
+        _, attributes, events, _ = prefixes[i]
+        rows.append(oracles.intra_row(cfg.encoder, attributes, events, act_vocab, res_vocab,
+                                      cfg.k, cfg.static_attrs, attr_vocabs))
     intra = np.array(rows, dtype=np.float64).reshape(len(test_idx), -1)
     width = cfg.window_fraction * statistics.median(
-        t.duration.total_seconds() for t in train.traces)
+        (evs[-1][1] - evs[0][1]).total_seconds() for _, _, evs in train_cases)
     inter = InterCaseEncoder(
         index, cfg.inter_features, PeerWindow(width), act_vocab, res_vocab,
         TransitionStats(oracles.transition_means(train), oracles.successor_map(train)),
         BatchStats(oracles.burst_scores(train, cfg.epsilon, cfg.min_burst),
                    cfg.epsilon, cfg.min_burst),
     )
-    anchors = [prefixes[i][0].events[prefixes[i][1] - 1] for i in test_idx]
-    block = inter.encode(np.array([ev.timestamp.timestamp() for ev in anchors]),
-                         oracles.index_codes([ev.case_id for ev in anchors], index.cases),
-                         oracles.index_codes([ev.activity for ev in anchors], index.activities))
+    # The last event of each test prefix, with its case id.
+    anchors = [(prefixes[i][0], *prefixes[i][2][-1]) for i in test_idx]
+    block = inter.encode(np.array([when.timestamp() for _, _, when, _ in anchors]),
+                         oracles.index_codes([cid for cid, _, _, _ in anchors], index.cases),
+                         oracles.index_codes([act for _, act, _, _ in anchors], index.activities))
     return np.concatenate([intra, block.values], axis=1)
 
 

@@ -24,7 +24,7 @@ from icppm.encoding import (
     write_feature_csv,
 )
 from icppm.errors import ConfigError
-from icppm.eventlog import EventLog, Trace, build_prefix_log
+from icppm.eventlog import build_prefix_log
 
 
 def sample_from(spec, attrs=None, idx=-1):
@@ -381,12 +381,11 @@ class TestMakeIntraEncoder:
 
     @pytest.mark.parametrize("name", INTRA_ENCODERS)
     def test_block_rows_match_reference(self, name):
-        log = random_log(2, n_cases=12, max_len=7)
-        traces = [
-            Trace.build(t.case_id, t.events, {"kind": ("gold", "tin", "")[i % 3]})
-            for i, t in enumerate(log.traces)
-        ]
-        samples = build_prefix_log(EventLog.from_traces(traces))
+        cases = oracles.cases(random_log(2, n_cases=12, max_len=7))
+        log = make_log(*((case_id, {"kind": ("gold", "tin", "")[i % 3]}, events)
+                         for i, (case_id, _, events) in enumerate(cases)))
+        samples = build_prefix_log(log)
+        view = oracles.cases(log)
         act = Vocabulary.from_values(["a", "b", "c"])
         res = Vocabulary.from_values(log.resource_vocab)
         vocabs = {"kind": Vocabulary.from_values(["gold"])}
@@ -395,6 +394,8 @@ class TestMakeIntraEncoder:
         block = encoder(samples)
         assert block.values.shape == (len(samples), len(block.schema))
         for i, sample in enumerate(samples):
-            want = oracles.intra_row(name, sample, act, res, 3, ("kind",), vocabs)
+            _, attributes, events = view[sample.case]
+            want = oracles.intra_row(name, attributes, events[:sample.length], act, res, 3,
+                                     ("kind",), vocabs)
             assert block.values[i].tolist() == want
         assert encoder(samples[:0]).values.shape == (0, len(block.schema))

@@ -2,18 +2,16 @@ from __future__ import annotations
 
 import gzip
 import io
-from datetime import date, datetime, timedelta, timezone
+from datetime import date, datetime, timezone
 
 import numpy as np
 import pytest
 
-from conftest import make_event, make_log, make_trace, random_log, ts, xes_doc
+import oracles
+from conftest import make_log, make_trace, random_log, xes_doc
 from icppm.errors import ConfigError, ParseError, RecordError
 from icppm.eventlog import (
     END_LABEL,
-    Event,
-    EventLog,
-    Trace,
     build_prefix_log,
     filter_singleton_variants,
     load_log,
@@ -27,41 +25,9 @@ from icppm.eventlog import (
 )
 
 
-class TestEvent:
-    def test_empty_activity_rejected(self):
-        with pytest.raises(ValueError):
-            Event("c1", "", ts(0))
-
-    def test_naive_timestamp_becomes_utc(self):
-        ev = Event("c1", "a", datetime(2023, 1, 1, 12, 0, 0))
-        assert ev.timestamp.tzinfo == timezone.utc
-
-    def test_aware_timestamp_converted_to_utc(self):
-        offset = timezone(timedelta(hours=2))
-        ev = Event("c1", "a", datetime(2023, 1, 1, 12, 0, 0, tzinfo=offset))
-        assert ev.timestamp == datetime(2023, 1, 1, 10, 0, 0, tzinfo=timezone.utc)
-
-
-class TestTrace:
-    def test_build_sorts_by_timestamp(self):
-        t = Trace.build("c1", [make_event("c1", "b", 50), make_event("c1", "a", 0)])
-        assert t.activities == ("a", "b")
-
-    def test_unsorted_events_rejected(self):
-        with pytest.raises(ValueError):
-            Trace("c1", (make_event("c1", "b", 50), make_event("c1", "a", 0)))
-
-    def test_case_id_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            Trace.build("c1", [make_event("c2", "a", 0)])
-
-    def test_tie_keeps_original_order(self):
-        events = [make_event("c1", "x", 10), make_event("c1", "y", 10)]
-        assert Trace.build("c1", events).activities == ("x", "y")
-
-    def test_duration(self):
-        t = make_trace("c1", [("a", 0), ("b", 3600)])
-        assert t.duration.total_seconds() == 3600
+def activities(log) -> list[tuple[str, ...]]:
+    """Each case's activities, in row order."""
+    return [tuple(act for act, _, _ in events) for _, _, events in oracles.cases(log)]
 
 
 class TestEventLog:
@@ -70,8 +36,11 @@ class TestEventLog:
         assert tiny_log.resource_vocab == ("r1", "r2", "r3")
 
     def test_duplicate_case_ids_rejected(self):
-        with pytest.raises(ValueError):
-            make_log(make_trace("c1", [("a", 0)]), make_trace("c1", [("b", 1)]))
+        # Also when the first trace with the id has no events and is dropped.
+        for first in ([("a", "2023-01-01T10:00:00Z", None)], []):
+            doc = xes_doc([("c1", first, {}), ("c1", [("b", "2023-01-01T11:00:00Z", None)], {})])
+            with pytest.raises(RecordError, match="c1"):
+                parse_xes(doc)
 
 
 class TestParseXes:
@@ -85,7 +54,7 @@ class TestParseXes:
                     ("c", "2023-01-01T14:00:00+00:00", None)], {}),
         ])
         log = parse_xes(doc)
-        assert log.traces[0].activities == ("a", "b", "c")
+        assert activities(log) == [("a", "b", "c")]
 
     def test_zulu_and_offset_timestamps(self):
         doc = xes_doc([
@@ -93,7 +62,7 @@ class TestParseXes:
                     ("b", "2023-01-01T13:00:00+02:00", None)], {}),
         ])
         log = parse_xes(doc)
-        tstamps = [e.timestamp for e in log.traces[0].events]
+        tstamps = [when for _, when, _ in oracles.cases(log)[0][2]]
         assert tstamps[0] == datetime(2023, 1, 1, 10, tzinfo=timezone.utc)
         assert tstamps[1] == datetime(2023, 1, 1, 11, tzinfo=timezone.utc)
 
@@ -102,19 +71,36 @@ class TestParseXes:
             ("t1", [("a", "2023-01-01T10:00:00Z", "alice")], {"channel": "web"}),
         ])
         log = parse_xes(doc)
-        assert log.traces[0].events[0].resource == "alice"
-        assert log.traces[0].attributes["channel"] == "web"
+        assert log.resource_vocab[log.resource[0]] == "alice"
+        assert log.attributes == ({"channel": "web"},)
 
     def test_empty_resource_is_no_resource(self):
         doc = xes_doc([("t1", [("a", "2023-01-01T10:00:00Z", "")], {})])
         log = parse_xes(doc)
-        assert log.traces[0].events[0].resource is None
+        assert log.resource.tolist() == [-1]
         assert not log.resource_vocab
 
     def test_trace_without_name_gets_generated_id(self):
         doc = xes_doc([(None, [("a", "2023-01-01T10:00:00Z", None)], {})])
+        assert parse_xes(doc).case_ids == ("trace-0",)
+
+    def test_empty_name_is_no_name(self):
+        doc = xes_doc([("", [("a", "2023-01-01T10:00:00Z", None)], {}),
+                       ("t1", [("b", "2023-01-01T10:00:00Z", None)], {})])
+        assert parse_xes(doc).case_ids == ("trace-0", "t1")
+
+    def test_trace_without_events_dropped(self):
+        doc = xes_doc([("t0", [], {"channel": "web"}),
+                       ("t1", [("a", "2023-01-01T10:00:00Z", None)], {}),
+                       ("t2", [], {})])
         log = parse_xes(doc)
-        assert log.traces[0].case_id
+        assert log.case_ids == ("t1",)
+        assert log.attributes == ({},)
+        assert log.offsets.tolist() == [0, 1]
+
+    def test_empty_attribute_value_dropped(self):
+        doc = xes_doc([("t1", [("a", "2023-01-01T10:00:00Z", None)], {"k": "", "j": "v"})])
+        assert parse_xes(doc).attributes == ({"j": "v"},)
 
     def test_missing_activity_is_record_error_naming_trace(self):
         doc = xes_doc([("bad-trace", [(None, "2023-01-01T10:00:00Z", None)], {})])
@@ -154,8 +140,7 @@ class TestParseCsv:
             "c1,b,2023-01-01T11:00:00Z\n"
             "c1,c,2023-01-01T12:00:00Z\n"
         )
-        assert len(log) == 1
-        assert log.traces[0].activities == ("a", "b", "c")
+        assert activities(log) == [("a", "b", "c")]
 
     def test_interleaved_cases_grouped_and_sorted(self):
         log = parse_csv(
@@ -165,10 +150,17 @@ class TestParseCsv:
             "c1,b,2023-01-01T08:00:00Z\n"
             "c2,y,2023-01-01T11:00:00Z\n"
         )
-        assert len(log) == 2
-        by_id = {t.case_id: t for t in log.traces}
-        assert by_id["c1"].activities == ("b", "a")
-        assert by_id["c2"].activities == ("x", "y")
+        assert log.case_ids == ("c1", "c2")
+        assert activities(log) == [("b", "a"), ("x", "y")]
+
+    def test_tied_stamps_keep_row_order(self):
+        log = parse_csv(
+            "case_id,activity,timestamp\n"
+            "c1,y,2023-01-01T10:00:00Z\n"
+            "c1,x,2023-01-01T10:00:00Z\n"
+            "c1,w,2023-01-01T09:00:00Z\n"
+        )
+        assert activities(log) == [("w", "y", "x")]
 
     def test_empty_after_header(self):
         assert len(parse_csv("case_id,activity,timestamp\n")) == 0
@@ -190,7 +182,7 @@ class TestParseCsv:
             "Case ID,Act,When\nc1,a,2023-01-01T10:00:00Z\n",
             column_map={"case_id": "Case ID", "activity": "Act", "timestamp": "When"},
         )
-        assert log.traces[0].activities == ("a",)
+        assert activities(log) == [("a",)]
 
     def test_non_utf8_bytes_are_parse_error(self, tmp_path):
         data = b"case_id,activity,timestamp\nc1,\xff\xfe,2023-01-01T10:00:00Z\n"
@@ -215,7 +207,7 @@ class TestParseCsv:
             "case_id,activity,timestamp,attr:channel\n"
             "c1,a,2023-01-01T10:00:00Z,web\n"
         )
-        assert log.traces[0].attributes == {"channel": "web"}
+        assert log.attributes == ({"channel": "web"},)
 
 
 class TestRoundTrip:
@@ -225,13 +217,7 @@ class TestRoundTrip:
         buf = io.StringIO()
         write_csv(log, buf)
         again = parse_csv(buf.getvalue())
-        assert len(again) == len(log)
-        orig = {t.case_id: t for t in log.traces}
-        for t in again.traces:
-            o = orig[t.case_id]
-            assert t.activities == o.activities
-            assert [e.timestamp for e in t.events] == [e.timestamp for e in o.events]
-            assert [e.resource for e in t.events] == [e.resource for e in o.events]
+        assert oracles.cases(again) == oracles.cases(log)
         assert again.activity_vocab == log.activity_vocab
         assert again.resource_vocab == log.resource_vocab
 
@@ -252,9 +238,9 @@ class TestLoadLog:
             path = tmp_path / name
             with opener(path, "wt", newline="") as sink:
                 write_csv(log, sink)
-            assert load_log(path).traces[0].activities == ("a\r\nb", "a\rb")
+            assert activities(load_log(path)) == [("a\r\nb", "a\rb")]
         data = (tmp_path / "log.csv").read_bytes()
-        assert parse_csv(io.BytesIO(data)).traces[0].activities == ("a\r\nb", "a\rb")
+        assert activities(parse_csv(io.BytesIO(data))) == [("a\r\nb", "a\rb")]
 
     def test_xes(self, tmp_path):
         doc = xes_doc([("t1", [("a", "2023-01-01T10:00:00Z", None)], {})])
@@ -311,7 +297,7 @@ class TestFilterSingletonVariants:
             make_trace("c3", [("b", 0)]),
         )
         kept = filter_singleton_variants(log)
-        assert {t.case_id for t in kept.traces} == {"c1", "c2"}
+        assert kept.case_ids == ("c1", "c2")
         assert kept.activity_vocab == ("a", "b")
 
     @pytest.mark.parametrize("seed", [0, 5, 9])
@@ -319,7 +305,7 @@ class TestFilterSingletonVariants:
         log = random_log(seed, n_cases=30, max_len=3, activities=("a", "b"))
         once = filter_singleton_variants(log)
         twice = filter_singleton_variants(once)
-        assert [t.case_id for t in twice.traces] == [t.case_id for t in once.traces]
+        assert twice.case_ids == once.case_ids
 
 
 class TestSliceDateRange:
@@ -343,7 +329,7 @@ class TestSliceDateRange:
     def test_first_rule_keeps_whole_case(self):
         log = make_log(make_trace("c1", [("a", 0), ("b", 40 * 86400)]))
         kept = slice_date_range(log, date(2023, 3, 1), date(2023, 3, 2), rule="first")
-        assert kept.traces[0].activities == ("a", "b")
+        assert activities(kept) == [("a", "b")]
 
     def test_all_rule_requires_every_event(self):
         log = make_log(make_trace("c1", [("a", 0), ("b", 40 * 86400)]))
@@ -354,6 +340,10 @@ class TestSliceDateRange:
         kept = slice_date_range(log, date(2023, 4, 9), date(2023, 4, 12), rule="any")
         assert len(kept) == 1
 
+    @pytest.mark.parametrize("rule", ["first", "all", "any"])
+    def test_empty_log(self, rule):
+        assert len(slice_date_range(make_log(), date(2023, 1, 1), date(2023, 12, 31), rule)) == 0
+
     def test_unknown_rule(self, tiny_log):
         with pytest.raises(ConfigError):
             slice_date_range(tiny_log, date(2023, 1, 1), date(2023, 12, 31), rule="middle")
@@ -363,7 +353,7 @@ class TestBuildPrefixLog:
     def test_three_event_trace_enumeration(self):
         log = make_log(make_trace("c1", [("a", 0), ("b", 1), ("c", 2)]))
         samples = build_prefix_log(log)
-        assert [(len(s.prefix), s.label) for s in samples] == [
+        assert [(s.length, s.label) for s in samples] == [
             (1, "b"), (2, "c"), (3, END_LABEL),
         ]
 
@@ -382,7 +372,12 @@ class TestBuildPrefixLog:
     def test_min_and_max_prefix(self):
         log = make_log(make_trace("c1", [("a", 0), ("b", 1), ("c", 2), ("d", 3)]))
         samples = build_prefix_log(log, min_prefix=2, max_prefix=3)
-        assert [(len(s.prefix), s.label) for s in samples] == [(2, "c"), (3, "d")]
+        assert [(s.length, s.label) for s in samples] == [(2, "c"), (3, "d")]
+
+    def test_empty_log(self):
+        samples = build_prefix_log(make_log())
+        assert len(samples) == 0
+        assert samples.labels == []
 
     def test_bad_bounds(self, tiny_log):
         with pytest.raises(ConfigError):
@@ -397,18 +392,17 @@ class TestBuildPrefixLog:
 
     def test_prefix_keeps_case_attributes(self):
         log = make_log(make_trace("c1", [("a", 0), ("b", 1)], {"channel": "web"}))
-        samples = build_prefix_log(log)
-        assert samples[0].prefix.attributes["channel"] == "web"
+        sample = build_prefix_log(log)[0]
+        assert sample.log.attributes[sample.case] == {"channel": "web"}
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_prefixes_equal_checked_traces(self, seed):
         log = random_log(seed)
-        traces = {t.case_id: t for t in log.traces}
-        for s in build_prefix_log(log):
-            trace = traces[s.case_id]
-            want = Trace(trace.case_id, trace.events[:len(s.prefix)], trace.attributes)
-            assert s.prefix == want
-            assert type(s.prefix) is Trace
+        want = [(case_id, k, events[k][0] if k < len(events) else END_LABEL)
+                for case_id, _, events in oracles.cases(log) for k in range(1, len(events) + 1)]
+        samples = build_prefix_log(log)
+        assert [(s.case_id, s.length, s.label) for s in samples] == want
+        assert [samples[i].label for i in range(len(samples))] == samples.labels
 
 
 class TestStratifiedSubsample:
@@ -538,7 +532,7 @@ class TestLogStatistics:
         assert stats["variants"] == 3
 
     def test_empty_log(self):
-        stats = log_statistics(EventLog.from_traces([]))
+        stats = log_statistics(make_log())
         assert stats["cases"] == 0
         assert stats["events"] == 0
         assert stats["median_case_time_seconds"] == 0.0

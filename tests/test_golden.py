@@ -44,9 +44,9 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
-from conftest import make_event  # noqa: E402
+from conftest import make_log, make_trace  # noqa: E402
 from icppm.cli import main  # noqa: E402
-from icppm.eventlog import EventLog, Trace, write_csv  # noqa: E402
+from icppm.eventlog import EventLog, write_csv  # noqa: E402
 from icppm.intercase import FEATURES  # noqa: E402
 from icppm.qsim import FEATURE_MAPS, FeatureMapKind, feature_map_states  # noqa: E402
 
@@ -151,20 +151,19 @@ def golden_log(integer_times: bool) -> EventLog:
     successors = {"a": "bc", "b": "cd", "c": "d", "d": "ab"}
     traces = []
     for c in range(40):
-        cid = f"case{c}"
         t = rng.uniform(0, 5000.0)
         act = rng.choice("ab")
-        events = []
+        spec = []
         for _ in range(rng.randint(1, 6)):
             if integer_times:
                 t = float(int(t))
             res = rng.choice(("r1", "r2", "r3")) if rng.random() < 0.8 else None
-            events.append(make_event(cid, act, t, res))
+            spec.append((act, t, res))
             t += rng.uniform(1, 500.0)
             act = rng.choice(successors[act])
         attrs = {"channel": ("web", "phone", "mail")[c % 3], "tier": ("gold", "basic")[c % 2]}
-        traces.append(Trace.build(cid, events, attrs))
-    return EventLog.from_traces(traces)
+        traces.append(make_trace(f"case{c}", spec, attrs))
+    return make_log(*traces)
 
 
 def _write_log(directory: Path, kind: str) -> Path:

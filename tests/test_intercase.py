@@ -11,10 +11,10 @@ from hypothesis import example, given, settings, strategies as st
 
 import oracles
 from icppm import intercase
-from conftest import BASE, make_event, make_log, make_trace, random_log, xes_doc
+from conftest import BASE, make_log, make_trace, random_log, xes_doc
 from icppm.encoding import FeatureVector, Vocabulary
 from icppm.errors import ConfigError
-from icppm.eventlog import Event, EventLog, Trace, parse_xes
+from icppm.eventlog import parse_xes
 from icppm.intercase import (
     FEATURES,
     BatchStats,
@@ -303,12 +303,12 @@ class TestFitBatchStats:
                                                             min_burst, occurrences):
         step = {"0": 0, "1": epsilon_us, "1/2": epsilon_us // 2, "1-": epsilon_us - 1,
                 "1+": epsilon_us + 1, "3": 3 * epsilon_us}
-        us, events = start_us, {}
+        us, specs = start_us, {}
         for case, activity, gap in occurrences:
             us += step[gap]
-            events.setdefault(f"c{case}", []).append(
-                Event(f"c{case}", activity, start + timedelta(microseconds=us)))
-        log = make_log(*(Trace.build(cid, evs) for cid, evs in events.items()))
+            specs.setdefault(f"c{case}", []).append(
+                (activity, start + timedelta(microseconds=us)))
+        log = make_log(*(make_trace(cid, spec) for cid, spec in specs.items()))
         epsilon = epsilon_us / 1e6
         got = fit_batch_stats(log, epsilon, min_burst).scores
         assert got == oracles.burst_scores(log, epsilon, min_burst)
@@ -364,9 +364,10 @@ class TestFitTransitionStats:
 
 def every_event(log):
     """Anchor times, case ids and activities of every event of the log."""
-    events = [ev for trace in log.traces for ev in trace.events]
-    times = np.array([ev.timestamp.timestamp() for ev in events])
-    return times, [ev.case_id for ev in events], [ev.activity for ev in events]
+    events = [(when.timestamp(), case_id, act)
+              for case_id, _, evs in oracles.cases(log) for act, when, _ in evs]
+    return (np.array([t for t, _, _ in events]), [cid for _, cid, _ in events],
+            [act for _, _, act in events])
 
 
 def assert_window_features_match_oracle(log, idx, times, case_ids, width):
@@ -432,7 +433,7 @@ class TestOracleAgreement:
 
     def test_empty_resource_is_no_resource(self):
         # One resource, an empty one and none: only "r1" is a resource, both
-        # as parsed from XES and as an Event built with resource "".
+        # as parsed from XES and as read from a CSV with an empty resource cell.
         doc = xes_doc([
             ("c1", [("a", "2023-01-01T10:00:00Z", ""), ("b", "2023-01-01T10:00:20Z", "r1")], {}),
             ("c2", [("a", "2023-01-01T10:00:10Z", "")], {}),
@@ -451,7 +452,7 @@ class TestOracleAgreement:
             assert top_res(idx, bounds, Vocabulary.from_values(["r1"])).tolist() == [1]
 
     def test_empty_index(self):
-        log = EventLog.from_traces([])
+        log = make_log()
         times = np.array([epoch(0), epoch(50)])
         assert_window_features_match_oracle(log, EventIndex(log), times, ["c1", "c2"], 10.0)
 
@@ -468,8 +469,8 @@ class TestOracleAgreement:
     def test_window_monotone_counts(self, seed):
         log = random_log(seed, n_cases=14)
         idx = EventIndex(log)
-        times = np.array([tr.events[-1].timestamp.timestamp() for tr in log.traces])
-        case_ids = [tr.case_id for tr in log.traces]
+        times = np.array([evs[-1][1].timestamp() for _, _, evs in oracles.cases(log)])
+        case_ids = list(log.case_ids)
         prev = np.zeros((3, len(times)), dtype=np.int64)
         for width in (10.0, 100.0, 1000.0, 10_000.0):
             bounds = idx.window_bounds(times, PeerWindow(width))
@@ -484,10 +485,10 @@ class TestOracleAgreement:
     def test_count_dominance(self):
         log = random_log(5, n_cases=16)
         idx = EventIndex(log)
-        times = np.array([tr.events[-1].timestamp.timestamp() for tr in log.traces])
+        times = np.array([evs[-1][1].timestamp() for _, _, evs in oracles.cases(log)])
         bounds = idx.window_bounds(times, PeerWindow(700.0))
         acts = peer_act(idx, bounds)
-        cases = oracles.index_codes([tr.case_id for tr in log.traces], idx.cases)
+        cases = oracles.index_codes(log.case_ids, idx.cases)
         assert (peer_cases(idx, bounds, cases) <= acts).all()
         assert (res_count(idx, bounds) <= acts).all()
 
@@ -573,7 +574,7 @@ class TestPeerCountsOnTiesAndEmptyWindows:
 
 class TestEventIndex:
     def test_empty_log(self):
-        idx = EventIndex(EventLog.from_traces([]))
+        idx = EventIndex(make_log())
         assert len(idx) == 0
         assert peer_act(idx, at(idx, 0)).tolist() == [0]
 

@@ -9,6 +9,10 @@ exception (``ValueError``, ``UnicodeDecodeError``, ...) is a bug.
 by array arithmetic; on every drawn log it must give the columns, or the
 exception type and message, of ``oracles.parse_csv``, which handles one row
 at a time.
+
+Every log ``parse_xes`` accepts must come back from its own CSV
+(``write_csv``, then ``parse_csv``) with the same case ids, attributes and
+columns.
 """
 
 from __future__ import annotations
@@ -24,9 +28,10 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import oracles
+from conftest import xes_doc
 from icppm import eventlog
 from icppm.errors import ConfigError, ParseError, RecordError
-from icppm.eventlog import EventLog, parse_csv, parse_xes
+from icppm.eventlog import EventLog, parse_csv, parse_xes, write_csv
 
 FUZZ = settings(max_examples=150, deadline=None,
                 suppress_health_check=[HealthCheck.too_slow])
@@ -207,16 +212,21 @@ def event_csvs(draw) -> str:
     return sink.getvalue()
 
 
+def _columns(log: EventLog) -> tuple:
+    """The log's case ids, attributes, vocabularies and columns."""
+    columns = (log.offsets, log.case, log.activity, log.resource, log.time_us)
+    assert all(c.dtype == np.int64 for c in columns)
+    return (log.case_ids, log.attributes, log.activity_vocab, log.resource_vocab,
+            *(c.tolist() for c in columns))
+
+
 def _outcome(parse, text):
     """The log's columns, or the exception's type and message."""
     try:
         log = parse(text)
     except (ParseError, ConfigError) as exc:
         return type(exc), str(exc)
-    columns = (log.offsets, log.case, log.activity, log.resource, log.time_us)
-    assert all(c.dtype == np.int64 for c in columns)
-    return (log.case_ids, log.attributes, log.activity_vocab, log.resource_vocab,
-            *(c.tolist() for c in columns))
+    return _columns(log)
 
 
 class TestParseCsvMatchesReference:
@@ -246,3 +256,20 @@ class TestParseCsvMatchesReference:
         assert expected[0] is RecordError and "row 3" in expected[1]
         with mock.patch.object(eventlog, "_CSV_BLOCK_ROWS", block_rows):
             assert _outcome(parse_csv, text) == expected
+
+
+class TestXesThroughCsv:
+    @FUZZ
+    @given(xes_documents())
+    # A trace without events, an empty attribute value and an empty case id.
+    @example(xes_doc([("t0", [], {}),
+                      ("t1", [("a", "2023-01-01T10:00:00Z", None)], {"k": ""}),
+                      ("", [("b", "2023-01-01T11:00:00Z", "r1")], {})]))
+    def test_accepted_documents_survive_their_own_csv(self, doc):
+        try:
+            log = parse_xes(doc)
+        except ParseError:
+            return
+        sink = io.StringIO()
+        write_csv(log, sink)
+        assert _columns(parse_csv(sink.getvalue())) == _columns(log)
