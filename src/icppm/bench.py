@@ -63,7 +63,7 @@ from .intercase import (
     fit_batch_stats,
     fit_transition_stats,
 )
-from .qkernel import KernelKind, cache_key, cross, gram, load_kernel, save_kernel
+from .qkernel import KernelKind, cross, gram
 from .qsim import EXACT, FeatureMapKind, ShotConfig
 from .svm import fit_multiclass, predict as svm_predict
 from .vqc import OptimizerConfig, _check_weight_layers, prior_loss
@@ -174,7 +174,6 @@ class ExperimentConfig:
     scale_hi: float = math.pi
     # Has no effect (kernels run as one batch); perfbench/run.py still passes it.
     threads: int = 1
-    cache_dir: str | None = None
     mode: str = "experiment"
     window_fractions: tuple[float, ...] = (0.15, 0.3, 0.5)
     sampling_fractions: tuple[float, ...] = (1.0, 0.5)
@@ -258,9 +257,9 @@ class ExperimentConfig:
         return asdict(self)
 
     def fingerprint(self) -> str:
-        """Hash of the keys that decide the results: ``threads`` has no effect
-        and ``cache_dir`` only says where Gram matrices are kept."""
-        kept = {k: v for k, v in self.to_dict().items() if k not in ("threads", "cache_dir")}
+        """Hash of the keys that decide the results: all but ``threads``,
+        which has no effect."""
+        kept = {k: v for k, v in self.to_dict().items() if k != "threads"}
         payload = json.dumps(kept, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
 
@@ -316,8 +315,8 @@ class RunResult:
     n_samples: int
     # Quantum feature-map states simulated for the kernels and the VQC:
     # each fold's train and test rows once (an exact kernel's distinct
-    # rows), also when the Gram matrix is cached; reported in results.json
-    # only. kernel_evaluations and cross_evaluations count over the same rows.
+    # rows); reported in results.json only. kernel_evaluations and
+    # cross_evaluations count over the same rows.
     states_simulated: int = 0
     # Means over folds of the VQC's last training loss, of the loss of
     # scoring every row with the train fold's class frequencies (the loss
@@ -536,16 +535,9 @@ def _kernel_fold(cfg: ExperimentConfig, kernel_kind: KernelKind, x_train: np.nda
     classes, label_of = np.unique(y_train, return_inverse=True)
     pairs, counts = np.unique(row_of * len(classes) + label_of, return_counts=True)
     group_row = pairs // len(classes)
-    key = k_train = None
-    if cfg.cache_dir:
-        key = cache_key(rows, kernel_kind)
-        k_train = load_kernel(cfg.cache_dir, key, size=len(rows))
-    if k_train is None:
-        t_gram0 = time.perf_counter()
-        k_train = gram(rows, kernel_kind)
-        part["gram_time_s"] = time.perf_counter() - t_gram0
-        if key is not None:
-            save_kernel(k_train, cfg.cache_dir, key)
+    t_gram0 = time.perf_counter()
+    k_train = gram(rows, kernel_kind)
+    part["gram_time_s"] = time.perf_counter() - t_gram0
     part["kernel_evaluations"] = k_train.eval_count
     part["states_simulated"] = k_train.states_simulated
     train_states = k_train.conj_states

@@ -2,7 +2,7 @@
 
 Subcommands: stats, prepare, encode, bench, kernel-check. Exit codes:
 0 success, 2 for configuration or input problems (bad flags, unparsable
-logs, missing files, unusable output or cache paths), 1 for runtime
+logs, missing files, unusable output paths), 1 for runtime
 failures (training divergence, a failed kernel self-check).
 """
 

@@ -47,7 +47,7 @@ import zlib
 from collections import Counter
 from dataclasses import dataclass, field
 from datetime import date, datetime, timedelta, timezone
-from itertools import compress, islice
+from itertools import compress, count, islice
 from pathlib import Path
 from typing import IO, Mapping, Sequence
 
@@ -318,18 +318,20 @@ def parse_xes(source: IO[bytes] | bytes) -> EventLog:
     """Parse an XES byte stream into an EventLog.
 
     Trace-level attributes other than concept:name are kept as case
-    attributes, unless empty. A trace whose concept:name is missing or empty
-    gets the case id ``trace-N``. Events missing concept:name or
-    time:timestamp, and a second trace with the same case id, raise a
-    RecordError naming the trace. A trace without events is dropped, though
-    its case id still counts as taken; unknown attributes are ignored. So
+    attributes, unless empty. Traces whose concept:name is missing or empty
+    get the case ids ``trace-0``, ``trace-1``, ... in document order, chosen
+    after every name has been read and skipping those any trace has. Events
+    missing concept:name or time:timestamp, and a second trace with the same
+    case id, raise a RecordError naming the trace (an unnamed one by its
+    position, ``#0`` first). A trace without events is dropped, though its
+    case id still counts as taken; unknown attributes are ignored. So
     ``parse_csv`` reads the same log back from the CSV ``write_csv`` makes.
     """
     if isinstance(source, bytes):
         source = io.BytesIO(source)
     rows = _Rows()
     case_ids: set[str] = set()
-    n_anonymous = 0
+    n_traces = 0
     try:
         context = ET.iterparse(source, events=("start", "end"))
         _, root = next(context, (None, None))
@@ -340,12 +342,15 @@ def parse_xes(source: IO[bytes] | bytes) -> EventLog:
                 continue
             trace_attrs = _xes_attrs(elem)
             case_id = trace_attrs.pop(ACTIVITY_KEY, None)
-            if not case_id:
-                case_id = f"trace-{len(case_ids) + n_anonymous}"
-                n_anonymous += 1
-            if case_id in case_ids:
-                raise RecordError(f"trace {case_id!r}: duplicate case id")
-            case_ids.add(case_id)
+            if case_id:
+                where = f"trace {case_id!r}"
+                if case_id in case_ids:
+                    raise RecordError(f"{where}: duplicate case id")
+                case_ids.add(case_id)
+            else:
+                # Its position stands in for the id until every name is known.
+                case_id, where = n_traces, f"unnamed trace #{n_traces}"
+            n_traces += 1
             events = []
             for child in elem:
                 if _localname(child.tag) != "event":
@@ -355,17 +360,17 @@ def parse_xes(source: IO[bytes] | bytes) -> EventLog:
                 raw_ts = attrs.get(TIMESTAMP_KEY)
                 if not activity:
                     raise RecordError(
-                        f"trace {case_id!r}: event #{len(events)} has no {ACTIVITY_KEY}"
+                        f"{where}: event #{len(events)} has no {ACTIVITY_KEY}"
                     )
                 if not raw_ts:
                     raise RecordError(
-                        f"trace {case_id!r}: event #{len(events)} has no {TIMESTAMP_KEY}"
+                        f"{where}: event #{len(events)} has no {TIMESTAMP_KEY}"
                     )
                 try:
                     us = _micros(_parse_instant(raw_ts))
                 except (ValueError, OverflowError) as exc:
                     raise RecordError(
-                        f"trace {case_id!r}: bad timestamp {raw_ts!r}: {exc}"
+                        f"{where}: bad timestamp {raw_ts!r}: {exc}"
                     ) from exc
                 events.append((activity, attrs.get(RESOURCE_KEY), us))
             if events:
@@ -384,6 +389,9 @@ def parse_xes(source: IO[bytes] | bytes) -> EventLog:
         if type(exc) is not LookupError:
             raise
         raise ParseError(f"malformed XES: {exc}") from exc
+    generated = (f"trace-{n}" for n in count() if f"trace-{n}" not in case_ids)
+    rows.cases = {key if isinstance(key, str) else next(generated): code
+                  for key, code in rows.cases.items()}
     return rows.log()
 
 

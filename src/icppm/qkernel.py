@@ -20,37 +20,20 @@ strict upper triangle is mirrored, and cross row i, a test row, from
 its index, and the draws do not depend on whether ``cross`` got the train
 states or simulated them.
 
-A classical Gram matrix is the cross matrix of the rows with themselves. A
-Gram matrix can be persisted to .npz under ``cache_key``, a hash of only
-what it depends on: the rows, the kernel kind and ``CACHE_FORMAT_VERSION``.
-Labels and solver settings (C, tol) are not in it, so changing them reuses
-the entry.
+A classical Gram matrix is the cross matrix of the rows with themselves.
 """
 
 from __future__ import annotations
 
-import hashlib
-import logging
 import math
-import os
-import tempfile
-import zipfile
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigError
 from .qsim import EXACT, FeatureMapKind, ShotConfig, feature_map_states
 
-log_ = logging.getLogger("icppm.qkernel")
-
 KERNEL_VARIANTS = ("linear", "rbf", "quantum")
-# Part of every cache key: raise it whenever a change to the simulator or
-# the kernels changes the matrices, so stale cache entries are never served.
-CACHE_FORMAT_VERSION = 4
-# Largest |K - K^T| entry a cached Gram matrix may have.
-_CACHE_SYMMETRY_TOL = 1e-12
 # Elements per row block of an m-column pass (rows * m): the RBF chain and
 # the symmetry scan allocate one block, not a second m x m array.
 _BLOCK_ELEMENTS = 32768
@@ -91,10 +74,9 @@ class KernelMatrix:
     ``eval_count`` counts logical quantum entries (the strict upper triangle
     of a Gram matrix, every entry of a cross matrix); ``states_simulated``
     counts feature-map states simulated to produce them. Both are 0 for
-    classical kernels, and ``states_simulated`` is 0 for a cached matrix.
-    ``conj_states`` is the complex-conjugated (m, 2**n) batch of the rows a
-    quantum Gram matrix was read off, for ``cross`` to reuse; it is None for
-    classical, cached and cross matrices.
+    classical kernels. ``conj_states`` is the complex-conjugated (m, 2**n)
+    batch of the rows a quantum Gram matrix was read off, for ``cross`` to
+    reuse; it is None for classical and cross matrices.
     """
 
     values: np.ndarray
@@ -220,60 +202,3 @@ def cross(test, train, kind: KernelKind, train_states: np.ndarray | None = None)
         values = _sample(values, kind.shots, first_row=len(xr))
     return KernelMatrix(values, eval_count=values.size, states_simulated=simulated)
 
-
-def cache_key(x, kind: KernelKind) -> str:
-    """Cache key of the Gram matrix of rows ``x`` under ``kind``: a hash of
-    the cache-format version, the rows' shape and bytes, and the kernel kind
-    (variant, gamma, feature map, shot count and shot seed)."""
-    x = _as_matrix(x)
-    digest = hashlib.sha256(f"{CACHE_FORMAT_VERSION}|{x.shape}|{kind!r}|".encode("utf-8"))
-    digest.update(x.tobytes())
-    return digest.hexdigest()
-
-
-def save_kernel(kernel: KernelMatrix, directory: str | Path, key: str) -> Path:
-    """Write the matrix atomically: a temp file in the same directory, then
-    a rename, so a reader never sees a half-written entry."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    path = directory / f"{key}.npz"
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=f".{key}.", suffix=".npz.tmp")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            np.savez(fh, values=kernel.values, eval_count=np.int64(kernel.eval_count))
-        os.replace(tmp, path)
-    except BaseException:
-        Path(tmp).unlink(missing_ok=True)
-        raise
-    return path
-
-
-def load_kernel(directory: str | Path, key: str, size: int) -> KernelMatrix | None:
-    """The cached ``size`` x ``size`` matrix, or None on a miss.
-
-    An entry that cannot be read, is not a real floating-point matrix, holds
-    non-finite values, is not ``size`` x ``size`` or is not symmetric to
-    1e-12 is logged and treated as a miss, so the caller recomputes and
-    overwrites it.
-    """
-    path = Path(directory) / f"{key}.npz"
-    if not path.exists():
-        return None
-    try:
-        with path.open("rb") as fh, np.load(fh) as data:
-            values = data["values"]
-            eval_count = int(data["eval_count"])
-    except (OSError, EOFError, KeyError, TypeError, ValueError, zipfile.BadZipFile) as exc:
-        log_.warning("ignoring unreadable kernel cache entry %s: %s", path, exc)
-        return None
-    if values.dtype.kind != "f":
-        log_.warning("ignoring kernel cache entry %s: dtype %s is not real floating point",
-                     path, values.dtype)
-        return None
-    values = values.astype(np.float64, copy=False)
-    worst = asymmetry(values) if values.shape == (size, size) else np.inf
-    if not worst <= _CACHE_SYMMETRY_TOL:
-        log_.warning("ignoring kernel cache entry %s: shape %s, non-finite values or "
-                     "|K - K^T| reaching %.3e", path, values.shape, worst)
-        return None
-    return KernelMatrix(values, eval_count)

@@ -18,11 +18,11 @@ scratch, must not raise the peak. An RY gate with one angle per row
 allocates no more than one with a single angle, beyond its per-row
 factors.
 
-An RBF ``gram`` or ``cross`` holds its output and one row block, a cache
-hit its loaded matrix and one row block, and a kernel run holds one kernel
-matrix at a time, never two of one fold or one of the fold before. The SVM
-fit adds its η table, and a regrouped fold drops its distinct Gram matrix
-before the fit, so the fit holds the (row, label) gather and the table.
+An RBF ``gram`` or ``cross`` holds its output and one row block, and a
+kernel run holds one kernel matrix at a time, never two of one fold or one
+of the fold before. The SVM fit adds its η table, and a regrouped fold
+drops its distinct Gram matrix before the fit, so the fit holds the
+(row, label) gather and the table.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from conftest import random_log
 from icppm import bench
 from icppm.bench import ExperimentConfig, run_experiment
 from icppm.eventlog import build_prefix_log
-from icppm.qkernel import KernelKind, cache_key, cross, gram, load_kernel, save_kernel
+from icppm.qkernel import KernelKind, cross, gram
 from icppm.qsim import FEATURE_MAPS, FeatureMapKind, _apply_op, feature_map_states
 from icppm.vqc import OptimizerConfig, train
 
@@ -140,18 +140,6 @@ def test_rbf_kernels_peak_at_their_output_and_one_row_block():
     # Both span more than ten row blocks of the 32768-element budget.
     assert traced_peak(lambda: gram(xr, KernelKind.rbf())) < 1.15 * 800 * 800 * 8
     assert traced_peak(lambda: cross(xt, xr, KernelKind.rbf())) < 1.15 * 700 * 800 * 8
-
-
-def test_cache_hit_checks_symmetry_without_full_size_temporaries(tmp_path):
-    m = 1000
-    x = np.random.default_rng(4).normal(size=(m, 2))
-    kernel = gram(x, KernelKind.rbf())
-    key = cache_key(x, KernelKind.rbf())
-    save_kernel(kernel, tmp_path, key)
-    assert np.array_equal(load_kernel(tmp_path, key, size=m).values, kernel.values)
-    # The loaded matrix itself is the one full-size allocation.
-    nbytes = kernel.values.nbytes
-    assert traced_peak(lambda: load_kernel(tmp_path, key, size=m)) < nbytes + nbytes / 8
 
 
 def test_kernel_run_holds_one_kernel_matrix_at_a_time(monkeypatch):

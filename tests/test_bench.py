@@ -25,7 +25,6 @@ from icppm.bench import (
 from icppm.encoding import FeatureVector, Vocabulary
 from icppm.errors import ConfigError
 from icppm.eventlog import build_prefix_log, make_cv_folds, write_csv
-from icppm.qkernel import KernelKind, cache_key
 from icppm.qsim import FeatureMapKind
 
 
@@ -41,20 +40,6 @@ def two_label_log(n_cases: int = 12):
 def two_label_setup(cfg: ExperimentConfig, n_cases: int = 12):
     log = two_label_log(n_cases)
     return log, build_prefix_log(log, cfg.min_prefix, cfg.max_prefix)
-
-
-def distinct_grams(cfg: ExperimentConfig, samples) -> int:
-    """Distinct exact Gram matrices among the folds of a run of ``cfg``
-    without inter-case features: folds whose distinct scaled train rows
-    are byte-identical share one cache entry."""
-    _, feature_map = bench._parse_classifier(cfg.classifier)
-    folds = make_cv_folds(samples, cfg.folds, derive_seed(cfg.seed, "folds"))
-    keys = set()
-    for fold in range(cfg.folds):
-        train_idx, test_idx = folds.split(fold)
-        x_train = bench._encode_fold(cfg, None, samples[train_idx], samples[test_idx])[0]
-        keys.add(cache_key(np.unique(x_train, axis=0), KernelKind.quantum(feature_map)))
-    return len(keys)
 
 
 def write_log(log, path):
@@ -265,9 +250,8 @@ class TestExperimentConfig:
         assert a.fingerprint() != ExperimentConfig(seed=2).fingerprint()
         assert a.fingerprint() != ExperimentConfig(seed=1, classifier="qke_zz_2").fingerprint()
         assert len(a.fingerprint()) == 16
-        # Neither key can change a result.
+        # threads cannot change a result.
         assert a.fingerprint() == ExperimentConfig(seed=1, threads=2).fingerprint()
-        assert a.fingerprint() == ExperimentConfig(seed=1, cache_dir="/tmp/k").fingerprint()
 
 
 class TestParseClassifier:
@@ -643,97 +627,6 @@ class TestTrainOnlyFitting:
         )
         run_experiment(cfg, log, samples)
         assert len(calls) == 2 * cfg.folds
-
-
-class TestGramCache:
-    def test_second_run_loads_from_cache(self, tmp_path):
-        cfg = ExperimentConfig(
-            classifier="qke_angle_1", k=2, folds=2, seed=3, cache_dir=str(tmp_path)
-        )
-        log, samples = two_label_setup(cfg, n_cases=8)
-        first = run_experiment(cfg, log, samples)
-        # Every case is a -> b -> c, so both folds train on byte-identical
-        # rows, and an exact Gram matrix is keyed without a per-fold seed.
-        assert len(list(tmp_path.glob("*.npz"))) == distinct_grams(cfg, samples) == 1
-        second = run_experiment(cfg, log, samples)
-        assert second.gram_time_s == 0.0
-        assert second.kernel_evaluations == first.kernel_evaluations
-        assert second.fold_accuracies == first.fold_accuracies
-        # A cached Gram matrix has no states, so cross simulates the train rows.
-        assert second.states_simulated == first.states_simulated
-
-    def test_new_C_or_tol_loads_every_fold_gram(self, tmp_path):
-        # Solver settings never shape a Gram matrix, so they are not in its key.
-        cfg = ExperimentConfig(
-            classifier="qke_angle_1", k=2, folds=2, seed=3, cache_dir=str(tmp_path)
-        )
-        log, samples = two_label_setup(cfg, n_cases=8)
-        first = run_experiment(cfg, log, samples)
-        second = run_experiment(dataclasses.replace(cfg, C=0.25, tol=1e-4), log, samples)
-        assert len(list(tmp_path.glob("*.npz"))) == distinct_grams(cfg, samples)
-        assert second.gram_time_s == 0.0
-        assert second.kernel_evaluations == first.kernel_evaluations
-
-    def test_truncated_entry_is_recomputed(self, tmp_path):
-        cfg = ExperimentConfig(
-            classifier="qke_angle_1", k=2, folds=2, seed=3, cache_dir=str(tmp_path)
-        )
-        log, samples = two_label_setup(cfg, n_cases=8)
-        first = run_experiment(cfg, log, samples)
-        for path in tmp_path.glob("*.npz"):
-            data = path.read_bytes()
-            path.write_bytes(data[: len(data) // 3])
-        second = run_experiment(cfg, log, samples)
-        assert second.fold_accuracies == first.fold_accuracies
-        assert second.states_simulated == first.states_simulated
-        third = run_experiment(cfg, log, samples)
-        assert third.gram_time_s == 0.0
-        assert third.fold_accuracies == first.fold_accuracies
-
-    @pytest.mark.parametrize("corrupt", ["asymmetric", "complex"])
-    def test_invalid_entry_is_recomputed(self, tmp_path, caplog, corrupt):
-        cfg = ExperimentConfig(
-            classifier="qke_angle_1", k=2, folds=2, seed=3, cache_dir=str(tmp_path)
-        )
-        log, samples = two_label_setup(cfg, n_cases=8)
-        first = run_experiment(cfg, log, samples)
-        for path in tmp_path.glob("*.npz"):
-            with np.load(path) as data:
-                values = data["values"]
-            if corrupt == "asymmetric":
-                values = values.copy()
-                values[0, 1] += 1e-6
-            else:
-                values = values.astype(np.complex128)
-            np.savez(path, values=values, eval_count=np.int64(1))
-        with caplog.at_level("WARNING", logger="icppm.qkernel"):
-            second = run_experiment(cfg, log, samples)
-        # The first fold rewrites the shared entry, which the second then loads.
-        assert caplog.text.count("ignoring kernel cache entry") == distinct_grams(cfg, samples)
-        assert second.fold_accuracies == first.fold_accuracies
-        assert second.states_simulated == first.states_simulated
-        assert second.kernel_evaluations == first.kernel_evaluations
-        third = run_experiment(cfg, log, samples)
-        assert third.gram_time_s == 0.0
-
-    def test_shot_grams_keyed_per_fold(self, tmp_path):
-        # Each fold draws its shots from its own seed, so equal rows still
-        # give one entry per fold.
-        cfg = ExperimentConfig(
-            classifier="qke_angle_1", k=2, folds=2, seed=3, shots=50, cache_dir=str(tmp_path)
-        )
-        log, samples = two_label_setup(cfg, n_cases=8)
-        first = run_experiment(cfg, log, samples)
-        assert len(list(tmp_path.glob("*.npz"))) == cfg.folds
-        second = run_experiment(cfg, log, samples)
-        assert second.gram_time_s == 0.0
-        assert second.fold_accuracies == first.fold_accuracies
-
-    def test_cache_ignored_without_dir(self, tmp_path):
-        cfg = ExperimentConfig(classifier="qke_angle_1", k=2, folds=2, seed=3)
-        log, samples = two_label_setup(cfg, n_cases=8)
-        run_experiment(cfg, log, samples)
-        assert list(tmp_path.glob("*.npz")) == []
 
 
 class TestWindowSweep:

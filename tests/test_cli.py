@@ -290,13 +290,16 @@ class TestBench:
         assert main(["bench", "--config", str(cfg), "--out-dir", str(blocker)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
-    def test_cache_dir_that_is_a_file_exits_2(self, log_path, tmp_path, capsys):
-        blocker = tmp_path / "blocker"
-        blocker.write_text("")
-        cfg = self._config(tmp_path, log_path, classifier="svc_rbf", k=2,
-                           cache_dir=str(blocker))
+    def test_cache_dir_key_exits_2_before_any_fold(self, log_path, tmp_path, monkeypatch,
+                                                   capsys):
+        # Gram matrices are rebuilt per fold; there is no cache to point at.
+        with pytest.raises(ConfigError, match="unknown config keys"):
+            ExperimentConfig.from_dict({"classifier": "qke_zz_1", "cache_dir": "x"})
+        cfg = self._config(tmp_path, log_path, classifier="qke_zz_1", k=2, cache_dir="x")
+        monkeypatch.setattr(bench, "sweep", lambda *_: pytest.fail("a fold ran"))
         assert main(["bench", "--config", str(cfg), "--out-dir", str(tmp_path / "r")]) == 2
-        assert capsys.readouterr().err.startswith("error: ")
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "cache_dir" in err
 
     def test_missing_config_exits_2(self, tmp_path, capsys):
         assert main(["bench", "--config", str(tmp_path / "none.json")]) == 2

@@ -89,6 +89,20 @@ class TestParseXes:
                        ("t1", [("b", "2023-01-01T10:00:00Z", None)], {})])
         assert parse_xes(doc).case_ids == ("trace-0", "t1")
 
+    def test_generated_ids_skip_every_name(self):
+        event = [("a", "2023-01-01T10:00:00Z", None)]
+        doc = xes_doc([(None, event, {}), ("trace-0", event, {}), (None, event, {}),
+                       ("trace-2", [], {}), (None, event, {})])
+        assert parse_xes(doc).case_ids == ("trace-1", "trace-0", "trace-3", "trace-4")
+        doc = xes_doc([(None, event, {}), (None, event, {})])
+        assert parse_xes(doc).case_ids == ("trace-0", "trace-1")
+
+    def test_unnamed_trace_named_by_position_in_errors(self):
+        doc = xes_doc([("t0", [("a", "2023-01-01T10:00:00Z", None)], {}),
+                       (None, [("a", "not-a-time", None)], {})])
+        with pytest.raises(RecordError, match=r"^unnamed trace #1: bad timestamp"):
+            parse_xes(doc)
+
     def test_trace_without_events_dropped(self):
         doc = xes_doc([("t0", [], {"channel": "web"}),
                        ("t1", [("a", "2023-01-01T10:00:00Z", None)], {}),

@@ -62,24 +62,29 @@ def _xes_attr(tag: str, key: str, value: str | None) -> str:
 def xes_documents(draw) -> bytes:
     """XES text built from drawn traces, events and attribute values; the
     values may hold characters XML forbids, and the bytes may be cut short
-    or spliced with random bytes."""
+    or spliced with random bytes. Most traces draw only well-formed values
+    (every event with a name and a valid timestamp), and half the documents
+    are left whole, so that many reach the end of the parse."""
     parts = ['<?xml version="1.0" encoding="UTF-8"?>',
              '<log xmlns="http://www.xes-standard.org/">']
     for _ in range(draw(st.integers(0, 4))):
+        clean = draw(st.integers(0, 3)) > 0
+        text, event_names, stamps = ((short_names, short_names, valid_times) if clean
+                                     else (names, optional(names), optional(timestamps)))
         parts.append("<trace>")
-        parts.append(_xes_attr("string", "concept:name", draw(optional(names))))
-        parts.append(_xes_attr("string", draw(names), draw(optional(names))))
+        parts.append(_xes_attr("string", "concept:name", draw(optional(text))))
+        parts.append(_xes_attr("string", draw(text), draw(optional(text))))
         for _ in range(draw(st.integers(0, 4))):
             parts.append("<event>")
-            parts.append(_xes_attr("string", "concept:name", draw(optional(names))))
-            parts.append(_xes_attr("date", "time:timestamp", draw(optional(timestamps))))
-            parts.append(_xes_attr("string", "org:resource", draw(optional(names))))
+            parts.append(_xes_attr("string", "concept:name", draw(event_names)))
+            parts.append(_xes_attr("date", "time:timestamp", draw(stamps)))
+            parts.append(_xes_attr("string", "org:resource", draw(optional(text))))
             parts.append("</event>")
         parts.append("</trace>")
     parts.append("</log>")
     doc = "\n".join(parts).encode("utf-8")
     cut = draw(st.integers(0, len(doc)))
-    return draw(st.sampled_from([doc, doc[:cut], doc[:cut] + draw(st.binary(max_size=8))
+    return draw(st.sampled_from([doc, doc, doc[:cut], doc[:cut] + draw(st.binary(max_size=8))
                                  + doc[cut:]]))
 
 

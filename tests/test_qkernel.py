@@ -7,15 +7,7 @@ import pytest
 
 from icppm import oracles, qkernel
 from icppm.errors import ConfigError
-from icppm.qkernel import (
-    KernelKind,
-    KernelMatrix,
-    cache_key,
-    cross,
-    gram,
-    load_kernel,
-    save_kernel,
-)
+from icppm.qkernel import KernelKind, cross, gram
 from icppm.qsim import FeatureMapKind, ShotConfig, feature_map_states, kernel_overlap
 
 QUANTUM = KernelKind.quantum(FeatureMapKind("zz"))
@@ -358,114 +350,6 @@ class TestShotDistribution:
         assert np.any(np.diag(cross(x, x, KernelKind.quantum(fm)).values) > 1.0)
         sampled = cross(x, x, KernelKind.quantum(fm, ShotConfig(20, seed=1))).values
         assert np.array_equal(np.diag(sampled), np.ones(60))
-
-
-class TestCache:
-    def test_round_trip(self, tmp_path):
-        x = points(20, 5, 2)
-        km = gram(x, QUANTUM)
-        key = cache_key(x, QUANTUM)
-        save_kernel(km, tmp_path, key)
-        loaded = load_kernel(tmp_path, key, size=5)
-        assert loaded is not None
-        assert np.array_equal(loaded.values, km.values)
-        assert loaded.eval_count == km.eval_count
-        assert loaded.conj_states is None
-
-    def test_miss_returns_none(self, tmp_path):
-        assert load_kernel(tmp_path, "nope", size=3) is None
-
-    def test_key_is_stable_and_sensitive(self):
-        x = points(3, 4, 2)
-        zz, shots = FeatureMapKind("zz"), ShotConfig(50, seed=7)
-        base = cache_key(x, KernelKind.quantum(zz, shots))
-        assert len(base) == 64
-        # Equal rows and kinds give the same key, whatever the array layout.
-        assert cache_key(np.asfortranarray(x), KernelKind.quantum(zz, shots)) == base
-        assert cache_key(x.tolist(), KernelKind.quantum(FeatureMapKind("zz"),
-                                                        ShotConfig(50, seed=7))) == base
-        keys = [cache_key(rows, kind) for rows, kind in [
-            (x + 1e-12, KernelKind.quantum(zz, shots)),
-            (x.reshape(2, 4), KernelKind.quantum(zz, shots)),  # the same bytes
-            (x, KernelKind.quantum(FeatureMapKind("angle"), shots)),
-            (x, KernelKind.quantum(FeatureMapKind("zz", 2), shots)),
-            (x, KernelKind.quantum(zz, ShotConfig(51, seed=7))),
-            (x, KernelKind.quantum(zz, ShotConfig(50, seed=8))),
-            (x, KernelKind.quantum(zz)),
-            (x, KernelKind.linear()),
-            (x, KernelKind.rbf()),
-            (x, KernelKind.rbf(0.5)),
-            (x, KernelKind.rbf(0.25)),
-        ]]
-        assert base not in keys
-        assert len(set(keys)) == len(keys)
-
-    def test_truncated_entry_is_a_miss(self, tmp_path, caplog):
-        km = gram(points(28, 4, 2), QUANTUM)
-        path = save_kernel(km, tmp_path, "k")
-        data = path.read_bytes()
-        path.write_bytes(data[: len(data) // 2])
-        with caplog.at_level("WARNING", logger="icppm.qkernel"):
-            assert load_kernel(tmp_path, "k", size=4) is None
-        assert "unreadable" in caplog.text
-
-    def test_wrong_shape_or_non_finite_entry_is_a_miss(self, tmp_path):
-        save_kernel(KernelMatrix(np.eye(3), 3), tmp_path, "k")
-        assert load_kernel(tmp_path, "k", size=3) is not None
-        assert load_kernel(tmp_path, "k", size=4) is None
-        save_kernel(KernelMatrix(np.ones((2, 3)), 6), tmp_path, "k")
-        assert load_kernel(tmp_path, "k", size=2) is None
-        assert load_kernel(tmp_path, "k", size=3) is None
-        bad = np.eye(2)
-        bad[0, 1] = np.nan
-        save_kernel(KernelMatrix(bad, 1), tmp_path, "k")
-        assert load_kernel(tmp_path, "k", size=2) is None
-
-    @pytest.mark.parametrize("entry, value", [((0, 0), np.nan), ((0, 299), np.inf),
-                                              ((150, 2), -np.inf), ((299, 299), np.inf)])
-    def test_non_finite_entry_in_any_row_block_is_a_miss(self, tmp_path, entry, value):
-        # 300 rows span three blocks of the symmetry scan; a NaN found in an
-        # early block must not be dropped by a later, finite one.
-        values = gram(points(21, 300, 2), KernelKind.rbf()).values
-        values[entry] = value
-        save_kernel(KernelMatrix(values), tmp_path, "k")
-        assert load_kernel(tmp_path, "k", size=300) is None
-
-    def test_key_changes_with_format_version(self, monkeypatch):
-        args = (points(3, 4, 2), QUANTUM)
-        base = cache_key(*args)
-        monkeypatch.setattr(qkernel, "CACHE_FORMAT_VERSION", qkernel.CACHE_FORMAT_VERSION + 1)
-        assert cache_key(*args) != base
-
-    def test_complex_or_integer_entry_is_a_miss(self, tmp_path, caplog):
-        save_kernel(KernelMatrix(np.eye(3).astype(np.complex128), 3), tmp_path, "c")
-        save_kernel(KernelMatrix(np.eye(3, dtype=np.int64), 3), tmp_path, "i")
-        with caplog.at_level("WARNING", logger="icppm.qkernel"):
-            assert load_kernel(tmp_path, "c", size=3) is None
-            assert load_kernel(tmp_path, "i", size=3) is None
-        assert caplog.text.count("not real floating point") == 2
-
-    def test_asymmetric_entry_is_a_miss(self, tmp_path, caplog):
-        values = np.eye(3)
-        values[0, 2] = 0.5
-        values[2, 0] = 0.5 + 2e-12
-        save_kernel(KernelMatrix(values, 3), tmp_path, "k")
-        with caplog.at_level("WARNING", logger="icppm.qkernel"):
-            assert load_kernel(tmp_path, "k", size=3) is None
-        assert "K - K^T" in caplog.text
-        values[2, 0] = 0.5 + 5e-13
-        save_kernel(KernelMatrix(values, 3), tmp_path, "k")
-        assert load_kernel(tmp_path, "k", size=3) is not None
-
-    def test_save_leaves_no_temp_files(self, tmp_path):
-        save_kernel(KernelMatrix(np.eye(2), 1), tmp_path, "k")
-        save_kernel(KernelMatrix(np.eye(2), 1), tmp_path, "k")
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["k.npz"]
-
-    def test_save_creates_directory(self, tmp_path):
-        km = KernelMatrix(np.eye(2), 1)
-        path = save_kernel(km, tmp_path / "deep" / "nest", "k")
-        assert path.exists()
 
 
 class TestAsymmetry:
