@@ -315,6 +315,7 @@ class RunResult:
     n_samples: int
     # Quantum feature-map states simulated for the kernels and the VQC:
     # each fold's train and test rows once (an exact kernel's distinct
+    # rows, an exact VQC's (row, label) train groups and distinct test
     # rows); reported in results.json only. kernel_evaluations and
     # cross_evaluations count over the same rows.
     states_simulated: int = 0
@@ -335,9 +336,9 @@ class RunResult:
     # Seconds spent fitting the fold encoders, encoding and scaling, summed
     # over folds. Reported in results.json only.
     encode_time_s: float = 0.0
-    # Distinct feature rows the kernel folds were built on, summed over
-    # folds (every row of a shot fold counts); 0 for classifiers without a
-    # kernel. Reported in results.json only.
+    # Distinct feature rows the kernel and VQC folds were built on, summed
+    # over folds (every row of a shot fold counts); 0 for the majority
+    # baseline. Reported in results.json only.
     distinct_train_rows: int = 0
     distinct_test_rows: int = 0
 
@@ -510,6 +511,19 @@ def _distinct_rows(x: np.ndarray, merge: bool) -> tuple[np.ndarray, np.ndarray]:
     return ordered[starts], row_of
 
 
+def _fold_groups(x_train: np.ndarray, y_train: np.ndarray, merge: bool):
+    """The train rows as (row, label) groups: (rows, group_row,
+    group_labels, counts), with ``rows`` the distinct rows
+    (``_distinct_rows``), group g the rows equal to ``rows[group_row[g]]``
+    that carry label ``group_labels[g]``, and ``counts[g]`` their number.
+    Groups are sorted by row, then label: with one label per row, group g is
+    row g. Without ``merge``, group t is train row t with count 1."""
+    rows, row_of = _distinct_rows(x_train, merge)
+    classes, label_of = np.unique(y_train, return_inverse=True)
+    pairs, counts = np.unique(row_of * len(classes) + label_of, return_counts=True)
+    return rows, pairs // len(classes), classes[pairs % len(classes)], counts
+
+
 def _kernel_fold(cfg: ExperimentConfig, kernel_kind: KernelKind, x_train: np.ndarray,
                  y_train: np.ndarray, x_test: np.ndarray, part: dict) -> np.ndarray:
     """A kernel classifier's predictions for one fold, counters written to
@@ -529,23 +543,17 @@ def _kernel_fold(cfg: ExperimentConfig, kernel_kind: KernelKind, x_train: np.nda
     """
     t_fit0 = time.perf_counter()
     merge = kernel_kind.shots.exact
-    rows, row_of = _distinct_rows(x_train, merge)
-    # Groups are (row, label) pairs, sorted by row: with one label per row,
-    # group g is row g.
-    classes, label_of = np.unique(y_train, return_inverse=True)
-    pairs, counts = np.unique(row_of * len(classes) + label_of, return_counts=True)
-    group_row = pairs // len(classes)
+    rows, group_row, group_labels, counts = _fold_groups(x_train, y_train, merge)
     t_gram0 = time.perf_counter()
     k_train = gram(rows, kernel_kind)
     part["gram_time_s"] = time.perf_counter() - t_gram0
     part["kernel_evaluations"] = k_train.eval_count
     part["states_simulated"] = k_train.states_simulated
     train_states = k_train.conj_states
-    regrouped = len(pairs) != len(rows)
+    regrouped = len(group_row) != len(rows)
     k_groups = k_train.values[np.ix_(group_row, group_row)] if regrouped else k_train.values
     del k_train
-    model = fit_multiclass(k_groups, classes[pairs % len(classes)],
-                           C=cfg.C, tol=cfg.tol, sample_weight=counts)
+    model = fit_multiclass(k_groups, group_labels, C=cfg.C, tol=cfg.tol, sample_weight=counts)
     del k_groups
     part["fit_time_s"] = time.perf_counter() - t_fit0
     part["smo_iterations"] = sum(m.iterations for m in model.models)
@@ -556,6 +564,45 @@ def _kernel_fold(cfg: ExperimentConfig, kernel_kind: KernelKind, x_train: np.nda
     part["states_simulated"] += k_test.states_simulated
     part["distinct_train_rows"], part["distinct_test_rows"] = len(rows), len(test_rows)
     predictions = svm_predict(model, k_test.values[:, group_row] if regrouped else k_test.values)
+    return np.asarray(predictions)[test_of]
+
+
+def _vqc_fold(cfg: ExperimentConfig, feature_map: FeatureMapKind, shots: ShotConfig, fold: int,
+              x_train: np.ndarray, y_train: np.ndarray, x_test: np.ndarray,
+              part: dict) -> np.ndarray:
+    """A VQC's predictions for fold ``fold``, counters written to ``part``.
+
+    An exact fold trains on the fold's (row, label) groups
+    (``_fold_groups``), each weighted by its count, which leaves the loss
+    and its gradient as they are up to rounding, and predicts once per
+    distinct test row. A shot readout draws every row on its own, so a shot
+    fold keeps one row per sample, each of weight 1.
+    """
+    t_fit0 = time.perf_counter()
+    opt = OptimizerConfig(
+        learning_rate=cfg.learning_rate,
+        epochs=cfg.epochs,
+        method=cfg.opt_method,
+        seed=derive_seed(cfg.seed, f"vqc/{fold}"),
+    )
+    merge = shots.exact
+    rows, group_row, group_labels, counts = _fold_groups(x_train, y_train, merge)
+    model = vqc_train(rows[group_row], group_labels, feature_map, cfg.vqc_layers, opt,
+                      shots=shots, sample_weight=counts)
+    part["fit_time_s"] = time.perf_counter() - t_fit0
+    test_rows, test_of = _distinct_rows(x_test, merge)
+    predictions = vqc_predict(model, test_rows, shots)
+    part["states_simulated"] = len(group_row) + len(test_rows)
+    part["distinct_train_rows"], part["distinct_test_rows"] = len(rows), len(test_rows)
+    part["vqc_final_loss"] = model.loss_history[-1]
+    part["vqc_prior_loss"] = prior_loss(y_train)
+    if part["vqc_final_loss"] > part["vqc_prior_loss"] - VQC_PRIOR_MARGIN:
+        log_.info("fold %d/%d: VQC final loss %.4f is not %g below the prior loss %.4f",
+                  fold + 1, cfg.folds, part["vqc_final_loss"], VQC_PRIOR_MARGIN,
+                  part["vqc_prior_loss"])
+    if model.grad_norms:
+        part["vqc_initial_grad_norm"] = model.grad_norms[0]
+        part["vqc_final_grad_norm"] = model.grad_norms[-1]
     return np.asarray(predictions)[test_of]
 
 
@@ -599,41 +646,24 @@ def run_experiment(
         # An exact run draws nothing, so it carries no per-fold shot seed.
         shots = (ShotConfig(cfg.shots, derive_seed(cfg.seed, f"shots/{fold}"))
                  if cfg.shots else EXACT)
-        t_fit0 = time.perf_counter()
         fold_note = ""
         if family == "majority":
+            t_fit0 = time.perf_counter()
             # np.unique sorts: a tie goes to the first label by name.
             classes, counts = np.unique(y_train, return_counts=True)
             predictions = classes[counts.argmax()]
             part["fit_time_s"] = time.perf_counter() - t_fit0
         elif family == "vqc":
-            opt = OptimizerConfig(
-                learning_rate=cfg.learning_rate,
-                epochs=cfg.epochs,
-                method=cfg.opt_method,
-                seed=derive_seed(cfg.seed, f"vqc/{fold}"),
-            )
-            model = vqc_train(x_train, y_train, feature_map, cfg.vqc_layers, opt, shots=shots)
-            part["fit_time_s"] = time.perf_counter() - t_fit0
-            predictions = vqc_predict(model, x_test, shots)
-            part["states_simulated"] = len(x_train) + len(x_test)
-            part["vqc_final_loss"] = model.loss_history[-1]
-            part["vqc_prior_loss"] = prior_loss(y_train)
-            if part["vqc_final_loss"] > part["vqc_prior_loss"] - VQC_PRIOR_MARGIN:
-                log_.info("fold %d/%d: VQC final loss %.4f is not %g below the prior loss %.4f",
-                          fold + 1, cfg.folds, part["vqc_final_loss"], VQC_PRIOR_MARGIN,
-                          part["vqc_prior_loss"])
-            if model.grad_norms:
-                part["vqc_initial_grad_norm"] = model.grad_norms[0]
-                part["vqc_final_grad_norm"] = model.grad_norms[-1]
+            predictions = _vqc_fold(cfg, feature_map, shots, fold, x_train, y_train, x_test, part)
         else:
             kernel_kind = (KernelKind.quantum(feature_map, shots) if family == "qke"
                            else KernelKind.linear() if family == "svc_linear"
                            else KernelKind.rbf(cfg.gamma))
             predictions = _kernel_fold(cfg, kernel_kind, x_train, y_train, x_test, part)
-            fold_note = (f" rows={part['distinct_train_rows']}/{len(x_train)}"
-                         f" smo_iterations={part['smo_iterations']}"
+            fold_note = (f" smo_iterations={part['smo_iterations']}"
                          f" smo_kkt_gap={part['smo_kkt_gap']:.3e}")
+        if family != "majority":
+            fold_note = f" rows={part['distinct_train_rows']}/{len(x_train)}" + fold_note
         parts.append(part)
         acc = int(np.count_nonzero(y_test == predictions)) / len(y_test)
         fold_accs.append(acc)

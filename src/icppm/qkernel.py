@@ -92,6 +92,22 @@ def _as_matrix(data) -> np.ndarray:
     return out
 
 
+def _checked_weights(sample_weight, m: int) -> np.ndarray:
+    """``sample_weight`` as a float array, m unit weights for None; ValueError
+    unless it holds m entries, each finite and > 0. The one weight rule of
+    ``svm`` and ``vqc``."""
+    if sample_weight is None:
+        return np.ones(m)
+    w = np.asarray(sample_weight, dtype=np.float64)
+    if w.shape != (m,):
+        raise ValueError(f"need one sample weight per label, got {w.shape} for {m} labels")
+    if not np.all(np.isfinite(w)):
+        raise ValueError("sample weights must be finite")
+    if not np.all(w > 0):
+        raise ValueError(f"sample weights must be > 0, got minimum {w.min()}")
+    return w
+
+
 def asymmetry(values: np.ndarray) -> float:
     """Largest |K - K^T| entry of a square matrix (NaN or inf if an entry is
     not finite), from square tiles of the upper triangle against their

@@ -42,7 +42,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConvergenceError, DegenerateModelError
-from .qkernel import asymmetry
+from .qkernel import _checked_weights, asymmetry
 
 _BOUND_EPS = 1e-12
 # Largest |K - K^T| accepted, relative to max|K|.
@@ -104,21 +104,6 @@ def _check_args(C: float, tol: float, max_passes: int) -> None:
     if not (C > 0 and tol > 0 and isinstance(max_passes, numbers.Integral) and max_passes >= 0):
         raise ValueError(f"need C > 0, tol > 0 and an integer max_passes >= 0, "
                          f"got C={C}, tol={tol}, max_passes={max_passes!r}")
-
-
-def _checked_weights(sample_weight, m: int) -> np.ndarray:
-    """``sample_weight`` as a float array, m unit weights for None; ValueError
-    unless it holds m entries, each finite and > 0."""
-    if sample_weight is None:
-        return np.ones(m)
-    w = np.asarray(sample_weight, dtype=np.float64)
-    if w.shape != (m,):
-        raise ValueError(f"need one sample weight per label, got {w.shape} for {m} labels")
-    if not np.all(np.isfinite(w)):
-        raise ValueError("sample weights must be finite")
-    if not np.all(w > 0):
-        raise ValueError(f"sample weights must be > 0, got minimum {w.min()}")
-    return w
 
 
 def fit(kernel, y: Sequence[float], C: float = 1.0, tol: float = 1e-3,

@@ -6,11 +6,14 @@ from the first ceil(log2 C) qubits: the 2^r marginal bitstring
 probabilities (in shot mode, frequencies sampled from them) are dealt
 round-robin onto the C classes (bitstring b -> class b mod C) and
 renormalized. Training minimizes cross-entropy by full-batch gradient
-descent, one step per epoch over every training row. The default method
-takes exact gradients: in exact mode by adjoint differentiation, one
-forward pass that also gives the loss and one backward walk, O(L) layer
-passes; in shot mode by the parameter-shift rule (RY generators admit the
-exact +-pi/2 rule), the estimator hardware would use.
+descent, one step per epoch over every training row. A row may carry a
+weight (``sample_weight``, such as a count; None means 1 per row): the
+loss is sum_t w_t (-log p_t) / sum_t w_t, so a row of weight c counts as c
+equal rows with its label. The default method takes exact gradients: in
+exact mode by adjoint differentiation, one forward pass that also gives
+the loss and one backward walk, O(L) layer passes; in shot mode by the
+parameter-shift rule (RY generators admit the exact +-pi/2 rule), the
+estimator hardware would use.
 ``parameter_shift_gradient`` applies that rule in either mode and is the
 reference for ``adjoint_gradient``. SPSA is a cheaper seeded alternative.
 
@@ -33,9 +36,9 @@ gradient with 2 einsums per head qubit, whose half-runs are at least
 
 Every loss and gradient reads one labelled batch (``_Batch``): the
 encoded rows (the angles or the cached feature-map states), each row's
-class index, the class count, the ring permutation and its inverse, the
-class indicator per basis state and a workspace that every loss,
-gradient and readout reuses. The workspace is three (rows, 2^n) state
+class index and weight, the class count, the ring permutation and its
+inverse, the class indicator per basis state and a workspace that every
+loss, gradient and readout reuses. The workspace is three (rows, 2^n) state
 buffers, which take turns as the states being advanced (the prefix and
 the shifted state, or the adjoint's state and costate) and the gate
 scratch or the ring's destination, plus one (rows, 2^n) float buffer for
@@ -61,7 +64,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError, TrainingError
-from .qkernel import _as_matrix
+from .qkernel import _as_matrix, _checked_weights
 from .qsim import (
     EXACT,
     FeatureMapKind,
@@ -297,13 +300,15 @@ def predict_many(model: VqcModel, xs, shots: ShotConfig = EXACT) -> list:
     return [model.classes[i] for i in np.argmax(forward_many(model, xs, shots), axis=1)]
 
 
-def _cross_entropy(p_true: np.ndarray) -> float:
+def _cross_entropy(p_true: np.ndarray, weight: np.ndarray, total_weight: float) -> float:
+    """sum_t w_t (-log p_t) / sum_t w_t."""
     # math.log summed row by row, as a per-row loop would, so that shot-mode
-    # losses do not move with numpy's vectorised log.
+    # losses do not move with numpy's vectorised log; a unit weight leaves
+    # each term's bits as they are.
     total = 0.0
-    for p in p_true:
-        total += -math.log(max(p, _P_FLOOR))
-    return total / len(p_true)
+    for p, w in zip(p_true.tolist(), weight.tolist()):
+        total += w * -math.log(max(p, _P_FLOOR))
+    return total / total_weight
 
 
 def prior_loss(labels) -> float:
@@ -326,14 +331,17 @@ def _class_indices(classes: tuple, labels) -> np.ndarray:
 @dataclass(frozen=True)
 class _Batch:
     """A labelled batch: the encoded rows (``_encode``) and whether they are
-    folded angles, each row's class index, the class count, the ring
-    permutation, its inverse ``image``, the float class indicator per basis
-    state the adjoint reads, and the workspace (three state buffers of the
-    encoded rows' dtype and one |psi|^2 buffer, each (rows, 2**n))."""
+    folded angles, each row's class index, each row's weight and their sum,
+    the class count, the ring permutation, its inverse ``image``, the float
+    class indicator per basis state the adjoint reads, and the workspace
+    (three state buffers of the encoded rows' dtype and one |psi|^2 buffer,
+    each (rows, 2**n))."""
 
     encoded: np.ndarray
     folded: bool
     class_idx: np.ndarray
+    weight: np.ndarray
+    total_weight: float
     n_classes: int
     perm: np.ndarray
     image: np.ndarray
@@ -341,10 +349,11 @@ class _Batch:
     ws: tuple[np.ndarray, ...]
 
     @classmethod
-    def of(cls, model: VqcModel, xs, labels) -> "_Batch":
+    def of(cls, model: VqcModel, xs, labels, sample_weight=None) -> "_Batch":
         """The batch of (xs, labels) under ``model``'s feature map and
         classes: one label per row, and not empty, as its mean loss would
-        be 0/0."""
+        be 0/0; ``sample_weight`` holds one finite weight > 0 per row (None:
+        unit weights)."""
         class_idx = _class_indices(model.classes, labels)
         encoded = _encode(model, xs)
         m, n, n_classes = len(encoded), model.n_qubits, len(model.classes)
@@ -352,12 +361,14 @@ class _Batch:
             raise ValueError(f"{m} rows of xs but {len(class_idx)} labels")
         if m == 0:
             raise ValueError("empty batch: the mean loss of zero samples is undefined")
+        weight = _checked_weights(sample_weight, m)
         perm, image = _ring_permutation(n)
         on_class = (np.arange(n_classes)[:, None]
                     == (image >> (n - _readout_qubits(n_classes))) % n_classes) * 1.0
         shape = (m, 2 ** n)
         ws = (*(np.empty(shape, encoded.dtype) for _ in range(3)), np.empty(shape))
-        return cls(encoded, _folds(model), class_idx, n_classes, perm, image, on_class, ws)
+        return cls(encoded, _folds(model), class_idx, weight, float(weight.sum()), n_classes,
+                   perm, image, on_class, ws)
 
     def p_true(self, psi: np.ndarray, shots: ShotConfig) -> np.ndarray:
         """Each row's score on its own class from the final states ``psi``;
@@ -368,20 +379,21 @@ class _Batch:
 
 def _forward(batch: _Batch, theta: np.ndarray, shots: ShotConfig):
     """The circuit on the batch's rows in its workspace, then the readout.
-    Returns (mean cross-entropy, true-class scores, final state, free
-    buffer); the free buffer holds the state before the last ring."""
+    Returns (weighted mean cross-entropy, true-class scores, final state,
+    free buffer); the free buffer holds the state before the last ring."""
     psi, free = _run_circuit(batch.encoded, batch.folded, theta, batch.perm, *batch.ws[:2])
     p_true = batch.p_true(psi, shots)
-    return _cross_entropy(p_true), p_true, psi, free
+    return _cross_entropy(p_true, batch.weight, batch.total_weight), p_true, psi, free
 
 
-def loss(model: VqcModel, xs, labels, shots: ShotConfig = EXACT) -> float:
-    """Mean cross-entropy of the model on (samples, labels)."""
-    return _forward(_Batch.of(model, xs, labels), model.theta, shots)[0]
+def loss(model: VqcModel, xs, labels, shots: ShotConfig = EXACT,
+         sample_weight: Sequence[float] | None = None) -> float:
+    """Weighted mean cross-entropy of the model on (samples, labels)."""
+    return _forward(_Batch.of(model, xs, labels, sample_weight), model.theta, shots)[0]
 
 
 def _shift_gradient(batch: _Batch, theta: np.ndarray, shots: ShotConfig) -> np.ndarray:
-    """Parameter-shift gradient of the batch's mean cross-entropy.
+    """Parameter-shift gradient of the batch's weighted mean cross-entropy.
 
     RY(t +- pi/2) = RY(+-pi/2) RY(t), and the RYs of one layer commute, so
     the two circuits shifted at (l, q) share everything up to the end of
@@ -406,10 +418,10 @@ def _shift_gradient(batch: _Batch, theta: np.ndarray, shots: ShotConfig) -> np.n
                 shifted_p[side, :, l, q] = batch.p_true(psi, shots)
         prefix, work = _ring(prefix, work, batch.perm)
     p_true = batch.p_true(prefix, shots)
-    inv_p = -1.0 / np.maximum(p_true, _P_FLOOR)
+    inv_p = -batch.weight / np.maximum(p_true, _P_FLOOR)
     # dp/dt = (p(t + pi/2) - p(t - pi/2)) / 2; rows are summed in order.
     terms = inv_p[:, None, None] * 0.5 * (shifted_p[0] - shifted_p[1])
-    return terms.sum(axis=0) / m
+    return terms.sum(axis=0) / batch.total_weight
 
 
 def parameter_shift_gradient(
@@ -417,23 +429,26 @@ def parameter_shift_gradient(
     xs,
     labels,
     shots: ShotConfig = EXACT,
+    sample_weight: Sequence[float] | None = None,
 ) -> np.ndarray:
-    """Exact gradient of the mean cross-entropy w.r.t. every theta entry.
+    """Exact gradient of the weighted mean cross-entropy w.r.t. every theta
+    entry.
 
     Each RY weight parameter obeys the parameter-shift rule
     dp/dt = (p(t + pi/2) - p(t - pi/2)) / 2 for every outcome probability.
     """
-    return _shift_gradient(_Batch.of(model, xs, labels), model.theta, shots)
+    return _shift_gradient(_Batch.of(model, xs, labels, sample_weight), model.theta, shots)
 
 
 def _adjoint(batch: _Batch, theta: np.ndarray) -> tuple[float, np.ndarray]:
-    """Exact mean cross-entropy and its gradient from one forward pass and
-    one backward walk (adjoint differentiation, Jones & Gacon,
+    """Exact weighted mean cross-entropy and its gradient from one forward
+    pass and one backward walk (adjoint differentiation, Jones & Gacon,
     arXiv:2009.02823).
 
     Over phi, the state before the last ring, the loss gradient is that of
-    sum_k w_k |phi_k|^2 with w_k = -1/(m max(p, floor)) where the ring image
-    of basis state k falls in the row's class, else 0; lambda = w phi. The
+    sum_k w_k |phi_k|^2 with w_k = -c/(M max(p, floor)), c the row's weight
+    and M the weights' sum, where the ring image of basis state k falls in
+    the row's class, else 0; lambda = w phi. The
     RYs of a layer commute, so at the end of layer l's RY block
     d loss/d theta[l, q] = Re<lambda|-iY_q|phi>, the sum over qubit q's
     float pairs (a, a + h) of lambda[a + h] phi[a] - lambda[a] phi[a + h]:
@@ -446,7 +461,7 @@ def _adjoint(batch: _Batch, theta: np.ndarray) -> tuple[float, np.ndarray]:
     m = len(batch.encoded)
     n_layers, n = theta.shape
     value, p_true, psi, phi = _forward(batch, theta, EXACT)
-    weights = -1.0 / (m * np.maximum(p_true, _P_FLOOR))
+    weights = -batch.weight / (batch.total_weight * np.maximum(p_true, _P_FLOOR))
     lam, w = batch.ws[2:]
     # w = (each row's weight on its class) @ (class indicator per basis
     # state): one product into the buffer, each entry a weight or 0.
@@ -482,11 +497,12 @@ def _adjoint(batch: _Batch, theta: np.ndarray) -> tuple[float, np.ndarray]:
     return value, grad
 
 
-def adjoint_gradient(model: VqcModel, xs, labels) -> np.ndarray:
-    """Exact gradient of the mean cross-entropy w.r.t. every theta entry by
-    adjoint differentiation; exact mode only, as it reads the simulated
-    state, which hardware cannot."""
-    return _adjoint(_Batch.of(model, xs, labels), model.theta)[1]
+def adjoint_gradient(model: VqcModel, xs, labels,
+                     sample_weight: Sequence[float] | None = None) -> np.ndarray:
+    """Exact gradient of the weighted mean cross-entropy w.r.t. every theta
+    entry by adjoint differentiation; exact mode only, as it reads the
+    simulated state, which hardware cannot."""
+    return _adjoint(_Batch.of(model, xs, labels, sample_weight), model.theta)[1]
 
 
 def _spsa_gradient(batch: _Batch, theta: np.ndarray, shots: ShotConfig,
@@ -509,8 +525,11 @@ def train(
     n_layers: int,
     opt: OptimizerConfig = OptimizerConfig(),
     shots: ShotConfig = EXACT,
+    sample_weight: Sequence[float] | None = None,
 ) -> VqcModel:
-    """Gradient-descent training; theta starts at uniform(-0.1, 0.1) per seed.
+    """Gradient-descent training on the weighted mean cross-entropy (unit
+    weights if ``sample_weight`` is None); theta starts at uniform(-0.1,
+    0.1) per seed.
 
     The encoded rows do not depend on theta: the ``zz`` and ``angle_zz``
     feature-map states are simulated once and the angle map's angles taken
@@ -530,7 +549,7 @@ def train(
     rng = np.random.default_rng(opt.seed)
     theta = rng.uniform(-0.1, 0.1, size=(n_layers, xs.shape[1]))
     model = VqcModel(feature_map, theta, classes)
-    batch = _Batch.of(model, xs, labels)
+    batch = _Batch.of(model, xs, labels, sample_weight)
 
     def step(theta):
         if opt.method == "spsa":

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import collections
 import dataclasses
 import json
 import logging
@@ -24,7 +25,7 @@ from icppm.bench import (
 )
 from icppm.encoding import FeatureVector, Vocabulary
 from icppm.errors import ConfigError
-from icppm.eventlog import build_prefix_log, make_cv_folds, write_csv
+from icppm.eventlog import END_LABEL, build_prefix_log, make_cv_folds, write_csv
 from icppm.qsim import FeatureMapKind
 
 
@@ -493,8 +494,18 @@ class TestRunExperiment:
         assert len(models) == cfg.folds
         assert result.vqc_final_loss == pytest.approx(
             np.mean([m.loss_history[-1] for m in models]), abs=1e-15)
-        # Every fold simulates its training rows once and its test rows once.
-        assert result.states_simulated == cfg.folds * result.n_samples
+        # Every fold simulates its distinct (row, label) train groups once
+        # and its distinct test rows once.
+        folds = make_cv_folds(samples, cfg.folds, derive_seed(cfg.seed, "folds"))
+        codes = samples.label_codes()
+        want = 0
+        for fold in range(cfg.folds):
+            train_idx, test_idx = folds.split(fold)
+            x_train, x_test = bench._encode_fold(cfg, None, samples[train_idx],
+                                                 samples[test_idx])
+            want += len(np.unique(np.column_stack([x_train, codes[train_idx]]), axis=0))
+            want += len(np.unique(x_test, axis=0))
+        assert result.states_simulated == want < cfg.folds * result.n_samples
         out = result.to_dict()
         assert out["vqc_final_loss"] == result.vqc_final_loss
         assert out["states_simulated"] == result.states_simulated
@@ -506,22 +517,22 @@ class TestRunExperiment:
         samples = build_prefix_log(log, cfg.min_prefix, cfg.max_prefix)
         fits = []
         real = bench.vqc_train
-        monkeypatch.setattr(bench, "vqc_train", lambda xs, ys, *a, **k: (
-            fits.append((ys, real(xs, ys, *a, **k))) or fits[-1][1]))
+        monkeypatch.setattr(bench, "vqc_train", lambda *a, **k: (
+            fits.append(real(*a, **k)) or fits[-1]))
         result = run_experiment(cfg, log, samples)
         folds = make_cv_folds(samples, cfg.folds, derive_seed(cfg.seed, "folds"))
         priors = []
-        for fold, (ys, model) in enumerate(fits):
+        for fold, model in enumerate(fits):
             # Each train row scored with its label's frequency in the fold.
             names = [samples[i].label for i in folds.split(fold)[0]]
             want = sum(-math.log(names.count(n) / len(names)) for n in names) / len(names)
-            assert vqc.prior_loss(ys) == pytest.approx(want, abs=1e-15)
+            assert vqc.prior_loss(names) == pytest.approx(want, abs=1e-15)
             assert len(model.grad_norms) == cfg.epochs
             priors.append(want)
         assert len(set(priors)) > 1
         assert result.vqc_prior_loss == pytest.approx(np.mean(priors), abs=1e-15)
-        assert result.vqc_initial_grad_norm == np.mean([m.grad_norms[0] for _, m in fits])
-        assert result.vqc_final_grad_norm == np.mean([m.grad_norms[-1] for _, m in fits])
+        assert result.vqc_initial_grad_norm == np.mean([m.grad_norms[0] for m in fits])
+        assert result.vqc_final_grad_norm == np.mean([m.grad_norms[-1] for m in fits])
         out = result.to_dict()
         for name in ("vqc_prior_loss", "vqc_initial_grad_norm", "vqc_final_grad_norm"):
             assert out[name] == getattr(result, name)
@@ -537,14 +548,16 @@ class TestRunExperiment:
         samples = build_prefix_log(log, cfg.min_prefix, cfg.max_prefix)
         fits = []
         real = bench.vqc_train
-        monkeypatch.setattr(bench, "vqc_train", lambda xs, ys, *a, **k: (
-            fits.append((ys, real(xs, ys, *a, **k))) or fits[-1][1]))
+        monkeypatch.setattr(bench, "vqc_train", lambda *a, **k: (
+            fits.append(real(*a, **k)) or fits[-1]))
         with caplog.at_level(logging.INFO, logger="icppm.bench"):
             run_experiment(cfg, log, samples)
         lines = [r.getMessage() for r in caplog.records if "prior loss" in r.getMessage()]
+        folds = make_cv_folds(samples, cfg.folds, derive_seed(cfg.seed, "folds"))
         want = []
-        for fold, (ys, model) in enumerate(fits):
-            final, prior = model.loss_history[-1], vqc.prior_loss(ys)
+        for fold, model in enumerate(fits):
+            names = [samples[i].label for i in folds.split(fold)[0]]
+            final, prior = model.loss_history[-1], vqc.prior_loss(names)
             if final > prior - bench.VQC_PRIOR_MARGIN:
                 want.append(f"fold {fold + 1}/3: VQC final loss {final:.4f} is not "
                             f"{bench.VQC_PRIOR_MARGIN:g} below the prior loss {prior:.4f}")
@@ -563,6 +576,80 @@ class TestRunExperiment:
     def test_no_dataset_configured(self):
         with pytest.raises(ConfigError, match="no dataset"):
             prepare_samples(ExperimentConfig())
+
+
+class TestVqcFoldGroups:
+    """An exact VQC fold trains on its (row, label) groups, weighted by their
+    counts; a shot fold keeps one row per sample."""
+
+    CFG = ExperimentConfig(classifier="vqc_angle_1", k=2, folds=3, epochs=2, seed=0)
+
+    def capture(self, monkeypatch, cfg, log_seed: int = 0):
+        """Run ``cfg`` on a seeded random log; returns the fold data
+        (x_train, train label names, x_test) and the arguments of every
+        ``vqc_train`` and ``vqc_predict`` call."""
+        log = random_log(log_seed, n_cases=8, activities=("a", "b"))
+        samples = build_prefix_log(log, cfg.min_prefix, cfg.max_prefix)
+        trained, predicted = [], []
+        real_train, real_predict = bench.vqc_train, bench.vqc_predict
+        monkeypatch.setattr(bench, "vqc_train", lambda xs, ys, *a, **k: (
+            trained.append((xs, ys, k["sample_weight"])) or real_train(xs, ys, *a, **k)))
+        monkeypatch.setattr(bench, "vqc_predict", lambda model, xs, *a: (
+            predicted.append(xs) or real_predict(model, xs, *a)))
+        result = run_experiment(cfg, log, samples)
+        folds = make_cv_folds(samples, cfg.folds, derive_seed(cfg.seed, "folds"))
+        fold_data = []
+        for fold in range(cfg.folds):
+            train_idx, test_idx = folds.split(fold)
+            x_train, x_test = bench._encode_fold(cfg, None, samples[train_idx],
+                                                 samples[test_idx])
+            fold_data.append((x_train, [samples[i].label for i in train_idx], x_test))
+        # Label codes are ranks by name, so sorted names map them back.
+        names = sorted(samples.log.activity_vocab + (END_LABEL,))
+        return result, fold_data, trained, predicted, names
+
+    def test_exact_fold_trains_on_its_groups(self, monkeypatch):
+        result, fold_data, trained, predicted, names = self.capture(monkeypatch, self.CFG)
+        regrouped = 0
+        for (x_train, labels, x_test), (xs, ys, counts), test_rows in zip(
+                fold_data, trained, predicted):
+            groups = [(tuple(x), names[y]) for x, y in zip(xs.tolist(), ys)]
+            assert len(set(groups)) == len(groups)
+            assert counts.sum() == len(x_train)
+            want = collections.Counter(zip(map(tuple, x_train.tolist()), labels))
+            assert dict(zip(groups, counts.tolist())) == want
+            regrouped += len(groups) > len(np.unique(x_train, axis=0))
+            assert np.array_equal(test_rows, np.unique(x_test, axis=0))
+        # The log holds rows with two labels as well as repeated rows.
+        assert regrouped
+        assert result.states_simulated == sum(len(ys) + len(t)
+                                              for (_, ys, _), t in zip(trained, predicted))
+
+    def test_shot_fold_passes_one_row_per_sample(self, monkeypatch):
+        cfg = dataclasses.replace(self.CFG, shots=50)
+        result, fold_data, trained, predicted, names = self.capture(monkeypatch, cfg)
+        for (x_train, labels, x_test), (xs, ys, counts), test_rows in zip(
+                fold_data, trained, predicted):
+            assert np.array_equal(xs, x_train)
+            assert [names[y] for y in ys] == labels
+            assert np.all(counts == 1)
+            assert np.array_equal(test_rows, x_test)
+        assert result.states_simulated == result.n_samples * cfg.folds
+
+    @pytest.mark.parametrize("log_seed", [0, 1, 2, 3])
+    def test_grouped_accuracies_equal_ungrouped(self, monkeypatch, log_seed):
+        cfg = dataclasses.replace(self.CFG, epochs=5)
+        grouped = self.capture(monkeypatch, cfg, log_seed)[0]
+        monkeypatch.undo()
+        real = bench._distinct_rows
+        monkeypatch.setattr(bench, "_distinct_rows", lambda x, merge: real(x, False))
+        ungrouped = self.capture(monkeypatch, cfg, log_seed)[0]
+        assert ungrouped.states_simulated == ungrouped.n_samples * cfg.folds
+        # Log 1 repeats rows only with two labels: its groups are its rows,
+        # sorted.
+        assert grouped.states_simulated <= ungrouped.states_simulated
+        assert grouped.fold_accuracies == ungrouped.fold_accuracies
+        assert grouped.vqc_final_loss == pytest.approx(ungrouped.vqc_final_loss, abs=1e-12)
 
 
 class TestTrainOnlyFitting:
@@ -989,18 +1076,20 @@ class TestFoldEncoding:
         assert "encode" not in csv_path.read_text()
 
     def test_distinct_rows_in_results_json_only(self, tmp_path, caplog):
-        cfg = ExperimentConfig(classifier="svc_rbf", k=2, folds=2)
-        log, samples = two_label_setup(cfg)
-        with caplog.at_level(logging.INFO, logger="icppm.bench"):
-            result = run_experiment(cfg, log, samples)
-        # Every case runs a -> b -> c: three distinct rows per train fold.
-        fold_lines = [r.getMessage() for r in caplog.records if "accuracy" in r.getMessage()]
-        assert [line.split(" rows=")[1].split()[0] for line in fold_lines] == ["3/18", "3/18"]
-        assert (result.distinct_train_rows, result.distinct_test_rows) == (6, 6)
-        csv_path, json_path = emit_results([result], tmp_path / "out")
-        run = json.loads(json_path.read_text())["runs"][0]
-        assert (run["distinct_train_rows"], run["distinct_test_rows"]) == (6, 6)
-        assert "rows" not in csv_path.read_text()
+        for classifier in ("svc_rbf", "vqc_angle_1"):
+            cfg = ExperimentConfig(classifier=classifier, k=2, folds=2, epochs=1)
+            log, samples = two_label_setup(cfg)
+            caplog.clear()
+            with caplog.at_level(logging.INFO, logger="icppm.bench"):
+                result = run_experiment(cfg, log, samples)
+            # Every case runs a -> b -> c: three distinct rows per train fold.
+            fold_lines = [r.getMessage() for r in caplog.records if "accuracy" in r.getMessage()]
+            assert [line.split(" rows=")[1].split()[0] for line in fold_lines] == ["3/18", "3/18"]
+            assert (result.distinct_train_rows, result.distinct_test_rows) == (6, 6)
+            csv_path, json_path = emit_results([result], tmp_path / classifier)
+            run = json.loads(json_path.read_text())["runs"][0]
+            assert (run["distinct_train_rows"], run["distinct_test_rows"]) == (6, 6)
+            assert "rows" not in csv_path.read_text()
 
     def test_encoder_returns_one_block_per_call(self):
         cfg = ExperimentConfig(classifier="majority", window_base=300.0,

@@ -506,6 +506,56 @@ class TestBatchedEngine:
             assert [w.dtype for w in batch.ws] == [want] * 3 + [np.float64]
 
 
+class TestSampleWeight:
+    """A row of weight c is c equal rows with its label."""
+
+    @staticmethod
+    def weighted_and_repeated(fm, layers: int):
+        """A model, a weighted batch (xs, labels, counts) of 8 rows on the
+        vqc_train benchmark's 9 qubits, and the batch with each row repeated
+        ``count`` times."""
+        rng = np.random.default_rng(10 * layers + MAPS.index(fm))
+        model, xs, labels = random_case(rng, 9, layers, 3, fm, 8)
+        counts = rng.integers(1, 5, 8)
+        return model, (xs, labels, counts), (np.repeat(xs, counts, axis=0),
+                                             np.repeat(labels, counts))
+
+    @pytest.mark.parametrize("layers", [1, 2, 3])
+    @pytest.mark.parametrize("fm", MAPS, ids=lambda k: f"{k.variant}{k.layers}")
+    def test_weights_equal_repeated_rows(self, fm, layers):
+        model, (xs, labels, counts), (rep_xs, rep_labels) = self.weighted_and_repeated(fm, layers)
+        assert abs(loss(model, xs, labels, sample_weight=counts)
+                   - loss(model, rep_xs, rep_labels)) <= 1e-12
+        for gradient in (adjoint_gradient, parameter_shift_gradient):
+            got = gradient(model, xs, labels, sample_weight=counts)
+            assert np.max(np.abs(got - gradient(model, rep_xs, rep_labels))) <= 1e-12
+
+    @pytest.mark.parametrize("method", ["parameter_shift", "spsa"])
+    def test_weighted_training_equals_repeated_rows(self, method):
+        fm = FeatureMapKind("zz", 2)
+        model, (xs, labels, counts), (rep_xs, rep_labels) = self.weighted_and_repeated(fm, 2)
+        opt = OptimizerConfig(epochs=3, method=method, seed=7)
+        weighted = train(xs, labels, fm, 2, opt, sample_weight=counts)
+        repeated = train(rep_xs, rep_labels, fm, 2, opt)
+        assert np.max(np.abs(np.subtract(weighted.loss_history, repeated.loss_history))) <= 1e-12
+        assert np.max(np.abs(weighted.theta - repeated.theta)) <= 1e-12
+
+    @pytest.mark.parametrize("weights,message", [
+        ([1.0, 2.0], "one sample weight per label"),
+        ([1.0, math.nan, 1.0], "sample weights must be finite"),
+        ([1.0, 0.0, 1.0], "sample weights must be > 0"),
+        ([1.0, -2.0, 1.0], "sample weights must be > 0"),
+    ], ids=["length", "nan", "zero", "negative"])
+    def test_rejected_as_svm_rejects_them(self, weights, message):
+        xs, labels = np.full((3, 2), 0.3), ["a", "b", "a"]
+        model = VqcModel(ANGLE, np.zeros((1, 2)), ("a", "b"))
+        for fn in (loss, parameter_shift_gradient, adjoint_gradient):
+            with pytest.raises(ValueError, match=message):
+                fn(model, xs, labels, sample_weight=weights)
+        with pytest.raises(ValueError, match=message):
+            train(xs, labels, ANGLE, 1, OptimizerConfig(epochs=1), sample_weight=weights)
+
+
 class TestEdgeBatches:
     # One model per feature map: the angle map reads its rows as angles, not
     # through feature_map_states, and must check them all the same.
