@@ -524,29 +524,24 @@ def _fold_groups(x_train: np.ndarray, y_train: np.ndarray, merge: bool):
     return rows, pairs // len(classes), classes[pairs % len(classes)], counts
 
 
-def _kernel_fold(cfg: ExperimentConfig, kernel_kind: KernelKind, x_train: np.ndarray,
-                 y_train: np.ndarray, x_test: np.ndarray, part: dict) -> np.ndarray:
-    """A kernel classifier's predictions for one fold, counters written to
-    ``part``.
+def _kernel_fold(cfg: ExperimentConfig, kernel_kind: KernelKind, groups: tuple,
+                 test_rows: np.ndarray, part: dict) -> list:
+    """A kernel classifier's predictions for one fold's train groups
+    (``_fold_groups``) and distinct test rows, counters written to ``part``.
 
-    Equal rows have equal kernel rows under every exact kernel, so the
-    kernels are built on the fold's distinct train and test rows only, and
-    train rows that share both their row and their label are one SVM
-    variable whose box is C times their count (``sample_weight``), which
-    leaves the dual optimum as it is. A shot kernel draws every row on its
-    own, so a shot fold keeps one row and one variable per sample. The
-    fold's kernel matrices live in this call, one at a time: the train Gram
-    matrix is dropped before the cross matrix is built, and in a regrouped
-    fold (a distinct row with two labels) as soon as its (row, label) gather
-    is taken, so the fit holds the gather and its η table, not three m x m
-    arrays.
+    Equal rows have equal kernel rows under every exact kernel, and train
+    rows that share both their row and their label are one SVM variable
+    whose box is C times their count (``sample_weight``), which leaves the
+    dual optimum as it is. The fold's kernel matrices live in this call,
+    one at a time: the train Gram matrix is dropped before the cross matrix
+    is built, and in a regrouped fold (a distinct row with two labels) as
+    soon as its (row, label) gather is taken, so the fit holds the gather
+    and its η table, not three m x m arrays.
     """
+    rows, group_row, group_labels, counts = groups
     t_fit0 = time.perf_counter()
-    merge = kernel_kind.shots.exact
-    rows, group_row, group_labels, counts = _fold_groups(x_train, y_train, merge)
-    t_gram0 = time.perf_counter()
     k_train = gram(rows, kernel_kind)
-    part["gram_time_s"] = time.perf_counter() - t_gram0
+    part["gram_time_s"] = time.perf_counter() - t_fit0
     part["kernel_evaluations"] = k_train.eval_count
     part["states_simulated"] = k_train.states_simulated
     train_states = k_train.conj_states
@@ -555,28 +550,22 @@ def _kernel_fold(cfg: ExperimentConfig, kernel_kind: KernelKind, x_train: np.nda
     del k_train
     model = fit_multiclass(k_groups, group_labels, C=cfg.C, tol=cfg.tol, sample_weight=counts)
     del k_groups
-    part["fit_time_s"] = time.perf_counter() - t_fit0
+    part["fit_time_s"] += time.perf_counter() - t_fit0
     part["smo_iterations"] = sum(m.iterations for m in model.models)
     part["smo_kkt_gap"] = max(m.kkt_gap for m in model.models)
-    test_rows, test_of = _distinct_rows(x_test, merge)
     k_test = cross(test_rows, rows, kernel_kind, train_states=train_states)
     part["cross_evaluations"] = k_test.eval_count
     part["states_simulated"] += k_test.states_simulated
-    part["distinct_train_rows"], part["distinct_test_rows"] = len(rows), len(test_rows)
-    predictions = svm_predict(model, k_test.values[:, group_row] if regrouped else k_test.values)
-    return np.asarray(predictions)[test_of]
+    return svm_predict(model, k_test.values[:, group_row] if regrouped else k_test.values)
 
 
 def _vqc_fold(cfg: ExperimentConfig, feature_map: FeatureMapKind, shots: ShotConfig, fold: int,
-              x_train: np.ndarray, y_train: np.ndarray, x_test: np.ndarray,
-              part: dict) -> np.ndarray:
-    """A VQC's predictions for fold ``fold``, counters written to ``part``.
+              groups: tuple, test_rows: np.ndarray, part: dict) -> list:
+    """A VQC's predictions for fold ``fold``'s train groups
+    (``_fold_groups``) and distinct test rows, counters written to ``part``.
 
-    An exact fold trains on the fold's (row, label) groups
-    (``_fold_groups``), each weighted by its count, which leaves the loss
-    and its gradient as they are up to rounding, and predicts once per
-    distinct test row. A shot readout draws every row on its own, so a shot
-    fold keeps one row per sample, each of weight 1.
+    Each group trains as one row weighted by its count, which leaves the
+    loss and its gradient as they are up to rounding.
     """
     t_fit0 = time.perf_counter()
     opt = OptimizerConfig(
@@ -585,17 +574,14 @@ def _vqc_fold(cfg: ExperimentConfig, feature_map: FeatureMapKind, shots: ShotCon
         method=cfg.opt_method,
         seed=derive_seed(cfg.seed, f"vqc/{fold}"),
     )
-    merge = shots.exact
-    rows, group_row, group_labels, counts = _fold_groups(x_train, y_train, merge)
+    rows, group_row, group_labels, counts = groups
     model = vqc_train(rows[group_row], group_labels, feature_map, cfg.vqc_layers, opt,
                       shots=shots, sample_weight=counts)
-    part["fit_time_s"] = time.perf_counter() - t_fit0
-    test_rows, test_of = _distinct_rows(x_test, merge)
+    part["fit_time_s"] += time.perf_counter() - t_fit0
     predictions = vqc_predict(model, test_rows, shots)
     part["states_simulated"] = len(group_row) + len(test_rows)
-    part["distinct_train_rows"], part["distinct_test_rows"] = len(rows), len(test_rows)
     part["vqc_final_loss"] = model.loss_history[-1]
-    part["vqc_prior_loss"] = prior_loss(y_train)
+    part["vqc_prior_loss"] = prior_loss(np.repeat(group_labels, counts))
     if part["vqc_final_loss"] > part["vqc_prior_loss"] - VQC_PRIOR_MARGIN:
         log_.info("fold %d/%d: VQC final loss %.4f is not %g below the prior loss %.4f",
                   fold + 1, cfg.folds, part["vqc_final_loss"], VQC_PRIOR_MARGIN,
@@ -603,7 +589,7 @@ def _vqc_fold(cfg: ExperimentConfig, feature_map: FeatureMapKind, shots: ShotCon
     if model.grad_norms:
         part["vqc_initial_grad_norm"] = model.grad_norms[0]
         part["vqc_final_grad_norm"] = model.grad_norms[-1]
-    return np.asarray(predictions)[test_of]
+    return predictions
 
 
 def run_experiment(
@@ -653,16 +639,27 @@ def run_experiment(
             classes, counts = np.unique(y_train, return_counts=True)
             predictions = classes[counts.argmax()]
             part["fit_time_s"] = time.perf_counter() - t_fit0
-        elif family == "vqc":
-            predictions = _vqc_fold(cfg, feature_map, shots, fold, x_train, y_train, x_test, part)
         else:
-            kernel_kind = (KernelKind.quantum(feature_map, shots) if family == "qke"
-                           else KernelKind.linear() if family == "svc_linear"
-                           else KernelKind.rbf(cfg.gamma))
-            predictions = _kernel_fold(cfg, kernel_kind, x_train, y_train, x_test, part)
-            fold_note = (f" smo_iterations={part['smo_iterations']}"
-                         f" smo_kkt_gap={part['smo_kkt_gap']:.3e}")
-        if family != "majority":
+            # Equal rows have equal exact kernel rows and VQC scores, so an
+            # exact fold works on its (row, label) groups and distinct test
+            # rows. A shot kernel or readout draws every row on its own, so a
+            # shot fold keeps one row per sample; classical kernels draw none.
+            merge = shots.exact or family.startswith("svc")
+            t_fit0 = time.perf_counter()
+            groups = _fold_groups(x_train, y_train, merge)
+            part["fit_time_s"] = time.perf_counter() - t_fit0
+            test_rows, test_of = _distinct_rows(x_test, merge)
+            part["distinct_train_rows"], part["distinct_test_rows"] = len(groups[0]), len(test_rows)
+            if family == "vqc":
+                predictions = _vqc_fold(cfg, feature_map, shots, fold, groups, test_rows, part)
+            else:
+                kernel_kind = (KernelKind.quantum(feature_map, shots) if family == "qke"
+                               else KernelKind.linear() if family == "svc_linear"
+                               else KernelKind.rbf(cfg.gamma))
+                predictions = _kernel_fold(cfg, kernel_kind, groups, test_rows, part)
+                fold_note = (f" smo_iterations={part['smo_iterations']}"
+                             f" smo_kkt_gap={part['smo_kkt_gap']:.3e}")
+            predictions = np.asarray(predictions)[test_of]
             fold_note = f" rows={part['distinct_train_rows']}/{len(x_train)}" + fold_note
         parts.append(part)
         acc = int(np.count_nonzero(y_test == predictions)) / len(y_test)

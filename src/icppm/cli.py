@@ -3,7 +3,8 @@
 Subcommands: stats, prepare, encode, bench, kernel-check. Exit codes:
 0 success, 2 for configuration or input problems (bad flags, unparsable
 logs, missing files, unusable output paths), 1 for runtime
-failures (training divergence, a failed kernel self-check).
+failures (training divergence, one-class training labels, a failed kernel
+self-check).
 """
 
 from __future__ import annotations
@@ -172,7 +173,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_enc.add_argument("--min-burst", type=int, help="distinct cases needed to mark a batch")
     p_enc.add_argument("--min-prefix", type=int)
     p_enc.add_argument("--max-prefix", type=int)
-    p_enc.add_argument("--seed", type=int)
     p_enc.add_argument("--no-scale", dest="scale", action="store_false",
                        help="write raw feature values instead of [0, pi] scaled")
     p_enc.set_defaults(func=_cmd_encode, scale=True)

@@ -121,15 +121,10 @@ def encode_last_state(
     act_vocab: Vocabulary,
     res_vocab: Vocabulary | None = None,
 ) -> FeatureVector:
-    """Ordinal code of the last activity, plus the last resource when present."""
-    log, last = prefixes.log, prefixes.ends - 1
-    with_res = res_vocab is not None and len(res_vocab) > 1
-    schema = ("last_act", "last_res") if with_res else ("last_act",)
-    out = np.empty((len(prefixes), len(schema)))
-    out[:, 0] = _code_table(act_vocab, log.activity_vocab)[log.activity[last]]
-    if with_res:
-        out[:, 1] = _code_table(res_vocab, log.resource_vocab)[log.resource[last]]
-    return FeatureVector(out, schema)
+    """Ordinal code of the last activity, plus the last resource when present:
+    ``encode_index_based`` at k = 1, its columns named last_act and last_res."""
+    block = encode_index_based(prefixes, 1, act_vocab, res_vocab)
+    return FeatureVector(block.values, ("last_act", "last_res")[:len(block.schema)])
 
 
 def encode_aggregation(

@@ -10,7 +10,8 @@ the values present. All timestamps are normalized to UTC on parse; naive
 timestamps are treated as UTC.
 
 A CSV is read by one ``csv.reader`` in blocks of rows, each turned into
-code columns by first-seen dicts. Stamps in the layouts ``isoformat()``
+code columns by first-seen dicts; XES events are checked trace by trace
+and coded in blocks of the same size by the same coder. Stamps in the layouts ``isoformat()``
 gives an aware instant (``YYYY-MM-DDTHH:MM:SS[.ffffff]±HH:MM``, as
 ``write_csv`` writes them) are checked and converted by integer array
 arithmetic; any other stamp, or one that fails a check, goes through
@@ -149,49 +150,38 @@ class EventLog:
         return [self.activity[a:b].tobytes() for a, b in zip(bounds, bounds[1:])]
 
 
-class _Rows:
-    """Event rows gathered in input order, with case, activity and resource
-    codes in first-seen order."""
+class _BlockCoder:
+    """Event columns coded block by block, as both parsers code them: case,
+    activity and resource codes in first-seen order over all blocks
+    (``_first_seen_codes``), a missing or empty resource -1."""
 
     def __init__(self):
-        self.cases: dict[str, int] = {}
-        self.attributes: list[Mapping[str, str]] = []
+        self.cases: dict[str | int, int] = {}
         self.activities: dict[str, int] = {}
-        self.resources: dict[str, int] = {}
-        self.case: list[int] = []
-        self.activity: list[int] = []
-        self.resource: list[int] = []
-        self.time_us: list[int] = []
+        # None and "" take codes 0 and 1, which become -1.
+        self.resources: dict[str | None, int] = {None: 0, "": 1}
+        self.blocks = [(np.empty(0, dtype=np.int64),) * 4]
 
-    def add_case(self, case_id: str, attributes: Mapping[str, str]) -> int:
-        code = self.cases[case_id] = len(self.cases)
-        self.attributes.append(dict(attributes))
-        return code
+    def add(self, cases: Sequence, acts: Sequence[str], ress: Sequence[str | None] | None,
+            us: np.ndarray) -> list:
+        """Code one block of events, ``ress`` None when no event has a
+        resource; returns the cases this block is the first to name."""
+        case, new = _first_seen_codes(self.cases, cases)
+        res = np.full(len(acts), -1, dtype=np.int64)
+        if ress is not None:
+            np.maximum(_first_seen_codes(self.resources, ress)[0] - 2, -1, out=res)
+        self.blocks.append((case, _first_seen_codes(self.activities, acts)[0], res, us))
+        return new
 
-    def add(self, case: int, activity: str, resource: str | None, us: int) -> None:
-        self.case.append(case)
-        self.activity.append(self.activities.setdefault(activity, len(self.activities)))
-        self.resource.append(
-            self.resources.setdefault(resource, len(self.resources)) if resource else -1
-        )
-        self.time_us.append(us)
-
-    def log(self) -> EventLog:
-        return _grouped_log(
-            list(self.cases), self.attributes, np.array(self.case, dtype=np.int64),
-            np.array(self.activity, dtype=np.int64), list(self.activities),
-            np.array(self.resource, dtype=np.int64), list(self.resources),
-            np.array(self.time_us, dtype=np.int64),
-        )
-
-
-def _grouped_log(case_ids, attributes, case, activity, activity_names, resource,
-                 resource_names, time_us) -> EventLog:
-    """A log from event columns in input order: rows grouped by case code,
-    stably sorted by time within a case."""
-    order = np.lexsort((time_us, case))
-    return _make_log(case_ids, attributes, case[order], activity[order], activity_names,
-                     resource[order], resource_names, time_us[order])
+    def log(self, case_ids: Sequence[str], attributes: Sequence[Mapping[str, str]]) -> EventLog:
+        """The log of every block coded so far, case code c naming case
+        ``case_ids[c]``: rows grouped by case code, stably sorted by time
+        within a case."""
+        case, activity, resource, time_us = map(np.concatenate, zip(*self.blocks))
+        order = np.lexsort((time_us, case))
+        return _make_log(case_ids, attributes, case[order], activity[order],
+                         list(self.activities), resource[order], list(self.resources)[2:],
+                         time_us[order])
 
 
 def _sorted_codes(codes: np.ndarray, names: Sequence[str]) -> tuple[np.ndarray, tuple[str, ...]]:
@@ -329,9 +319,23 @@ def parse_xes(source: IO[bytes] | bytes) -> EventLog:
     """
     if isinstance(source, bytes):
         source = io.BytesIO(source)
-    rows = _Rows()
-    case_ids: set[str] = set()
+    coder = _BlockCoder()
+    # The attributes of each trace with events, and the names traces carry.
+    attributes: list[Mapping[str, str]] = []
+    names: set[str] = set()
+    # The events of traces with events not yet coded, as (activity,
+    # resource, us), and their case ids, an unnamed trace's id its position
+    # until every name is known.
+    pending: list[tuple] = []
+    pending_ids: list[str | int] = []
     n_traces = 0
+
+    def code_pending():
+        acts, ress, us = zip(*pending)
+        coder.add(pending_ids, acts, ress, np.array(us, dtype=np.int64))
+        pending.clear()
+        pending_ids.clear()
+
     try:
         context = ET.iterparse(source, events=("start", "end"))
         _, root = next(context, (None, None))
@@ -344,9 +348,9 @@ def parse_xes(source: IO[bytes] | bytes) -> EventLog:
             case_id = trace_attrs.pop(ACTIVITY_KEY, None)
             if case_id:
                 where = f"trace {case_id!r}"
-                if case_id in case_ids:
+                if case_id in names:
                     raise RecordError(f"{where}: duplicate case id")
-                case_ids.add(case_id)
+                names.add(case_id)
             else:
                 # Its position stands in for the id until every name is known.
                 case_id, where = n_traces, f"unnamed trace #{n_traces}"
@@ -374,12 +378,16 @@ def parse_xes(source: IO[bytes] | bytes) -> EventLog:
                     ) from exc
                 events.append((activity, attrs.get(RESOURCE_KEY), us))
             if events:
-                case = rows.add_case(case_id, {
+                attributes.append({
                     k: v for k, v in trace_attrs.items() if v and not k.startswith("lifecycle:")
                 })
-                for event in events:
-                    rows.add(case, *event)
+                pending.extend(events)
+                pending_ids.extend([case_id] * len(events))
+                if len(pending) >= _CSV_BLOCK_ROWS:
+                    code_pending()
             root.clear()
+        if pending:
+            code_pending()
     except ET.ParseError as exc:
         line = exc.position[0] if exc.position else None
         raise ParseError(f"malformed XES: {exc.msg}", line=line) from exc
@@ -389,10 +397,9 @@ def parse_xes(source: IO[bytes] | bytes) -> EventLog:
         if type(exc) is not LookupError:
             raise
         raise ParseError(f"malformed XES: {exc}") from exc
-    generated = (f"trace-{n}" for n in count() if f"trace-{n}" not in case_ids)
-    rows.cases = {key if isinstance(key, str) else next(generated): code
-                  for key, code in rows.cases.items()}
-    return rows.log()
+    generated = (f"trace-{n}" for n in count() if f"trace-{n}" not in names)
+    return coder.log([key if isinstance(key, str) else next(generated) for key in coder.cases],
+                     attributes)
 
 
 DEFAULT_COLUMN_MAP = {
@@ -431,8 +438,8 @@ def parse_csv(
         raise ParseError(f"malformed CSV: {exc}") from exc
 
 
-# Rows per block: the block's row lists, its column tuples and its int64
-# temporaries stay a few tens of KiB.
+# Rows (CSV) or events (XES) per coded block: the block's row lists, its
+# column tuples and its int64 temporaries stay a few tens of KiB.
 _CSV_BLOCK_ROWS = 512
 
 
@@ -451,12 +458,8 @@ def _csv_log(reader, colmap: Mapping[str, str]) -> EventLog:
         name[len(_ATTR_PREFIX):]: i for name, i in column.items() if name.startswith(_ATTR_PREFIX)
     }
     width = len(header)
-    cases: dict[str, int] = {}
     attributes: list[Mapping[str, str]] = []
-    activities: dict[str, int] = {}
-    # None (a short row) and "" take codes 0 and 1, which become -1.
-    resources: dict[str | None, int] = {None: 0, "": 1}
-    parts = [(np.empty(0, dtype=np.int64),) * 4]
+    coder = _BlockCoder()
     rows = filter(None, reader)
     first_row = 2
     while True:
@@ -478,23 +481,17 @@ def _csv_log(reader, colmap: Mapping[str, str]) -> EventLog:
                 _stamps_us(stamps[:bad], first_row)  # an earlier bad stamp wins
                 raise RecordError(f"row {first_row + bad}: missing case_id, activity or timestamp")
             us = _stamps_us(stamps, first_row)
-            case, new = _first_seen_codes(cases, case_ids)
+            new = coder.add(case_ids, acts, None if res_col is None else cols[res_col], us)
             if attr_cols:
                 first = dict(zip(reversed(case_ids), range(len(block) - 1, -1, -1)))
                 new = [block[first[c]] for c in new]
             attributes += ({a: v for a, i in attr_cols.items() if (v := row[i])} for row in new)
-            res = np.full(len(block), -1, dtype=np.int64)
-            if res_col is not None:
-                np.maximum(_first_seen_codes(resources, cols[res_col])[0] - 2, -1, out=res)
-            parts.append((case, _first_seen_codes(activities, acts)[0], res, us))
         if failure is not None:
             raise failure
         if len(block) < _CSV_BLOCK_ROWS:
             break
         first_row += len(block)
-    case, activity, resource, time_us = map(np.concatenate, zip(*parts))
-    return _grouped_log(list(cases), attributes, case, activity, list(activities),
-                        resource, list(resources)[2:], time_us)
+    return coder.log(list(coder.cases), attributes)
 
 
 def _first_seen_codes(seen: dict, values: Sequence) -> tuple[np.ndarray, list]:

@@ -63,7 +63,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, TrainingError
+from .errors import ConfigError, DegenerateModelError, TrainingError
 from .qkernel import _as_matrix, _checked_weights
 from .qsim import (
     EXACT,
@@ -544,7 +544,7 @@ def train(
     xs = _as_matrix(xs)
     classes = tuple(sorted(set(labels)))
     if len(classes) < 2:
-        raise ConfigError(f"need at least 2 classes to train, got {classes}")
+        raise DegenerateModelError(f"need at least 2 classes to train, got {classes}")
     _check_weight_layers(n_layers)
     rng = np.random.default_rng(opt.seed)
     theta = rng.uniform(-0.1, 0.1, size=(n_layers, xs.shape[1]))

@@ -25,7 +25,7 @@ from icppm import qsim, vqc
 from icppm.encoding import Vocabulary
 from icppm.errors import ConfigError, ParseError, RecordError
 from icppm.eventlog import (
-    _ATTR_PREFIX, DEFAULT_COLUMN_MAP, EventLog, _micros, _parse_instant, _Rows,
+    _ATTR_PREFIX, DEFAULT_COLUMN_MAP, EventLog, _make_log, _micros, _parse_instant,
 )
 
 
@@ -78,7 +78,9 @@ def _csv_rows(reader, colmap) -> EventLog:
         name[len(_ATTR_PREFIX):]: i for name, i in column.items() if name.startswith(_ATTR_PREFIX)
     }
     width = len(header)
-    rows = _Rows()
+    # First-seen codes; a missing or empty resource is -1.
+    cases, attributes, activities, resources = {}, [], {}, {}
+    events = []
     for row_no, row in enumerate(filter(None, reader), start=2):
         if len(row) < width:
             row += [None] * (width - len(row))
@@ -89,11 +91,17 @@ def _csv_rows(reader, colmap) -> EventLog:
             us = _micros(_parse_instant(raw_ts))
         except (ValueError, OverflowError) as exc:
             raise RecordError(f"row {row_no}: bad timestamp {raw_ts!r}: {exc}") from exc
-        case = rows.cases.get(case_id)
-        if case is None:
-            case = rows.add_case(case_id, {a: row[i] for a, i in attr_cols.items() if row[i]})
-        rows.add(case, activity, None if res_col is None else row[res_col], us)
-    return rows.log()
+        if case_id not in cases:
+            cases[case_id] = len(cases)
+            attributes.append({a: row[i] for a, i in attr_cols.items() if row[i]})
+        resource = None if res_col is None else row[res_col]
+        events.append((cases[case_id], activities.setdefault(activity, len(activities)),
+                       resources.setdefault(resource, len(resources)) if resource else -1, us))
+    # Grouped by case, in time order within a case; list.sort is stable.
+    events.sort(key=lambda event: (event[0], event[3]))
+    case, activity, resource, time_us = np.array(events, dtype=np.int64).reshape(-1, 4).T
+    return _make_log(list(cases), attributes, case, activity, list(activities),
+                     resource, list(resources), time_us)
 
 
 def intra_row(name, attributes, events, act_vocab, res_vocab, k, attr_names, attr_vocabs):

@@ -176,11 +176,12 @@ def test_regrouped_fold_fits_on_the_gather_and_the_eta_table_alone():
     x = np.vstack([rows, rows[:300]])
     y = np.r_[(rows[:, 0] > 0).astype(np.int64), np.full(300, 2)]
     cfg = ExperimentConfig(classifier="svc_rbf", tol=1e-2)
-    part = {}
-    fold = lambda: bench._kernel_fold(cfg, KernelKind.rbf(cfg.gamma), x, y,
+    groups = bench._fold_groups(x, y, merge=True)
+    assert (len(groups[0]), len(groups[1])) == (600, 900)
+    part = {"fit_time_s": 0.0}
+    fold = lambda: bench._kernel_fold(cfg, KernelKind.rbf(cfg.gamma), groups,
                                       rng.normal(size=(40, 2)), part)
     m_g = 900
     # The gather and the table are 2 group Grams; the distinct Gram kept
     # alive into the fit would add 600² / 900² = 0.44 more.
     assert traced_peak(fold) < 2.3 * m_g * m_g * 8
-    assert part["distinct_train_rows"] == 600

@@ -151,7 +151,7 @@ class TestEncode:
             "--encoder", d.encoder, "--k", str(d.k), "--static-attrs", ",".join(d.static_attrs),
             "--window-fraction", repr(d.window_fraction), "--epsilon", repr(d.epsilon),
             "--min-burst", str(d.min_burst), "--min-prefix", str(d.min_prefix),
-            "--seed", str(d.seed), "--slice-rule", d.slice_rule,
+            "--slice-rule", d.slice_rule,
         ]
         outs = []
         for flags in ([], spelled_out):
@@ -160,6 +160,12 @@ class TestEncode:
                          "--inter", "avg_delay,batch", *flags]) == 0
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
+
+    def test_seed_flag_is_gone(self, log_path, tmp_path):
+        # Encoding draws nothing, so there is no seed to set.
+        with pytest.raises(SystemExit) as exc:
+            main(["encode", str(log_path), "--out", str(tmp_path / "x.csv"), "--seed", "1"])
+        assert exc.value.code == 2
 
     def test_unknown_encoder_exits_2(self, log_path, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -300,6 +306,17 @@ class TestBench:
         assert main(["bench", "--config", str(cfg), "--out-dir", str(tmp_path / "r")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "cache_dir" in err
+
+    @pytest.mark.parametrize("classifier", ["svc_rbf", "vqc_angle_1"])
+    def test_one_class_labels_exit_1(self, tmp_path, classifier, capsys):
+        # One-event cases: every prefix is labelled END, so no fold has two classes.
+        log = make_log(*(make_trace(f"c{i}", [("a", 60 * i)]) for i in range(4)))
+        path = tmp_path / "one-class.csv"
+        with path.open("w") as sink:
+            write_csv(log, sink)
+        cfg = self._config(tmp_path, path, classifier=classifier, k=2, epochs=1)
+        assert main(["bench", "--config", str(cfg), "--out-dir", str(tmp_path / "r")]) == 1
+        assert "2 classes" in capsys.readouterr().err
 
     def test_missing_config_exits_2(self, tmp_path, capsys):
         assert main(["bench", "--config", str(tmp_path / "none.json")]) == 2

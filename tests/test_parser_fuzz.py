@@ -263,6 +263,15 @@ class TestParseCsvMatchesReference:
             assert _outcome(parse_csv, text) == expected
 
 
+class TestParseXesBlocks:
+    @FUZZ
+    @given(xes_documents(), st.sampled_from([1, 2, 3]))
+    def test_columns_and_errors_do_not_depend_on_the_block_size(self, doc, block_rows):
+        expected = _outcome(parse_xes, doc)
+        with mock.patch.object(eventlog, "_CSV_BLOCK_ROWS", block_rows):
+            assert _outcome(parse_xes, doc) == expected
+
+
 class TestXesThroughCsv:
     @FUZZ
     @given(xes_documents())

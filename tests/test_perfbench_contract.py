@@ -31,7 +31,7 @@ spans = _load("spans")
 run = _load("run")
 
 # Workload -> events in the small log the traced run reads.
-SMALL = {"encode_window": 400, "qke_gram": 30, "vqc_train": 45}
+SMALL = {"encode_window": 400, "svc_smo": 400, "qke_gram": 30, "vqc_train": 45}
 
 
 @pytest.fixture(params=sorted(SMALL))

@@ -9,7 +9,7 @@ import pytest
 import icppm.vqc as vqc
 import oracles as ref
 from icppm import oracles, qsim
-from icppm.errors import ConfigError, TrainingError
+from icppm.errors import ConfigError, DegenerateModelError, TrainingError
 from icppm.qsim import EXACT, FeatureMapKind, ShotConfig, build_feature_map, run
 from icppm.vqc import (
     OptimizerConfig,
@@ -181,7 +181,7 @@ class TestTrain:
         xs, labels = separable_fixture()
         model = train(xs, ["z" if l == "a" else "y" for l in labels], ANGLE, 1, OptimizerConfig(epochs=1))
         assert model.classes == ("y", "z")
-        with pytest.raises(ConfigError):
+        with pytest.raises(DegenerateModelError, match="at least 2 classes"):
             train(xs, ["same"] * len(xs), ANGLE, 1)
         with pytest.raises(ConfigError):
             train(xs, labels, ANGLE, 0)
