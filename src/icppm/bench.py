@@ -66,7 +66,7 @@ from .intercase import (
 from .qkernel import KernelKind, cross, gram
 from .qsim import EXACT, FeatureMapKind, ShotConfig
 from .svm import fit_multiclass, predict as svm_predict
-from .vqc import OptimizerConfig, _check_weight_layers, prior_loss
+from .vqc import OptimizerConfig, _check_weight_layers, prior_loss, simulates_states
 from .vqc import predict_many as vqc_predict, train as vqc_train
 
 log_ = logging.getLogger("icppm.bench")
@@ -316,8 +316,9 @@ class RunResult:
     # Quantum feature-map states simulated for the kernels and the VQC:
     # each fold's train and test rows once (an exact kernel's distinct
     # rows, an exact VQC's (row, label) train groups and distinct test
-    # rows); reported in results.json only. kernel_evaluations and
-    # cross_evaluations count over the same rows.
+    # rows), none for an exact one-layer angle VQC, which scores parity
+    # patterns (``vqc.simulates_states``); reported in results.json only.
+    # kernel_evaluations and cross_evaluations count over the same rows.
     states_simulated: int = 0
     # Means over folds of the VQC's last training loss, of the loss of
     # scoring every row with the train fold's class frequencies (the loss
@@ -579,7 +580,8 @@ def _vqc_fold(cfg: ExperimentConfig, feature_map: FeatureMapKind, shots: ShotCon
                       shots=shots, sample_weight=counts)
     part["fit_time_s"] += time.perf_counter() - t_fit0
     predictions = vqc_predict(model, test_rows, shots)
-    part["states_simulated"] = len(group_row) + len(test_rows)
+    if simulates_states(model, shots):
+        part["states_simulated"] = len(group_row) + len(test_rows)
     part["vqc_final_loss"] = model.loss_history[-1]
     part["vqc_prior_loss"] = prior_loss(np.repeat(group_labels, counts))
     if part["vqc_final_loss"] > part["vqc_prior_loss"] - VQC_PRIOR_MARGIN:

@@ -286,17 +286,21 @@ class FoldSplit:
         return np.flatnonzero(~held_out), np.flatnonzero(held_out)
 
 
-def _localname(tag) -> str:
-    if isinstance(tag, str):
-        return tag.rsplit("}", 1)[-1]
-    return ""
+class _LocalNames(dict):
+    """Tag -> local name, the part after any ``{namespace}`` ("" for a tag
+    that is not a string), split once per distinct tag of a document: a
+    lookup costs every other element one dict probe."""
+
+    def __missing__(self, tag) -> str:
+        name = self[tag] = tag.rsplit("}", 1)[-1] if isinstance(tag, str) else ""
+        return name
 
 
-def _xes_attrs(elem) -> dict[str, str]:
+def _xes_attrs(elem, local: _LocalNames) -> dict[str, str]:
     """Collect key/value pairs of direct child attribute elements."""
     out: dict[str, str] = {}
     for child in elem:
-        if _localname(child.tag) in ("string", "date", "int", "float", "boolean", "id"):
+        if local[child.tag] in ("string", "date", "int", "float", "boolean", "id"):
             key = child.get("key")
             val = child.get("value")
             if key is not None and val is not None:
@@ -329,6 +333,7 @@ def parse_xes(source: IO[bytes] | bytes) -> EventLog:
     pending: list[tuple] = []
     pending_ids: list[str | int] = []
     n_traces = 0
+    local = _LocalNames()
 
     def code_pending():
         acts, ress, us = zip(*pending)
@@ -342,9 +347,9 @@ def parse_xes(source: IO[bytes] | bytes) -> EventLog:
         if root is None:
             raise ParseError("empty XES document")
         for action, elem in context:
-            if action != "end" or _localname(elem.tag) != "trace":
+            if action != "end" or local[elem.tag] != "trace":
                 continue
-            trace_attrs = _xes_attrs(elem)
+            trace_attrs = _xes_attrs(elem, local)
             case_id = trace_attrs.pop(ACTIVITY_KEY, None)
             if case_id:
                 where = f"trace {case_id!r}"
@@ -357,9 +362,9 @@ def parse_xes(source: IO[bytes] | bytes) -> EventLog:
             n_traces += 1
             events = []
             for child in elem:
-                if _localname(child.tag) != "event":
+                if local[child.tag] != "event":
                     continue
-                attrs = _xes_attrs(child)
+                attrs = _xes_attrs(child, local)
                 activity = attrs.get(ACTIVITY_KEY)
                 raw_ts = attrs.get(TIMESTAMP_KEY)
                 if not activity:

@@ -28,10 +28,12 @@ _P1 = np.array([[0, 0], [0, 1]], dtype=np.complex128)
 MAX_ORACLE_QUBITS = 10
 # Largest gap allowed between a batched engine (kernels, VQC) and a reference.
 BATCHED_TOL = 1e-12
-# Weight layers and rows of the VQC part of ``run_kernel_check``; the
+# Weight layers of the models and rows of the VQC part of
+# ``run_kernel_check``: two layers run on simulated states and, on the angle
+# map, one layer on parity patterns (``vqc.simulates_states``). The
 # gradients are checked on the first row only, as their dense reference
 # needs 2 L n + 1 dense circuits.
-_VQC_LAYERS = 2
+_VQC_LAYERS = (2, 1)
 _VQC_ROWS = 3
 
 
@@ -150,7 +152,9 @@ def run_kernel_check(
     overlaps of two gate-by-gate ``qsim.run`` states and, up to the dense
     cap, with dense unitaries to ``BATCHED_TOL``; on the angle map, at any
     width, also with ``angle_kernel_closed_form``. Up to the dense cap,
-    batched VQC class scores must match ``vqc_probs_via_unitary`` to
+    for a model of two weight layers and one of one (``_VQC_LAYERS``; the
+    latter scores parity patterns on the angle map), batched VQC class
+    scores must match ``vqc_probs_via_unitary`` to
     ``BATCHED_TOL`` and the parameter-shift and adjoint gradients must
     match the shift rule applied to it, to ``BATCHED_TOL`` times max(1,
     largest gradient entry): the -1/p of the cross-entropy scales float
@@ -245,21 +249,24 @@ def _vqc_check(kind: FeatureMapKind, xs: np.ndarray, rng: np.random.Generator,
                perturb: float) -> list[str]:
     n = xs.shape[1]
     classes = (0, 1, 2) if n >= 2 else (0, 1)
-    model = vqc.VqcModel(kind, rng.uniform(-math.pi, math.pi, (_VQC_LAYERS, n)), classes)
-    oracle_theta = model.theta.copy()
-    oracle_theta[0, 0] += perturb
-    oracle = vqc.VqcModel(kind, oracle_theta, classes)
     failures = []
-    probs = vqc.forward_many(model, xs)
-    for i, x in enumerate(xs):
-        gap = float(np.max(np.abs(probs[i] - vqc_probs_via_unitary(oracle, x))))
-        if gap > BATCHED_TOL:
-            failures.append(f"batched VQC scores differ from dense oracle at row {i}: {gap:.3e}")
-    label = int(rng.integers(len(classes)))
-    want = vqc_gradient_via_unitary(oracle, xs[0], label)
-    for name, gradient in (("parameter-shift", vqc.parameter_shift_gradient),
-                           ("adjoint", vqc.adjoint_gradient)):
-        gap = float(np.max(np.abs(gradient(model, xs[:1], [label]) - want)))
-        if gap > BATCHED_TOL * max(1.0, float(np.max(np.abs(want)))):
-            failures.append(f"VQC {name} gradient differs from dense oracle: {gap:.3e}")
+    for layers in _VQC_LAYERS:
+        model = vqc.VqcModel(kind, rng.uniform(-math.pi, math.pi, (layers, n)), classes)
+        oracle_theta = model.theta.copy()
+        oracle_theta[0, 0] += perturb
+        oracle = vqc.VqcModel(kind, oracle_theta, classes)
+        probs = vqc.forward_many(model, xs)
+        for i, x in enumerate(xs):
+            gap = float(np.max(np.abs(probs[i] - vqc_probs_via_unitary(oracle, x))))
+            if gap > BATCHED_TOL:
+                failures.append(f"batched VQC scores differ from dense oracle at row {i} "
+                                f"({layers}-layer model): {gap:.3e}")
+        label = int(rng.integers(len(classes)))
+        want = vqc_gradient_via_unitary(oracle, xs[0], label)
+        for name, gradient in (("parameter-shift", vqc.parameter_shift_gradient),
+                               ("adjoint", vqc.adjoint_gradient)):
+            gap = float(np.max(np.abs(gradient(model, xs[:1], [label]) - want)))
+            if gap > BATCHED_TOL * max(1.0, float(np.max(np.abs(want)))):
+                failures.append(f"VQC {name} gradient differs from dense oracle "
+                                f"({layers}-layer model): {gap:.3e}")
     return failures

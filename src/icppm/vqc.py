@@ -17,6 +17,27 @@ estimator hardware would use.
 ``parameter_shift_gradient`` applies that rule in either mode and is the
 reference for ``adjoint_gradient``. SPSA is a cheaper seeded alternative.
 
+Which models simulate states (``simulates_states``): every model in shot
+mode, every ``zz`` and ``angle_zz`` model, and every angle-map model of two
+or more weight layers; ``parameter_shift_gradient`` always does, as the
+cross-check. An exact angle-map model of one weight layer, the default
+``vqc_angle_1``, simulates none. Its state before the ring is a product
+state, qubit q reading 1 with probability sin^2(a_q/2) for a = L x +
+theta_0, and the ring is linear over GF(2), so the readout value is the
+XOR of the ring columns of the qubits that read 1 (``_parity_patterns``).
+Qubits with equal columns form a group, odd with probability
+f = (1 - prod cos a_q)/2, and a class score is a sum of products of each
+group's f or 1 - f: a classical product-of-cosines model, computed exactly
+in O(rows 2^G n) with G <= r + 1 groups (``_parity_scores``), whose
+gradient is read back through the same products (``_parity_gradient``).
+On 9 qubits and 6 classes (r = 3) the groups are qubit 0 (column 3),
+qubits 3-8 (column 4), qubit 2 (column 5) and qubit 1 (column 7): 16
+parity patterns instead of 512 amplitudes. Its exact scores, losses
+(each epoch's, the final one, ``loss`` and SPSA's) and adjoint gradients
+(each exact training step and ``adjoint_gradient``) come from these
+patterns, and ``forward_many`` and ``predict_many`` score exact rows with
+them.
+
 Rows run as one batch: the weight layers act on a (rows, 2^n) batch with
 one angle per RY gate for all rows and the CNOT ring as one basis-index
 permutation. Every evaluation starts from the state after weight layer
@@ -37,12 +58,14 @@ gradient with 2 einsums per head qubit, whose half-runs are at least
 Every loss and gradient reads one labelled batch (``_Batch``): the
 encoded rows (the angles or the cached feature-map states), each row's
 class index and weight, the class count, the ring permutation and its
-inverse, the class indicator per basis state and a workspace that every
-loss, gradient and readout reuses. The workspace is three (rows, 2^n) state
-buffers, which take turns as the states being advanced (the prefix and
-the shifted state, or the adjoint's state and costate) and the gate
-scratch or the ring's destination, plus one (rows, 2^n) float buffer for
-|psi|^2 and the adjoint's weights. The state buffers take the dtype of
+inverse, the parity patterns of a model that has them and, allocated when
+a statevector path first runs, the class indicator per basis state and a
+workspace that every such loss, gradient and readout reuses, so the
+parity path holds no (rows, 2^n) buffer. The workspace is three
+(rows, 2^n) state buffers, which take turns as the states being advanced
+(the prefix and the shifted state, or the adjoint's state and costate)
+and the gate scratch or the ring's destination, plus one (rows, 2^n)
+float buffer for |psi|^2 and the adjoint's weights. The state buffers take the dtype of
 the encoded rows: float64 on the angle map, whose product states, RYs and
 ring are all real, and complex128 on the others. So a batch holds four
 float (rows, 2^n) buffers on the angle map and, with the cached states,
@@ -50,8 +73,9 @@ float (rows, 2^n) buffers on the angle map and, with the cached states,
 adjoint's costate and gradient sums run on float views with one part per
 amplitude (real) or two (complex). ``train`` builds one labelled batch
 for all its epochs; ``loss`` and the two gradient functions build one per
-call, and ``forward_many`` allocates the state, one spare and one |psi|^2
-buffer (the ``zz`` and ``angle_zz`` states are rotated in place).
+call, and ``forward_many`` on a statevector path allocates the state, one
+spare and one |psi|^2 buffer (the ``zz`` and ``angle_zz`` states are
+rotated in place).
 """
 
 from __future__ import annotations
@@ -78,6 +102,8 @@ from .qsim import (
 _P_FLOOR = 1e-12
 # SPSA perturbation c: grad ~ (L(theta + c delta) - L(theta - c delta)) / 2c * delta.
 _SPSA_STEP = 0.1
+# The largest float64 below 1/2.
+_BELOW_HALF = math.nextafter(0.5, 0.0)
 # Float64s per block of the adjoint's tail product: a qubit whose half-runs
 # are shorter than this is read from one (block, block) product per layer.
 _TAIL_BLOCK = 16
@@ -243,6 +269,135 @@ def _folds(model: VqcModel) -> bool:
     return model.feature_map.variant == "angle"
 
 
+def simulates_states(model: VqcModel, shots: ShotConfig = EXACT) -> bool:
+    """Whether ``model``'s scores, losses and adjoint gradients under
+    ``shots`` come from simulated states. An exact angle-map model with one
+    weight layer takes them from its parity patterns (``_parity_scores``)
+    and simulates none; every other model, and every shot readout, does."""
+    return not (shots.exact and _folds(model) and model.n_layers == 1)
+
+
+@dataclass(frozen=True)
+class _Patterns:
+    """The parity form of a one-layer angle model (``_parity_patterns``) as
+    read-only index tables, with every product's axis first.
+
+    ``slots`` (K, G): column g lists group g's qubits in order, padded with
+    n (a zero angle). ``on_pattern`` (2^G, C): 1 where parity pattern s is
+    dealt to class c. ``pick`` (G, 2^G): the factor of group g in pattern
+    s, as the index g + G (bit G-1-g of s) into a row's P(even) of each
+    group followed by its P(odd) of each group. ``varied`` (G, G, 2^G):
+    ``pick`` with, in variant v, group v's factor taken from a (-1, 1)
+    appended after those 2 G entries. ``others`` (K-1, K): the slots of a
+    group other than slot k.
+    """
+
+    slots: np.ndarray
+    on_pattern: np.ndarray
+    pick: np.ndarray
+    varied: np.ndarray
+    others: np.ndarray
+
+
+@functools.lru_cache(maxsize=None)
+def _parity_patterns(n: int, n_classes: int) -> _Patterns:
+    """The parity form of a one-layer angle model on n qubits and
+    ``n_classes`` classes, built once per (n, C).
+
+    The ring is linear over GF(2): input bit q flips readout value b by its
+    column ``image[1 << (n-1-q)] >> (n-r)``, so b is the XOR of the columns
+    of the set bits. Qubits with equal columns form one group, whose parity
+    is all that b reads; a zero column is read by no class and is dropped.
+    Groups are in column order. Parity pattern s has bit G-1-g set when
+    group g is odd and reads value b = XOR of those groups' columns, which
+    is dealt to class b mod C.
+    """
+    _, image = _ring_permutation(n)
+    r = _readout_qubits(n_classes)
+    column = [int(image[1 << (n - 1 - q)]) >> (n - r) for q in range(n)]
+    keys = sorted(set(column) - {0})
+    groups = [[q for q in range(n) if column[q] == key] for key in keys]
+    width, n_groups = max(map(len, groups)), len(keys)
+    value = np.zeros(1, dtype=np.int64)
+    for key in reversed(keys):
+        value = np.concatenate([value, value ^ key])
+    bits = (np.arange(2 ** n_groups) >> np.arange(n_groups - 1, -1, -1)[:, None]) & 1
+    pick = np.arange(n_groups)[:, None] + n_groups * bits
+    own = np.eye(n_groups, dtype=bool)[:, :, None]
+    tables = _Patterns(
+        slots=np.array([g + [n] * (width - len(g)) for g in groups]).T,
+        on_pattern=(value[:, None] % n_classes == np.arange(n_classes)) * 1.0,
+        pick=pick,
+        varied=np.where(own, 2 * n_groups + bits[:, None], pick[:, None]),
+        others=np.array([[j for j in range(width) if j != k] for k in range(width)],
+                        dtype=np.intp).T,
+    )
+    for table in vars(tables).values():
+        table.flags.writeable = False
+    return tables
+
+
+def _parity_scores(angles: np.ndarray, theta0: np.ndarray, patterns: _Patterns):
+    """Exact class scores of a one-layer angle model, shape (rows, C), and
+    the tape ``_parity_gradient`` reads, from the (rows, n) angles L x.
+
+    With a = L x + theta0, qubit q is 1 with probability sin^2(a_q/2),
+    independently, and the ring only XORs bits, so a group is odd with
+    probability f = (1 - prod cos a_q)/2. Both f and 1 - f come from
+    -expm1(sum log1p(-2 min(sin^2, cos^2)(a_q/2)))/2 and one minus it,
+    swapped where the group's product of cosines is negative, so that each
+    keeps its relative precision. A parity pattern's probability is the
+    product of each group's f or 1 - f, and a class scores the sum of its
+    patterns: every term is non-negative. No state is simulated: the cost
+    is O(rows 2^G n).
+    """
+    m, n = angles.shape
+    a = np.zeros((m, n + 1))
+    np.add(angles, theta0, out=a[:, :n])
+    half = a[:, patterns.slots] * 0.5
+    s, c = np.sin(half), np.cos(half)
+    s2, c2 = s * s, c * c
+    cos = c2 - s2
+    # min(sin^2, cos^2) <= 1/2 exactly, but an ulp of error in sin and cos
+    # could lift both squares above 1/2 at a = pi/2; the cap keeps log1p
+    # finite. e = -(1 - |prod cos a_q|)/2 per row and group, in [-1/2, 0];
+    # padding adds 0.
+    m_q = np.minimum(np.minimum(s2, c2), _BELOW_HALF)
+    e = np.expm1(np.log1p(-2.0 * m_q).sum(axis=1)) * 0.5
+    negative, big, small = np.prod(cos, axis=1) < 0.0, 1.0 + e, -e
+    # P(even) of each group, then P(odd) of each group.
+    pair = np.concatenate((np.where(negative, small, big), np.where(negative, big, small)),
+                          axis=1)
+    scores = pair[:, patterns.pick].prod(axis=1) @ patterns.on_pattern
+    scores /= scores.sum(axis=1, keepdims=True)
+    return scores, (s, c, cos, pair)
+
+
+def _parity_gradient(weights: np.ndarray, class_idx: np.ndarray, patterns: _Patterns,
+                     n: int, tape) -> np.ndarray:
+    """d loss/d theta0 of a one-layer angle model on n qubits, shape (n,),
+    from the tape of ``_parity_scores``, with ``weights`` the loss's
+    derivative by each row's score on its class ``class_idx``.
+
+    A class score is linear in each group's pair (1 - f, f), so its
+    derivative by f_g is the score with that pair set to (-1, 1): the
+    other groups' factors, multiplied without a division. Then
+    d f/d a_q = sin(a_q)/2 prod_{q' != q} cos a_q', the product of the
+    other cosines of q's group.
+    """
+    s, c, cos, pair = tape
+    m = len(pair)
+    varied = np.concatenate([pair, np.broadcast_to((-1.0, 1.0), (m, 2))], axis=1)
+    d_scores = varied[:, patterns.varied].prod(axis=1) @ patterns.on_pattern
+    bar_f = weights[:, None] * d_scores[np.arange(m), :, class_idx]
+    d_f = s * c * cos[:, patterns.others].prod(axis=1)
+    # Padding slots (index n) are written and dropped; a qubit in no group
+    # keeps a zero gradient.
+    grad = np.zeros(n + 1)
+    grad[patterns.slots] = np.einsum("ig,ikg->kg", bar_f, d_f)
+    return grad[:n]
+
+
 def _encode(model: VqcModel, xs) -> np.ndarray:
     """The rows as ``_first_block`` takes them: the (rows, n) angles L x for
     the angle map, else the (rows, 2**n) feature-map states. A row of the
@@ -285,6 +440,9 @@ def _run_circuit(encoded: np.ndarray, folded: bool, theta: np.ndarray,
 def forward_many(model: VqcModel, xs, shots: ShotConfig = EXACT) -> np.ndarray:
     """Per-class probability scores of every row, shape (rows, classes)."""
     encoded = _encode(model, xs)
+    if not simulates_states(model, shots):
+        patterns = _parity_patterns(model.n_qubits, len(model.classes))
+        return _parity_scores(encoded, model.theta[0], patterns)[0]
     folded = _folds(model)
     shape = (len(encoded), 2 ** model.n_qubits)
     psi = np.empty(shape, encoded.dtype) if folded else encoded
@@ -332,10 +490,12 @@ def _class_indices(classes: tuple, labels) -> np.ndarray:
 class _Batch:
     """A labelled batch: the encoded rows (``_encode``) and whether they are
     folded angles, each row's class index, each row's weight and their sum,
-    the class count, the ring permutation, its inverse ``image``, the float
-    class indicator per basis state the adjoint reads, and the workspace
-    (three state buffers of the encoded rows' dtype and one |psi|^2 buffer,
-    each (rows, 2**n))."""
+    the class count, the ring permutation, its inverse ``image`` and, when
+    exact scores come from parity patterns (``simulates_states``), their
+    ``_parity_patterns``, else None. The float class indicator per basis
+    state the adjoint reads and the workspace (three state buffers of the
+    encoded rows' dtype and one |psi|^2 buffer, each (rows, 2**n)) are
+    allocated when a statevector path first asks for them."""
 
     encoded: np.ndarray
     folded: bool
@@ -345,8 +505,7 @@ class _Batch:
     n_classes: int
     perm: np.ndarray
     image: np.ndarray
-    on_class: np.ndarray
-    ws: tuple[np.ndarray, ...]
+    parity: _Patterns | None
 
     @classmethod
     def of(cls, model: VqcModel, xs, labels, sample_weight=None) -> "_Batch":
@@ -363,12 +522,22 @@ class _Batch:
             raise ValueError("empty batch: the mean loss of zero samples is undefined")
         weight = _checked_weights(sample_weight, m)
         perm, image = _ring_permutation(n)
-        on_class = (np.arange(n_classes)[:, None]
-                    == (image >> (n - _readout_qubits(n_classes))) % n_classes) * 1.0
-        shape = (m, 2 ** n)
-        ws = (*(np.empty(shape, encoded.dtype) for _ in range(3)), np.empty(shape))
+        parity = None if simulates_states(model) else _parity_patterns(n, n_classes)
         return cls(encoded, _folds(model), class_idx, weight, float(weight.sum()), n_classes,
-                   perm, image, on_class, ws)
+                   perm, image, parity)
+
+    @functools.cached_property
+    def on_class(self) -> np.ndarray:
+        """(C, 2**n): 1 where the ring image of basis state k is read as class c."""
+        shift = len(self.perm).bit_length() - 1 - _readout_qubits(self.n_classes)
+        return (np.arange(self.n_classes)[:, None]
+                == (self.image >> shift) % self.n_classes) * 1.0
+
+    @functools.cached_property
+    def ws(self) -> tuple[np.ndarray, ...]:
+        """Three state buffers and one |psi|^2 buffer, each (rows, 2**n)."""
+        shape = (len(self.encoded), len(self.perm))
+        return (*(np.empty(shape, self.encoded.dtype) for _ in range(3)), np.empty(shape))
 
     def p_true(self, psi: np.ndarray, shots: ShotConfig) -> np.ndarray:
         """Each row's score on its own class from the final states ``psi``;
@@ -378,12 +547,18 @@ class _Batch:
 
 
 def _forward(batch: _Batch, theta: np.ndarray, shots: ShotConfig):
-    """The circuit on the batch's rows in its workspace, then the readout.
-    Returns (weighted mean cross-entropy, true-class scores, final state,
-    free buffer); the free buffer holds the state before the last ring."""
-    psi, free = _run_circuit(batch.encoded, batch.folded, theta, batch.perm, *batch.ws[:2])
-    p_true = batch.p_true(psi, shots)
-    return _cross_entropy(p_true, batch.weight, batch.total_weight), p_true, psi, free
+    """The batch's weighted mean cross-entropy, true-class scores and the
+    tape ``_adjoint`` walks back: in exact mode with parity patterns, the
+    tape of ``_parity_scores``; else the circuit runs in the workspace and
+    the tape is (final state, free buffer), the free buffer holding the
+    state before the last ring."""
+    if shots.exact and batch.parity is not None:
+        scores, tape = _parity_scores(batch.encoded, theta[0], batch.parity)
+        p_true = scores[np.arange(len(scores)), batch.class_idx]
+    else:
+        tape = _run_circuit(batch.encoded, batch.folded, theta, batch.perm, *batch.ws[:2])
+        p_true = batch.p_true(tape[0], shots)
+    return _cross_entropy(p_true, batch.weight, batch.total_weight), p_true, tape
 
 
 def loss(model: VqcModel, xs, labels, shots: ShotConfig = EXACT,
@@ -443,7 +618,8 @@ def parameter_shift_gradient(
 def _adjoint(batch: _Batch, theta: np.ndarray) -> tuple[float, np.ndarray]:
     """Exact weighted mean cross-entropy and its gradient from one forward
     pass and one backward walk (adjoint differentiation, Jones & Gacon,
-    arXiv:2009.02823).
+    arXiv:2009.02823). A batch with parity patterns walks back through
+    the forward pass's pattern products instead (``_parity_gradient``).
 
     Over phi, the state before the last ring, the loss gradient is that of
     sum_k w_k |phi_k|^2 with w_k = -c/(M max(p, floor)), c the row's weight
@@ -460,8 +636,11 @@ def _adjoint(batch: _Batch, theta: np.ndarray) -> tuple[float, np.ndarray]:
     """
     m = len(batch.encoded)
     n_layers, n = theta.shape
-    value, p_true, psi, phi = _forward(batch, theta, EXACT)
+    value, p_true, tape = _forward(batch, theta, EXACT)
     weights = -batch.weight / (batch.total_weight * np.maximum(p_true, _P_FLOOR))
+    if batch.parity is not None:
+        return value, _parity_gradient(weights, batch.class_idx, batch.parity, n, tape)[None, :]
+    psi, phi = tape
     lam, w = batch.ws[2:]
     # w = (each row's weight on its class) @ (class indicator per basis
     # state): one product into the buffer, each entry a weight or 0.

@@ -1,11 +1,11 @@
 """Traced allocation peaks of the statevector engine and the kernel matrices
 stay at their workspace.
 
-``vqc.train`` holds one workspace (three state buffers and a |psi|^2
-buffer) plus, on the ``zz`` and ``angle_zz`` maps, the cached feature-map
-states; the angle map keeps only its (rows, n) angles, as it is folded into
-the first weight layer, and its states are real, so its workspace is four
-float buffers. ``feature_map_states`` holds its
+``vqc.train`` on a statevector path holds one workspace (three state
+buffers and a |psi|^2 buffer) plus, on the ``zz`` and ``angle_zz`` maps,
+the cached feature-map states; the angle map keeps only its (rows, n)
+angles, as it is folded into the first weight layer, and its states are
+real, so its workspace is four float buffers. ``feature_map_states`` holds its
 result, one gate scratch buffer when a gate runs (every map but the
 one-layer ``zz`` and the ``angle`` map, which runs no gate) and, for maps
 with diagonal layers, the phase table. A
@@ -79,8 +79,9 @@ def test_train_peak_is_states_plus_workspace():
     # The angle map caches no states and its workspace is four float
     # buffers, 2 complex batches, so one complex state buffer would lift
     # the peak past the bound; zz adds its states to the complex workspace.
+    # Two weight layers, as a one-layer angle model simulates no state.
     for variant, bound in (("angle", 2 * BATCH), ("zz", BATCH + workspace)):
-        one, five = peak(variant, 1), peak(variant, 5)
+        one, five = peak(variant, 1, layers=2), peak(variant, 5, layers=2)
         assert one <= bound + SLACK
         assert five <= one + EPOCH_SLACK
         # The adjoint's backward walk through three layers reuses the same

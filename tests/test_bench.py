@@ -480,8 +480,9 @@ class TestRunExperiment:
         assert len(result.fold_accuracies) == 3
 
     def test_vqc_branch(self, monkeypatch):
+        # Two weight layers: a one-layer angle model simulates no state.
         cfg = ExperimentConfig(
-            classifier="vqc_angle_1", k=2, folds=2, epochs=1, seed=1
+            classifier="vqc_angle_1", k=2, folds=2, epochs=1, seed=1, vqc_layers=2
         )
         log, samples = two_label_setup(cfg, n_cases=6)
         models = []
@@ -622,8 +623,8 @@ class TestVqcFoldGroups:
             assert np.array_equal(test_rows, np.unique(x_test, axis=0))
         # The log holds rows with two labels as well as repeated rows.
         assert regrouped
-        assert result.states_simulated == sum(len(ys) + len(t)
-                                              for (_, ys, _), t in zip(trained, predicted))
+        # An exact one-layer angle model scores parity patterns, no states.
+        assert result.states_simulated == 0
 
     def test_shot_fold_passes_one_row_per_sample(self, monkeypatch):
         cfg = dataclasses.replace(self.CFG, shots=50)
@@ -644,10 +645,11 @@ class TestVqcFoldGroups:
         real = bench._distinct_rows
         monkeypatch.setattr(bench, "_distinct_rows", lambda x, merge: real(x, False))
         ungrouped = self.capture(monkeypatch, cfg, log_seed)[0]
-        assert ungrouped.states_simulated == ungrouped.n_samples * cfg.folds
-        # Log 1 repeats rows only with two labels: its groups are its rows,
-        # sorted.
-        assert grouped.states_simulated <= ungrouped.states_simulated
+        rows = lambda result: result.distinct_train_rows + result.distinct_test_rows
+        assert rows(ungrouped) == ungrouped.n_samples * cfg.folds
+        # Log 1 repeats rows only with two labels: its distinct rows are its
+        # rows, sorted.
+        assert rows(grouped) <= rows(ungrouped)
         assert grouped.fold_accuracies == ungrouped.fold_accuracies
         assert grouped.vqc_final_loss == pytest.approx(ungrouped.vqc_final_loss, abs=1e-12)
 
@@ -760,7 +762,9 @@ class TestWindowSweep:
 
     @pytest.mark.parametrize("classifier", ["qke_angle_1", "vqc_angle_1"])
     def test_average_row_counters(self, classifier):
-        cfg = dataclasses.replace(self._cfg(), classifier=classifier, k=2, epochs=2)
+        # Two weight layers, so that the VQC simulates states to count.
+        cfg = dataclasses.replace(self._cfg(), classifier=classifier, k=2, epochs=2,
+                                  vqc_layers=2)
         log, samples = two_label_setup(cfg, n_cases=8)
         *runs, avg = sweep(cfg, log=log, samples=samples)
         summed = ("fit_time_s", "gram_time_s", "kernel_evaluations", "cross_evaluations",

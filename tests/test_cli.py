@@ -349,6 +349,8 @@ class TestKernelCheck:
         assert "batched VQC scores differ from dense oracle" in out
         assert "VQC parameter-shift gradient differs" in out
         assert "VQC adjoint gradient differs" in out
+        # The one-weight-layer angle model, scored from parity patterns.
+        assert "VQC adjoint gradient differs from dense oracle (1-layer model)" in out
 
     def test_qubit_cap(self, capsys):
         assert main(["kernel-check", "--qubits", "21"]) == 2

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -506,6 +508,102 @@ class TestBatchedEngine:
             assert [w.dtype for w in batch.ws] == [want] * 3 + [np.float64]
 
 
+def statevector_path(model: VqcModel, xs, labels):
+    """Class scores, loss and adjoint gradient of ``model`` on the
+    statevector path, which every model but an exact one-layer angle model
+    takes: the same batch with its parity patterns taken away."""
+    batch = dataclasses.replace(vqc._Batch.of(model, xs, labels), parity=None)
+    psi, _ = vqc._run_circuit(batch.encoded, batch.folded, model.theta, batch.perm,
+                              *batch.ws[:2])
+    scores = vqc._readout(psi, batch.n_classes, EXACT, batch.ws[3])
+    return (scores, *vqc._adjoint(batch, model.theta))
+
+
+class TestParityForm:
+    """An exact one-layer angle model scores parity patterns, not states."""
+
+    def test_path_follows_layers_map_and_shots(self):
+        theta = np.zeros((1, 3))
+        assert not vqc.simulates_states(VqcModel(FeatureMapKind("angle", 2), theta, (0, 1)))
+        assert vqc.simulates_states(VqcModel(ANGLE, theta, (0, 1)), ShotConfig(10, seed=1))
+        assert vqc.simulates_states(VqcModel(ANGLE, np.zeros((2, 3)), (0, 1)))
+        for fm in MAPS[1:]:
+            assert vqc.simulates_states(VqcModel(fm, theta, (0, 1)))
+
+    def test_groups_of_nine_qubits_and_six_classes(self):
+        # Readout value b (3 bits, qubit 0 the highest) flips by 3 for qubit
+        # 0, by 7 for qubit 1, by 5 for qubit 2 and by 4 for qubits 3..8:
+        # four groups, in column order 3, 4, 5, 7.
+        patterns = vqc._parity_patterns(9, 6)
+        assert patterns.slots.T.tolist() == [[0, 9, 9, 9, 9, 9], [3, 4, 5, 6, 7, 8],
+                                             [2, 9, 9, 9, 9, 9], [1, 9, 9, 9, 9, 9]]
+        # Pattern s (group 0 its highest bit) reads the XOR of its odd
+        # groups' columns 3, 4, 5 and 7.
+        values = [0, 7, 5, 2, 4, 3, 1, 6, 3, 4, 6, 1, 7, 0, 2, 5]
+        assert patterns.on_pattern.argmax(axis=1).tolist() == [v % 6 for v in values]
+        assert np.all(patterns.on_pattern.sum(axis=1) == 1)
+
+    @pytest.mark.parametrize("n_classes", [2, 6, 9])
+    @pytest.mark.parametrize("n", [13, 15])
+    def test_wide_models_match_the_statevector_path(self, n, n_classes):
+        rng = np.random.default_rng(10 * n + n_classes)
+        model, xs, class_idx = random_case(rng, n, 1, n_classes, ANGLE, 6)
+        labels = list(class_idx)
+        scores, value, grad = statevector_path(model, xs, labels)
+        assert np.max(np.abs(forward_many(model, xs) - scores)) <= TOL
+        assert abs(loss(model, xs, labels) - value) <= TOL
+        assert grad_gap_ok(adjoint_gradient(model, xs, labels), grad)
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_exact_edges_and_unlikely_classes(self, n):
+        # Features exactly at 0 and pi, weights 2e-4 to 1e-3 off 0 or pi, and
+        # half the rows labelled with their least likely class of a score
+        # above 1e-11, which lies below 1e-6 (one qubit flipped) and above
+        # the loss floor. The gradient is checked against the statevector
+        # adjoint: the shift rule subtracts two scores near 1/2, which here
+        # misses a long-double brute force by up to 1.3e-12 relative, while
+        # both adjoint paths stay within 1e-15 of it.
+        rng = np.random.default_rng(n)
+        n_classes = min(2 + n % 4, 2 ** n)
+        theta = (rng.integers(0, 2, (1, n)) * math.pi
+                 + rng.choice((-1.0, 1.0), (1, n)) * rng.uniform(2e-4, 1e-3, (1, n)))
+        model = VqcModel(ANGLE, theta, tuple(range(n_classes)))
+        xs = rng.integers(0, 2, (8, n)) * math.pi
+        want = ref.vqc_class_probs(ANGLE, theta, xs, n_classes, EXACT)
+        unlikely = np.where(want > 1e-11, want, np.inf).argmin(axis=1)
+        class_idx = np.where(np.arange(8) % 2, unlikely, want.argmax(axis=1))
+        p_true = want[np.arange(8), class_idx]
+        assert np.min(p_true) < 1e-6 and np.min(p_true) > vqc._P_FLOOR
+        labels = list(class_idx)
+        args = (ANGLE, theta, xs, class_idx, n_classes, EXACT)
+        assert np.max(np.abs(forward_many(model, xs) - want)) <= TOL
+        assert abs(loss(model, xs, labels) - ref.vqc_loss(*args)) <= TOL
+        scores, value, grad = statevector_path(model, xs, labels)
+        assert abs(loss(model, xs, labels) - value) <= TOL
+        assert grad_gap_ok(adjoint_gradient(model, xs, labels), grad)
+
+    def test_training_holds_no_state_batch(self):
+        # 15 qubits and 16 rows: one (rows, 2**15) float buffer is 4 MiB,
+        # and the statevector path would hold four.
+        rng = np.random.default_rng(4)
+        rows, n = 16, 15
+        xs = rng.uniform(0.0, math.pi, (rows, n))
+        labels = list(rng.integers(0, 6, rows))
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            model = train(xs, labels, ANGLE, 1, OptimizerConfig(epochs=2))
+            predict_many(model, xs)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert peak < rows * 2 ** n * 8
+
+
 class TestSampleWeight:
     """A row of weight c is c equal rows with its label."""
 
@@ -558,8 +656,10 @@ class TestSampleWeight:
 
 class TestEdgeBatches:
     # One model per feature map: the angle map reads its rows as angles, not
-    # through feature_map_states, and must check them all the same.
-    MODELS = tuple(VqcModel(fm, np.full((2, 3), 0.3), ("a", "b", "c")) for fm in MAPS)
+    # through feature_map_states, and must check them all the same; the
+    # one-layer angle model scores parity patterns.
+    MODELS = tuple(VqcModel(fm, np.full((2, 3), 0.3), ("a", "b", "c")) for fm in MAPS) + (
+        VqcModel(ANGLE, np.full((1, 3), 0.3), ("a", "b", "c")),)
 
     def test_zero_rows(self):
         empty = np.zeros((0, 3))
@@ -658,28 +758,34 @@ def _vqc_digest(fm, layers, xs, labels, opt, shots) -> str:
 # per-qubit einsums: that adds the same products in another order. In the
 # shot-mode and SPSA cases theta, the loss history, the scores, the loss and
 # the parameter-shift gradient kept their bytes; in the exact cases, which
-# train by the adjoint, they moved by at most 3.1e-15 relative.
+# train by the adjoint, they moved by at most 3.1e-15 relative. The 12
+# anglex1 L=1 entries were re-pinned when the exact one-layer angle model
+# moved from simulated states to parity patterns: in the shot cases only
+# the adjoint gradient moved, by at most 1.7e-16; in the exact cases theta,
+# the loss history, the scores, the loss and both gradients moved by at
+# most 1.7e-15 (absolute, over max(1, largest entry)). Every other entry
+# held.
 VQC_DIGESTS = {
-    'anglex1/n=3,C=2/L=1/parameter_shift/exact': '1372c2a45c7a17c2',
-    'anglex1/n=3,C=2/L=1/parameter_shift/shots': 'bd62eef344296588',
-    'anglex1/n=3,C=2/L=1/spsa/exact': '05c3db64cb6599c8',
-    'anglex1/n=3,C=2/L=1/spsa/shots': 'fca7366c64957e33',
+    'anglex1/n=3,C=2/L=1/parameter_shift/exact': '9a91d52734c58722',
+    'anglex1/n=3,C=2/L=1/parameter_shift/shots': 'e25d5dc017ef9730',
+    'anglex1/n=3,C=2/L=1/spsa/exact': '820040ae00741f85',
+    'anglex1/n=3,C=2/L=1/spsa/shots': '97600c8cbf6afb4b',
     'anglex1/n=3,C=2/L=3/parameter_shift/exact': '485887bd4b87978d',
     'anglex1/n=3,C=2/L=3/parameter_shift/shots': '141dc3d916ff7e2d',
     'anglex1/n=3,C=2/L=3/spsa/exact': '006ab323c5b77507',
     'anglex1/n=3,C=2/L=3/spsa/shots': 'de8b19e43e069892',
-    'anglex1/n=4,C=3/L=1/parameter_shift/exact': 'd1cbe3ad59a6cfef',
-    'anglex1/n=4,C=3/L=1/parameter_shift/shots': 'defed0770c76ba30',
-    'anglex1/n=4,C=3/L=1/spsa/exact': 'a8776aef5d922474',
-    'anglex1/n=4,C=3/L=1/spsa/shots': '495fc1a4a9ea0026',
+    'anglex1/n=4,C=3/L=1/parameter_shift/exact': '7f18fde9a0ff2941',
+    'anglex1/n=4,C=3/L=1/parameter_shift/shots': '6c781f870bee870b',
+    'anglex1/n=4,C=3/L=1/spsa/exact': 'b9b03ba29422ca8c',
+    'anglex1/n=4,C=3/L=1/spsa/shots': 'fedea376715ebb9f',
     'anglex1/n=4,C=3/L=3/parameter_shift/exact': 'c83a4746cb52cfaa',
     'anglex1/n=4,C=3/L=3/parameter_shift/shots': 'a30194f4d24089da',
     'anglex1/n=4,C=3/L=3/spsa/exact': 'a0b4c60d0dde89b6',
     'anglex1/n=4,C=3/L=3/spsa/shots': '5cddcbe4683fecd6',
-    'anglex1/n=5,C=5/L=1/parameter_shift/exact': 'f54bf8b277c69171',
-    'anglex1/n=5,C=5/L=1/parameter_shift/shots': 'f6e992339664fcbf',
-    'anglex1/n=5,C=5/L=1/spsa/exact': 'f189abe698ecf88b',
-    'anglex1/n=5,C=5/L=1/spsa/shots': '3aec29e73fb23a74',
+    'anglex1/n=5,C=5/L=1/parameter_shift/exact': 'b9fe2a74f5481c03',
+    'anglex1/n=5,C=5/L=1/parameter_shift/shots': 'ace71347c677316a',
+    'anglex1/n=5,C=5/L=1/spsa/exact': '111bb7509da2f227',
+    'anglex1/n=5,C=5/L=1/spsa/shots': 'bed0f35c0e1394e0',
     'anglex1/n=5,C=5/L=3/parameter_shift/exact': '896ac3997469c53e',
     'anglex1/n=5,C=5/L=3/parameter_shift/shots': '42077ff0919b2d70',
     'anglex1/n=5,C=5/L=3/spsa/exact': 'ea5e57e4135c3974',
