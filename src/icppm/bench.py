@@ -19,7 +19,6 @@ import logging
 import math
 import os
 import re
-import statistics
 import time
 from dataclasses import asdict, dataclass, fields, replace
 from datetime import date, datetime
@@ -42,6 +41,7 @@ from .eventlog import (
     END_LABEL,
     EventLog,
     PrefixSet,
+    _check_column_map,
     _check_date_slice,
     _check_fold_count,
     _check_prefix_range,
@@ -182,6 +182,7 @@ class ExperimentConfig:
     def __post_init__(self):
         for f in fields(self):
             _check_field_type(f.name, f.type, getattr(self, f.name))
+        _check_column_map(self.column_map)
         ShotConfig(self.shots)  # shots >= 1, or None for exact
         for name in ("C", "tol"):
             if not getattr(self, name) > 0:
@@ -233,6 +234,8 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "ExperimentConfig":
+        if not isinstance(data, Mapping):
+            raise ConfigError(f"a config must map keys to values, got {data!r}")
         known = {f.name for f in fields(cls)}
         unknown = set(data) - known
         if unknown:
@@ -422,7 +425,7 @@ def _train_window_width(cfg: ExperimentConfig, train_log: EventLog) -> float:
     if isinstance(cfg.window_base, (int, float)):
         base = float(cfg.window_base)
     else:
-        base = statistics.median(train_log.case_durations().tolist())
+        base = float(np.median(train_log.case_durations()))
     width = cfg.window_fraction * base
     if width <= 0:
         raise ConfigError(

@@ -13,7 +13,8 @@ A CSV is read by one ``csv.reader`` in blocks of rows, each turned into
 code columns by first-seen dicts; XES events are checked trace by trace
 and coded in blocks of the same size by the same coder. Stamps in the layouts ``isoformat()``
 gives an aware instant (``YYYY-MM-DDTHH:MM:SS[.ffffff]±HH:MM``, as
-``write_csv`` writes them) are checked and converted by integer array
+``write_csv`` writes them) are checked character by character, their local
+date and time read by numpy's ISO-8601 parser and only the offset by array
 arithmetic; any other stamp, or one that fails a check, goes through
 ``datetime.fromisoformat`` alone, with the same instant or error.
 
@@ -42,7 +43,6 @@ import gzip
 import io
 import math
 import random
-import statistics
 import xml.etree.ElementTree as ET
 import zlib
 from collections import Counter
@@ -415,6 +415,12 @@ DEFAULT_COLUMN_MAP = {
 }
 
 
+def _check_column_map(column_map: Mapping[str, str] | None) -> None:
+    unknown = set(column_map or ()) - set(DEFAULT_COLUMN_MAP)
+    if unknown:
+        raise ConfigError(f"unknown column_map keys: {sorted(unknown)}")
+
+
 def parse_csv(
     source: IO[str] | IO[bytes] | str,
     column_map: Mapping[str, str] | None = None,
@@ -433,6 +439,7 @@ def parse_csv(
         hasattr(source, "read") and "b" in getattr(source, "mode", "")
     ):
         source = io.TextIOWrapper(source, encoding="utf-8", newline="")
+    _check_column_map(column_map)
     colmap = dict(DEFAULT_COLUMN_MAP)
     colmap.update(column_map or {})
     try:
@@ -507,32 +514,16 @@ def _first_seen_codes(seen: dict, values: Sequence) -> tuple[np.ndarray, list]:
     return np.fromiter(map(seen.__getitem__, values), dtype=np.int64, count=len(values)), new
 
 
-# The fields of a fast stamp: year, month, day, hour, minute, second,
-# microsecond, and the offset's hours and minutes, with their ranges.
-_FIELDS = "ymdHMSfhn"
-_FIELD_MIN = np.array([1, 1, 1, 0, 0, 0, 0, 0, 0])
-_FIELD_MAX = np.array([9999, 12, 31, 23, 59, 59, 999999, 23, 59])
-
-
 def _layout(template: str) -> tuple:
-    """Per character of a stamp layout (field letters mark its digits, "+"
-    the offset's sign, anything else itself), the lowest byte allowed and
-    the span above it; and the weights that turn digits into field values,
-    as float32, which holds every field value and partial sum (< 2**24)."""
-    chars = np.frombuffer(template.encode(), dtype=np.uint8)
-    digit = np.array([c in _FIELDS for c in template])
-    low = np.where(digit, ord("0"), chars).astype(np.uint8)
-    span = np.where(digit, 9, np.where(chars == ord("+"), ord("-") - ord("+"), 0)).astype(np.uint8)
-    weights = [[10.0 ** template[i + 1:].count(f) * (c == f) for f in _FIELDS]
-               for i, c in enumerate(template)]
-    return len(template), low, span, np.array(weights, dtype=np.float32)
+    """Per character of a stamp layout ("0" marks a digit, "+" the offset's
+    sign, anything else itself), the lowest byte allowed and the span above it."""
+    low = np.frombuffer(template.encode(), dtype=np.uint8)
+    span = np.select([low == ord("0"), low == ord("+")], [9, ord("-") - ord("+")])
+    return len(template), low, span.astype(np.uint8)
 
 
 # The stamps isoformat() gives an aware instant, with and without microseconds.
-_FAST_LAYOUTS = (_layout("yyyy-mm-ddTHH:MM:SS+hh:nn"), _layout("yyyy-mm-ddTHH:MM:SS.ffffff+hh:nn"))
-# Days in each month of a common year, and days before it; index 0 is unused.
-_MONTH_DAYS = np.array([0, 31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31])
-_DAYS_BEFORE = np.cumsum(_MONTH_DAYS) - _MONTH_DAYS
+_FAST_LAYOUTS = (_layout("0000-00-00T00:00:00+00:00"), _layout("0000-00-00T00:00:00.000000+00:00"))
 # The instants a datetime can hold, in epoch microseconds.
 _MIN_US = _micros(datetime.min.replace(tzinfo=timezone.utc))
 _MAX_US = _micros(datetime.max.replace(tzinfo=timezone.utc))
@@ -540,38 +531,38 @@ _MAX_US = _micros(datetime.max.replace(tzinfo=timezone.utc))
 
 def _stamps_us(stamps: Sequence[str], first_row: int) -> np.ndarray:
     """Epoch microseconds of the timestamp cells of rows ``first_row``,
-    ``first_row + 1``, ...: by array arithmetic for the stamps in a
-    ``_FAST_LAYOUTS`` layout whose fields pass every check ``_parse_instant``
-    makes, else by ``_parse_instant``, whose error on the first bad cell
-    becomes a RecordError."""
+    ``first_row + 1``, ...: for the stamps in a ``_FAST_LAYOUTS`` layout that
+    pass every check ``_parse_instant`` makes, the local date and time by
+    numpy's ISO-8601 parser less the offset; else by ``_parse_instant``,
+    whose error on the first bad cell becomes a RecordError."""
     n = len(stamps)
     us = np.zeros(n, dtype=np.int64)
     fast = np.zeros(n, dtype=bool)
     lengths = np.fromiter(map(len, stamps), dtype=np.int64, count=n)
-    for size, low, span, weights in _FAST_LAYOUTS:
+    for size, low, span in _FAST_LAYOUTS:
         rows = lengths == size
         if not rows.any():
             continue
         # A character that is not ASCII becomes "?", which fails the checks.
         text = "".join(compress(stamps, rows.tolist())).encode("ascii", "replace")
         chars = np.frombuffer(text, dtype=np.uint8).reshape(-1, size)
-        sign = chars[:, -6]
-        fields = ((chars - np.uint8(ord("0"))) @ weights).astype(np.int64)
         # "," lies between "+" and "-"; a byte below its range wraps above its span.
-        ok = sign != ord(",")
+        ok = chars[:, -6] != ord(",")
         ok[np.flatnonzero((chars - low) > span) // size] = False
-        ok[np.flatnonzero((fields < _FIELD_MIN) | (fields > _FIELD_MAX)) // len(_FIELDS)] = False
-        year, month, day, hour, minute, second, micro, off_h, off_m = fields.T
-        leap = (year % 4 == 0) & ((year % 100 != 0) | (year % 400 == 0))
-        ok &= day <= _MONTH_DAYS.take(month, mode="clip") + (leap & (month == 2))
-        y = year - 1
-        days = (365 * y + y // 4 - y // 100 + y // 400 - _EPOCH.toordinal()
-                + _DAYS_BEFORE.take(month, mode="clip") + (leap & (month > 2)) + day)
-        offset = (ord(",") - sign.astype(np.int64)) * (off_h * 60 + off_m)
-        value = (((days * 24 + hour) * 60 + minute - offset) * 60 + second) * 10 ** 6 + micro
-        ok &= (value >= _MIN_US) & (value <= _MAX_US)
-        at = np.flatnonzero(rows)[ok]
-        us[at], fast[at] = value[ok], True
+        chars = chars[ok]  # numpy would raise on a cell that fails these checks
+        try:
+            local = chars[:, :-6].view(f"S{size - 6}").astype("datetime64[us]").view(np.int64)[:, 0]
+        except ValueError:
+            # An impossible date or time: this layout's cells go row by row.
+            continue
+        digits = (chars[:, -5:] - np.uint8(ord("0"))).astype(np.int64)
+        minutes = (digits[:, 0] * 10 + digits[:, 1]) * 60 + digits[:, 3] * 10 + digits[:, 4]
+        value = local - (ord(",") - chars[:, -6].astype(np.int64)) * minutes * (60 * 10 ** 6)
+        # numpy also reads year 0, which a datetime cannot hold.
+        good = ((minutes < 1440) & (digits[:, 3] <= 5) & (local >= _MIN_US)
+                & (value >= _MIN_US) & (value <= _MAX_US))
+        at = np.flatnonzero(rows)[ok][good]
+        us[at], fast[at] = value[good], True
     for i in np.flatnonzero(~fast).tolist():
         try:
             us[i] = _micros(_parse_instant(stamps[i]))
@@ -766,8 +757,8 @@ def _format_duration(seconds: float) -> str:
 
 def log_statistics(log: EventLog) -> dict:
     """Cases, events, activities, variants, and median case duration."""
-    durations = log.case_durations().tolist()
-    median_s = float(statistics.median(durations)) if durations else 0.0
+    durations = log.case_durations()
+    median_s = float(np.median(durations)) if len(durations) else 0.0
     return {
         "cases": len(log),
         "events": log.n_events,

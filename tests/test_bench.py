@@ -103,6 +103,11 @@ class TestExperimentConfig:
         with pytest.raises(ConfigError, match=f"{key} must "):
             ExperimentConfig.from_dict({key: value})
 
+    def test_unknown_column_map_key_rejected_at_construction(self):
+        # It was ignored: "resourse" loaded a log with no resources at all.
+        with pytest.raises(ConfigError, match=r"unknown column_map keys: \['resourse'\]"):
+            ExperimentConfig.from_dict({"column_map": {"resourse": "org"}})
+
     def test_from_dict_takes_every_json_type_a_field_allows(self):
         cfg = ExperimentConfig.from_dict({
             "C": 1, "gamma": None, "shots": None, "filter_singletons": True,

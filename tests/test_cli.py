@@ -327,6 +327,15 @@ class TestBench:
         cfg.write_text(json.dumps({"dataset": "ghost.csv", "classifier": "majority"}))
         assert main(["bench", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("text", ["42", "null", "[]", '[["x"]]', '"abc"'])
+    def test_config_that_is_not_an_object_exits_2(self, tmp_path, capsys, text):
+        # Each once died with a TypeError or AttributeError traceback, or,
+        # like "abc", reported its characters as unknown keys.
+        cfg = tmp_path / "config.json"
+        cfg.write_text(text)
+        assert main(["bench", "--config", str(cfg)]) == 2
+        assert "a config must map keys to values" in capsys.readouterr().err
+
     def test_unknown_config_key_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "config.json"
         cfg.write_text(json.dumps({"classifiers": ["majority"]}))

@@ -198,6 +198,11 @@ class TestParseCsv:
         )
         assert activities(log) == [("a",)]
 
+    def test_unknown_column_map_key_is_config_error(self):
+        with pytest.raises(ConfigError, match=r"unknown column_map keys: \['resourse'\]"):
+            parse_csv("case_id,activity,timestamp,org\nc1,a,2023-01-01T10:00:00Z,r1\n",
+                      column_map={"resourse": "org"})
+
     def test_non_utf8_bytes_are_parse_error(self, tmp_path):
         data = b"case_id,activity,timestamp\nc1,\xff\xfe,2023-01-01T10:00:00Z\n"
         with pytest.raises(ParseError, match="UTF-8"):

@@ -180,6 +180,10 @@ any_stamps = st.one_of(
         "9999-12-31T23:59:59.999999-00:01", "0000-01-01T00:00:00+00:00",
         "2023-13-01T00:00:00+00:00", "2023-04-31T00:00:00+00:00", "2023-01-01 10:00:00+00:00",
         "2023-01-01T10:00:00+0000", "\uff12023-01-01T10:00:00+00:00", "",
+        # numpy's ISO-8601 parser reads year 0 and a sign or space for a year
+        # digit, which fromisoformat rejects; fromisoformat reads a "t".
+        "0000-12-31T23:30:00-01:00", "0000-12-31T23:30:00.000000-01:00",
+        "+023-01-01T10:00:00+00:00", " 023-01-01T10:00:00+00:00", "2023-01-01t10:00:00+00:00",
     ]),
 )
 CELLS = {
@@ -247,6 +251,9 @@ class TestParseCsvMatchesReference:
     @example("case_id,activity,timestamp\nc1,a,2023-01-01T10:00:0\u0663+00:00\n"
              "c1,a,2023-01-01T10:0?:00+00:00\n", 1)
     @example('case_id,activity,timestamp\nc1,a,"2023-01-01T10:00:00,00:00"\n', 1)
+    # Year 0 local time, which numpy reads, is year 1 in UTC.
+    @example("case_id,activity,timestamp\nc1,a,2023-01-01T10:00:00+00:00\n"
+             "c1,b,0000-12-31T23:30:00-01:00\nc1,c,0000-12-31T23:30:00.000000-01:00\n", 3)
     def test_columns_and_errors_equal_the_row_by_row_reference(self, text, block_rows):
         expected = _outcome(oracles.parse_csv, text)
         with mock.patch.object(eventlog, "_CSV_BLOCK_ROWS", block_rows):
