@@ -260,9 +260,8 @@ class ExperimentConfig:
         return asdict(self)
 
     def fingerprint(self) -> str:
-        """Hash of the keys that decide the results: all but ``threads``,
-        which has no effect."""
-        kept = {k: v for k, v in self.to_dict().items() if k != "threads"}
+        """Hash of ``to_dict`` less ``threads`` (no effect), without its deep copy."""
+        kept = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "threads"}
         payload = json.dumps(kept, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
 
@@ -316,11 +315,11 @@ class RunResult:
     sampling_fraction: float
     seed: int
     n_samples: int
-    # Quantum feature-map states simulated for the kernels and the VQC:
-    # each fold's train and test rows once (an exact kernel's distinct
-    # rows, an exact VQC's (row, label) train groups and distinct test
-    # rows), none for an exact one-layer angle VQC, which scores parity
-    # patterns (``vqc.simulates_states``); reported in results.json only.
+    # Quantum feature-map states simulated for the kernels and the VQC: a
+    # kernel fold's train rows and test rows equal to no train row (an exact
+    # fold's distinct rows), an exact VQC fold's (row, label) train groups
+    # and distinct test rows, none for an exact one-layer angle VQC, which
+    # scores parity patterns (``vqc.simulates_states``); results.json only.
     # kernel_evaluations and cross_evaluations count over the same rows.
     states_simulated: int = 0
     # Means over folds of the VQC's last training loss, of the loss of
@@ -482,22 +481,21 @@ def fit_encoder(
     return encode
 
 
-def _encode_fold(
-    cfg: ExperimentConfig,
-    index: EventIndex | None,
-    train: PrefixSet,
-    test: PrefixSet,
-):
-    """Scaled train and test matrices, with every encoder fitted on the log
-    of the cases that train prefixes come from."""
-    train_cases = np.zeros(len(train.log), dtype=bool)
-    train_cases[train.case] = True
-    encode = fit_encoder(cfg, train.log.select_cases(train_cases), index)
-    train_block, test_block = encode(train), encode(test)
-    scaler = fit_scaler(train_block, (cfg.scale_lo, cfg.scale_hi))
-    x_train = apply_scaler(train_block, scaler).values
-    x_test = apply_scaler(test_block, scaler).values
-    return x_train, x_test
+def _encode_fold(cfg: ExperimentConfig, index: EventIndex | None, samples: PrefixSet,
+                 train_idx: np.ndarray, test_idx: np.ndarray):
+    """Scaled train and test matrices of ``samples[train_idx]`` and
+    ``samples[test_idx]``, encoders and scaler fitted on the log of the train
+    prefixes' cases. They are row views of one encoded and scaled block:
+    every encoder and the scaler work row by row, as on two blocks."""
+    train_cases = np.zeros(len(samples.log), dtype=bool)
+    train_cases[samples.case[train_idx]] = True
+    encode = fit_encoder(cfg, samples.log.select_cases(train_cases), index)
+    block = encode(samples[np.concatenate([train_idx, test_idx])])
+    m = len(train_idx)
+    scaler = fit_scaler(FeatureVector(block.values[:m], block.schema),
+                        (cfg.scale_lo, cfg.scale_hi))
+    x = apply_scaler(block, scaler).values
+    return x[:m], x[m:]
 
 
 def _distinct_rows(x: np.ndarray, merge: bool) -> tuple[np.ndarray, np.ndarray]:
@@ -631,7 +629,7 @@ def run_experiment(
         train_idx, test_idx = folds.split(fold)
         part = dict(SUMMED, smo_kkt_gap=None, **dict.fromkeys(MEANS))
         t_enc0 = time.perf_counter()
-        x_train, x_test = _encode_fold(cfg, index, samples[train_idx], samples[test_idx])
+        x_train, x_test = _encode_fold(cfg, index, samples, train_idx, test_idx)
         y_train, y_test = labels[train_idx], labels[test_idx]
         part["encode_time_s"] = time.perf_counter() - t_enc0
         # An exact run draws nothing, so it carries no per-fold shot seed.
@@ -662,7 +660,8 @@ def run_experiment(
                                else KernelKind.linear() if family == "svc_linear"
                                else KernelKind.rbf(cfg.gamma))
                 predictions = _kernel_fold(cfg, kernel_kind, groups, test_rows, part)
-                fold_note = (f" smo_iterations={part['smo_iterations']}"
+                fold_note = (f" states={part['states_simulated']}"
+                             f" smo_iterations={part['smo_iterations']}"
                              f" smo_kkt_gap={part['smo_kkt_gap']:.3e}")
             predictions = np.asarray(predictions)[test_of]
             fold_note = f" rows={part['distinct_train_rows']}/{len(x_train)}" + fold_note

@@ -9,7 +9,8 @@ diagonal fixed at 1; a cross matrix is |S_test S_train^H|^2. The batch holds
 m * 2^n complex amplitudes. Both products read the conjugated batch of
 their columns: ``gram`` returns the train rows' conjugated batch
 (``KernelMatrix.conj_states``), and ``cross`` given it simulates only the
-test rows, so a fold simulates each row once.
+test rows that are no train row, so a fold simulates each distinct row
+once (bit for bit where a state does not depend on its batch; see qsim).
 
 Shot mode samples a fold's two kernels as the row blocks of one
 [train; test] x train matrix: its row r is binomial(shots, p) / shots over
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .qsim import EXACT, FeatureMapKind, ShotConfig, feature_map_states
+from .qsim import EXACT, FeatureMapKind, ShotConfig, _checked_rows, feature_map_states
 
 KERNEL_VARIANTS = ("linear", "rbf", "quantum")
 # Elements per row block of an m-column pass (rows * m): the RBF chain and
@@ -176,10 +177,10 @@ def cross(test, train, kind: KernelKind, train_states: np.ndarray | None = None)
     """Rectangular test-by-train kernel matrix (all p*m entries).
 
     For the quantum kernel, ``train_states`` is the ``conj_states`` of
-    ``gram(train, kind)``; given it, only the test rows are simulated. A
-    batch whose shape is not (m, 2**n) for ``train`` raises ValueError. In
-    shot mode test row i is row m + i of the sampled [train; test] x train
-    matrix whose first m rows are the Gram matrix's.
+    ``gram(train, kind)``; given it, a test row equal by value to a train
+    row takes its state and only the others are simulated. A batch whose
+    shape is not (m, 2**n) for ``train`` raises ValueError. In shot mode test row i is row m + i of the sampled
+    [train; test] x train matrix whose first m rows are the Gram matrix's.
     """
     xt = _as_matrix(test)
     xr = _as_matrix(train)
@@ -205,15 +206,29 @@ def cross(test, train, kind: KernelKind, train_states: np.ndarray | None = None)
             block *= -gamma
             np.exp(block, out=dots)
         return KernelMatrix(values)
-    simulated = len(xt)
+    xt = _checked_rows(xt)
+    simulated = 0
     if train_states is None:
         train_states = feature_map_states(kind.feature_map, xr)
         np.conjugate(train_states, out=train_states)
-        simulated += len(xr)
+        simulated = len(xr)
     elif train_states.shape != (len(xr), 2 ** xr.shape[1]):
         raise ValueError(f"train states of shape {train_states.shape} do not match "
                          f"{len(xr)} train rows of {xr.shape[1]} qubits")
-    values = _overlaps(feature_map_states(kind.feature_map, xt), train_states)
+    # Each test row's equal train row or -1, by bytes after + 0.0 (-0.0 is 0.0).
+    index = {row.tobytes(): i for i, row in enumerate(xr + 0.0)}
+    train_of = np.array([index.get(row.tobytes(), -1) for row in xt + 0.0], dtype=np.intp)
+    new = train_of < 0
+    simulated += int(np.count_nonzero(new))
+    # The new rows first, so their simulation's workspace is freed before
+    # the batch is assembled.
+    fresh = feature_map_states(kind.feature_map, xt[new]) if new.any() else None
+    states = np.empty((len(xt), train_states.shape[1]), dtype=np.complex128)
+    states[~new] = train_states[train_of[~new]]
+    np.conjugate(states, out=states)
+    if fresh is not None:
+        states[new] = fresh
+    values = _overlaps(states, train_states)
     if not kind.shots.exact:
         values = _sample(values, kind.shots, first_row=len(xr))
     return KernelMatrix(values, eval_count=values.size, states_simulated=simulated)

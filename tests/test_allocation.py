@@ -128,11 +128,19 @@ def test_fold_peak_is_one_train_batch_its_conjugate_and_the_test_batch(variant):
     test = np.random.default_rng(1).uniform(0.0, np.pi, (ROWS // 3, QUBITS))
     kind = KernelKind.quantum(FeatureMapKind(variant))
 
-    def fold():
+    def fold(test):
         k_train = gram(xs, kind)
         cross(test, xs, kind, train_states=k_train.conj_states)
 
-    assert traced_peak(fold) <= 2 * BATCH + BATCH // 3 + SLACK
+    # New test rows; all but one new; and half of the rows repeating train
+    # rows, which take their states. Beside the train states, cross holds
+    # at most two test batches: the new rows' states (or their simulation's
+    # workspace) and the assembled batch.
+    conj_states = gram(xs, kind).conj_states
+    for rows in (test, np.vstack([test[:-1], xs[:1]]), np.vstack([test[:5], xs[:5]])):
+        assert traced_peak(lambda: fold(rows)) <= 2 * BATCH + BATCH // 3 + SLACK
+        crossed = traced_peak(lambda: cross(rows, xs, kind, train_states=conj_states))
+        assert crossed <= 2 * (BATCH // 3) + SLACK
 
 
 def test_rbf_kernels_peak_at_their_output_and_one_row_block():

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import collections
 import dataclasses
+import hashlib
 import json
 import logging
 import math
@@ -259,6 +260,15 @@ class TestExperimentConfig:
         # threads cannot change a result.
         assert a.fingerprint() == ExperimentConfig(seed=1, threads=2).fingerprint()
 
+    def test_fingerprint_hashes_the_json_of_to_dict(self):
+        cfg = ExperimentConfig(
+            column_map={"case_id": "Case", "activity": "Task"}, mode="window_sweep",
+            inter_features=("peer_cases", "avg_delay"), window_fractions=(0.2, 0.4),
+            sampling_fractions=(1.0, 0.25), prefix_lengths=(2, 3), shots=64)
+        kept = {k: v for k, v in dataclasses.asdict(cfg).items() if k != "threads"}
+        payload = json.dumps(kept, sort_keys=True, separators=(",", ":"))
+        assert cfg.fingerprint() == hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
+
 
 class TestParseClassifier:
     def test_plain_names(self):
@@ -441,28 +451,32 @@ class TestRunExperiment:
         assert a.config_fingerprint == b.config_fingerprint
 
     def fold_rows(self, cfg, samples, distinct: bool):
-        """Per fold, the train and test rows a kernel is built on: the
-        distinct scaled rows, or every row."""
+        """Per fold, the train and test rows a kernel is built on (the
+        distinct scaled rows, or every row), and how many of those test
+        rows equal no train row."""
         folds = make_cv_folds(samples, cfg.folds, derive_seed(cfg.seed, "folds"))
         for fold in range(cfg.folds):
             train_idx, test_idx = folds.split(fold)
-            x_train, x_test = bench._encode_fold(cfg, None, samples[train_idx],
-                                                 samples[test_idx])
+            x_train, x_test = bench._encode_fold(cfg, None, samples, train_idx, test_idx)
             if distinct:
                 # Every case runs a -> b -> c, so rows repeat in every fold.
                 assert len(np.unique(x_train, axis=0)) < len(x_train)
                 x_train, x_test = np.unique(x_train, axis=0), np.unique(x_test, axis=0)
-            yield len(x_train), len(x_test)
+            new = sum(not (x_train == row).all(axis=1).any() for row in x_test)
+            yield len(x_train), len(x_test), new
 
     def assert_counts_over(self, cfg, distinct: bool):
         log, samples = two_label_setup(cfg)
         rows = list(self.fold_rows(cfg, samples, distinct))
         result = run_experiment(cfg, log, samples)
-        assert result.kernel_evaluations == sum(m * (m - 1) // 2 for m, _ in rows)
-        assert result.cross_evaluations == sum(p * m for m, p in rows)
-        assert result.states_simulated == sum(m + p for m, p in rows)
-        assert result.distinct_train_rows == sum(m for m, _ in rows)
-        assert result.distinct_test_rows == sum(p for _, p in rows)
+        assert result.kernel_evaluations == sum(m * (m - 1) // 2 for m, _, _ in rows)
+        assert result.cross_evaluations == sum(p * m for m, p, _ in rows)
+        # A fold simulates its train rows once and only the test rows that
+        # are not train rows; here every test row is one.
+        assert sum(new for _, _, new in rows) == 0
+        assert result.states_simulated == sum(m + new for m, _, new in rows)
+        assert result.distinct_train_rows == sum(m for m, _, _ in rows)
+        assert result.distinct_test_rows == sum(p for _, p, _ in rows)
 
     def test_kernel_evaluation_counts(self):
         self.assert_counts_over(
@@ -473,6 +487,16 @@ class TestRunExperiment:
         self.assert_counts_over(
             ExperimentConfig(classifier="qke_angle_1", k=2, folds=3, seed=0, shots=50),
             distinct=False)
+
+    def test_kernel_fold_lines_carry_their_states(self, caplog):
+        cfg = ExperimentConfig(classifier="qke_zz_1", k=2, folds=3, seed=0)
+        log = random_log(0, n_cases=12)
+        samples = build_prefix_log(log, cfg.min_prefix, cfg.max_prefix)
+        with caplog.at_level(logging.INFO, logger="icppm.bench"):
+            result = run_experiment(cfg, log, samples)
+        lines = [r.getMessage() for r in caplog.records if "accuracy" in r.getMessage()]
+        states = [int(line.split(" states=")[1].split()[0]) for line in lines]
+        assert len(states) == cfg.folds and sum(states) == result.states_simulated > 0
 
     def test_classical_runs_report_zero_kernel_evals(self):
         cfg = ExperimentConfig(classifier="svc_rbf", k=2, folds=3)
@@ -507,8 +531,7 @@ class TestRunExperiment:
         want = 0
         for fold in range(cfg.folds):
             train_idx, test_idx = folds.split(fold)
-            x_train, x_test = bench._encode_fold(cfg, None, samples[train_idx],
-                                                 samples[test_idx])
+            x_train, x_test = bench._encode_fold(cfg, None, samples, train_idx, test_idx)
             want += len(np.unique(np.column_stack([x_train, codes[train_idx]]), axis=0))
             want += len(np.unique(x_test, axis=0))
         assert result.states_simulated == want < cfg.folds * result.n_samples
@@ -607,8 +630,7 @@ class TestVqcFoldGroups:
         fold_data = []
         for fold in range(cfg.folds):
             train_idx, test_idx = folds.split(fold)
-            x_train, x_test = bench._encode_fold(cfg, None, samples[train_idx],
-                                                 samples[test_idx])
+            x_train, x_test = bench._encode_fold(cfg, None, samples, train_idx, test_idx)
             fold_data.append((x_train, [samples[i].label for i in train_idx], x_test))
         # Label codes are ranks by name, so sorted names map them back.
         names = sorted(samples.log.activity_vocab + (END_LABEL,))

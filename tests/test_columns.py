@@ -21,7 +21,7 @@ import oracles
 from conftest import BASE, make_log, random_log
 from icppm import bench
 from icppm.bench import ExperimentConfig
-from icppm.encoding import INTRA_ENCODERS, Vocabulary
+from icppm.encoding import INTRA_ENCODERS, Vocabulary, apply_scaler, fit_scaler
 from icppm.eventlog import (
     END_LABEL,
     EventLog,
@@ -211,3 +211,30 @@ def test_fold_blocks(log, encoder):
             got = encode(samples[test_idx]).values
             want = reference_fold_block(cfg, log, index, prefixes, train_idx, test_idx)
             assert np.array_equal(got, want), (feature, fold)
+
+
+@pytest.mark.parametrize("encoder", INTRA_ENCODERS)
+def test_fold_encoded_as_one_block_equals_two_blocks(log, encoder):
+    # _encode_fold encodes and scales a fold's train and test prefixes as
+    # one block; every row has the bits it has in two blocks, each scaled
+    # by the scaler of the train block.
+    samples = build_prefix_log(log)
+    index = EventIndex(log)
+    folds = make_cv_folds(samples, 3, 1)
+    for feature in (None, *FEATURES):
+        cfg = ExperimentConfig(encoder=encoder, k=3, static_attrs=("kind",),
+                               inter_features=(feature,) if feature else (),
+                               epsilon=100.0, min_burst=2)
+        for fold in range(3):
+            train_idx, test_idx = folds.split(fold)
+            train_cases = np.zeros(len(log), dtype=bool)
+            train_cases[samples.case[train_idx]] = True
+            encode = bench.fit_encoder(cfg, log.select_cases(train_cases),
+                                       index if feature else None)
+            blocks = encode(samples[train_idx]), encode(samples[test_idx])
+            scaler = fit_scaler(blocks[0], (cfg.scale_lo, cfg.scale_hi))
+            got = bench._encode_fold(cfg, index if feature else None, samples,
+                                     train_idx, test_idx)
+            for one, block in zip(got, blocks):
+                two = apply_scaler(block, scaler).values
+                assert one.shape == two.shape and one.tobytes() == two.tobytes(), (feature, fold)

@@ -231,6 +231,15 @@ class TestCross:
             want = kernel_overlap(xt[0], xr[j], QUANTUM.feature_map)
             assert out.values[0, j] == pytest.approx(want, abs=1e-12)
 
+    @pytest.mark.parametrize("train_rows", [0, 2])
+    def test_no_train_or_no_test_rows(self, train_rows):
+        # With no train rows every test row is new; with none of either the
+        # matrix is empty.
+        for test_rows in (0, 3):
+            out = cross(points(14, test_rows, 2), points(15, train_rows, 2), QUANTUM)
+            assert out.values.shape == (test_rows, train_rows)
+            assert out.states_simulated == test_rows + train_rows
+
     def test_states_simulated_is_test_plus_train(self):
         xt, xr = points(22, 3, 2), points(23, 5, 2)
         out = cross(xt, xr, QUANTUM)
@@ -240,6 +249,51 @@ class TestCross:
         reused = cross(xt, xr, QUANTUM, train_states=gram(xr, QUANTUM).conj_states)
         assert reused.states_simulated == 3
         assert reused.eval_count == 3 * 5
+        # A test row equal to a train row is not simulated, with or without
+        # the Gram's batch.
+        xt[[0, 2]] = xr[[4, 1]]
+        assert cross(xt, xr, QUANTUM).states_simulated == 1 + 5
+        reused = cross(xt, xr, QUANTUM, train_states=gram(xr, QUANTUM).conj_states)
+        assert reused.states_simulated == 1
+
+    @staticmethod
+    def simulated_cross(xt, xr, kind) -> np.ndarray:
+        """The cross matrix with every test row simulated, in one batch:
+        its overlaps with the conjugated train batch, sampled as cross rows."""
+        values = qkernel._overlaps(feature_map_states(kind.feature_map, xt),
+                                   np.conj(feature_map_states(kind.feature_map, xr)))
+        if not kind.shots.exact:
+            values = qkernel._sample(values, kind.shots, first_row=len(xr))
+        return values
+
+    @pytest.mark.parametrize("variant", ["angle", "zz", "angle_zz"])
+    @pytest.mark.parametrize("layers", [1, 2])
+    @pytest.mark.parametrize("shots", [None, 50])
+    @pytest.mark.parametrize("dim", [3, 9])
+    def test_reused_train_states_give_the_simulated_cross(self, variant, layers, shots, dim):
+        kind = KernelKind.quantum(FeatureMapKind(variant, layers), ShotConfig(shots, seed=5))
+        xr, new = points(40, 6, dim), points(41, 3, dim)
+        # Train rows holding 0.0 and -0.0, each repeated by a test row
+        # holding the other zero: equal by value, so the state is reused.
+        xr[1, :2], xr[3, 1] = 0.0, -0.0
+        flipped = xr.copy()
+        flipped[1, :2], flipped[3, 1] = -0.0, 0.0
+        folds = {
+            "all": flipped[[1, 0, 3, 1, 5]],
+            "some": np.vstack([flipped[[3]], new[:2], xr[[4, 1]]]),
+            "one new": np.vstack([xr[[2, 0]], new[:1], flipped[[1]]]),
+            "none": new,
+            "one row, new": new[:1],
+            "one row, repeated": flipped[[3]],
+        }
+        k_train = gram(xr, kind)
+        for name, xt in folds.items():
+            want = self.simulated_cross(xt, xr, kind)
+            n_new = sum(not (xr == row).all(axis=1).any() for row in xt)
+            for train_states in (k_train.conj_states, None):
+                got = cross(xt, xr, kind, train_states=train_states)
+                assert got.values.tobytes() == want.tobytes(), (name, train_states is None)
+                assert got.states_simulated == n_new + (6 if train_states is None else 0)
 
     @pytest.mark.parametrize("variant", ["angle", "zz", "angle_zz"])
     @pytest.mark.parametrize("layers", [1, 2])

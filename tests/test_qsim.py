@@ -429,6 +429,23 @@ class TestFeatureMapStates:
         assert np.max(np.abs(feature_map_states(kind, x) - whole)) < 1e-15
 
     @pytest.mark.parametrize("variant", FEATURE_MAPS)
+    @pytest.mark.parametrize("layers", [1, 2])
+    @pytest.mark.parametrize("n", [1, 2, 5, 9, 13])
+    def test_a_rows_state_does_not_depend_on_its_batch(self, variant, layers, n):
+        # numpy multiplies a single row on its matrix-vector path; a one-row
+        # batch must still give the bits of the row in a larger batch. Two
+        # or more rows rest on BLAS rounding each product row alike, which
+        # OpenBLAS does. At 13 qubits the phase products span two
+        # _PHASE_BLOCKs.
+        assert 2 ** 13 == 2 * qsim._PHASE_BLOCK
+        kind = FeatureMapKind(variant, layers)
+        x = np.random.default_rng(n).uniform(0, math.pi, (12, n))
+        whole = feature_map_states(kind, x)
+        for b in (1, 2, 5):
+            assert feature_map_states(kind, x[:b]).tobytes() == whole[:b].tobytes(), b
+        assert feature_map_states(kind, x[7:8]).tobytes() == whole[7:8].tobytes()
+
+    @pytest.mark.parametrize("variant", FEATURE_MAPS)
     @pytest.mark.parametrize("layers", [1, 2, 3])
     def test_first_layer_hadamards_run_as_a_fill(self, monkeypatch, variant, layers):
         gates = []
