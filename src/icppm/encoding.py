@@ -224,12 +224,15 @@ def apply_scaler(fv: FeatureVector, params: ScalingParams) -> FeatureVector:
     if fv.schema != params.schema:
         raise ValueError("feature schema does not match fitted scaler")
     span = params.maxs - params.mins
-    clipped = np.clip(fv.values, params.mins, params.maxs)
     width = params.hi - params.lo
-    mid = params.lo + 0.5 * width
+    # lo + (clip - mins) / span * width, step by step in the one new array.
+    scaled = np.clip(fv.values, params.mins, params.maxs)
     with np.errstate(invalid="ignore", divide="ignore"):
-        scaled = params.lo + (clipped - params.mins) / span * width
-    scaled = np.where(span == 0, mid, scaled)
+        scaled -= params.mins
+        scaled /= span
+    scaled *= width
+    scaled += params.lo
+    scaled[..., span == 0] = params.lo + 0.5 * width
     return FeatureVector(scaled, fv.schema)
 
 

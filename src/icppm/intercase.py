@@ -6,7 +6,10 @@ The log is indexed once into time-sorted arrays. Anchors come as three
 arrays: epoch-second times, and the case and last-activity codes of the
 indexed log. A block of anchors gets its window bounds from one binary
 search over all anchor times, and each feature is computed for every anchor
-of the block at once.
+of the block at once, in cache-sized pieces: counts gather window positions
+a chunk of anchors at a time, and window sums run a block of anchors at a
+time, both sized from ``GATHER_BUDGET_BYTES`` so that their temporaries stay
+below glibc's 128 KiB mmap threshold and inside the L2 cache.
 
 Conventions that keep results bit-identical to a naive full scan:
 window membership compares epoch-second floats and durations are float
@@ -20,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, Mapping, Sequence
 
 import numpy as np
@@ -54,9 +58,15 @@ def _check_features(features: Sequence[str]) -> None:
 # anchors are taken in chunks whose window positions, expanded one int64
 # array per step (anchor, position, and code, key and sorted key, or
 # previous position, window start and mask), fit in it. One anchor whose
-# window alone exceeds it still forms a chunk of its own.
-GATHER_BUDGET_BYTES = 16 << 20
+# window alone exceeds it still forms a chunk of its own. At 256 KiB each
+# array is about 51 KiB: below glibc's default 128 KiB mmap threshold (which
+# perfbench pins), so no chunk maps and faults in fresh pages, and a chunk's
+# working set stays inside a core's L2 cache.
+GATHER_BUDGET_BYTES = 256 << 10
 _GATHER_ARRAYS = 5
+# Window sums take anchors in blocks of GATHER_BUDGET_BYTES over this many
+# float64 arrays: the block's sums, errors, bounds and step temporaries.
+_SUM_ARRAYS = 16
 
 # (lo, hi) index arrays: anchor i's window is events lo[i]:hi[i] of the index.
 Bounds = tuple[np.ndarray, np.ndarray]
@@ -190,6 +200,8 @@ class EventIndex:
     Case, activity and resource codes are the log's own. ``prev_case`` is
     the position of each event's previous same-case event (-1 for none): an
     event is its case's first in a window [lo, hi) when that lies before lo.
+    ``prev_res`` is the same for resources, built when ``res_count`` first
+    asks for it.
     """
 
     def __init__(self, log: EventLog):
@@ -223,6 +235,12 @@ class EventIndex:
 
     def __len__(self) -> int:
         return len(self.times)
+
+    @cached_property
+    def prev_res(self) -> np.ndarray:
+        prev = _previous(self.res_codes)
+        prev.flags.writeable = False
+        return prev
 
     def window_bounds(self, times: np.ndarray, window: PeerWindow) -> Bounds:
         """Event range [lo, hi) of the window ending at each anchor time."""
@@ -326,7 +344,7 @@ def peer_act(index: EventIndex, bounds: Bounds) -> np.ndarray:
 def res_count(index: EventIndex, bounds: Bounds) -> np.ndarray:
     """Distinct non-empty resources active in each window."""
     out = np.zeros(len(bounds[0]), dtype=np.int64)
-    for start, stop, anchor, _ in _first_in_window(bounds, _previous(index.res_codes)):
+    for start, stop, anchor, _ in _first_in_window(bounds, index.prev_res):
         out[start:stop] = np.bincount(anchor, minlength=stop - start)
     return out
 
@@ -340,7 +358,8 @@ def _window_sums(values: np.ndarray, first: np.ndarray, last: np.ndarray) -> np.
     """``math.fsum(values[a:b])`` for each window ``a, b`` of ``first,
     last``, bit for bit, raising what ``fsum`` raises.
 
-    All windows are summed at once, one element position per step, by
+    Windows are summed a block of anchors at a time (``_SUM_ARRAYS``), and
+    all windows of a block at once, one element position per step, by
     TwoSum (Knuth; Ogita, Rump & Oishi 2005): s + x = fl(s + x) + t exactly,
     so a window's sum is s plus the sum of its t, and e, the float sum of
     the t, is off by at most gamma(n - 1) sum|t| <= 2 n u sum|t| for n
@@ -351,39 +370,45 @@ def _window_sums(values: np.ndarray, first: np.ndarray, last: np.ndarray) -> np.
     fl(s + e) (exact by TwoSum) plus the bound on e stays below half the
     gap to the next float toward zero. A window that passes neither test
     (a zero sum, a near-tie, a non-finite value, values near overflow) goes
-    to fsum, whose sign of a zero sum is its own.
+    to fsum, whose sign of a zero sum is its own; these run in window order.
     """
     sizes = last - first
     n = len(sizes)
-    # Longest windows first, so the windows still open at a step are a prefix.
-    order = np.argsort(-sizes, kind="stable")
-    pos, n_elems = first[order], sizes[order]
-    s, err, mag, least = np.zeros(n), np.zeros(n), np.zeros(n), np.full(n, np.inf)
+    sums = np.zeros(n)
+    # The windows fsum sums; near overflow, every nonempty one.
+    slow = sizes > 0
+    nonzero = np.abs(values)
+    safe = not values.size or nonzero.max() < _SAFE_SUM / max(int(sizes.max(initial=0)), 1)
     # A zero is a multiple of every q.
-    nonzero = np.where(values == 0, np.inf, np.abs(values))
+    nonzero[nonzero == 0] = np.inf
+    per_block = max(1, GATHER_BUDGET_BYTES // (8 * _SUM_ARRAYS))
     with np.errstate(over="ignore", invalid="ignore"):
-        for j, k in enumerate((n - np.cumsum(np.bincount(sizes)))[:-1].tolist()):
-            at = pos[:k] + j
-            x, a = values[at], s[:k]
-            np.minimum(least[:k], nonzero[at], out=least[:k])
-            total = a + x
-            back = total - a
-            t = (a - (total - back)) + (x - back)
-            s[:k] = total
-            err[:k] += t
-            mag[:k] += np.abs(t)
-        rounded = s + err
-        back = rounded - s
-        d = (s - (rounded - back)) + (err - back)
-        gap = np.abs(rounded) - np.nextafter(np.abs(rounded), 0)
-        exact = ((mag < 2.0 ** 53 * np.spacing(least))
-                 | (np.abs(d) + n_elems * 2.0 ** -52 * mag < gap / 2)) & (rounded != 0)
-    if n and values.size and not np.abs(values).max() < _SAFE_SUM / max(n_elems[0], 1):
-        exact[:] = False
-    exact |= n_elems == 0
-    sums = np.empty(n)
-    sums[order] = rounded
-    for i in order[~exact].tolist():
+        for start in range(0, n if safe else 0, per_block):
+            block = slice(start, start + per_block)
+            # Longest windows first, so the windows still open at a step are a prefix.
+            order = np.argsort(-sizes[block], kind="stable")
+            pos, n_elems = first[block][order], sizes[block][order]
+            m = len(order)
+            s, err, mag, least = np.zeros(m), np.zeros(m), np.zeros(m), np.full(m, np.inf)
+            for j, k in enumerate((m - np.cumsum(np.bincount(n_elems)))[:-1].tolist()):
+                at = pos[:k] + j
+                x, a = values[at], s[:k]
+                np.minimum(least[:k], nonzero[at], out=least[:k])
+                total = a + x
+                back = total - a
+                t = (a - (total - back)) + (x - back)
+                s[:k] = total
+                err[:k] += t
+                mag[:k] += np.abs(t)
+            rounded = s + err
+            back = rounded - s
+            d = (s - (rounded - back)) + (err - back)
+            gap = np.abs(rounded) - np.nextafter(np.abs(rounded), 0)
+            exact = ((mag < 2.0 ** 53 * np.spacing(least))
+                     | (np.abs(d) + n_elems * 2.0 ** -52 * mag < gap / 2)) & (rounded != 0)
+            sums[start + order] = rounded
+            slow[start + order] &= ~exact
+    for i in np.flatnonzero(slow).tolist():
         sums[i] = math.fsum(values[first[i]:last[i]].tolist())
     return sums
 
@@ -394,15 +419,13 @@ def avg_delay(index: EventIndex, bounds: Bounds, stats: TransitionStats) -> np.n
     Only same-case consecutive pairs whose transition has a positive training
     mean are eligible; with no eligible pair the neutral ratio 1.0 is returned.
     """
-    means = index.mean_by_pair(stats)
-    eligible = index.pair_codes >= 0
-    pair_means = means[np.where(eligible, index.pair_codes, 0)]
-    ok = eligible & np.isfinite(pair_means)
+    # Pair code -1, an event without a previous one, reads the appended NaN.
+    pair_means = np.append(index.mean_by_pair(stats), math.nan)[index.pair_codes]
+    ok = np.isfinite(pair_means)
     ratios = index.prev_gaps[ok] / pair_means[ok]
-    # Eligible events of each window: a range of the eligible positions.
-    positions = np.flatnonzero(ok)
-    lo, hi = bounds
-    first, last = np.searchsorted(positions, lo), np.searchsorted(positions, hi)
+    # Eligible events of each window: a range of the eligible positions,
+    # read from the count of eligible events before each position.
+    first, last = np.r_[0, np.cumsum(ok)][np.stack(bounds)]
     count = last - first
     return np.divide(_window_sums(ratios, first, last), count,
                      out=np.ones(len(count)), where=count > 0)

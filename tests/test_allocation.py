@@ -23,6 +23,13 @@ kernel run holds one kernel matrix at a time, never two of one fold or one
 of the fold before. The SVM fit adds its η table, and a regrouped fold
 drops its distinct Gram matrix before the fit, so the fit holds the
 (row, label) gather and the table.
+
+Fold encoding keeps its temporaries cache-sized: the window features of an
+encode_window-sized log (about 6,000 anchors) gather window positions and
+sum windows in pieces of ``GATHER_BUDGET_BYTES``, so beside a few
+anchor-length arrays they peak at a fixed size, where one gather of all
+windows at once takes megabytes. ``apply_scaler`` allocates its output block
+and nothing else of that size.
 """
 
 from __future__ import annotations
@@ -35,7 +42,11 @@ import pytest
 from conftest import random_log
 from icppm import bench
 from icppm.bench import ExperimentConfig, run_experiment
+from icppm.encoding import FeatureVector, Vocabulary, apply_scaler, fit_scaler
 from icppm.eventlog import build_prefix_log
+from icppm.intercase import (
+    EventIndex, PeerWindow, avg_delay, fit_transition_stats, freq_act, peer_cases, res_count,
+)
 from icppm.qkernel import KernelKind, cross, gram
 from icppm.qsim import FEATURE_MAPS, FeatureMapKind, _apply_op, feature_map_states
 from icppm.vqc import OptimizerConfig, train
@@ -194,3 +205,41 @@ def test_regrouped_fold_fits_on_the_gather_and_the_eta_table_alone():
     # The gather and the table are 2 group Grams; the distinct Gram kept
     # alive into the fit would add 600² / 900² = 0.44 more.
     assert traced_peak(fold) < 2.3 * m_g * m_g * 8
+
+
+def test_apply_scaler_allocates_one_output_block():
+    rng = np.random.default_rng(7)
+    values = rng.normal(size=(6000, 10))
+    values[:, 3] = 1.0  # a constant column, which maps to the midpoint
+    block = FeatureVector(values, tuple(f"f{j}" for j in range(10)))
+    params = fit_scaler(FeatureVector(values[:4000], block.schema))
+    # The output block, the finite check's boolean mask of it and numpy's
+    # buffers; one more float block (a clipped copy beside the result) fails.
+    assert traced_peak(lambda: apply_scaler(block, params)) <= (
+        values.nbytes + values.size + SLACK
+    )
+
+
+@pytest.fixture(scope="module")
+def window_queries():
+    # 5,935 events, all of them anchors, with windows of 66 events on
+    # average (the 100k-event synth log's are 47 at window_fraction 20).
+    log = random_log(11, n_cases=1700)
+    index = EventIndex(log)
+    bounds = index.window_bounds(index.times, PeerWindow(60.0))
+    stats = fit_transition_stats(log)
+    vocab = Vocabulary.from_values(log.activity_vocab)
+    return {
+        "peer_cases": lambda: peer_cases(index, bounds, index.case_codes),
+        "res_count": lambda: res_count(index, bounds),
+        "freq_act": lambda: freq_act(index, bounds, vocab),
+        "avg_delay": lambda: avg_delay(index, bounds, stats),
+    }
+
+
+@pytest.mark.parametrize("feature", ["peer_cases", "res_count", "freq_act", "avg_delay"])
+def test_window_feature_peaks_at_a_fixed_size(window_queries, feature):
+    # About 8 anchor-length arrays and the gather budget with numpy's sort
+    # copies; gathering every window at once peaks at 1 MB (avg_delay) to
+    # 19 MB (peer_cases).
+    assert traced_peak(window_queries[feature]) < 768 * 1024

@@ -456,8 +456,9 @@ class TestOracleAgreement:
         times = np.array([epoch(0), epoch(50)])
         assert_window_features_match_oracle(log, EventIndex(log), times, ["c1", "c2"], 10.0)
 
-    @pytest.mark.parametrize("budget_entries", [1, 3, 7])
+    @pytest.mark.parametrize("budget_entries", [1, 3, 7, 10])
     def test_windows_crossing_chunk_boundaries(self, monkeypatch, budget_entries):
+        # The same budgets sum avg_delay's windows in blocks of 1, 1, 2 and 3 anchors.
         monkeypatch.setattr(
             intercase, "GATHER_BUDGET_BYTES", 8 * intercase._GATHER_ARRAYS * budget_entries
         )
@@ -525,18 +526,43 @@ class TestWindowSums:
     @example(([2.0 ** 53 - 1, 0.5, 2.0 ** -60, 0.5], [(0, 2), (0, 3), (0, 4)]))
     @example(([1.0 + 2.0 ** -52, 2.0 ** -53, 3.0], [(0, 2), (0, 3), (2, 2)]))
     @example(([1.7e308, 1.7e308, -1.7e308], [(2, 3), (0, 3)]))
+    # The fsum fallback of a near-tie and the overflow guard, in the last
+    # window, which lands in a later block when blocks hold 1 to 3 anchors.
+    @example(([1.0, 2.0, 2.0 ** 60, 1.0, 2.0 ** -53, 2.0 ** -100, -(2.0 ** 60)],
+              [(0, 1), (0, 2), (1, 2), (2, 7)]))
+    @example(([1.0, 2.0, 1e302, -1e302, 1.5], [(0, 1), (1, 2), (0, 2), (2, 5)]))
+    @example(([1.0, 2.0, 1.7e308, 1.7e308, -1.7e308], [(0, 1), (0, 2), (4, 5), (2, 5)]))
     def test_equals_fsum_per_window(self, case):
         values, windows = case
         first = np.array([a for a, _ in windows], dtype=np.int64)
         last = np.array([b for _, b in windows], dtype=np.int64)
         args = (np.array(values, dtype=np.float64), first, last)
         try:
-            want = np.array([math.fsum(values[a:b]) for a, b in windows], dtype=np.float64)
+            want = np.array([math.fsum(values[a:b]) for a, b in windows]).tobytes()
         except OverflowError as exc:
-            with pytest.raises(OverflowError, match=re.escape(str(exc))):
-                intercase._window_sums(*args)
-            return
-        assert intercase._window_sums(*args).tobytes() == want.tobytes()
+            want = exc
+        # One block of every window, and blocks of 1, 2 and 3 anchors.
+        budgets = [8 * intercase._SUM_ARRAYS * block for block in (1, 2, 3)]
+        for budget in [intercase.GATHER_BUDGET_BYTES, *budgets]:
+            with mock.patch.object(intercase, "GATHER_BUDGET_BYTES", budget):
+                if isinstance(want, OverflowError):
+                    with pytest.raises(OverflowError, match=re.escape(str(want))):
+                        intercase._window_sums(*args)
+                else:
+                    assert intercase._window_sums(*args).tobytes() == want, budget
+
+    @pytest.mark.parametrize("block", [1, 2, 3])
+    def test_fallback_in_a_later_block_sums_its_own_window(self, block):
+        # Only the near-tie window (2, 7), the fourth, fails both exactness
+        # tests; fsum must sum that window and no other.
+        values = np.array([1.0, 2.0, 2.0 ** 60, 1.0, 2.0 ** -53, 2.0 ** -100, -(2.0 ** 60)])
+        first, last = np.array([0, 0, 1, 2, 3]), np.array([1, 2, 2, 7, 5])
+        want = [math.fsum(values[a:b].tolist()) for a, b in zip(first, last)]
+        with mock.patch.object(intercase, "GATHER_BUDGET_BYTES", 8 * intercase._SUM_ARRAYS * block), \
+                mock.patch.object(math, "fsum", wraps=math.fsum) as fsum:
+            got = intercase._window_sums(values, first, last)
+        assert got.tolist() == want
+        assert fsum.call_args_list == [mock.call(values[2:7].tolist())]
 
 
 class TestPeerCountsOnTiesAndEmptyWindows:
@@ -590,6 +616,25 @@ class TestEventIndex:
         idx = EventIndex(log)
         with pytest.raises(ValueError):
             idx.times[0] = 0.0
+
+    def test_previous_resource_built_once_for_res_count_only(self, monkeypatch):
+        log = random_log(2, n_cases=12)
+        idx = EventIndex(log)
+        calls = []
+        previous = intercase._previous
+        monkeypatch.setattr(intercase, "_previous",
+                            lambda codes: calls.append(len(codes)) or previous(codes))
+        times, case_ids, _ = every_event(log)
+        bounds = idx.window_bounds(times, PeerWindow(600.0))
+        peer_cases(idx, bounds, oracles.index_codes(case_ids, idx.cases))
+        top_res(idx, bounds, Vocabulary.from_values(log.resource_vocab))
+        assert calls == []
+        first = res_count(idx, bounds)
+        assert res_count(idx, bounds).tolist() == first.tolist()
+        assert calls == [len(idx)]
+        assert idx.prev_res.tolist() == previous(idx.res_codes).tolist()
+        with pytest.raises(ValueError):
+            idx.prev_res[0] = 0
 
 
 class TestInterCaseEncoder:
