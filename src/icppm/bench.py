@@ -44,6 +44,7 @@ from .eventlog import (
     _check_column_map,
     _check_date_slice,
     _check_fold_count,
+    _check_log_format,
     _check_prefix_range,
     build_prefix_log,
     filter_singleton_variants,
@@ -62,6 +63,7 @@ from .intercase import (
     compose,
     fit_batch_stats,
     fit_transition_stats,
+    fitted_inputs,
 )
 from .qkernel import KernelKind, cross, gram
 from .qsim import EXACT, FeatureMapKind, ShotConfig
@@ -183,6 +185,7 @@ class ExperimentConfig:
         for f in fields(self):
             _check_field_type(f.name, f.type, getattr(self, f.name))
         _check_column_map(self.column_map)
+        _check_log_format(self.fmt)
         ShotConfig(self.shots)  # shots >= 1, or None for exact
         for name in ("C", "tol"):
             if not getattr(self, name) > 0:
@@ -453,17 +456,17 @@ def fit_encoder(
     )
     if not cfg.inter_features:
         return intra
-    needs_t = bool({"avg_delay", "batch"} & set(cfg.inter_features))
+    needs = fitted_inputs(cfg.inter_features)
     inter = InterCaseEncoder(
         index,
         tuple(cfg.inter_features),
         PeerWindow(_train_window_width(cfg, fit_log)),
         act_vocab=act_vocab,
         res_vocab=res_vocab,
-        transition_stats=fit_transition_stats(fit_log) if needs_t else None,
+        transition_stats=fit_transition_stats(fit_log) if "transition_stats" in needs else None,
         batch_stats=(
             fit_batch_stats(fit_log, cfg.epsilon, cfg.min_burst)
-            if "batch" in cfg.inter_features
+            if "batch_stats" in needs
             else None
         ),
     )

@@ -20,7 +20,7 @@ from . import bench as bench_mod
 from .bench import DATA_DIR_ENV, ExperimentConfig
 from .encoding import INTRA_ENCODERS, apply_scaler, fit_scaler, write_feature_csv
 from .errors import ConfigError, IcppmError, ParseError
-from .eventlog import _SLICE_RULES, log_statistics, write_csv
+from .eventlog import _LOG_FORMATS, _SLICE_RULES, log_statistics, write_csv
 from .oracles import run_kernel_check
 from .qsim import FEATURE_MAPS
 
@@ -44,7 +44,7 @@ def _add_io_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("dataset", metavar="log",
                         help=f"event log path (.xes/.csv, optionally .gz); "
                              f"relative paths also resolve under ${DATA_DIR_ENV}")
-    parser.add_argument("--format", dest="fmt", choices=("xes", "csv"),
+    parser.add_argument("--format", dest="fmt", choices=_LOG_FORMATS,
                         help="override format detection")
     parser.add_argument("--filter-singletons", action="store_true",
                         help="drop cases whose activity sequence occurs only once")

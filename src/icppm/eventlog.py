@@ -343,9 +343,7 @@ def parse_xes(source: IO[bytes] | bytes) -> EventLog:
 
     try:
         context = ET.iterparse(source, events=("start", "end"))
-        _, root = next(context, (None, None))
-        if root is None:
-            raise ParseError("empty XES document")
+        _, root = next(context)
         for action, elem in context:
             if action != "end" or local[elem.tag] != "trace":
                 continue
@@ -596,6 +594,15 @@ def write_csv(log: EventLog, sink: IO[str]) -> None:
             sink.write(f"{case_cell},{acts[act[r]]},{stamp},{ress[res[r]]}{attr_cells}\n")
 
 
+_LOG_FORMATS = ("xes", "csv")
+
+
+def _check_log_format(fmt: str | None) -> None:
+    """``fmt`` is one of _LOG_FORMATS, or None to infer it from the file name."""
+    if fmt is not None and fmt not in _LOG_FORMATS:
+        raise ConfigError(f"unknown log format {fmt!r} (expected xes or csv)")
+
+
 def load_log(
     path: str | Path,
     fmt: str | None = None,
@@ -619,17 +626,16 @@ def load_log(
             fmt = "csv"
         else:
             raise ConfigError(f"cannot infer log format from file name: {path.name}")
+    _check_log_format(fmt)
     opener = gzip.open if gz else open
     try:
         if fmt == "xes":
             with opener(path, "rb") as fh:
                 return parse_xes(fh)
-        if fmt == "csv":
-            with opener(path, "rt", encoding="utf-8", newline="") as fh:
-                return parse_csv(fh, column_map)
+        with opener(path, "rt", encoding="utf-8", newline="") as fh:
+            return parse_csv(fh, column_map)
     except (gzip.BadGzipFile, EOFError, zlib.error) as exc:
         raise ParseError(f"corrupt gzip file {path.name}: {exc}") from exc
-    raise ConfigError(f"unknown log format {fmt!r} (expected xes or csv)")
 
 
 def filter_singleton_variants(log: EventLog) -> EventLog:

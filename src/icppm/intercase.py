@@ -11,6 +11,12 @@ a chunk of anchors at a time, and window sums run a block of anchors at a
 time, both sized from ``GATHER_BUDGET_BYTES`` so that their temporaries stay
 below glibc's 128 KiB mmap threshold and inside the L2 cache.
 
+One table, ``_FEATURE_TABLE`` (keyed by ``FEATURES``), gives each feature's
+column function and the fitted ``InterCaseEncoder`` fields it reads. One
+rule, ``_previous``, finds each event's previous event of the same case or
+resource: ``avg_delay`` reads its gaps and transitions through it, and a
+distinct count takes the window events whose previous one is outside it.
+
 Conventions that keep results bit-identical to a naive full scan:
 window membership compares epoch-second floats and durations are float
 seconds, both ``eventlog.seconds`` of the log's integer microseconds, which
@@ -24,35 +30,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .encoding import FeatureVector, Vocabulary
 from .errors import ConfigError
 from .eventlog import EventLog, seconds
-
-FEATURES = (
-    "peer_cases",
-    "peer_act",
-    "res_count",
-    "avg_delay",
-    "freq_act",
-    "top_res",
-    "batch",
-)
-
-
-def _check_features(features: Sequence[str]) -> None:
-    """An inter-case feature list has at most two distinct names of FEATURES."""
-    if len(features) > 2:
-        raise ConfigError(f"at most 2 inter-case features are allowed, got {features}")
-    unknown = [f for f in features if f not in FEATURES]
-    if unknown:
-        raise ConfigError(f"unknown inter-case features {unknown}, expected {FEATURES}")
-    if len(set(features)) < len(features):
-        raise ConfigError(f"inter-case features repeat: {features}")
-
 
 # Largest gather, in bytes, that counting window codes may build at once:
 # anchors are taken in chunks whose window positions, expanded one int64
@@ -197,11 +181,10 @@ def _previous(codes: np.ndarray) -> np.ndarray:
 class EventIndex:
     """Time-sorted columns of a log, shared by all window feature queries.
 
-    Case, activity and resource codes are the log's own. ``prev_case`` is
-    the position of each event's previous same-case event (-1 for none): an
-    event is its case's first in a window [lo, hi) when that lies before lo.
-    ``prev_res`` is the same for resources, built when ``res_count`` first
-    asks for it.
+    Case, activity and resource codes are the log's own. ``prev_case`` and
+    ``prev_res`` (built when ``res_count`` first asks for it) are positions
+    of previous events, -1 for none; ``prev_gaps`` and ``pair_codes`` are
+    the gap and transition from the previous same-case event, NaN or -1.
     """
 
     def __init__(self, log: EventLog):
@@ -211,21 +194,11 @@ class EventIndex:
         self.case_codes = log.case[order]
         self.act_codes = log.activity[order]
         self.res_codes = log.resource[order]
-        # Previous event of the same case: its activity and the gap to it.
-        has_prev = np.ones(log.n_events, dtype=bool)
-        has_prev[log.offsets[:-1][np.diff(log.offsets) > 0]] = False
-        prev_acts = np.where(has_prev, np.roll(log.activity, 1), -1)[order]
-        # Events of a case keep their row order here, so the previous
-        # same-case event is the previous row.
-        position = np.empty_like(order)
-        position[order] = np.arange(len(order))
-        self.prev_case = np.where(has_prev[order], position[order - 1], -1)
-        gaps = seconds(log.time_us - np.roll(log.time_us, 1))
-        self.prev_gaps = np.where(has_prev, gaps, math.nan)[order]
+        prev = self.prev_case = _previous(self.case_codes)
+        us = log.time_us[order]
+        self.prev_gaps = np.where(prev >= 0, seconds(us - us[prev]), math.nan)
         n_acts = max(len(log.activity_vocab), 1)
-        self.pair_codes = np.where(
-            prev_acts >= 0, prev_acts * n_acts + self.act_codes, -1
-        )
+        self.pair_codes = np.where(prev >= 0, self.act_codes[prev] * n_acts + self.act_codes, -1)
         self.cases = log.case_ids
         self.activities = log.activity_vocab
         self.resources = log.resource_vocab
@@ -248,19 +221,6 @@ class EventIndex:
         lo = np.searchsorted(self.times, times - window.width, side="left")
         hi = np.searchsorted(self.times, times, side="right")
         return lo, hi
-
-    def mean_by_pair(self, stats: TransitionStats) -> np.ndarray:
-        """Training mean duration per internal transition code; NaN when the
-        transition is unknown or its mean is zero (no usable ratio)."""
-        n_acts = max(len(self.activities), 1)
-        code = {a: i for i, a in enumerate(self.activities)}
-        table = np.full(n_acts * n_acts, math.nan)
-        for (a, b), mean in stats.mean_duration.items():
-            ia = code.get(a)
-            ib = code.get(b)
-            if ia is not None and ib is not None and mean > 0:
-                table[ia * n_acts + ib] = mean
-        return table
 
 
 def _window_positions(bounds: Bounds) -> Iterator[tuple[int, int, np.ndarray, np.ndarray]]:
@@ -413,6 +373,20 @@ def _window_sums(values: np.ndarray, first: np.ndarray, last: np.ndarray) -> np.
     return sums
 
 
+def _transition_means(index: EventIndex, stats: TransitionStats) -> np.ndarray:
+    """Training mean duration per internal transition code; NaN when the
+    transition is unknown or its mean is zero (no usable ratio)."""
+    n_acts = max(len(index.activities), 1)
+    code = {a: i for i, a in enumerate(index.activities)}
+    table = np.full(n_acts * n_acts, math.nan)
+    for (a, b), mean in stats.mean_duration.items():
+        ia = code.get(a)
+        ib = code.get(b)
+        if ia is not None and ib is not None and mean > 0:
+            table[ia * n_acts + ib] = mean
+    return table
+
+
 def avg_delay(index: EventIndex, bounds: Bounds, stats: TransitionStats) -> np.ndarray:
     """Mean observed/expected duration ratio of transitions ending in each window.
 
@@ -420,7 +394,7 @@ def avg_delay(index: EventIndex, bounds: Bounds, stats: TransitionStats) -> np.n
     mean are eligible; with no eligible pair the neutral ratio 1.0 is returned.
     """
     # Pair code -1, an event without a previous one, reads the appended NaN.
-    pair_means = np.append(index.mean_by_pair(stats), math.nan)[index.pair_codes]
+    pair_means = np.append(_transition_means(index, stats), math.nan)[index.pair_codes]
     ok = np.isfinite(pair_means)
     ratios = index.prev_gaps[ok] / pair_means[ok]
     # Eligible events of each window: a range of the eligible positions,
@@ -463,6 +437,42 @@ def batch_indicator(
     return np.array([table[a] for a in last_activities], dtype=np.float64)
 
 
+# Every inter-case feature, in the order FEATURES lists them: its column,
+# from the encoder, the anchors' window bounds and their case and
+# last-activity codes, and the fitted InterCaseEncoder fields it reads.
+_FEATURE_TABLE: dict[str, tuple[Callable[..., np.ndarray], tuple[str, ...]]] = {
+    "peer_cases": (lambda enc, bounds, cases, last: peer_cases(enc.index, bounds, cases), ()),
+    "peer_act": (lambda enc, bounds, cases, last: peer_act(enc.index, bounds), ()),
+    "res_count": (lambda enc, bounds, cases, last: res_count(enc.index, bounds), ()),
+    "avg_delay": (lambda enc, bounds, cases, last:
+                  avg_delay(enc.index, bounds, enc.transition_stats), ("transition_stats",)),
+    "freq_act": (lambda enc, bounds, cases, last:
+                 freq_act(enc.index, bounds, enc.act_vocab), ("act_vocab",)),
+    "top_res": (lambda enc, bounds, cases, last:
+                top_res(enc.index, bounds, enc.res_vocab), ("res_vocab",)),
+    "batch": (lambda enc, bounds, cases, last: batch_indicator(
+        enc.index.activities, enc.batch_stats, enc.transition_stats.successors)[last],
+        ("batch_stats", "transition_stats")),
+}
+FEATURES = tuple(_FEATURE_TABLE)
+
+
+def _check_features(features: Sequence[str]) -> None:
+    """An inter-case feature list has at most two distinct names of FEATURES."""
+    if len(features) > 2:
+        raise ConfigError(f"at most 2 inter-case features are allowed, got {features}")
+    unknown = [f for f in features if f not in FEATURES]
+    if unknown:
+        raise ConfigError(f"unknown inter-case features {unknown}, expected {FEATURES}")
+    if len(set(features)) < len(features):
+        raise ConfigError(f"inter-case features repeat: {features}")
+
+
+def fitted_inputs(features: Sequence[str]) -> set[str]:
+    """The fitted ``InterCaseEncoder`` fields that ``features`` read."""
+    return {field for name in features for field in _FEATURE_TABLE[name][1]}
+
+
 @dataclass(eq=False)
 class InterCaseEncoder:
     """Binds a feature subset to an index, fitted stats, and a window."""
@@ -478,43 +488,20 @@ class InterCaseEncoder:
     def __post_init__(self):
         self.features = tuple(self.features)
         _check_features(self.features)
-        if "avg_delay" in self.features and self.transition_stats is None:
-            raise ConfigError("avg_delay requires fitted transition stats")
-        if "batch" in self.features and (
-            self.batch_stats is None or self.transition_stats is None
-        ):
-            raise ConfigError("batch requires fitted batch and transition stats")
-        if "freq_act" in self.features and self.act_vocab is None:
-            raise ConfigError("freq_act requires an activity vocabulary")
-        if "top_res" in self.features and self.res_vocab is None:
-            raise ConfigError("top_res requires a resource vocabulary")
+        for name in self.features:
+            missing = [f for f in _FEATURE_TABLE[name][1] if getattr(self, f) is None]
+            if missing:
+                raise ConfigError(f"{name} requires fitted {' and '.join(missing)}")
 
     def encode(
         self, times: np.ndarray, cases: np.ndarray, last_activities: np.ndarray
     ) -> FeatureVector:
         """Feature block, one row per anchor (time, case, last activity);
         cases and activities are integer arrays of the index's own codes."""
-        index = self.index
-        bounds = index.window_bounds(times, self.window)
+        bounds = self.index.window_bounds(times, self.window)
         out = np.empty((len(cases), len(self.features)))
         for j, name in enumerate(self.features):
-            if name == "peer_cases":
-                out[:, j] = peer_cases(index, bounds, cases)
-            elif name == "peer_act":
-                out[:, j] = peer_act(index, bounds)
-            elif name == "res_count":
-                out[:, j] = res_count(index, bounds)
-            elif name == "avg_delay":
-                out[:, j] = avg_delay(index, bounds, self.transition_stats)
-            elif name == "freq_act":
-                out[:, j] = freq_act(index, bounds, self.act_vocab)
-            elif name == "top_res":
-                out[:, j] = top_res(index, bounds, self.res_vocab)
-            elif name == "batch":
-                scores = batch_indicator(
-                    index.activities, self.batch_stats, self.transition_stats.successors
-                )
-                out[:, j] = scores[last_activities]
+            out[:, j] = _FEATURE_TABLE[name][0](self, bounds, cases, last_activities)
         return FeatureVector(out, self.features)
 
 

@@ -1012,6 +1012,17 @@ class TestPrepareSamples:
         assert len(samples) == 30
         assert run_experiment(cfg).n_samples == 15
 
+    def test_date_slice_keeps_the_cases_in_range(self, tmp_path):
+        # Cases c00-c02 start on 2023-03-01, c03-c05 four days later.
+        days = [("a", 0), ("b", 30), ("c", 60)]
+        log = make_log(*(make_trace(f"c{i:02d}", [(a, t + i // 3 * 4 * 86400) for a, t in days])
+                         for i in range(6)))
+        cfg = ExperimentConfig(dataset=write_log(log, tmp_path / "log.csv"), classifier="majority",
+                               folds=2, date_start="20230304", date_end="20230306")
+        loaded, samples = prepare_samples(cfg)
+        assert loaded.case_ids == ("c03", "c04", "c05")
+        assert len(samples) == 9
+
     def test_date_slice_needs_both_bounds(self, tmp_path):
         log = two_label_log(4)
         path = tmp_path / "log.csv"
@@ -1131,3 +1142,12 @@ class TestFoldEncoding:
         assert block.values.shape == (len(samples), 4 + 2)
         assert block.schema[-2:] == ("peer_cases", "avg_delay")
         assert encode(samples[:1]).values.tolist() == block.values[:1].tolist()
+
+    def test_encoder_rejects_prefixes_of_another_log(self):
+        cfg = ExperimentConfig(classifier="majority", window_base=300.0,
+                               inter_features=("peer_cases",))
+        log, _ = two_label_setup(cfg)
+        _, other = two_label_setup(cfg)
+        encode = bench.fit_encoder(cfg, log, bench.EventIndex(log))
+        with pytest.raises(ValueError, match="not of the event index's log"):
+            encode(other)

@@ -54,6 +54,15 @@ class TestStats:
         ])
         assert code == 2
 
+    def test_date_range(self, tmp_path, capsys):
+        log = make_log(make_trace("c1", [("a", 0)]), make_trace("c2", [("a", 4 * 86400)]))
+        path = tmp_path / "two-days.csv"
+        with path.open("w") as sink:
+            write_csv(log, sink)
+        assert main(["stats", str(path), "--date-start", "20230304",
+                     "--date-end", "20230306"]) == 0
+        assert "cases: 1" in capsys.readouterr().out
+
     def test_half_open_date_range_exits_2(self, log_path):
         assert main(["stats", str(log_path), "--date-start", "20230301"]) == 2
 
@@ -218,7 +227,7 @@ class TestBench:
         {"scale_lo": -1e308, "scale_hi": 1e308}, {"learning_rate": math.inf},
         {"learning_rate": math.nan}, {"window_base": -5.0}, {"classifier": "qke_zz_0"},
         {"classifier": "vqc_angle_-2"}, {"classifier": "qke_zz_01"},
-        {"C": "1"}, {"filter_singletons": "false"},
+        {"C": "1"}, {"filter_singletons": "false"}, {"fmt": "parquet"},
     ], ids=lambda values: ",".join(f"{k}={v}" for k, v in values.items()))
     def test_bad_value_rejected_before_the_log_is_read(self, log_path, tmp_path, monkeypatch,
                                                       capsys, values):
@@ -235,6 +244,27 @@ class TestBench:
         assert main(["bench", "--config", str(cfg), "--out-dir", str(d1)]) == 0
         assert main(["bench", "--config", str(cfg), "--out-dir", str(d2)]) == 0
         assert (d1 / "results.csv").read_bytes() == (d2 / "results.csv").read_bytes()
+
+    def test_exact_flag_drops_configured_shots(self, log_path, tmp_path):
+        shots = self._config(tmp_path, log_path, classifier="qke_angle_1", k=2, shots=50)
+        exact = tmp_path / "exact.json"
+        exact.write_text(json.dumps({**json.loads(shots.read_text()), "shots": None}))
+        d1, d2 = tmp_path / "r1", tmp_path / "r2"
+        assert main(["bench", "--config", str(shots), "--exact", "--out-dir", str(d1)]) == 0
+        assert main(["bench", "--config", str(exact), "--out-dir", str(d2)]) == 0
+        assert (d1 / "results.csv").read_bytes() == (d2 / "results.csv").read_bytes()
+        # On this log the accuracies also agree in shot mode; the counters do not.
+        runs = [json.loads((d / "results.json").read_text())["runs"] for d in (d1, d2)]
+        untimed = [[{k: v for k, v in r.items() if not k.endswith("_time_s")} for r in rs]
+                   for rs in runs]
+        assert untimed[0] == untimed[1]
+
+    def test_log_without_prefix_samples_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "empty.xes"
+        path.write_bytes(b"<log/>")
+        cfg = self._config(tmp_path, path)
+        assert main(["bench", "--config", str(cfg), "--out-dir", str(tmp_path / "r")]) == 2
+        assert "no prefix samples" in capsys.readouterr().err
 
     def test_seed_override_changes_fingerprint(self, log_path, tmp_path):
         cfg = self._config(tmp_path, log_path)

@@ -130,6 +130,11 @@ class TestParseXes:
         with pytest.raises(ParseError, match=r"line \d+"):
             parse_xes(b"<?xml version='1.0'?>\n<log>\n<trace>\n</log>")
 
+    @pytest.mark.parametrize("doc", [b"", b"   ", b'<?xml version="1.0"?>'])
+    def test_document_without_root_is_malformed(self, doc):
+        with pytest.raises(ParseError, match="^malformed XES"):
+            parse_xes(doc)
+
     def test_duplicate_case_id_is_record_error(self):
         doc = xes_doc([("t1", [("a", "2023-01-01T10:00:00Z", None)], {}),
                        ("t1", [("b", "2023-01-01T11:00:00Z", None)], {})])
@@ -299,6 +304,12 @@ class TestLoadLog:
         p.write_text("x")
         with pytest.raises(ConfigError):
             load_log(p)
+
+    def test_unknown_format(self, tmp_path):
+        p = tmp_path / "log.csv"
+        p.write_text("case_id,activity,timestamp\n")
+        with pytest.raises(ConfigError, match="unknown log format 'parquet'"):
+            load_log(p, "parquet")
 
 
 class TestFilterSingletonVariants:

@@ -532,6 +532,11 @@ class TestWindowSums:
               [(0, 1), (0, 2), (1, 2), (2, 7)]))
     @example(([1.0, 2.0, 1e302, -1e302, 1.5], [(0, 1), (1, 2), (0, 2), (2, 5)]))
     @example(([1.0, 2.0, 1.7e308, 1.7e308, -1.7e308], [(0, 1), (0, 2), (4, 5), (2, 5)]))
+    # fsum overflows, but TwoSum's running float sum stays at the largest
+    # double while the exact one passes it, and the rounded sum, 2**1023,
+    # certifies: only the overflow guard sends this window to fsum.
+    @example(([2.0 ** 1023, 2.0 ** 1022 + 2.0 ** 970, 2.0 ** 1022 - 2.0 ** 971 + 2.0 ** 969,
+               -(2.0 ** 1023)], [(0, 4)]))
     def test_equals_fsum_per_window(self, case):
         values, windows = case
         first = np.array([a for a, _ in windows], dtype=np.int64)
