@@ -38,7 +38,6 @@ from .encoding import (
 )
 from .errors import ConfigError
 from .eventlog import (
-    END_LABEL,
     EventLog,
     PrefixSet,
     _check_column_map,
@@ -517,16 +516,17 @@ def _distinct_rows(x: np.ndarray, merge: bool) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _fold_groups(x_train: np.ndarray, y_train: np.ndarray, merge: bool):
-    """The train rows as (row, label) groups: (rows, group_row,
-    group_labels, counts), with ``rows`` the distinct rows
-    (``_distinct_rows``), group g the rows equal to ``rows[group_row[g]]``
-    that carry label ``group_labels[g]``, and ``counts[g]`` their number.
-    Groups are sorted by row, then label: with one label per row, group g is
-    row g. Without ``merge``, group t is train row t with count 1."""
+    """The train rows, labelled with the int codes >= 0 ``y_train``, as
+    (row, label) groups: (rows, group_row, group_labels, counts), with
+    ``rows`` the distinct rows (``_distinct_rows``), group g the rows equal
+    to ``rows[group_row[g]]`` that carry label ``group_labels[g]``, and
+    ``counts[g]`` their number. Groups are sorted by row, then label: with
+    one label per row, group g is row g. Without ``merge``, group t is train
+    row t with count 1."""
     rows, row_of = _distinct_rows(x_train, merge)
-    classes, label_of = np.unique(y_train, return_inverse=True)
-    pairs, counts = np.unique(row_of * len(classes) + label_of, return_counts=True)
-    return rows, pairs // len(classes), classes[pairs % len(classes)], counts
+    n_labels = int(y_train.max()) + 1
+    pairs, counts = np.unique(row_of * n_labels + y_train, return_counts=True)
+    return rows, pairs // n_labels, pairs % n_labels, counts
 
 
 def _kernel_fold(cfg: ExperimentConfig, kernel_kind: KernelKind, groups: tuple,
@@ -617,14 +617,7 @@ def run_experiment(
     family, feature_map = _parse_classifier(cfg.classifier)
     folds = make_cv_folds(samples, cfg.folds, derive_seed(cfg.seed, "folds"))
     index = EventIndex(log) if cfg.inter_features else None
-    # The labels as integer codes in name order (END_LABEL sorted in by its
-    # name, not last as in label_codes), so every class order, tie-break and
-    # majority vote is the one of the names. A numpy string array would drop
-    # trailing NULs and merge "A" with "A\x00".
-    names = samples.log.activity_vocab + (END_LABEL,)
-    rank = np.empty(len(names), dtype=np.intp)
-    rank[sorted(range(len(names)), key=names.__getitem__)] = np.arange(len(names))
-    labels = rank[samples.label_codes()]
+    labels = samples.label_codes()
 
     fold_accs: list[float] = []
     parts: list[dict] = []
@@ -641,9 +634,8 @@ def run_experiment(
         fold_note = ""
         if family == "majority":
             t_fit0 = time.perf_counter()
-            # np.unique sorts: a tie goes to the first label by name.
-            classes, counts = np.unique(y_train, return_counts=True)
-            predictions = classes[counts.argmax()]
+            # argmax takes the smallest code on a tie: the first label by name.
+            predictions = np.bincount(y_train).argmax()
             part["fit_time_s"] = time.perf_counter() - t_fit0
         else:
             # Equal rows have equal exact kernel rows and VQC scores, so an

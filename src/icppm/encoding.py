@@ -22,7 +22,7 @@ from typing import IO, Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import ConfigError
-from .eventlog import PrefixSet
+from .eventlog import PrefixSet, expand_ranges
 
 PAD_TOKEN = "<PAD>"
 
@@ -135,13 +135,10 @@ def encode_aggregation(
     """Occurrence counts (or presence flags) per known activity."""
     if mode not in ("count", "boolean"):
         raise ConfigError(f"aggregation mode must be count or boolean, got {mode!r}")
-    log, lengths = prefixes.log, prefixes.length
+    log = prefixes.log
     n, width = len(prefixes), len(act_vocab) - 1
-    rows = np.repeat(np.arange(n), lengths)
-    # Rows of every prefix's events: its first row plus the event's place in it.
-    pos = np.arange(len(rows)) + np.repeat(
-        log.offsets[prefixes.case] - (np.cumsum(lengths) - lengths), lengths
-    )
+    # Every prefix's events, as the prefix (row) and the event's log row.
+    rows, pos = expand_ranges(log.offsets[prefixes.case], prefixes.length)
     codes = _code_table(act_vocab, log.activity_vocab)[log.activity[pos]].astype(np.int64)
     known = codes > 0
     cells = rows[known] * width + codes[known] - 1

@@ -31,6 +31,15 @@ A ``PrefixSet`` is two int arrays, case and length: prefix i is the first
 length[i] events of case case[i], labelled with the next activity or
 END_LABEL. Every function here and downstream that takes prefixes takes a
 ``PrefixSet``; indexing one with an int gives a ``PrefixSample`` view.
+Classes are ordered by name: ``label_names`` is the activity vocabulary with
+END_LABEL sorted in, and ``label_codes()`` gives each prefix's label as its
+index there, so code order is name order and a tie broken toward the
+smallest code goes to the first name. ``build_prefix_log`` rejects a log
+with an activity named END_LABEL.
+
+``expand_ranges`` lists every position of a set of ranges with the range it
+belongs to; prefixes, aggregation counts and peer windows all expand ranges
+through it.
 
 Preprocessing covers variant filtering, date slicing, prefix extraction,
 stratified subsampling, and case-level CV folds.
@@ -38,6 +47,7 @@ stratified subsampling, and case-level CV folds.
 
 from __future__ import annotations
 
+import bisect
 import csv
 import gzip
 import io
@@ -93,6 +103,15 @@ def seconds(us: np.ndarray) -> np.ndarray:
     if us.size and int(np.abs(us).max()) >= _EXACT_FLOAT:
         return np.array([u / 10 ** 6 for u in us.tolist()], dtype=np.float64)
     return us / 1e6
+
+
+def expand_ranges(starts: np.ndarray | int, sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every position of the ranges ``starts[i]:starts[i] + sizes[i]``, range
+    by range, as (owner, position): ``owner`` the range i of each position.
+    ``starts`` may be one int shared by every range."""
+    owner = np.repeat(np.arange(len(sizes)), sizes)
+    position = np.arange(len(owner)) + np.repeat(starts - (np.cumsum(sizes) - sizes), sizes)
+    return owner, position
 
 
 @dataclass(frozen=True, eq=False)
@@ -221,10 +240,7 @@ class PrefixSample:
     @property
     def label(self) -> str:
         """The next activity, or END_LABEL for the whole case."""
-        row = int(self.log.offsets[self.case]) + self.length
-        if row < self.log.offsets[self.case + 1]:
-            return self.log.activity_vocab[self.log.activity[row]]
-        return END_LABEL
+        return PrefixSet(self.log, np.array([self.case]), np.array([self.length])).labels[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -256,18 +272,25 @@ class PrefixSet:
         """Row after each prefix's last event."""
         return self.log.offsets[self.case] + self.length
 
+    @property
+    def label_names(self) -> tuple[str, ...]:
+        """The log's activity names and END_LABEL, sorted."""
+        vocab = self.log.activity_vocab
+        end = bisect.bisect(vocab, END_LABEL)
+        return vocab[:end] + (END_LABEL,) + vocab[end:]
+
     def label_codes(self) -> np.ndarray:
-        """Each prefix's label as an index into activity_vocab + (END_LABEL,)."""
-        log, end = self.log, len(self.log.activity_vocab)
-        # The activity after each row; END after a case's last row.
-        following = np.append(log.activity[1:], end)
+        """Each prefix's label as its index in ``label_names``."""
+        log, end = self.log, self.label_names.index(END_LABEL)
+        # The label code of the event after each row: an activity's code,
+        # plus one from END's code on, and END after a case's last row.
+        following = np.append(log.activity[1:] + (log.activity[1:] >= end), end)
         following[log.offsets[1:] - 1] = end
         return following[self.ends - 1]
 
     @property
     def labels(self) -> list[str]:
-        names = np.array(self.log.activity_vocab + (END_LABEL,), dtype=object)
-        return names[self.label_codes()].tolist()
+        return np.array(self.label_names, dtype=object)[self.label_codes()].tolist()
 
 
 @dataclass(frozen=True, eq=False)
@@ -276,7 +299,6 @@ class FoldSplit:
 
     fold_assignments: np.ndarray
     n_folds: int
-    seed: int
 
     def split(self, fold: int) -> tuple[np.ndarray, np.ndarray]:
         """Return (train_indices, test_indices) for one held-out fold."""
@@ -697,16 +719,17 @@ def build_prefix_log(
 
     A length-k prefix of an n-event case is labeled with activity k+1, or
     END_LABEL when k == n. Prefix lengths run from min_prefix to
-    min(n, max_prefix); prefixes come case by case, shortest first.
+    min(n, max_prefix); prefixes come case by case, shortest first. A log
+    with an activity named END_LABEL raises a ConfigError: its label would
+    merge with the end of a case.
     """
     _check_prefix_range(min_prefix, max_prefix)
+    if END_LABEL in log.activity_vocab:
+        raise ConfigError(f"activity name {END_LABEL!r} is reserved for the end-of-case label")
     top = np.diff(log.offsets)
     if max_prefix is not None:
         top = np.minimum(top, max_prefix)
-    counts = np.maximum(top - min_prefix + 1, 0)
-    case = np.repeat(np.arange(len(log), dtype=np.int64), counts)
-    first = np.cumsum(counts) - counts
-    length = np.arange(len(case), dtype=np.int64) - np.repeat(first, counts) + min_prefix
+    case, length = expand_ranges(min_prefix, np.maximum(top - min_prefix + 1, 0))
     return PrefixSet(log, case, length)
 
 
@@ -719,10 +742,10 @@ def stratified_subsample(prefixes: PrefixSet, fraction: float, seed: int) -> Pre
     if not 0.0 < fraction <= 1.0:
         raise ConfigError(f"sampling fraction must be in (0, 1], got {fraction}")
     codes = prefixes.label_codes()
-    names = prefixes.log.activity_vocab + (END_LABEL,)
     rng = random.Random(seed)
     chosen: list[int] = []
-    for code in sorted(np.flatnonzero(np.bincount(codes)).tolist(), key=names.__getitem__):
+    # Classes in code order, which is name order.
+    for code in np.flatnonzero(np.bincount(codes)).tolist():
         idx = np.flatnonzero(codes == code).tolist()
         count = max(1, math.floor(fraction * len(idx) + 0.5))
         chosen.extend(rng.sample(idx, count))
@@ -751,7 +774,7 @@ def make_cv_folds(prefixes: PrefixSet, n_folds: int, seed: int) -> FoldSplit:
     fold_of[cases] = np.arange(len(cases)) % n_folds
     assignments = fold_of[prefixes.case]
     assignments.flags.writeable = False
-    return FoldSplit(assignments, n_folds, seed)
+    return FoldSplit(assignments, n_folds)
 
 
 def _format_duration(seconds: float) -> str:

@@ -36,7 +36,7 @@ import numpy as np
 
 from .encoding import FeatureVector, Vocabulary
 from .errors import ConfigError
-from .eventlog import EventLog, seconds
+from .eventlog import EventLog, expand_ranges, seconds
 
 # Largest gather, in bytes, that counting window codes may build at once:
 # anchors are taken in chunks whose window positions, expanded one int64
@@ -75,20 +75,6 @@ class TransitionStats:
     successors: dict[str, tuple[str, ...]]
 
 
-@dataclass(eq=False)
-class BatchStats:
-    """Per-activity fraction of occurrences that happened inside a burst.
-
-    A burst is any epsilon-wide interval holding occurrences of the activity
-    from at least ``min_burst`` distinct cases; every occurrence inside such
-    an interval counts as burst-bound.
-    """
-
-    scores: dict[str, float]
-    epsilon: float
-    min_burst: int
-
-
 def fit_transition_stats(log: EventLog) -> TransitionStats:
     names = log.activity_vocab
     n_acts = max(len(names), 1)
@@ -120,7 +106,13 @@ def fit_batch_stats(
     log: EventLog,
     epsilon: float = 86400.0,
     min_burst: int = 3,
-) -> BatchStats:
+) -> dict[str, float]:
+    """Per-activity fraction of occurrences that happened inside a burst.
+
+    A burst is any epsilon-wide interval holding occurrences of the activity
+    from at least ``min_burst`` distinct cases; every occurrence inside such
+    an interval counts as burst-bound.
+    """
     _check_burst_rule(epsilon, min_burst)
     # Occurrences grouped by activity, each group sorted stably by time.
     all_times = seconds(log.time_us)
@@ -128,12 +120,11 @@ def fit_batch_stats(
     acts = log.activity[order]
     bounds = np.r_[np.flatnonzero(np.diff(acts, prepend=-1)), len(acts)].tolist()
     times, cases = all_times[order], log.case[order]
-    scores = {
+    return {
         log.activity_vocab[acts[first]]:
             _burst_marked(times[first:end], cases[first:end], epsilon, min_burst) / (end - first)
         for first, end in zip(bounds, bounds[1:])
     }
-    return BatchStats(scores, epsilon, min_burst)
 
 
 def _burst_marked(times: np.ndarray, cases: np.ndarray, epsilon: float, min_burst: int) -> int:
@@ -238,12 +229,7 @@ def _window_positions(bounds: Bounds) -> Iterator[tuple[int, int, np.ndarray, np
     while start < len(lo):
         done = int(ends[start - 1]) if start else 0
         stop = max(start + 1, int(np.searchsorted(ends, done + per_chunk, side="right")))
-        chunk = sizes[start:stop]
-        anchor = np.repeat(np.arange(stop - start), chunk)
-        # Window positions: lo of the anchor plus the offset inside its window.
-        pos = np.arange(len(anchor)) + np.repeat(
-            lo[start:stop] - (np.cumsum(chunk) - chunk), chunk
-        )
+        anchor, pos = expand_ranges(lo[start:stop], sizes[start:stop])
         yield start, stop, anchor, pos
         start = stop
 
@@ -426,12 +412,12 @@ def top_res(index: EventIndex, bounds: Bounds, res_vocab: Vocabulary) -> np.ndar
 
 def batch_indicator(
     last_activities: Sequence[str],
-    stats: BatchStats,
+    scores: Mapping[str, float],
     successors: Mapping[str, Sequence[str]],
 ) -> np.ndarray:
     """Largest burst score among training successors of each anchor activity."""
     table = {
-        a: max((stats.scores.get(b, 0.0) for b in successors.get(a, ())), default=0.0)
+        a: max((scores.get(b, 0.0) for b in successors.get(a, ())), default=0.0)
         for a in set(last_activities)
     }
     return np.array([table[a] for a in last_activities], dtype=np.float64)
@@ -483,7 +469,7 @@ class InterCaseEncoder:
     act_vocab: Vocabulary | None = None
     res_vocab: Vocabulary | None = None
     transition_stats: TransitionStats | None = None
-    batch_stats: BatchStats | None = None
+    batch_stats: dict[str, float] | None = None
 
     def __post_init__(self):
         self.features = tuple(self.features)

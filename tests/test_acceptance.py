@@ -285,7 +285,7 @@ class TestCriterion6IntercaseOracle:
         epsilon, min_burst = 40.0, 3
         bstats = fit_batch_stats(log, epsilon, min_burst)
         scores = ref.burst_scores(log, epsilon, min_burst)
-        assert bstats.scores == scores
+        assert bstats == scores
         events = [(when.timestamp(), cid, act)
                   for cid, _, evs in ref.cases(log) for act, when, _ in evs]
         times = np.array([t for t, _, _ in events])

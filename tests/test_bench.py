@@ -363,6 +363,28 @@ class TestMajorityBaseline:
         result = run_experiment(cfg, log, build_prefix_log(log, 1, 1))
         assert result.fold_accuracies == (0.25, 0.5)
 
+    def test_majority_tie_goes_to_the_first_name(self):
+        # By name A < Z < __END__ < _a < ~x. Fold 0 trains on fold 1's END,
+        # END, _a, _a, Z, ~x, a tie that goes to END (not to _a, as it would
+        # were END's code the last) and scores 2/6. Fold 1 trains on fold 0's
+        # Z, Z, ~x, ~x, END, END, a three-way tie that goes to Z: 1/6.
+        ids = [f"c{i:02d}" for i in range(12)]
+        cfg = ExperimentConfig(classifier="majority", folds=2, max_prefix=1)
+        only_a = make_log(*(make_trace(c, [("A", 10.0 * i)]) for i, c in enumerate(ids)))
+        fold_of = make_cv_folds(build_prefix_log(only_a, 1, 1), cfg.folds,
+                                derive_seed(cfg.seed, "folds")).fold_assignments
+        nexts = {0: iter(["Z", "Z", "~x", "~x", END_LABEL, END_LABEL]),
+                 1: iter([END_LABEL, END_LABEL, "_a", "_a", "Z", "~x"])}
+        traces = []
+        for i, c in enumerate(ids):
+            nxt = next(nexts[int(fold_of[i])])
+            ends = [] if nxt == END_LABEL else [(nxt, 10.0 * i + 5)]
+            traces.append(make_trace(c, [("A", 10.0 * i)] + ends))
+        log = make_log(*traces)
+        samples = build_prefix_log(log, 1, 1)
+        assert samples.label_names == ("A", "Z", END_LABEL, "_a", "~x")
+        assert run_experiment(cfg, log, samples).fold_accuracies == (2 / 6, 1 / 6)
+
 
 def nul_label_log(tmp_path) -> str:
     """A 60-case CSV log: S, then A (20 cases), A\x00 (15) or B (25)."""
@@ -632,8 +654,7 @@ class TestVqcFoldGroups:
             train_idx, test_idx = folds.split(fold)
             x_train, x_test = bench._encode_fold(cfg, None, samples, train_idx, test_idx)
             fold_data.append((x_train, [samples[i].label for i in train_idx], x_test))
-        # Label codes are ranks by name, so sorted names map them back.
-        names = sorted(samples.log.activity_vocab + (END_LABEL,))
+        names = samples.label_names
         return result, fold_data, trained, predicted, names
 
     def test_exact_fold_trains_on_its_groups(self, monkeypatch):

@@ -373,6 +373,34 @@ class TestBench:
         assert "unknown config keys" in capsys.readouterr().err
 
 
+class TestEndLabelActivity:
+    """A log with an activity named __END__, the end-of-case label."""
+
+    @pytest.fixture
+    def end_path(self, tmp_path):
+        path = tmp_path / "end.csv"
+        with path.open("w") as sink:
+            write_csv(make_log(make_trace("c1", [("a", 0), ("__END__", 60)]),
+                               make_trace("c2", [("a", 10), ("b", 70)])), sink)
+        return path
+
+    def test_stats_and_prepare_accept_it(self, end_path, tmp_path, capsys):
+        assert main(["stats", str(end_path)]) == 0
+        assert "activities: 3" in capsys.readouterr().out
+        assert main(["prepare", str(end_path), "--out", str(tmp_path / "out.csv")]) == 0
+
+    def test_encode_exits_2(self, end_path, tmp_path, capsys):
+        assert main(["encode", str(end_path), "--out", str(tmp_path / "f.csv")]) == 2
+        assert "'__END__' is reserved" in capsys.readouterr().err
+
+    def test_bench_exits_2(self, end_path, tmp_path, capsys):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"dataset": str(end_path), "classifier": "majority",
+                                   "folds": 2}))
+        assert main(["bench", "--config", str(cfg), "--out-dir", str(tmp_path / "r")]) == 2
+        assert "'__END__' is reserved" in capsys.readouterr().err
+
+
 class TestKernelCheck:
     def test_passes_on_healthy_simulator(self, capsys):
         code = main(["kernel-check", "--qubits", "3", "--samples", "4"])

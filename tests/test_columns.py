@@ -32,7 +32,6 @@ from icppm.eventlog import (
 )
 from icppm.intercase import (
     FEATURES,
-    BatchStats,
     EventIndex,
     InterCaseEncoder,
     PeerWindow,
@@ -159,7 +158,7 @@ def test_fitted_statistics(log):
     stats = fit_transition_stats(log)
     assert stats.mean_duration == oracles.transition_means(log)
     assert stats.successors == oracles.successor_map(log)
-    assert fit_batch_stats(log, 100.0, 2).scores == oracles.burst_scores(log, 100.0, 2)
+    assert fit_batch_stats(log, 100.0, 2) == oracles.burst_scores(log, 100.0, 2)
 
 
 def reference_fold_block(cfg, log, index, prefixes, train_idx, test_idx):
@@ -183,8 +182,7 @@ def reference_fold_block(cfg, log, index, prefixes, train_idx, test_idx):
     inter = InterCaseEncoder(
         index, cfg.inter_features, PeerWindow(width), act_vocab, res_vocab,
         TransitionStats(oracles.transition_means(train), oracles.successor_map(train)),
-        BatchStats(oracles.burst_scores(train, cfg.epsilon, cfg.min_burst),
-                   cfg.epsilon, cfg.min_burst),
+        oracles.burst_scores(train, cfg.epsilon, cfg.min_burst),
     )
     # The last event of each test prefix, with its case id.
     anchors = [(prefixes[i][0], *prefixes[i][2][-1]) for i in test_idx]

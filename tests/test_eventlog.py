@@ -6,6 +6,7 @@ from datetime import date, datetime, timezone
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from conftest import make_log, make_trace, random_log, xes_doc
@@ -13,6 +14,7 @@ from icppm.errors import ConfigError, ParseError, RecordError
 from icppm.eventlog import (
     END_LABEL,
     build_prefix_log,
+    expand_ranges,
     filter_singleton_variants,
     load_log,
     log_statistics,
@@ -433,6 +435,65 @@ class TestBuildPrefixLog:
         samples = build_prefix_log(log)
         assert [(s.case_id, s.length, s.label) for s in samples] == want
         assert [samples[i].label for i in range(len(samples))] == samples.labels
+
+
+    def test_min_prefix_above_every_case_length_gives_no_prefixes(self):
+        samples = build_prefix_log(random_log(0), min_prefix=7)
+        assert len(samples) == 0
+        assert samples.case.dtype == samples.length.dtype == np.int64
+        assert samples.label_codes().tolist() == []
+
+    def test_end_label_activity_is_rejected(self):
+        log = make_log(make_trace("c1", [("a", 0), (END_LABEL, 1)]),
+                       make_trace("c2", [("a", 2), ("b", 3)]))
+        with pytest.raises(ConfigError, match=END_LABEL):
+            build_prefix_log(log)
+
+
+class TestLabelNames:
+    # By name A < Z < __END__ < _a < a < ~x: activities on both sides of END_LABEL.
+    NAMES = ("A", "Z", "_a", "a", "~x")
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_codes_index_label_names(self, seed):
+        samples = build_prefix_log(random_log(seed, n_cases=30, activities=self.NAMES))
+        names = samples.label_names
+        assert names == ("A", "Z", END_LABEL, "_a", "a", "~x")
+        want = [events[k][0] if k < len(events) else END_LABEL
+                for _, _, events in oracles.cases(samples.log) for k in range(1, len(events) + 1)]
+        codes = samples.label_codes()
+        assert [names[c] for c in codes.tolist()] == samples.labels == want
+        assert [s.label for s in samples] == want
+        # They are the name ranks of codes that number END_LABEL last.
+        end_last = samples.log.activity_vocab + (END_LABEL,)
+        rank = np.empty(len(end_last), dtype=np.intp)
+        rank[sorted(range(len(end_last)), key=end_last.__getitem__)] = np.arange(len(end_last))
+        assert np.array_equal(codes, rank[[end_last.index(label) for label in want]])
+
+
+class TestExpandRanges:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.integers(-20, 20), st.integers(0, 4)), max_size=12))
+    def test_equals_an_arange_per_range(self, ranges):
+        starts = np.array([start for start, _ in ranges], dtype=np.int64)
+        sizes = np.array([size for _, size in ranges], dtype=np.int64)
+        owner, position = expand_ranges(starts, sizes)
+        want_owner, want_position = [], []
+        for i, (start, size) in enumerate(ranges):
+            want_owner += [i] * size
+            want_position += np.arange(start, start + size).tolist()
+        assert owner.tolist() == want_owner
+        assert position.tolist() == want_position
+
+    def test_one_start_for_every_range(self):
+        sizes = np.array([2, 0, 3])
+        got = expand_ranges(5, sizes)
+        want = expand_ranges(np.full(3, 5), sizes)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+    def test_empty_input(self):
+        owner, position = expand_ranges(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))
+        assert owner.shape == position.shape == (0,)
 
 
 class TestStratifiedSubsample:

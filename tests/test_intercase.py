@@ -17,7 +17,6 @@ from icppm.errors import ConfigError
 from icppm.eventlog import parse_xes
 from icppm.intercase import (
     FEATURES,
-    BatchStats,
     EventIndex,
     InterCaseEncoder,
     PeerWindow,
@@ -232,23 +231,23 @@ class TestFitBatchStats:
     def test_all_in_one_burst(self):
         traces = [make_trace(f"c{i}", [("a", i)]) for i in range(10)]
         stats = fit_batch_stats(make_log(*traces), epsilon=100.0, min_burst=3)
-        assert stats.scores["a"] == 1.0
+        assert stats["a"] == 1.0
 
     def test_isolated_occurrences(self):
         traces = [make_trace(f"c{i}", [("a", i * 10_000)]) for i in range(5)]
         stats = fit_batch_stats(make_log(*traces), epsilon=10.0, min_burst=2)
-        assert stats.scores["a"] == 0.0
+        assert stats["a"] == 0.0
 
     def test_half_bursty(self):
         close = [make_trace(f"c{i}", [("a", i)]) for i in range(4)]
         spread = [make_trace(f"d{i}", [("a", 10_000 + i * 10_000)]) for i in range(4)]
         stats = fit_batch_stats(make_log(*close, *spread), epsilon=100.0, min_burst=3)
-        assert stats.scores["a"] == 0.5
+        assert stats["a"] == 0.5
 
     def test_same_case_repeats_do_not_form_burst(self):
         log = log_at(("c1", [("a", 0), ("a", 1), ("a", 2)]))
         stats = fit_batch_stats(log, epsilon=100.0, min_burst=3)
-        assert stats.scores["a"] == 0.0
+        assert stats["a"] == 0.0
 
     def test_parameter_validation(self):
         log = log_at(("c1", [("a", 0)]))
@@ -261,14 +260,14 @@ class TestFitBatchStats:
     def test_matches_brute_force_oracle(self):
         for seed in (0, 1, 2, 3):
             log = random_log(seed, n_cases=15, span_s=400.0)
-            got = fit_batch_stats(log, epsilon=50.0, min_burst=3).scores
+            got = fit_batch_stats(log, epsilon=50.0, min_burst=3)
             want = oracles.burst_scores(log, 50.0, 3)
             assert got == want
 
     def test_scores_within_unit_interval(self):
         log = random_log(7, n_cases=25, span_s=300.0)
         stats = fit_batch_stats(log, epsilon=40.0, min_burst=2)
-        assert all(0.0 <= v <= 1.0 for v in stats.scores.values())
+        assert all(0.0 <= v <= 1.0 for v in stats.values())
 
     # Epsilon in microseconds, and the gap in units of it before each
     # occurrence: 0 repeats a time, 1 and 1/2 + 1/2 span exactly epsilon,
@@ -310,29 +309,29 @@ class TestFitBatchStats:
                 (activity, start + timedelta(microseconds=us)))
         log = make_log(*(make_trace(cid, spec) for cid, spec in specs.items()))
         epsilon = epsilon_us / 1e6
-        got = fit_batch_stats(log, epsilon, min_burst).scores
+        got = fit_batch_stats(log, epsilon, min_burst)
         assert got == oracles.burst_scores(log, epsilon, min_burst)
 
 
 class TestBatchIndicator:
     def test_max_over_successors(self):
-        stats = BatchStats({"b": 0.8, "c": 0.2}, 10.0, 3)
+        stats = {"b": 0.8, "c": 0.2}
         assert batch_indicator(["a"], stats, {"a": ("b", "c")}).tolist() == [0.8]
 
     def test_unseen_activity(self):
-        stats = BatchStats({"b": 0.8}, 10.0, 3)
+        stats = {"b": 0.8}
         assert batch_indicator(["zzz"], stats, {"a": ("b",)}).tolist() == [0.0]
 
     def test_single_successor(self):
-        stats = BatchStats({"b": 0.5}, 10.0, 3)
+        stats = {"b": 0.5}
         assert batch_indicator(["a"], stats, {"a": ("b",)}).tolist() == [0.5]
 
     def test_successor_without_score_counts_zero(self):
-        stats = BatchStats({}, 10.0, 3)
+        stats = {}
         assert batch_indicator(["a"], stats, {"a": ("b",)}).tolist() == [0.0]
 
     def test_one_lookup_per_anchor(self):
-        stats = BatchStats({"b": 0.8, "c": 0.2}, 10.0, 3)
+        stats = {"b": 0.8, "c": 0.2}
         successors = {"a": ("b", "c"), "b": ("c",)}
         got = batch_indicator(["b", "a", "zzz", "a", "b"], stats, successors)
         assert got.tolist() == [0.2, 0.8, 0.0, 0.8, 0.2]
@@ -683,7 +682,7 @@ class TestInterCaseEncoder:
     def test_batch_feature_uses_training_successors(self):
         train = log_at(("t1", [("a", 0), ("b", 10)]))
         tstats = fit_transition_stats(train)
-        bstats = BatchStats({"b": 0.7}, 10.0, 3)
+        bstats = {"b": 0.7}
         log, idx = self._index()
         enc = InterCaseEncoder(
             idx,
